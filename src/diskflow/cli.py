@@ -48,6 +48,7 @@ from .loewner_cp import (
 from .semiflow import flow_trajectory
 from .value_regions import (
     DiskRegion,
+    InequalityRecord,
     IntervalRegion,
     REGIMES,
     inequality_suite,
@@ -290,19 +291,38 @@ def cmd_flow(args) -> int:
     return 0
 
 
-def _verify_records(spec: GeneratorSpec):
-    records = [(r.name, r.slack) for r in inequality_suite(spec)]
+def _membership(name: str, region: DiskRegion | IntervalRegion, w) -> InequalityRecord:
+    """Membership of w in the region as one record lhs <= rhs, with the region's slack."""
+    if isinstance(region, DiskRegion):
+        return InequalityRecord(name, abs(complex(w) - region.center), region.radius)
+    if w - region.lo <= region.hi - w:
+        return InequalityRecord(name, region.lo, w)
+    return InequalityRecord(name, w, region.hi)
+
+
+def _verify_records(spec: GeneratorSpec) -> list[InequalityRecord]:
+    records = inequality_suite(spec)
     config = spec.config
     zeta = eval_generator(spec, 0.0)
     if abs(config.tau) > 1e-12:
-        records.append(("origin_in_Z", region_Z(config).slack(zeta)))
+        records.append(_membership("origin_in_Z", region_Z(config), zeta))
     lam = dw_spectral_value(spec)
     region, _ = lambda_range(config)
     if config.is_boundary:
-        records.append(("spectral_in_range", region.slack(float(lam))))
+        records.append(_membership("spectral_in_range", region, float(lam)))
     else:
-        records.append(("spectral_in_range", region.slack(lam)))
+        records.append(_membership("spectral_in_range", region, lam))
     return records
+
+
+def _is_sign_violation(record: InequalityRecord, floor: float) -> bool:
+    """Slack negative beyond roundoff.
+
+    A slack is a difference of terms as large as the record's sides, so the
+    roundoff floor scales with max(1, |lhs|, |rhs|): hyperbolic_window
+    compares squares that reach 5.7e5, where one ulp is 1.2e-10.
+    """
+    return record.slack < -floor * max(1.0, abs(record.lhs), abs(record.rhs))
 
 
 def cmd_verify(args) -> int:
@@ -319,11 +339,13 @@ def cmd_verify(args) -> int:
     for i in range(args.samples):
         regime = REGIMES[i % len(REGIMES)]
         spec = random_spec(rng, regime)
-        for name, slack in _verify_records(spec):
+        for record in _verify_records(spec):
+            name, slack = record.name, record.slack
             checked[name] = checked.get(name, 0) + 1
             if slack < -tol:
                 warnings[name] = warnings.get(name, 0) + 1
-            if slack < -sign_floor:
+            # the scaled floor is at least sign_floor, so most records stop here
+            if slack < -sign_floor and _is_sign_violation(record, sign_floor):
                 violations[name] = violations.get(name, 0) + 1
             if name not in min_slack or slack < min_slack[name]:
                 min_slack[name] = slack

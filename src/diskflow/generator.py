@@ -17,6 +17,9 @@ The raw product form G(z) = (tau - z)(1 - conj(tau) z) p*(z) is available
 as BerksonPortaSpec; it characterizes all generators, without fixed-point
 bookkeeping.  The zero field has its own marker type since it belongs to
 every class but has no Herglotz denominator.
+
+The eval_* functions take a scalar point or a 1-D array of points; a point
+outside the open disk raises DomainError.
 """
 
 from __future__ import annotations
@@ -24,18 +27,21 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 
+import numpy as np
+
 from .errors import DegenerateConfig, DomainError
 from .herglotz_core import (
     AtomicHerglotz,
     BoundaryPoint,
     RationalHerglotz,
-    contact_value,
     eval_herglotz,
     herglotz_derivative,
     herglotz_second_derivative,
+    kernel_sum,
     p_sharp,
     p_star,
     reciprocal,
+    require_interior,
     scale_herglotz,
 )
 
@@ -124,6 +130,19 @@ class GeneratorSpec:
     config: FixedPointConfig
     p: AtomicHerglotz = field(default_factory=AtomicHerglotz)
 
+    @cached_property
+    def denominator_atoms(self) -> tuple[np.ndarray, np.ndarray]:
+        """Atom points and masses of p + p0 for kernel_sum.
+
+        The atoms of p and p0 stand side by side, unmerged, so the
+        denominator costs one kernel call and no atom surgery.
+        """
+        atoms = self.p.atoms + self.config.base_herglotz.atoms
+        return (
+            np.array([point.value for point, _ in atoms], dtype=complex),
+            np.array([mass for _, mass in atoms], dtype=float),
+        )
+
 
 @dataclass(frozen=True)
 class BerksonPortaSpec:
@@ -156,16 +175,22 @@ TRIVIAL_GENERATOR = TrivialGenerator()
 GeneratorLike = GeneratorSpec | BerksonPortaSpec | TrivialGenerator
 
 
-def _mobius_factor(tau: complex, z: complex) -> complex:
+def _mobius_factor(tau: complex, z):
     return (tau - z) * (1.0 - tau.conjugate() * z)
 
 
-def _mobius_factor_d1(tau: complex, z: complex) -> complex:
+def _mobius_factor_d1(tau: complex, z):
     return -(1.0 + abs(tau) ** 2) + 2.0 * tau.conjugate() * z
 
 
-def eval_p0(config: FixedPointConfig, z: complex) -> complex:
-    """The base function p0 at an interior point; Re of the result is positive."""
+def _zero_field(z):
+    """The zero field's value at interior points: 0 in the shape of z."""
+    require_interior(z)
+    return np.zeros_like(z, dtype=complex) if np.ndim(z) else 0.0 + 0.0j
+
+
+def eval_p0(config: FixedPointConfig, z):
+    """The base function p0 at interior points; Re of the result is positive."""
     return eval_herglotz(config.base_herglotz, z)
 
 
@@ -175,27 +200,25 @@ def denominator_herglotz(spec: GeneratorSpec) -> RationalHerglotz:
     return RationalHerglotz(merged, spec.p.gamma)
 
 
-def eval_denominator(spec: GeneratorSpec, z: complex) -> complex:
-    return eval_herglotz(spec.p, z) + eval_p0(spec.config, z)
+def eval_denominator(spec: GeneratorSpec, z):
+    """p + p0 at interior points."""
+    require_interior(z)
+    return 1j * spec.p.gamma + kernel_sum(*spec.denominator_atoms, z, 0)
 
 
-def eval_generator(gen: GeneratorLike, z: complex) -> complex:
+def eval_generator(gen: GeneratorLike, z):
     if isinstance(gen, TrivialGenerator):
-        if abs(z) >= 1.0:
-            raise DomainError("evaluation point must lie in the open disk")
-        return 0.0 + 0.0j
+        return _zero_field(z)
     if isinstance(gen, BerksonPortaSpec):
         value = eval_herglotz(gen.pstar, z) + gen.const
         return _mobius_factor(gen.tau, z) * value
     return _mobius_factor(gen.config.tau, z) / eval_denominator(gen, z)
 
 
-def eval_generator_derivative(gen: GeneratorLike, z: complex) -> complex:
+def eval_generator_derivative(gen: GeneratorLike, z):
     """Exact analytic derivative of eval_generator."""
     if isinstance(gen, TrivialGenerator):
-        if abs(z) >= 1.0:
-            raise DomainError("evaluation point must lie in the open disk")
-        return 0.0 + 0.0j
+        return _zero_field(z)
     if isinstance(gen, BerksonPortaSpec):
         value = eval_herglotz(gen.pstar, z) + gen.const
         d1 = herglotz_derivative(gen.pstar, z)
@@ -204,15 +227,13 @@ def eval_generator_derivative(gen: GeneratorLike, z: complex) -> complex:
     u = _mobius_factor(tau, z)
     du = _mobius_factor_d1(tau, z)
     q = eval_denominator(gen, z)
-    dq = herglotz_derivative(gen.p, z) + herglotz_derivative(gen.config.base_herglotz, z)
+    dq = kernel_sum(*gen.denominator_atoms, z, 1)
     return (du * q - u * dq) / q**2
 
 
-def eval_generator_second_derivative(gen: GeneratorLike, z: complex) -> complex:
+def eval_generator_second_derivative(gen: GeneratorLike, z):
     if isinstance(gen, TrivialGenerator):
-        if abs(z) >= 1.0:
-            raise DomainError("evaluation point must lie in the open disk")
-        return 0.0 + 0.0j
+        return _zero_field(z)
     if isinstance(gen, BerksonPortaSpec):
         value = eval_herglotz(gen.pstar, z) + gen.const
         d1 = herglotz_derivative(gen.pstar, z)
@@ -226,10 +247,8 @@ def eval_generator_second_derivative(gen: GeneratorLike, z: complex) -> complex:
     du = _mobius_factor_d1(tau, z)
     ddu = 2.0 * tau.conjugate()
     q = eval_denominator(gen, z)
-    dq = herglotz_derivative(gen.p, z) + herglotz_derivative(gen.config.base_herglotz, z)
-    ddq = herglotz_second_derivative(gen.p, z) + herglotz_second_derivative(
-        gen.config.base_herglotz, z
-    )
+    dq = kernel_sum(*gen.denominator_atoms, z, 1)
+    ddq = kernel_sum(*gen.denominator_atoms, z, 2)
     return ((ddu * q - u * ddq) * q - 2.0 * dq * (du * q - u * dq)) / q**3
 
 
@@ -254,7 +273,8 @@ def dw_spectral_value(
     tau_bp = BoundaryPoint.from_complex(tau)
     if gen.p.atom_mass_at(tau_bp) > 0.0:
         return 0.0
-    contact = contact_value(gen.p, tau_bp) + contact_value(config.base_herglotz, tau_bp)
+    # the denominator's contact value at tau is i (gamma + Im of its kernel sum)
+    contact = gen.p.gamma + kernel_sum(*gen.denominator_atoms, tau_bp.value, 0).imag
     if abs(contact) > contact_tol:
         return 0.0
     return 1.0 / (p_sharp(gen.p, tau_bp) + config.inv_lambda_sum)

@@ -11,6 +11,16 @@ half-plane, so Re p >= 0 is automatic.  The module provides evaluation,
 the mass functional p_star, the derivative-type functional p_sharp,
 contact values, atom surgery, reciprocals within the rational class, and
 the two quadrature routines used by the decay/divergence counterexample.
+
+All evaluation goes through one array kernel, kernel_sum, over the atom
+points and masses cached on each function.  It sums the order-k
+z-derivatives of the kernels,
+
+    sum_j m_j K_{s_j}^(k)(z),   K_s^(0) = (s+z)/(s-z),   K_s^(k) = 2 k! s/(s-z)^(k+1),
+
+so p = i*gamma + (k=0), p' = (k=1), p'' = (k=2), and the boundary
+functionals are the same sums at a point of the circle.  The evaluation
+functions take a scalar or a 1-D array of points.
 """
 
 from __future__ import annotations
@@ -18,6 +28,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.integrate import quad
@@ -115,6 +126,18 @@ class AtomicHerglotz:
     def total_mass(self) -> float:
         return sum(m for _, m in self.atoms)
 
+    # The kernel arrays are built on first use: many functions are built
+    # (and merged, split, compared) without ever being evaluated.
+    @cached_property
+    def s(self) -> np.ndarray:
+        """Atom points on the circle, in atom order."""
+        return np.array([point.value for point, _ in self.atoms], dtype=complex)
+
+    @cached_property
+    def m(self) -> np.ndarray:
+        """Atom masses, in atom order."""
+        return np.array([mass for _, mass in self.atoms], dtype=float)
+
     def atom_mass_at(self, sigma: BoundaryPoint) -> float:
         for point, mass in self.atoms:
             if point.same_point(sigma):
@@ -145,36 +168,58 @@ def herglotz_kernel(s: BoundaryPoint, z: complex) -> complex:
     return (sv + z) / (sv - z)
 
 
-def eval_herglotz(p: AtomicHerglotz, z: complex) -> complex:
-    """Evaluate p at an interior point."""
-    if abs(z) >= 1.0:
-        raise DomainError(f"evaluation point must lie in the open disk, |z|={abs(z)}")
-    total = complex(0.0, p.gamma)
-    for point, mass in p.atoms:
-        total += mass * herglotz_kernel(point, z)
-    return total
+def kernel_sum(s: np.ndarray, m: np.ndarray, z, order: int):
+    """sum_j m_j K_{s_j}^(order)(z), the order-th derivative of the kernel sum.
+
+    ``s`` and ``m`` are atom points and masses.  For an array z the sum is
+    taken at every point at once, by broadcasting against the atoms, and
+    has the shape of z.  A single point is summed in plain complex
+    arithmetic: numpy's per-call cost on arrays of a few atoms makes one
+    point two to three times slower than the loop, and single points are
+    what an orbit's right-hand side and `verify` evaluate.  Order 0 keeps
+    the kernel (s+z)/(s-z) itself rather than 2s/(s-z) - 1, which rounds
+    worse.  There is no domain check: the sum is finite anywhere off the
+    atoms, which is what the boundary functionals need.
+    """
+    if isinstance(z, np.ndarray):
+        zc = z[..., None]
+        if order == 0:
+            return ((s + zc) / (s - zc)) @ m
+        return (s / (s - zc) ** (order + 1)) @ m * (2.0 * math.factorial(order))
+    z = complex(z)
+    total = 0j
+    if order == 0:
+        for sj, mj in zip(s.tolist(), m.tolist()):
+            total += mj * ((sj + z) / (sj - z))
+        return total
+    for sj, mj in zip(s.tolist(), m.tolist()):
+        total += mj * sj / (sj - z) ** (order + 1)
+    return total * (2.0 * math.factorial(order))
 
 
-def herglotz_derivative(p: AtomicHerglotz, z: complex) -> complex:
+def require_interior(z) -> None:
+    """Raise DomainError unless every point of z lies in the open disk."""
+    radius = np.abs(z).max(initial=0.0) if isinstance(z, np.ndarray) else abs(z)
+    if radius >= 1.0:
+        raise DomainError(f"evaluation point must lie in the open disk, |z|={radius}")
+
+
+def eval_herglotz(p: AtomicHerglotz, z):
+    """Evaluate p at interior points."""
+    require_interior(z)
+    return 1j * p.gamma + kernel_sum(p.s, p.m, z, 0)
+
+
+def herglotz_derivative(p: AtomicHerglotz, z):
     """p'(z).  Each kernel differentiates to 2s/(s-z)^2."""
-    if abs(z) >= 1.0:
-        raise DomainError(f"evaluation point must lie in the open disk, |z|={abs(z)}")
-    total = 0.0 + 0.0j
-    for point, mass in p.atoms:
-        sv = point.value
-        total += mass * 2.0 * sv / (sv - z) ** 2
-    return total
+    require_interior(z)
+    return kernel_sum(p.s, p.m, z, 1)
 
 
-def herglotz_second_derivative(p: AtomicHerglotz, z: complex) -> complex:
+def herglotz_second_derivative(p: AtomicHerglotz, z):
     """p''(z).  Each kernel contributes 4s/(s-z)^3."""
-    if abs(z) >= 1.0:
-        raise DomainError(f"evaluation point must lie in the open disk, |z|={abs(z)}")
-    total = 0.0 + 0.0j
-    for point, mass in p.atoms:
-        sv = point.value
-        total += mass * 4.0 * sv / (sv - z) ** 3
-    return total
+    require_interior(z)
+    return kernel_sum(p.s, p.m, z, 2)
 
 
 def p_star(p: AtomicHerglotz, sigma: BoundaryPoint) -> float:
@@ -185,28 +230,21 @@ def p_star(p: AtomicHerglotz, sigma: BoundaryPoint) -> float:
 def p_sharp(p: AtomicHerglotz, sigma: BoundaryPoint) -> float:
     """Derivative-type boundary functional; +inf when sigma carries an atom.
 
-    For atom-free sigma this is 2 * sum_j m_j / |s_j - sigma|^2, the limit of
-    Re p(r sigma)/(1-r) as r -> 1.
+    For atom-free sigma this is Re(-sigma p'(sigma)) = 2 sum_j m_j / |s_j - sigma|^2,
+    the limit of Re p(r sigma)/(1-r) as r -> 1.
     """
+    if p.atom_mass_at(sigma) > 0.0:
+        return math.inf
     sv = sigma.value
-    total = 0.0
-    for point, mass in p.atoms:
-        if point.same_point(sigma):
-            return math.inf
-        total += mass / abs(point.value - sv) ** 2
-    return 2.0 * total
+    return (-sv * kernel_sum(p.s, p.m, sv, 1)).real
 
 
 def contact_value(p: AtomicHerglotz, sigma: BoundaryPoint) -> complex:
     """Angular limit of p at sigma, purely imaginary for atom-free sigma."""
-    sv = sigma.value
-    total = complex(0.0, p.gamma)
-    for point, mass in p.atoms:
-        if point.same_point(sigma):
-            raise AtomAtPoint(f"p carries an atom at angle {sigma.theta}")
-        total += mass * herglotz_kernel(point, sv)
+    if p.atom_mass_at(sigma) > 0.0:
+        raise AtomAtPoint(f"p carries an atom at angle {sigma.theta}")
     # the limit is purely imaginary; drop the rounding residue
-    return complex(0.0, total.imag)
+    return complex(0.0, p.gamma + kernel_sum(p.s, p.m, sigma.value, 0).imag)
 
 
 def extract_atom(p: AtomicHerglotz, sigma: BoundaryPoint) -> tuple[float, AtomicHerglotz]:
@@ -298,22 +336,17 @@ def reciprocal(p: RationalHerglotz) -> RationalHerglotz:
     new_atoms = []
     for kappa in zeros:
         kv = kappa.value
-        # At a regular zero on the circle, p# reduces to -kappa p'(kappa);
-        # evaluation there is finite because zeros and poles are disjoint.
-        sharp = (-kv * herglotz_derivative_circle(p, kv)).real
+        # At a regular zero on the circle, p# reduces to -kappa p'(kappa); the
+        # kernel is finite there because zeros and poles are disjoint.  The
+        # zeros are summed one at a time, in complex arithmetic: at high
+        # degree the roots of 1/(1/p) move with the last bit of these masses,
+        # and the broadcast sum, which rounds differently, breaks the
+        # involution on some 19-atom functions where this sum keeps it.
+        sharp = (-kv * kernel_sum(p.s, p.m, kv, 1)).real
         new_atoms.append((kappa, 1.0 / (2.0 * sharp)))
     p0 = complex(p.total_mass, p.gamma)
     new_gamma = (1.0 / p0).imag
     return RationalHerglotz(tuple(new_atoms), new_gamma)
-
-
-def herglotz_derivative_circle(p: AtomicHerglotz, w: complex) -> complex:
-    """p' by direct summation, valid anywhere off the atom set."""
-    total = 0.0 + 0.0j
-    for point, mass in p.atoms:
-        sv = point.value
-        total += mass * 2.0 * sv / (sv - w) ** 2
-    return total
 
 
 # ----------------------------------------------------------------------

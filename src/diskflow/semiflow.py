@@ -6,13 +6,22 @@ solved inside the unit disk, optionally together with the variational
 equation d/dt (d phi_t/dz) = G'(phi_t) (d phi_t/dz) for the spatial
 derivative along the orbit.
 
+The flow functions, like the generator evaluations (eval_generator and its
+derivatives) they call, take one point or a 1-D array of points.  All the
+orbits of an array are solved as one system in a single IVP, with one
+generator evaluation per right-hand side over every orbit.  Error control
+is then joint across the orbits: the solver's step size answers to the
+root-mean-square of their scaled error estimates, and the boundary guard
+stops the solve when any orbit reaches it.
+
 Boundary spectral data is recovered from the flow without ever evaluating
 on the circle: the quotient
 
     [(1-|z|^2) / |z - sigma|^2] * [|phi(z) - sigma|^2 / (1 - |phi(z)|^2)]
 
 along the radius z = r sigma tends to phi'(sigma) as r -> 1, and a
-Richardson step in h = 1 - r removes the first-order error.
+Richardson step in h = 1 - r removes the first-order error.  The whole
+radius ladder is one array of start points, hence one IVP.
 """
 
 from __future__ import annotations
@@ -72,14 +81,16 @@ class Trajectory:
 def _solve(
     rhs: Callable,
     y0: np.ndarray,
+    n_orbits: int,
     t_final: float,
     settings: ODESettings,
     t_eval: np.ndarray | None = None,
 ):
+    """Integrate a system whose first ``n_orbits`` components are orbit points."""
     guard = 1.0 - settings.boundary_guard
 
     def escape(t: float, y: np.ndarray) -> float:
-        return abs(y[0]) - guard
+        return np.abs(y[:n_orbits]).max() - guard
 
     escape.terminal = True
     escape.direction = 1.0
@@ -102,54 +113,93 @@ def _solve(
     return sol
 
 
-def _require_interior(z0: complex) -> complex:
-    z0 = complex(z0)
-    if abs(z0) >= 1.0:
-        raise DomainError(f"initial point must lie in the open disk, |z0|={abs(z0)}")
-    return z0
+def _start_points(z0) -> np.ndarray:
+    """z0 as a 1-D complex array, checked to lie in the open disk."""
+    z = np.atleast_1d(np.asarray(z0, dtype=complex))
+    if z.ndim != 1:
+        raise DomainError("start points must be a scalar or a 1-D array")
+    radius = np.abs(z).max(initial=0.0)
+    if radius >= 1.0:
+        raise DomainError(f"initial point must lie in the open disk, |z0|={radius}")
+    return z
+
+
+def _like_input(z0, values: np.ndarray):
+    """``values`` (one per start point) shaped like the caller's z0."""
+    return values.copy() if np.ndim(z0) else complex(values[0])
+
+
+def _unpack(y: np.ndarray, n: int):
+    """The first n components of a state vector, as the generator's argument.
+
+    A lone orbit is integrated in plain complex arithmetic: its component
+    goes in as a Python complex, which the generator evaluates several
+    times faster than numpy on a one-element array.
+    """
+    return complex(y[0]) if n == 1 else y[:n]
+
+
+def _pack(n: int, *parts) -> np.ndarray:
+    """The state vector made of ``parts``, each one value per orbit."""
+    return np.array(parts) if n == 1 else np.concatenate(parts)
+
+
+def _flow_rhs(gen: GeneratorLike, n: int) -> Callable:
+    """Right-hand side of n orbits."""
+
+    def rhs(_: float, y: np.ndarray) -> np.ndarray:
+        return _pack(n, eval_generator(gen, _unpack(y, n)))
+
+    return rhs
+
+
+def _variational_rhs(gen: GeneratorLike, n: int) -> Callable:
+    """Right-hand side of n orbits (first n components) and their derivatives."""
+
+    def rhs(_: float, y: np.ndarray) -> np.ndarray:
+        w = _unpack(y, n)
+        tangent = eval_generator_derivative(gen, w) * _unpack(y[n:], n)
+        return _pack(n, eval_generator(gen, w), tangent)
+
+    return rhs
 
 
 def integrate_flow(
     gen: GeneratorLike,
-    z0: complex,
+    z0,
     t: float,
     settings: ODESettings = DEFAULT_SETTINGS,
-) -> complex:
-    """phi_t(z0)."""
-    z0 = _require_interior(z0)
+):
+    """phi_t(z0) for a start point or a 1-D array of them (one IVP)."""
+    z = _start_points(z0)
     if t < 0.0:
         raise DomainError("semigroup time must be nonnegative")
-    if t == 0.0:
-        return z0
-
-    def rhs(_: float, y: np.ndarray) -> np.ndarray:
-        return np.array([eval_generator(gen, complex(y[0]))])
-
-    sol = _solve(rhs, np.array([z0], dtype=complex), t, settings)
-    return complex(sol.y[0, -1])
+    n = len(z)
+    if t == 0.0 or n == 0:
+        return _like_input(z0, z)
+    sol = _solve(_flow_rhs(gen, n), z, n, t, settings)
+    return _like_input(z0, sol.y[:, -1])
 
 
 def integrate_flow_with_derivative(
     gen: GeneratorLike,
-    z0: complex,
+    z0,
     t: float,
     settings: ODESettings = DEFAULT_SETTINGS,
-) -> tuple[complex, complex]:
-    """(phi_t(z0), d phi_t/dz at z0) via the variational equation."""
-    z0 = _require_interior(z0)
+):
+    """(phi_t(z0), d phi_t/dz at z0) via the variational equation.
+
+    For an array of start points both entries are arrays, solved as one IVP.
+    """
+    z = _start_points(z0)
     if t < 0.0:
         raise DomainError("semigroup time must be nonnegative")
-    if t == 0.0:
-        return z0, 1.0 + 0.0j
-
-    def rhs(_: float, y: np.ndarray) -> np.ndarray:
-        z = complex(y[0])
-        return np.array(
-            [eval_generator(gen, z), eval_generator_derivative(gen, z) * y[1]]
-        )
-
-    sol = _solve(rhs, np.array([z0, 1.0], dtype=complex), t, settings)
-    return complex(sol.y[0, -1]), complex(sol.y[1, -1])
+    n = len(z)
+    ones = np.ones(n, dtype=complex)
+    if t == 0.0 or n == 0:
+        return _like_input(z0, z), _like_input(z0, ones)
+    sol = _solve(_variational_rhs(gen, n), np.concatenate((z, ones)), n, t, settings)
+    return _like_input(z0, sol.y[:n, -1]), _like_input(z0, sol.y[n:, -1])
 
 
 def flow_trajectory(
@@ -160,20 +210,14 @@ def flow_trajectory(
     samples: int = 200,
 ) -> Trajectory:
     """Orbit and derivative sampled on a uniform time grid of ``samples`` points."""
-    z0 = _require_interior(z0)
+    z = _start_points(complex(z0))
     if t <= 0.0:
         raise DomainError("trajectory horizon must be positive")
     if samples < 2:
         raise DomainError("at least two samples are required")
-
-    def rhs(_: float, y: np.ndarray) -> np.ndarray:
-        z = complex(y[0])
-        return np.array(
-            [eval_generator(gen, z), eval_generator_derivative(gen, z) * y[1]]
-        )
-
     grid = np.linspace(0.0, t, samples)
-    sol = _solve(rhs, np.array([z0, 1.0], dtype=complex), t, settings, t_eval=grid)
+    y0 = np.concatenate((z, np.ones(1, dtype=complex)))
+    sol = _solve(_variational_rhs(gen, 1), y0, 1, t, settings, t_eval=grid)
     return Trajectory(
         tuple(float(s) for s in sol.t),
         tuple(complex(w) for w in sol.y[0]),
@@ -184,18 +228,56 @@ def flow_trajectory(
 DEFAULT_RADII = tuple(1.0 - 2.0**-k for k in range(4, 15))
 
 
+def _radii(radii: Sequence[float]) -> np.ndarray:
+    r = np.asarray(radii, dtype=float)
+    if not np.all((0.0 < r) & (r < 1.0)):
+        raise DomainError("radius must lie in (0, 1)")
+    return r
+
+
+def _julia_quotients(sigma: BoundaryPoint, r: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The quotient at the radial points r sigma, where the map takes values w."""
+    if np.abs(w).max() >= 1.0:
+        raise BoundaryEscape("map value left the open disk")
+    sv = sigma.value
+    return ((1.0 - r * r) / np.abs(r * sv - sv) ** 2) * (
+        np.abs(w - sv) ** 2 / (1.0 - np.abs(w) ** 2)
+    )
+
+
+def _radial_limit(
+    sigma: BoundaryPoint,
+    radii: Sequence[float],
+    map_points: Callable[[np.ndarray], np.ndarray],
+    tol: float,
+) -> float:
+    """Richardson-extrapolated radial limit of the quotient over a radius ladder.
+
+    ``map_points`` maps the array of the ladder's points r sigma.  The
+    ladder must increase toward 1 with h = 1 - r halving each step; the
+    final two extrapolants must agree within 10 * tol, otherwise the limit
+    is declared unreachable.
+    """
+    if len(radii) < 3:
+        raise DomainError("at least three radii are required for extrapolation")
+    r = _radii(radii)
+    quotients = _julia_quotients(sigma, r, map_points(r * sigma.value))
+    extrapolated = 2.0 * quotients[1:] - quotients[:-1]
+    last, prev = float(extrapolated[-1]), float(extrapolated[-2])
+    if abs(last - prev) > 10.0 * tol * max(1.0, abs(last)):
+        raise ExtrapolationDivergence(
+            f"extrapolants disagree: {prev!r} vs {last!r} at tolerance {tol!r}"
+        )
+    return last
+
+
 def julia_quotient(
     map_fn: Callable[[complex], complex], sigma: BoundaryPoint, r: float
 ) -> float:
     """The boundary-derivative quotient of ``map_fn`` at radius r along sigma."""
-    if not 0.0 < r < 1.0:
-        raise DomainError("radius must lie in (0, 1)")
-    sv = sigma.value
-    z = r * sv
-    w = map_fn(z)
-    if abs(w) >= 1.0:
-        raise BoundaryEscape("map value left the open disk")
-    return ((1.0 - r * r) / abs(z - sv) ** 2) * (abs(w - sv) ** 2 / (1.0 - abs(w) ** 2))
+    r = _radii([r])
+    w = np.array([map_fn(complex(r[0] * sigma.value))], dtype=complex)
+    return float(_julia_quotients(sigma, r, w)[0])
 
 
 def julia_quotient_estimate(
@@ -204,24 +286,18 @@ def julia_quotient_estimate(
     radii: Sequence[float] = DEFAULT_RADII,
     tol: float = 1e-3,
 ) -> float:
-    """Radial limit of the quotient, Richardson-extrapolated in h = 1 - r.
+    """Radial limit of the quotient of ``map_fn``, which takes one point.
 
-    ``radii`` must increase toward 1 with h halving each step, as the
-    default ladder does.  The final two extrapolants must agree within
-    10 * tol, otherwise the limit is declared unreachable.
+    ``radii`` must increase toward 1 with h = 1 - r halving each step, as
+    the default ladder does; the limit is Richardson-extrapolated in h.
+    The final two extrapolants must agree within 10 * tol, otherwise the
+    limit is declared unreachable.
     """
-    if len(radii) < 3:
-        raise DomainError("at least three radii are required for extrapolation")
-    quotients = [julia_quotient(map_fn, sigma, r) for r in radii]
-    extrapolated = [
-        2.0 * quotients[i + 1] - quotients[i] for i in range(len(quotients) - 1)
-    ]
-    last, prev = extrapolated[-1], extrapolated[-2]
-    if abs(last - prev) > 10.0 * tol * max(1.0, abs(last)):
-        raise ExtrapolationDivergence(
-            f"extrapolants disagree: {prev!r} vs {last!r} at tolerance {tol!r}"
-        )
-    return extrapolated[-1]
+
+    def map_points(z: np.ndarray) -> np.ndarray:
+        return np.array([map_fn(complex(point)) for point in z], dtype=complex)
+
+    return _radial_limit(sigma, radii, map_points, tol)
 
 
 def estimate_boundary_derivative(
@@ -232,9 +308,12 @@ def estimate_boundary_derivative(
     radii: Sequence[float] = DEFAULT_RADII,
     tol: float = 1e-3,
 ) -> float:
-    """phi_t'(sigma) at a boundary fixed point, from interior orbits only."""
-    return julia_quotient_estimate(
-        lambda z: integrate_flow(gen, z, t, settings), sigma, radii, tol
+    """phi_t'(sigma) at a boundary fixed point, from interior orbits only.
+
+    The orbits of the whole radius ladder are solved as one IVP.
+    """
+    return _radial_limit(
+        sigma, radii, lambda z: integrate_flow(gen, z, t, settings), tol
     )
 
 
@@ -252,30 +331,28 @@ def dw_attraction_check(
     settings: ODESettings = DEFAULT_SETTINGS,
     rng: np.random.Generator | None = None,
 ) -> AttractionReport:
-    """Empirical check that orbits approach tau.
+    """Empirical check that orbits approach tau, at times 0 and t.
 
     Interior tau: the pseudo-hyperbolic distance |(w-tau)/(1-conj(tau)w)|
-    to tau strictly decreases along every nontrivial orbit, so the check
-    compares it at times 0 and t.  Boundary tau: Euclidean distance to tau
-    is compared at times t and 2t (attraction is only asymptotic there).
+    to tau strictly decreases along every nontrivial orbit (Schwarz-Pick).
+    Boundary tau: the Euclidean distance need not decrease, but the
+    horocycle quantity |tau-w|^2/(1-|w|^2) does not increase (Julia's
+    lemma), and it falls by the factor phi_t'(tau) = exp(-lambda t) < 1 in
+    the hyperbolic case.  All sample orbits are solved as one IVP.
     """
     if rng is None:
         rng = np.random.default_rng(0)
     tau = complex(tau)
     boundary = abs(abs(tau) - 1.0) <= 1e-12
-    entries = []
-    all_dec = True
-    for _ in range(samples):
-        z0 = 0.9 * math.sqrt(rng.uniform()) * np.exp(1j * rng.uniform(0.0, 2 * math.pi))
-        z0 = complex(z0)
+    draws = rng.uniform(size=(samples, 2))
+    z0 = 0.9 * np.sqrt(draws[:, 0]) * np.exp(1j * (2 * math.pi * draws[:, 1]))
+
+    def distance(w: np.ndarray) -> np.ndarray:
         if boundary:
-            before = abs(integrate_flow(gen, z0, t, settings) - tau)
-            after = abs(integrate_flow(gen, z0, 2.0 * t, settings) - tau)
-        else:
-            before = abs((z0 - tau) / (1.0 - tau.conjugate() * z0))
-            w = integrate_flow(gen, z0, t, settings)
-            after = abs((w - tau) / (1.0 - tau.conjugate() * w))
-        entries.append((z0, before, after))
-        if after >= before:
-            all_dec = False
-    return AttractionReport(tuple(entries), all_dec)
+            return np.abs(tau - w) ** 2 / (1.0 - np.abs(w) ** 2)
+        return np.abs((w - tau) / (1.0 - tau.conjugate() * w))
+
+    before = distance(z0)
+    after = distance(integrate_flow(gen, z0, t, settings))
+    entries = tuple(zip(z0.tolist(), before.tolist(), after.tolist()))
+    return AttractionReport(entries, bool(np.all(after < before)))

@@ -158,6 +158,40 @@ def test_verify_passes_at_extreme_tolerance(tmp_path):
     assert res.returncode == 0, res.stdout
 
 
+def test_verify_reads_large_roundoff_as_roundoff():
+    # sample 6690 of `verify --seed 4`: hyperbolic_window compares two sides
+    # near 5.7e5 and lands 2.3e-10 (4e-16 relative) below zero, past the
+    # absolute floor 1e-10 but inside the floor scaled by the sides
+    import numpy as np
+
+    from diskflow.cli import SIGN_VIOLATION_FLOOR, _is_sign_violation, _verify_records
+    from diskflow.value_regions import REGIMES, random_spec
+
+    rng = np.random.default_rng(4)
+    for i in range(6691):
+        spec = random_spec(rng, REGIMES[i % len(REGIMES)])
+    assert REGIMES[6690 % len(REGIMES)] == "boundary_hyperbolic"
+    records = {r.name: r for r in _verify_records(spec)}
+    window = records["hyperbolic_window"]
+    assert window.lhs > 5e5 and window.rhs > 5e5
+    assert window.slack < -SIGN_VIOLATION_FLOOR
+    assert abs(window.slack) < 1e-15 * window.lhs
+    assert not any(_is_sign_violation(r, SIGN_VIOLATION_FLOOR) for r in records.values())
+
+
+def test_verify_genuine_violation_exits_4(tmp_path, monkeypatch):
+    from diskflow import InequalityRecord, cli
+
+    def violated(spec):
+        return [InequalityRecord("spectral_in_range", 0.5, 0.25)]
+
+    monkeypatch.setattr(cli, "_verify_records", violated)
+    out = tmp_path / "out"
+    assert cli.main(["verify", "--samples", "4", "--seed", "0", "--out", str(out)]) == 4
+    report = json.loads((out / "verify.json").read_text())
+    assert report["violations"] == {"spectral_in_range": 4}
+
+
 def test_verify_seed_changes_output(tmp_path):
     res1 = run("verify", "--samples", "100", "--seed", "1", "--out", str(tmp_path / "a"))
     res2 = run("verify", "--samples", "100", "--seed", "2", "--out", str(tmp_path / "b"))

@@ -30,6 +30,7 @@ from diskflow import (
     reciprocal,
     scale_herglotz,
 )
+from loop_reference import herglotz_derivative_circle
 
 TWO_PI = 2.0 * math.pi
 
@@ -205,6 +206,12 @@ def test_p_sharp_finite_case_and_radial_limit():
     r = 1.0 - 1e-7
     limit = eval_herglotz(p, r).real / (1.0 - r)
     assert p_sharp(p, s) == pytest.approx(limit, rel=1e-5)
+    # p#(sigma) = Re(-sigma p'(sigma)): at sigma by direct summation, and as
+    # the radial limit of the interior derivative
+    on_circle = (-s.value * herglotz_derivative_circle(p, s.value)).real
+    assert p_sharp(p, s) == pytest.approx(on_circle, rel=1e-14)
+    radial = (-s.value * herglotz_derivative(p, r * s.value)).real
+    assert p_sharp(p, s) == pytest.approx(radial, rel=1e-5)
 
 
 def test_p_sharp_infinite_on_atom():

@@ -1,0 +1,156 @@
+"""The array kernel against per-atom loop references.
+
+Every kernel-backed function must equal its loop reference (tests/
+loop_reference.py) within 1e-12 * max(1, |value|), at single points and at
+arrays of points.  The kernel sums in another order (and arrays by
+broadcasting against the atoms), so exact equality is not expected.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
+
+import loop_reference as ref
+from diskflow import (
+    TRIVIAL_GENERATOR,
+    AtomAtPoint,
+    AtomicHerglotz,
+    BerksonPortaSpec,
+    BoundaryPoint,
+    DomainError,
+    FixedPointConfig,
+    GeneratorSpec,
+    RationalHerglotz,
+    RootFindingFailure,
+    contact_value,
+    eval_generator,
+    eval_generator_derivative,
+    eval_generator_second_derivative,
+    eval_herglotz,
+    herglotz_derivative,
+    herglotz_second_derivative,
+    p_sharp,
+    reciprocal,
+)
+
+TWO_PI = 2.0 * math.pi
+REL = 1e-12
+
+angles = st.floats(min_value=0.0, max_value=TWO_PI, exclude_max=True)
+masses = st.floats(min_value=1e-3, max_value=10.0)
+gammas = st.floats(min_value=-5.0, max_value=5.0)
+atom_lists = st.lists(st.tuples(angles, masses), max_size=64)
+points = st.complex_numbers(max_magnitude=0.9, allow_nan=False, allow_infinity=False)
+point_lists = st.lists(points, min_size=1, max_size=8)
+
+HERGLOTZ = (
+    (eval_herglotz, ref.eval_herglotz),
+    (herglotz_derivative, ref.herglotz_derivative),
+    (herglotz_second_derivative, ref.herglotz_second_derivative),
+)
+GENERATOR = (
+    (eval_generator, ref.eval_generator),
+    (eval_generator_derivative, ref.eval_generator_derivative),
+    (eval_generator_second_derivative, ref.eval_generator_second_derivative),
+)
+
+
+def herglotz(pairs, gamma):
+    return AtomicHerglotz(tuple((BoundaryPoint(t), m) for t, m in pairs), gamma)
+
+
+def assert_close(got, expected):
+    assert abs(got - expected) <= REL * max(1.0, abs(expected)), (got, expected)
+
+
+def assert_matches(fn, reference, obj, z, zs):
+    scalar = fn(obj, z)
+    assert type(scalar) is complex
+    assert_close(scalar, reference(obj, z))
+    values = fn(obj, np.array(zs))
+    assert values.shape == (len(zs),)
+    for w, value in zip(zs, values):
+        assert_close(value, reference(obj, w))
+
+
+@st.composite
+def generators(draw):
+    """A fixed-point spec with up to 64 free atoms, a Berkson-Porta spec, or G = 0."""
+    kind = draw(st.sampled_from(("spec", "spec", "berkson_porta", "trivial")))
+    if kind == "trivial":
+        return TRIVIAL_GENERATOR
+    p = herglotz(draw(atom_lists), draw(gammas))
+    if draw(st.booleans()):
+        tau = complex(draw(points))
+    else:
+        tau = BoundaryPoint(draw(angles)).value
+    if kind == "berkson_porta":
+        return BerksonPortaSpec(tau, p, draw(st.floats(min_value=0.0, max_value=5.0)))
+    thetas = draw(st.lists(angles, min_size=1, max_size=4, unique=True))
+    sigmas = tuple(BoundaryPoint(t) for t in thetas)
+    gaps_ok = all(
+        a.angular_distance(b) > 1e-6 for i, a in enumerate(sigmas) for b in sigmas[i + 1 :]
+    )
+    tau_ok = abs(abs(tau) - 1.0) > 1e-12 or all(
+        BoundaryPoint.from_complex(tau).angular_distance(s) > 1e-6 for s in sigmas
+    )
+    assume(gaps_ok and tau_ok)
+    lambdas = tuple(-math.exp(draw(st.floats(min_value=-2.0, max_value=2.0))) for _ in sigmas)
+    return GeneratorSpec(FixedPointConfig(tau, sigmas, lambdas), p)
+
+
+@given(atom_lists, gammas, points, point_lists)
+def test_herglotz_evaluation_matches_loops(pairs, gamma, z, zs):
+    p = herglotz(pairs, gamma)
+    for fn, reference in HERGLOTZ:
+        assert_matches(fn, reference, p, z, zs)
+
+
+@given(generators(), points, point_lists)
+def test_generator_evaluation_matches_loops(gen, z, zs):
+    for fn, reference in GENERATOR:
+        assert_matches(fn, reference, gen, z, zs)
+
+
+@given(atom_lists, gammas, angles)
+def test_boundary_functionals_match_loops(pairs, gamma, theta):
+    p = herglotz(pairs, gamma)
+    sigma = BoundaryPoint(theta)
+    expected_sharp = ref.p_sharp(p, sigma)
+    if math.isinf(expected_sharp):
+        assert math.isinf(p_sharp(p, sigma))
+        with pytest.raises(AtomAtPoint):
+            contact_value(p, sigma)
+        return
+    assert_close(p_sharp(p, sigma), expected_sharp)
+    c = contact_value(p, sigma)
+    assert c.real == 0.0
+    assert_close(c, ref.contact_value(p, sigma))
+
+
+@given(st.lists(st.tuples(angles, masses), min_size=1, max_size=16), gammas)
+def test_reciprocal_masses_match_loops(pairs, gamma):
+    p = RationalHerglotz(tuple((BoundaryPoint(t), m) for t, m in pairs), gamma)
+    try:
+        q = reciprocal(p)
+    except RootFindingFailure:
+        assume(False)
+    zeros = [point for point, _ in q.atoms]
+    for (_, mass), expected in zip(q.atoms, ref.reciprocal_masses(p, zeros)):
+        assert_close(mass, expected)
+
+
+def test_kernel_points_outside_the_disk_raise():
+    p = herglotz([(0.3, 1.0), (2.0, 0.5)], 0.2)
+    spec = GeneratorSpec(FixedPointConfig(0.0, (BoundaryPoint(1.0),), (-1.0,)), p)
+    inside_then_out = np.array([0.2j, 0.5, 1.0 + 0.0j])
+    for fn, _ in HERGLOTZ:
+        with pytest.raises(DomainError):
+            fn(p, inside_then_out)
+    for gen in (spec, BerksonPortaSpec(1j, p, 0.5), TRIVIAL_GENERATOR):
+        for fn, _ in GENERATOR:
+            with pytest.raises(DomainError):
+                fn(gen, inside_then_out)

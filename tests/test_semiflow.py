@@ -7,6 +7,7 @@ the flow to w -> exp(-4t) w, which pins every quantity tested here."""
 import cmath
 import math
 
+import numpy as np
 import pytest
 
 from diskflow import (
@@ -27,6 +28,7 @@ from diskflow import (
     integrate_flow_with_derivative,
     julia_quotient,
     julia_quotient_estimate,
+    random_spec,
 )
 
 KOENIGS = GeneratorSpec(
@@ -108,6 +110,66 @@ def test_flow_derivative_matches_finite_difference():
     assert dphi == pytest.approx(fd, rel=1e-6)
 
 
+# ----------------------------------------------------------------------
+# batched orbits: an array of start points is one IVP
+# ----------------------------------------------------------------------
+
+BATCH = np.array([0.5, 0.3 + 0.2j, -0.6j, -0.8, 0.1 + 0.7j, 0.0])
+BATCH_SPECS = [KOENIGS] + [
+    random_spec(np.random.default_rng(11), regime)
+    for regime in ("interior", "origin", "boundary_hyperbolic", "boundary_parabolic")
+]
+
+# tau = 1, one repelling point at -1 with lambda = -10: G(z) = 5 (1 - z^2),
+# whose orbits tanh(5t + atanh z) run out to the Denjoy-Wolff point 1
+ESCAPING = GeneratorSpec(
+    FixedPointConfig(1.0, (BoundaryPoint(math.pi),), (-10.0,)), AtomicHerglotz()
+)
+
+
+@pytest.mark.parametrize("spec", BATCH_SPECS)
+def test_batched_orbits_match_one_call_per_point(spec):
+    t = 0.5
+    batched = integrate_flow(spec, BATCH, t)
+    points, derivatives = integrate_flow_with_derivative(spec, BATCH, t)
+    assert batched.shape == points.shape == derivatives.shape == BATCH.shape
+    for i, z0 in enumerate(BATCH):
+        single = integrate_flow(spec, z0, t)
+        w, dw = integrate_flow_with_derivative(spec, z0, t)
+        assert abs(batched[i] - single) <= 1e-10
+        assert abs(points[i] - w) <= 1e-10
+        assert abs(derivatives[i] - dw) <= 1e-10
+
+
+def test_batched_orbit_escape_stops_the_whole_batch():
+    # from -0.99 the orbit is still 2e-9 off the circle at t = 2.6, while the
+    # orbit from 0.99 crosses the guard radius 1 - 1e-13 near t = 2.53
+    t = 2.6
+    alone = integrate_flow(ESCAPING, -0.99, t)
+    assert alone == pytest.approx(math.tanh(5.0 * t - math.atanh(0.99)), abs=1e-9)
+    with pytest.raises(BoundaryEscape):
+        integrate_flow(ESCAPING, np.array([-0.99, 0.99]), t)
+    with pytest.raises(BoundaryEscape):
+        integrate_flow_with_derivative(ESCAPING, np.array([-0.99, 0.99]), t)
+
+
+def test_batched_flow_rejects_any_start_outside_the_disk():
+    outside = np.array([0.2, 0.5j, 1.0])
+    with pytest.raises(DomainError):
+        integrate_flow(KOENIGS, outside, 0.3)
+    with pytest.raises(DomainError):
+        integrate_flow_with_derivative(KOENIGS, outside, 0.3)
+
+
+def test_batched_flow_at_zero_time_returns_the_start_points():
+    w = integrate_flow(KOENIGS, BATCH, 0.0)
+    assert np.array_equal(w, BATCH)
+    points, derivatives = integrate_flow_with_derivative(KOENIGS, BATCH, 0.0)
+    assert np.array_equal(points, BATCH)
+    assert np.array_equal(derivatives, np.ones(len(BATCH)))
+    assert integrate_flow_with_derivative(KOENIGS, 0.3 + 0.2j, 0.0) == (0.3 + 0.2j, 1.0)
+
+
 def test_trajectory_shape_and_monotone_times():
     tr = flow_trajectory(KOENIGS, 0.4, 1.0, samples=50)
     assert len(tr.times) == 50
@@ -182,3 +244,22 @@ def test_attraction_boundary_case():
     spec = GeneratorSpec(c, AtomicHerglotz())
     report = dw_attraction_check(spec, 1.0, samples=6, t=2.0)
     assert report.all_decreased
+
+
+def test_attraction_boundary_uses_horocycles_not_euclidean_distance():
+    # the fourth boundary-regime draw of seed 5 is parabolic; along its third
+    # sample orbit the Euclidean distance to tau rises between t = 1 and
+    # t = 2, which a distance test reads as failed attraction, while the
+    # horocycle quantity |tau - w|^2 / (1 - |w|^2) falls as Julia's lemma says
+    rng = np.random.default_rng(5)
+    for regime in ("boundary_hyperbolic", "boundary_parabolic") * 2:
+        spec = random_spec(rng, regime)
+    tau = spec.config.tau
+    report = dw_attraction_check(spec, tau, samples=10, t=1.0)
+    z0, before, after = report.entries[2]
+    w1, w2 = integrate_flow(spec, z0, 1.0), integrate_flow(spec, z0, 2.0)
+    assert abs(w2 - tau) > abs(w1 - tau)
+    assert before == pytest.approx(abs(tau - z0) ** 2 / (1.0 - abs(z0) ** 2), rel=1e-12)
+    assert after == pytest.approx(abs(tau - w1) ** 2 / (1.0 - abs(w1) ** 2), rel=1e-9)
+    assert report.all_decreased
+    assert all(a < b for _, b, a in report.entries)
