@@ -1,17 +1,17 @@
 """Command line interface.
 
-Subcommands:
+Subcommands, with the --format values each writes (default first):
 
-  region              value regions for a fixed-point configuration
-  flow                integrate a semigroup orbit
-  verify              randomized inequality verification
-  cowen-pommerenke    spectral region experiment for prescribed boundary data
-  counterexample      decay/divergence quadrature tables
+  region              json csv svg   value regions for a fixed-point configuration
+  flow                csv json       integrate a semigroup orbit
+  verify              json           randomized inequality verification
+  cowen-pommerenke    json csv svg   spectral region experiment for boundary data
+  counterexample      csv json       decay/divergence quadrature tables
 
-Every command reads an optional JSON config (--config), writes artifacts
-into --out (default: current directory) in the formats requested via
---format (json unless stated otherwise), and prints a short summary to
-stdout.  Output is deterministic for a fixed seed: floats are serialized
+Every command reads an optional JSON config (--config), writes one artifact
+per requested --format into --out (default: current directory), and prints
+a short summary to stdout; a format the command cannot write is malformed
+input.  Output is deterministic for a fixed seed: floats are serialized
 with repr and JSON keys are sorted.
 
 Exit codes: 0 success, 2 malformed input, 3 domain error, 4 verification
@@ -21,16 +21,22 @@ failure.
 from __future__ import annotations
 
 import argparse
-import cmath
 import json
 import math
 import os
 import sys
+from typing import Callable
 
 import numpy as np
 
 from .errors import DiskflowError
-from .generator import FixedPointConfig, GeneratorSpec, dw_spectral_value, eval_generator
+from .generator import (
+    FixedPointConfig,
+    GeneratorSpec,
+    dw_spectral_value,
+    eval_generator,
+    tau_regime,
+)
 from .herglotz_core import (
     AtomicHerglotz,
     BoundaryPoint,
@@ -80,13 +86,6 @@ def parse_complex(obj) -> complex:
     return complex(float(obj["re"]), float(obj["im"]))
 
 
-def herglotz_to_obj(p: AtomicHerglotz) -> dict:
-    return {
-        "atoms": [{"mass": m, "theta": pt.theta} for pt, m in p.atoms],
-        "gamma": p.gamma,
-    }
-
-
 def parse_herglotz(obj) -> AtomicHerglotz:
     atoms = tuple(
         (BoundaryPoint(float(a["theta"])), float(a["mass"]))
@@ -95,20 +94,14 @@ def parse_herglotz(obj) -> AtomicHerglotz:
     return AtomicHerglotz(atoms, float(obj.get("gamma", 0.0)))
 
 
-def spec_to_obj(spec: GeneratorSpec) -> dict:
-    return {
-        "lambdas": list(spec.config.lambdas),
-        "p": herglotz_to_obj(spec.p),
-        "sigmas": [s.theta for s in spec.config.sigmas],
-        "tau": complex_to_obj(spec.config.tau),
-    }
+def _parse_skeleton(obj) -> tuple[complex, tuple[BoundaryPoint, ...]]:
+    """tau and the repelling points sigma_k of a config."""
+    return parse_complex(obj["tau"]), tuple(BoundaryPoint(float(t)) for t in obj["sigmas"])
 
 
 def parse_spec(obj) -> GeneratorSpec:
     config = FixedPointConfig(
-        parse_complex(obj["tau"]),
-        tuple(BoundaryPoint(float(t)) for t in obj["sigmas"]),
-        tuple(float(v) for v in obj["lambdas"]),
+        *_parse_skeleton(obj), tuple(float(v) for v in obj["lambdas"])
     )
     p = parse_herglotz(obj["p"]) if "p" in obj else AtomicHerglotz()
     return GeneratorSpec(config, p)
@@ -124,42 +117,54 @@ def region_to_obj(region: DiskRegion | IntervalRegion) -> dict:
     return {"hi": region.hi, "lo": region.lo, "type": "interval"}
 
 
-def _dump_json(path: str, obj) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+# ----------------------------------------------------------------------
+# artifact text and the one writer path
+# ----------------------------------------------------------------------
 
 
-# ----------------------------------------------------------------------
-# CSV and SVG writers
-# ----------------------------------------------------------------------
+def _json_text(obj) -> str:
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+def _csv_text(header: tuple[str, ...], rows) -> str:
+    """Comma-separated rows; numbers are written by repr, so they read back exactly."""
+    lines = [",".join(header)]
+    lines += [",".join(v if isinstance(v, str) else repr(v) for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def _write_artifacts(args, artifacts: dict[str, tuple[str, Callable[[], str]]]) -> list[str]:
+    """Write one artifact into --out for each requested --format.
+
+    ``artifacts`` maps every format the command can write to the file name
+    and a function rendering the file's text.  Any other requested format
+    is malformed input; it is reported before any file is written.
+    """
+    for fmt in args.format:
+        if fmt not in artifacts:
+            raise ValueError(f"{args.command} cannot write format {fmt!r}")
+    written = []
+    for fmt in args.format:
+        name, render = artifacts[fmt]
+        path = os.path.join(args.out, name)
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(render())
+        written.append(path)
+    return written
 
 
 def _region_rows(region: DiskRegion | IntervalRegion) -> list[tuple[float, complex]]:
+    """(parameter, point) samples along a region: the angle around a disk's
+    rim, or the fraction of the way along an interval."""
     if isinstance(region, DiskRegion):
-        return [
-            (
-                2.0 * math.pi * j / REGION_SAMPLES,
-                region.center
-                + region.radius * cmath.exp(2j * math.pi * j / REGION_SAMPLES),
-            )
-            for j in range(REGION_SAMPLES)
-        ]
-    return [
-        (
-            j / (REGION_SAMPLES - 1),
-            complex(region.lo + (region.hi - region.lo) * j / (REGION_SAMPLES - 1), 0.0),
-        )
-        for j in range(REGION_SAMPLES)
-    ]
+        points = region.sample_boundary(REGION_SAMPLES)
+        return [(2.0 * math.pi * j / REGION_SAMPLES, w) for j, w in enumerate(points)]
+    xs = region.sample(REGION_SAMPLES)
+    return [(j / (REGION_SAMPLES - 1), complex(x, 0.0)) for j, x in enumerate(xs)]
 
 
-def _write_region_csv(path: str, region) -> None:
-    lines = ["param,re,im"]
-    for param, w in _region_rows(region):
-        lines.append(f"{param!r},{w.real!r},{w.imag!r}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+def _region_csv(region: DiskRegion | IntervalRegion) -> str:
+    return _csv_text(("param", "re", "im"), ((t, w.real, w.imag) for t, w in _region_rows(region)))
 
 
 def _svg_path(points, stroke: str) -> str:
@@ -175,13 +180,12 @@ def _svg_document(elements: list[str]) -> str:
 
 
 def _unit_circle_path() -> str:
-    points = [cmath.exp(2j * math.pi * j / 256) for j in range(256)]
-    return _svg_path(points, "gray")
+    return _svg_path(DiskRegion(0.0, 1.0).sample_boundary(256), "gray")
 
 
 def _region_svg(region) -> str:
     if isinstance(region, DiskRegion):
-        points = [w for _, w in _region_rows(region)]
+        points = region.sample_boundary(REGION_SAMPLES)
     else:
         points = [complex(region.lo, 0.0), complex(region.hi, 0.0)]
     return _svg_document([_unit_circle_path(), _svg_path(points, "black")])
@@ -199,18 +203,10 @@ def _load_config(args) -> dict:
         return json.load(fh)
 
 
-def _parse_fixed_points(cfg: dict) -> FixedPointConfig:
-    return FixedPointConfig(
-        parse_complex(cfg["tau"]),
-        tuple(BoundaryPoint(float(t)) for t in cfg["sigmas"]),
-        tuple(float(v) for v in cfg["lambdas"]),
-    )
-
-
 def cmd_region(args) -> int:
     cfg = _load_config(args)
     kind = cfg["kind"]
-    config = _parse_fixed_points(cfg)
+    config = parse_spec(cfg).config
     refined = None
     if kind == "interior":
         base = region_Z(config)
@@ -235,21 +231,24 @@ def cmd_region(args) -> int:
         "kind": kind,
         "refined": None if refined is None else region_to_obj(refined),
     }
-    written = []
-    for fmt in args.format:
-        path = os.path.join(args.out, f"region.{fmt}")
-        if fmt == "json":
-            _dump_json(path, report)
-        elif fmt == "csv":
-            _write_region_csv(path, primary)
-        elif fmt == "svg":
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(_region_svg(primary))
-        else:
-            raise ValueError(f"unknown format {fmt!r}")
-        written.append(path)
+    written = _write_artifacts(
+        args,
+        {
+            "json": ("region.json", lambda: _json_text(report)),
+            "csv": ("region.csv", lambda: _region_csv(primary)),
+            "svg": ("region.svg", lambda: _region_svg(primary)),
+        },
+    )
     print(f"region kind={kind} -> {', '.join(written)}")
     return 0
+
+
+def _trajectory_csv(trajectory) -> str:
+    rows = zip(trajectory.times, trajectory.points, trajectory.derivatives)
+    return _csv_text(
+        ("t", "re", "im", "dre", "dim"),
+        ((t, w.real, w.imag, d.real, d.imag) for t, w, d in rows),
+    )
 
 
 def cmd_flow(args) -> int:
@@ -260,32 +259,20 @@ def cmd_flow(args) -> int:
     samples = int(cfg.get("samples", 200))
     trajectory = flow_trajectory(spec, z0, horizon, samples=samples)
 
-    written = []
-    for fmt in args.format:
-        if fmt == "csv":
-            path = os.path.join(args.out, "trajectory.csv")
-            lines = ["t,re,im,dre,dim"]
-            for t, w, d in zip(
-                trajectory.times, trajectory.points, trajectory.derivatives
-            ):
-                lines.append(f"{t!r},{w.real!r},{w.imag!r},{d.real!r},{d.imag!r}")
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write("\n".join(lines) + "\n")
-        elif fmt == "json":
-            path = os.path.join(args.out, "flow.json")
-            _dump_json(
-                path,
-                {
-                    "derivative": complex_to_obj(trajectory.derivatives[-1]),
-                    "endpoint": complex_to_obj(trajectory.points[-1]),
-                    "samples": samples,
-                    "t": horizon,
-                    "z0": complex_to_obj(z0),
-                },
-            )
-        else:
-            raise ValueError(f"unknown format {fmt!r} for flow")
-        written.append(path)
+    report = {
+        "derivative": complex_to_obj(trajectory.derivatives[-1]),
+        "endpoint": complex_to_obj(trajectory.points[-1]),
+        "samples": samples,
+        "t": horizon,
+        "z0": complex_to_obj(z0),
+    }
+    _write_artifacts(
+        args,
+        {
+            "csv": ("trajectory.csv", lambda: _trajectory_csv(trajectory)),
+            "json": ("flow.json", lambda: _json_text(report)),
+        },
+    )
     endpoint = trajectory.points[-1]
     print(f"flow t={horizon!r} endpoint=({endpoint.real!r}, {endpoint.imag!r})")
     return 0
@@ -304,14 +291,11 @@ def _verify_records(spec: GeneratorSpec) -> list[InequalityRecord]:
     records = inequality_suite(spec)
     config = spec.config
     zeta = eval_generator(spec, 0.0)
-    if abs(config.tau) > 1e-12:
+    if not config.is_origin:
         records.append(_membership("origin_in_Z", region_Z(config), zeta))
     lam = dw_spectral_value(spec)
     region, _ = lambda_range(config)
-    if config.is_boundary:
-        records.append(_membership("spectral_in_range", region, float(lam)))
-    else:
-        records.append(_membership("spectral_in_range", region, lam))
+    records.append(_membership("spectral_in_range", region, lam))
     return records
 
 
@@ -342,11 +326,11 @@ def cmd_verify(args) -> int:
         for record in _verify_records(spec):
             name, slack = record.name, record.slack
             checked[name] = checked.get(name, 0) + 1
-            if slack < -tol:
+            # sign_floor >= tol, so every violation is also a warning
+            if _is_sign_violation(record, tol):
                 warnings[name] = warnings.get(name, 0) + 1
-            # the scaled floor is at least sign_floor, so most records stop here
-            if slack < -sign_floor and _is_sign_violation(record, sign_floor):
-                violations[name] = violations.get(name, 0) + 1
+                if _is_sign_violation(record, sign_floor):
+                    violations[name] = violations.get(name, 0) + 1
             if name not in min_slack or slack < min_slack[name]:
                 min_slack[name] = slack
     total_violations = sum(violations.values())
@@ -355,31 +339,27 @@ def cmd_verify(args) -> int:
             f"{name}: checked={checked[name]} violations={violations.get(name, 0)} "
             f"warnings={warnings.get(name, 0)} min_slack={min_slack[name]!r}"
         )
-    if "json" in args.format:
-        _dump_json(
-            os.path.join(args.out, "verify.json"),
-            {
-                "checked": checked,
-                "min_slack": min_slack,
-                "samples": args.samples,
-                "seed": args.seed,
-                "tolerance": tol,
-                "violations": violations,
-                "warnings": warnings,
-            },
-        )
+    report = {
+        "checked": checked,
+        "min_slack": min_slack,
+        "samples": args.samples,
+        "seed": args.seed,
+        "tolerance": tol,
+        "violations": violations,
+        "warnings": warnings,
+    }
+    _write_artifacts(args, {"json": ("verify.json", lambda: _json_text(report))})
     print(f"total violations: {total_violations}")
     return 0 if total_violations == 0 else 4
 
 
 def cmd_cowen_pommerenke(args) -> int:
     cfg = _load_config(args)
-    tau = parse_complex(cfg["tau"])
-    sigmas = tuple(BoundaryPoint(float(t)) for t in cfg["sigmas"])
+    tau, sigmas = _parse_skeleton(cfg)
     target = CPTarget(tuple(float(a) for a in cfg["target"]))
     n_fields = int(cfg.get("fields", 64))
     n_sweep = int(cfg.get("sweep", 32))
-    boundary = abs(abs(tau) - 1.0) <= 1e-12
+    boundary = tau_regime(tau) == "boundary"
     rng = np.random.default_rng(args.seed)
 
     points = []
@@ -410,44 +390,29 @@ def cmd_cowen_pommerenke(args) -> int:
         "target": list(target.a),
     }
     worst = min(p["slack"] for p in points)
-    written = []
-    for fmt in args.format:
-        if fmt == "json":
-            path = os.path.join(args.out, "cowen_pommerenke.json")
-            _dump_json(path, report)
-        elif fmt == "csv":
-            path = os.path.join(args.out, "cowen_pommerenke.csv")
-            lines = ["param,re,im"]
-            for j, p in enumerate(points):
-                lines.append(f"{float(j)!r},{p['re']!r},{p['im']!r}")
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write("\n".join(lines) + "\n")
-        elif fmt == "svg":
-            path = os.path.join(args.out, "cowen_pommerenke.svg")
-            if boundary:
-                shape = IntervalRegion(region.lo, region.hi)
-            else:
-                shape = region
-            marks = [
-                _svg_path(
-                    [
-                        complex(p["re"], p["im"]) + 0.01 * cmath.exp(2j * math.pi * q / 8)
-                        for q in range(8)
-                    ],
-                    "red",
-                )
-                for p in points
-            ]
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(
-                    _svg_document(
-                        [_unit_circle_path(), _svg_path([w for _, w in _region_rows(shape)], "black")]
-                        + marks
-                    )
-                )
-        else:
-            raise ValueError(f"unknown format {fmt!r}")
-        written.append(path)
+
+    def svg() -> str:
+        marks = [
+            _svg_path(DiskRegion(complex(p["re"], p["im"]), 0.01).sample_boundary(8), "red")
+            for p in points
+        ]
+        outline = _svg_path([w for _, w in _region_rows(region)], "black")
+        return _svg_document([_unit_circle_path(), outline] + marks)
+
+    _write_artifacts(
+        args,
+        {
+            "json": ("cowen_pommerenke.json", lambda: _json_text(report)),
+            "csv": (
+                "cowen_pommerenke.csv",
+                lambda: _csv_text(
+                    ("param", "re", "im"),
+                    ((float(j), p["re"], p["im"]) for j, p in enumerate(points)),
+                ),
+            ),
+            "svg": ("cowen_pommerenke.svg", svg),
+        },
+    )
     print(f"cowen-pommerenke points={len(points)} worst_slack={worst!r}")
     return 0 if worst >= -args.tolerance else 4
 
@@ -458,29 +423,18 @@ def cmd_counterexample(args) -> int:
         (math.exp(-math.exp(float(k))), counterexample_divergence(math.exp(-math.exp(float(k)))))
         for k in range(1, 5)
     ]
-    written = []
-    for fmt in args.format:
-        if fmt == "csv":
-            path = os.path.join(args.out, "counterexample.csv")
-            lines = ["kind,param,value"]
-            for y, val in decay:
-                lines.append(f"decay,{y!r},{val!r}")
-            for delta, val in divergence:
-                lines.append(f"divergence,{delta!r},{val!r}")
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write("\n".join(lines) + "\n")
-        elif fmt == "json":
-            path = os.path.join(args.out, "counterexample.json")
-            _dump_json(
-                path,
-                {
-                    "decay": [{"value": v, "y": y} for y, v in decay],
-                    "divergence": [{"delta": d, "value": v} for d, v in divergence],
-                },
-            )
-        else:
-            raise ValueError(f"unknown format {fmt!r}")
-        written.append(path)
+    rows = [("decay", y, v) for y, v in decay] + [("divergence", d, v) for d, v in divergence]
+    report = {
+        "decay": [{"value": v, "y": y} for y, v in decay],
+        "divergence": [{"delta": d, "value": v} for d, v in divergence],
+    }
+    _write_artifacts(
+        args,
+        {
+            "csv": ("counterexample.csv", lambda: _csv_text(("kind", "param", "value"), rows)),
+            "json": ("counterexample.json", lambda: _json_text(report)),
+        },
+    )
     print(
         f"counterexample decay_final={decay[-1][1]!r} "
         f"divergence_final={divergence[-1][1]!r}"

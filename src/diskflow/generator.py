@@ -18,6 +18,10 @@ as BerksonPortaSpec; it characterizes all generators, without fixed-point
 bookkeeping.  The zero field has its own marker type since it belongs to
 every class but has no Herglotz denominator.
 
+The regime of a configuration is where tau sits: at the origin, inside the
+disk, or on the circle.  tau_regime alone decides it, with the single
+tolerance BOUNDARY_TOL = 1e-12 on |tau| and on |tau| - 1.
+
 The eval_* functions take a scalar point or a 1-D array of points; a point
 outside the open disk raises DomainError.
 """
@@ -53,8 +57,21 @@ BOUNDARY_TOL = 1e-12
 CONTACT_TOL = 1e-9
 
 
-def _is_on_circle(tau: complex) -> bool:
-    return abs(abs(tau) - 1.0) <= BOUNDARY_TOL
+def tau_regime(tau: complex) -> str:
+    """Where a Denjoy-Wolff point sits: "origin", "interior" or "boundary".
+
+    |tau| <= BOUNDARY_TOL is the origin, ||tau| - 1| <= BOUNDARY_TOL the
+    circle, and every other point of the disk is interior.  A point beyond
+    the circle has no regime and raises DomainError.
+    """
+    radius = abs(tau)
+    if radius > 1.0 + BOUNDARY_TOL:
+        raise DomainError(f"|tau| must not exceed 1, got {radius}")
+    if radius <= BOUNDARY_TOL:
+        return "origin"
+    if abs(radius - 1.0) <= BOUNDARY_TOL:
+        return "boundary"
+    return "interior"
 
 
 @dataclass(frozen=True)
@@ -75,13 +92,12 @@ class FixedPointConfig:
             raise DegenerateConfig("sigmas and lambdas must have equal length")
         if any(v >= 0.0 for v in self.lambdas):
             raise DegenerateConfig("repelling spectral values must be negative")
-        if abs(self.tau) > 1.0 + BOUNDARY_TOL:
-            raise DomainError(f"|tau| must not exceed 1, got {abs(self.tau)}")
+        regime = self.regime  # DomainError beyond the circle
         for i in range(len(self.sigmas)):
             for j in range(i + 1, len(self.sigmas)):
                 if self.sigmas[i].same_point(self.sigmas[j]):
                     raise DegenerateConfig("repelling boundary points must be distinct")
-        if self.is_boundary:
+        if regime == "boundary":
             tau_bp = BoundaryPoint.from_complex(self.tau)
             if any(tau_bp.same_point(s) for s in self.sigmas):
                 raise DegenerateConfig("tau must not coincide with a repelling point")
@@ -90,9 +106,26 @@ class FixedPointConfig:
     def n(self) -> int:
         return len(self.sigmas)
 
+    @cached_property
+    def regime(self) -> str:
+        return tau_regime(self.tau)
+
+    @property
+    def is_origin(self) -> bool:
+        return self.regime == "origin"
+
     @property
     def is_boundary(self) -> bool:
-        return _is_on_circle(self.tau)
+        return self.regime == "boundary"
+
+    def has_skeleton(self, tau: complex, sigmas: tuple[BoundaryPoint, ...]) -> bool:
+        """True when tau (within BOUNDARY_TOL) and the repelling points, in
+        order, are this configuration's."""
+        return (
+            abs(self.tau - tau) <= BOUNDARY_TOL
+            and len(sigmas) == self.n
+            and all(a.same_point(b) for a, b in zip(self.sigmas, sigmas))
+        )
 
     @cached_property
     def alphas(self) -> tuple[float, ...]:
@@ -159,8 +192,7 @@ class BerksonPortaSpec:
     def __post_init__(self) -> None:
         object.__setattr__(self, "tau", complex(self.tau))
         object.__setattr__(self, "const", float(self.const))
-        if abs(self.tau) > 1.0 + BOUNDARY_TOL:
-            raise DomainError(f"|tau| must not exceed 1, got {abs(self.tau)}")
+        tau_regime(self.tau)  # DomainError beyond the circle
         if self.const < 0.0:
             raise DomainError("constant part must be nonnegative")
 
@@ -376,10 +408,8 @@ def convex_combination(
     if not 0.0 <= weight <= 1.0:
         raise DomainError("weight must lie in [0, 1]")
     ca, cb = first.config, second.config
-    if abs(ca.tau - cb.tau) > BOUNDARY_TOL or ca.n != cb.n:
-        raise DegenerateConfig("specs must share the fixed-point skeleton")
-    if any(not a.same_point(b) for a, b in zip(ca.sigmas, cb.sigmas)):
-        raise DegenerateConfig("specs must share the repelling set")
+    if not ca.has_skeleton(cb.tau, cb.sigmas):
+        raise DegenerateConfig("specs must share tau and the repelling set")
     if weight == 0.0:
         return second
     if weight == 1.0:

@@ -47,6 +47,12 @@ TWO_PI = 2.0 * math.pi
 ANGLE_TOL = 1e-12
 
 
+def angle_gap(a: float, b: float) -> float:
+    """Distance between the angles a and b around the circle, in [0, pi]."""
+    d = abs(a - b) % TWO_PI
+    return min(d, TWO_PI - d)
+
+
 @dataclass(frozen=True)
 class BoundaryPoint:
     """A point of the unit circle stored as an angle in [0, 2*pi).
@@ -76,11 +82,10 @@ class BoundaryPoint:
         return complex(math.cos(self.theta), math.sin(self.theta))
 
     def angular_distance(self, other: "BoundaryPoint") -> float:
-        d = abs(self.theta - other.theta) % TWO_PI
-        return min(d, TWO_PI - d)
+        return angle_gap(self.theta, other.theta)
 
     def same_point(self, other: "BoundaryPoint", tol: float = ANGLE_TOL) -> bool:
-        return self.angular_distance(other) <= tol
+        return angle_gap(self.theta, other.theta) <= tol
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BoundaryPoint):

@@ -38,8 +38,15 @@ from .generator import (
     brfp_spectral_value,
     dw_spectral_value,
     scale_generator,
+    tau_regime,
 )
-from .herglotz_core import AtomicHerglotz, BoundaryPoint, contact_value, herglotz_kernel
+from .herglotz_core import (
+    AtomicHerglotz,
+    BoundaryPoint,
+    angle_gap,
+    contact_value,
+    herglotz_kernel,
+)
 from .semiflow import (
     DEFAULT_SETTINGS,
     ODESettings,
@@ -76,11 +83,8 @@ class PiecewiseField:
             raise DomainError("segment durations must be positive")
         head = self.segments[0][1].config
         for _, spec in self.segments[1:]:
-            c = spec.config
-            if abs(c.tau - head.tau) > 1e-12 or c.n != head.n:
-                raise DegenerateConfig("segments must share the fixed-point skeleton")
-            if any(not a.same_point(b) for a, b in zip(c.sigmas, head.sigmas)):
-                raise DegenerateConfig("segments must share the repelling set")
+            if not spec.config.has_skeleton(head.tau, head.sigmas):
+                raise DegenerateConfig("segments must share tau and the repelling set")
         for _, spec in self.segments:
             total = sum(
                 abs(brfp_spectral_value(spec, k)) for k in range(spec.config.n)
@@ -309,7 +313,7 @@ _GOLDEN_STEP = TWO_PI * (1.0 - 2.0 / (1.0 + math.sqrt(5.0)))
 def _free_angle(avoid: tuple[float, ...], start: float, gap: float = 0.05) -> float:
     theta = start % TWO_PI
     for _ in range(256):
-        if all(min(abs(theta - a) % TWO_PI, TWO_PI - abs(theta - a) % TWO_PI) > gap for a in avoid):
+        if all(angle_gap(theta, a) > gap for a in avoid):
             return theta
         theta = (theta + _GOLDEN_STEP) % TWO_PI
     raise DegenerateConfig("could not place an atom away from the fixed points")
@@ -353,7 +357,7 @@ def cp_extremal_field(
             tilt = contact_value(AtomicHerglotz(((spot, mass),), 0.0), tau_bp).imag
             p = AtomicHerglotz(((spot, mass),), -config.capB - tilt)
     else:
-        start = cmath.phase(-tau) if abs(tau) > 1e-12 else math.pi
+        start = math.pi if config.is_origin else cmath.phase(-tau)
         if c.real == 0.0:
             p = AtomicHerglotz((), c.imag)
         else:
@@ -382,10 +386,8 @@ def cp_experiment(
     sigmas = tuple(sigmas)
     if len(sigmas) != len(target.a):
         raise DomainError("one target derivative per repelling point is required")
-    if abs(field.tau - tau) > 1e-12 or field.n != len(sigmas):
-        raise DomainError("field does not match the requested skeleton")
-    if any(not a.same_point(b) for a, b in zip(field.sigmas, sigmas)):
-        raise DomainError("field does not match the requested repelling set")
+    if not field.segments[0][1].config.has_skeleton(tau, sigmas):
+        raise DomainError("field does not match the requested tau and repelling set")
     for k, log_a in enumerate(target.log_values):
         realized = boundary_log_derivative(field, k)
         if abs(realized - log_a) > target_tol:
@@ -394,7 +396,7 @@ def cp_experiment(
                 f"target {log_a!r}"
             )
     point = psi_tau(field)
-    if abs(abs(tau) - 1.0) <= 1e-12:
+    if tau_regime(tau) == "boundary":
         slack = cp_region_boundary(target).slack(point.real)
     else:
         slack = cp_region(target).slack(point)
@@ -433,9 +435,8 @@ def random_strict_field(
             break
 
     tau = complex(tau)
-    boundary = abs(abs(tau) - 1.0) <= 1e-12
     avoid = tuple(s.theta for s in sigmas)
-    if boundary:
+    if tau_regime(tau) == "boundary":
         avoid = avoid + (BoundaryPoint.from_complex(tau).theta,)
 
     segments = []
@@ -446,8 +447,7 @@ def random_strict_field(
         for _ in range(n_atoms):
             while True:
                 theta = float(rng.uniform(0.0, TWO_PI))
-                gaps = [min(abs(theta - a) % TWO_PI, TWO_PI - abs(theta - a) % TWO_PI) for a in avoid]
-                if not gaps or min(gaps) > 1e-3:
+                if all(angle_gap(theta, a) > 1e-3 for a in avoid):
                     break
             atoms.append((BoundaryPoint(theta), math.exp(rng.uniform(-3.0, 1.0))))
         gamma = float(rng.uniform(-5.0, 5.0))

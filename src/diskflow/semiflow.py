@@ -43,6 +43,7 @@ from .generator import (
     GeneratorLike,
     eval_generator,
     eval_generator_derivative,
+    tau_regime,
 )
 from .herglotz_core import BoundaryPoint
 
@@ -343,7 +344,7 @@ def dw_attraction_check(
     if rng is None:
         rng = np.random.default_rng(0)
     tau = complex(tau)
-    boundary = abs(abs(tau) - 1.0) <= 1e-12
+    boundary = tau_regime(tau) == "boundary"
     draws = rng.uniform(size=(samples, 2))
     z0 = 0.9 * np.sqrt(draws[:, 0]) * np.exp(1j * (2 * math.pi * draws[:, 1]))
 

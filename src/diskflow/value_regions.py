@@ -36,7 +36,7 @@ from .generator import (
     eval_denominator,
     eval_generator_second_derivative,
 )
-from .herglotz_core import AtomicHerglotz, BoundaryPoint, contact_value
+from .herglotz_core import AtomicHerglotz, BoundaryPoint, angle_gap, contact_value
 
 TWO_PI = 2.0 * math.pi
 
@@ -100,8 +100,7 @@ class IntervalRegion:
     def sample(self, n: int) -> tuple[float, ...]:
         if n <= 1:
             return (self.lo,)
-        step = (self.hi - self.lo) / (n - 1)
-        return tuple(self.lo + step * k for k in range(n))
+        return tuple(self.lo + (self.hi - self.lo) * k / (n - 1) for k in range(n))
 
 
 def ell(config: FixedPointConfig, zeta: complex) -> complex:
@@ -115,7 +114,7 @@ def ell(config: FixedPointConfig, zeta: complex) -> complex:
 
 def region_Z(config: FixedPointConfig) -> DiskRegion:
     """Range of G(0): the closed disk with center tau/(2A), radius |tau|/(2A)."""
-    if abs(config.tau) <= 1e-12:
+    if config.is_origin:
         raise DegenerateConfig("Z degenerates to {0} for tau = 0")
     two_a = 2.0 * config.capA
     return DiskRegion(config.tau / two_a, abs(config.tau) / two_a)
@@ -144,7 +143,7 @@ def region_Omega(config: FixedPointConfig, zeta: complex) -> DiskRegion:
     """
     if config.is_boundary:
         raise DomainError("region_Omega requires an interior Denjoy-Wolff point")
-    if abs(config.tau) <= 1e-12:
+    if config.is_origin:
         raise DegenerateConfig("use region_Omega_origin for tau = 0")
     zeta = complex(zeta)
     if zeta == 0:
@@ -178,7 +177,7 @@ def extremal_interior(
     """
     if config.is_boundary:
         raise DomainError("extremal_interior requires an interior Denjoy-Wolff point")
-    if abs(config.tau) <= 1e-12:
+    if config.is_origin:
         raise DegenerateConfig("use extremal_origin for tau = 0")
     lz = ell(config, zeta)
     if lz.real <= 0.0:
@@ -204,7 +203,7 @@ def extremal_boundary_of_Z(config: FixedPointConfig, zeta: complex) -> Generator
 def region_Omega_origin(config: FixedPointConfig) -> DiskRegion:
     """Range of lambda(G) for tau = 0: the disk |lambda - r| <= r with
     r = 1/sum_k |lambda_k|^{-1}.  Stated in the lambda chart itself."""
-    if abs(config.tau) > 1e-12:
+    if not config.is_origin:
         raise DomainError("region_Omega_origin requires tau = 0")
     r = 1.0 / config.inv_lambda_sum
     return DiskRegion(complex(r, 0.0), r)
@@ -219,7 +218,7 @@ def region_Z_omega(config: FixedPointConfig, omega: complex) -> DiskRegion:
     fiber over omega = 0 is the zero field alone, which has no second
     order chart; that input is rejected.
     """
-    if abs(config.tau) > 1e-12:
+    if not config.is_origin:
         raise DomainError("region_Z_omega requires tau = 0")
     omega = complex(omega)
     if omega == 0:
@@ -235,7 +234,7 @@ def region_Z_omega(config: FixedPointConfig, omega: complex) -> DiskRegion:
 
 def origin_curvature_chart(spec: GeneratorSpec) -> complex:
     """G''(0)/(2 lambda^2) for a tau = 0 spec, via the generator itself."""
-    if abs(spec.config.tau) > 1e-12:
+    if not spec.config.is_origin:
         raise DomainError("the curvature chart is defined for tau = 0")
     lam = dw_spectral_value(spec)
     if lam == 0:
@@ -252,7 +251,7 @@ def extremal_origin(
     Requires omega interior to the spectral disk.  Free summand: atom of
     mass Re(1/omega) - S/2 at sigma plus the matching imaginary constant.
     """
-    if abs(config.tau) > 1e-12:
+    if not config.is_origin:
         raise DomainError("extremal_origin requires tau = 0")
     omega = complex(omega)
     if omega == 0:
@@ -411,13 +410,12 @@ def inequality_suite(spec: GeneratorSpec) -> list[InequalityRecord]:
     s = config.inv_lambda_sum
     records: list[InequalityRecord] = []
     w0 = eval_denominator(spec, 0.0)  # tau/G(0) when tau != 0
+    lam = dw_spectral_value(spec)
 
     if not config.is_boundary:
-        lam = dw_spectral_value(spec)
         inv = 1.0 / lam
         records.append(InequalityRecord("spectral_reciprocal_floor", s, 2.0 * inv.real))
-        t = abs(config.tau)
-        if t <= 1e-12:
+        if config.is_origin:
             chart = origin_curvature_chart(spec)
             center = sum(
                 p.value.conjugate() / abs(v)
@@ -429,6 +427,7 @@ def inequality_suite(spec: GeneratorSpec) -> list[InequalityRecord]:
                 )
             )
             return records
+        t = abs(config.tau)
         one_m = 1.0 - t * t
         records.append(InequalityRecord("origin_ratio_real", a_cap, w0.real))
         ratio = w0.real - a_cap
@@ -445,7 +444,6 @@ def inequality_suite(spec: GeneratorSpec) -> list[InequalityRecord]:
         )
         return records
 
-    lam = dw_spectral_value(spec)
     records.append(InequalityRecord("origin_ratio_real", a_cap, w0.real))
     records.append(InequalityRecord("boundary_spectral_cap", lam, 1.0 / s))
     ratio = w0.real - a_cap
@@ -478,17 +476,12 @@ def _distinct_angles(
     chosen: list[float] = []
     while len(chosen) < count:
         theta = float(rng.uniform(0.0, TWO_PI))
-        ok = all(_circle_gap(theta, c) > min_gap for c in chosen) and all(
-            _circle_gap(theta, c) > avoid_gap for c in avoid
+        ok = all(angle_gap(theta, c) > min_gap for c in chosen) and all(
+            angle_gap(theta, c) > avoid_gap for c in avoid
         )
         if ok:
             chosen.append(theta)
     return chosen
-
-
-def _circle_gap(a: float, b: float) -> float:
-    d = abs(a - b) % TWO_PI
-    return min(d, TWO_PI - d)
 
 
 def random_spec(rng: np.random.Generator, regime: str = "interior") -> GeneratorSpec:
@@ -509,7 +502,6 @@ def random_spec(rng: np.random.Generator, regime: str = "interior") -> Generator
     sigmas = tuple(BoundaryPoint(t) for t in sig_angles)
     lambdas = tuple(-math.exp(x) for x in rng.uniform(-2.0, 2.0, n))
 
-    boundary = regime.startswith("boundary")
     if regime == "origin":
         tau: complex = 0.0 + 0.0j
         tau_angle: tuple[float, ...] = ()

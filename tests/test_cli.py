@@ -158,7 +158,7 @@ def test_verify_passes_at_extreme_tolerance(tmp_path):
     assert res.returncode == 0, res.stdout
 
 
-def test_verify_reads_large_roundoff_as_roundoff():
+def test_verify_reads_large_roundoff_as_roundoff(tmp_path, monkeypatch):
     # sample 6690 of `verify --seed 4`: hyperbolic_window compares two sides
     # near 5.7e5 and lands 2.3e-10 (4e-16 relative) below zero, past the
     # absolute floor 1e-10 but inside the floor scaled by the sides
@@ -177,6 +177,14 @@ def test_verify_reads_large_roundoff_as_roundoff():
     assert window.slack < -SIGN_VIOLATION_FLOOR
     assert abs(window.slack) < 1e-15 * window.lhs
     assert not any(_is_sign_violation(r, SIGN_VIOLATION_FLOOR) for r in records.values())
+    # verify counts it as neither a violation nor a warning
+    from diskflow import cli
+
+    monkeypatch.setattr(cli, "random_spec", lambda rng, regime: spec)
+    assert cli.main(["verify", "--samples", "1", "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "verify.json").read_text())
+    assert report["checked"]["hyperbolic_window"] == 1
+    assert report["warnings"] == {} and report["violations"] == {}
 
 
 def test_verify_genuine_violation_exits_4(tmp_path, monkeypatch):
@@ -302,6 +310,16 @@ def test_domain_error_exits_3(tmp_path):
     )
     res = run("region", "--config", cfg, "--out", str(tmp_path))
     assert res.returncode == 3
+
+
+@pytest.mark.parametrize("fmt", ["csv", "svg"])
+def test_verify_format_it_cannot_write_exits_2(tmp_path, fmt):
+    from diskflow import cli
+
+    out = tmp_path / "out"
+    argv = ["verify", "--samples", "4", "--format", "json", "--format", fmt, "--out", str(out)]
+    assert cli.main(argv) == 2
+    assert list(out.iterdir()) == []
 
 
 def test_unknown_command_exits_2():
