@@ -11,8 +11,10 @@ Subcommands, with the --format values each writes (default first):
 Every command reads an optional JSON config (--config), writes one artifact
 per requested --format into --out (default: current directory), and prints
 a short summary to stdout; a format the command cannot write is malformed
-input.  Output is deterministic for a fixed seed: floats are serialized
-with repr and JSON keys are sorted.
+input.  verify and cowen-pommerenke draw random inputs and also take --seed
+and --tolerance, and verify takes --samples; no other command accepts them.
+Output is deterministic for a fixed seed: floats are serialized with repr
+and JSON keys are sorted.
 
 Exit codes: 0 success, 2 malformed input, 3 domain error, 4 verification
 failure.
@@ -447,16 +449,9 @@ def cmd_counterexample(args) -> int:
 # ----------------------------------------------------------------------
 
 
-def _add_common(
-    sub: argparse.ArgumentParser, formats: tuple[str, ...], tolerance: float = 1e-10
-) -> None:
+def _add_common(sub: argparse.ArgumentParser, formats: tuple[str, ...]) -> None:
     sub.add_argument("--config", default=None, help="path to a JSON config file")
     sub.add_argument("--out", default=".", help="output directory")
-    sub.add_argument("--seed", type=int, default=0, help="random seed")
-    sub.add_argument("--samples", type=int, default=10000, help="sample count")
-    sub.add_argument(
-        "--tolerance", type=float, default=tolerance, help="violation tolerance"
-    )
     sub.add_argument(
         "--format",
         action="append",
@@ -465,6 +460,14 @@ def _add_common(
         help="output format (repeatable)",
     )
     sub.set_defaults(default_formats=formats)
+
+
+def _add_randomized(sub: argparse.ArgumentParser, tolerance: float) -> None:
+    """--seed and --tolerance, for the commands that draw random inputs."""
+    sub.add_argument("--seed", type=int, default=0, help="random seed")
+    sub.add_argument(
+        "--tolerance", type=float, default=tolerance, help="violation tolerance"
+    )
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -484,12 +487,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("verify", help="randomized inequality verification")
     _add_common(sub, ("json",))
+    _add_randomized(sub, tolerance=1e-10)
+    sub.add_argument("--samples", type=int, default=10000, help="sample count")
     sub.set_defaults(func=cmd_verify)
 
     sub = subs.add_parser(
         "cowen-pommerenke", help="spectral region experiment for boundary data"
     )
-    _add_common(sub, ("json",), tolerance=1e-8)
+    _add_common(sub, ("json",))
+    _add_randomized(sub, tolerance=1e-8)
     sub.set_defaults(func=cmd_cowen_pommerenke)
 
     sub = subs.add_parser("counterexample", help="decay/divergence tables")

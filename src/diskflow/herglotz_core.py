@@ -11,6 +11,8 @@ half-plane, so Re p >= 0 is automatic.  The module provides evaluation,
 the mass functional p_star, the derivative-type functional p_sharp,
 contact values, atom surgery, reciprocals within the rational class, and
 the two quadrature routines used by the decay/divergence counterexample.
+Those two import scipy.integrate when first called, not with this module,
+so that every command that never integrates starts without loading it.
 
 All evaluation goes through one array kernel, kernel_sum, over the atom
 points and masses cached on each function.  It sums the order-k
@@ -31,7 +33,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import (
     AtomAtPoint,
@@ -370,6 +371,7 @@ def counterexample_P(y: float) -> float:
     """
     if not 0.0 < y < 1.0:
         raise DomainError(f"y must lie in (0,1), got {y}")
+    from scipy.integrate import quad
 
     def integrand(t: float) -> float:
         return y / ((t * t + y * y) * math.log(1.0 / t))
@@ -393,6 +395,8 @@ def counterexample_divergence(delta: float) -> float:
     """
     if not 0.0 < delta < _E_INV:
         raise DomainError(f"delta must lie in (0, 1/e), got {delta}")
+    from scipy.integrate import quad
+
     upper = math.log(1.0 / delta)
     value, err = quad(lambda s: 1.0 / s, 1.0, upper, limit=500, epsabs=1e-12, epsrel=1e-12)
     if err > 1e-9:

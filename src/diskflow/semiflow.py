@@ -22,6 +22,11 @@ on the circle: the quotient
 along the radius z = r sigma tends to phi'(sigma) as r -> 1, and a
 Richardson step in h = 1 - r removes the first-order error.  The whole
 radius ladder is one array of start points, hence one IVP.
+
+scipy.integrate is imported inside _solve, on the first solve, not with
+this module: it takes most of the package's import time, and the closed-form
+parts of the package (value regions, inequalities, the Cowen-Pommerenke
+region) never integrate.
 """
 
 from __future__ import annotations
@@ -31,7 +36,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import (
     BoundaryEscape,
@@ -88,6 +92,8 @@ def _solve(
     t_eval: np.ndarray | None = None,
 ):
     """Integrate a system whose first ``n_orbits`` components are orbit points."""
+    from scipy.integrate import solve_ivp
+
     guard = 1.0 - settings.boundary_guard
 
     def escape(t: float, y: np.ndarray) -> float:
@@ -115,12 +121,12 @@ def _solve(
 
 
 def _start_points(z0) -> np.ndarray:
-    """z0 as a 1-D complex array, checked to lie in the open disk."""
+    """z0 as a 1-D complex array, checked to lie in the open disk (NaN does not)."""
     z = np.atleast_1d(np.asarray(z0, dtype=complex))
     if z.ndim != 1:
         raise DomainError("start points must be a scalar or a 1-D array")
     radius = np.abs(z).max(initial=0.0)
-    if radius >= 1.0:
+    if not radius < 1.0:
         raise DomainError(f"initial point must lie in the open disk, |z0|={radius}")
     return z
 
@@ -173,8 +179,8 @@ def integrate_flow(
 ):
     """phi_t(z0) for a start point or a 1-D array of them (one IVP)."""
     z = _start_points(z0)
-    if t < 0.0:
-        raise DomainError("semigroup time must be nonnegative")
+    if not 0.0 <= t < math.inf:
+        raise DomainError(f"semigroup time must be finite and nonnegative, got {t!r}")
     n = len(z)
     if t == 0.0 or n == 0:
         return _like_input(z0, z)
@@ -193,8 +199,8 @@ def integrate_flow_with_derivative(
     For an array of start points both entries are arrays, solved as one IVP.
     """
     z = _start_points(z0)
-    if t < 0.0:
-        raise DomainError("semigroup time must be nonnegative")
+    if not 0.0 <= t < math.inf:
+        raise DomainError(f"semigroup time must be finite and nonnegative, got {t!r}")
     n = len(z)
     ones = np.ones(n, dtype=complex)
     if t == 0.0 or n == 0:
@@ -212,8 +218,8 @@ def flow_trajectory(
 ) -> Trajectory:
     """Orbit and derivative sampled on a uniform time grid of ``samples`` points."""
     z = _start_points(complex(z0))
-    if t <= 0.0:
-        raise DomainError("trajectory horizon must be positive")
+    if not 0.0 < t < math.inf:
+        raise DomainError(f"trajectory horizon must be finite and positive, got {t!r}")
     if samples < 2:
         raise DomainError("at least two samples are required")
     grid = np.linspace(0.0, t, samples)

@@ -10,9 +10,9 @@ import pytest
 CLI = [sys.executable, "-m", "diskflow.cli"]
 
 
-def run(*argv, cwd=None):
+def run(*argv, cwd=None, timeout=None):
     return subprocess.run(
-        CLI + list(argv), capture_output=True, text=True, cwd=cwd
+        CLI + list(argv), capture_output=True, text=True, cwd=cwd, timeout=timeout
     )
 
 
@@ -310,6 +310,49 @@ def test_domain_error_exits_3(tmp_path):
     )
     res = run("region", "--config", cfg, "--out", str(tmp_path))
     assert res.returncode == 3
+
+
+def test_flow_nan_horizon_exits_3(tmp_path):
+    cfg = write_json(
+        tmp_path / "cfg_flow.json",
+        {
+            "generator": {"tau": {"re": 0.0, "im": 0.0}, "sigmas": [0.0], "lambdas": [-2.0]},
+            "z0": {"re": 0.5, "im": 0.0},
+            "t": math.nan,
+        },
+    )
+    res = run("flow", "--config", cfg, "--out", str(tmp_path), timeout=60)
+    assert res.returncode == 3, res.stderr
+    assert "finite" in res.stderr
+
+
+@pytest.mark.parametrize(
+    "command, option",
+    [
+        (command, option)
+        for command in ("region", "flow", "counterexample")
+        for option in ("--seed", "--samples", "--tolerance")
+    ]
+    + [("cowen-pommerenke", "--samples")],
+)
+def test_option_the_command_does_not_read_exits_2(tmp_path, command, option):
+    from diskflow import cli
+
+    # a config the command runs on, so the option alone decides the exit code
+    configs = {
+        "region": {"kind": "interior", "tau": {"re": 0.5, "im": 0.0},
+                   "sigmas": [0.0], "lambdas": [-1.0]},
+        "flow": {"generator": {"tau": {"re": 0.0, "im": 0.0}, "sigmas": [0.0],
+                               "lambdas": [-2.0]},
+                 "z0": {"re": 0.5, "im": 0.0}, "t": 0.1},
+        "cowen-pommerenke": {"tau": {"re": 0.0, "im": 0.0}, "sigmas": [0.0],
+                             "target": [math.e], "fields": 2, "sweep": 2},
+    }
+    argv = [command, option, "3", "--out", str(tmp_path / "out")]
+    if command in configs:
+        argv += ["--config", write_json(tmp_path / "cfg.json", configs[command])]
+    assert cli.main(argv) == 2
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("fmt", ["csv", "svg"])

@@ -1,18 +1,30 @@
-"""Every module of the package uses each name it imports.
+"""Every module of the package uses each name it imports, and none loads scipy.
 
 No linter ships with the project, so this is the unused-import check: a
 name bound by an import at any level of a module under src/diskflow/ must
 be read somewhere in that module.  A name that __init__.py imports from a
 module counts as used there, since the package re-exports it.
+
+scipy is imported only inside the functions that integrate or use
+quadrature: importing scipy.integrate takes most of the package's start-up
+time, which the commands that never integrate should not pay.  An import of
+scipy outside a function body fails the check below, and a fresh
+interpreter running region, cowen-pommerenke and verify must not load it.
 """
 
 import ast
+import json
+import math
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
 PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "diskflow"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+ALL_MODULES = sorted(PACKAGE.glob("*.py"))
 
 
 def _reexported() -> dict[str, set[str]]:
@@ -51,3 +63,108 @@ def test_checker_flags_an_unused_import():
 def test_module_uses_every_import(path):
     exempt = _reexported().get(path.stem, set())
     assert unused_imports(path.read_text(), exempt) == []
+
+
+def import_time_scipy(source: str) -> list[str]:
+    """scipy imports that run when the module is imported, i.e. outside functions."""
+    found: list[str] = []
+
+    def visit(node: ast.AST) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            if isinstance(child, ast.Import):
+                modules = [alias.name for alias in child.names]
+            elif isinstance(child, ast.ImportFrom) and child.level == 0:
+                modules = [child.module]
+            else:
+                modules = []
+            found.extend(
+                f"line {child.lineno}: {m}" for m in modules if m.split(".")[0] == "scipy"
+            )
+            visit(child)
+
+    visit(ast.parse(source))
+    return found
+
+
+def test_checker_flags_an_import_time_scipy_import():
+    source = (
+        "import scipy.integrate\n"
+        "from scipy import optimize\n"
+        "import scipyx\n"
+        "class A:\n"
+        "    from scipy.integrate import quad\n"
+        "def f():\n"
+        "    from scipy.integrate import solve_ivp\n"
+        "    return solve_ivp\n"
+    )
+    assert import_time_scipy(source) == [
+        "line 1: scipy.integrate",
+        "line 2: scipy",
+        "line 5: scipy.integrate",
+    ]
+
+
+@pytest.mark.parametrize("path", ALL_MODULES, ids=[p.stem for p in ALL_MODULES])
+def test_module_imports_scipy_only_inside_functions(path):
+    assert import_time_scipy(path.read_text()) == []
+
+
+_SESSION = """
+import json, sys
+import diskflow, diskflow.cli
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+region, cp, flow, out = sys.argv[1:]
+after_import = scipy_modules()
+codes = [
+    diskflow.cli.main(["region", "--config", region, "--out", out]),
+    diskflow.cli.main(["cowen-pommerenke", "--config", cp, "--out", out]),
+    diskflow.cli.main(["verify", "--samples", "20", "--out", out]),
+]
+after_commands = scipy_modules()
+flow_code = diskflow.cli.main(["flow", "--config", flow, "--out", out])
+print(json.dumps({
+    "after_import": after_import,
+    "codes": codes,
+    "after_commands": after_commands,
+    "flow_code": flow_code,
+    "after_flow": "scipy.integrate" in sys.modules,
+}))
+"""
+
+
+def test_commands_that_never_integrate_do_not_load_scipy(tmp_path):
+    configs = {
+        "region": {"kind": "interior", "tau": {"re": 0.5, "im": 0.0},
+                   "sigmas": [0.0], "lambdas": [-1.0]},
+        "cp": {"tau": {"re": 0.0, "im": 0.0}, "sigmas": [0.0, math.pi],
+               "target": [math.e, math.e], "fields": 4, "sweep": 4},
+        "flow": {"generator": {"tau": {"re": 0.0, "im": 0.0}, "sigmas": [0.0],
+                               "lambdas": [-2.0]},
+                 "z0": {"re": 0.5, "im": 0.0}, "t": 0.1},
+    }
+    paths = []
+    for name, cfg in configs.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(cfg))
+        paths.append(str(path))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(PACKAGE.parent), env.get("PYTHONPATH")) if p
+    )
+    res = subprocess.run(
+        [sys.executable, "-c", _SESSION, *paths, str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert res.returncode == 0, res.stderr
+    report = json.loads(res.stdout.splitlines()[-1])
+    assert report["after_import"] == []
+    assert report["codes"] == [0, 0, 0]
+    assert report["after_commands"] == []
+    # flow integrates, so it loads scipy.integrate on first use and succeeds
+    assert report["flow_code"] == 0
+    assert report["after_flow"] is True

@@ -93,6 +93,23 @@ def test_flow_rejects_negative_time_and_outside_start():
         integrate_flow(KOENIGS, 1.2, 0.1)
 
 
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+def test_flow_rejects_non_finite_time(t):
+    for flow in (integrate_flow, integrate_flow_with_derivative, flow_trajectory):
+        with pytest.raises(DomainError):
+            flow(KOENIGS, 0.3, t)
+
+
+def test_flow_rejects_non_finite_start():
+    for z0 in (complex(math.nan, 0.0), complex(math.inf, 0.0), np.array([0.2, 1j * math.nan])):
+        with pytest.raises(DomainError):
+            integrate_flow(KOENIGS, z0, 0.1)
+        with pytest.raises(DomainError):
+            integrate_flow_with_derivative(KOENIGS, z0, 0.1)
+    with pytest.raises(DomainError):
+        flow_trajectory(KOENIGS, complex(0.0, math.nan), 0.1)
+
+
 def test_flow_derivative_at_fixed_point():
     # dphi_t/dz at the attracting point is exp(-lambda t) with lambda = 4
     for t in (0.1, 0.5):
