@@ -361,6 +361,8 @@ def cmd_cowen_pommerenke(args) -> int:
     target = CPTarget(tuple(float(a) for a in cfg["target"]))
     n_fields = int(cfg.get("fields", 64))
     n_sweep = int(cfg.get("sweep", 32))
+    if n_fields < 0 or n_sweep < 0:
+        raise ValueError(f"fields and sweep must be nonnegative, got {n_fields} and {n_sweep}")
     boundary = tau_regime(tau) == "boundary"
     rng = np.random.default_rng(args.seed)
 
@@ -462,6 +464,14 @@ def _add_common(sub: argparse.ArgumentParser, formats: tuple[str, ...]) -> None:
     sub.set_defaults(default_formats=formats)
 
 
+def _count(text: str) -> int:
+    """argparse type of a count that must be at least 1."""
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
+
+
 def _add_randomized(sub: argparse.ArgumentParser, tolerance: float) -> None:
     """--seed and --tolerance, for the commands that draw random inputs."""
     sub.add_argument("--seed", type=int, default=0, help="random seed")
@@ -488,7 +498,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser("verify", help="randomized inequality verification")
     _add_common(sub, ("json",))
     _add_randomized(sub, tolerance=1e-10)
-    sub.add_argument("--samples", type=int, default=10000, help="sample count")
+    sub.add_argument("--samples", type=_count, default=10000, help="sample count (>= 1)")
     sub.set_defaults(func=cmd_verify)
 
     sub = subs.add_parser(

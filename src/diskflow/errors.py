@@ -13,10 +13,6 @@ class AtomAtPoint(DiskflowError):
     """A boundary functional was requested at a point carrying an atom."""
 
 
-class RootFindingFailure(DiskflowError):
-    """Polynomial roots violate the location or simplicity guarantees."""
-
-
 class QuadratureFailure(DiskflowError):
     """Adaptive quadrature could not reach the requested accuracy."""
 

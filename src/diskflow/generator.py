@@ -348,24 +348,22 @@ def to_berkson_porta(spec: GeneratorSpec) -> BerksonPortaSpec:
 
 
 def spec_from_denominator(
-    tau: complex,
-    sigmas: tuple[BoundaryPoint, ...],
-    q: RationalHerglotz,
-    match_tol: float = 1e-9,
+    tau: complex, sigmas: tuple[BoundaryPoint, ...], q: RationalHerglotz
 ) -> GeneratorSpec:
     """Recover a fixed-point spec from a denominator function q = p + p0.
 
-    Each sigma_k must carry an atom of q (that is what makes it a repelling
-    fixed point); its mass determines the spectral value, and the remaining
-    atoms plus the imaginary constant form p.  ``match_tol`` absorbs root
-    drift when q came out of a reciprocal computation.
+    Each sigma_k must carry an atom of q within ANGLE_TOL (that is what
+    makes it a repelling fixed point); its mass determines the spectral
+    value, and the remaining atoms plus the imaginary constant form p.  A q
+    that came out of `reciprocal` returns each sigma_k to within about
+    1e-14, far inside ANGLE_TOL, so no wider tolerance is needed.
     """
     lambdas = []
     remaining = list(q.atoms)
     for s in sigmas:
         hit = None
         for i, (pt, mass) in enumerate(remaining):
-            if pt.same_point(s, tol=match_tol):
+            if pt.same_point(s):
                 hit = i
                 break
         if hit is None:

@@ -14,6 +14,10 @@ the two quadrature routines used by the decay/divergence counterexample.
 Those two import scipy.integrate when first called, not with this module,
 so that every command that never integrates starts without loading it.
 
+Atoms are kept sorted by angle, those within ANGLE_TOL merged, whatever
+order they come in.  Consecutive atoms bound the arcs of the circle on
+which p is purely imaginary; reciprocal finds the one zero on each arc.
+
 All evaluation goes through one array kernel, kernel_sum, over the atom
 points and masses cached on each function.  It sums the order-k
 z-derivatives of the kernels,
@@ -31,15 +35,11 @@ import cmath
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import itemgetter
 
 import numpy as np
 
-from .errors import (
-    AtomAtPoint,
-    DomainError,
-    QuadratureFailure,
-    RootFindingFailure,
-)
+from .errors import AtomAtPoint, DomainError, QuadratureFailure
 
 TWO_PI = 2.0 * math.pi
 
@@ -102,29 +102,37 @@ class BoundaryPoint:
 class AtomicHerglotz:
     """A Herglotz function given by finitely many boundary atoms plus i*gamma.
 
-    Construction normalizes the atom list: zero-mass atoms are dropped,
-    coincident points (within 1e-12 in angle) are merged by adding masses,
-    and atoms are sorted by angle.  Negative masses are rejected.
+    Construction normalizes the atoms so that they depend only on the
+    multiset given, not its order.  Negative masses are rejected, zero
+    masses dropped, and the rest sorted by (angle, mass) and swept once: an
+    atom within ANGLE_TOL of its group's first angle adds its mass to the
+    group, which keeps that angle.  The last group joins the first when
+    they are within ANGLE_TOL across 2*pi.  The angles are thus strictly
+    increasing, and consecutive atoms bound the arcs `reciprocal` solves on.
     """
 
     atoms: tuple[tuple[BoundaryPoint, float], ...] = field(default_factory=tuple)
     gamma: float = 0.0
 
     def __post_init__(self) -> None:
-        merged: list[tuple[BoundaryPoint, float]] = []
+        atoms = []
         for point, mass in self.atoms:
             m = float(mass)
             if m < 0.0:
                 raise ValueError(f"atom mass must be nonnegative, got {m}")
-            if m == 0.0:
-                continue
-            for i, (q, existing) in enumerate(merged):
-                if q.same_point(point):
-                    merged[i] = (q, existing + m)
-                    break
+            if m != 0.0:
+                atoms.append((point.theta, m, point))
+        atoms.sort(key=itemgetter(0, 1))
+        merged: list[tuple[BoundaryPoint, float]] = []  # (first point, summed mass)
+        first = -math.inf  # angle of the current group's first atom
+        for theta, m, point in atoms:
+            if theta - first <= ANGLE_TOL:
+                merged[-1] = (merged[-1][0], merged[-1][1] + m)
             else:
+                first = theta
                 merged.append((point, m))
-        merged.sort(key=lambda pm: pm[0].theta)
+        if len(merged) > 1 and merged[0][0].theta + TWO_PI - first <= ANGLE_TOL:
+            merged[0] = (merged[0][0], merged[0][1] + merged.pop()[1])
         object.__setattr__(self, "atoms", tuple(merged))
         object.__setattr__(self, "gamma", float(self.gamma))
 
@@ -281,78 +289,60 @@ def scale_herglotz(p: AtomicHerglotz, c: float) -> AtomicHerglotz:
 # reciprocal within the rational class
 # ----------------------------------------------------------------------
 
-_ROOT_TOL = 1e-8
-
-
-def _numerator_coefficients(p: RationalHerglotz) -> np.ndarray:
-    """Coefficients (descending powers) of N where p = N / prod_j (s_j - z).
-
-    N(z) = i*gamma*D(z) + sum_j m_j (s_j + z) prod_{l != j} (s_l - z) with
-    D(z) = prod_j (s_j - z).  Degree is exactly m: the leading coefficient is
-    (-1)^m (i*gamma - sum m_j), never zero since the total mass is positive.
-    """
-    points = [pt.value for pt, _ in p.atoms]
-    masses = [m for _, m in p.atoms]
-    m = len(points)
-    sign = (-1.0) ** m
-    n = np.asarray(1j * p.gamma * sign * np.poly(points), dtype=complex)
-    for j in range(m):
-        others = points[:j] + points[j + 1 :]
-        if others:
-            base = (-1.0) ** (m - 1) * np.poly(others)
-        else:
-            base = np.array([1.0 + 0.0j])
-        term = masses[j] * np.convolve(np.array([1.0, points[j]], dtype=complex), base)
-        n[-len(term):] += term
-    return n
+# Absolute stopping width of the arc solve: e^{it} reduces t modulo 2*pi,
+# leaving about 4e-16 of noise, so a test relative to t is never met near 0.
+_ARC_TOL = 4.0 * float(np.spacing(TWO_PI))
+_NEWTON_STEPS = 32
+_ARC_STEPS = _NEWTON_STEPS + 53  # the bound derived in reciprocal
 
 
 def reciprocal(p: RationalHerglotz) -> RationalHerglotz:
     """Pointwise reciprocal 1/p, again rational Herglotz of the same degree.
 
-    The atoms of 1/p sit at the zeros of p, which are simple and lie on the
-    unit circle; they are located as companion-matrix roots of the numerator
-    polynomial and projected radially onto the circle.  Each zero k receives
-    mass 1/(2 p#(k)) with p#(k) = -k p'(k), and the imaginary constant is
-    fixed by matching 1/p at the origin.
-    """
-    coeffs = _numerator_coefficients(p)
-    roots = np.roots(coeffs)
-    # two Newton steps against the numerator sharpen companion-matrix roots,
-    # which drift when atoms nearly collide
-    deriv = np.polyder(coeffs)
-    for _ in range(2):
-        slope = np.polyval(deriv, roots)
-        good = slope != 0
-        roots[good] -= np.polyval(coeffs, roots[good]) / slope[good]
-    m = len(p.atoms)
-    if len(roots) != m:
-        raise RootFindingFailure(f"numerator degree dropped: {len(roots)} roots for {m} atoms")
-    radii_err = np.abs(np.abs(roots) - 1.0)
-    if np.any(radii_err >= _ROOT_TOL):
-        raise RootFindingFailure(
-            f"root off the unit circle by {radii_err.max():.3e} (tolerance {_ROOT_TOL})"
-        )
-    if m > 1:
-        dists = np.abs(roots[:, None] - roots[None, :])[np.triu_indices(m, k=1)]
-        if np.any(dists <= _ROOT_TOL):
-            raise RootFindingFailure("numerator roots are not simple within tolerance")
+    The atoms of 1/p sit at the zeros of p on the circle, where
+    p(e^{it}) = i f(t) with f(t) = gamma + Im kernel_sum(s, m, e^{it}, 0)
+    and f'(t) = Re(e^{it} kernel_sum(s, m, e^{it}, 1)) = -p#(e^{it}) < 0.
+    Each kernel is i cot((t - a_j)/2), so on each arc between consecutive
+    atoms (the last round to the first too) f falls strictly from +inf to
+    -inf and has exactly one zero: the disk form of Chebotarev's theorem.
 
-    zeros = [BoundaryPoint.from_complex(r) for r in roots]
-    new_atoms = []
-    for kappa in zeros:
-        kv = kappa.value
-        # At a regular zero on the circle, p# reduces to -kappa p'(kappa); the
-        # kernel is finite there because zeros and poles are disjoint.  The
-        # zeros are summed one at a time, in complex arithmetic: at high
-        # degree the roots of 1/(1/p) move with the last bit of these masses,
-        # and the broadcast sum, which rounds differently, breaks the
-        # involution on some 19-atom functions where this sum keeps it.
-        sharp = (-kv * kernel_sum(p.s, p.m, kv, 1)).real
-        new_atoms.append((kappa, 1.0 / (2.0 * sharp)))
+    All arcs are solved at once from their midpoints.  The next point is
+    the Newton step when it stays inside the arc's sign bracket, else the
+    bracket's midpoint (Brent's safeguard); an arc stops when its Newton
+    step or its bracket is within _ARC_TOL.  No failure path is needed:
+    only the first _NEWTON_STEPS iterations may take a Newton step, so each
+    evaluation from iteration _NEWTON_STEPS + 1 on halves the bracket.  A
+    bracket is at most 2*pi wide and a midpoint rounds by at most 0.9e-15
+    (half a unit at 8*pi, halved), so k halvings leave at most
+    2*pi/2**k + 1.8e-15, below _ARC_TOL (3.6e-15) from k = 52 on: the loop
+    ends within _NEWTON_STEPS + 53 iterations.
+
+    Each zero kappa gets mass 1/(2 p#(kappa)) from the same kernel sum, and
+    the imaginary constant is fixed by matching 1/p at the origin.
+    """
+    lo = np.array([point.theta for point, _ in p.atoms])
+    hi = np.append(lo[1:], lo[0] + TWO_PI)
+    t = (lo + hi) / 2.0
+    done = np.zeros(len(lo), dtype=bool)
+    for iteration in range(_ARC_STEPS):
+        z = np.exp(1j * t)
+        f = p.gamma + kernel_sum(p.s, p.m, z, 0).imag
+        slope = (z * kernel_sum(p.s, p.m, z, 1)).real
+        lo = np.where(f >= 0.0, t, lo)
+        hi = np.where(f <= 0.0, t, hi)
+        newton = t - f / slope
+        done |= (np.abs(newton - t) <= _ARC_TOL) | (hi - lo <= _ARC_TOL)
+        if done.all():
+            break
+        use_newton = (lo < newton) & (newton < hi) & (iteration < _NEWTON_STEPS)
+        t = np.where(done, t, np.where(use_newton, newton, (lo + hi) / 2.0))
+    z = np.exp(1j * t)
+    sharp = -(z * kernel_sum(p.s, p.m, z, 1)).real
+    new_atoms = tuple(
+        (BoundaryPoint(theta), 1.0 / (2.0 * ps)) for theta, ps in zip(t.tolist(), sharp.tolist())
+    )
     p0 = complex(p.total_mass, p.gamma)
-    new_gamma = (1.0 / p0).imag
-    return RationalHerglotz(tuple(new_atoms), new_gamma)
+    return RationalHerglotz(new_atoms, (1.0 / p0).imag)
 
 
 # ----------------------------------------------------------------------

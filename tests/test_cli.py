@@ -365,6 +365,36 @@ def test_verify_format_it_cannot_write_exits_2(tmp_path, fmt):
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("samples", ["-5", "0"])
+def test_verify_nonpositive_samples_exits_2(tmp_path, samples):
+    from diskflow import cli
+
+    out = tmp_path / "out"
+    assert cli.main(["verify", "--samples", samples, "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "fields, sweep, code",
+    [(-4, 2, 2), (2, -2, 2), (-4, -2, 2), (0, 0, 0)],
+)
+def test_cowen_pommerenke_negative_counts_exit_2(tmp_path, fields, sweep, code):
+    from diskflow import cli
+
+    cfg = {"tau": {"re": 0.0, "im": 0.0}, "sigmas": [0.0], "target": [math.e],
+           "fields": fields, "sweep": sweep}
+    out = tmp_path / "out"
+    argv = ["cowen-pommerenke", "--config", write_json(tmp_path / "cfg.json", cfg),
+            "--out", str(out)]
+    assert cli.main(argv) == code
+    if code == 0:
+        # zero counts mean the extremal field alone
+        report = json.loads((out / "cowen_pommerenke.json").read_text())
+        assert len(report["points"]) == 1
+    else:
+        assert list(out.iterdir()) == []
+
+
 def test_unknown_command_exits_2():
     res = run("frobnicate")
     assert res.returncode == 2

@@ -2,8 +2,10 @@
 reciprocal map on the rational subclass."""
 
 import cmath
+import itertools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -98,6 +100,22 @@ def test_coincident_atoms_merge():
     p = AtomicHerglotz(atoms((0.4, 1.0), (0.4, 2.5)), 0.0)
     assert len(p.atoms) == 1
     assert p.atoms[0][1] == pytest.approx(3.5)
+
+
+@pytest.mark.parametrize(
+    "pairs, expected",
+    [
+        # a chain 0.6e-12 apart: the first two are one point, the third is not
+        (((1.0, 1.0), (1.0 + 0.6e-12, 2.0), (1.0 + 1.2e-12, 4.0)),
+         ((1.0, 3.0), (1.0 + 1.2e-12, 4.0))),
+        # two atoms 0.4e-12 apart across 2*pi merge at angle 0
+        (((TWO_PI - 0.4e-12, 1.0), (0.0, 2.0)), ((0.0, 3.0),)),
+    ],
+)
+def test_merge_is_independent_of_atom_order(pairs, expected):
+    for order in itertools.permutations(pairs):
+        p = AtomicHerglotz(atoms(*order), 0.0)
+        assert [(pt.theta, m) for pt, m in p.atoms] == list(expected)
 
 
 def test_atoms_sorted_by_angle():
@@ -328,6 +346,44 @@ def test_reciprocal_interlaces_atoms():
     p_angles = sorted(pt.theta for pt, _ in p.atoms)
     for pt, _ in q.atoms:
         assert all(abs(pt.theta - a) > 1e-6 for a in p_angles)
+
+
+MIN_GAP = 1e-4
+INTERIOR = np.array(
+    [0j] + [r * cmath.exp(1j * a) for r in (0.3, 0.6, 0.9) for a in (0.4, 2.5, 4.6)]
+)
+
+
+@st.composite
+def separated_rationals(draw):
+    """Degree 1..128, neighbouring atoms (across 2*pi too) at least MIN_GAP
+    apart, masses exp(U[-3, 1]) and gamma in [-5, 5]."""
+    degree = draw(st.integers(min_value=1, max_value=128))
+    weights = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=degree, max_size=degree)))
+    share = weights / weights.sum() if weights.sum() > 0 else np.full(degree, 1.0 / degree)
+    gaps = MIN_GAP + share * (TWO_PI - degree * MIN_GAP)
+    start = draw(st.floats(min_value=0.0, max_value=TWO_PI, exclude_max=True))
+    thetas = start + np.concatenate(([0.0], np.cumsum(gaps[:-1])))
+    logs = draw(st.lists(st.floats(-3.0, 1.0), min_size=degree, max_size=degree))
+    gamma = draw(st.floats(min_value=-5.0, max_value=5.0))
+    return RationalHerglotz(
+        atoms(*zip(thetas.tolist(), (math.exp(x) for x in logs))), gamma
+    )
+
+
+@given(separated_rationals())
+def test_reciprocal_inverse_and_involution_up_to_degree_128(p):
+    q = reciprocal(p)
+    assert len(q.atoms) == len(p.atoms)
+    product = eval_herglotz(p, INTERIOR) * eval_herglotz(q, INTERIOR)
+    assert np.abs(product - 1.0).max() <= 1e-9
+    back = reciprocal(q)
+    assert len(back.atoms) == len(p.atoms)
+    assert abs(back.gamma - p.gamma) <= 1e-9
+    for point, mass in p.atoms:
+        twin, twin_mass = min(back.atoms, key=lambda pm: point.angular_distance(pm[0]))
+        assert point.angular_distance(twin) <= 1e-9
+        assert abs(twin_mass - mass) <= 1e-9 * max(1.0, mass)
 
 
 # ----------------------------------------------------------------------
