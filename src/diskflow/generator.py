@@ -28,6 +28,8 @@ outside the open disk raises DomainError.
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -74,6 +76,21 @@ def tau_regime(tau: complex) -> str:
     return "interior"
 
 
+def config_sums(
+    tau: complex, points: list[complex], lambdas
+) -> tuple[tuple[float, ...], float, float, float]:
+    """(alphas, A, B, S) of a configuration given as plain numbers.
+
+    ``points`` are the repelling points sigma_k as complex numbers.  Returns
+    alpha_k = |tau - sigma_k|^2 / (2 |lambda_k|), A = sum alpha_k,
+    B = sum Im(conj(sigma_k) tau) / |lambda_k| and S = sum 1/|lambda_k|,
+    each summed in the order of the sigma_k.
+    """
+    alphas = tuple([abs(tau - s) ** 2 / (2.0 * abs(v)) for s, v in zip(points, lambdas)])
+    cap_b = sum([(s.conjugate() * tau).imag / abs(v) for s, v in zip(points, lambdas)])
+    return alphas, sum(alphas), cap_b, sum([1.0 / abs(v) for v in lambdas])
+
+
 @dataclass(frozen=True)
 class FixedPointConfig:
     """(tau, sigma_1..sigma_n, lambda_1..lambda_n) with derived quantities."""
@@ -86,11 +103,13 @@ class FixedPointConfig:
         object.__setattr__(self, "tau", complex(self.tau))
         object.__setattr__(self, "sigmas", tuple(self.sigmas))
         object.__setattr__(self, "lambdas", tuple(float(v) for v in self.lambdas))
+        if not cmath.isfinite(self.tau) or not all(map(math.isfinite, self.lambdas)):
+            raise DomainError("tau and the spectral values must be finite")
         if len(self.sigmas) == 0:
             raise DegenerateConfig("at least one repelling boundary point is required")
         if len(self.sigmas) != len(self.lambdas):
             raise DegenerateConfig("sigmas and lambdas must have equal length")
-        if any(v >= 0.0 for v in self.lambdas):
+        if any(not v < 0.0 for v in self.lambdas):
             raise DegenerateConfig("repelling spectral values must be negative")
         regime = self.regime  # DomainError beyond the circle
         for i in range(len(self.sigmas)):
@@ -128,27 +147,25 @@ class FixedPointConfig:
         )
 
     @cached_property
+    def _sums(self) -> tuple[tuple[float, ...], float, float, float]:
+        return config_sums(self.tau, [s.value for s in self.sigmas], self.lambdas)
+
+    @cached_property
     def alphas(self) -> tuple[float, ...]:
-        return tuple(
-            abs(self.tau - s.value) ** 2 / (2.0 * abs(v))
-            for s, v in zip(self.sigmas, self.lambdas)
-        )
+        return self._sums[0]
 
     @cached_property
     def capA(self) -> float:
         """Sum of the alpha_k; also Re of the base function at the origin."""
-        return sum(self.alphas)
+        return self._sums[1]
 
     @cached_property
     def capB(self) -> float:
-        return sum(
-            (s.value.conjugate() * self.tau).imag / abs(v)
-            for s, v in zip(self.sigmas, self.lambdas)
-        )
+        return self._sums[2]
 
     @cached_property
     def inv_lambda_sum(self) -> float:
-        return sum(1.0 / abs(v) for v in self.lambdas)
+        return self._sums[3]
 
     @cached_property
     def base_herglotz(self) -> AtomicHerglotz:
@@ -274,13 +291,18 @@ def eval_generator_second_derivative(gen: GeneratorLike, z):
         du = _mobius_factor_d1(gen.tau, z)
         ddu = 2.0 * gen.tau.conjugate()
         return ddu * value + 2.0 * du * d1 + u * d2
-    tau = gen.config.tau
-    u = _mobius_factor(tau, z)
-    du = _mobius_factor_d1(tau, z)
-    ddu = 2.0 * tau.conjugate()
     q = eval_denominator(gen, z)
     dq = kernel_sum(*gen.denominator_atoms, z, 1)
     ddq = kernel_sum(*gen.denominator_atoms, z, 2)
+    return _quotient_second_derivative(gen.config.tau, z, q, dq, ddq)
+
+
+def _quotient_second_derivative(tau: complex, z, q, dq, ddq):
+    """G'' at z for G = (tau - z)(1 - conj(tau) z) / q, from the denominator
+    q = p + p0 and its first two derivatives at z."""
+    u = _mobius_factor(tau, z)
+    du = _mobius_factor_d1(tau, z)
+    ddu = 2.0 * tau.conjugate()
     return ((ddu * q - u * ddq) * q - 2.0 * dq * (du * q - u * dq)) / q**3
 
 

@@ -54,6 +54,20 @@ def angle_gap(a: float, b: float) -> float:
     return min(d, TWO_PI - d)
 
 
+def circle_angle(theta: float) -> float:
+    """theta reduced to [0, 2*pi), as BoundaryPoint stores it.
+
+    A non-finite angle names no point of the circle and raises DomainError.
+    """
+    t = float(theta)
+    if not math.isfinite(t):
+        raise DomainError(f"a boundary angle must be finite, got {t}")
+    t %= TWO_PI
+    if t >= TWO_PI:  # guard against rounding in the modulo itself
+        t -= TWO_PI
+    return t
+
+
 @dataclass(frozen=True)
 class BoundaryPoint:
     """A point of the unit circle stored as an angle in [0, 2*pi).
@@ -66,10 +80,7 @@ class BoundaryPoint:
     theta: float
 
     def __post_init__(self) -> None:
-        t = float(self.theta) % TWO_PI
-        if t >= TWO_PI:  # guard against rounding in the modulo itself
-            t -= TWO_PI
-        object.__setattr__(self, "theta", t)
+        object.__setattr__(self, "theta", circle_angle(self.theta))
 
     @classmethod
     def from_complex(cls, w: complex) -> "BoundaryPoint":
@@ -103,10 +114,11 @@ class AtomicHerglotz:
     """A Herglotz function given by finitely many boundary atoms plus i*gamma.
 
     Construction normalizes the atoms so that they depend only on the
-    multiset given, not its order.  Negative masses are rejected, zero
-    masses dropped, and the rest sorted by (angle, mass) and swept once: an
-    atom within ANGLE_TOL of its group's first angle adds its mass to the
-    group, which keeps that angle.  The last group joins the first when
+    multiset given, not its order.  Negative masses are rejected, and so
+    are non-finite masses and a non-finite gamma.  Zero masses are dropped,
+    the rest sorted by (angle, mass) and swept once: an atom within
+    ANGLE_TOL of its group's first angle adds its mass to the group, which
+    keeps that angle.  The last group joins the first when
     they are within ANGLE_TOL across 2*pi.  The angles are thus strictly
     increasing, and consecutive atoms bound the arcs `reciprocal` solves on.
     """
@@ -120,6 +132,8 @@ class AtomicHerglotz:
             m = float(mass)
             if m < 0.0:
                 raise ValueError(f"atom mass must be nonnegative, got {m}")
+            if not math.isfinite(m):
+                raise DomainError(f"atom mass must be finite, got {m}")
             if m != 0.0:
                 atoms.append((point.theta, m, point))
         atoms.sort(key=itemgetter(0, 1))
@@ -135,6 +149,8 @@ class AtomicHerglotz:
             merged[0] = (merged[0][0], merged[0][1] + merged.pop()[1])
         object.__setattr__(self, "atoms", tuple(merged))
         object.__setattr__(self, "gamma", float(self.gamma))
+        if not math.isfinite(self.gamma):
+            raise DomainError(f"the imaginary constant must be finite, got {self.gamma}")
 
     @property
     def total_mass(self) -> float:
@@ -188,9 +204,9 @@ def kernel_sum(s: np.ndarray, m: np.ndarray, z, order: int):
     ``s`` and ``m`` are atom points and masses.  For an array z the sum is
     taken at every point at once, by broadcasting against the atoms, and
     has the shape of z.  A single point is summed in plain complex
-    arithmetic: numpy's per-call cost on arrays of a few atoms makes one
-    point two to three times slower than the loop, and single points are
-    what an orbit's right-hand side and `verify` evaluate.  Order 0 keeps
+    arithmetic by point_kernel_sum: numpy's per-call cost on arrays of a
+    few atoms makes one point two to three times slower than the loop, and
+    single points are what an orbit's right-hand side evaluates.  Order 0 keeps
     the kernel (s+z)/(s-z) itself rather than 2s/(s-z) - 1, which rounds
     worse.  There is no domain check: the sum is finite anywhere off the
     atoms, which is what the boundary functionals need.
@@ -200,13 +216,22 @@ def kernel_sum(s: np.ndarray, m: np.ndarray, z, order: int):
         if order == 0:
             return ((s + zc) / (s - zc)) @ m
         return (s / (s - zc) ** (order + 1)) @ m * (2.0 * math.factorial(order))
-    z = complex(z)
+    return point_kernel_sum(s.tolist(), m.tolist(), complex(z), order)
+
+
+def point_kernel_sum(s: list[complex], m: list[float], z: complex, order: int) -> complex:
+    """kernel_sum at the single point z, over atoms given as Python lists.
+
+    The sum runs atom by atom in plain complex arithmetic, so callers that
+    hold their atoms as plain numbers (`verify`'s samples) get the same
+    value, to the last bit, as kernel_sum over the same atoms as arrays.
+    """
     total = 0j
     if order == 0:
-        for sj, mj in zip(s.tolist(), m.tolist()):
+        for sj, mj in zip(s, m):
             total += mj * ((sj + z) / (sj - z))
         return total
-    for sj, mj in zip(s.tolist(), m.tolist()):
+    for sj, mj in zip(s, m):
         total += mj * sj / (sj - z) ** (order + 1)
     return total * (2.0 * math.factorial(order))
 

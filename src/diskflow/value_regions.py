@@ -17,6 +17,17 @@ beta when lambda = 0.
 The chart variable ell(zeta) = tau/zeta - A recurs everywhere: it is the
 value at 0 of the free Herglotz summand p of any generator with G(0) =
 zeta, so Re ell >= 0 characterizes membership of zeta in Z.
+
+Sampling and the inequality suite.  The sharp inequalities are closed
+forms in (tau, sigma_k, lambda_k, the atoms of p, gamma), so `verify` never
+builds objects for its random generators.  One draw law, _draw_raw, draws
+a generator's plain numbers, and one record function, _raw_records,
+evaluates every inequality and region membership on them.  random_spec
+builds its objects from the same draw, and inequality_suite reads a spec
+into the same numbers, so the object API and `verify` share one sampler
+and one suite.  The record function repeats the generator functions'
+arithmetic operation for operation, on Python floats and complex numbers,
+so both paths give the same floats to the last bit.
 """
 
 from __future__ import annotations
@@ -29,14 +40,24 @@ import numpy as np
 
 from .errors import DegenerateConfig, DivisionByZero, DomainError
 from .generator import (
+    CONTACT_TOL,
     FixedPointConfig,
     GeneratorSpec,
-    beta,
+    _mobius_factor,
+    _quotient_second_derivative,
+    config_sums,
     dw_spectral_value,
-    eval_denominator,
     eval_generator_second_derivative,
+    tau_regime,
 )
-from .herglotz_core import AtomicHerglotz, BoundaryPoint, angle_gap, contact_value
+from .herglotz_core import (
+    ANGLE_TOL,
+    AtomicHerglotz,
+    BoundaryPoint,
+    angle_gap,
+    circle_angle,
+    point_kernel_sum,
+)
 
 TWO_PI = 2.0 * math.pi
 
@@ -397,66 +418,117 @@ class InequalityRecord:
         return self.rhs - self.lhs
 
 
+# the records _raw_records adds to the suite: G(0) in Z and lambda(G) in
+# the range of lambda_range, each stated with its region's slack
+_MEMBERSHIPS = ("origin_in_Z", "spectral_in_range")
+
+
+def _point(theta: float) -> complex:
+    """The point e^{i theta} as BoundaryPoint(theta).value computes it."""
+    return complex(math.cos(theta), math.sin(theta))
+
+
+def _raw_records(raw) -> list[tuple[str, float, float]]:
+    """Every sharp inequality of one generator, as (name, lhs, rhs) triples.
+
+    ``raw`` is a generator as plain numbers, in the layout _draw_raw
+    returns: (regime, tau, sigma angles, lambdas, p's atoms as sorted
+    (angle, mass) pairs, gamma), where the regime is tau_regime(tau).  The
+    triples are the records of inequality_suite followed by the
+    _MEMBERSHIPS.  Each value is computed by the same operations, in the same
+    order, as the generator functions compute it on the spec, so both give
+    the same floats to the last bit; no object is built.
+    """
+    regime, tau, sig_angles, lambdas, atoms, gamma = raw
+    sig_points = [_point(t) for t in sig_angles]
+    alphas, a_cap, b_cap, s = config_sums(tau, sig_points, lambdas)
+    p_points = [_point(t) for t, _ in atoms]
+    p_masses = [m for _, m in atoms]
+    # the denominator p + p0 as GeneratorSpec.denominator_atoms lays it out:
+    # p's atoms, then p0's, which are the (distinct) sigma_k sorted by angle
+    base = sorted(range(len(sig_angles)), key=sig_angles.__getitem__)
+    q_points = p_points + [sig_points[k] for k in base]
+    q_masses = p_masses + [alphas[k] for k in base]
+    w0 = 1j * gamma + point_kernel_sum(q_points, q_masses, 0j, 0)  # tau/G(0) when tau != 0
+
+    if regime == "boundary":
+        # lam = dw_spectral_value(spec): zero when p has an atom at tau or
+        # the denominator's contact value at tau does not vanish
+        tau_theta = circle_angle(cmath.phase(tau))
+        tau_mass = next((m for t, m in atoms if angle_gap(t, tau_theta) <= ANGLE_TOL), 0.0)
+        lam = 0.0
+        if tau_mass == 0.0:
+            tau_point = _point(tau_theta)
+            contact = gamma + point_kernel_sum(q_points, q_masses, tau_point, 0).imag
+            if not abs(contact) > CONTACT_TOL:
+                sharp = (-tau_point * point_kernel_sum(p_points, p_masses, tau_point, 1)).real
+                lam = 1.0 / (sharp + s)
+        records = [("origin_ratio_real", a_cap, w0.real), ("boundary_spectral_cap", lam, 1.0 / s)]
+        ratio = w0.real - a_cap
+        if lam > 0.0:
+            lhs = ratio**2 + (w0.imag + b_cap) ** 2
+            records.append(("hyperbolic_window", lhs, 2.0 * (1.0 / lam - s) * ratio))
+        else:
+            b = 2.0 * tau_mass  # beta(spec): p_star of p at tau
+            records.append(("parabolic_floor", 0.0, b))
+            records.append(("parabolic_cap", b, 2.0 * ratio))
+    else:
+        # lam = dw_spectral_value(spec) = (1 - |tau|^2) / (p + p0)(tau)
+        lam = (1.0 - abs(tau) ** 2) / (1j * gamma + point_kernel_sum(q_points, q_masses, tau, 0))
+        inv = 1.0 / lam
+        records = [("spectral_reciprocal_floor", s, 2.0 * inv.real)]
+        if regime == "origin":
+            # origin_curvature_chart: G''(0) / (2 lambda^2)
+            dq = point_kernel_sum(q_points, q_masses, 0j, 1)
+            ddq = point_kernel_sum(q_points, q_masses, 0j, 2)
+            chart = _quotient_second_derivative(tau, 0.0, w0, dq, ddq) / (2.0 * lam * lam)
+            center = sum(p.conjugate() / abs(v) for p, v in zip(sig_points, lambdas))
+            records.append(("curvature_window", abs(chart - center), 2.0 * inv.real - s))
+        else:
+            t = abs(tau)
+            one_m = 1.0 - t * t
+            records.append(("origin_ratio_real", a_cap, w0.real))
+            ratio = w0.real - a_cap
+            mid = (one_m * inv).real - one_m * s / 2.0
+            records.append(("harnack_lower", (1.0 - t) / (1.0 + t) * ratio, mid))
+            records.append(("harnack_upper", mid, (1.0 + t) / (1.0 - t) * ratio))
+            tilt = abs((one_m * inv - w0).imag - b_cap)
+            records.append(("spectral_tilt", tilt, 2.0 * t / one_m * ratio))
+
+    # memberships, as lhs <= rhs with the region's slack: G(0) in region_Z,
+    # lambda in lambda_range (a disk, or an interval for boundary tau)
+    if regime != "origin":
+        zeta = _mobius_factor(tau, 0.0) / w0
+        two_a = 2.0 * a_cap
+        records.append(("origin_in_Z", abs(zeta - tau / two_a), abs(tau) / two_a))
+    r = 1.0 / s
+    if regime != "boundary":
+        records.append(("spectral_in_range", abs(lam - complex(r, 0.0)), r))
+    elif lam - 0.0 <= r - lam:
+        records.append(("spectral_in_range", 0.0, lam))
+    else:
+        records.append(("spectral_in_range", lam, r))
+    return records
+
+
 def inequality_suite(spec: GeneratorSpec) -> list[InequalityRecord]:
     """Evaluate every sharp inequality applying to this spec's regime.
 
     Each record states lhs <= rhs.  All slacks are nonnegative for any
     valid spec up to roundoff; the extremal constructors achieve zero
-    slack in their matching record.
+    slack in their matching record.  The spec is read into plain numbers
+    and evaluated by _raw_records, the suite `verify` runs.
     """
-    config = spec.config
-    a_cap = config.capA
-    b_cap = config.capB
-    s = config.inv_lambda_sum
-    records: list[InequalityRecord] = []
-    w0 = eval_denominator(spec, 0.0)  # tau/G(0) when tau != 0
-    lam = dw_spectral_value(spec)
-
-    if not config.is_boundary:
-        inv = 1.0 / lam
-        records.append(InequalityRecord("spectral_reciprocal_floor", s, 2.0 * inv.real))
-        if config.is_origin:
-            chart = origin_curvature_chart(spec)
-            center = sum(
-                p.value.conjugate() / abs(v)
-                for p, v in zip(config.sigmas, config.lambdas)
-            )
-            records.append(
-                InequalityRecord(
-                    "curvature_window", abs(chart - center), 2.0 * inv.real - s
-                )
-            )
-            return records
-        t = abs(config.tau)
-        one_m = 1.0 - t * t
-        records.append(InequalityRecord("origin_ratio_real", a_cap, w0.real))
-        ratio = w0.real - a_cap
-        mid = (one_m * inv).real - one_m * s / 2.0
-        records.append(
-            InequalityRecord("harnack_lower", (1.0 - t) / (1.0 + t) * ratio, mid)
-        )
-        records.append(
-            InequalityRecord("harnack_upper", mid, (1.0 + t) / (1.0 - t) * ratio)
-        )
-        tilt = abs((one_m * inv - w0).imag - b_cap)
-        records.append(
-            InequalityRecord("spectral_tilt", tilt, 2.0 * t / one_m * ratio)
-        )
-        return records
-
-    records.append(InequalityRecord("origin_ratio_real", a_cap, w0.real))
-    records.append(InequalityRecord("boundary_spectral_cap", lam, 1.0 / s))
-    ratio = w0.real - a_cap
-    if lam > 0.0:
-        lhs = ratio**2 + (w0.imag + b_cap) ** 2
-        records.append(
-            InequalityRecord("hyperbolic_window", lhs, 2.0 * (1.0 / lam - s) * ratio)
-        )
-    else:
-        b = beta(spec)
-        records.append(InequalityRecord("parabolic_floor", 0.0, b))
-        records.append(InequalityRecord("parabolic_cap", b, 2.0 * ratio))
-    return records
+    config, p = spec.config, spec.p
+    raw = (
+        config.regime,
+        config.tau,
+        [point.theta for point in config.sigmas],
+        config.lambdas,
+        [(point.theta, mass) for point, mass in p.atoms],
+        p.gamma,
+    )
+    return [InequalityRecord(*r) for r in _raw_records(raw) if r[0] not in _MEMBERSHIPS]
 
 
 # ----------------------------------------------------------------------
@@ -466,26 +538,47 @@ def inequality_suite(spec: GeneratorSpec) -> list[InequalityRecord]:
 REGIMES = ("interior", "origin", "boundary_hyperbolic", "boundary_parabolic")
 
 
+def _uniform(rng: np.random.Generator, lo: float, hi: float) -> float:
+    """rng.uniform(lo, hi), bit for bit and in a third of the time: numpy
+    computes lo + (hi - lo) * u from the one draw u that rng.random() makes."""
+    return lo + (hi - lo) * rng.random()
+
+
+def _uniforms(rng: np.random.Generator, lo: float, hi: float, k: int) -> list[float]:
+    """k draws of _uniform in one call; rng.random(k) makes the same k draws."""
+    return [lo + (hi - lo) * u for u in rng.random(k).tolist()]
+
+
 def _distinct_angles(
     rng: np.random.Generator,
     count: int,
     min_gap: float,
-    avoid: tuple[float, ...] = (),
+    avoid=(),
     avoid_gap: float = 0.0,
 ) -> list[float]:
+    """count uniform angles, by rejection: each farther than min_gap from
+    those accepted before it and than avoid_gap from every angle in avoid.
+
+    The draws still missing are made in one call; rejection needs at least
+    that many more, so the stream is the same as drawing one at a time.
+    """
     chosen: list[float] = []
     while len(chosen) < count:
-        theta = float(rng.uniform(0.0, TWO_PI))
-        ok = all(angle_gap(theta, c) > min_gap for c in chosen) and all(
-            angle_gap(theta, c) > avoid_gap for c in avoid
-        )
-        if ok:
-            chosen.append(theta)
+        for theta in _uniforms(rng, 0.0, TWO_PI, count - len(chosen)):
+            if all(angle_gap(theta, c) > min_gap for c in chosen) and all(
+                angle_gap(theta, c) > avoid_gap for c in avoid
+            ):
+                chosen.append(theta)
     return chosen
 
 
-def random_spec(rng: np.random.Generator, regime: str = "interior") -> GeneratorSpec:
-    """Draw a random spec of the given regime.
+def _draw_raw(rng: np.random.Generator, regime: str):
+    """Draw one generator of the given regime as plain numbers.
+
+    Returns (tau_regime(tau), tau, sigma angles, lambdas, atoms, gamma),
+    with p's atoms as (angle, mass) pairs sorted as AtomicHerglotz sorts
+    them; they are drawn at least 1e-6 apart, so none merge.  Angles lie
+    in [0, 2*pi), where BoundaryPoint keeps them unchanged.
 
     Law: n uniform on {1..4}; repelling angles uniform with pairwise gap
     > 1e-6; lambda_k = -exp(U[-2,2]); tau uniform on the disk (interior),
@@ -499,38 +592,44 @@ def random_spec(rng: np.random.Generator, regime: str = "interior") -> Generator
         raise DomainError(f"unknown regime {regime!r}; expected one of {REGIMES}")
     n = int(rng.integers(1, 5))
     sig_angles = _distinct_angles(rng, n, 1e-6)
-    sigmas = tuple(BoundaryPoint(t) for t in sig_angles)
-    lambdas = tuple(-math.exp(x) for x in rng.uniform(-2.0, 2.0, n))
+    lambdas = [-math.exp(x) for x in _uniforms(rng, -2.0, 2.0, n)]
 
     if regime == "origin":
         tau: complex = 0.0 + 0.0j
         tau_angle: tuple[float, ...] = ()
     elif regime == "interior":
         while True:
-            tau = math.sqrt(rng.uniform()) * cmath.exp(1j * rng.uniform(0.0, TWO_PI))
+            tau = math.sqrt(rng.random()) * cmath.exp(1j * _uniform(rng, 0.0, TWO_PI))
             if abs(tau) > 1e-6:
                 break
         tau_angle = ()
     else:
-        theta = _distinct_angles(rng, 1, 0.0, avoid=tuple(sig_angles), avoid_gap=1e-3)[0]
-        tau = BoundaryPoint(theta).value
+        theta = _distinct_angles(rng, 1, 0.0, avoid=sig_angles, avoid_gap=1e-3)[0]
+        tau = _point(theta)
         tau_angle = (theta,)
-
-    config = FixedPointConfig(tau, sigmas, lambdas)
 
     n_atoms = int(rng.integers(0, 4))
     atom_angles = _distinct_angles(rng, n_atoms, 1e-6, avoid=tau_angle, avoid_gap=1e-3)
-    atoms = [
-        (BoundaryPoint(t), math.exp(rng.uniform(-3.0, 1.0))) for t in atom_angles
-    ]
-    gamma = float(rng.uniform(-5.0, 5.0))
+    atoms = sorted(zip(atom_angles, map(math.exp, _uniforms(rng, -3.0, 1.0, n_atoms))))
+    gamma = _uniform(rng, -5.0, 5.0)
 
     if regime == "boundary_hyperbolic":
-        tau_bp = BoundaryPoint.from_complex(tau)
-        tilt = contact_value(AtomicHerglotz(tuple(atoms), 0.0), tau_bp).imag
-        gamma = -config.capB - tilt
+        # gamma cancels B and the atoms' contact value at tau, which is
+        # contact_value's i (0.0 + Im of the kernel sum) for p = atoms alone
+        tau_point = _point(circle_angle(cmath.phase(tau)))
+        cap_b = config_sums(tau, [_point(t) for t in sig_angles], lambdas)[2]
+        contact = point_kernel_sum([_point(t) for t, _ in atoms], [m for _, m in atoms], tau_point, 0)
+        gamma = -cap_b - (0.0 + contact.imag)
     elif regime == "boundary_parabolic":
-        tau_bp = BoundaryPoint.from_complex(tau)
-        atoms.append((tau_bp, math.exp(rng.uniform(-3.0, 1.0))))
+        atoms.append((circle_angle(cmath.phase(tau)), math.exp(_uniform(rng, -3.0, 1.0))))
+        atoms.sort()
 
-    return GeneratorSpec(config, AtomicHerglotz(tuple(atoms), gamma))
+    return tau_regime(tau), tau, sig_angles, lambdas, atoms, gamma
+
+
+def random_spec(rng: np.random.Generator, regime: str = "interior") -> GeneratorSpec:
+    """Draw a random spec of the given regime, by the law of _draw_raw."""
+    _, tau, sig_angles, lambdas, atoms, gamma = _draw_raw(rng, regime)
+    config = FixedPointConfig(tau, tuple(BoundaryPoint(t) for t in sig_angles), lambdas)
+    p = AtomicHerglotz(tuple((BoundaryPoint(t), m) for t, m in atoms), gamma)
+    return GeneratorSpec(config, p)

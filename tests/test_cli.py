@@ -164,23 +164,23 @@ def test_verify_reads_large_roundoff_as_roundoff(tmp_path, monkeypatch):
     # absolute floor 1e-10 but inside the floor scaled by the sides
     import numpy as np
 
-    from diskflow.cli import SIGN_VIOLATION_FLOOR, _is_sign_violation, _verify_records
-    from diskflow.value_regions import REGIMES, random_spec
+    from diskflow.cli import SIGN_VIOLATION_FLOOR, _is_sign_violation
+    from diskflow.value_regions import REGIMES, _draw_raw, _raw_records
 
     rng = np.random.default_rng(4)
     for i in range(6691):
-        spec = random_spec(rng, REGIMES[i % len(REGIMES)])
+        raw = _draw_raw(rng, REGIMES[i % len(REGIMES)])
     assert REGIMES[6690 % len(REGIMES)] == "boundary_hyperbolic"
-    records = {r.name: r for r in _verify_records(spec)}
-    window = records["hyperbolic_window"]
-    assert window.lhs > 5e5 and window.rhs > 5e5
-    assert window.slack < -SIGN_VIOLATION_FLOOR
-    assert abs(window.slack) < 1e-15 * window.lhs
-    assert not any(_is_sign_violation(r, SIGN_VIOLATION_FLOOR) for r in records.values())
+    records = {name: (lhs, rhs) for name, lhs, rhs in _raw_records(raw)}
+    lhs, rhs = records["hyperbolic_window"]
+    assert lhs > 5e5 and rhs > 5e5
+    assert rhs - lhs < -SIGN_VIOLATION_FLOOR
+    assert abs(rhs - lhs) < 1e-15 * lhs
+    assert not any(_is_sign_violation(l, r, SIGN_VIOLATION_FLOOR) for l, r in records.values())
     # verify counts it as neither a violation nor a warning
     from diskflow import cli
 
-    monkeypatch.setattr(cli, "random_spec", lambda rng, regime: spec)
+    monkeypatch.setattr(cli, "_draw_raw", lambda rng, regime: raw)
     assert cli.main(["verify", "--samples", "1", "--out", str(tmp_path)]) == 0
     report = json.loads((tmp_path / "verify.json").read_text())
     assert report["checked"]["hyperbolic_window"] == 1
@@ -188,12 +188,12 @@ def test_verify_reads_large_roundoff_as_roundoff(tmp_path, monkeypatch):
 
 
 def test_verify_genuine_violation_exits_4(tmp_path, monkeypatch):
-    from diskflow import InequalityRecord, cli
+    from diskflow import cli
 
-    def violated(spec):
-        return [InequalityRecord("spectral_in_range", 0.5, 0.25)]
+    def violated(raw):
+        return [("spectral_in_range", 0.5, 0.25)]
 
-    monkeypatch.setattr(cli, "_verify_records", violated)
+    monkeypatch.setattr(cli, "_raw_records", violated)
     out = tmp_path / "out"
     assert cli.main(["verify", "--samples", "4", "--seed", "0", "--out", str(out)]) == 4
     report = json.loads((out / "verify.json").read_text())
@@ -310,6 +310,38 @@ def test_domain_error_exits_3(tmp_path):
     )
     res = run("region", "--config", cfg, "--out", str(tmp_path))
     assert res.returncode == 3
+
+
+@pytest.mark.parametrize(
+    "command, path, value",
+    [
+        ("region", ("zeta",), {"re": math.nan, "im": 0.1}),
+        ("region", ("lambdas",), [math.nan]),
+        ("region", ("tau",), {"re": math.nan, "im": 0.0}),
+        ("region", ("sigmas",), [math.inf]),
+        ("flow", ("generator", "p", "atoms"), [{"theta": 3.0, "mass": math.nan}]),
+        ("flow", ("generator", "p", "gamma"), math.nan),
+    ],
+)
+def test_non_finite_config_number_exits_3(tmp_path, command, path, value):
+    configs = {
+        "region": {"kind": "interior", "tau": {"re": 0.5, "im": 0.0}, "sigmas": [0.0],
+                   "lambdas": [-1.0], "zeta": {"re": 0.2, "im": 0.1}},
+        "flow": {"generator": {"tau": {"re": 0.0, "im": 0.0}, "sigmas": [0.0],
+                               "lambdas": [-2.0], "p": {"atoms": [], "gamma": 0.0}},
+                 "z0": {"re": 0.5, "im": 0.0}, "t": 0.1},
+    }
+    cfg = configs[command]
+    node = cfg
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    out = tmp_path / "out"
+    # a run on NaN numbers may not end, so each runs under a timeout
+    res = run(command, "--config", write_json(tmp_path / "cfg.json", cfg), "--out", str(out),
+              timeout=60)
+    assert res.returncode == 3, res.stdout + res.stderr
+    assert list(out.iterdir()) == []
 
 
 def test_flow_nan_horizon_exits_3(tmp_path):
