@@ -8,11 +8,12 @@ Subcommands, with the --format values each writes (default first):
   cowen-pommerenke    json csv svg   spectral region experiment for boundary data
   counterexample      csv json       decay/divergence quadrature tables
 
-Every command reads an optional JSON config (--config), writes one artifact
-per requested --format into --out (default: current directory), and prints
-a short summary to stdout; a format the command cannot write is malformed
-input.  verify and cowen-pommerenke draw random inputs and also take --seed
-and --tolerance, and verify takes --samples; no other command accepts them.
+Every command writes one artifact per requested --format into --out
+(default: current directory) and prints a short summary to stdout; a format
+the command cannot write is malformed input.  The commands of CONFIG_KEYS
+read a JSON config (--config) holding only their keys.  verify and
+cowen-pommerenke draw random inputs and also take --seed and --tolerance,
+and verify takes --samples; no other command accepts them.
 Output is deterministic for a fixed seed: floats are serialized with repr
 and JSON keys are sorted.
 
@@ -194,11 +195,35 @@ def _region_svg(region) -> str:
 # ----------------------------------------------------------------------
 
 
+# the top-level config keys of each command that takes --config
+CONFIG_KEYS = {
+    "region": ("kind", "tau", "sigmas", "lambdas", "zeta", "omega"),
+    "flow": ("generator", "z0", "t", "samples"),
+    "cowen-pommerenke": ("tau", "sigmas", "target", "fields", "sweep"),
+}
+
+
 def _load_config(args) -> dict:
+    """The --config object; a key the command does not read is malformed."""
     if args.config is None:
         return {}
     with open(args.config, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        cfg = json.load(fh)
+    if not isinstance(cfg, dict):
+        raise ValueError("a config must be a JSON object")
+    unknown = sorted(set(cfg) - set(CONFIG_KEYS[args.command]))
+    if unknown:
+        raise ValueError(f"{args.command} does not read config keys {unknown}")
+    return cfg
+
+
+def _config_count(cfg: dict, key: str, default: int) -> int:
+    """A count from the config: a nonnegative JSON integer, not a float,
+    string or bool."""
+    value = cfg.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise ValueError(f"{key} must be a nonnegative integer, got {value!r}")
+    return value
 
 
 def cmd_region(args) -> int:
@@ -254,7 +279,7 @@ def cmd_flow(args) -> int:
     spec = parse_spec(cfg["generator"])
     z0 = parse_complex(cfg["z0"])
     horizon = float(cfg["t"])
-    samples = int(cfg.get("samples", 200))
+    samples = _config_count(cfg, "samples", 200)
     trajectory = flow_trajectory(spec, z0, horizon, samples=samples)
 
     report = {
@@ -332,10 +357,8 @@ def cmd_cowen_pommerenke(args) -> int:
     cfg = _load_config(args)
     tau, sigmas = _parse_skeleton(cfg)
     target = CPTarget(tuple(float(a) for a in cfg["target"]))
-    n_fields = int(cfg.get("fields", 64))
-    n_sweep = int(cfg.get("sweep", 32))
-    if n_fields < 0 or n_sweep < 0:
-        raise ValueError(f"fields and sweep must be nonnegative, got {n_fields} and {n_sweep}")
+    n_fields = _config_count(cfg, "fields", 64)
+    n_sweep = _config_count(cfg, "sweep", 32)
     boundary = tau_regime(tau) == "boundary"
     rng = np.random.default_rng(args.seed)
 
@@ -425,7 +448,6 @@ def cmd_counterexample(args) -> int:
 
 
 def _add_common(sub: argparse.ArgumentParser, formats: tuple[str, ...]) -> None:
-    sub.add_argument("--config", default=None, help="path to a JSON config file")
     sub.add_argument("--out", default=".", help="output directory")
     sub.add_argument(
         "--format",
@@ -485,6 +507,10 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common(sub, ("csv",))
     sub.set_defaults(func=cmd_counterexample)
 
+    for command in CONFIG_KEYS:
+        subs.choices[command].add_argument(
+            "--config", default=None, help="path to a JSON config file"
+        )
     return parser
 
 

@@ -99,17 +99,17 @@ def extreme_point_GenF(
     return GeneratorSpec(config, AtomicHerglotz((), float(b)))
 
 
-def is_extreme_GenF(spec: GeneratorSpec, tol: float = 1e-10) -> bool:
+def is_extreme_GenF(spec: GeneratorSpec) -> bool:
     """Extremality test in the normalized class over F = spec's repelling set.
 
     True iff, after canonicalization, the free summand is a pure imaginary
-    constant and the actual spectral moduli sum to 1 within tol.
+    constant and the actual spectral moduli sum to 1 within 1e-10.
     """
     canonical = canonical_form(spec)
     if not canonical.p.is_trivial():
         return False
     total = sum(abs(v) for v in canonical.config.lambdas)
-    return abs(total - 1.0) <= tol
+    return abs(total - 1.0) <= 1e-10
 
 
 def gk_dirac_parameter(b: float, alpha: float) -> BoundaryPoint:

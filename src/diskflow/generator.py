@@ -306,15 +306,13 @@ def _quotient_second_derivative(tau: complex, z, q, dq, ddq):
     return ((ddu * q - u * ddq) * q - 2.0 * dq * (du * q - u * dq)) / q**3
 
 
-def dw_spectral_value(
-    gen: GeneratorLike, contact_tol: float = CONTACT_TOL
-) -> complex | float:
+def dw_spectral_value(gen: GeneratorLike) -> complex | float:
     """Spectral value at the Denjoy-Wolff point.
 
     Interior tau: the complex number (1-|tau|^2) / (p(tau) + p0(tau)),
     with nonnegative real part.  Boundary tau: a real value >= 0; it is
     zero when p carries an atom at tau or the denominator's contact value
-    there does not vanish, and 1/(p#(tau) + sum_k 1/|lambda_k|) otherwise.
+    there is not zero within CONTACT_TOL, and 1/(p#(tau) + sum_k 1/|lambda_k|) otherwise.
     """
     if isinstance(gen, TrivialGenerator):
         return 0.0
@@ -329,7 +327,7 @@ def dw_spectral_value(
         return 0.0
     # the denominator's contact value at tau is i (gamma + Im of its kernel sum)
     contact = gen.p.gamma + kernel_sum(*gen.denominator_atoms, tau_bp.value, 0).imag
-    if abs(contact) > contact_tol:
+    if abs(contact) > CONTACT_TOL:
         return 0.0
     return 1.0 / (p_sharp(gen.p, tau_bp) + config.inv_lambda_sum)
 

@@ -47,17 +47,21 @@ from .herglotz_core import (
     contact_value,
     herglotz_kernel,
 )
-from .semiflow import (
-    DEFAULT_SETTINGS,
-    ODESettings,
-    integrate_flow,
-    integrate_flow_with_derivative,
-)
+from .semiflow import integrate_flow, integrate_flow_with_derivative
 from .value_regions import DiskRegion, IntervalRegion
 
 TWO_PI = 2.0 * math.pi
 
 NORMALIZATION_TOL = 1e-12
+# a field realizes a target when each log phi_T'(sigma_k) is within this
+TARGET_TOL = 1e-9
+# random draws per sampled property in q_concavity_check
+CONCAVITY_DRAWS = 50
+
+
+def _modulus_sum(spec: GeneratorSpec) -> float:
+    """Sum of a segment's repelling spectral moduli |lambda_k|."""
+    return sum(abs(brfp_spectral_value(spec, k)) for k in range(spec.config.n))
 
 
 @dataclass(frozen=True)
@@ -86,9 +90,7 @@ class PiecewiseField:
             if not spec.config.has_skeleton(head.tau, head.sigmas):
                 raise DegenerateConfig("segments must share tau and the repelling set")
         for _, spec in self.segments:
-            total = sum(
-                abs(brfp_spectral_value(spec, k)) for k in range(spec.config.n)
-            )
+            total = _modulus_sum(spec)
             if self.strict and abs(total - 1.0) > NORMALIZATION_TOL:
                 raise NormalizationError(
                     f"strict field needs spectral moduli summing to 1, got {total!r}"
@@ -149,29 +151,25 @@ def normalize_field(field: PiecewiseField) -> PiecewiseField:
         return field
     rescaled = []
     for d, spec in field.segments:
-        s = sum(abs(brfp_spectral_value(spec, k)) for k in range(spec.config.n))
+        s = _modulus_sum(spec)
         rescaled.append((d * s, scale_generator(spec, 1.0 / s)))
     return PiecewiseField(tuple(rescaled), strict=True)
 
 
-def evolve(
-    field: PiecewiseField, z0: complex, settings: ODESettings = DEFAULT_SETTINGS
-) -> complex:
+def evolve(field: PiecewiseField, z0: complex) -> complex:
     """The time-T map of the field applied to z0, segment by segment."""
     w = complex(z0)
     for duration, spec in field.segments:
-        w = integrate_flow(spec, w, duration, settings)
+        w = integrate_flow(spec, w, duration)
     return w
 
 
-def evolve_with_derivative(
-    field: PiecewiseField, z0: complex, settings: ODESettings = DEFAULT_SETTINGS
-) -> tuple[complex, complex]:
+def evolve_with_derivative(field: PiecewiseField, z0: complex) -> tuple[complex, complex]:
     """Time-T map and its z-derivative via the chain rule over segments."""
     w = complex(z0)
     deriv = 1.0 + 0.0j
     for duration, spec in field.segments:
-        w, v = integrate_flow_with_derivative(spec, w, duration, settings)
+        w, v = integrate_flow_with_derivative(spec, w, duration)
         deriv *= v
     return w, deriv
 
@@ -226,16 +224,14 @@ class ConcavityReport:
     concave: bool
 
 
-def q_concavity_check(
-    x, trials: int = 50, rng: np.random.Generator | None = None
-) -> ConcavityReport:
+def q_concavity_check(x, rng: np.random.Generator | None = None) -> ConcavityReport:
     """Spectral and sampling evidence that Q is concave, strictly so on
     the simplex.
 
     Checks the Hessian at x (eigenvalues <= 0, determinant 0 by
     homogeneity), random midpoint gaps Q((u+v)/2) - (Q(u)+Q(v))/2 >= 0,
     strict positivity of the gap for distinct simplex points, and the
-    exact equality along rays v = t u.
+    exact equality along rays v = t u, each from CONCAVITY_DRAWS draws.
     """
     if rng is None:
         rng = np.random.default_rng(0)
@@ -251,7 +247,7 @@ def q_concavity_check(
         return 1.0 / float(np.sum(1.0 / v))
 
     min_mid = math.inf
-    for _ in range(trials):
+    for _ in range(CONCAVITY_DRAWS):
         u = vec * np.exp(rng.uniform(-1.0, 1.0, n))
         v = vec * np.exp(rng.uniform(-1.0, 1.0, n))
         min_mid = min(min_mid, q_of((u + v) / 2.0) - (q_of(u) + q_of(v)) / 2.0)
@@ -259,7 +255,7 @@ def q_concavity_check(
     min_strict = math.inf
     if n >= 2:
         count = 0
-        while count < trials:
+        while count < CONCAVITY_DRAWS:
             u = rng.dirichlet(np.ones(n))
             v = rng.dirichlet(np.ones(n))
             if np.abs(u - v).max() <= 1e-3 or u.min() <= 1e-3 or v.min() <= 1e-3:
@@ -270,7 +266,7 @@ def q_concavity_check(
         min_strict = 0.0
 
     max_ray = 0.0
-    for _ in range(trials):
+    for _ in range(CONCAVITY_DRAWS):
         u = vec * np.exp(rng.uniform(-1.0, 1.0, n))
         t = math.exp(rng.uniform(-1.0, 1.0))
         gap = q_of((u + t * u) / 2.0) - (q_of(u) + q_of(t * u)) / 2.0
@@ -310,10 +306,27 @@ def cp_support_gap(target: CPTarget, point: complex, theta: float) -> float:
 _GOLDEN_STEP = TWO_PI * (1.0 - 2.0 / (1.0 + math.sqrt(5.0)))
 
 
-def _free_angle(avoid: tuple[float, ...], start: float, gap: float = 0.05) -> float:
+def _skeleton_angles(tau: complex, sigmas: tuple[BoundaryPoint, ...]) -> tuple[float, ...]:
+    """Angles the atoms of a free summand avoid: each sigma_k, and tau on the circle."""
+    avoid = tuple(s.theta for s in sigmas)
+    if tau_regime(tau) == "boundary":
+        avoid = avoid + (BoundaryPoint.from_complex(tau).theta,)
+    return avoid
+
+
+def _target_sigmas(sigmas, target: CPTarget) -> tuple[BoundaryPoint, ...]:
+    """The repelling points as a tuple, one per target derivative."""
+    sigmas = tuple(sigmas)
+    if len(sigmas) != len(target.a):
+        raise DomainError("one target derivative per repelling point is required")
+    return sigmas
+
+
+def _free_angle(avoid: tuple[float, ...], start: float) -> float:
+    """First angle of a golden-ratio walk from ``start`` 0.05 clear of ``avoid``."""
     theta = start % TWO_PI
     for _ in range(256):
-        if all(angle_gap(theta, a) > gap for a in avoid):
+        if all(angle_gap(theta, a) > 0.05 for a in avoid):
             return theta
         theta = (theta + _GOLDEN_STEP) % TWO_PI
     raise DegenerateConfig("could not place an atom away from the fixed points")
@@ -337,18 +350,15 @@ def cp_extremal_field(
     c = complex(c)
     if c.real < 0.0:
         raise DomainError("the parameter must have nonnegative real part")
-    sigmas = tuple(sigmas)
-    if len(sigmas) != len(target.a):
-        raise DomainError("one target derivative per repelling point is required")
+    sigmas = _target_sigmas(sigmas, target)
     t_total = target.horizon
     lambdas = tuple(-lv / t_total for lv in target.log_values)
     config = FixedPointConfig(tau, sigmas, lambdas)
     tau = config.tau
 
-    avoid = tuple(s.theta for s in sigmas)
+    avoid = _skeleton_angles(tau, sigmas)
     if config.is_boundary:
         tau_bp = BoundaryPoint.from_complex(tau)
-        avoid = avoid + (tau_bp.theta,)
         if c.real == 0.0:
             p = AtomicHerglotz((), -config.capB)
         else:
@@ -374,23 +384,20 @@ def cp_experiment(
     target: CPTarget,
     field: PiecewiseField,
     membership_tol: float = 1e-8,
-    target_tol: float = 1e-9,
 ) -> tuple[complex, bool, float]:
     """Check a field against the target and locate psi_tau in the region.
 
     The field must share (tau, sigmas) and realize log phi_T'(sigma_k) =
-    log a_k within target_tol; otherwise TargetMismatch.  Returns
+    log a_k within TARGET_TOL; otherwise TargetMismatch.  Returns
     (psi_tau, inside, slack) with slack measured to the region boundary.
     """
     tau = complex(tau)
-    sigmas = tuple(sigmas)
-    if len(sigmas) != len(target.a):
-        raise DomainError("one target derivative per repelling point is required")
+    sigmas = _target_sigmas(sigmas, target)
     if not field.segments[0][1].config.has_skeleton(tau, sigmas):
         raise DomainError("field does not match the requested tau and repelling set")
     for k, log_a in enumerate(target.log_values):
         realized = boundary_log_derivative(field, k)
-        if abs(realized - log_a) > target_tol:
+        if abs(realized - log_a) > TARGET_TOL:
             raise TargetMismatch(
                 f"field realizes log derivative {realized!r} at point {k}, "
                 f"target {log_a!r}"
@@ -408,22 +415,20 @@ def random_strict_field(
     tau: complex,
     sigmas: tuple[BoundaryPoint, ...],
     target: CPTarget,
-    max_segments: int = 4,
 ) -> PiecewiseField:
     """Random strict field realizing the target boundary derivatives.
 
-    Durations are a random partition of the horizon T; each segment's
-    spectral fractions are a random simplex row, shifted uniformly so the
-    duration-weighted column sums hit log a_k exactly.  Segments carry
-    independent random free summands with atoms away from the skeleton.
+    The field has 1 to 4 segments.  Durations are a random partition of
+    the horizon T; each segment's spectral fractions are a random simplex
+    row, shifted uniformly so the duration-weighted column sums hit log a_k
+    exactly.  Segments carry independent random free summands with atoms
+    away from the skeleton.
     """
-    sigmas = tuple(sigmas)
+    sigmas = _target_sigmas(sigmas, target)
     n = len(sigmas)
-    if n != len(target.a):
-        raise DomainError("one target derivative per repelling point is required")
     log_a = np.asarray(target.log_values)
     t_total = target.horizon
-    m = int(rng.integers(1, max_segments + 1))
+    m = int(rng.integers(1, 5))
     while True:
         durations = rng.dirichlet(np.ones(m)) * t_total
         if durations.min() < 1e-3 * t_total:
@@ -435,9 +440,7 @@ def random_strict_field(
             break
 
     tau = complex(tau)
-    avoid = tuple(s.theta for s in sigmas)
-    if tau_regime(tau) == "boundary":
-        avoid = avoid + (BoundaryPoint.from_complex(tau).theta,)
+    avoid = _skeleton_angles(tau, sigmas)
 
     segments = []
     for i in range(m):

@@ -23,6 +23,12 @@ along the radius z = r sigma tends to phi'(sigma) as r -> 1, and a
 Richardson step in h = 1 - r removes the first-order error.  The whole
 radius ladder is one array of start points, hence one IVP.
 
+The numerics are module constants, not options: RK45 at REL_TOL = 1e-10
+and ABS_TOL = 1e-12 with steps of at most MAX_STEP = 0.01, stopped when an
+orbit comes within BOUNDARY_GUARD = 1e-13 of the circle, and the Richardson
+ladder RADII, r = 1 - 2^-k for k = 4..14.  A horizon t takes at least
+t / MAX_STEP steps, so one beyond MAX_STEPS * MAX_STEP = 100 is refused.
+
 scipy.integrate is imported inside _solve, on the first solve, not with
 this module: it takes most of the package's import time, and the closed-form
 parts of the package (value regions, inequalities, the Cowen-Pommerenke
@@ -33,7 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -51,21 +57,15 @@ from .generator import (
 )
 from .herglotz_core import BoundaryPoint
 
-
-@dataclass(frozen=True)
-class ODESettings:
-    rel_tol: float = 1e-10
-    abs_tol: float = 1e-12
-    max_step: float = 0.01
-    boundary_guard: float = 1e-13
-
-    def __post_init__(self) -> None:
-        for name in ("rel_tol", "abs_tol", "max_step", "boundary_guard"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be positive")
-
-
-DEFAULT_SETTINGS = ODESettings()
+REL_TOL = 1e-10
+ABS_TOL = 1e-12
+MAX_STEP = 0.01
+BOUNDARY_GUARD = 1e-13
+# a horizon t takes at least t / MAX_STEP steps; one needing more is refused
+MAX_STEPS = 10**4
+# most sample points flow_trajectory allocates
+MAX_SAMPLES = 10**6
+RADII = tuple(1.0 - 2.0**-k for k in range(4, 15))
 
 
 @dataclass(frozen=True)
@@ -88,13 +88,17 @@ def _solve(
     y0: np.ndarray,
     n_orbits: int,
     t_final: float,
-    settings: ODESettings,
     t_eval: np.ndarray | None = None,
 ):
     """Integrate a system whose first ``n_orbits`` components are orbit points."""
+    if t_final > MAX_STEPS * MAX_STEP:
+        raise DomainError(
+            f"horizon {t_final!r} exceeds {MAX_STEPS * MAX_STEP!r}: "
+            f"it needs more than {MAX_STEPS} steps of at most {MAX_STEP}"
+        )
     from scipy.integrate import solve_ivp
 
-    guard = 1.0 - settings.boundary_guard
+    guard = 1.0 - BOUNDARY_GUARD
 
     def escape(t: float, y: np.ndarray) -> float:
         return np.abs(y[:n_orbits]).max() - guard
@@ -107,9 +111,9 @@ def _solve(
         (0.0, t_final),
         y0,
         method="RK45",
-        rtol=settings.rel_tol,
-        atol=settings.abs_tol,
-        max_step=settings.max_step,
+        rtol=REL_TOL,
+        atol=ABS_TOL,
+        max_step=MAX_STEP,
         t_eval=t_eval,
         events=[escape],
     )
@@ -171,12 +175,7 @@ def _variational_rhs(gen: GeneratorLike, n: int) -> Callable:
     return rhs
 
 
-def integrate_flow(
-    gen: GeneratorLike,
-    z0,
-    t: float,
-    settings: ODESettings = DEFAULT_SETTINGS,
-):
+def integrate_flow(gen: GeneratorLike, z0, t: float):
     """phi_t(z0) for a start point or a 1-D array of them (one IVP)."""
     z = _start_points(z0)
     if not 0.0 <= t < math.inf:
@@ -184,16 +183,11 @@ def integrate_flow(
     n = len(z)
     if t == 0.0 or n == 0:
         return _like_input(z0, z)
-    sol = _solve(_flow_rhs(gen, n), z, n, t, settings)
+    sol = _solve(_flow_rhs(gen, n), z, n, t)
     return _like_input(z0, sol.y[:, -1])
 
 
-def integrate_flow_with_derivative(
-    gen: GeneratorLike,
-    z0,
-    t: float,
-    settings: ODESettings = DEFAULT_SETTINGS,
-):
+def integrate_flow_with_derivative(gen: GeneratorLike, z0, t: float):
     """(phi_t(z0), d phi_t/dz at z0) via the variational equation.
 
     For an array of start points both entries are arrays, solved as one IVP.
@@ -205,41 +199,27 @@ def integrate_flow_with_derivative(
     ones = np.ones(n, dtype=complex)
     if t == 0.0 or n == 0:
         return _like_input(z0, z), _like_input(z0, ones)
-    sol = _solve(_variational_rhs(gen, n), np.concatenate((z, ones)), n, t, settings)
+    sol = _solve(_variational_rhs(gen, n), np.concatenate((z, ones)), n, t)
     return _like_input(z0, sol.y[:n, -1]), _like_input(z0, sol.y[n:, -1])
 
 
 def flow_trajectory(
-    gen: GeneratorLike,
-    z0: complex,
-    t: float,
-    settings: ODESettings = DEFAULT_SETTINGS,
-    samples: int = 200,
+    gen: GeneratorLike, z0: complex, t: float, samples: int = 200
 ) -> Trajectory:
     """Orbit and derivative sampled on a uniform time grid of ``samples`` points."""
     z = _start_points(complex(z0))
     if not 0.0 < t < math.inf:
         raise DomainError(f"trajectory horizon must be finite and positive, got {t!r}")
-    if samples < 2:
-        raise DomainError("at least two samples are required")
+    if not 2 <= samples <= MAX_SAMPLES:
+        raise DomainError(f"samples must lie in [2, {MAX_SAMPLES}], got {samples!r}")
     grid = np.linspace(0.0, t, samples)
     y0 = np.concatenate((z, np.ones(1, dtype=complex)))
-    sol = _solve(_variational_rhs(gen, 1), y0, 1, t, settings, t_eval=grid)
+    sol = _solve(_variational_rhs(gen, 1), y0, 1, t, t_eval=grid)
     return Trajectory(
         tuple(float(s) for s in sol.t),
         tuple(complex(w) for w in sol.y[0]),
         tuple(complex(w) for w in sol.y[1]),
     )
-
-
-DEFAULT_RADII = tuple(1.0 - 2.0**-k for k in range(4, 15))
-
-
-def _radii(radii: Sequence[float]) -> np.ndarray:
-    r = np.asarray(radii, dtype=float)
-    if not np.all((0.0 < r) & (r < 1.0)):
-        raise DomainError("radius must lie in (0, 1)")
-    return r
 
 
 def _julia_quotients(sigma: BoundaryPoint, r: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -254,20 +234,16 @@ def _julia_quotients(sigma: BoundaryPoint, r: np.ndarray, w: np.ndarray) -> np.n
 
 def _radial_limit(
     sigma: BoundaryPoint,
-    radii: Sequence[float],
     map_points: Callable[[np.ndarray], np.ndarray],
     tol: float,
 ) -> float:
-    """Richardson-extrapolated radial limit of the quotient over a radius ladder.
+    """Richardson-extrapolated radial limit of the quotient over RADII.
 
-    ``map_points`` maps the array of the ladder's points r sigma.  The
-    ladder must increase toward 1 with h = 1 - r halving each step; the
-    final two extrapolants must agree within 10 * tol, otherwise the limit
-    is declared unreachable.
+    ``map_points`` maps the array of the ladder's points r sigma; h = 1 - r
+    halves at each step of the ladder.  The final two extrapolants must
+    agree within 10 * tol, otherwise the limit is declared unreachable.
     """
-    if len(radii) < 3:
-        raise DomainError("at least three radii are required for extrapolation")
-    r = _radii(radii)
+    r = np.array(RADII)
     quotients = _julia_quotients(sigma, r, map_points(r * sigma.value))
     extrapolated = 2.0 * quotients[1:] - quotients[:-1]
     last, prev = float(extrapolated[-1]), float(extrapolated[-2])
@@ -282,7 +258,9 @@ def julia_quotient(
     map_fn: Callable[[complex], complex], sigma: BoundaryPoint, r: float
 ) -> float:
     """The boundary-derivative quotient of ``map_fn`` at radius r along sigma."""
-    r = _radii([r])
+    if not 0.0 < r < 1.0:
+        raise DomainError("radius must lie in (0, 1)")
+    r = np.array([r], dtype=float)
     w = np.array([map_fn(complex(r[0] * sigma.value))], dtype=complex)
     return float(_julia_quotients(sigma, r, w)[0])
 
@@ -290,38 +268,31 @@ def julia_quotient(
 def julia_quotient_estimate(
     map_fn: Callable[[complex], complex],
     sigma: BoundaryPoint,
-    radii: Sequence[float] = DEFAULT_RADII,
     tol: float = 1e-3,
 ) -> float:
     """Radial limit of the quotient of ``map_fn``, which takes one point.
 
-    ``radii`` must increase toward 1 with h = 1 - r halving each step, as
-    the default ladder does; the limit is Richardson-extrapolated in h.
-    The final two extrapolants must agree within 10 * tol, otherwise the
-    limit is declared unreachable.
+    The limit is Richardson-extrapolated in h = 1 - r over RADII.  The
+    final two extrapolants must agree within 10 * tol, otherwise the limit
+    is declared unreachable.
     """
 
     def map_points(z: np.ndarray) -> np.ndarray:
         return np.array([map_fn(complex(point)) for point in z], dtype=complex)
 
-    return _radial_limit(sigma, radii, map_points, tol)
+    return _radial_limit(sigma, map_points, tol)
 
 
 def estimate_boundary_derivative(
-    gen: GeneratorLike,
-    sigma: BoundaryPoint,
-    t: float,
-    settings: ODESettings = DEFAULT_SETTINGS,
-    radii: Sequence[float] = DEFAULT_RADII,
-    tol: float = 1e-3,
+    gen: GeneratorLike, sigma: BoundaryPoint, t: float
 ) -> float:
     """phi_t'(sigma) at a boundary fixed point, from interior orbits only.
 
-    The orbits of the whole radius ladder are solved as one IVP.
+    The orbits of the whole radius ladder are solved as one IVP.  The
+    estimate is held to 1e-3, so its final two extrapolants must agree
+    within 10 * 1e-3.
     """
-    return _radial_limit(
-        sigma, radii, lambda z: integrate_flow(gen, z, t, settings), tol
-    )
+    return _radial_limit(sigma, lambda z: integrate_flow(gen, z, t), 1e-3)
 
 
 @dataclass(frozen=True)
@@ -335,8 +306,6 @@ def dw_attraction_check(
     tau: complex,
     samples: int = 20,
     t: float = 1.0,
-    settings: ODESettings = DEFAULT_SETTINGS,
-    rng: np.random.Generator | None = None,
 ) -> AttractionReport:
     """Empirical check that orbits approach tau, at times 0 and t.
 
@@ -347,11 +316,9 @@ def dw_attraction_check(
     lemma), and it falls by the factor phi_t'(tau) = exp(-lambda t) < 1 in
     the hyperbolic case.  All sample orbits are solved as one IVP.
     """
-    if rng is None:
-        rng = np.random.default_rng(0)
     tau = complex(tau)
     boundary = tau_regime(tau) == "boundary"
-    draws = rng.uniform(size=(samples, 2))
+    draws = np.random.default_rng(0).uniform(size=(samples, 2))
     z0 = 0.9 * np.sqrt(draws[:, 0]) * np.exp(1j * (2 * math.pi * draws[:, 1]))
 
     def distance(w: np.ndarray) -> np.ndarray:
@@ -360,6 +327,6 @@ def dw_attraction_check(
         return np.abs((w - tau) / (1.0 - tau.conjugate() * w))
 
     before = distance(z0)
-    after = distance(integrate_flow(gen, z0, t, settings))
+    after = distance(integrate_flow(gen, z0, t))
     entries = tuple(zip(z0.tolist(), before.tolist(), after.tolist()))
     return AttractionReport(entries, bool(np.all(after < before)))

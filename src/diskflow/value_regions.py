@@ -133,6 +133,14 @@ def ell(config: FixedPointConfig, zeta: complex) -> complex:
     return config.tau / zeta - config.capA
 
 
+def _ell_in_Z(config: FixedPointConfig, zeta: complex) -> complex:
+    """ell(zeta), after checking that zeta lies in Z within EDGE_TOL."""
+    lz = ell(config, zeta)
+    if lz.real < -EDGE_TOL:
+        raise DomainError(f"zeta lies outside Z (Re ell = {lz.real:.3e})")
+    return lz
+
+
 def region_Z(config: FixedPointConfig) -> DiskRegion:
     """Range of G(0): the closed disk with center tau/(2A), radius |tau|/(2A)."""
     if config.is_origin:
@@ -169,9 +177,7 @@ def region_Omega(config: FixedPointConfig, zeta: complex) -> DiskRegion:
     zeta = complex(zeta)
     if zeta == 0:
         return DiskRegion(0.0, 0.0)
-    lz = ell(config, zeta)
-    if lz.real < -EDGE_TOL:
-        raise DomainError(f"zeta lies outside Z (Re ell = {lz.real:.3e})")
+    lz = _ell_in_Z(config, zeta)
     re_l = max(lz.real, 0.0)
     t2 = abs(config.tau) ** 2
     one_m = 1.0 - t2
@@ -303,9 +309,7 @@ def interval_I(config: FixedPointConfig, zeta: complex) -> IntervalRegion:
     zeta = complex(zeta)
     if zeta == 0:
         return IntervalRegion(0.0, 0.0)
-    lz = ell(config, zeta)
-    if lz.real < -EDGE_TOL:
-        raise DomainError(f"zeta lies outside Z (Re ell = {lz.real:.3e})")
+    lz = _ell_in_Z(config, zeta)
     s = config.inv_lambda_sum
     if lz.real > EDGE_TOL:
         w = lz + 1j * config.capB
@@ -345,9 +349,7 @@ def parabolic_region(config: FixedPointConfig, zeta: complex) -> IntervalRegion:
     interval [0, 2 Re ell], boundary tau."""
     if not config.is_boundary:
         raise DomainError("parabolic_region requires a boundary Denjoy-Wolff point")
-    lz = ell(config, zeta)
-    if lz.real < -EDGE_TOL:
-        raise DomainError(f"zeta lies outside Z (Re ell = {lz.real:.3e})")
+    lz = _ell_in_Z(config, zeta)
     return IntervalRegion(0.0, 2.0 * max(lz.real, 0.0))
 
 
@@ -356,9 +358,7 @@ def extremal_parabolic(config: FixedPointConfig, zeta: complex) -> GeneratorSpec
     summand puts all its mass directly at tau."""
     if not config.is_boundary:
         raise DomainError("extremal_parabolic requires a boundary Denjoy-Wolff point")
-    lz = ell(config, zeta)
-    if lz.real < -EDGE_TOL:
-        raise DomainError("zeta must lie in Z")
+    lz = _ell_in_Z(config, zeta)
     tau_bp = BoundaryPoint.from_complex(config.tau)
     p = AtomicHerglotz(((tau_bp, max(lz.real, 0.0)),), lz.imag)
     return GeneratorSpec(config, p)

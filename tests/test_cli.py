@@ -365,7 +365,7 @@ def test_flow_nan_horizon_exits_3(tmp_path):
         for command in ("region", "flow", "counterexample")
         for option in ("--seed", "--samples", "--tolerance")
     ]
-    + [("cowen-pommerenke", "--samples")],
+    + [("cowen-pommerenke", "--samples"), ("verify", "--config"), ("counterexample", "--config")],
 )
 def test_option_the_command_does_not_read_exits_2(tmp_path, command, option):
     from diskflow import cli
@@ -425,6 +425,66 @@ def test_cowen_pommerenke_negative_counts_exit_2(tmp_path, fields, sweep, code):
         assert len(report["points"]) == 1
     else:
         assert list(out.iterdir()) == []
+
+
+_FLOW_CONFIG = {
+    "generator": {"tau": {"re": 0.0, "im": 0.0}, "sigmas": [0.0], "lambdas": [-2.0]},
+    "z0": {"re": 0.5, "im": 0.0}, "t": 0.1,
+}
+_CP_CONFIG = {"tau": {"re": 0.0, "im": 0.0}, "sigmas": [0.0], "target": [math.e],
+              "fields": 2, "sweep": 2}
+
+
+@pytest.mark.parametrize(
+    "command, key, value, code",
+    [
+        ("flow", "samples", 2.9, 2),
+        ("flow", "samples", "50", 2),
+        ("flow", "samples", True, 2),
+        ("flow", "samples", 10**15, 3),
+        ("cowen-pommerenke", "fields", 2.5, 2),
+        ("cowen-pommerenke", "fields", "8", 2),
+        ("cowen-pommerenke", "sweep", 3.0, 2),
+    ],
+)
+def test_config_count_must_be_an_integer(tmp_path, command, key, value, code):
+    from diskflow import cli
+
+    cfg = dict(_FLOW_CONFIG if command == "flow" else _CP_CONFIG, **{key: value})
+    out = tmp_path / "out"
+    argv = [command, "--config", write_json(tmp_path / "cfg.json", cfg), "--out", str(out)]
+    assert cli.main(argv) == code
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "command, typo", [("region", "zeta_typo"), ("flow", "sample"), ("cowen-pommerenke", "field")]
+)
+def test_unknown_config_key_exits_2(tmp_path, capsys, command, typo):
+    from diskflow import cli
+
+    configs = {
+        "region": {"kind": "interior", "tau": {"re": 0.5, "im": 0.0}, "sigmas": [0.0],
+                   "lambdas": [-1.0]},
+        "flow": _FLOW_CONFIG,
+        "cowen-pommerenke": _CP_CONFIG,
+    }
+    out = tmp_path / "out"
+    cfg = dict(configs[command], **{typo: {"re": 0.2, "im": 0.1}})
+    argv = [command, "--config", write_json(tmp_path / "cfg.json", cfg), "--out", str(out)]
+    assert cli.main(argv) == 2
+    assert typo in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+def test_flow_horizon_beyond_the_step_bound_exits_3(tmp_path):
+    cfg = write_json(tmp_path / "cfg_flow.json", dict(_FLOW_CONFIG, t=1e9))
+    out = tmp_path / "out"
+    # the step cap makes t = 1e9 about 1e11 steps, so a solve would not end
+    res = run("flow", "--config", cfg, "--out", str(out), timeout=60)
+    assert res.returncode == 3, res.stderr
+    assert "horizon" in res.stderr
+    assert list(out.iterdir()) == []
 
 
 def test_unknown_command_exits_2():

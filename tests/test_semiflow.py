@@ -18,7 +18,6 @@ from diskflow import (
     ExtrapolationDivergence,
     FixedPointConfig,
     GeneratorSpec,
-    ODESettings,
     dw_attraction_check,
     dw_spectral_value,
     estimate_boundary_derivative,
@@ -51,13 +50,6 @@ def koenigs_flow(z, t):
         if abs(w) < 1.0:
             return w
     raise AssertionError("no interior root")
-
-
-def test_settings_validate():
-    with pytest.raises(ValueError):
-        ODESettings(rel_tol=0.0)
-    with pytest.raises(ValueError):
-        ODESettings(max_step=-1.0)
 
 
 def test_spectral_value_of_oracle_case():
@@ -98,6 +90,13 @@ def test_flow_rejects_non_finite_time(t):
     for flow in (integrate_flow, integrate_flow_with_derivative, flow_trajectory):
         with pytest.raises(DomainError):
             flow(KOENIGS, 0.3, t)
+
+
+def test_flow_refuses_a_horizon_beyond_the_step_bound():
+    # MAX_STEP = 0.01 and MAX_STEPS = 10**4 allow horizons up to 100
+    for flow in (integrate_flow, integrate_flow_with_derivative, flow_trajectory):
+        with pytest.raises(DomainError, match="horizon"):
+            flow(KOENIGS, 0.3, 101.0)
 
 
 def test_flow_rejects_non_finite_start():
