@@ -10,10 +10,11 @@ Subcommands, with the --format values each writes (default first):
 
 Every command writes one artifact per requested --format into --out
 (default: current directory) and prints a short summary to stdout; a format
-the command cannot write is malformed input.  The commands of CONFIG_KEYS
-read a JSON config (--config) holding only their keys.  verify and
-cowen-pommerenke draw random inputs and also take --seed and --tolerance,
-and verify takes --samples; no other command accepts them.
+the command cannot write is malformed input.  COMMANDS lists each command's
+options: region, flow and cowen-pommerenke read a JSON config (--config)
+whose every object, nested ones included, holds only the keys its reader
+lists; verify and cowen-pommerenke draw random inputs and also take --seed
+and --tolerance, and verify takes --samples; no other command accepts them.
 Output is deterministic for a fixed seed: floats are serialized with repr
 and JSON keys are sorted.
 
@@ -66,6 +67,7 @@ from .value_regions import (
 
 REGION_SAMPLES = 720
 SIGN_VIOLATION_FLOOR = 1e-10
+MAX_EXPERIMENTS = 10**5  # bound on cowen-pommerenke's fields and sweep; ~150 us each
 
 
 # ----------------------------------------------------------------------
@@ -78,32 +80,48 @@ def complex_to_obj(w: complex) -> dict:
     return {"im": w.imag, "re": w.real}
 
 
+def _fields(obj, required: tuple[str, ...], optional: dict | None = None) -> list:
+    """The values of a config object's required keys, then those of its
+    optional keys (their defaults when absent).  Every config object, nested
+    ones included, is read here: anything but a JSON object, a missing
+    required key or a key not listed is malformed input."""
+    optional = optional or {}
+    keys = [*required, *optional]
+    if not isinstance(obj, dict):
+        raise ValueError(f"expected an object with keys {keys}, got {obj!r}")
+    missing = [key for key in required if key not in obj]
+    unknown = sorted(set(obj) - set(keys))
+    if missing or unknown:
+        raise ValueError(f"object with keys {keys}: missing {missing}, unknown {unknown}")
+    return [obj[key] for key in required] + [obj.get(key, v) for key, v in optional.items()]
+
+
 def parse_complex(obj) -> complex:
-    w = complex(float(obj["re"]), float(obj["im"]))
+    re, im = _fields(obj, ("re", "im"))
+    w = complex(float(re), float(im))
     if not cmath.isfinite(w):
         raise DomainError(f"a complex number must be finite, got {w}")
     return w
 
 
 def parse_herglotz(obj) -> AtomicHerglotz:
-    atoms = tuple(
-        (BoundaryPoint(float(a["theta"])), float(a["mass"]))
-        for a in obj.get("atoms", [])
-    )
-    return AtomicHerglotz(atoms, float(obj.get("gamma", 0.0)))
+    atoms, gamma = _fields(obj, (), {"atoms": [], "gamma": 0.0})
+    pairs = [_fields(atom, ("theta", "mass")) for atom in atoms]
+    atoms = tuple((BoundaryPoint(float(theta)), float(mass)) for theta, mass in pairs)
+    return AtomicHerglotz(atoms, float(gamma))
 
 
-def _parse_skeleton(obj) -> tuple[complex, tuple[BoundaryPoint, ...]]:
-    """tau and the repelling points sigma_k of a config."""
-    return parse_complex(obj["tau"]), tuple(BoundaryPoint(float(t)) for t in obj["sigmas"])
+def _parse_sigmas(angles) -> tuple[BoundaryPoint, ...]:
+    return tuple(BoundaryPoint(float(t)) for t in angles)
+
+
+def parse_config(tau, sigmas, lambdas) -> FixedPointConfig:
+    return FixedPointConfig(parse_complex(tau), _parse_sigmas(sigmas), tuple(map(float, lambdas)))
 
 
 def parse_spec(obj) -> GeneratorSpec:
-    config = FixedPointConfig(
-        *_parse_skeleton(obj), tuple(float(v) for v in obj["lambdas"])
-    )
-    p = parse_herglotz(obj["p"]) if "p" in obj else AtomicHerglotz()
-    return GeneratorSpec(config, p)
+    tau, sigmas, lambdas, p = _fields(obj, ("tau", "sigmas", "lambdas"), {"p": {}})
+    return GeneratorSpec(parse_config(tau, sigmas, lambdas), parse_herglotz(p))
 
 
 def region_to_obj(region: DiskRegion | IntervalRegion) -> dict:
@@ -136,14 +154,16 @@ def _write_artifacts(args, artifacts: dict[str, tuple[str, Callable[[], str]]]) 
     """Write one artifact into --out for each requested --format.
 
     ``artifacts`` maps every format the command can write to the file name
-    and a function rendering the file's text.  Any other requested format
-    is malformed input; it is reported before any file is written.
+    and a function rendering the file's text; the first is the default.
+    Any other requested format is malformed input; it is reported before
+    any file is written.
     """
-    for fmt in args.format:
+    formats = args.format or [next(iter(artifacts))]
+    for fmt in formats:
         if fmt not in artifacts:
             raise ValueError(f"{args.command} cannot write format {fmt!r}")
     written = []
-    for fmt in args.format:
+    for fmt in formats:
         name, render = artifacts[fmt]
         path = os.path.join(args.out, name)
         with open(path, "w", encoding="utf-8") as fh:
@@ -195,56 +215,45 @@ def _region_svg(region) -> str:
 # ----------------------------------------------------------------------
 
 
-# the top-level config keys of each command that takes --config
-CONFIG_KEYS = {
-    "region": ("kind", "tau", "sigmas", "lambdas", "zeta", "omega"),
-    "flow": ("generator", "z0", "t", "samples"),
-    "cowen-pommerenke": ("tau", "sigmas", "target", "fields", "sweep"),
-}
+def _load_config(path: str):
+    with open(path, "r", encoding="utf-8") as fh:
+        return json.load(fh)
 
 
-def _load_config(args) -> dict:
-    """The --config object; a key the command does not read is malformed."""
-    if args.config is None:
-        return {}
-    with open(args.config, "r", encoding="utf-8") as fh:
-        cfg = json.load(fh)
-    if not isinstance(cfg, dict):
-        raise ValueError("a config must be a JSON object")
-    unknown = sorted(set(cfg) - set(CONFIG_KEYS[args.command]))
-    if unknown:
-        raise ValueError(f"{args.command} does not read config keys {unknown}")
-    return cfg
-
-
-def _config_count(cfg: dict, key: str, default: int) -> int:
-    """A count from the config: a nonnegative JSON integer, not a float,
+def _config_count(value) -> int:
+    """A count from a config: a nonnegative JSON integer, not a float,
     string or bool."""
-    value = cfg.get(key, default)
     if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-        raise ValueError(f"{key} must be a nonnegative integer, got {value!r}")
+        raise ValueError(f"a count must be a nonnegative integer, got {value!r}")
     return value
 
 
+# kind -> (base region, refined region over the observation)
+_REGION_KINDS = {
+    "interior": (region_Z, region_Omega),
+    "origin": (region_Omega_origin, region_Z_omega),
+    "boundary": (region_Z, interval_I),
+}
+
+
 def cmd_region(args) -> int:
-    cfg = _load_config(args)
-    kind = cfg["kind"]
-    config = parse_spec(cfg).config
-    refined = None
-    if kind == "interior":
-        base = region_Z(config)
-        if "zeta" in cfg:
-            refined = region_Omega(config, parse_complex(cfg["zeta"]))
-    elif kind == "origin":
-        base = region_Omega_origin(config)
-        if "omega" in cfg:
-            refined = region_Z_omega(config, parse_complex(cfg["omega"]))
-    elif kind == "boundary":
-        base = region_Z(config)
-        if "zeta" in cfg:
-            refined = interval_I(config, parse_complex(cfg["zeta"]))
-    elif kind == "parabolic":
-        base = parabolic_region(config, parse_complex(cfg["zeta"]))
+    kind, tau, sigmas, lambdas, zeta, omega = _fields(
+        _load_config(args.config),
+        ("kind", "tau", "sigmas", "lambdas"),
+        {"zeta": None, "omega": None},
+    )
+    config = parse_config(tau, sigmas, lambdas)
+    observed, other = (omega, zeta) if kind == "origin" else (zeta, omega)
+    if other is not None:
+        raise ValueError("region observes omega for kind 'origin' and zeta for the other kinds")
+    if kind == "parabolic":
+        if observed is None:
+            raise ValueError("region kind 'parabolic' requires zeta")
+        base, refined = parabolic_region(config, parse_complex(observed)), None
+    elif kind in _REGION_KINDS:
+        base_of, refine = _REGION_KINDS[kind]
+        base = base_of(config)
+        refined = None if observed is None else refine(config, parse_complex(observed))
     else:
         raise ValueError(f"unknown region kind {kind!r}")
 
@@ -275,11 +284,13 @@ def _trajectory_csv(trajectory) -> str:
 
 
 def cmd_flow(args) -> int:
-    cfg = _load_config(args)
-    spec = parse_spec(cfg["generator"])
-    z0 = parse_complex(cfg["z0"])
-    horizon = float(cfg["t"])
-    samples = _config_count(cfg, "samples", 200)
+    generator, z0, horizon, samples = _fields(
+        _load_config(args.config), ("generator", "z0", "t"), {"samples": 200}
+    )
+    spec = parse_spec(generator)
+    z0 = parse_complex(z0)
+    horizon = float(horizon)
+    samples = _config_count(samples)
     trajectory = flow_trajectory(spec, z0, horizon, samples=samples)
 
     report = {
@@ -354,28 +365,35 @@ def cmd_verify(args) -> int:
 
 
 def cmd_cowen_pommerenke(args) -> int:
-    cfg = _load_config(args)
-    tau, sigmas = _parse_skeleton(cfg)
-    target = CPTarget(tuple(float(a) for a in cfg["target"]))
-    n_fields = _config_count(cfg, "fields", 64)
-    n_sweep = _config_count(cfg, "sweep", 32)
+    tau, sigmas, target, n_fields, n_sweep = _fields(
+        _load_config(args.config), ("tau", "sigmas", "target"), {"fields": 64, "sweep": None}
+    )
+    tau = parse_complex(tau)
+    sigmas = _parse_sigmas(sigmas)
+    target = CPTarget(tuple(float(a) for a in target))
     boundary = tau_regime(tau) == "boundary"
+    # the sweep traces cp_region's rim by Im c, which a boundary tau ignores
+    if boundary and n_sweep is not None:
+        raise ValueError("cowen-pommerenke reads sweep only for an interior tau")
+    n_fields = _config_count(n_fields)
+    n_sweep = 0 if boundary else _config_count(32 if n_sweep is None else n_sweep)
+    if max(n_fields, n_sweep) > MAX_EXPERIMENTS:
+        raise DomainError(
+            f"fields and sweep are at most {MAX_EXPERIMENTS}, got {n_fields} and {n_sweep}"
+        )
     rng = np.random.default_rng(args.seed)
 
     points = []
 
     def record(field) -> float:
-        point, _, slack = cp_experiment(
-            tau, sigmas, target, field, membership_tol=args.tolerance
-        )
+        point, slack = cp_experiment(tau, sigmas, target, field)
         points.append({"im": point.imag, "re": point.real, "slack": slack})
         return slack
 
     record(cp_extremal_field(tau, sigmas, target, 0.0))
-    if not boundary:
-        for j in range(n_sweep):
-            u = (j + 1.0) / (n_sweep + 1.0)
-            record(cp_extremal_field(tau, sigmas, target, 1j * math.tan(math.pi * (u - 0.5))))
+    for j in range(n_sweep):
+        u = (j + 1.0) / (n_sweep + 1.0)
+        record(cp_extremal_field(tau, sigmas, target, 1j * math.tan(math.pi * (u - 0.5))))
     for _ in range(n_fields):
         record(random_strict_field(rng, tau, sigmas, target))
 
@@ -447,18 +465,6 @@ def cmd_counterexample(args) -> int:
 # ----------------------------------------------------------------------
 
 
-def _add_common(sub: argparse.ArgumentParser, formats: tuple[str, ...]) -> None:
-    sub.add_argument("--out", default=".", help="output directory")
-    sub.add_argument(
-        "--format",
-        action="append",
-        choices=("json", "csv", "svg"),
-        default=None,
-        help="output format (repeatable)",
-    )
-    sub.set_defaults(default_formats=formats)
-
-
 def _count(text: str) -> int:
     """argparse type of a count that must be at least 1."""
     n = int(text)
@@ -467,12 +473,17 @@ def _count(text: str) -> int:
     return n
 
 
-def _add_randomized(sub: argparse.ArgumentParser, tolerance: float) -> None:
-    """--seed and --tolerance, for the commands that draw random inputs."""
-    sub.add_argument("--seed", type=int, default=0, help="random seed")
-    sub.add_argument(
-        "--tolerance", type=float, default=tolerance, help="violation tolerance"
-    )
+# name -> (function, help, reads --config, default --tolerance); a command
+# with a tolerance draws random inputs and also takes --seed
+COMMANDS = {
+    "region": (cmd_region, "value regions for a configuration", True, None),
+    "flow": (cmd_flow, "integrate a semigroup orbit", True, None),
+    "verify": (cmd_verify, "randomized inequality verification", False, 1e-10),
+    "cowen-pommerenke": (
+        cmd_cowen_pommerenke, "spectral region experiment for boundary data", True, 1e-8
+    ),
+    "counterexample": (cmd_counterexample, "decay/divergence tables", False, None),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -481,36 +492,24 @@ def _build_parser() -> argparse.ArgumentParser:
         description="value regions, semiflows and spectral experiments in the disk",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-
-    sub = subs.add_parser("region", help="value regions for a configuration")
-    _add_common(sub, ("json",))
-    sub.set_defaults(func=cmd_region)
-
-    sub = subs.add_parser("flow", help="integrate a semigroup orbit")
-    _add_common(sub, ("csv",))
-    sub.set_defaults(func=cmd_flow)
-
-    sub = subs.add_parser("verify", help="randomized inequality verification")
-    _add_common(sub, ("json",))
-    _add_randomized(sub, tolerance=1e-10)
-    sub.add_argument("--samples", type=_count, default=10000, help="sample count (>= 1)")
-    sub.set_defaults(func=cmd_verify)
-
-    sub = subs.add_parser(
-        "cowen-pommerenke", help="spectral region experiment for boundary data"
-    )
-    _add_common(sub, ("json",))
-    _add_randomized(sub, tolerance=1e-8)
-    sub.set_defaults(func=cmd_cowen_pommerenke)
-
-    sub = subs.add_parser("counterexample", help="decay/divergence tables")
-    _add_common(sub, ("csv",))
-    sub.set_defaults(func=cmd_counterexample)
-
-    for command in CONFIG_KEYS:
-        subs.choices[command].add_argument(
-            "--config", default=None, help="path to a JSON config file"
+    for name, (func, help_text, reads_config, tolerance) in COMMANDS.items():
+        sub = subs.add_parser(name, help=help_text)
+        sub.set_defaults(func=func)
+        sub.add_argument("--out", default=".", help="output directory")
+        sub.add_argument(
+            "--format", action="append", choices=("json", "csv", "svg"),
+            help="output format (repeatable)",
         )
+        if reads_config:
+            sub.add_argument("--config", required=True, help="path to a JSON config file")
+        if tolerance is not None:
+            sub.add_argument("--seed", type=int, default=0, help="random seed")
+            sub.add_argument(
+                "--tolerance", type=float, default=tolerance, help="violation tolerance"
+            )
+    subs.choices["verify"].add_argument(
+        "--samples", type=_count, default=10000, help="sample count (>= 1)"
+    )
     return parser
 
 
@@ -520,12 +519,10 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
-    if args.format is None:
-        args.format = list(args.default_formats)
     os.makedirs(args.out, exist_ok=True)
     try:
         return args.func(args)
-    except (KeyError, TypeError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (KeyError, TypeError, ValueError, OSError) as exc:
         print(f"error: malformed input: {exc}", file=sys.stderr)
         return 2
     except DiskflowError as exc:

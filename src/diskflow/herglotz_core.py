@@ -130,10 +130,8 @@ class AtomicHerglotz:
         atoms = []
         for point, mass in self.atoms:
             m = float(mass)
-            if m < 0.0:
-                raise ValueError(f"atom mass must be nonnegative, got {m}")
-            if not math.isfinite(m):
-                raise DomainError(f"atom mass must be finite, got {m}")
+            if not 0.0 <= m < math.inf:
+                raise DomainError(f"atom mass must be finite and nonnegative, got {m}")
             if m != 0.0:
                 atoms.append((point.theta, m, point))
         atoms.sort(key=itemgetter(0, 1))

@@ -383,13 +383,13 @@ def cp_experiment(
     sigmas: tuple[BoundaryPoint, ...],
     target: CPTarget,
     field: PiecewiseField,
-    membership_tol: float = 1e-8,
-) -> tuple[complex, bool, float]:
+) -> tuple[complex, float]:
     """Check a field against the target and locate psi_tau in the region.
 
     The field must share (tau, sigmas) and realize log phi_T'(sigma_k) =
     log a_k within TARGET_TOL; otherwise TargetMismatch.  Returns
-    (psi_tau, inside, slack) with slack measured to the region boundary.
+    (psi_tau, slack) with slack measured to the region boundary, so
+    psi_tau lies in the region when slack >= 0.
     """
     tau = complex(tau)
     sigmas = _target_sigmas(sigmas, target)
@@ -407,7 +407,7 @@ def cp_experiment(
         slack = cp_region_boundary(target).slack(point.real)
     else:
         slack = cp_region(target).slack(point)
-    return point, slack >= -membership_tol, slack
+    return point, slack
 
 
 def random_strict_field(

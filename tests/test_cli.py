@@ -321,6 +321,8 @@ def test_domain_error_exits_3(tmp_path):
         ("region", ("sigmas",), [math.inf]),
         ("flow", ("generator", "p", "atoms"), [{"theta": 3.0, "mass": math.nan}]),
         ("flow", ("generator", "p", "gamma"), math.nan),
+        # a negative mass is as far outside the measure's domain
+        ("flow", ("generator", "p", "atoms"), [{"theta": 3.0, "mass": -1.0}]),
     ],
 )
 def test_non_finite_config_number_exits_3(tmp_path, command, path, value):
@@ -445,6 +447,8 @@ _CP_CONFIG = {"tau": {"re": 0.0, "im": 0.0}, "sigmas": [0.0], "target": [math.e]
         ("cowen-pommerenke", "fields", 2.5, 2),
         ("cowen-pommerenke", "fields", "8", 2),
         ("cowen-pommerenke", "sweep", 3.0, 2),
+        ("cowen-pommerenke", "fields", 10**5 + 1, 3),
+        ("cowen-pommerenke", "sweep", 10**5 + 1, 3),
     ],
 )
 def test_config_count_must_be_an_integer(tmp_path, command, key, value, code):
@@ -457,23 +461,59 @@ def test_config_count_must_be_an_integer(tmp_path, command, key, value, code):
     assert list(out.iterdir()) == []
 
 
+_REGION_CONFIG = {"kind": "interior", "tau": {"re": 0.5, "im": 0.0}, "sigmas": [0.0],
+                  "lambdas": [-1.0]}
+_TYPO = {"re": 0.2, "im": 0.1}
+
+
+def _edited(cfg, path, value):
+    """A copy of ``cfg`` with the value at the key path replaced."""
+    cfg = json.loads(json.dumps(cfg))
+    node = cfg
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return cfg
+
+
 @pytest.mark.parametrize(
-    "command, typo", [("region", "zeta_typo"), ("flow", "sample"), ("cowen-pommerenke", "field")]
+    "command, cfg, needle",
+    [
+        pytest.param("region", dict(_REGION_CONFIG, zeta_typo=_TYPO), "zeta_typo",
+                     id="region-zeta_typo"),
+        pytest.param("flow", dict(_FLOW_CONFIG, sample=_TYPO), "sample", id="flow-sample"),
+        pytest.param("cowen-pommerenke", dict(_CP_CONFIG, field=_TYPO), "field",
+                     id="cowen-pommerenke-field"),
+        # nested objects: the measure p, an atom, a complex number
+        pytest.param("flow", _edited(_FLOW_CONFIG, ("generator", "p"), [1]), "[1]",
+                     id="flow-p-not-an-object"),
+        pytest.param("flow", _edited(_FLOW_CONFIG, ("generator", "p"),
+                                     {"atom": [{"theta": 3.0, "mass": 5.0}], "gama": 4.0}),
+                     "'atom', 'gama'", id="flow-p-typos"),
+        pytest.param("flow", _edited(_FLOW_CONFIG, ("generator", "p"),
+                                     {"atoms": [{"theta": 3.0, "mas": 5.0}]}),
+                     "'mas'", id="flow-atom-typo"),
+        pytest.param("flow", _edited(_FLOW_CONFIG, ("z0",), {"re": 0.5, "im": 0.0, "imag": 0.1}),
+                     "'imag'", id="flow-z0-typo"),
+        pytest.param("region", _edited(_REGION_CONFIG, ("tau",), {"re": 0.5, "im": 0.0, "x": 1}),
+                     "'x'", id="region-tau-typo"),
+        # a key the region kind or the regime of tau does not read
+        pytest.param("region", dict(_REGION_CONFIG, omega=_TYPO), "omega",
+                     id="region-interior-omega"),
+        pytest.param("region", dict(_REGION_CONFIG, kind="origin", tau={"re": 0.0, "im": 0.0},
+                                    zeta=_TYPO), "zeta", id="region-origin-zeta"),
+        pytest.param("cowen-pommerenke",
+                     dict(_CP_CONFIG, tau={"re": 1.0, "im": 0.0}, sigmas=[math.pi], sweep=5),
+                     "sweep", id="cowen-pommerenke-boundary-sweep"),
+    ],
 )
-def test_unknown_config_key_exits_2(tmp_path, capsys, command, typo):
+def test_unknown_config_key_exits_2(tmp_path, capsys, command, cfg, needle):
     from diskflow import cli
 
-    configs = {
-        "region": {"kind": "interior", "tau": {"re": 0.5, "im": 0.0}, "sigmas": [0.0],
-                   "lambdas": [-1.0]},
-        "flow": _FLOW_CONFIG,
-        "cowen-pommerenke": _CP_CONFIG,
-    }
     out = tmp_path / "out"
-    cfg = dict(configs[command], **{typo: {"re": 0.2, "im": 0.1}})
     argv = [command, "--config", write_json(tmp_path / "cfg.json", cfg), "--out", str(out)]
     assert cli.main(argv) == 2
-    assert typo in capsys.readouterr().err
+    assert needle in capsys.readouterr().err
     assert list(out.iterdir()) == []
 
 

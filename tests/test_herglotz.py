@@ -92,7 +92,7 @@ def test_zero_masses_are_dropped():
 
 
 def test_negative_mass_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         AtomicHerglotz(atoms((0.3, -1.0)), 0.0)
 
 

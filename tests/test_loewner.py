@@ -290,8 +290,7 @@ def test_extremal_field_rejects_negative_real_part():
 def test_cp_experiment_on_extremal():
     target = CPTarget((math.e, math.exp(0.5)))
     field = cp_extremal_field(0.0, S2, target)
-    point, inside, slack = cp_experiment(0.0, S2, target, field)
-    assert inside
+    point, slack = cp_experiment(0.0, S2, target, field)
     assert slack >= -1e-8
     assert point == pytest.approx(psi_tau(field), abs=1e-12)
 
@@ -300,8 +299,7 @@ def test_cp_experiment_random_fields_members(rng):
     target = CPTarget((math.e, math.exp(0.5)))
     for _ in range(25):
         field = random_strict_field(rng, 0.0, S2, target)
-        _, inside, slack = cp_experiment(0.0, S2, target, field)
-        assert inside
+        _, slack = cp_experiment(0.0, S2, target, field)
         assert slack >= -1e-8
 
 
