@@ -13,13 +13,14 @@ Every command writes one artifact per requested --format into --out
 the command cannot write is malformed input.  COMMANDS lists each command's
 options: region, flow and cowen-pommerenke read a JSON config (--config)
 whose every object, nested ones included, holds only the keys its reader
-lists; verify and cowen-pommerenke draw random inputs and also take --seed
-and --tolerance, and verify takes --samples; no other command accepts them.
+lists, and whose numbers and lists are JSON numbers and arrays; verify and
+cowen-pommerenke draw random inputs and also take --seed and --tolerance,
+and verify takes --samples; no other command accepts them.
 Output is deterministic for a fixed seed: floats are serialized with repr
 and JSON keys are sorted.
 
-Exit codes: 0 success, 2 malformed input, 3 domain error, 4 verification
-failure.
+Exit codes: 0 success, 2 malformed input (a reader refused the config or
+the file could not be read), 3 domain error, 4 verification failure.
 """
 
 from __future__ import annotations
@@ -96,9 +97,26 @@ def _fields(obj, required: tuple[str, ...], optional: dict | None = None) -> lis
     return [obj[key] for key in required] + [obj.get(key, v) for key, v in optional.items()]
 
 
+def _number(value) -> float:
+    """A config number: a JSON int or float, not a bool, that a float can hold."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"expected a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError("a number in the config is too large for a float") from None
+
+
+def _array(value, read: Callable = _number) -> tuple:
+    """A config array (a JSON array, not a string), each entry read by ``read``."""
+    if not isinstance(value, list):
+        raise ValueError(f"expected an array, got {value!r}")
+    return tuple(map(read, value))
+
+
 def parse_complex(obj) -> complex:
     re, im = _fields(obj, ("re", "im"))
-    w = complex(float(re), float(im))
+    w = complex(_number(re), _number(im))
     if not cmath.isfinite(w):
         raise DomainError(f"a complex number must be finite, got {w}")
     return w
@@ -106,17 +124,17 @@ def parse_complex(obj) -> complex:
 
 def parse_herglotz(obj) -> AtomicHerglotz:
     atoms, gamma = _fields(obj, (), {"atoms": [], "gamma": 0.0})
-    pairs = [_fields(atom, ("theta", "mass")) for atom in atoms]
-    atoms = tuple((BoundaryPoint(float(theta)), float(mass)) for theta, mass in pairs)
-    return AtomicHerglotz(atoms, float(gamma))
+    pairs = _array(atoms, lambda atom: _array(_fields(atom, ("theta", "mass"))))
+    atoms = tuple((BoundaryPoint(theta), mass) for theta, mass in pairs)
+    return AtomicHerglotz(atoms, _number(gamma))
 
 
 def _parse_sigmas(angles) -> tuple[BoundaryPoint, ...]:
-    return tuple(BoundaryPoint(float(t)) for t in angles)
+    return tuple(map(BoundaryPoint, _array(angles)))
 
 
 def parse_config(tau, sigmas, lambdas) -> FixedPointConfig:
-    return FixedPointConfig(parse_complex(tau), _parse_sigmas(sigmas), tuple(map(float, lambdas)))
+    return FixedPointConfig(parse_complex(tau), _parse_sigmas(sigmas), _array(lambdas))
 
 
 def parse_spec(obj) -> GeneratorSpec:
@@ -250,7 +268,7 @@ def cmd_region(args) -> int:
         if observed is None:
             raise ValueError("region kind 'parabolic' requires zeta")
         base, refined = parabolic_region(config, parse_complex(observed)), None
-    elif kind in _REGION_KINDS:
+    elif isinstance(kind, str) and kind in _REGION_KINDS:
         base_of, refine = _REGION_KINDS[kind]
         base = base_of(config)
         refined = None if observed is None else refine(config, parse_complex(observed))
@@ -289,7 +307,7 @@ def cmd_flow(args) -> int:
     )
     spec = parse_spec(generator)
     z0 = parse_complex(z0)
-    horizon = float(horizon)
+    horizon = _number(horizon)
     samples = _config_count(samples)
     trajectory = flow_trajectory(spec, z0, horizon, samples=samples)
 
@@ -370,7 +388,7 @@ def cmd_cowen_pommerenke(args) -> int:
     )
     tau = parse_complex(tau)
     sigmas = _parse_sigmas(sigmas)
-    target = CPTarget(tuple(float(a) for a in target))
+    target = CPTarget(_array(target))
     boundary = tau_regime(tau) == "boundary"
     # the sweep traces cp_region's rim by Im c, which a boundary tau ignores
     if boundary and n_sweep is not None:
@@ -522,7 +540,7 @@ def main(argv=None) -> int:
     os.makedirs(args.out, exist_ok=True)
     try:
         return args.func(args)
-    except (KeyError, TypeError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: malformed input: {exc}", file=sys.stderr)
         return 2
     except DiskflowError as exc:

@@ -15,8 +15,9 @@ zero as mass accumulates at sigma_k.
 
 The raw product form G(z) = (tau - z)(1 - conj(tau) z) p*(z) is available
 as BerksonPortaSpec; it characterizes all generators, without fixed-point
-bookkeeping.  The zero field has its own marker type since it belongs to
-every class but has no Herglotz denominator.
+bookkeeping.  The zero field G = 0 is TRIVIAL_GENERATOR, the
+Berkson-Porta spec with p* = 0: it belongs to every class but has no
+Herglotz denominator.
 
 The regime of a configuration is where tau sits: at the origin, inside the
 disk, or on the circle.  tau_regime alone decides it, with the single
@@ -41,6 +42,7 @@ from .herglotz_core import (
     BoundaryPoint,
     RationalHerglotz,
     eval_herglotz,
+    extract_atom,
     herglotz_derivative,
     herglotz_second_derivative,
     kernel_sum,
@@ -214,14 +216,10 @@ class BerksonPortaSpec:
             raise DomainError("constant part must be nonnegative")
 
 
-@dataclass(frozen=True)
-class TrivialGenerator:
-    """Marker for the zero field G = 0 (every point fixed)."""
+# the zero field G = 0 (every point fixed): p* is the empty measure
+TRIVIAL_GENERATOR = BerksonPortaSpec(0.0)
 
-
-TRIVIAL_GENERATOR = TrivialGenerator()
-
-GeneratorLike = GeneratorSpec | BerksonPortaSpec | TrivialGenerator
+GeneratorLike = GeneratorSpec | BerksonPortaSpec
 
 
 def _mobius_factor(tau: complex, z):
@@ -230,12 +228,6 @@ def _mobius_factor(tau: complex, z):
 
 def _mobius_factor_d1(tau: complex, z):
     return -(1.0 + abs(tau) ** 2) + 2.0 * tau.conjugate() * z
-
-
-def _zero_field(z):
-    """The zero field's value at interior points: 0 in the shape of z."""
-    require_interior(z)
-    return np.zeros_like(z, dtype=complex) if np.ndim(z) else 0.0 + 0.0j
 
 
 def eval_p0(config: FixedPointConfig, z):
@@ -256,8 +248,6 @@ def eval_denominator(spec: GeneratorSpec, z):
 
 
 def eval_generator(gen: GeneratorLike, z):
-    if isinstance(gen, TrivialGenerator):
-        return _zero_field(z)
     if isinstance(gen, BerksonPortaSpec):
         value = eval_herglotz(gen.pstar, z) + gen.const
         return _mobius_factor(gen.tau, z) * value
@@ -266,8 +256,6 @@ def eval_generator(gen: GeneratorLike, z):
 
 def eval_generator_derivative(gen: GeneratorLike, z):
     """Exact analytic derivative of eval_generator."""
-    if isinstance(gen, TrivialGenerator):
-        return _zero_field(z)
     if isinstance(gen, BerksonPortaSpec):
         value = eval_herglotz(gen.pstar, z) + gen.const
         d1 = herglotz_derivative(gen.pstar, z)
@@ -281,8 +269,6 @@ def eval_generator_derivative(gen: GeneratorLike, z):
 
 
 def eval_generator_second_derivative(gen: GeneratorLike, z):
-    if isinstance(gen, TrivialGenerator):
-        return _zero_field(z)
     if isinstance(gen, BerksonPortaSpec):
         value = eval_herglotz(gen.pstar, z) + gen.const
         d1 = herglotz_derivative(gen.pstar, z)
@@ -314,8 +300,6 @@ def dw_spectral_value(gen: GeneratorLike) -> complex | float:
     zero when p carries an atom at tau or the denominator's contact value
     there is not zero within CONTACT_TOL, and 1/(p#(tau) + sum_k 1/|lambda_k|) otherwise.
     """
-    if isinstance(gen, TrivialGenerator):
-        return 0.0
     if isinstance(gen, BerksonPortaSpec):
         raise DomainError("spectral value by formula requires the fixed-point form")
     config = gen.config
@@ -357,9 +341,9 @@ def beta(spec: GeneratorSpec) -> float:
 
 
 def is_generator(bp: GeneratorLike) -> bool:
-    """Witness API: every well-formed spec of any of the three kinds is a
-    generator (the product form is necessary and sufficient)."""
-    return isinstance(bp, (GeneratorSpec, BerksonPortaSpec, TrivialGenerator))
+    """Witness API: every well-formed spec of either kind is a generator
+    (the product form is necessary and sufficient)."""
+    return isinstance(bp, (GeneratorSpec, BerksonPortaSpec))
 
 
 def to_berkson_porta(spec: GeneratorSpec) -> BerksonPortaSpec:
@@ -373,27 +357,22 @@ def spec_from_denominator(
     """Recover a fixed-point spec from a denominator function q = p + p0.
 
     Each sigma_k must carry an atom of q within ANGLE_TOL (that is what
-    makes it a repelling fixed point); its mass determines the spectral
-    value, and the remaining atoms plus the imaginary constant form p.  A q
-    that came out of `reciprocal` returns each sigma_k to within about
-    1e-14, far inside ANGLE_TOL, so no wider tolerance is needed.
+    makes it a repelling fixed point); extract_atom splits it off, its
+    mass determines the spectral value, and the remaining atoms plus the
+    imaginary constant form p.  A q that came out of `reciprocal` returns
+    each sigma_k to within about 1e-14, far inside ANGLE_TOL, so no wider
+    tolerance is needed.
     """
     lambdas = []
-    remaining = list(q.atoms)
+    p = q
     for s in sigmas:
-        hit = None
-        for i, (pt, mass) in enumerate(remaining):
-            if pt.same_point(s):
-                hit = i
-                break
-        if hit is None:
+        mass, p = extract_atom(p, s)
+        if mass == 0.0:
             raise DegenerateConfig(
                 f"denominator lacks an atom at angle {s.theta}; not a repelling point"
             )
-        _, mass = remaining.pop(hit)
         lambdas.append(-abs(tau - s.value) ** 2 / (2.0 * mass))
-    config = FixedPointConfig(tau, tuple(sigmas), tuple(lambdas))
-    return GeneratorSpec(config, AtomicHerglotz(tuple(remaining), q.gamma))
+    return GeneratorSpec(FixedPointConfig(tau, tuple(sigmas), tuple(lambdas)), p)
 
 
 def scale_generator(spec: GeneratorSpec, factor: float) -> GeneratorSpec:

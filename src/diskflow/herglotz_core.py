@@ -285,12 +285,14 @@ def contact_value(p: AtomicHerglotz, sigma: BoundaryPoint) -> complex:
 
 
 def extract_atom(p: AtomicHerglotz, sigma: BoundaryPoint) -> tuple[float, AtomicHerglotz]:
-    """Split off the atom at sigma; returns (mass, remainder without it)."""
-    mass = p.atom_mass_at(sigma)
-    if mass == 0.0:
-        return 0.0, p
-    rest = tuple(pm for pm in p.atoms if not pm[0].same_point(sigma))
-    return mass, AtomicHerglotz(rest, p.gamma)
+    """Split off the atom at sigma; returns (mass, remainder without it).
+
+    Only the first atom within ANGLE_TOL, whose mass atom_mass_at reads, is
+    removed, so the mass and the remainder's total_mass add up to p's."""
+    for i, (point, mass) in enumerate(p.atoms):
+        if point.same_point(sigma):
+            return mass, AtomicHerglotz(p.atoms[:i] + p.atoms[i + 1 :], p.gamma)
+    return 0.0, p
 
 
 def caratheodory_extreme(sigma: BoundaryPoint) -> AtomicHerglotz:

@@ -5,7 +5,7 @@ time and one point at a time.  They serve as references for the kernel's
 summation, which runs in another order.
 """
 
-from diskflow import BerksonPortaSpec, DomainError, TrivialGenerator
+from diskflow import BerksonPortaSpec, DomainError
 from diskflow.herglotz_core import AtomAtPoint
 
 
@@ -99,8 +99,6 @@ def _mobius_d1(tau, z):
 
 def eval_generator(gen, z):
     _interior(z)
-    if isinstance(gen, TrivialGenerator):
-        return 0.0 + 0.0j
     if isinstance(gen, BerksonPortaSpec):
         return _mobius(gen.tau, z) * (eval_herglotz(gen.pstar, z) + gen.const)
     return _mobius(gen.config.tau, z) / _denominator(gen, z)
@@ -108,8 +106,6 @@ def eval_generator(gen, z):
 
 def eval_generator_derivative(gen, z):
     _interior(z)
-    if isinstance(gen, TrivialGenerator):
-        return 0.0 + 0.0j
     if isinstance(gen, BerksonPortaSpec):
         value = eval_herglotz(gen.pstar, z) + gen.const
         d1 = herglotz_derivative(gen.pstar, z)
@@ -122,8 +118,6 @@ def eval_generator_derivative(gen, z):
 
 def eval_generator_second_derivative(gen, z):
     _interior(z)
-    if isinstance(gen, TrivialGenerator):
-        return 0.0 + 0.0j
     if isinstance(gen, BerksonPortaSpec):
         tau = gen.tau
         value = eval_herglotz(gen.pstar, z) + gen.const

@@ -505,6 +505,27 @@ def _edited(cfg, path, value):
         pytest.param("cowen-pommerenke",
                      dict(_CP_CONFIG, tau={"re": 1.0, "im": 0.0}, sigmas=[math.pi], sweep=5),
                      "sweep", id="cowen-pommerenke-boundary-sweep"),
+        # a number that is not a JSON number, a list that is not a JSON array
+        pytest.param("region", dict(_REGION_CONFIG, tau={"re": "0.5", "im": False},
+                                    sigmas="03", lambdas=["-1", "-2"]),
+                     "'0.5'", id="region-strings-for-numbers"),
+        pytest.param("region", dict(_REGION_CONFIG, tau={"re": 0.5, "im": False}),
+                     "False", id="region-bool-for-number"),
+        pytest.param("region", dict(_REGION_CONFIG, sigmas="03"), "'03'",
+                     id="region-string-for-sigmas"),
+        pytest.param("region", dict(_REGION_CONFIG, lambdas=["-1", "-2"]), "'-1'",
+                     id="region-strings-in-lambdas"),
+        pytest.param("region", dict(_REGION_CONFIG, lambdas=[-10**400]), "too large",
+                     id="region-lambda-overflows-a-float"),
+        pytest.param("region", dict(_REGION_CONFIG, kind=[]), "[]", id="region-list-for-kind"),
+        pytest.param("flow", dict(_FLOW_CONFIG, t="1"), "'1'", id="flow-string-for-t"),
+        pytest.param("flow", _edited(_FLOW_CONFIG, ("generator", "p"), {"atoms": {}}), "{}",
+                     id="flow-object-for-atoms"),
+        pytest.param("flow", _edited(_FLOW_CONFIG, ("generator", "p"),
+                                     {"atoms": [{"theta": [[0.0]], "mass": 1.0}]}),
+                     "[[0.0]]", id="flow-array-for-theta"),
+        pytest.param("cowen-pommerenke", dict(_CP_CONFIG, target="34"), "'34'",
+                     id="cowen-pommerenke-string-for-target"),
     ],
 )
 def test_unknown_config_key_exits_2(tmp_path, capsys, command, cfg, needle):

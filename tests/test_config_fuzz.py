@@ -22,7 +22,8 @@ GOLDEN = json.loads(pathlib.Path(__file__).with_name("golden_cli.json").read_tex
 CONFIGS = sorted(name for name, case in GOLDEN.items() if case["config"] is not None)
 
 SMALL_JSON = st.one_of(
-    st.none(), st.booleans(), st.integers(-3, 3), st.text(max_size=4), st.just([]), st.just({})
+    st.none(), st.booleans(), st.integers(-3, 3), st.text(max_size=4), st.just([]), st.just({}),
+    st.just("0.5"), st.just(10**400), st.just([[0.0]]),
 )
 
 

@@ -174,6 +174,13 @@ def test_trivial_generator_is_zero():
     assert is_generator(TRIVIAL_GENERATOR)
 
 
+def test_trivial_generator_is_the_empty_berkson_porta_spec():
+    assert TRIVIAL_GENERATOR == BerksonPortaSpec(0.0)
+    # like every Berkson-Porta spec, it has no spectral value by formula
+    with pytest.raises(DomainError):
+        dw_spectral_value(TRIVIAL_GENERATOR)
+
+
 def test_berkson_porta_form_evaluates():
     bp = BerksonPortaSpec(0.0, AtomicHerglotz(((BoundaryPoint(0.0), 1.0),)), 0.0)
     z = 0.5j
@@ -309,6 +316,18 @@ def test_spec_from_denominator_round_trip(rng):
         assert eval_generator(back, z) == pytest.approx(
             eval_generator(spec, z), rel=1e-9
         )
+
+
+def test_spec_from_denominator_recovers_the_golden_flow_spec():
+    # the generator of the golden `flow` config in tests/golden_cli.json
+    spec = GeneratorSpec(
+        FixedPointConfig(0.2j, (BoundaryPoint(1.0),), (-1.0,)),
+        AtomicHerglotz(((BoundaryPoint(4.0), 0.5),), 0.3),
+    )
+    back = spec_from_denominator(spec.config.tau, spec.config.sigmas, denominator_herglotz(spec))
+    assert back.config.lambdas == spec.config.lambdas
+    assert [(pt.theta, m) for pt, m in back.p.atoms] == [(4.0, 0.5)]
+    assert back.p.gamma == spec.p.gamma
 
 
 def test_spec_from_denominator_requires_all_poles():

@@ -267,6 +267,18 @@ def test_extract_atom_round_trip():
     assert eval_herglotz(rebuilt, z) == pytest.approx(eval_herglotz(p, z), abs=1e-15)
 
 
+def test_extract_atom_conserves_mass():
+    # two atoms 1.5e-12 apart stay separate, and sigma lies within
+    # ANGLE_TOL of both: only the first is split off
+    near = BoundaryPoint(1.0 + 1.5e-12)
+    p = AtomicHerglotz(((BoundaryPoint(1.0), 1.0), (near, 2.0), (BoundaryPoint(3.0), 0.5)))
+    assert len(p.atoms) == 3
+    mass, rest = extract_atom(p, BoundaryPoint(1.0 + 0.75e-12))
+    assert mass == 1.0
+    assert mass + rest.total_mass == p.total_mass == 3.5
+    assert [(pt.theta, m) for pt, m in rest.atoms] == [(near.theta, 2.0), (3.0, 0.5)]
+
+
 def test_extract_missing_atom_is_identity():
     p = AtomicHerglotz(atoms((3.0, 1.0)), 0.3)
     mass, rest = extract_atom(p, BoundaryPoint(1.0))

@@ -1,6 +1,7 @@
 """Tests for piecewise-constant fields, prescribed boundary derivatives,
 and the harmonic-mean region for the attracting spectral aggregate."""
 
+import cmath
 import math
 
 import numpy as np
@@ -18,11 +19,13 @@ from diskflow import (
     PiecewiseField,
     TargetMismatch,
     boundary_log_derivative,
+    contact_value,
     cp_experiment,
     cp_extremal_field,
     cp_region,
     cp_region_boundary,
     cp_support_gap,
+    denominator_herglotz,
     dw_spectral_value,
     evolve,
     evolve_with_derivative,
@@ -30,6 +33,7 @@ from diskflow import (
     integrate_flow,
     julia_quotient_estimate,
     normalize_field,
+    p_sharp,
     psi_tau,
     q_concavity_check,
     q_hessian,
@@ -279,6 +283,22 @@ def test_extremal_field_boundary_tau_attains_radius():
     field = cp_extremal_field(1.0, sigmas, target)
     psi = psi_tau(field)
     assert psi == pytest.approx(cp_region_boundary(target).hi, abs=1e-12)
+
+
+@pytest.mark.parametrize("c", [0.5, 2.0 + 1.0j])
+def test_extremal_field_boundary_tau_with_positive_real_part(c):
+    tau = cmath.exp(0.4j)
+    sigmas = (BoundaryPoint(2.0), BoundaryPoint(4.5))
+    target = CPTarget((1.8, 2.6))
+    field = cp_extremal_field(tau, sigmas, target, c)
+    ((_, spec),) = field.segments
+    tau_bp = BoundaryPoint.from_complex(tau)
+    assert abs(contact_value(denominator_herglotz(spec), tau_bp)) <= 1e-12
+    assert p_sharp(spec.p, tau_bp) == pytest.approx(c.real, rel=1e-12)
+    point, slack = cp_experiment(tau, sigmas, target, field)
+    assert slack >= 0.0
+    horizon, r = target.horizon, cp_region_boundary(target).hi
+    assert point == pytest.approx(horizon / (c.real + horizon / r), rel=1e-12)
 
 
 def test_extremal_field_rejects_negative_real_part():

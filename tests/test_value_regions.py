@@ -373,6 +373,44 @@ def test_parabolic_extremal_mass_sits_at_tau():
 
 
 # ----------------------------------------------------------------------
+# regime guards: each one-regime function refuses every other regime
+# ----------------------------------------------------------------------
+
+_ZETA = 0.1 + 0.05j
+_SIGMA = BoundaryPoint(2.0)
+_REGIME_CONFIGS = {"origin": ORIGIN2, "interior": INTERIOR, "boundary": BOUNDARY}
+# function of a config -> {refused regime: error}
+_ORIGIN_ONLY = {"interior": DomainError, "boundary": DomainError}
+_BOUNDARY_ONLY = {"interior": DomainError, "origin": DomainError}
+_GUARDED = {
+    "region_Omega": (lambda c: region_Omega(c, _ZETA),
+                     {"origin": DegenerateConfig, "boundary": DomainError}),
+    "extremal_interior": (lambda c: extremal_interior(c, _ZETA, _SIGMA),
+                          {"origin": DegenerateConfig, "boundary": DomainError}),
+    "region_Omega_origin": (region_Omega_origin, _ORIGIN_ONLY),
+    "region_Z_omega": (lambda c: region_Z_omega(c, 0.5), _ORIGIN_ONLY),
+    "origin_curvature_chart": (lambda c: origin_curvature_chart(GeneratorSpec(c)), _ORIGIN_ONLY),
+    "extremal_origin": (lambda c: extremal_origin(c, 0.5, _SIGMA), _ORIGIN_ONLY),
+    "interval_I": (lambda c: interval_I(c, _ZETA), _BOUNDARY_ONLY),
+    "extremal_hyperbolic": (lambda c: extremal_hyperbolic(c, _ZETA), _BOUNDARY_ONLY),
+    "parabolic_region": (lambda c: parabolic_region(c, _ZETA), _BOUNDARY_ONLY),
+    "extremal_parabolic": (lambda c: extremal_parabolic(c, _ZETA), _BOUNDARY_ONLY),
+    "beta": (lambda c: beta(GeneratorSpec(c)), _BOUNDARY_ONLY),
+    "region_Z": (region_Z, {"origin": DegenerateConfig}),
+}
+
+
+@pytest.mark.parametrize(
+    "name, regime",
+    [(name, regime) for name, (_, refused) in _GUARDED.items() for regime in refused],
+)
+def test_one_regime_function_refuses_other_regimes(name, regime):
+    fn, refused = _GUARDED[name]
+    with pytest.raises(refused[regime]):
+        fn(_REGIME_CONFIGS[regime])
+
+
+# ----------------------------------------------------------------------
 # unconstrained spectral range
 # ----------------------------------------------------------------------
 
