@@ -230,11 +230,6 @@ def _mobius_factor_d1(tau: complex, z):
     return -(1.0 + abs(tau) ** 2) + 2.0 * tau.conjugate() * z
 
 
-def eval_p0(config: FixedPointConfig, z):
-    """The base function p0 at interior points; Re of the result is positive."""
-    return eval_herglotz(config.base_herglotz, z)
-
-
 def denominator_herglotz(spec: GeneratorSpec) -> RationalHerglotz:
     """p + p0 as a single rational Herglotz function (atoms merged)."""
     merged = spec.p.atoms + spec.config.base_herglotz.atoms
@@ -338,12 +333,6 @@ def beta(spec: GeneratorSpec) -> float:
     if not spec.config.is_boundary:
         raise DomainError("beta is defined for a boundary Denjoy-Wolff point only")
     return p_star(spec.p, BoundaryPoint.from_complex(spec.config.tau))
-
-
-def is_generator(bp: GeneratorLike) -> bool:
-    """Witness API: every well-formed spec of either kind is a generator
-    (the product form is necessary and sufficient)."""
-    return isinstance(bp, (GeneratorSpec, BerksonPortaSpec))
 
 
 def to_berkson_porta(spec: GeneratorSpec) -> BerksonPortaSpec:

@@ -96,8 +96,8 @@ class BoundaryPoint:
     def angular_distance(self, other: "BoundaryPoint") -> float:
         return angle_gap(self.theta, other.theta)
 
-    def same_point(self, other: "BoundaryPoint", tol: float = ANGLE_TOL) -> bool:
-        return angle_gap(self.theta, other.theta) <= tol
+    def same_point(self, other: "BoundaryPoint") -> bool:
+        return angle_gap(self.theta, other.theta) <= ANGLE_TOL
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BoundaryPoint):
@@ -295,15 +295,6 @@ def extract_atom(p: AtomicHerglotz, sigma: BoundaryPoint) -> tuple[float, Atomic
     return 0.0, p
 
 
-def caratheodory_extreme(sigma: BoundaryPoint) -> AtomicHerglotz:
-    """The single-kernel function K_sigma, an extreme point of the class p(0)=1."""
-    return AtomicHerglotz(((sigma, 1.0),), 0.0)
-
-
-def add_herglotz(p: AtomicHerglotz, q: AtomicHerglotz) -> AtomicHerglotz:
-    return AtomicHerglotz(p.atoms + q.atoms, p.gamma + q.gamma)
-
-
 def scale_herglotz(p: AtomicHerglotz, c: float) -> AtomicHerglotz:
     if c < 0:
         raise ValueError("scale factor must be nonnegative")
@@ -316,7 +307,7 @@ def scale_herglotz(p: AtomicHerglotz, c: float) -> AtomicHerglotz:
 
 # Absolute stopping width of the arc solve: e^{it} reduces t modulo 2*pi,
 # leaving about 4e-16 of noise, so a test relative to t is never met near 0.
-_ARC_TOL = 4.0 * float(np.spacing(TWO_PI))
+_ARC_TOL = 4.0 * math.ulp(TWO_PI)
 _NEWTON_STEPS = 32
 _ARC_STEPS = _NEWTON_STEPS + 53  # the bound derived in reciprocal
 

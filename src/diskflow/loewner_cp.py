@@ -295,14 +295,6 @@ def cp_region_boundary(target: CPTarget) -> IntervalRegion:
     return IntervalRegion(0.0, harmonic_Q(target.log_values))
 
 
-def cp_support_gap(target: CPTarget, point: complex, theta: float) -> float:
-    """Support-line slack of the region at direction theta:
-    (1 + cos theta) r - Re(e^{-i theta} point).  Nonnegative for every
-    theta iff the point lies in cp_region(target)."""
-    r = harmonic_Q(target.log_values)
-    return (1.0 + math.cos(theta)) * r - (cmath.exp(-1j * theta) * point).real
-
-
 _GOLDEN_STEP = TWO_PI * (1.0 - 2.0 / (1.0 + math.sqrt(5.0)))
 
 

@@ -26,8 +26,11 @@ radius ladder is one array of start points, hence one IVP.
 The numerics are module constants, not options: RK45 at REL_TOL = 1e-10
 and ABS_TOL = 1e-12 with steps of at most MAX_STEP = 0.01, stopped when an
 orbit comes within BOUNDARY_GUARD = 1e-13 of the circle, and the Richardson
-ladder RADII, r = 1 - 2^-k for k = 4..14.  A horizon t takes at least
-t / MAX_STEP steps, so one beyond MAX_STEPS * MAX_STEP = 100 is refused.
+ladder RADII, r = 1 - 2^-k for k = 4..14, held to ESTIMATE_TOL = 1e-3: its
+final two extrapolants must agree within 10 * ESTIMATE_TOL (relative above
+1).  A horizon t takes at least t / MAX_STEP steps, so one beyond
+MAX_STEPS * MAX_STEP = 100 is refused.  A right-hand side that is not
+finite raises DomainError: on a NaN the solver's step control never ends.
 
 scipy.integrate is imported inside _solve, on the first solve, not with
 this module: it takes most of the package's import time, and the closed-form
@@ -37,6 +40,7 @@ region) never integrate.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -53,7 +57,6 @@ from .generator import (
     GeneratorLike,
     eval_generator,
     eval_generator_derivative,
-    tau_regime,
 )
 from .herglotz_core import BoundaryPoint
 
@@ -66,6 +69,7 @@ MAX_STEPS = 10**4
 # most sample points flow_trajectory allocates
 MAX_SAMPLES = 10**6
 RADII = tuple(1.0 - 2.0**-k for k in range(4, 15))
+ESTIMATE_TOL = 1e-3
 
 
 @dataclass(frozen=True)
@@ -151,8 +155,21 @@ def _unpack(y: np.ndarray, n: int):
 
 
 def _pack(n: int, *parts) -> np.ndarray:
-    """The state vector made of ``parts``, each one value per orbit."""
-    return np.array(parts) if n == 1 else np.concatenate(parts)
+    """The state vector made of ``parts``, each one value per orbit.
+
+    Every right-hand side is built here, so a non-finite one is refused
+    here.  A lone orbit's parts are Python complex numbers, checked without
+    numpy's per-call cost.
+    """
+    if n == 1:
+        finite = all(map(cmath.isfinite, parts))
+        y = np.array(parts)
+    else:
+        y = np.concatenate(parts)
+        finite = np.isfinite(y).all()
+    if not finite:
+        raise DomainError("the right-hand side of the flow is not finite along the orbit")
+    return y
 
 
 def _flow_rhs(gen: GeneratorLike, n: int) -> Callable:
@@ -233,54 +250,40 @@ def _julia_quotients(sigma: BoundaryPoint, r: np.ndarray, w: np.ndarray) -> np.n
 
 
 def _radial_limit(
-    sigma: BoundaryPoint,
-    map_points: Callable[[np.ndarray], np.ndarray],
-    tol: float,
+    sigma: BoundaryPoint, map_points: Callable[[np.ndarray], np.ndarray]
 ) -> float:
     """Richardson-extrapolated radial limit of the quotient over RADII.
 
     ``map_points`` maps the array of the ladder's points r sigma; h = 1 - r
     halves at each step of the ladder.  The final two extrapolants must
-    agree within 10 * tol, otherwise the limit is declared unreachable.
+    agree within 10 * ESTIMATE_TOL, otherwise the limit is declared
+    unreachable.
     """
     r = np.array(RADII)
     quotients = _julia_quotients(sigma, r, map_points(r * sigma.value))
     extrapolated = 2.0 * quotients[1:] - quotients[:-1]
     last, prev = float(extrapolated[-1]), float(extrapolated[-2])
-    if abs(last - prev) > 10.0 * tol * max(1.0, abs(last)):
+    if abs(last - prev) > 10.0 * ESTIMATE_TOL * max(1.0, abs(last)):
         raise ExtrapolationDivergence(
-            f"extrapolants disagree: {prev!r} vs {last!r} at tolerance {tol!r}"
+            f"extrapolants disagree: {prev!r} vs {last!r} at tolerance {ESTIMATE_TOL!r}"
         )
     return last
 
 
-def julia_quotient(
-    map_fn: Callable[[complex], complex], sigma: BoundaryPoint, r: float
-) -> float:
-    """The boundary-derivative quotient of ``map_fn`` at radius r along sigma."""
-    if not 0.0 < r < 1.0:
-        raise DomainError("radius must lie in (0, 1)")
-    r = np.array([r], dtype=float)
-    w = np.array([map_fn(complex(r[0] * sigma.value))], dtype=complex)
-    return float(_julia_quotients(sigma, r, w)[0])
-
-
 def julia_quotient_estimate(
-    map_fn: Callable[[complex], complex],
-    sigma: BoundaryPoint,
-    tol: float = 1e-3,
+    map_fn: Callable[[complex], complex], sigma: BoundaryPoint
 ) -> float:
     """Radial limit of the quotient of ``map_fn``, which takes one point.
 
     The limit is Richardson-extrapolated in h = 1 - r over RADII.  The
-    final two extrapolants must agree within 10 * tol, otherwise the limit
-    is declared unreachable.
+    final two extrapolants must agree within 10 * ESTIMATE_TOL, otherwise
+    the limit is declared unreachable.
     """
 
     def map_points(z: np.ndarray) -> np.ndarray:
         return np.array([map_fn(complex(point)) for point in z], dtype=complex)
 
-    return _radial_limit(sigma, map_points, tol)
+    return _radial_limit(sigma, map_points)
 
 
 def estimate_boundary_derivative(
@@ -289,44 +292,7 @@ def estimate_boundary_derivative(
     """phi_t'(sigma) at a boundary fixed point, from interior orbits only.
 
     The orbits of the whole radius ladder are solved as one IVP.  The
-    estimate is held to 1e-3, so its final two extrapolants must agree
-    within 10 * 1e-3.
+    estimate is held to ESTIMATE_TOL like julia_quotient_estimate's.
     """
-    return _radial_limit(sigma, lambda z: integrate_flow(gen, z, t), 1e-3)
+    return _radial_limit(sigma, lambda z: integrate_flow(gen, z, t))
 
-
-@dataclass(frozen=True)
-class AttractionReport:
-    entries: tuple[tuple[complex, float, float], ...]
-    all_decreased: bool
-
-
-def dw_attraction_check(
-    gen: GeneratorLike,
-    tau: complex,
-    samples: int = 20,
-    t: float = 1.0,
-) -> AttractionReport:
-    """Empirical check that orbits approach tau, at times 0 and t.
-
-    Interior tau: the pseudo-hyperbolic distance |(w-tau)/(1-conj(tau)w)|
-    to tau strictly decreases along every nontrivial orbit (Schwarz-Pick).
-    Boundary tau: the Euclidean distance need not decrease, but the
-    horocycle quantity |tau-w|^2/(1-|w|^2) does not increase (Julia's
-    lemma), and it falls by the factor phi_t'(tau) = exp(-lambda t) < 1 in
-    the hyperbolic case.  All sample orbits are solved as one IVP.
-    """
-    tau = complex(tau)
-    boundary = tau_regime(tau) == "boundary"
-    draws = np.random.default_rng(0).uniform(size=(samples, 2))
-    z0 = 0.9 * np.sqrt(draws[:, 0]) * np.exp(1j * (2 * math.pi * draws[:, 1]))
-
-    def distance(w: np.ndarray) -> np.ndarray:
-        if boundary:
-            return np.abs(tau - w) ** 2 / (1.0 - np.abs(w) ** 2)
-        return np.abs((w - tau) / (1.0 - tau.conjugate() * w))
-
-    before = distance(z0)
-    after = distance(integrate_flow(gen, z0, t))
-    entries = tuple(zip(z0.tolist(), before.tolist(), after.tolist()))
-    return AttractionReport(entries, bool(np.all(after < before)))

@@ -84,12 +84,6 @@ class DiskRegion:
         """radius - distance to center; nonnegative inside, zero on the rim."""
         return self.radius - abs(complex(w) - self.center)
 
-    def contains(self, w: complex, tol: float = EDGE_TOL) -> bool:
-        return self.slack(w) >= -tol
-
-    def on_boundary(self, w: complex, tol: float = EDGE_TOL) -> bool:
-        return abs(self.slack(w)) <= tol
-
     def sample_boundary(self, n: int) -> tuple[complex, ...]:
         return tuple(
             self.center + self.radius * cmath.exp(2j * math.pi * k / n) for k in range(n)
@@ -111,12 +105,6 @@ class IntervalRegion:
 
     def slack(self, x: float) -> float:
         return min(x - self.lo, self.hi - x)
-
-    def contains(self, x: float, tol: float = EDGE_TOL) -> bool:
-        return self.slack(x) >= -tol
-
-    def is_singleton(self, tol: float = 1e-15) -> bool:
-        return self.hi - self.lo <= tol
 
     def sample(self, n: int) -> tuple[float, ...]:
         if n <= 1:
@@ -328,10 +316,11 @@ def extremal_hyperbolic(config: FixedPointConfig, zeta: complex) -> GeneratorSpe
     """The unique generator attaining the top of interval_I(config, zeta).
 
     Requires boundary tau and zeta interior to Z.  The free summand is a
-    single atom of mass Re ell placed at sigma = -tau (1+ia)/(1-ia) with
-    a = -(Im ell + B)/Re ell, plus the constant i Im ell; this choice
-    simultaneously pins G(0) = zeta and cancels the denominator's contact
-    value at tau, and it minimizes the boundary functional p# there.
+    single atom of mass Re ell placed at caratheodory_min_sharp's minimizer
+    sigma = -tau (1+ia)/(1-ia) with a = -(Im ell + B)/Re ell, plus the
+    constant i Im ell; this choice simultaneously pins G(0) = zeta and
+    cancels the denominator's contact value at tau, and it minimizes the
+    boundary functional p# there.
     """
     if not config.is_boundary:
         raise DomainError("extremal_hyperbolic requires a boundary Denjoy-Wolff point")
@@ -339,7 +328,7 @@ def extremal_hyperbolic(config: FixedPointConfig, zeta: complex) -> GeneratorSpe
     if lz.real <= 0.0:
         raise DomainError("zeta must lie in the interior of Z")
     a = -(lz.imag + config.capB) / lz.real
-    sigma = BoundaryPoint.from_complex(-config.tau * (1.0 + 1j * a) / (1.0 - 1j * a))
+    _, sigma = caratheodory_min_sharp(BoundaryPoint.from_complex(config.tau), a)
     p = AtomicHerglotz(((sigma, lz.real),), lz.imag)
     return GeneratorSpec(config, p)
 

@@ -548,6 +548,18 @@ def test_flow_horizon_beyond_the_step_bound_exits_3(tmp_path):
     assert list(out.iterdir()) == []
 
 
+def test_flow_non_finite_right_hand_side_exits_3(tmp_path):
+    # with an atom of mass 1e300, q**2 overflows in G' while G stays finite,
+    # so the variational right-hand side turns NaN, on which RK45 never ends
+    generator = dict(_FLOW_CONFIG["generator"], p={"atoms": [{"theta": 3.0, "mass": 1e300}]})
+    cfg = write_json(tmp_path / "cfg_flow.json", dict(_FLOW_CONFIG, generator=generator))
+    out = tmp_path / "out"
+    res = run("flow", "--config", cfg, "--out", str(out), timeout=60)
+    assert res.returncode == 3, res.stderr
+    assert "finite" in res.stderr
+    assert list(out.iterdir()) == []
+
+
 def test_unknown_command_exits_2():
     res = run("frobnicate")
     assert res.returncode == 2

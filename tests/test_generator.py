@@ -16,7 +16,6 @@ from diskflow import (
     GeneratorSpec,
     beta,
     brfp_spectral_value,
-    caratheodory_extreme,
     convex_combination,
     denominator_herglotz,
     dw_spectral_value,
@@ -25,8 +24,6 @@ from diskflow import (
     eval_generator_derivative,
     eval_generator_second_derivative,
     eval_herglotz,
-    eval_p0,
-    is_generator,
     random_spec,
     scale_generator,
     spec_from_denominator,
@@ -106,7 +103,7 @@ def test_p0_at_origin_is_total_mass(rng):
     for _ in range(25):
         spec = random_spec(rng, "interior")
         c = spec.config
-        assert eval_p0(c, 0.0) == pytest.approx(complex(c.capA, 0.0), abs=1e-13)
+        assert eval_herglotz(c.base_herglotz, 0.0) == pytest.approx(complex(c.capA, 0.0), abs=1e-13)
 
 
 def test_p0_at_tau_closed_form(rng):
@@ -114,7 +111,7 @@ def test_p0_at_tau_closed_form(rng):
     for _ in range(50):
         spec = random_spec(rng, "interior")
         c = spec.config
-        val = eval_p0(c, c.tau)
+        val = eval_herglotz(c.base_herglotz, c.tau)
         t2 = abs(c.tau) ** 2
         assert val.real == pytest.approx((1 - t2) * c.inv_lambda_sum / 2, rel=1e-12)
         assert val.imag == pytest.approx(c.capB, abs=1e-12)
@@ -125,7 +122,7 @@ def test_denominator_is_p_plus_p0():
     spec = GeneratorSpec(INTERIOR, p)
     z = 0.1 - 0.2j
     assert eval_denominator(spec, z) == pytest.approx(
-        eval_herglotz(p, z) + eval_p0(INTERIOR, z), abs=1e-14
+        eval_herglotz(p, z) + eval_herglotz(INTERIOR.base_herglotz, z), abs=1e-14
     )
     q = denominator_herglotz(spec)
     assert eval_herglotz(q, z) == pytest.approx(eval_denominator(spec, z), abs=1e-14)
@@ -171,7 +168,6 @@ def test_derivatives_match_finite_differences(rng):
 def test_trivial_generator_is_zero():
     assert eval_generator(TRIVIAL_GENERATOR, 0.3 + 0.4j) == 0.0
     assert eval_generator_derivative(TRIVIAL_GENERATOR, 0.3) == 0.0
-    assert is_generator(TRIVIAL_GENERATOR)
 
 
 def test_trivial_generator_is_the_empty_berkson_porta_spec():
@@ -186,7 +182,6 @@ def test_berkson_porta_form_evaluates():
     z = 0.5j
     expect = -z * eval_herglotz(bp.pstar, z)
     assert eval_generator(bp, z) == pytest.approx(expect, abs=1e-14)
-    assert is_generator(bp)
 
 
 def test_berkson_porta_rejects_negative_constant():
@@ -241,7 +236,7 @@ def test_boundary_spectral_value_vanishes_with_contact():
 
 
 def test_spectral_value_rejects_berkson_porta_form():
-    bp = BerksonPortaSpec(0.0, caratheodory_extreme(BoundaryPoint(0.0)), 0.0)
+    bp = BerksonPortaSpec(0.0, AtomicHerglotz(((BoundaryPoint(0.0), 1.0),)), 0.0)
     with pytest.raises(DomainError):
         dw_spectral_value(bp)
 

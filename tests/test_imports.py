@@ -1,9 +1,15 @@
-"""Every module of the package uses each name it imports, and none loads scipy.
+"""Every module of the package uses each name it imports, every public name
+it defines has a caller, and none loads scipy.
 
 No linter ships with the project, so this is the unused-import check: a
 name bound by an import at any level of a module under src/diskflow/ must
 be read somewhere in that module.  A name that __init__.py imports from a
 module counts as used there, since the package re-exports it.
+
+A public top-level function or class of a module must be read somewhere
+else: in the package outside its own definition, in bench/, or in the
+acceptance tests.  The few that await a caller are listed in
+AWAITING_CALLER with the reason each stays.
 
 scipy is imported only inside the functions that integrate or use
 quadrature: importing scipy.integrate takes most of the package's start-up
@@ -22,7 +28,8 @@ import sys
 
 import pytest
 
-PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "diskflow"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "diskflow"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 ALL_MODULES = sorted(PACKAGE.glob("*.py"))
 
@@ -63,6 +70,88 @@ def test_checker_flags_an_unused_import():
 def test_module_uses_every_import(path):
     exempt = _reexported().get(path.stem, set())
     assert unused_imports(path.read_text(), exempt) == []
+
+
+def _reads(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
+    """Names loaded, and attributes taken, anywhere in tree outside skip."""
+    found: set[str] = set()
+
+    def visit(node: ast.AST) -> None:
+        for child in ast.iter_child_nodes(node):
+            if child is skip:
+                continue
+            if isinstance(child, ast.Name) and isinstance(child.ctx, ast.Load):
+                found.add(child.id)
+            elif isinstance(child, ast.Attribute):
+                found.add(child.attr)
+            visit(child)
+
+    visit(tree)
+    return found
+
+
+def unread_definitions(package: dict[str, str], readers: list[str]) -> list[str]:
+    """module.name of each public top-level def or class that nothing reads.
+
+    ``package`` maps module names to sources; a definition of one of them
+    (not __init__) is read when another part of the package, or one of the
+    ``readers`` sources, loads its name or takes it as an attribute.
+    """
+    trees = {module: ast.parse(source) for module, source in package.items()}
+    reads = {module: _reads(tree) for module, tree in trees.items()}
+    outside = set().union(*(_reads(ast.parse(source)) for source in readers))
+    unread = []
+    for module, tree in trees.items():
+        if module == "__init__":
+            continue
+        elsewhere = outside.union(*(r for m, r in reads.items() if m != module))
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+                continue
+            if node.name not in elsewhere and node.name not in _reads(tree, node):
+                unread.append(f"{module}.{node.name}")
+    return sorted(unread)
+
+
+def test_checker_flags_a_name_only_tests_would_call():
+    package = {
+        "a": (
+            "def used():\n    return 1\n"
+            "def recursive(n):\n    return recursive(n - 1)\n"
+            "class _Private:\n    pass\n"
+        ),
+        "b": "from .a import used\ndef called():\n    return used()\ndef unused():\n    pass\n",
+        "__init__": "from .b import unused\n",
+    }
+    assert unread_definitions(package, ["import b\nb.called()\n"]) == ["a.recursive", "b.unused"]
+
+
+_EXTREMALS = (
+    "extreme points of the normalized class, for verify to show its records "
+    "attained; the benchmark tracer wraps this module"
+)
+# Public names that only tests call yet, each with the reason it stays.
+AWAITING_CALLER = {
+    "extreme_candidate_generator": _EXTREMALS,
+    "extreme_point_GenF": _EXTREMALS,
+    "is_extreme_GenF": _EXTREMALS,
+    "gk_dirac_parameter": _EXTREMALS,
+    "gk_generator": _EXTREMALS,
+    "inequality_suite": "the object form of verify's records, to check them at the extremals",
+    "to_berkson_porta": (
+        "the only converter to the Berkson-Porta kind, and through it the "
+        "generator-level check of reciprocal"
+    ),
+    "normalize_field": "the paper's reduction of a sub-normalized field to a strict one",
+}
+
+
+def test_every_public_name_has_a_caller():
+    package = {path.stem: path.read_text() for path in ALL_MODULES}
+    readers = [path.read_text() for path in sorted((ROOT / "bench").glob("*.py"))]
+    readers.append((ROOT / "tests" / "test_acceptance.py").read_text())
+    unread = unread_definitions(package, readers)
+    assert {name.split(".")[1] for name in unread} == set(AWAITING_CALLER), unread
 
 
 def import_time_scipy(source: str) -> list[str]:

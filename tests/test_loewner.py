@@ -24,7 +24,6 @@ from diskflow import (
     cp_extremal_field,
     cp_region,
     cp_region_boundary,
-    cp_support_gap,
     denominator_herglotz,
     dw_spectral_value,
     evolve,
@@ -198,17 +197,12 @@ def test_cp_region_unit_target():
     assert boundary.lo == 0.0 and boundary.hi == pytest.approx(1.0)
 
 
-def test_cp_support_gap_definition():
+def test_cp_region_membership_by_slack():
     target = CPTarget((math.e, math.e))  # disk of radius 1/2 centered 1/2
-    # the center has uniform gap r in every direction
-    for theta in (0.0, 1.0, 2.5, 4.2):
-        assert cp_support_gap(target, 0.5, theta) == pytest.approx(
-            0.5 * (1.0 + math.cos(theta)) - 0.5 * math.cos(theta), abs=1e-12
-        )
-    # membership via the support form on a 64-point grid
-    grid = [2 * math.pi * j / 64 for j in range(64)]
-    assert min(cp_support_gap(target, 0.5, th) for th in grid) >= -1e-9
-    assert min(cp_support_gap(target, 1.2, th) for th in grid) < 0.0
+    region = cp_region(target)
+    # the center has slack r; 1.2 lies outside
+    assert region.slack(0.5) == pytest.approx(0.5, abs=1e-12)
+    assert region.slack(1.2) < 0.0
 
 
 def test_q_hessian_matches_finite_differences():

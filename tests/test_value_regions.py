@@ -16,7 +16,6 @@ from diskflow import (
     GeneratorSpec,
     IntervalRegion,
     beta,
-    caratheodory_extreme,
     caratheodory_min_sharp,
     contact_value,
     denominator_herglotz,
@@ -65,10 +64,9 @@ BOUNDARY = cfg(1.0, [(math.pi, -1.0)])
 def test_disk_region_slack_and_membership():
     d = DiskRegion(1.0 + 0.0j, 2.0)
     assert d.slack(1.0) == pytest.approx(2.0)
-    assert d.contains(3.0)
-    assert d.on_boundary(3.0)
-    assert not d.contains(3.1)
-    assert d.contains(3.0 + 5e-11)  # inside the default edge tolerance
+    assert d.slack(3.0) == 0.0  # on the rim
+    assert d.slack(3.1) == pytest.approx(-0.1)  # outside
+    assert d.slack(3.0 + 5e-11) == pytest.approx(-5e-11, abs=1e-15)
 
 
 def test_disk_region_boundary_samples():
@@ -86,11 +84,9 @@ def test_disk_region_rejects_negative_radius():
 
 def test_interval_region_basics():
     iv = IntervalRegion(0.0, 2.0)
-    assert iv.contains(0.0) and iv.contains(2.0)
-    assert not iv.contains(2.1)
+    assert iv.slack(0.0) == iv.slack(2.0) == 0.0
+    assert iv.slack(2.1) == pytest.approx(-0.1)
     assert iv.slack(0.5) == pytest.approx(0.5)
-    assert not iv.is_singleton()
-    assert IntervalRegion(1.0, 1.0).is_singleton()
     xs = iv.sample(5)
     assert xs[0] == 0.0 and xs[-1] == 2.0
 
@@ -116,7 +112,7 @@ def test_region_Z_contains_origin_value(rng):
     for _ in range(50):
         spec = random_spec(rng, "interior")
         z = region_Z(spec.config)
-        assert z.contains(eval_generator(spec, 0.0), tol=1e-9)
+        assert z.slack(eval_generator(spec, 0.0)) >= -1e-9
 
 
 def test_region_Z_degenerate_at_origin():
@@ -298,7 +294,7 @@ def test_interval_I_contains_lambda(rng):
 
 def test_interval_I_zero_fiber():
     iv = interval_I(BOUNDARY, 0.0)
-    assert iv.is_singleton() and iv.lo == 0.0
+    assert iv.lo == iv.hi == 0.0
 
 
 def test_interval_I_singleton_on_matching_edge_point():
@@ -308,7 +304,7 @@ def test_interval_I_singleton_on_matching_edge_point():
     )
     zeta = 1.0 / pivot.conjugate()
     iv = interval_I(BOUNDARY, zeta)
-    assert iv.is_singleton(tol=1e-12)
+    assert iv.hi - iv.lo <= 1e-12
     assert iv.lo == pytest.approx(1.0 / BOUNDARY.inv_lambda_sum, abs=1e-12)
 
 
@@ -324,7 +320,7 @@ def test_interval_I_trivial_on_other_edge_points():
         if abs(w) < 1e-12 or abs(w - match) < 1e-6:
             continue
         iv = interval_I(BOUNDARY, w)
-        assert iv.is_singleton(tol=1e-12)
+        assert iv.hi - iv.lo <= 1e-12
         assert iv.hi == 0.0
 
 
@@ -451,13 +447,19 @@ def test_caratheodory_min_closed_form():
         assert val == pytest.approx((1.0 + a * a) / 2.0, abs=1e-15)
         expect = -tau.value * (1.0 + 1j * a) / (1.0 - 1j * a)
         assert sigma.value == pytest.approx(expect, abs=1e-12)
+    # extremal_hyperbolic (tau = 1) puts its atom at the minimizer for the
+    # atom's own tilt
+    base = GeneratorSpec(BOUNDARY, AtomicHerglotz(((BoundaryPoint(2.0), 0.5),), 0.7))
+    sigma = extremal_hyperbolic(BOUNDARY, eval_generator(base, 0.0)).p.atoms[0][0]
+    tilt = contact_value(AtomicHerglotz(((sigma, 1.0),)), tau).imag
+    assert caratheodory_min_sharp(tau, tilt)[1] == sigma
 
 
 def test_caratheodory_minimizer_has_prescribed_tilt():
     tau = BoundaryPoint(0.7)
     for a in (0.0, 1.5, -0.8):
         _, sigma = caratheodory_min_sharp(tau, a)
-        tilt = contact_value(caratheodory_extreme(sigma), tau).imag
+        tilt = contact_value(AtomicHerglotz(((sigma, 1.0),)), tau).imag
         assert tilt == pytest.approx(a, abs=1e-12)
 
 
