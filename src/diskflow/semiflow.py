@@ -159,13 +159,13 @@ def _pack(n: int, *parts) -> np.ndarray:
 
     Every right-hand side is built here, so a non-finite one is refused
     here.  A lone orbit's parts are Python complex numbers, checked without
-    numpy's per-call cost.
+    numpy's per-call cost; a lone array part is fresh and needs no copy.
     """
     if n == 1:
         finite = all(map(cmath.isfinite, parts))
         y = np.array(parts)
     else:
-        y = np.concatenate(parts)
+        y = np.concatenate(parts) if len(parts) > 1 else parts[0]
         finite = np.isfinite(y).all()
     if not finite:
         raise DomainError("the right-hand side of the flow is not finite along the orbit")
