@@ -314,6 +314,7 @@ def cmd_flow(args) -> int:
     report = {
         "derivative": complex_to_obj(trajectory.derivatives[-1]),
         "endpoint": complex_to_obj(trajectory.points[-1]),
+        "rhs_calls": trajectory.rhs_calls,
         "samples": samples,
         "t": horizon,
         "z0": complex_to_obj(z0),

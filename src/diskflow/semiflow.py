@@ -23,14 +23,24 @@ along the radius z = r sigma tends to phi'(sigma) as r -> 1, and a
 Richardson step in h = 1 - r removes the first-order error.  The whole
 radius ladder is one array of start points, hence one IVP.
 
-The numerics are module constants, not options: RK45 at REL_TOL = 1e-10
-and ABS_TOL = 1e-12 with steps of at most MAX_STEP = 0.01, stopped when an
-orbit comes within BOUNDARY_GUARD = 1e-13 of the circle, and the Richardson
-ladder RADII, r = 1 - 2^-k for k = 4..14, held to ESTIMATE_TOL = 1e-3: its
-final two extrapolants must agree within 10 * ESTIMATE_TOL (relative above
-1).  A horizon t takes at least t / MAX_STEP steps, so one beyond
-MAX_STEPS * MAX_STEP = 100 is refused.  A right-hand side that is not
-finite raises DomainError: on a NaN the solver's step control never ends.
+The numerics are module constants, not options: DOP853 (the Dormand-Prince
+8(5,3) pair with its 7th-order dense output) at REL_TOL = 1e-10 and
+ABS_TOL = 1e-12, with no cap on the step, stopped when an orbit comes
+within BOUNDARY_GUARD = 1e-13 of the circle, and the Richardson ladder
+RADII, r = 1 - 2^-k for k = 4..14, held to ESTIMATE_TOL = 1e-3: its final
+two extrapolants must agree within 10 * ESTIMATE_TOL (relative above 1).
+
+Error control chooses every step, so a solve's work is bounded by its
+right-hand-side calls, not by its horizon: each solve may make at most
+MAX_RHS_CALLS of them and raises DomainError when the budget runs out.
+Near an attracting point stability still limits an explicit step to a
+time unit or two, so a long horizon costs work in proportion to t.
+
+A trial stage that leaves the disk (or is NaN) is a rejected step, not an
+error: the right-hand side returns NaN there, the error norm turns NaN and
+the solver shrinks the step.  A right-hand side that is not finite at a
+point inside the disk raises DomainError: on a NaN the solver's step
+control never ends.
 
 scipy.integrate is imported inside _solve, on the first solve, not with
 this module: it takes most of the package's import time, and the closed-form
@@ -62,10 +72,9 @@ from .herglotz_core import BoundaryPoint
 
 REL_TOL = 1e-10
 ABS_TOL = 1e-12
-MAX_STEP = 0.01
 BOUNDARY_GUARD = 1e-13
-# a horizon t takes at least t / MAX_STEP steps; one needing more is refused
-MAX_STEPS = 10**4
+# most right-hand-side calls one solve makes: 2 to 3 s for one orbit on 2 vCPUs
+MAX_RHS_CALLS = 10**5
 # most sample points flow_trajectory allocates
 MAX_SAMPLES = 10**6
 RADII = tuple(1.0 - 2.0**-k for k in range(4, 15))
@@ -79,6 +88,7 @@ class Trajectory:
     times: tuple[float, ...]
     points: tuple[complex, ...]
     derivatives: tuple[complex, ...] | None = None
+    rhs_calls: int = 0
 
     def __post_init__(self) -> None:
         if len(self.times) != len(self.points):
@@ -94,15 +104,32 @@ def _solve(
     t_final: float,
     t_eval: np.ndarray | None = None,
 ):
-    """Integrate a system whose first ``n_orbits`` components are orbit points."""
-    if t_final > MAX_STEPS * MAX_STEP:
-        raise DomainError(
-            f"horizon {t_final!r} exceeds {MAX_STEPS * MAX_STEP!r}: "
-            f"it needs more than {MAX_STEPS} steps of at most {MAX_STEP}"
-        )
+    """Integrate a system whose first ``n_orbits`` components are orbit points.
+
+    Returns the solution and the number of right-hand-side calls it took,
+    at most MAX_RHS_CALLS.
+    """
     from scipy.integrate import solve_ivp
 
     guard = 1.0 - BOUNDARY_GUARD
+    calls = 0
+
+    def counted(t: float, y: np.ndarray) -> np.ndarray:
+        nonlocal calls
+        if calls == MAX_RHS_CALLS:
+            raise DomainError(
+                f"the solve to t = {t_final!r} ran out of its budget of "
+                f"{MAX_RHS_CALLS} right-hand-side calls at t = {float(t)!r}"
+            )
+        calls += 1
+        try:
+            return rhs(t, y)
+        except DomainError:
+            # the generator refuses a stage off the disk, and _pack one that
+            # is NaN after such a stage: a NaN value rejects the step
+            if not np.abs(y[:n_orbits]).max() < 1.0:
+                return np.full_like(y, np.nan)
+            raise
 
     def escape(t: float, y: np.ndarray) -> float:
         return np.abs(y[:n_orbits]).max() - guard
@@ -110,22 +137,23 @@ def _solve(
     escape.terminal = True
     escape.direction = 1.0
 
-    sol = solve_ivp(
-        rhs,
-        (0.0, t_final),
-        y0,
-        method="RK45",
-        rtol=REL_TOL,
-        atol=ABS_TOL,
-        max_step=MAX_STEP,
-        t_eval=t_eval,
-        events=[escape],
-    )
+    # a rejected off-disk stage carries NaN through the solver's arithmetic
+    with np.errstate(invalid="ignore"):
+        sol = solve_ivp(
+            counted,
+            (0.0, t_final),
+            y0,
+            method="DOP853",
+            rtol=REL_TOL,
+            atol=ABS_TOL,
+            t_eval=t_eval,
+            events=[escape],
+        )
     if sol.status == 1:
         raise BoundaryEscape("orbit reached the boundary guard radius")
     if sol.status != 0:
         raise StepFailure(f"integrator failed: {sol.message}")
-    return sol
+    return sol, calls
 
 
 def _start_points(z0) -> np.ndarray:
@@ -200,7 +228,7 @@ def integrate_flow(gen: GeneratorLike, z0, t: float):
     n = len(z)
     if t == 0.0 or n == 0:
         return _like_input(z0, z)
-    sol = _solve(_flow_rhs(gen, n), z, n, t)
+    sol, _ = _solve(_flow_rhs(gen, n), z, n, t)
     return _like_input(z0, sol.y[:, -1])
 
 
@@ -216,7 +244,7 @@ def integrate_flow_with_derivative(gen: GeneratorLike, z0, t: float):
     ones = np.ones(n, dtype=complex)
     if t == 0.0 or n == 0:
         return _like_input(z0, z), _like_input(z0, ones)
-    sol = _solve(_variational_rhs(gen, n), np.concatenate((z, ones)), n, t)
+    sol, _ = _solve(_variational_rhs(gen, n), np.concatenate((z, ones)), n, t)
     return _like_input(z0, sol.y[:n, -1]), _like_input(z0, sol.y[n:, -1])
 
 
@@ -231,11 +259,12 @@ def flow_trajectory(
         raise DomainError(f"samples must lie in [2, {MAX_SAMPLES}], got {samples!r}")
     grid = np.linspace(0.0, t, samples)
     y0 = np.concatenate((z, np.ones(1, dtype=complex)))
-    sol = _solve(_variational_rhs(gen, 1), y0, 1, t, t_eval=grid)
+    sol, calls = _solve(_variational_rhs(gen, 1), y0, 1, t, t_eval=grid)
     return Trajectory(
         tuple(float(s) for s in sol.t),
         tuple(complex(w) for w in sol.y[0]),
         tuple(complex(w) for w in sol.y[1]),
+        calls,
     )
 
 

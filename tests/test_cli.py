@@ -541,16 +541,30 @@ def test_unknown_config_key_exits_2(tmp_path, capsys, command, cfg, needle):
 def test_flow_horizon_beyond_the_step_bound_exits_3(tmp_path):
     cfg = write_json(tmp_path / "cfg_flow.json", dict(_FLOW_CONFIG, t=1e9))
     out = tmp_path / "out"
-    # the step cap makes t = 1e9 about 1e11 steps, so a solve would not end
+    # t = 1e9 needs far more steps than the right-hand-side budget allows
     res = run("flow", "--config", cfg, "--out", str(out), timeout=60)
     assert res.returncode == 3, res.stderr
-    assert "horizon" in res.stderr
+    assert "right-hand-side calls" in res.stderr
     assert list(out.iterdir()) == []
+
+
+def test_flow_horizon_past_a_hundred_completes(tmp_path):
+    from diskflow import cli
+    from diskflow.semiflow import MAX_RHS_CALLS
+
+    # near the attracting tau = 0 error control takes steps of about a time
+    # unit, so t = 101 costs a few thousand right-hand sides and ends at tau
+    cfg = write_json(tmp_path / "cfg_flow.json", dict(_FLOW_CONFIG, t=101.0))
+    out = tmp_path / "out"
+    assert cli.main(["flow", "--format", "json", "--config", cfg, "--out", str(out)]) == 0
+    report = json.loads((out / "flow.json").read_text())
+    assert abs(complex(report["endpoint"]["re"], report["endpoint"]["im"])) <= 1e-12
+    assert 0 < report["rhs_calls"] <= MAX_RHS_CALLS
 
 
 def test_flow_non_finite_right_hand_side_exits_3(tmp_path):
     # with an atom of mass 1e300, q**2 overflows in G' while G stays finite,
-    # so the variational right-hand side turns NaN, on which RK45 never ends
+    # so the variational right-hand side turns NaN inside the disk, which is refused
     generator = dict(_FLOW_CONFIG["generator"], p={"atoms": [{"theta": 3.0, "mass": 1e300}]})
     cfg = write_json(tmp_path / "cfg_flow.json", dict(_FLOW_CONFIG, generator=generator))
     out = tmp_path / "out"

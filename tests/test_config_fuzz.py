@@ -2,8 +2,10 @@
 
 Each example takes one config of tests/golden_cli.json and mutates it once
 at any depth: it drops a key or list entry, renames a key, or replaces a
-value with a small JSON value.  cli.main must then return 0, 2, 3 or 4 and
-let no exception escape.
+value with a small JSON value.  cli.main must then return 0, 2, 3 or 4,
+let no exception escape, and return within MUTATION_SECONDS: every solve is
+bounded by the semiflow's right-hand-side budget, so a hang shows as a
+failure, not as a stuck suite.
 """
 
 import contextlib
@@ -11,6 +13,7 @@ import io
 import json
 import pathlib
 import tempfile
+import time
 
 import pytest
 from hypothesis import given
@@ -20,6 +23,7 @@ from diskflow import cli
 
 GOLDEN = json.loads(pathlib.Path(__file__).with_name("golden_cli.json").read_text())
 CONFIGS = sorted(name for name, case in GOLDEN.items() if case["config"] is not None)
+MUTATION_SECONDS = 20.0
 
 SMALL_JSON = st.one_of(
     st.none(), st.booleans(), st.integers(-3, 3), st.text(max_size=4), st.just([]), st.just({}),
@@ -66,6 +70,9 @@ def test_mutated_golden_config_exits_with_a_documented_code(name, data):
         path = pathlib.Path(tmp) / "config.json"
         path.write_text(json.dumps(config))
         argv = case["argv"] + ["--config", str(path), "--out", str(pathlib.Path(tmp) / "out")]
+        start = time.perf_counter()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             code = cli.main(argv)
+        elapsed = time.perf_counter() - start
     assert code in (0, 2, 3, 4), config
+    assert elapsed < MUTATION_SECONDS, (elapsed, config)

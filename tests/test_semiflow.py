@@ -27,6 +27,7 @@ from diskflow import (
     julia_quotient_estimate,
     random_spec,
 )
+from diskflow.semiflow import MAX_RHS_CALLS
 
 KOENIGS = GeneratorSpec(
     FixedPointConfig(0.0, (BoundaryPoint(0.0),), (-2.0,)), AtomicHerglotz()
@@ -37,17 +38,22 @@ def koenigs_map(z):
     return z / (1.0 - z) ** 2
 
 
-def koenigs_flow(z, t):
-    """Invert h(w) = exp(-4t) h(z) on the branch staying in the disk."""
-    target = math.exp(-4.0 * t) * koenigs_map(z)
-    # w^2 target - (1 + 2 target) w + target = 0
-    a = target
-    b = -(1.0 + 2.0 * target)
-    disc = cmath.sqrt(b * b - 4.0 * a * target)
-    for w in ((-b + disc) / (2 * a), (-b - disc) / (2 * a)):
-        if abs(w) < 1.0:
-            return w
-    raise AssertionError("no interior root")
+def koenigs_orbit(z, t):
+    """(phi_t(z), d phi_t/dz) from h(w) = exp(-4t) h(z) on the branch in the disk.
+
+    With c = exp(-4t) h(z) the point solves c w^2 - (1 + 2c) w + c = 0, whose
+    roots multiply to 1.  The root 2c / (1 + 2c + sqrt(1 + 4c)) has no
+    cancellation when c is small, so the oracle keeps its digits as t grows.
+    """
+    decay = math.exp(-4.0 * t)
+    c = decay * koenigs_map(z)
+    w = 2.0 * c / (1.0 + 2.0 * c + cmath.sqrt(1.0 + 4.0 * c))
+    w = min(w, 1.0 / w, key=abs)
+
+    def h_prime(v):
+        return (1.0 + v) / (1.0 - v) ** 3
+
+    return w, decay * h_prime(z) / h_prime(w)
 
 
 def test_spectral_value_of_oracle_case():
@@ -68,7 +74,7 @@ def test_flow_against_conjugacy_oracle():
     assert got == pytest.approx(0.43220718724561547, abs=1e-8)
     for t in (0.05, 0.3, 1.0):
         assert integrate_flow(KOENIGS, z0, t) == pytest.approx(
-            koenigs_flow(z0, t), abs=1e-8
+            koenigs_orbit(z0, t)[0], abs=1e-8
         )
 
 
@@ -91,10 +97,11 @@ def test_flow_rejects_non_finite_time(t):
 
 
 def test_flow_refuses_a_horizon_beyond_the_step_bound():
-    # MAX_STEP = 0.01 and MAX_STEPS = 10**4 allow horizons up to 100
+    # near the attracting tau = 0 stability limits a step to about a time
+    # unit, so t = 1e9 needs far more than MAX_RHS_CALLS right-hand sides
     for flow in (integrate_flow, integrate_flow_with_derivative, flow_trajectory):
-        with pytest.raises(DomainError, match="horizon"):
-            flow(KOENIGS, 0.3, 101.0)
+        with pytest.raises(DomainError, match=f"budget of {MAX_RHS_CALLS} right-hand-side calls"):
+            flow(KOENIGS, 0.3, 1e9)
 
 
 def test_flow_rejects_non_finite_start():
@@ -167,6 +174,17 @@ def test_batched_orbit_escape_stops_the_whole_batch():
         integrate_flow_with_derivative(ESCAPING, np.array([-0.99, 0.99]), t)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("z0", [0.995, 0.999, 0.9999])
+def test_a_trial_stage_off_the_disk_is_a_rejected_step(z0):
+    # the orbit tanh(5t + atanh z0) stays inside the disk, but the initial
+    # step probe and the first trial stages land past |z| = 1
+    t = 0.5
+    assert integrate_flow(ESCAPING, z0, t) == pytest.approx(
+        math.tanh(5.0 * t + math.atanh(z0)), abs=1e-9
+    )
+
+
 def test_batched_flow_rejects_any_start_outside_the_disk():
     outside = np.array([0.2, 0.5j, 1.0])
     with pytest.raises(DomainError):
@@ -195,10 +213,25 @@ def test_trajectory_shape_and_monotone_times():
     assert tr.derivatives[0] == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("t", [1.0, 5.0])
+def test_trajectory_samples_meet_the_oracle(t):
+    # every sample point within 1e-10.  The derivative decays like exp(-4t),
+    # to 4e-9 at t = 5, where ABS_TOL = 1e-12 rules its error, hence the
+    # absolute floors: a dense-output sample within 1e-9 relative, the end
+    # point (a step end, not interpolated) within 1e-10 relative
+    tr = flow_trajectory(KOENIGS, 0.5, t, samples=200)
+    for s, w, dw in zip(tr.times, tr.points, tr.derivatives):
+        w_ref, dw_ref = koenigs_orbit(0.5, s)
+        assert abs(w - w_ref) <= 1e-10
+        assert abs(dw - dw_ref) <= 1e-9 * abs(dw_ref) + 1e-11
+    assert abs(tr.derivatives[-1] - dw_ref) <= 1e-10 * abs(dw_ref) + 1e-13
+    assert 0 < tr.rhs_calls <= MAX_RHS_CALLS
+
+
 def test_trajectory_follows_oracle():
     tr = flow_trajectory(KOENIGS, 0.5, 0.5, samples=11)
     for t, w in zip(tr.times, tr.points):
-        assert w == pytest.approx(koenigs_flow(0.5, t) if t else 0.5, abs=1e-7)
+        assert w == pytest.approx(koenigs_orbit(0.5, t)[0] if t else 0.5, abs=1e-7)
 
 
 # ----------------------------------------------------------------------
