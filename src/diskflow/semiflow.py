@@ -83,7 +83,10 @@ ESTIMATE_TOL = 1e-3
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Sampled orbit; derivatives are d phi_t/dz along it when requested."""
+    """Sampled orbit; derivatives are d phi_t/dz along it when requested.
+
+    rhs_calls counts the right-hand-side calls of the solve behind it.
+    """
 
     times: tuple[float, ...]
     points: tuple[complex, ...]
