@@ -33,7 +33,7 @@ import os
 import sys
 from typing import Callable
 
-import numpy as np
+from ._lazy import np
 
 from .errors import DiskflowError, DomainError
 from .generator import FixedPointConfig, GeneratorSpec, tau_regime

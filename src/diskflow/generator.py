@@ -34,7 +34,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
-import numpy as np
+from ._lazy import np
 
 from .errors import DegenerateConfig, DomainError
 from .herglotz_core import (

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from operator import itemgetter
 
-import numpy as np
+from ._lazy import np
 
 from .errors import AtomAtPoint, DomainError, QuadratureFailure
 

@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-import numpy as np
+from ._lazy import np
 
 from .errors import DegenerateConfig, DomainError, NormalizationError, TargetMismatch
 from .generator import (

@@ -55,7 +55,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
+from ._lazy import np
 
 from .errors import (
     BoundaryEscape,

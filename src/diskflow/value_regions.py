@@ -36,7 +36,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-import numpy as np
+from ._lazy import np
 
 from .errors import DegenerateConfig, DivisionByZero, DomainError
 from .generator import (

@@ -1,5 +1,5 @@
 """Every module of the package uses each name it imports, every public name
-it defines has a caller, and none loads scipy.
+it defines has a caller, none loads scipy, and numpy loads on first use.
 
 No linter ships with the project, so this is the unused-import check: a
 name bound by an import at any level of a module under src/diskflow/ must
@@ -16,6 +16,15 @@ quadrature: importing scipy.integrate takes most of the package's start-up
 time, which the commands that never integrate should not pay.  An import of
 scipy outside a function body fails the check below, and a fresh
 interpreter running region, cowen-pommerenke and verify must not load it.
+
+numpy is bound once, in _lazy, which registers a lazy numpy module when
+nothing has imported numpy yet; every other module takes np from there and
+none has a numpy import statement, since on Python 3.11 one executes the
+lazy module.  A fresh interpreter that imports diskflow and diskflow.cli
+and runs region for every kind and format loads no numpy submodule; verify,
+cowen-pommerenke and flow then load numpy and succeed.  After its first use
+np is the plain numpy module in every diskflow module, and a numpy imported
+before diskflow is used as it is.
 """
 
 import ast
@@ -154,13 +163,16 @@ def test_every_public_name_has_a_caller():
     assert {name.split(".")[1] for name in unread} == set(AWAITING_CALLER), unread
 
 
-def import_time_scipy(source: str) -> list[str]:
-    """scipy imports that run when the module is imported, i.e. outside functions."""
+def imports_of(source: str, package: str, in_functions: bool) -> list[str]:
+    """Import statements of package or its submodules; with ``in_functions``
+    false, only those that run when the module is imported (outside functions)."""
     found: list[str] = []
 
     def visit(node: ast.AST) -> None:
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            if not in_functions and isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+            ):
                 continue
             if isinstance(child, ast.Import):
                 modules = [alias.name for alias in child.names]
@@ -169,7 +181,7 @@ def import_time_scipy(source: str) -> list[str]:
             else:
                 modules = []
             found.extend(
-                f"line {child.lineno}: {m}" for m in modules if m.split(".")[0] == "scipy"
+                f"line {child.lineno}: {m}" for m in modules if m.split(".")[0] == package
             )
             visit(child)
 
@@ -188,7 +200,7 @@ def test_checker_flags_an_import_time_scipy_import():
         "    from scipy.integrate import solve_ivp\n"
         "    return solve_ivp\n"
     )
-    assert import_time_scipy(source) == [
+    assert imports_of(source, "scipy", in_functions=False) == [
         "line 1: scipy.integrate",
         "line 2: scipy",
         "line 5: scipy.integrate",
@@ -197,7 +209,49 @@ def test_checker_flags_an_import_time_scipy_import():
 
 @pytest.mark.parametrize("path", ALL_MODULES, ids=[p.stem for p in ALL_MODULES])
 def test_module_imports_scipy_only_inside_functions(path):
-    assert import_time_scipy(path.read_text()) == []
+    assert imports_of(path.read_text(), "scipy", in_functions=False) == []
+
+
+def test_checker_flags_a_numpy_import_at_any_level():
+    source = (
+        "import numpy as np\n"
+        "from numpy.random import default_rng\n"
+        "import numpyx\n"
+        "from ._lazy import np\n"
+        "class A:\n"
+        "    from numpy import pi\n"
+        "def f():\n"
+        "    import numpy.linalg\n"
+        "    return numpy.linalg\n"
+    )
+    assert imports_of(source, "numpy", in_functions=True) == [
+        "line 1: numpy",
+        "line 2: numpy.random",
+        "line 6: numpy",
+        "line 8: numpy.linalg",
+    ]
+
+
+# On Python 3.11 an import statement for numpy reads the lazy module's
+# __spec__, which executes numpy: every module takes np from _lazy, and
+# _lazy finds numpy by name.
+@pytest.mark.parametrize("path", ALL_MODULES, ids=[p.stem for p in ALL_MODULES])
+def test_module_has_no_numpy_import_statement(path):
+    assert imports_of(path.read_text(), "numpy", in_functions=True) == []
+
+
+def _fresh(script: str, *args: str) -> dict:
+    """Run script in a fresh interpreter on src/; its last line of output, as JSON."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(PACKAGE.parent), env.get("PYTHONPATH")) if p
+    )
+    res = subprocess.run(
+        [sys.executable, "-c", script, *args],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert res.returncode == 0, res.stderr
+    return json.loads(res.stdout.splitlines()[-1])
 
 
 _SESSION = """
@@ -226,34 +280,114 @@ print(json.dumps({
 """
 
 
+_CP_CONFIG = {"tau": {"re": 0.0, "im": 0.0}, "sigmas": [0.0, math.pi],
+              "target": [math.e, math.e], "fields": 4, "sweep": 4}
+_FLOW_CONFIG = {"generator": {"tau": {"re": 0.0, "im": 0.0}, "sigmas": [0.0], "lambdas": [-2.0]},
+                "z0": {"re": 0.5, "im": 0.0}, "t": 0.1}
+
+
 def test_commands_that_never_integrate_do_not_load_scipy(tmp_path):
     configs = {
         "region": {"kind": "interior", "tau": {"re": 0.5, "im": 0.0},
                    "sigmas": [0.0], "lambdas": [-1.0]},
-        "cp": {"tau": {"re": 0.0, "im": 0.0}, "sigmas": [0.0, math.pi],
-               "target": [math.e, math.e], "fields": 4, "sweep": 4},
-        "flow": {"generator": {"tau": {"re": 0.0, "im": 0.0}, "sigmas": [0.0],
-                               "lambdas": [-2.0]},
-                 "z0": {"re": 0.5, "im": 0.0}, "t": 0.1},
+        "cp": _CP_CONFIG,
+        "flow": _FLOW_CONFIG,
     }
     paths = []
     for name, cfg in configs.items():
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(cfg))
         paths.append(str(path))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(PACKAGE.parent), env.get("PYTHONPATH")) if p
-    )
-    res = subprocess.run(
-        [sys.executable, "-c", _SESSION, *paths, str(tmp_path / "out")],
-        capture_output=True, text=True, env=env, timeout=300,
-    )
-    assert res.returncode == 0, res.stderr
-    report = json.loads(res.stdout.splitlines()[-1])
+    report = _fresh(_SESSION, *paths, str(tmp_path / "out"))
     assert report["after_import"] == []
     assert report["codes"] == [0, 0, 0]
     assert report["after_commands"] == []
     # flow integrates, so it loads scipy.integrate on first use and succeeds
     assert report["flow_code"] == 0
     assert report["after_flow"] is True
+
+
+# The lazy numpy module sits in sys.modules before numpy loads, so a loaded
+# numpy shows as its submodules.
+_NUMPY_SESSION = """
+import json, sys
+
+def numpy_modules():
+    return sorted(m for m in sys.modules if m.startswith("numpy."))
+
+regions, cp, flow, out = sys.argv[1:]
+report = {}
+import diskflow
+report["import diskflow"] = numpy_modules()
+import diskflow.cli
+report["import diskflow.cli"] = numpy_modules()
+report["region codes"] = [
+    diskflow.cli.main(["region", "--format", fmt, "--config", path, "--out", out])
+    for path in json.loads(regions)
+    for fmt in ("json", "csv", "svg")
+]
+report["region"] = numpy_modules()
+report["codes"] = [
+    diskflow.cli.main(["verify", "--samples", "20", "--out", out]),
+    diskflow.cli.main(["cowen-pommerenke", "--config", cp, "--out", out]),
+    diskflow.cli.main(["flow", "--config", flow, "--out", out]),
+]
+report["numpy"] = type(sys.modules["numpy"]).__name__
+report["loaded"] = "numpy.linalg" in sys.modules
+print(json.dumps(report))
+"""
+
+
+def test_import_and_region_do_not_load_numpy(tmp_path):
+    from test_golden_cli import CASES
+
+    regions = []
+    for name, _, config, _ in CASES:
+        if name.startswith("region-"):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(config))
+            regions.append(str(path))
+    assert len(regions) == 4
+    cp = tmp_path / "cp.json"
+    cp.write_text(json.dumps(_CP_CONFIG))
+    flow = tmp_path / "flow.json"
+    flow.write_text(json.dumps(_FLOW_CONFIG))
+    report = _fresh(_NUMPY_SESSION, json.dumps(regions), str(cp), str(flow),
+                    str(tmp_path / "out"))
+    assert report["import diskflow"] == []
+    assert report["import diskflow.cli"] == []
+    assert report["region codes"] == [0] * 12
+    assert report["region"] == []
+    # the array commands load numpy on first use and succeed
+    assert report["codes"] == [0, 0, 0]
+    assert report["numpy"] == "module"
+    assert report["loaded"] is True
+
+
+_FIRST_USE = """
+import json, sys, types
+if sys.argv[1] == "numpy":
+    import numpy
+from diskflow import _lazy, herglotz_core as hc, semiflow
+
+report = {"bound": _lazy.np is sys.modules["numpy"],
+          "plain before": type(hc.np) is types.ModuleType}
+p = hc.AtomicHerglotz(((hc.BoundaryPoint(0.0), 1.0),))
+w = hc.eval_herglotz(p, 0.5)
+report["value"] = [w.real, w.imag]
+report["plain"] = type(hc.np) is types.ModuleType
+report["shared"] = semiflow.np is hc.np is sys.modules["numpy"]
+print(json.dumps(report))
+"""
+
+
+@pytest.mark.parametrize("first", ["numpy", "diskflow"])
+def test_lazy_numpy_is_the_plain_module_after_first_use(first):
+    report = _fresh(_FIRST_USE, first)
+    assert report["bound"] is True
+    # numpy imported first (as the benchmark worker does) is used as it is
+    assert report["plain before"] is (first == "numpy")
+    assert report["value"] == [3.0, 0.0]
+    # no proxy is left on the hot path once numpy has loaded
+    assert report["plain"] is True
+    assert report["shared"] is True
