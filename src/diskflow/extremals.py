@@ -17,29 +17,28 @@ candidate family when the measure is a single Dirac.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import DegenerateConfig, DomainError, NormalizationError, WeightError
 from .generator import (
     FixedPointConfig,
     GeneratorSpec,
     brfp_spectral_value,
 )
-from .herglotz_core import AtomicHerglotz, BoundaryPoint, extract_atom
+from .herglotz_core import AtomicHerglotz, BoundaryPoint, _Record, extract_atom
 
 
-@dataclass(frozen=True)
-class ExtremeCandidate:
+class ExtremeCandidate(_Record):
     """Necessary form of an extreme point with all spectral data pinned:
     free summand i*b plus at most n-1 atoms off the repelling set."""
 
-    config: FixedPointConfig
-    b: float
-    free_atoms: tuple[tuple[BoundaryPoint, float], ...] = ()
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "b", float(self.b))
-        object.__setattr__(self, "free_atoms", tuple(self.free_atoms))
+    def __init__(
+        self,
+        config: FixedPointConfig,
+        b: float,
+        free_atoms: tuple[tuple[BoundaryPoint, float], ...] = (),
+    ) -> None:
+        object.__setattr__(self, "config", config)
+        object.__setattr__(self, "b", float(b))
+        object.__setattr__(self, "free_atoms", tuple(free_atoms))
         if len(self.free_atoms) > self.config.n - 1:
             raise DomainError(
                 f"at most {self.config.n - 1} free atoms allowed, got {len(self.free_atoms)}"

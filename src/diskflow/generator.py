@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
 from functools import cached_property
 
 from ._lazy import np
@@ -41,6 +40,7 @@ from .herglotz_core import (
     AtomicHerglotz,
     BoundaryPoint,
     RationalHerglotz,
+    _Record,
     eval_herglotz,
     extract_atom,
     herglotz_derivative,
@@ -93,18 +93,15 @@ def config_sums(
     return alphas, sum(alphas), cap_b, sum([1.0 / abs(v) for v in lambdas])
 
 
-@dataclass(frozen=True)
-class FixedPointConfig:
+class FixedPointConfig(_Record):
     """(tau, sigma_1..sigma_n, lambda_1..lambda_n) with derived quantities."""
 
-    tau: complex
-    sigmas: tuple[BoundaryPoint, ...]
-    lambdas: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "tau", complex(self.tau))
-        object.__setattr__(self, "sigmas", tuple(self.sigmas))
-        object.__setattr__(self, "lambdas", tuple(float(v) for v in self.lambdas))
+    def __init__(
+        self, tau: complex, sigmas: tuple[BoundaryPoint, ...], lambdas: tuple[float, ...]
+    ) -> None:
+        object.__setattr__(self, "tau", complex(tau))
+        object.__setattr__(self, "sigmas", tuple(sigmas))
+        object.__setattr__(self, "lambdas", tuple(float(v) for v in lambdas))
         if not cmath.isfinite(self.tau) or not all(map(math.isfinite, self.lambdas)):
             raise DomainError("tau and the spectral values must be finite")
         if len(self.sigmas) == 0:
@@ -175,12 +172,16 @@ class FixedPointConfig:
         return AtomicHerglotz(tuple(zip(self.sigmas, self.alphas)), 0.0)
 
 
-@dataclass(frozen=True)
-class GeneratorSpec:
+# the default p and p*: one object serves every spec, as it is immutable
+_NO_ATOMS = AtomicHerglotz()
+
+
+class GeneratorSpec(_Record):
     """A generator of the class over ``config`` selected by a Herglotz p."""
 
-    config: FixedPointConfig
-    p: AtomicHerglotz = field(default_factory=AtomicHerglotz)
+    def __init__(self, config: FixedPointConfig, p: AtomicHerglotz = _NO_ATOMS) -> None:
+        object.__setattr__(self, "config", config)
+        object.__setattr__(self, "p", p)
 
     @cached_property
     def denominator_atoms(self) -> tuple[np.ndarray, np.ndarray]:
@@ -196,21 +197,19 @@ class GeneratorSpec:
         )
 
 
-@dataclass(frozen=True)
-class BerksonPortaSpec:
+class BerksonPortaSpec(_Record):
     """Raw product form (tau - z)(1 - conj(tau) z) (p*(z) + const).
 
     The nonnegative real ``const`` extends the atomic type to constants with
     positive real part (an atomic measure alone cannot represent them).
     """
 
-    tau: complex
-    pstar: AtomicHerglotz = field(default_factory=AtomicHerglotz)
-    const: float = 0.0
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "tau", complex(self.tau))
-        object.__setattr__(self, "const", float(self.const))
+    def __init__(
+        self, tau: complex, pstar: AtomicHerglotz = _NO_ATOMS, const: float = 0.0
+    ) -> None:
+        object.__setattr__(self, "tau", complex(tau))
+        object.__setattr__(self, "pstar", pstar)
+        object.__setattr__(self, "const", float(const))
         tau_regime(self.tau)  # DomainError beyond the circle
         if self.const < 0.0:
             raise DomainError("constant part must be nonnegative")

@@ -27,13 +27,21 @@ z-derivatives of the kernels,
 so p = i*gamma + (k=0), p' = (k=1), p'' = (k=2), and the boundary
 functionals are the same sums at a point of the circle.  The evaluation
 functions take a scalar or a 1-D array of points.
+
+The package's value objects (boundary points, Herglotz functions,
+configurations, specs, regions, records) derive from _Record: immutable,
+with the fields, equality, hash and repr a frozen dataclass would give
+them, the fields being the parameters of each class's own __init__.  The
+dataclasses module is not used because a start that only evaluates a
+region would pay for it: importing it loads inspect, ast, dis and
+tokenize, and decorating the classes executes about 83 generated methods,
+together about 25 of the 35 ms that importing diskflow.cli took.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
 from functools import cached_property
 from operator import itemgetter
 
@@ -54,6 +62,39 @@ def angle_gap(a: float, b: float) -> float:
     return min(d, TWO_PI - d)
 
 
+class _Record:
+    """Immutable value object whose fields are the parameters of its __init__.
+
+    ``__init__`` sets each field with object.__setattr__; cached_property
+    still works, since it writes the instance dict directly.
+    """
+
+    def __init_subclass__(cls) -> None:
+        code = cls.__init__.__code__
+        cls._fields = code.co_varnames[1 : code.co_argcount]
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+
 def circle_angle(theta: float) -> float:
     """theta reduced to [0, 2*pi), as BoundaryPoint stores it.
 
@@ -68,8 +109,7 @@ def circle_angle(theta: float) -> float:
     return t
 
 
-@dataclass(frozen=True)
-class BoundaryPoint:
+class BoundaryPoint(_Record):
     """A point of the unit circle stored as an angle in [0, 2*pi).
 
     Storing the angle keeps |value| = 1 exact by construction.  Equality is
@@ -77,10 +117,8 @@ class BoundaryPoint:
     integer multiple of 2*pi within 1e-12.
     """
 
-    theta: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "theta", circle_angle(self.theta))
+    def __init__(self, theta: float) -> None:
+        object.__setattr__(self, "theta", circle_angle(theta))
 
     @classmethod
     def from_complex(cls, w: complex) -> "BoundaryPoint":
@@ -109,8 +147,7 @@ class BoundaryPoint:
         return 0
 
 
-@dataclass(frozen=True)
-class AtomicHerglotz:
+class AtomicHerglotz(_Record):
     """A Herglotz function given by finitely many boundary atoms plus i*gamma.
 
     Construction normalizes the atoms so that they depend only on the
@@ -123,8 +160,14 @@ class AtomicHerglotz:
     increasing, and consecutive atoms bound the arcs `reciprocal` solves on.
     """
 
-    atoms: tuple[tuple[BoundaryPoint, float], ...] = field(default_factory=tuple)
-    gamma: float = 0.0
+    # The normalization stays a method of its own, looked up on the instance:
+    # the benchmark's tracer wraps AtomicHerglotz.__post_init__ to count it.
+    def __init__(
+        self, atoms: tuple[tuple[BoundaryPoint, float], ...] = (), gamma: float = 0.0
+    ) -> None:
+        object.__setattr__(self, "atoms", atoms)
+        object.__setattr__(self, "gamma", gamma)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         atoms = []
@@ -177,7 +220,6 @@ class AtomicHerglotz:
         return not self.atoms
 
 
-@dataclass(frozen=True)
 class RationalHerglotz(AtomicHerglotz):
     """Atomic Herglotz function with at least one atom, all masses positive.
 

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from functools import cached_property
 
 from ._lazy import np
@@ -43,6 +42,7 @@ from .generator import (
 from .herglotz_core import (
     AtomicHerglotz,
     BoundaryPoint,
+    _Record,
     angle_gap,
     contact_value,
     herglotz_kernel,
@@ -64,8 +64,7 @@ def _modulus_sum(spec: GeneratorSpec) -> float:
     return sum(abs(brfp_spectral_value(spec, k)) for k in range(spec.config.n))
 
 
-@dataclass(frozen=True)
-class PiecewiseField:
+class PiecewiseField(_Record):
     """Concatenation of generator specs over one fixed-point skeleton.
 
     segments is a tuple of (duration, spec) pairs, run in order.  All
@@ -74,13 +73,11 @@ class PiecewiseField:
     (within 1e-12); strict=False relaxes this to <= 1.
     """
 
-    segments: tuple[tuple[float, GeneratorSpec], ...]
-    strict: bool = True
-
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "segments", tuple((float(d), s) for d, s in self.segments)
-        )
+    def __init__(
+        self, segments: tuple[tuple[float, GeneratorSpec], ...], strict: bool = True
+    ) -> None:
+        object.__setattr__(self, "segments", tuple((float(d), s) for d, s in segments))
+        object.__setattr__(self, "strict", strict)
         if not self.segments:
             raise DomainError("a field needs at least one segment")
         if any(d <= 0.0 for d, _ in self.segments):
@@ -117,14 +114,11 @@ class PiecewiseField:
         return sum(d for d, _ in self.segments)
 
 
-@dataclass(frozen=True)
-class CPTarget:
+class CPTarget(_Record):
     """Prescribed boundary derivatives a_k = phi_T'(sigma_k), all > 1."""
 
-    a: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "a", tuple(float(v) for v in self.a))
+    def __init__(self, a: tuple[float, ...]) -> None:
+        object.__setattr__(self, "a", tuple(float(v) for v in a))
         if not self.a:
             raise DomainError("at least one target derivative is required")
         if any(v <= 1.0 for v in self.a):
@@ -213,15 +207,24 @@ def q_hessian(x) -> np.ndarray:
     return h
 
 
-@dataclass(frozen=True)
-class ConcavityReport:
-    max_eigenvalue: float
-    abs_det: float
-    det_scale: float
-    min_midpoint_gap: float
-    min_strict_gap: float
-    max_ray_residual: float
-    concave: bool
+class ConcavityReport(_Record):
+    def __init__(
+        self,
+        max_eigenvalue: float,
+        abs_det: float,
+        det_scale: float,
+        min_midpoint_gap: float,
+        min_strict_gap: float,
+        max_ray_residual: float,
+        concave: bool,
+    ) -> None:
+        object.__setattr__(self, "max_eigenvalue", max_eigenvalue)
+        object.__setattr__(self, "abs_det", abs_det)
+        object.__setattr__(self, "det_scale", det_scale)
+        object.__setattr__(self, "min_midpoint_gap", min_midpoint_gap)
+        object.__setattr__(self, "min_strict_gap", min_strict_gap)
+        object.__setattr__(self, "max_ray_residual", max_ray_residual)
+        object.__setattr__(self, "concave", concave)
 
 
 def q_concavity_check(x, rng: np.random.Generator | None = None) -> ConcavityReport:

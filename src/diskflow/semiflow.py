@@ -52,7 +52,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 from ._lazy import np
@@ -68,7 +67,7 @@ from .generator import (
     eval_generator,
     eval_generator_derivative,
 )
-from .herglotz_core import BoundaryPoint
+from .herglotz_core import BoundaryPoint, _Record
 
 REL_TOL = 1e-10
 ABS_TOL = 1e-12
@@ -81,19 +80,23 @@ RADII = tuple(1.0 - 2.0**-k for k in range(4, 15))
 ESTIMATE_TOL = 1e-3
 
 
-@dataclass(frozen=True)
-class Trajectory:
+class Trajectory(_Record):
     """Sampled orbit; derivatives are d phi_t/dz along it when requested.
 
     rhs_calls counts the right-hand-side calls of the solve behind it.
     """
 
-    times: tuple[float, ...]
-    points: tuple[complex, ...]
-    derivatives: tuple[complex, ...] | None = None
-    rhs_calls: int = 0
-
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        times: tuple[float, ...],
+        points: tuple[complex, ...],
+        derivatives: tuple[complex, ...] | None = None,
+        rhs_calls: int = 0,
+    ) -> None:
+        object.__setattr__(self, "times", times)
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "derivatives", derivatives)
+        object.__setattr__(self, "rhs_calls", rhs_calls)
         if len(self.times) != len(self.points):
             raise ValueError("times and points must have equal length")
         if self.derivatives is not None and len(self.derivatives) != len(self.times):

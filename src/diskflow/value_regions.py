@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 from ._lazy import np
 
@@ -54,6 +53,7 @@ from .herglotz_core import (
     ANGLE_TOL,
     AtomicHerglotz,
     BoundaryPoint,
+    _Record,
     angle_gap,
     circle_angle,
     point_kernel_sum,
@@ -67,16 +67,12 @@ TWO_PI = 2.0 * math.pi
 EDGE_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class DiskRegion:
+class DiskRegion(_Record):
     """Closed disk |w - center| <= radius."""
 
-    center: complex
-    radius: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "center", complex(self.center))
-        object.__setattr__(self, "radius", float(self.radius))
+    def __init__(self, center: complex, radius: float) -> None:
+        object.__setattr__(self, "center", complex(center))
+        object.__setattr__(self, "radius", float(radius))
         if self.radius < 0.0:
             raise ValueError(f"radius must be nonnegative, got {self.radius}")
 
@@ -90,16 +86,12 @@ class DiskRegion:
         )
 
 
-@dataclass(frozen=True)
-class IntervalRegion:
+class IntervalRegion(_Record):
     """Closed interval [lo, hi] on the real line."""
 
-    lo: float
-    hi: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "lo", float(self.lo))
-        object.__setattr__(self, "hi", float(self.hi))
+    def __init__(self, lo: float, hi: float) -> None:
+        object.__setattr__(self, "lo", float(lo))
+        object.__setattr__(self, "hi", float(hi))
         if self.hi < self.lo:
             raise ValueError(f"empty interval [{self.lo}, {self.hi}]")
 
@@ -394,13 +386,13 @@ def caratheodory_min_sharp(tau: BoundaryPoint, a: float) -> tuple[float, Boundar
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class InequalityRecord:
+class InequalityRecord(_Record):
     """One verified inequality lhs <= rhs; slack = rhs - lhs."""
 
-    name: str
-    lhs: float
-    rhs: float
+    def __init__(self, name: str, lhs: float, rhs: float) -> None:
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "lhs", lhs)
+        object.__setattr__(self, "rhs", rhs)
 
     @property
     def slack(self) -> float:

@@ -1,5 +1,6 @@
 """Every module of the package uses each name it imports, every public name
-it defines has a caller, none loads scipy, and numpy loads on first use.
+it defines has a caller, none loads scipy or dataclasses, and numpy loads on
+first use.
 
 No linter ships with the project, so this is the unused-import check: a
 name bound by an import at any level of a module under src/diskflow/ must
@@ -24,7 +25,15 @@ lazy module.  A fresh interpreter that imports diskflow and diskflow.cli
 and runs region for every kind and format loads no numpy submodule; verify,
 cowen-pommerenke and flow then load numpy and succeed.  After its first use
 np is the plain numpy module in every diskflow module, and a numpy imported
-before diskflow is used as it is.
+before diskflow is used as it is.  Asked for a module that is not installed,
+_lazy raises ModuleNotFoundError and registers nothing.
+
+No module has a dataclasses import statement at any level: importing
+dataclasses loads inspect, ast, dis and tokenize, and decorating a class
+executes generated code, which a start that only evaluates a region should
+not pay.  The value objects derive from herglotz_core._Record instead.  The
+fresh interpreter that runs region also checks that dataclasses and inspect
+stay unloaded.
 """
 
 import ast
@@ -240,6 +249,41 @@ def test_module_has_no_numpy_import_statement(path):
     assert imports_of(path.read_text(), "numpy", in_functions=True) == []
 
 
+def test_checker_flags_a_dataclasses_import_at_any_level():
+    source = (
+        "import dataclasses\n"
+        "from dataclasses import dataclass, field\n"
+        "import dataclassesx\n"
+        "from .herglotz_core import _Record\n"
+        "class A:\n"
+        "    import dataclasses as dc\n"
+        "def f():\n"
+        "    from dataclasses import replace\n"
+        "    return replace\n"
+    )
+    assert imports_of(source, "dataclasses", in_functions=True) == [
+        "line 1: dataclasses",
+        "line 2: dataclasses",
+        "line 6: dataclasses",
+        "line 8: dataclasses",
+    ]
+
+
+@pytest.mark.parametrize("path", ALL_MODULES, ids=[p.stem for p in ALL_MODULES])
+def test_module_has_no_dataclasses_import_statement(path):
+    assert imports_of(path.read_text(), "dataclasses", in_functions=True) == []
+
+
+def test_lazy_raises_for_a_missing_module():
+    from diskflow import _lazy
+
+    name = "diskflow_test_no_such_module"
+    with pytest.raises(ModuleNotFoundError) as info:
+        _lazy._lazy(name)
+    assert info.value.name == name
+    assert name not in sys.modules
+
+
 def _fresh(script: str, *args: str) -> dict:
     """Run script in a fresh interpreter on src/; its last line of output, as JSON."""
     env = dict(os.environ)
@@ -308,25 +352,28 @@ def test_commands_that_never_integrate_do_not_load_scipy(tmp_path):
 
 
 # The lazy numpy module sits in sys.modules before numpy loads, so a loaded
-# numpy shows as its submodules.
+# numpy shows as its submodules; dataclasses and inspect show by name.
 _NUMPY_SESSION = """
 import json, sys
 
 def numpy_modules():
     return sorted(m for m in sys.modules if m.startswith("numpy."))
 
+def heavy_modules():
+    return [m for m in ("dataclasses", "inspect") if m in sys.modules]
+
 regions, cp, flow, out = sys.argv[1:]
 report = {}
 import diskflow
-report["import diskflow"] = numpy_modules()
+report["import diskflow"] = numpy_modules() + heavy_modules()
 import diskflow.cli
-report["import diskflow.cli"] = numpy_modules()
+report["import diskflow.cli"] = numpy_modules() + heavy_modules()
 report["region codes"] = [
     diskflow.cli.main(["region", "--format", fmt, "--config", path, "--out", out])
     for path in json.loads(regions)
     for fmt in ("json", "csv", "svg")
 ]
-report["region"] = numpy_modules()
+report["region"] = numpy_modules() + heavy_modules()
 report["codes"] = [
     diskflow.cli.main(["verify", "--samples", "20", "--out", out]),
     diskflow.cli.main(["cowen-pommerenke", "--config", cp, "--out", out]),
