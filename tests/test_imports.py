@@ -356,24 +356,23 @@ def test_commands_that_never_integrate_do_not_load_scipy(tmp_path):
 _NUMPY_SESSION = """
 import json, sys
 
-def numpy_modules():
-    return sorted(m for m in sys.modules if m.startswith("numpy."))
-
-def heavy_modules():
-    return [m for m in ("dataclasses", "inspect") if m in sys.modules]
+def loaded():
+    return sorted(
+        m for m in sys.modules if m.startswith("numpy.") or m in ("dataclasses", "inspect")
+    )
 
 regions, cp, flow, out = sys.argv[1:]
 report = {}
 import diskflow
-report["import diskflow"] = numpy_modules() + heavy_modules()
+report["import diskflow"] = loaded()
 import diskflow.cli
-report["import diskflow.cli"] = numpy_modules() + heavy_modules()
+report["import diskflow.cli"] = loaded()
 report["region codes"] = [
     diskflow.cli.main(["region", "--format", fmt, "--config", path, "--out", out])
     for path in json.loads(regions)
     for fmt in ("json", "csv", "svg")
 ]
-report["region"] = numpy_modules() + heavy_modules()
+report["region"] = loaded()
 report["codes"] = [
     diskflow.cli.main(["verify", "--samples", "20", "--out", out]),
     diskflow.cli.main(["cowen-pommerenke", "--config", cp, "--out", out]),
