@@ -17,6 +17,8 @@ candidate family when the measure is a single Dirac.
 
 from __future__ import annotations
 
+import math
+
 from .errors import DegenerateConfig, DomainError, NormalizationError, WeightError
 from .generator import (
     FixedPointConfig,
@@ -140,14 +142,14 @@ def gk_generator(
     """
     tau = complex(tau)
     z = complex(z)
-    if abs(z) >= 1.0:
+    if not abs(z) < 1.0:
         raise DomainError("evaluation point must lie in the open disk")
-    if lam >= 0.0:
-        raise DomainError("the repelling spectral value must be negative")
+    if not -math.inf < lam < 0.0:
+        raise DomainError("the repelling spectral value must be negative and finite")
     if abs(tau - sigma.value) <= 1e-12:
         raise DegenerateConfig("tau must differ from the repelling point")
     weights = [float(w) for _, w in mu]
-    if any(w < 0.0 for w in weights):
+    if any(not w >= 0.0 for w in weights):
         raise WeightError("measure weights must be nonnegative")
     if abs(sum(weights) - 1.0) > 1e-12:
         raise WeightError(f"measure weights must sum to 1, got {sum(weights)!r}")

@@ -13,11 +13,9 @@ alpha_k = |tau - sigma_k|^2 / (2 |lambda_k|).  The actual spectral value at
 sigma_k is lambda_k exactly when p carries no atom there, and moves toward
 zero as mass accumulates at sigma_k.
 
-The raw product form G(z) = (tau - z)(1 - conj(tau) z) p*(z) is available
-as BerksonPortaSpec; it characterizes all generators, without fixed-point
-bookkeeping.  The zero field G = 0 is TRIVIAL_GENERATOR, the
-Berkson-Porta spec with p* = 0: it belongs to every class but has no
-Herglotz denominator.
+GeneratorSpec, a configuration with its p, is the one generator kind:
+every evaluation, spectral value and conversion takes one.  The zero field
+G = 0 has no denominator and so no spec.
 
 The regime of a configuration is where tau sits: at the origin, inside the
 disk, or on the circle.  tau_regime alone decides it, with the single
@@ -41,16 +39,12 @@ from .herglotz_core import (
     BoundaryPoint,
     RationalHerglotz,
     _Record,
-    eval_herglotz,
     extract_atom,
-    herglotz_derivative,
-    herglotz_second_derivative,
     kernel_sum,
     p_sharp,
     p_star,
     reciprocal,
     require_interior,
-    scale_herglotz,
 )
 
 BOUNDARY_TOL = 1e-12
@@ -66,10 +60,10 @@ def tau_regime(tau: complex) -> str:
 
     |tau| <= BOUNDARY_TOL is the origin, ||tau| - 1| <= BOUNDARY_TOL the
     circle, and every other point of the disk is interior.  A point beyond
-    the circle has no regime and raises DomainError.
+    the circle, or NaN, has no regime and raises DomainError.
     """
     radius = abs(tau)
-    if radius > 1.0 + BOUNDARY_TOL:
+    if not radius <= 1.0 + BOUNDARY_TOL:
         raise DomainError(f"|tau| must not exceed 1, got {radius}")
     if radius <= BOUNDARY_TOL:
         return "origin"
@@ -172,7 +166,7 @@ class FixedPointConfig(_Record):
         return AtomicHerglotz(tuple(zip(self.sigmas, self.alphas)), 0.0)
 
 
-# the default p and p*: one object serves every spec, as it is immutable
+# the default p: one object serves every spec, as it is immutable
 _NO_ATOMS = AtomicHerglotz()
 
 
@@ -197,30 +191,6 @@ class GeneratorSpec(_Record):
         )
 
 
-class BerksonPortaSpec(_Record):
-    """Raw product form (tau - z)(1 - conj(tau) z) (p*(z) + const).
-
-    The nonnegative real ``const`` extends the atomic type to constants with
-    positive real part (an atomic measure alone cannot represent them).
-    """
-
-    def __init__(
-        self, tau: complex, pstar: AtomicHerglotz = _NO_ATOMS, const: float = 0.0
-    ) -> None:
-        object.__setattr__(self, "tau", complex(tau))
-        object.__setattr__(self, "pstar", pstar)
-        object.__setattr__(self, "const", float(const))
-        tau_regime(self.tau)  # DomainError beyond the circle
-        if self.const < 0.0:
-            raise DomainError("constant part must be nonnegative")
-
-
-# the zero field G = 0 (every point fixed): p* is the empty measure
-TRIVIAL_GENERATOR = BerksonPortaSpec(0.0)
-
-GeneratorLike = GeneratorSpec | BerksonPortaSpec
-
-
 def _mobius_factor(tau: complex, z):
     return (tau - z) * (1.0 - tau.conjugate() * z)
 
@@ -241,19 +211,12 @@ def eval_denominator(spec: GeneratorSpec, z):
     return 1j * spec.p.gamma + kernel_sum(*spec.denominator_atoms, z, 0)
 
 
-def eval_generator(gen: GeneratorLike, z):
-    if isinstance(gen, BerksonPortaSpec):
-        value = eval_herglotz(gen.pstar, z) + gen.const
-        return _mobius_factor(gen.tau, z) * value
+def eval_generator(gen: GeneratorSpec, z):
     return _mobius_factor(gen.config.tau, z) / eval_denominator(gen, z)
 
 
-def eval_generator_derivative(gen: GeneratorLike, z):
+def eval_generator_derivative(gen: GeneratorSpec, z):
     """Exact analytic derivative of eval_generator."""
-    if isinstance(gen, BerksonPortaSpec):
-        value = eval_herglotz(gen.pstar, z) + gen.const
-        d1 = herglotz_derivative(gen.pstar, z)
-        return _mobius_factor_d1(gen.tau, z) * value + _mobius_factor(gen.tau, z) * d1
     tau = gen.config.tau
     u = _mobius_factor(tau, z)
     du = _mobius_factor_d1(tau, z)
@@ -262,15 +225,7 @@ def eval_generator_derivative(gen: GeneratorLike, z):
     return (du * q - u * dq) / q**2
 
 
-def eval_generator_second_derivative(gen: GeneratorLike, z):
-    if isinstance(gen, BerksonPortaSpec):
-        value = eval_herglotz(gen.pstar, z) + gen.const
-        d1 = herglotz_derivative(gen.pstar, z)
-        d2 = herglotz_second_derivative(gen.pstar, z)
-        u = _mobius_factor(gen.tau, z)
-        du = _mobius_factor_d1(gen.tau, z)
-        ddu = 2.0 * gen.tau.conjugate()
-        return ddu * value + 2.0 * du * d1 + u * d2
+def eval_generator_second_derivative(gen: GeneratorSpec, z):
     q = eval_denominator(gen, z)
     dq = kernel_sum(*gen.denominator_atoms, z, 1)
     ddq = kernel_sum(*gen.denominator_atoms, z, 2)
@@ -286,7 +241,7 @@ def _quotient_second_derivative(tau: complex, z, q, dq, ddq):
     return ((ddu * q - u * ddq) * q - 2.0 * dq * (du * q - u * dq)) / q**3
 
 
-def dw_spectral_value(gen: GeneratorLike) -> complex | float:
+def dw_spectral_value(gen: GeneratorSpec) -> complex | float:
     """Spectral value at the Denjoy-Wolff point.
 
     Interior tau: the complex number (1-|tau|^2) / (p(tau) + p0(tau)),
@@ -294,8 +249,6 @@ def dw_spectral_value(gen: GeneratorLike) -> complex | float:
     zero when p carries an atom at tau or the denominator's contact value
     there is not zero within CONTACT_TOL, and 1/(p#(tau) + sum_k 1/|lambda_k|) otherwise.
     """
-    if isinstance(gen, BerksonPortaSpec):
-        raise DomainError("spectral value by formula requires the fixed-point form")
     config = gen.config
     tau = config.tau
     if not config.is_boundary:
@@ -334,11 +287,6 @@ def beta(spec: GeneratorSpec) -> float:
     return p_star(spec.p, BoundaryPoint.from_complex(spec.config.tau))
 
 
-def to_berkson_porta(spec: GeneratorSpec) -> BerksonPortaSpec:
-    """Rewrite in raw product form via the reciprocal of p + p0."""
-    return BerksonPortaSpec(spec.config.tau, reciprocal(denominator_herglotz(spec)))
-
-
 def spec_from_denominator(
     tau: complex, sigmas: tuple[BoundaryPoint, ...], q: RationalHerglotz
 ) -> GeneratorSpec:
@@ -361,23 +309,6 @@ def spec_from_denominator(
             )
         lambdas.append(-abs(tau - s.value) ** 2 / (2.0 * mass))
     return GeneratorSpec(FixedPointConfig(tau, tuple(sigmas), tuple(lambdas)), p)
-
-
-def scale_generator(spec: GeneratorSpec, factor: float) -> GeneratorSpec:
-    """The generator ``factor * G`` (factor > 0), again in fixed-point form.
-
-    Scaling multiplies every spectral value by the factor; the denominator
-    scales by its reciprocal.
-    """
-    if factor <= 0.0:
-        raise DomainError("scale factor must be positive")
-    config = spec.config
-    scaled = FixedPointConfig(
-        config.tau,
-        config.sigmas,
-        tuple(v * factor for v in config.lambdas),
-    )
-    return GeneratorSpec(scaled, scale_herglotz(spec.p, 1.0 / factor))
 
 
 def convex_combination(

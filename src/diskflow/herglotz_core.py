@@ -277,9 +277,9 @@ def point_kernel_sum(s: list[complex], m: list[float], z: complex, order: int) -
 
 
 def require_interior(z) -> None:
-    """Raise DomainError unless every point of z lies in the open disk."""
+    """Raise DomainError unless every point of z lies in the open disk (NaN does not)."""
     radius = np.abs(z).max(initial=0.0) if isinstance(z, np.ndarray) else abs(z)
-    if radius >= 1.0:
+    if not radius < 1.0:
         raise DomainError(f"evaluation point must lie in the open disk, |z|={radius}")
 
 
@@ -287,18 +287,6 @@ def eval_herglotz(p: AtomicHerglotz, z):
     """Evaluate p at interior points."""
     require_interior(z)
     return 1j * p.gamma + kernel_sum(p.s, p.m, z, 0)
-
-
-def herglotz_derivative(p: AtomicHerglotz, z):
-    """p'(z).  Each kernel differentiates to 2s/(s-z)^2."""
-    require_interior(z)
-    return kernel_sum(p.s, p.m, z, 1)
-
-
-def herglotz_second_derivative(p: AtomicHerglotz, z):
-    """p''(z).  Each kernel contributes 4s/(s-z)^3."""
-    require_interior(z)
-    return kernel_sum(p.s, p.m, z, 2)
 
 
 def p_star(p: AtomicHerglotz, sigma: BoundaryPoint) -> float:
@@ -335,12 +323,6 @@ def extract_atom(p: AtomicHerglotz, sigma: BoundaryPoint) -> tuple[float, Atomic
         if point.same_point(sigma):
             return mass, AtomicHerglotz(p.atoms[:i] + p.atoms[i + 1 :], p.gamma)
     return 0.0, p
-
-
-def scale_herglotz(p: AtomicHerglotz, c: float) -> AtomicHerglotz:
-    if c < 0:
-        raise ValueError("scale factor must be nonnegative")
-    return AtomicHerglotz(tuple((pt, m * c) for pt, m in p.atoms), p.gamma * c)
 
 
 # ----------------------------------------------------------------------

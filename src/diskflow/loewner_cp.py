@@ -3,8 +3,7 @@
 A PiecewiseField is a finite concatenation of generator specs over a
 shared fixed-point skeleton, each active for a positive duration.  When
 every segment's repelling spectral moduli sum to 1 the field is strict;
-sub-normalized fields (sum <= 1) are admitted and can be rescaled to
-strict ones without changing the time-T map data.
+sub-normalized fields (sum <= 1) are admitted too.
 
 For the evolution over the whole horizon [0, T]:
 
@@ -36,7 +35,6 @@ from .generator import (
     GeneratorSpec,
     brfp_spectral_value,
     dw_spectral_value,
-    scale_generator,
     tau_regime,
 )
 from .herglotz_core import (
@@ -80,8 +78,8 @@ class PiecewiseField(_Record):
         object.__setattr__(self, "strict", strict)
         if not self.segments:
             raise DomainError("a field needs at least one segment")
-        if any(d <= 0.0 for d, _ in self.segments):
-            raise DomainError("segment durations must be positive")
+        if any(not 0.0 < d < math.inf for d, _ in self.segments):
+            raise DomainError("segment durations must be positive and finite")
         head = self.segments[0][1].config
         for _, spec in self.segments[1:]:
             if not spec.config.has_skeleton(head.tau, head.sigmas):
@@ -121,8 +119,8 @@ class CPTarget(_Record):
         object.__setattr__(self, "a", tuple(float(v) for v in a))
         if not self.a:
             raise DomainError("at least one target derivative is required")
-        if any(v <= 1.0 for v in self.a):
-            raise DomainError("target boundary derivatives must exceed 1")
+        if any(not 1.0 < v < math.inf for v in self.a):
+            raise DomainError("target boundary derivatives must be finite and exceed 1")
 
     @cached_property
     def log_values(self) -> tuple[float, ...]:
@@ -132,22 +130,6 @@ class CPTarget(_Record):
     def horizon(self) -> float:
         """T = sum_k log a_k, the forced total duration of a strict field."""
         return sum(self.log_values)
-
-
-def normalize_field(field: PiecewiseField) -> PiecewiseField:
-    """Rescale each segment to strict normalization.
-
-    Duration d and generator G become (d*s, G/s) with s the segment's
-    spectral modulus sum; all time-T data (boundary products and psi_tau)
-    is unchanged.
-    """
-    if field.strict:
-        return field
-    rescaled = []
-    for d, spec in field.segments:
-        s = _modulus_sum(spec)
-        rescaled.append((d * s, scale_generator(spec, 1.0 / s)))
-    return PiecewiseField(tuple(rescaled), strict=True)
 
 
 def evolve(field: PiecewiseField, z0: complex) -> complex:
@@ -188,8 +170,8 @@ def psi_tau(field: PiecewiseField) -> complex:
 def harmonic_Q(x) -> float:
     """Q(x) = 1 / sum_j 1/x_j on positive vectors."""
     vals = [float(v) for v in x]
-    if not vals or any(v <= 0.0 for v in vals):
-        raise DomainError("Q requires a nonempty positive vector")
+    if not vals or any(not 0.0 < v < math.inf for v in vals):
+        raise DomainError("Q requires a nonempty positive finite vector")
     return 1.0 / sum(1.0 / v for v in vals)
 
 
@@ -198,8 +180,8 @@ def q_hessian(x) -> np.ndarray:
     2Q^3/x_j^4 - 2Q^2/x_j^3 on it.  Negative semidefinite with kernel
     spanned by x itself (Q is 1-homogeneous)."""
     vec = np.asarray([float(v) for v in x], dtype=float)
-    if vec.ndim != 1 or vec.size == 0 or np.any(vec <= 0.0):
-        raise DomainError("Q requires a nonempty positive vector")
+    if vec.ndim != 1 or vec.size == 0 or not np.all((0.0 < vec) & (vec < math.inf)):
+        raise DomainError("Q requires a nonempty positive finite vector")
     q = 1.0 / np.sum(1.0 / vec)
     inv2 = 1.0 / vec**2
     h = 2.0 * q**3 * np.outer(inv2, inv2)
@@ -392,7 +374,7 @@ def cp_experiment(
         raise DomainError("field does not match the requested tau and repelling set")
     for k, log_a in enumerate(target.log_values):
         realized = boundary_log_derivative(field, k)
-        if abs(realized - log_a) > TARGET_TOL:
+        if not abs(realized - log_a) <= TARGET_TOL:
             raise TargetMismatch(
                 f"field realizes log derivative {realized!r} at point {k}, "
                 f"target {log_a!r}"

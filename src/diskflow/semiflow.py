@@ -63,7 +63,7 @@ from .errors import (
     StepFailure,
 )
 from .generator import (
-    GeneratorLike,
+    GeneratorSpec,
     eval_generator,
     eval_generator_derivative,
 )
@@ -206,7 +206,7 @@ def _pack(n: int, *parts) -> np.ndarray:
     return y
 
 
-def _flow_rhs(gen: GeneratorLike, n: int) -> Callable:
+def _flow_rhs(gen: GeneratorSpec, n: int) -> Callable:
     """Right-hand side of n orbits."""
 
     def rhs(_: float, y: np.ndarray) -> np.ndarray:
@@ -215,7 +215,7 @@ def _flow_rhs(gen: GeneratorLike, n: int) -> Callable:
     return rhs
 
 
-def _variational_rhs(gen: GeneratorLike, n: int) -> Callable:
+def _variational_rhs(gen: GeneratorSpec, n: int) -> Callable:
     """Right-hand side of n orbits (first n components) and their derivatives."""
 
     def rhs(_: float, y: np.ndarray) -> np.ndarray:
@@ -226,7 +226,7 @@ def _variational_rhs(gen: GeneratorLike, n: int) -> Callable:
     return rhs
 
 
-def integrate_flow(gen: GeneratorLike, z0, t: float):
+def integrate_flow(gen: GeneratorSpec, z0, t: float):
     """phi_t(z0) for a start point or a 1-D array of them (one IVP)."""
     z = _start_points(z0)
     if not 0.0 <= t < math.inf:
@@ -238,7 +238,7 @@ def integrate_flow(gen: GeneratorLike, z0, t: float):
     return _like_input(z0, sol.y[:, -1])
 
 
-def integrate_flow_with_derivative(gen: GeneratorLike, z0, t: float):
+def integrate_flow_with_derivative(gen: GeneratorSpec, z0, t: float):
     """(phi_t(z0), d phi_t/dz at z0) via the variational equation.
 
     For an array of start points both entries are arrays, solved as one IVP.
@@ -255,7 +255,7 @@ def integrate_flow_with_derivative(gen: GeneratorLike, z0, t: float):
 
 
 def flow_trajectory(
-    gen: GeneratorLike, z0: complex, t: float, samples: int = 200
+    gen: GeneratorSpec, z0: complex, t: float, samples: int = 200
 ) -> Trajectory:
     """Orbit and derivative sampled on a uniform time grid of ``samples`` points."""
     z = _start_points(complex(z0))
@@ -322,7 +322,7 @@ def julia_quotient_estimate(
 
 
 def estimate_boundary_derivative(
-    gen: GeneratorLike, sigma: BoundaryPoint, t: float
+    gen: GeneratorSpec, sigma: BoundaryPoint, t: float
 ) -> float:
     """phi_t'(sigma) at a boundary fixed point, from interior orbits only.
 

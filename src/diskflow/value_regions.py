@@ -116,7 +116,7 @@ def ell(config: FixedPointConfig, zeta: complex) -> complex:
 def _ell_in_Z(config: FixedPointConfig, zeta: complex) -> complex:
     """ell(zeta), after checking that zeta lies in Z within EDGE_TOL."""
     lz = ell(config, zeta)
-    if lz.real < -EDGE_TOL:
+    if not lz.real >= -EDGE_TOL:  # NaN is not in Z
         raise DomainError(f"zeta lies outside Z (Re ell = {lz.real:.3e})")
     return lz
 
@@ -231,7 +231,7 @@ def region_Z_omega(config: FixedPointConfig, omega: complex) -> DiskRegion:
     if omega == 0:
         raise DomainError("the fiber over omega = 0 is the zero field only")
     radius = 2.0 * (1.0 / omega).real - config.inv_lambda_sum
-    if radius < -EDGE_TOL:
+    if not radius >= -EDGE_TOL:  # NaN is not in the disk
         raise DomainError("omega lies outside the spectral-value disk")
     center = sum(
         s.value.conjugate() / abs(v) for s, v in zip(config.sigmas, config.lambdas)

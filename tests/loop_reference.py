@@ -5,7 +5,7 @@ time and one point at a time.  They serve as references for the kernel's
 summation, which runs in another order.
 """
 
-from diskflow import BerksonPortaSpec, DomainError
+from diskflow import DomainError
 from diskflow.herglotz_core import AtomAtPoint
 
 
@@ -99,17 +99,11 @@ def _mobius_d1(tau, z):
 
 def eval_generator(gen, z):
     _interior(z)
-    if isinstance(gen, BerksonPortaSpec):
-        return _mobius(gen.tau, z) * (eval_herglotz(gen.pstar, z) + gen.const)
     return _mobius(gen.config.tau, z) / _denominator(gen, z)
 
 
 def eval_generator_derivative(gen, z):
     _interior(z)
-    if isinstance(gen, BerksonPortaSpec):
-        value = eval_herglotz(gen.pstar, z) + gen.const
-        d1 = herglotz_derivative(gen.pstar, z)
-        return _mobius_d1(gen.tau, z) * value + _mobius(gen.tau, z) * d1
     tau = gen.config.tau
     u, du = _mobius(tau, z), _mobius_d1(tau, z)
     q, dq = _denominator(gen, z), _denominator_derivative(gen, z, 1)
@@ -118,12 +112,6 @@ def eval_generator_derivative(gen, z):
 
 def eval_generator_second_derivative(gen, z):
     _interior(z)
-    if isinstance(gen, BerksonPortaSpec):
-        tau = gen.tau
-        value = eval_herglotz(gen.pstar, z) + gen.const
-        d1 = herglotz_derivative(gen.pstar, z)
-        d2 = herglotz_second_derivative(gen.pstar, z)
-        return 2.0 * tau.conjugate() * value + 2.0 * _mobius_d1(tau, z) * d1 + _mobius(tau, z) * d2
     tau = gen.config.tau
     u, du, ddu = _mobius(tau, z), _mobius_d1(tau, z), 2.0 * tau.conjugate()
     q = _denominator(gen, z)

@@ -199,6 +199,17 @@ def test_gk_generator_validates_geometry():
         gk_generator(0.0, BoundaryPoint(0.0), -1.0, ((k, 1.0),), 1.0)  # |z| = 1
 
 
+def test_gk_generator_refuses_nan():
+    k = BoundaryPoint(1.0)
+    nan = float("nan")
+    with pytest.raises(WeightError):
+        gk_generator(0.0, BoundaryPoint(0.0), -1.0, ((k, nan),), 0.0)
+    with pytest.raises(DomainError):
+        gk_generator(0.0, BoundaryPoint(0.0), nan, ((k, 1.0),), 0.0)
+    with pytest.raises(DomainError):
+        gk_generator(0.0, BoundaryPoint(0.0), -1.0, ((k, 1.0),), nan)
+
+
 def test_gk_vanishes_at_tau():
     c = SINGLE
     k = BoundaryPoint(2.5)

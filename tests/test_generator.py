@@ -6,9 +6,7 @@ import math
 import pytest
 
 from diskflow import (
-    TRIVIAL_GENERATOR,
     AtomicHerglotz,
-    BerksonPortaSpec,
     BoundaryPoint,
     DegenerateConfig,
     DomainError,
@@ -25,10 +23,9 @@ from diskflow import (
     eval_generator_second_derivative,
     eval_herglotz,
     random_spec,
-    scale_generator,
     spec_from_denominator,
-    to_berkson_porta,
 )
+from diskflow.generator import tau_regime
 
 
 def cfg(tau, pairs):
@@ -66,6 +63,11 @@ def test_config_rejects_duplicate_sigmas():
 def test_config_rejects_tau_outside_disk():
     with pytest.raises(DomainError):
         cfg(1.5, [(0.0, -1.0)])
+
+
+def test_tau_regime_refuses_nan():
+    with pytest.raises(DomainError):
+        tau_regime(complex(math.nan, 0.0))
 
 
 def test_config_rejects_tau_on_repelling_set():
@@ -165,30 +167,6 @@ def test_derivatives_match_finite_differences(rng):
     assert eval_generator_second_derivative(spec, z) == pytest.approx(fd2, rel=1e-3)
 
 
-def test_trivial_generator_is_zero():
-    assert eval_generator(TRIVIAL_GENERATOR, 0.3 + 0.4j) == 0.0
-    assert eval_generator_derivative(TRIVIAL_GENERATOR, 0.3) == 0.0
-
-
-def test_trivial_generator_is_the_empty_berkson_porta_spec():
-    assert TRIVIAL_GENERATOR == BerksonPortaSpec(0.0)
-    # like every Berkson-Porta spec, it has no spectral value by formula
-    with pytest.raises(DomainError):
-        dw_spectral_value(TRIVIAL_GENERATOR)
-
-
-def test_berkson_porta_form_evaluates():
-    bp = BerksonPortaSpec(0.0, AtomicHerglotz(((BoundaryPoint(0.0), 1.0),)), 0.0)
-    z = 0.5j
-    expect = -z * eval_herglotz(bp.pstar, z)
-    assert eval_generator(bp, z) == pytest.approx(expect, abs=1e-14)
-
-
-def test_berkson_porta_rejects_negative_constant():
-    with pytest.raises(DomainError):
-        BerksonPortaSpec(0.0, AtomicHerglotz(), -1.0)
-
-
 # ----------------------------------------------------------------------
 # spectral values
 # ----------------------------------------------------------------------
@@ -233,12 +211,6 @@ def test_boundary_spectral_value_vanishes_with_contact():
     c = cfg(1.0, [(math.pi, -1.0)])
     spec = GeneratorSpec(c, AtomicHerglotz(gamma=2.0))
     assert dw_spectral_value(spec) == 0.0
-
-
-def test_spectral_value_rejects_berkson_porta_form():
-    bp = BerksonPortaSpec(0.0, AtomicHerglotz(((BoundaryPoint(0.0), 1.0),)), 0.0)
-    with pytest.raises(DomainError):
-        dw_spectral_value(bp)
 
 
 def test_brfp_without_atom_is_exact(rng):
@@ -290,16 +262,6 @@ def test_beta_requires_boundary_tau():
 # ----------------------------------------------------------------------
 
 
-def test_to_berkson_porta_agrees_pointwise(rng):
-    for _ in range(10):
-        spec = random_spec(rng, "interior")
-        bp = to_berkson_porta(spec)
-        for z in (0.0, 0.3 + 0.4j, -0.5j):
-            assert eval_generator(bp, z) == pytest.approx(
-                eval_generator(spec, z), rel=1e-9, abs=1e-11
-            )
-
-
 def test_spec_from_denominator_round_trip(rng):
     for _ in range(10):
         spec = random_spec(rng, "interior")
@@ -331,24 +293,6 @@ def test_spec_from_denominator_requires_all_poles():
         spec_from_denominator(
             INTERIOR.tau, INTERIOR.sigmas + (BoundaryPoint(2.0),), q
         )
-
-
-def test_scale_generator_is_pointwise_multiple(rng):
-    spec = random_spec(rng, "interior")
-    scaled = scale_generator(spec, 2.5)
-    z = 0.3 - 0.2j
-    assert eval_generator(scaled, z) == pytest.approx(
-        2.5 * eval_generator(spec, z), rel=1e-12
-    )
-    assert dw_spectral_value(scaled) == pytest.approx(
-        2.5 * dw_spectral_value(spec), rel=1e-12
-    )
-
-
-def test_scale_generator_rejects_nonpositive():
-    spec = GeneratorSpec(INTERIOR, AtomicHerglotz())
-    with pytest.raises(DomainError):
-        scale_generator(spec, 0.0)
 
 
 def test_convex_combination_is_pointwise(rng):

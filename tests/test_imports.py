@@ -156,11 +156,6 @@ AWAITING_CALLER = {
     "gk_dirac_parameter": _EXTREMALS,
     "gk_generator": _EXTREMALS,
     "inequality_suite": "the object form of verify's records, to check them at the extremals",
-    "to_berkson_porta": (
-        "the only converter to the Berkson-Porta kind, and through it the "
-        "generator-level check of reciprocal"
-    ),
-    "normalize_field": "the paper's reduction of a sub-normalized field to a strict one",
 }
 
 

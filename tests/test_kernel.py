@@ -15,10 +15,8 @@ from hypothesis import strategies as st
 
 import loop_reference as ref
 from diskflow import (
-    TRIVIAL_GENERATOR,
     AtomAtPoint,
     AtomicHerglotz,
-    BerksonPortaSpec,
     BoundaryPoint,
     DomainError,
     FixedPointConfig,
@@ -29,11 +27,10 @@ from diskflow import (
     eval_generator_derivative,
     eval_generator_second_derivative,
     eval_herglotz,
-    herglotz_derivative,
-    herglotz_second_derivative,
     p_sharp,
     reciprocal,
 )
+from diskflow.herglotz_core import kernel_sum
 
 TWO_PI = 2.0 * math.pi
 REL = 1e-12
@@ -45,10 +42,11 @@ atom_lists = st.lists(st.tuples(angles, masses), max_size=64)
 points = st.complex_numbers(max_magnitude=0.9, allow_nan=False, allow_infinity=False)
 point_lists = st.lists(points, min_size=1, max_size=8)
 
+# p' and p'' of a bare p are its kernel sums of order 1 and 2
 HERGLOTZ = (
     (eval_herglotz, ref.eval_herglotz),
-    (herglotz_derivative, ref.herglotz_derivative),
-    (herglotz_second_derivative, ref.herglotz_second_derivative),
+    (lambda p, z: kernel_sum(p.s, p.m, z, 1), ref.herglotz_derivative),
+    (lambda p, z: kernel_sum(p.s, p.m, z, 2), ref.herglotz_second_derivative),
 )
 GENERATOR = (
     (eval_generator, ref.eval_generator),
@@ -77,17 +75,12 @@ def assert_matches(fn, reference, obj, z, zs):
 
 @st.composite
 def generators(draw):
-    """A fixed-point spec with up to 64 free atoms, a Berkson-Porta spec, or G = 0."""
-    kind = draw(st.sampled_from(("spec", "spec", "berkson_porta", "trivial")))
-    if kind == "trivial":
-        return TRIVIAL_GENERATOR
+    """A fixed-point spec with up to 64 free atoms."""
     p = herglotz(draw(atom_lists), draw(gammas))
     if draw(st.booleans()):
         tau = complex(draw(points))
     else:
         tau = BoundaryPoint(draw(angles)).value
-    if kind == "berkson_porta":
-        return BerksonPortaSpec(tau, p, draw(st.floats(min_value=0.0, max_value=5.0)))
     thetas = draw(st.lists(angles, min_size=1, max_size=4, unique=True))
     sigmas = tuple(BoundaryPoint(t) for t in thetas)
     gaps_ok = all(
@@ -143,10 +136,21 @@ def test_kernel_points_outside_the_disk_raise():
     p = herglotz([(0.3, 1.0), (2.0, 0.5)], 0.2)
     spec = GeneratorSpec(FixedPointConfig(0.0, (BoundaryPoint(1.0),), (-1.0,)), p)
     inside_then_out = np.array([0.2j, 0.5, 1.0 + 0.0j])
-    for fn, _ in HERGLOTZ:
+    with pytest.raises(DomainError):
+        eval_herglotz(p, inside_then_out)
+    for fn, _ in GENERATOR:
         with pytest.raises(DomainError):
-            fn(p, inside_then_out)
-    for gen in (spec, BerksonPortaSpec(1j, p, 0.5), TRIVIAL_GENERATOR):
+            fn(spec, inside_then_out)
+
+
+def test_nan_points_raise():
+    # NaN compares false with everything, so a test of |z| >= 1 lets it through
+    p = herglotz([(0.3, 1.0), (2.0, 0.5)], 0.2)
+    spec = GeneratorSpec(FixedPointConfig(0.0, (BoundaryPoint(1.0),), (-1.0,)), p)
+    nan = complex(math.nan, 0.0)
+    for z in (nan, np.array([0.2j, nan, 0.5])):
+        with pytest.raises(DomainError):
+            eval_herglotz(p, z)
         for fn, _ in GENERATOR:
             with pytest.raises(DomainError):
-                fn(gen, inside_then_out)
+                fn(spec, z)

@@ -31,7 +31,6 @@ from diskflow import (
     harmonic_Q,
     integrate_flow,
     julia_quotient_estimate,
-    normalize_field,
     p_sharp,
     psi_tau,
     q_concavity_check,
@@ -59,6 +58,39 @@ def test_field_requires_segments_and_positive_durations():
         PiecewiseField(())
     with pytest.raises((ValueError, DomainError)):
         PiecewiseField(((0.0, spec),))
+
+
+STRICT_SPEC = unit_spec(0.0, S2, (-0.5, -0.5))
+
+
+# NaN fails every comparison, so a check written as "v <= 0 raises" lets it
+# through; an infinite target, duration or entry is refused as well
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: CPTarget((math.e, math.nan)),
+        lambda: CPTarget((math.inf,)),
+        lambda: PiecewiseField(((math.nan, STRICT_SPEC),)),
+        lambda: PiecewiseField(((1.0, STRICT_SPEC), (math.inf, STRICT_SPEC))),
+        lambda: harmonic_Q((1.0, math.nan)),
+        lambda: harmonic_Q((math.inf, math.inf)),
+        lambda: q_hessian((1.0, math.nan)),
+        lambda: q_hessian((1.0, math.inf)),
+    ],
+    ids=[
+        "target-nan",
+        "target-inf",
+        "duration-nan",
+        "duration-inf",
+        "Q-nan",
+        "Q-inf",
+        "hessian-nan",
+        "hessian-inf",
+    ],
+)
+def test_non_finite_inputs_raise(build):
+    with pytest.raises(DomainError):
+        build()
 
 
 def test_field_strict_normalization():
@@ -94,20 +126,6 @@ def test_field_total_duration():
     f = PiecewiseField(((0.25, spec), (0.5, spec)))
     assert f.total_duration == pytest.approx(0.75)
     assert f.n == 2
-
-
-def test_normalize_field_rescales_to_strict():
-    loose = unit_spec(0.0, S2, (-0.2, -0.3))
-    f = PiecewiseField(((1.0, loose),), strict=False)
-    g = normalize_field(f)
-    assert g.strict
-    # products are preserved exactly
-    for k in range(2):
-        assert boundary_log_derivative(g, k) == pytest.approx(
-            boundary_log_derivative(f, k), abs=1e-15
-        )
-    assert psi_tau(g) == pytest.approx(psi_tau(f), abs=1e-15)
-    assert g.total_duration == pytest.approx(0.5)
 
 
 # ----------------------------------------------------------------------
@@ -323,6 +341,16 @@ def test_cp_experiment_rejects_mismatched_target():
     field = cp_extremal_field(0.0, S2, target)
     with pytest.raises(TargetMismatch):
         cp_experiment(0.0, S2, other, field)
+
+
+def test_cp_experiment_rejects_a_nan_log_derivative():
+    target = CPTarget((math.e,))
+    sigmas = (BoundaryPoint(0.0),)
+    field = cp_extremal_field(0.0, sigmas, target)
+    # the constructor refuses a NaN duration, so set one past it
+    object.__setattr__(field, "segments", ((math.nan, field.segments[0][1]),))
+    with pytest.raises(TargetMismatch):
+        cp_experiment(0.0, sigmas, target, field)
 
 
 def test_cp_experiment_rejects_mismatched_skeleton():

@@ -1,6 +1,6 @@
 """The value objects keep the behaviour of frozen dataclasses.
 
-Each of the fourteen record classes is built positionally and by keyword,
+Each of the thirteen record classes is built positionally and by keyword,
 with its defaults; compares and hashes by its fields, and only against an
 object of its own class; refuses assignment and deletion; rejects unknown,
 repeated and missing arguments with TypeError; and prints as
@@ -15,12 +15,7 @@ import math
 import pytest
 
 from diskflow.extremals import ExtremeCandidate
-from diskflow.generator import (
-    TRIVIAL_GENERATOR,
-    BerksonPortaSpec,
-    FixedPointConfig,
-    GeneratorSpec,
-)
+from diskflow.generator import FixedPointConfig, GeneratorSpec
 from diskflow.herglotz_core import AtomicHerglotz, BoundaryPoint, RationalHerglotz
 from diskflow.loewner_cp import ConcavityReport, CPTarget, PiecewiseField
 from diskflow.semiflow import Trajectory
@@ -45,7 +40,6 @@ RECORDS = [
         (0.5, (BoundaryPoint(0.0),), (-2.0,)),
     ),
     (GeneratorSpec, ("config", "p"), (CONFIG, P), (ORIGIN, P)),
-    (BerksonPortaSpec, ("tau", "pstar", "const"), (0.25j, P, 1.0), (0.25j, P, 2.0)),
     (DiskRegion, ("center", "radius"), (1 + 0j, 0.5), (1 + 0j, 0.25)),
     (IntervalRegion, ("lo", "hi"), (0.0, 2.0), (0.0, 3.0)),
     (InequalityRecord, ("name", "lhs", "rhs"), ("x", 1.0, 2.0), ("y", 1.0, 2.0)),
@@ -111,8 +105,6 @@ def test_defaults_are_those_of_the_dataclasses():
     assert AtomicHerglotz().atoms == () and AtomicHerglotz().gamma == 0.0
     assert GeneratorSpec(CONFIG).p == AtomicHerglotz()
     assert GeneratorSpec(CONFIG) == GeneratorSpec(CONFIG, AtomicHerglotz())
-    assert BerksonPortaSpec(0.0) == TRIVIAL_GENERATOR
-    assert BerksonPortaSpec(0.25j) == BerksonPortaSpec(0.25j, AtomicHerglotz(), 0.0)
     assert PiecewiseField(SEGMENTS).strict is True
     trajectory = Trajectory((0.0,), (0.5,))
     assert trajectory.derivatives is None and trajectory.rhs_calls == 0
@@ -171,10 +163,6 @@ REPRS = [
         "GeneratorSpec(config=FixedPointConfig(tau=(0.5+0j), "
         "sigmas=(BoundaryPoint(theta=0.0),), lambdas=(-1.0,)), "
         "p=AtomicHerglotz(atoms=(), gamma=0.0))",
-    ),
-    (
-        BerksonPortaSpec(0.25j, const=1),
-        "BerksonPortaSpec(tau=0.25j, pstar=AtomicHerglotz(atoms=(), gamma=0.0), const=1.0)",
     ),
     (DiskRegion(1, 0.5), "DiskRegion(center=(1+0j), radius=0.5)"),
     (IntervalRegion(0, 2), "IntervalRegion(lo=0.0, hi=2.0)"),

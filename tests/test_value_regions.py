@@ -258,6 +258,23 @@ def test_region_Z_omega_rejects_outside_spectral_disk():
         region_Z_omega(ORIGIN2, 0.0)
 
 
+@pytest.mark.parametrize(
+    "region, config, point",
+    [
+        (interval_I, BOUNDARY, math.nan),
+        (interval_I, BOUNDARY, complex(0.1, math.nan)),
+        (parabolic_region, BOUNDARY, math.nan),
+        (region_Omega, INTERIOR, math.nan),
+        (region_Z_omega, ORIGIN2, math.nan),
+    ],
+    ids=["interval_I", "interval_I-imaginary", "parabolic_region", "region_Omega", "region_Z_omega"],
+)
+def test_nan_observation_raises(region, config, point):
+    # a check of the form "value < -EDGE_TOL" lets NaN through
+    with pytest.raises(DomainError):
+        region(config, point)
+
+
 def test_origin_curvature_chart_matches_second_derivative(rng):
     spec = random_spec(rng, "origin")
     lam = dw_spectral_value(spec)
