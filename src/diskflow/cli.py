@@ -314,8 +314,10 @@ def cmd_flow(args) -> int:
     report = {
         "derivative": complex_to_obj(trajectory.derivatives[-1]),
         "endpoint": complex_to_obj(trajectory.points[-1]),
+        "rejected_steps": trajectory.rejected_steps,
         "rhs_calls": trajectory.rhs_calls,
         "samples": samples,
+        "steps": trajectory.steps,
         "t": horizon,
         "z0": complex_to_obj(z0),
     }

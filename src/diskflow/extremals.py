@@ -24,6 +24,7 @@ from .generator import (
     FixedPointConfig,
     GeneratorSpec,
     brfp_spectral_value,
+    tau_regime,
 )
 from .herglotz_core import AtomicHerglotz, BoundaryPoint, _Record, extract_atom
 
@@ -41,13 +42,15 @@ class ExtremeCandidate(_Record):
         object.__setattr__(self, "config", config)
         object.__setattr__(self, "b", float(b))
         object.__setattr__(self, "free_atoms", tuple(free_atoms))
+        if not math.isfinite(self.b):
+            raise DomainError(f"the imaginary constant b must be finite, got {self.b}")
         if len(self.free_atoms) > self.config.n - 1:
             raise DomainError(
                 f"at most {self.config.n - 1} free atoms allowed, got {len(self.free_atoms)}"
             )
         for point, mass in self.free_atoms:
-            if mass < 0.0:
-                raise WeightError("free atom masses must be nonnegative")
+            if not 0.0 <= mass < math.inf:
+                raise WeightError("free atom masses must be finite and nonnegative")
             if any(point.same_point(s) for s in self.config.sigmas):
                 raise DegenerateConfig(
                     "free atoms must avoid the repelling set; masses there belong "
@@ -141,6 +144,7 @@ def gk_generator(
     alpha) reproduces the candidate generator with free summand i*b.
     """
     tau = complex(tau)
+    tau_regime(tau)  # DomainError beyond the circle or at NaN
     z = complex(z)
     if not abs(z) < 1.0:
         raise DomainError("evaluation point must lie in the open disk")

@@ -30,6 +30,7 @@ from __future__ import annotations
 import cmath
 import math
 from functools import cached_property
+from typing import Callable
 
 from ._lazy import np
 
@@ -223,6 +224,34 @@ def eval_generator_derivative(gen: GeneratorSpec, z):
     q = eval_denominator(gen, z)
     dq = kernel_sum(*gen.denominator_atoms, z, 1)
     return (du * q - u * dq) / q**2
+
+
+def _point_generator(spec: GeneratorSpec) -> Callable[[complex], tuple[complex, complex]]:
+    """z -> (G(z), G'(z)) at one interior point, in plain complex arithmetic.
+
+    The atoms of p + p0 are read once, into plain lists, and each call makes
+    one pass over them for the denominator q and its derivative.  G equals
+    eval_generator(spec, z) to the last bit.  There is no domain check: the
+    caller keeps z inside the disk.
+    """
+    tau = spec.config.tau
+    tau_bar = tau.conjugate()
+    du_at_0 = -(1.0 + abs(tau) ** 2)
+    constant = 1j * spec.p.gamma
+    atoms = list(zip(*(a.tolist() for a in spec.denominator_atoms)))
+
+    def values(z: complex) -> tuple[complex, complex]:
+        q = half_dq = 0j
+        for s, m in atoms:
+            u = s - z
+            q += m * ((s + z) / u)
+            half_dq += m * s / (u * u)
+        q += constant
+        g = (tau - z) * (1.0 - tau_bar * z) / q
+        # G' = (u' q - u q') / q^2 = (u' - G q') / q
+        return g, (du_at_0 + 2.0 * tau_bar * z - 2.0 * g * half_dq) / q
+
+    return values
 
 
 def eval_generator_second_derivative(gen: GeneratorSpec, z):

@@ -11,8 +11,9 @@ half-plane, so Re p >= 0 is automatic.  The module provides evaluation,
 the mass functional p_star, the derivative-type functional p_sharp,
 contact values, atom surgery, reciprocals within the rational class, and
 the two quadrature routines used by the decay/divergence counterexample.
-Those two import scipy.integrate when first called, not with this module,
-so that every command that never integrates starts without loading it.
+Those two are the package's only users of scipy: they import
+scipy.integrate when first called, not with this module, so that every
+command but counterexample starts without loading it.
 
 Atoms are kept sorted by angle, those within ANGLE_TOL merged, whatever
 order they come in.  Consecutive atoms bound the arcs of the circle on

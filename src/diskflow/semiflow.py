@@ -7,12 +7,15 @@ equation d/dt (d phi_t/dz) = G'(phi_t) (d phi_t/dz) for the spatial
 derivative along the orbit.
 
 The flow functions, like the generator evaluations (eval_generator and its
-derivatives) they call, take one point or a 1-D array of points.  All the
-orbits of an array are solved as one system in a single IVP, with one
-generator evaluation per right-hand side over every orbit.  Error control
-is then joint across the orbits: the solver's step size answers to the
-root-mean-square of their scaled error estimates, and the boundary guard
-stops the solve when any orbit reaches it.
+derivatives) they call, take one point or a 1-D array of points.  A lone
+point is integrated in plain complex arithmetic: its state is one Python
+complex value, or two with the derivative, and each right-hand side is one
+pass over the spec's atoms for G and G' together.  All the orbits of an
+array are solved as one system, a numpy vector, with one generator
+evaluation per right-hand side over every orbit.  Error control is then
+joint across the orbits: the step size answers to the root-mean-square of
+their scaled error estimates, and the boundary guard stops the solve when
+any orbit reaches it.
 
 Boundary spectral data is recovered from the flow without ever evaluating
 on the circle: the quotient
@@ -21,41 +24,48 @@ on the circle: the quotient
 
 along the radius z = r sigma tends to phi'(sigma) as r -> 1, and a
 Richardson step in h = 1 - r removes the first-order error.  The whole
-radius ladder is one array of start points, hence one IVP.
+radius ladder is one array of start points, hence one solve.
 
 The numerics are module constants, not options: DOP853 (the Dormand-Prince
-8(5,3) pair with its 7th-order dense output) at REL_TOL = 1e-10 and
-ABS_TOL = 1e-12, with no cap on the step, stopped when an orbit comes
-within BOUNDARY_GUARD = 1e-13 of the circle, and the Richardson ladder
-RADII, r = 1 - 2^-k for k = 4..14, held to ESTIMATE_TOL = 1e-3: its final
-two extrapolants must agree within 10 * ESTIMATE_TOL (relative above 1).
+8(5,3) pair with its 7th-order dense output, Hairer, Norsett & Wanner,
+Solving ODE I, Sec. II.10) at REL_TOL = 1e-10 and ABS_TOL = 1e-12, with no
+cap on the step, stopped when an orbit comes within BOUNDARY_GUARD = 1e-13
+of the circle, and the Richardson ladder RADII, r = 1 - 2^-k for
+k = 4..14, held to ESTIMATE_TOL = 1e-3: its final two extrapolants must
+agree within 10 * ESTIMATE_TOL (relative above 1).
+
+The step loop is diskflow's own, _solve, on the tableau of _dop853.  Its
+controller is scipy's solve_ivp DOP853 controller to the letter (the
+initial step, safety 0.9, step factors 0.2 to 10, exponent -1/8, the
+E3/E5 error blend, a minimum step of 10 ulp of t), so it takes the steps
+and makes the right-hand-side calls that solve_ivp would.
 
 Error control chooses every step, so a solve's work is bounded by its
 right-hand-side calls, not by its horizon: each solve may make at most
-MAX_RHS_CALLS of them and raises DomainError when the budget runs out.
-Near an attracting point stability still limits an explicit step to a
-time unit or two, so a long horizon costs work in proportion to t.
+MAX_RHS_CALLS of them, the initial-step probe and the dense-output stages
+included, and raises DomainError when the budget runs out.  Near an
+attracting point stability still limits an explicit step to a time unit or
+two, so a long horizon costs work in proportion to t.
 
-A trial stage that leaves the disk (or is NaN) is a rejected step, not an
-error: the right-hand side returns NaN there, the error norm turns NaN and
-the solver shrinks the step.  A right-hand side that is not finite at a
-point inside the disk raises DomainError: on a NaN the solver's step
-control never ends.
-
-scipy.integrate is imported inside _solve, on the first solve, not with
-this module: it takes most of the package's import time, and the closed-form
-parts of the package (value regions, inequalities, the Cowen-Pommerenke
-region) never integrate.
+A stage that leaves the disk (or is NaN), the initial-step probe and the
+dense-output stages included, is not evaluated: it rejects the step, which
+is retried at a fifth of its size.  An accepted step that ends within
+BOUNDARY_GUARD of the circle raises BoundaryEscape.  A right-hand side
+that is not finite at a point inside the disk raises DomainError: on a NaN
+the step control would never end.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from bisect import bisect_right
+from operator import mul
 from typing import Callable
 
 from ._lazy import np
 
+from . import _dop853
 from .errors import (
     BoundaryEscape,
     DomainError,
@@ -64,6 +74,7 @@ from .errors import (
 )
 from .generator import (
     GeneratorSpec,
+    _point_generator,
     eval_generator,
     eval_generator_derivative,
 )
@@ -72,18 +83,26 @@ from .herglotz_core import BoundaryPoint, _Record
 REL_TOL = 1e-10
 ABS_TOL = 1e-12
 BOUNDARY_GUARD = 1e-13
-# most right-hand-side calls one solve makes: 2 to 3 s for one orbit on 2 vCPUs
+# most right-hand-side calls one solve makes: under a second for one orbit on 2 vCPUs
 MAX_RHS_CALLS = 10**5
 # most sample points flow_trajectory allocates
 MAX_SAMPLES = 10**6
 RADII = tuple(1.0 - 2.0**-k for k in range(4, 15))
 ESTIMATE_TOL = 1e-3
 
+# the step-size controller: the next step is the last one times
+# SAFETY * error ** EXPONENT, kept within [MIN_FACTOR, MAX_FACTOR]
+SAFETY = 0.9
+MIN_FACTOR = 0.2
+MAX_FACTOR = 10.0
+EXPONENT = -1.0 / 8.0  # the error estimate is of order 7
+
 
 class Trajectory(_Record):
     """Sampled orbit; derivatives are d phi_t/dz along it when requested.
 
-    rhs_calls counts the right-hand-side calls of the solve behind it.
+    rhs_calls, steps and rejected_steps count the right-hand-side calls, the
+    accepted steps and the rejected step attempts of the solve behind it.
     """
 
     def __init__(
@@ -92,74 +111,273 @@ class Trajectory(_Record):
         points: tuple[complex, ...],
         derivatives: tuple[complex, ...] | None = None,
         rhs_calls: int = 0,
+        steps: int = 0,
+        rejected_steps: int = 0,
     ) -> None:
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "points", points)
         object.__setattr__(self, "derivatives", derivatives)
         object.__setattr__(self, "rhs_calls", rhs_calls)
+        object.__setattr__(self, "steps", steps)
+        object.__setattr__(self, "rejected_steps", rejected_steps)
         if len(self.times) != len(self.points):
             raise ValueError("times and points must have equal length")
         if self.derivatives is not None and len(self.derivatives) != len(self.times):
             raise ValueError("derivatives must match times in length")
 
 
-def _solve(
-    rhs: Callable,
-    y0: np.ndarray,
-    n_orbits: int,
-    t_final: float,
-    t_eval: np.ndarray | None = None,
-):
-    """Integrate a system whose first ``n_orbits`` components are orbit points.
+class _Lone:
+    """Stage arithmetic of one orbit in plain complex.
 
-    Returns the solution and the number of right-hand-side calls it took,
-    at most MAX_RHS_CALLS.
+    A state is a list of Python complex values, the orbit point first; the
+    stages are kept one list per component, so that a stage's input is one
+    sum over a row of A per component.
     """
-    from scipy.integrate import solve_ivp
 
-    guard = 1.0 - BOUNDARY_GUARD
-    calls = 0
+    A = _dop853.A
 
-    def counted(t: float, y: np.ndarray) -> np.ndarray:
+    @staticmethod
+    def stages(y: list[complex]) -> list[list[complex]]:
+        return [[0j] * len(_dop853.C) for _ in y]
+
+    @staticmethod
+    def combine(y, K, row, h: float) -> list[complex]:
+        """y + h sum_j row[j] K_j."""
+        return [yc + sum(map(mul, row, kc)) * h for yc, kc in zip(y, K)]
+
+    @staticmethod
+    def store(K, s: int, f: list[complex]) -> None:
+        for kc, fc in zip(K, f):
+            kc[s] = fc
+
+    @staticmethod
+    def restart(K) -> None:
+        """The end point's derivative becomes the next step's first stage."""
+        for kc in K:
+            kc[0] = kc[12]
+
+    @staticmethod
+    def radius(y: list[complex]) -> float:
+        return abs(y[0])
+
+    @staticmethod
+    def finite(f: list[complex]) -> bool:
+        return all(map(cmath.isfinite, f))
+
+    @staticmethod
+    def scale(y, y_new) -> list[float]:
+        return [ABS_TOL + max(abs(a), abs(b)) * REL_TOL for a, b in zip(y, y_new)]
+
+    @staticmethod
+    def rms(x, scale) -> float:
+        """Root-mean-square of x / scale."""
+        total = 0.0
+        for xc, sc in zip(x, scale):
+            v = xc / sc
+            total += v.real * v.real + v.imag * v.imag
+        return math.sqrt(total) / len(x) ** 0.5
+
+    @staticmethod
+    def difference(a, b) -> list[complex]:
+        return [p - q for p, q in zip(a, b)]
+
+    @staticmethod
+    def error_norms(y, y_new, K) -> tuple[float, float]:
+        """Squared norms of the scaled 5th- and 3rd-order error estimates."""
+        err5 = err3 = 0.0
+        for sc, kc in zip(_Lone.scale(y, y_new), K):
+            e5 = sum(map(mul, _dop853.E5, kc)) / sc
+            e3 = sum(map(mul, _dop853.E3, kc)) / sc
+            err5 += e5.real * e5.real + e5.imag * e5.imag
+            err3 += e3.real * e3.real + e3.imag * e3.imag
+        return err5, err3
+
+    @staticmethod
+    def interpolant(y, y_new, K, h: float) -> list[list[complex]]:
+        """The coefficients of DOP853's 7th-order interpolant over the step."""
+        F = []
+        for yc, nc, kc in zip(y, y_new, K):
+            dy = nc - yc
+            F.append(
+                [dy, h * kc[0] - dy, 2.0 * dy - h * (kc[12] + kc[0])]
+                + [h * sum(map(mul, row, kc)) for row in _dop853.D]
+            )
+        return F
+
+    @staticmethod
+    def interpolate(F, y, x: float) -> list[complex]:
+        """The interpolant at the fraction x of the step from y."""
+        weights = (x, 1.0 - x) * 3 + (x,)
+        out = []
+        for yc, coefficients in zip(y, F):
+            value = 0j
+            for c, w in zip(reversed(coefficients), weights):
+                value = (value + c) * w
+            out.append(yc + value)
+        return out
+
+
+class _Batch:
+    """Stage arithmetic of n orbits (and their derivatives) as one numpy
+    vector, with one matrix product per stage, as scipy's solve_ivp does it.
+    The orbit points are the first n components."""
+
+    def __init__(self, n: int) -> None:
+        self.n = n
+        self.A, self.E3, self.E5 = _dop853.arrays()
+
+    @staticmethod
+    def stages(y: np.ndarray) -> np.ndarray:
+        return np.empty((len(_dop853.C), len(y)), dtype=complex)
+
+    @staticmethod
+    def combine(y, K, row, h: float) -> np.ndarray:
+        return y + np.dot(K[: len(row)].T, row) * h
+
+    @staticmethod
+    def store(K, s: int, f: np.ndarray) -> None:
+        K[s] = f
+
+    @staticmethod
+    def restart(K) -> None:
+        K[0] = K[12]
+
+    def radius(self, y: np.ndarray) -> float:
+        return np.abs(y[: self.n]).max()
+
+    @staticmethod
+    def finite(f: np.ndarray) -> bool:
+        return np.isfinite(f).all()
+
+    @staticmethod
+    def scale(y, y_new) -> np.ndarray:
+        return ABS_TOL + np.maximum(np.abs(y), np.abs(y_new)) * REL_TOL
+
+    @staticmethod
+    def rms(x, scale) -> float:
+        return np.linalg.norm(x / scale) / x.size**0.5
+
+    @staticmethod
+    def difference(a, b) -> np.ndarray:
+        return a - b
+
+    def error_norms(self, y, y_new, K) -> tuple[float, float]:
+        scale = self.scale(y, y_new)
+        err5 = np.linalg.norm(np.dot(K[:13].T, self.E5) / scale) ** 2
+        err3 = np.linalg.norm(np.dot(K[:13].T, self.E3) / scale) ** 2
+        return err5, err3
+
+
+def _solve(kind, rhs: Callable, y, t_final: float, grid=()):
+    """Integrate y' = rhs(y) from y at t = 0 to t_final with DOP853.
+
+    ``kind`` (_Lone or _Batch) does the arithmetic on states; ``y`` must
+    lie inside the disk.  Returns the state at t_final, the states at the
+    times of the sorted ``grid`` (a lone orbit's only), taken from the
+    dense output, and the counts (rhs_calls, steps, rejected_steps).
+    """
+    K = kind.stages(y)
+    A, C = kind.A, _dop853.C
+    combine, radius, finite, store = kind.combine, kind.radius, kind.finite, kind.store
+    calls = steps = rejected = 0
+
+    def evaluate(s: int, y, at: float):
+        """rhs(y) into K[s]; None, and no call, when y is off the disk."""
         nonlocal calls
+        if not radius(y) < 1.0:
+            return None
         if calls == MAX_RHS_CALLS:
             raise DomainError(
                 f"the solve to t = {t_final!r} ran out of its budget of "
-                f"{MAX_RHS_CALLS} right-hand-side calls at t = {float(t)!r}"
+                f"{MAX_RHS_CALLS} right-hand-side calls at t = {float(at)!r}"
             )
         calls += 1
-        try:
-            return rhs(t, y)
-        except DomainError:
-            # the generator refuses a stage off the disk, and _pack one that
-            # is NaN after such a stage: a NaN value rejects the step
-            if not np.abs(y[:n_orbits]).max() < 1.0:
-                return np.full_like(y, np.nan)
-            raise
+        f = rhs(y)
+        if not finite(f):
+            raise DomainError("the right-hand side of the flow is not finite along the orbit")
+        store(K, s, f)
+        return f
 
-    def escape(t: float, y: np.ndarray) -> float:
-        return np.abs(y[:n_orbits]).max() - guard
+    def run_stages(y, t: float, h: float, stages: range):
+        """The stages of the step of size h from (t, y): the input of the
+        last one, or None at the first whose input is off the disk."""
+        for s in stages:
+            y_s = combine(y, K, A[s], h)
+            if evaluate(s, y_s, t + C[s] * h) is None:
+                return None
+        return y_s
 
-    escape.terminal = True
-    escape.direction = 1.0
+    # the first step as Hairer, Norsett & Wanner (Sec. II.4) and scipy's
+    # select_initial_step choose it, from an Euler probe
+    f0 = evaluate(0, y, 0.0)
+    scale = kind.scale(y, y)
+    d0, d1 = kind.rms(y, scale), kind.rms(f0, scale)
+    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, t_final)
+    f1 = evaluate(1, combine(y, K, (1.0,), h0), h0)
+    # a probe off the disk leaves the second derivative unestimated
+    d2 = 0.0 if f1 is None else kind.rms(kind.difference(f1, f0), scale) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h_abs = max(1e-6, h0 * 1e-3)
+    else:
+        h_abs = (0.01 / max(d1, d2)) ** 0.125
+    h_abs = min(100.0 * h0, h_abs, t_final)
 
-    # a rejected off-disk stage carries NaN through the solver's arithmetic
-    with np.errstate(invalid="ignore"):
-        sol = solve_ivp(
-            counted,
-            (0.0, t_final),
-            y0,
-            method="DOP853",
-            rtol=REL_TOL,
-            atol=ABS_TOL,
-            t_eval=t_eval,
-            events=[escape],
-        )
-    if sol.status == 1:
-        raise BoundaryEscape("orbit reached the boundary guard radius")
-    if sol.status != 0:
-        raise StepFailure(f"integrator failed: {sol.message}")
-    return sol, calls
+    guard = 1.0 - BOUNDARY_GUARD
+    t, sampled, samples = 0.0, 0, []
+    while t < t_final:
+        min_step = 10.0 * math.ulp(t)
+        h_abs = max(h_abs, min_step)
+        retried = False
+        while True:
+            if h_abs < min_step:
+                raise StepFailure(
+                    f"integrator failed at t = {t!r}: the step fell below 10 ulp of t"
+                )
+            t_new = min(t + h_abs, t_final)
+            h = t_new - t
+            # stage 12's input is the step's end point; a stage off the
+            # disk counts as an infinite error
+            y_new = run_stages(y, t, h, range(1, 13))
+            error = math.inf
+            if y_new is not None:
+                err5, err3 = kind.error_norms(y, y_new, K)
+                error = 0.0
+                if err5 or err3:
+                    error = h * err5 / math.sqrt((err5 + 0.01 * err3) * len(y))
+            if error < 1.0:
+                if not radius(y_new) < guard:
+                    raise BoundaryEscape("orbit reached the boundary guard radius")
+                # the step's samples need the interpolant's three stages
+                due = bisect_right(grid, t_new)
+                if due == sampled or run_stages(y, t, h, range(13, 16)) is not None:
+                    break
+                error = math.inf
+            h_abs = h * max(MIN_FACTOR, SAFETY * error**EXPONENT)
+            retried = True
+            rejected += 1
+        factor = MAX_FACTOR if error == 0.0 else min(MAX_FACTOR, SAFETY * error**EXPONENT)
+        h_abs = h * (min(1.0, factor) if retried else factor)
+        if due > sampled:
+            F = kind.interpolant(y, y_new, K, h)
+            samples += [kind.interpolate(F, y, (s - t) / h) for s in grid[sampled:due]]
+            sampled = due
+        steps += 1
+        t, y = t_new, y_new
+        kind.restart(K)
+    return y, samples, (calls, steps, rejected)
+
+
+def _check_horizon(t: float) -> None:
+    if not 0.0 <= t < math.inf:
+        raise DomainError(f"semigroup time must be finite and nonnegative, got {t!r}")
+
+
+def _start_point(z0) -> complex:
+    """z0 as a Python complex, checked to lie in the open disk (NaN does not)."""
+    z = complex(z0)
+    if not abs(z) < 1.0:
+        raise DomainError(f"initial point must lie in the open disk, |z0|={abs(z)}")
+    return z
 
 
 def _start_points(z0) -> np.ndarray:
@@ -173,104 +391,83 @@ def _start_points(z0) -> np.ndarray:
     return z
 
 
-def _like_input(z0, values: np.ndarray):
-    """``values`` (one per start point) shaped like the caller's z0."""
-    return values.copy() if np.ndim(z0) else complex(values[0])
+def _lone(gen: GeneratorSpec, z: complex, t: float, derivative: bool, grid=()):
+    """_solve for the orbit of z, with its derivative when ``derivative``."""
+    point = _point_generator(gen)
+    if derivative:
+
+        def rhs(y: list[complex]) -> list[complex]:
+            g, dg = point(y[0])
+            return [g, dg * y[1]]
+
+        return _solve(_Lone, rhs, [z, 1.0 + 0j], t, grid)
+    return _solve(_Lone, lambda y: [point(y[0])[0]], [z], t, grid)
 
 
-def _unpack(y: np.ndarray, n: int):
-    """The first n components of a state vector, as the generator's argument.
+def _batch(gen: GeneratorSpec, z: np.ndarray, t: float, derivative: bool):
+    """_solve for the orbits of the points z, with their derivatives when
+    ``derivative`` (the state is then z followed by the derivatives)."""
+    n = len(z)
+    if derivative:
 
-    A lone orbit is integrated in plain complex arithmetic: its component
-    goes in as a Python complex, which the generator evaluates several
-    times faster than numpy on a one-element array.
-    """
-    return complex(y[0]) if n == 1 else y[:n]
+        def rhs(y: np.ndarray) -> np.ndarray:
+            w = y[:n]
+            tangent = eval_generator_derivative(gen, w) * y[n:]
+            return np.concatenate((eval_generator(gen, w), tangent))
 
-
-def _pack(n: int, *parts) -> np.ndarray:
-    """The state vector made of ``parts``, each one value per orbit.
-
-    Every right-hand side is built here, so a non-finite one is refused
-    here.  A lone orbit's parts are Python complex numbers, checked without
-    numpy's per-call cost; a lone array part is fresh and needs no copy.
-    """
-    if n == 1:
-        finite = all(map(cmath.isfinite, parts))
-        y = np.array(parts)
-    else:
-        y = np.concatenate(parts) if len(parts) > 1 else parts[0]
-        finite = np.isfinite(y).all()
-    if not finite:
-        raise DomainError("the right-hand side of the flow is not finite along the orbit")
-    return y
-
-
-def _flow_rhs(gen: GeneratorSpec, n: int) -> Callable:
-    """Right-hand side of n orbits."""
-
-    def rhs(_: float, y: np.ndarray) -> np.ndarray:
-        return _pack(n, eval_generator(gen, _unpack(y, n)))
-
-    return rhs
-
-
-def _variational_rhs(gen: GeneratorSpec, n: int) -> Callable:
-    """Right-hand side of n orbits (first n components) and their derivatives."""
-
-    def rhs(_: float, y: np.ndarray) -> np.ndarray:
-        w = _unpack(y, n)
-        tangent = eval_generator_derivative(gen, w) * _unpack(y[n:], n)
-        return _pack(n, eval_generator(gen, w), tangent)
-
-    return rhs
+        return _solve(_Batch(n), rhs, np.concatenate((z, np.ones(n, dtype=complex))), t)
+    return _solve(_Batch(n), lambda y: eval_generator(gen, y), z, t)
 
 
 def integrate_flow(gen: GeneratorSpec, z0, t: float):
-    """phi_t(z0) for a start point or a 1-D array of them (one IVP)."""
+    """phi_t(z0) for a start point or a 1-D array of them (one solve)."""
+    _check_horizon(t)
+    if np.ndim(z0) == 0:
+        z = _start_point(z0)
+        return z if t == 0.0 else _lone(gen, z, t, False)[0][0]
     z = _start_points(z0)
-    if not 0.0 <= t < math.inf:
-        raise DomainError(f"semigroup time must be finite and nonnegative, got {t!r}")
-    n = len(z)
-    if t == 0.0 or n == 0:
-        return _like_input(z0, z)
-    sol, _ = _solve(_flow_rhs(gen, n), z, n, t)
-    return _like_input(z0, sol.y[:, -1])
+    if t == 0.0 or len(z) == 0:
+        return z.copy()
+    return _batch(gen, z, t, False)[0]
 
 
 def integrate_flow_with_derivative(gen: GeneratorSpec, z0, t: float):
     """(phi_t(z0), d phi_t/dz at z0) via the variational equation.
 
-    For an array of start points both entries are arrays, solved as one IVP.
+    For an array of start points both entries are arrays, solved as one
+    system.
     """
+    _check_horizon(t)
+    if np.ndim(z0) == 0:
+        z = _start_point(z0)
+        if t == 0.0:
+            return z, 1.0 + 0j
+        w, dw = _lone(gen, z, t, True)[0]
+        return w, dw
     z = _start_points(z0)
-    if not 0.0 <= t < math.inf:
-        raise DomainError(f"semigroup time must be finite and nonnegative, got {t!r}")
     n = len(z)
-    ones = np.ones(n, dtype=complex)
     if t == 0.0 or n == 0:
-        return _like_input(z0, z), _like_input(z0, ones)
-    sol, _ = _solve(_variational_rhs(gen, n), np.concatenate((z, ones)), n, t)
-    return _like_input(z0, sol.y[:n, -1]), _like_input(z0, sol.y[n:, -1])
+        return z.copy(), np.ones(n, dtype=complex)
+    y = _batch(gen, z, t, True)[0]
+    return y[:n], y[n:]
 
 
 def flow_trajectory(
     gen: GeneratorSpec, z0: complex, t: float, samples: int = 200
 ) -> Trajectory:
     """Orbit and derivative sampled on a uniform time grid of ``samples`` points."""
-    z = _start_points(complex(z0))
+    z = _start_point(z0)
     if not 0.0 < t < math.inf:
         raise DomainError(f"trajectory horizon must be finite and positive, got {t!r}")
     if not 2 <= samples <= MAX_SAMPLES:
         raise DomainError(f"samples must lie in [2, {MAX_SAMPLES}], got {samples!r}")
-    grid = np.linspace(0.0, t, samples)
-    y0 = np.concatenate((z, np.ones(1, dtype=complex)))
-    sol, calls = _solve(_variational_rhs(gen, 1), y0, 1, t, t_eval=grid)
+    grid = np.linspace(0.0, t, samples).tolist()
+    _, states, stats = _lone(gen, z, t, True, grid)
     return Trajectory(
-        tuple(float(s) for s in sol.t),
-        tuple(complex(w) for w in sol.y[0]),
-        tuple(complex(w) for w in sol.y[1]),
-        calls,
+        tuple(grid),
+        tuple(w for w, _ in states),
+        tuple(dw for _, dw in states),
+        *stats,
     )
 
 

@@ -73,7 +73,7 @@ class DiskRegion(_Record):
     def __init__(self, center: complex, radius: float) -> None:
         object.__setattr__(self, "center", complex(center))
         object.__setattr__(self, "radius", float(radius))
-        if self.radius < 0.0:
+        if not self.radius >= 0.0:  # NaN is no radius
             raise ValueError(f"radius must be nonnegative, got {self.radius}")
 
     def slack(self, w: complex) -> float:
@@ -92,7 +92,7 @@ class IntervalRegion(_Record):
     def __init__(self, lo: float, hi: float) -> None:
         object.__setattr__(self, "lo", float(lo))
         object.__setattr__(self, "hi", float(hi))
-        if self.hi < self.lo:
+        if not self.lo <= self.hi:  # NaN bounds no interval
             raise ValueError(f"empty interval [{self.lo}, {self.hi}]")
 
     def slack(self, x: float) -> float:

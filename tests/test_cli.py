@@ -563,9 +563,9 @@ def test_flow_horizon_past_a_hundred_completes(tmp_path):
 
 
 def test_flow_non_finite_right_hand_side_exits_3(tmp_path):
-    # with an atom of mass 1e300, q**2 overflows in G' while G stays finite,
+    # an atom of mass 1e308 near z0 overflows the denominator q to infinity,
     # so the variational right-hand side turns NaN inside the disk, which is refused
-    generator = dict(_FLOW_CONFIG["generator"], p={"atoms": [{"theta": 3.0, "mass": 1e300}]})
+    generator = dict(_FLOW_CONFIG["generator"], p={"atoms": [{"theta": 0.3, "mass": 1e308}]})
     cfg = write_json(tmp_path / "cfg_flow.json", dict(_FLOW_CONFIG, generator=generator))
     out = tmp_path / "out"
     res = run("flow", "--config", cfg, "--out", str(out), timeout=60)

@@ -1,5 +1,7 @@
 """Tests for extreme points of the two normalized generator families."""
 
+import math
+
 import pytest
 
 from diskflow import (
@@ -51,6 +53,14 @@ def test_candidate_atom_budget():
 def test_candidate_rejects_negative_mass():
     with pytest.raises(WeightError):
         ExtremeCandidate(PAIR, 0.0, ((BoundaryPoint(4.0), -0.1),))
+
+
+def test_candidate_refuses_nan_mass_and_b():
+    # "mass < 0 raises" let NaN through, to fail later in AtomicHerglotz
+    with pytest.raises(WeightError):
+        ExtremeCandidate(PAIR, 0.0, ((BoundaryPoint(4.0), math.nan),))
+    with pytest.raises(DomainError):
+        ExtremeCandidate(PAIR, math.nan)
 
 
 def test_candidate_atoms_must_avoid_repelling_set():
@@ -208,6 +218,12 @@ def test_gk_generator_refuses_nan():
         gk_generator(0.0, BoundaryPoint(0.0), nan, ((k, 1.0),), 0.0)
     with pytest.raises(DomainError):
         gk_generator(0.0, BoundaryPoint(0.0), -1.0, ((k, 1.0),), nan)
+
+
+@pytest.mark.parametrize("tau", [math.nan, 3.0])
+def test_gk_generator_refuses_tau_off_the_closed_disk(tau):
+    with pytest.raises(DomainError):
+        gk_generator(tau, BoundaryPoint(0.0), -1.0, ((BoundaryPoint(1.0), 1.0),), 0.0)
 
 
 def test_gk_vanishes_at_tau():

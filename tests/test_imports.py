@@ -12,11 +12,13 @@ else: in the package outside its own definition, in bench/, or in the
 acceptance tests.  The few that await a caller are listed in
 AWAITING_CALLER with the reason each stays.
 
-scipy is imported only inside the functions that integrate or use
-quadrature: importing scipy.integrate takes most of the package's start-up
-time, which the commands that never integrate should not pay.  An import of
-scipy outside a function body fails the check below, and a fresh
-interpreter running region, cowen-pommerenke and verify must not load it.
+scipy is imported only inside the two quadrature functions of
+herglotz_core, counterexample_P and counterexample_divergence: importing
+scipy.integrate takes most of the package's start-up time, which the
+commands that use no quadrature should not pay.  The semiflow integrates
+with its own DOP853 loop.  An import of scipy outside a function body fails
+the check below, and a fresh interpreter running region, cowen-pommerenke,
+verify and flow must not load it.
 
 numpy is bound once, in _lazy, which registers a lazy numpy module when
 nothing has imported numpy yet; every other module takes np from there and
@@ -216,6 +218,24 @@ def test_module_imports_scipy_only_inside_functions(path):
     assert imports_of(path.read_text(), "scipy", in_functions=False) == []
 
 
+def test_only_the_two_quadratures_import_scipy():
+    importers = {}
+    for path in ALL_MODULES:
+        source = path.read_text()
+        total = len(imports_of(source, "scipy", in_functions=True))
+        for node in ast.parse(source).body:
+            if isinstance(node, ast.FunctionDef):
+                segment = ast.get_source_segment(source, node)
+                if count := len(imports_of(segment, "scipy", in_functions=True)):
+                    importers[f"{path.stem}.{node.name}"] = count
+                    total -= count
+        assert total == 0, f"{path.stem} imports scipy outside a top-level function"
+    assert set(importers) == {
+        "herglotz_core.counterexample_P",
+        "herglotz_core.counterexample_divergence",
+    }
+
+
 def test_checker_flags_a_numpy_import_at_any_level():
     source = (
         "import numpy as np\n"
@@ -341,9 +361,9 @@ def test_commands_that_never_integrate_do_not_load_scipy(tmp_path):
     assert report["after_import"] == []
     assert report["codes"] == [0, 0, 0]
     assert report["after_commands"] == []
-    # flow integrates, so it loads scipy.integrate on first use and succeeds
+    # flow integrates with diskflow's own step loop and still loads no scipy
     assert report["flow_code"] == 0
-    assert report["after_flow"] is True
+    assert report["after_flow"] is False
 
 
 # The lazy numpy module sits in sys.modules before numpy loads, so a loaded

@@ -61,9 +61,9 @@ RECORDS = [
     ),
     (
         Trajectory,
-        ("times", "points", "derivatives", "rhs_calls"),
-        ((0.0, 1.0), (0.5, 0.25j), (1.0, 0.5), 7),
-        ((0.0, 1.0), (0.5, 0.25j), (1.0, 0.5), 8),
+        ("times", "points", "derivatives", "rhs_calls", "steps", "rejected_steps"),
+        ((0.0, 1.0), (0.5, 0.25j), (1.0, 0.5), 7, 3, 1),
+        ((0.0, 1.0), (0.5, 0.25j), (1.0, 0.5), 7, 3, 2),
     ),
     (
         ExtremeCandidate,
@@ -108,6 +108,7 @@ def test_defaults_are_those_of_the_dataclasses():
     assert PiecewiseField(SEGMENTS).strict is True
     trajectory = Trajectory((0.0,), (0.5,))
     assert trajectory.derivatives is None and trajectory.rhs_calls == 0
+    assert trajectory.steps == trajectory.rejected_steps == 0
     assert ExtremeCandidate(PAIR, 0.5).free_atoms == ()
 
 
@@ -175,7 +176,8 @@ REPRS = [
     ),
     (
         Trajectory((0.0, 1.0), (0.5, 0.25j)),
-        "Trajectory(times=(0.0, 1.0), points=(0.5, 0.25j), derivatives=None, rhs_calls=0)",
+        "Trajectory(times=(0.0, 1.0), points=(0.5, 0.25j), derivatives=None, rhs_calls=0, "
+        "steps=0, rejected_steps=0)",
     ),
     (
         ExtremeCandidate(CONFIG, 0),

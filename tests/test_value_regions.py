@@ -96,6 +96,19 @@ def test_interval_region_rejects_reversed():
         IntervalRegion(2.0, 1.0)
 
 
+@pytest.mark.parametrize(
+    "make",
+    [lambda: DiskRegion(0.0, math.nan), lambda: IntervalRegion(0.0, math.nan),
+     lambda: IntervalRegion(math.nan, 1.0)],
+    ids=["disk-radius", "interval-hi", "interval-lo"],
+)
+def test_regions_refuse_nan_bounds(make):
+    # NaN fails every comparison, so a check written as "radius < 0 raises"
+    # let it through and slack returned NaN or a wrong 0.5
+    with pytest.raises(ValueError):
+        make()
+
+
 # ----------------------------------------------------------------------
 # the range of G(0)
 # ----------------------------------------------------------------------
