@@ -6,9 +6,8 @@ solved inside the unit disk, optionally together with the variational
 equation d/dt (d phi_t/dz) = G'(phi_t) (d phi_t/dz) for the spatial
 derivative along the orbit.
 
-The flow functions, like the generator evaluations (eval_generator and its
-derivatives) they call, take one point or a 1-D array of points.  A lone
-point is integrated in plain complex arithmetic: its state is one Python
+The flow functions take one point or a 1-D array of points.  A lone point
+is integrated in plain complex arithmetic: its state is one Python
 complex value, or two with the derivative, and each right-hand side is one
 pass over the spec's atoms for G and G' together.  All the orbits of an
 array are solved as one system, a numpy vector, with one generator

@@ -13,8 +13,7 @@ and never exceed it: the loop stops a step at its first stage off the
 disk, where solve_ivp evaluates every stage of a NaN step.
 
 The reference right-hand side returns NaN off the disk, which rejects the
-step in solve_ivp, and its terminal event is the boundary guard; this is
-how diskflow integrated before it had its own loop.
+step in solve_ivp, and its terminal event is the boundary guard.
 """
 
 import math
@@ -144,7 +143,7 @@ ESCAPING = GeneratorSpec(
 @pytest.mark.parametrize("t", [0.05, 0.5, 2.0])
 @pytest.mark.parametrize("z0", [0.99, 0.995, 0.999, 0.9999])
 def test_trajectory_near_the_circle_meets_the_closed_form(z0, t):
-    # trial stages, dense-output stages included, land near or past |z| = 1
+    # the orbit ends as close as 2e-13 to the circle, just inside the guard
     tr = flow_trajectory(ESCAPING, z0, t)
     for s, w, dw in zip(tr.times, tr.points, tr.derivatives):
         x = 5.0 * s + math.atanh(z0)

@@ -27,6 +27,7 @@ from diskflow import (
     julia_quotient_estimate,
     random_spec,
 )
+from diskflow import semiflow
 from diskflow.semiflow import MAX_RHS_CALLS
 
 KOENIGS = GeneratorSpec(
@@ -183,6 +184,26 @@ def test_a_trial_stage_off_the_disk_is_a_rejected_step(z0):
     assert integrate_flow(ESCAPING, z0, t) == pytest.approx(
         math.tanh(5.0 * t + math.atanh(z0)), abs=1e-9
     )
+
+
+def test_a_dense_output_stage_off_the_disk_is_a_rejected_step():
+    # a stub right-hand side that is zero except at the first step's end
+    # point: the step has no error estimate and stays at 0.5, but its first
+    # dense-output stage, 0.5 - 0.0083 h f_new, lands far off the disk
+    calls = []
+
+    def rhs(y):
+        calls.append(y)
+        # calls 1 and 2 are the first derivative and the initial-step
+        # probe, 3 to 13 the stages 1 to 11, call 14 the end point
+        return [1e9 + 0j if len(calls) == 14 else 0j]
+
+    y, samples, (rhs_calls, steps, rejected) = semiflow._solve(
+        semiflow._Lone, rhs, [0.5 + 0j], 1e-6, [0.0, 5e-7, 1e-6]
+    )
+    assert rejected == 1
+    assert y == [0.5] and samples == [[0.5]] * 3
+    assert rhs_calls == len(calls)
 
 
 def test_batched_flow_rejects_any_start_outside_the_disk():
