@@ -34,7 +34,7 @@ k = 4..14, held to ESTIMATE_TOL = 1e-3: its final two extrapolants must
 agree within 10 * ESTIMATE_TOL (relative above 1).
 
 The step loop is diskflow's own, _solve, on the tableau of _dop853.  Its
-controller is scipy's solve_ivp DOP853 controller to the letter (the
+controller is solve_ivp's DOP853 controller to the letter (the
 initial step, safety 0.9, step factors 0.2 to 10, exponent -1/8, the
 E3/E5 error blend, a minimum step of 10 ulp of t), so it takes the steps
 and makes the right-hand-side calls that solve_ivp would.
@@ -218,7 +218,7 @@ class _Lone:
 
 class _Batch:
     """Stage arithmetic of n orbits (and their derivatives) as one numpy
-    vector, with one matrix product per stage, as scipy's solve_ivp does it.
+    vector, with one matrix product per stage, as solve_ivp does it.
     The orbit points are the first n components."""
 
     def __init__(self, n: int) -> None:
@@ -306,7 +306,7 @@ def _solve(kind, rhs: Callable, y, t_final: float, grid=()):
                 return None
         return y_s
 
-    # the first step as Hairer, Norsett & Wanner (Sec. II.4) and scipy's
+    # the first step as Hairer, Norsett & Wanner (Sec. II.4) and solve_ivp's
     # select_initial_step choose it, from an Euler probe
     f0 = evaluate(0, y, 0.0)
     scale = kind.scale(y, y)

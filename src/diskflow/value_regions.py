@@ -73,6 +73,8 @@ class DiskRegion(_Record):
     def __init__(self, center: complex, radius: float) -> None:
         object.__setattr__(self, "center", complex(center))
         object.__setattr__(self, "radius", float(radius))
+        if not cmath.isfinite(self.center):  # NaN or inf is no center
+            raise ValueError(f"center must be finite, got {self.center}")
         if not self.radius >= 0.0:  # NaN is no radius
             raise ValueError(f"radius must be nonnegative, got {self.radius}")
 

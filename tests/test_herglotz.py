@@ -27,7 +27,7 @@ from diskflow import (
     p_star,
     reciprocal,
 )
-from diskflow.herglotz_core import angle_gap, kernel_sum
+from diskflow.herglotz_core import _MAX_PANELS, _gk15, _gk15_panel, angle_gap, kernel_sum
 from loop_reference import herglotz_derivative_circle
 
 TWO_PI = 2.0 * math.pi
@@ -415,7 +415,7 @@ def test_divergence_is_iterated_log():
     for k in range(1, 5):
         delta = math.exp(-math.exp(float(k)))
         v = counterexample_divergence(delta)
-        assert v == pytest.approx(float(k), abs=1e-9)
+        assert v == pytest.approx(math.log(math.log(1.0 / delta)), abs=1e-12)
 
 
 def test_divergence_rejects_bad_delta():
@@ -423,3 +423,46 @@ def test_divergence_rejects_bad_delta():
         counterexample_divergence(0.5)  # not below 1/e
     with pytest.raises((ValueError, DomainError)):
         counterexample_divergence(0.0)
+
+
+# ----------------------------------------------------------------------
+# the adaptive G7K15 routine behind both integrals
+# ----------------------------------------------------------------------
+
+
+def test_one_panel_is_exact_to_degree_22():
+    for k in range(23):
+        value, err = _gk15_panel(lambda t: t**k, 0.0, 1.0)
+        assert value == pytest.approx(1.0 / (k + 1), abs=1e-15), k
+        # G7 is exact only to degree 13, so the estimate is no proof of accuracy
+        assert err <= 1e-15 if k <= 13 else err > 1e-12, k
+
+
+@pytest.mark.parametrize(
+    "f, exact",
+    [(lambda t: -math.log(t), 1.0), (lambda t: t**-0.5, 2.0)],
+    ids=["log", "inverse-sqrt"],
+)
+def test_adaptive_routine_meets_endpoint_singularities(f, exact):
+    assert _gk15(f, [0.0, 1.0], 1e-8, "test integral") == pytest.approx(exact, abs=1e-12)
+
+
+def test_adaptive_routine_refuses_at_the_panel_cap():
+    # 1/t is not integrable at 0: halving the first panel never lowers its estimate
+    calls = []
+
+    def f(t):
+        calls.append(t)
+        return 1.0 / t
+
+    with pytest.raises(QuadratureFailure, match=f"after {_MAX_PANELS} panels"):
+        _gk15(f, [0.0, 1.0], 1e-8, "test integral")
+    assert len(calls) == 15 * (2 * _MAX_PANELS - 1)
+    assert 0.0 not in calls
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_adaptive_routine_refuses_a_non_finite_integrand(bad):
+    # an error test written "err > bound raises" would return NaN here
+    with pytest.raises(QuadratureFailure, match="estimate (nan|inf) exceeds"):
+        _gk15(lambda t: bad if 0.3 < t < 0.4 else 1.0, [0.0, 1.0], 1e-8, "test integral")

@@ -1,6 +1,7 @@
 """Every module of the package uses each name it imports, every public name
-it defines has a caller, none loads scipy or dataclasses, and numpy loads on
-first use.
+it defines has a caller, none imports scipy or dataclasses, every
+third-party module it imports is a declared runtime dependency, and numpy
+loads on first use.
 
 No linter ships with the project, so this is the unused-import check: a
 name bound by an import at any level of a module under src/diskflow/ must
@@ -12,13 +13,14 @@ else: in the package outside its own definition, in bench/, or in the
 acceptance tests.  The few that await a caller are listed in
 AWAITING_CALLER with the reason each stays.
 
-scipy is imported only inside the two quadrature functions of
-herglotz_core, counterexample_P and counterexample_divergence: importing
-scipy.integrate takes most of the package's start-up time, which the
-commands that use no quadrature should not pay.  The semiflow integrates
-with its own DOP853 loop.  An import of scipy outside a function body fails
-the check below, and a fresh interpreter running region, cowen-pommerenke,
-verify and flow must not load it.
+No module imports scipy, at any level: importing scipy.integrate took
+most of the package's start-up time.  The semiflow integrates with its own
+DOP853 loop and the counterexample integrals with their own Gauss-Kronrod
+routine.  A fresh interpreter running counterexample, region,
+cowen-pommerenke, verify and flow must not load it, and counterexample,
+run first, loads no numpy submodule either.  pyproject.toml declares numpy
+as the one runtime dependency: every third-party module a module imports
+must be declared there, and scipy must not be.
 
 numpy is bound once, in _lazy, which registers a lazy numpy module when
 nothing has imported numpy yet; every other module takes np from there and
@@ -43,6 +45,7 @@ import json
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -218,22 +221,53 @@ def test_module_imports_scipy_only_inside_functions(path):
     assert imports_of(path.read_text(), "scipy", in_functions=False) == []
 
 
-def test_only_the_two_quadratures_import_scipy():
-    importers = {}
-    for path in ALL_MODULES:
-        source = path.read_text()
-        total = len(imports_of(source, "scipy", in_functions=True))
-        for node in ast.parse(source).body:
-            if isinstance(node, ast.FunctionDef):
-                segment = ast.get_source_segment(source, node)
-                if count := len(imports_of(segment, "scipy", in_functions=True)):
-                    importers[f"{path.stem}.{node.name}"] = count
-                    total -= count
-        assert total == 0, f"{path.stem} imports scipy outside a top-level function"
-    assert set(importers) == {
-        "herglotz_core.counterexample_P",
-        "herglotz_core.counterexample_divergence",
-    }
+def test_no_module_imports_scipy():
+    importers = {path.stem: imports_of(path.read_text(), "scipy", in_functions=True)
+                 for path in ALL_MODULES}
+    assert {stem: found for stem, found in importers.items() if found} == {}
+
+
+def third_party_imports(source: str) -> set[str]:
+    """Top-level names of the modules source imports, at any level or through
+    _lazy("name"), that are neither relative nor in the standard library."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.split(".")[0])
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "_lazy"
+            and isinstance(node.args[0], ast.Constant)
+        ):
+            found.add(node.args[0].value.split(".")[0])
+    return found - set(sys.stdlib_module_names) - {"__future__"}
+
+
+def test_checker_finds_third_party_imports():
+    source = (
+        "import math, numpy.linalg\n"
+        "from . import _lazy\n"
+        "from .errors import DomainError\n"
+        "def f():\n"
+        "    from scipy.integrate import quad\n"
+        "    import importlib.util\n"
+        "mpl = _lazy('matplotlib.pyplot')\n"
+    )
+    assert third_party_imports(source) == {"numpy", "scipy", "matplotlib"}
+
+
+def test_imported_modules_are_declared_dependencies():
+    tomllib = pytest.importorskip("tomllib", reason="tomllib is new in Python 3.11")
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        project = tomllib.load(fh)["project"]
+    declared = {re.split(r"[\s<>=!~\[;]", req, maxsplit=1)[0] for req in project["dependencies"]}
+    imported = set().union(*(third_party_imports(path.read_text()) for path in ALL_MODULES))
+    assert "numpy" in imported  # through _lazy
+    assert imported <= declared, imported - declared
+    assert "scipy" not in declared
 
 
 def test_checker_flags_a_numpy_import_at_any_level():
@@ -322,6 +356,8 @@ def scipy_modules():
 
 region, cp, flow, out = sys.argv[1:]
 after_import = scipy_modules()
+counterexample_code = diskflow.cli.main(["counterexample", "--out", out])
+after_counterexample = scipy_modules() + sorted(m for m in sys.modules if m.startswith("numpy."))
 codes = [
     diskflow.cli.main(["region", "--config", region, "--out", out]),
     diskflow.cli.main(["cowen-pommerenke", "--config", cp, "--out", out]),
@@ -331,6 +367,8 @@ after_commands = scipy_modules()
 flow_code = diskflow.cli.main(["flow", "--config", flow, "--out", out])
 print(json.dumps({
     "after_import": after_import,
+    "counterexample_code": counterexample_code,
+    "after_counterexample": after_counterexample,
     "codes": codes,
     "after_commands": after_commands,
     "flow_code": flow_code,
@@ -345,7 +383,7 @@ _FLOW_CONFIG = {"generator": {"tau": {"re": 0.0, "im": 0.0}, "sigmas": [0.0], "l
                 "z0": {"re": 0.5, "im": 0.0}, "t": 0.1}
 
 
-def test_commands_that_never_integrate_do_not_load_scipy(tmp_path):
+def test_no_command_loads_scipy(tmp_path):
     configs = {
         "region": {"kind": "interior", "tau": {"re": 0.5, "im": 0.0},
                    "sigmas": [0.0], "lambdas": [-1.0]},
@@ -359,6 +397,9 @@ def test_commands_that_never_integrate_do_not_load_scipy(tmp_path):
         paths.append(str(path))
     report = _fresh(_SESSION, *paths, str(tmp_path / "out"))
     assert report["after_import"] == []
+    # the counterexample integrals run in plain floats: no scipy, no numpy
+    assert report["counterexample_code"] == 0
+    assert report["after_counterexample"] == []
     assert report["codes"] == [0, 0, 0]
     assert report["after_commands"] == []
     # flow integrates with diskflow's own step loop and still loads no scipy

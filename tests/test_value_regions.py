@@ -99,12 +99,14 @@ def test_interval_region_rejects_reversed():
 @pytest.mark.parametrize(
     "make",
     [lambda: DiskRegion(0.0, math.nan), lambda: IntervalRegion(0.0, math.nan),
-     lambda: IntervalRegion(math.nan, 1.0)],
-    ids=["disk-radius", "interval-hi", "interval-lo"],
+     lambda: IntervalRegion(math.nan, 1.0), lambda: DiskRegion(complex(math.nan, 0.0), 1.0),
+     lambda: DiskRegion(complex(0.0, math.inf), 1.0)],
+    ids=["disk-radius", "interval-hi", "interval-lo", "disk-center-nan", "disk-center-inf"],
 )
 def test_regions_refuse_nan_bounds(make):
     # NaN fails every comparison, so a check written as "radius < 0 raises"
-    # let it through and slack returned NaN or a wrong 0.5
+    # let it through and slack returned NaN or a wrong 0.5; a NaN center
+    # made every slack NaN
     with pytest.raises(ValueError):
         make()
 
