@@ -27,7 +27,6 @@ from .herglotz_core import (
     eval_herglotz,
     extract_atom,
     herglotz_kernel,
-    p_sharp,
     p_star,
     reciprocal,
 )
@@ -42,7 +41,6 @@ from .generator import (
     eval_denominator,
     eval_generator,
     eval_generator_derivative,
-    eval_generator_second_derivative,
     spec_from_denominator,
 )
 from .value_regions import (

@@ -174,20 +174,18 @@ def _write_artifacts(args, artifacts: dict[str, tuple[str, Callable[[], str]]]) 
     ``artifacts`` maps every format the command can write to the file name
     and a function rendering the file's text; the first is the default.
     Any other requested format is malformed input; it is reported before
-    any file is written.
+    any file is written.  Every text is rendered before any file is opened,
+    so a render that raises leaves every file as it was.
     """
     formats = args.format or [next(iter(artifacts))]
     for fmt in formats:
         if fmt not in artifacts:
             raise ValueError(f"{args.command} cannot write format {fmt!r}")
-    written = []
-    for fmt in formats:
-        name, render = artifacts[fmt]
-        path = os.path.join(args.out, name)
+    texts = [(os.path.join(args.out, artifacts[fmt][0]), artifacts[fmt][1]()) for fmt in formats]
+    for path, text in texts:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(render())
-        written.append(path)
-    return written
+            fh.write(text)
+    return [path for path, _ in texts]
 
 
 def _region_rows(region: DiskRegion | IntervalRegion) -> list[tuple[float, complex]]:
@@ -494,6 +492,14 @@ def _count(text: str) -> int:
     return n
 
 
+def _finite(text: str) -> float:
+    """argparse type of a finite float, such as a tolerance."""
+    x = float(text)
+    if not math.isfinite(x):
+        raise argparse.ArgumentTypeError(f"must be finite, got {x}")
+    return x
+
+
 # name -> (function, help, reads --config, default --tolerance); a command
 # with a tolerance draws random inputs and also takes --seed
 COMMANDS = {
@@ -526,7 +532,7 @@ def _build_parser() -> argparse.ArgumentParser:
         if tolerance is not None:
             sub.add_argument("--seed", type=int, default=0, help="random seed")
             sub.add_argument(
-                "--tolerance", type=float, default=tolerance, help="violation tolerance"
+                "--tolerance", type=_finite, default=tolerance, help="violation tolerance"
             )
     subs.choices["verify"].add_argument(
         "--samples", type=_count, default=10000, help="sample count (>= 1)"

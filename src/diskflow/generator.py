@@ -38,12 +38,15 @@ from .errors import DegenerateConfig, DomainError
 from .herglotz_core import (
     AtomicHerglotz,
     BoundaryPoint,
+    ANGLE_TOL,
     RationalHerglotz,
     _Record,
+    angle_gap,
+    circle_angle,
     extract_atom,
     kernel_sum,
-    p_sharp,
     p_star,
+    point_kernel_sum,
     reciprocal,
     require_interior,
 )
@@ -196,10 +199,6 @@ def _mobius_factor(tau: complex, z):
     return (tau - z) * (1.0 - tau.conjugate() * z)
 
 
-def _mobius_factor_d1(tau: complex, z):
-    return -(1.0 + abs(tau) ** 2) + 2.0 * tau.conjugate() * z
-
-
 def denominator_herglotz(spec: GeneratorSpec) -> RationalHerglotz:
     """p + p0 as a single rational Herglotz function (atoms merged)."""
     merged = spec.p.atoms + spec.config.base_herglotz.atoms
@@ -220,7 +219,7 @@ def eval_generator_derivative(gen: GeneratorSpec, z):
     """Exact analytic derivative of eval_generator."""
     tau = gen.config.tau
     u = _mobius_factor(tau, z)
-    du = _mobius_factor_d1(tau, z)
+    du = -(1.0 + abs(tau) ** 2) + 2.0 * tau.conjugate() * z
     q = eval_denominator(gen, z)
     dq = kernel_sum(*gen.denominator_atoms, z, 1)
     return (du * q - u * dq) / q**2
@@ -254,20 +253,36 @@ def _point_generator(spec: GeneratorSpec) -> Callable[[complex], tuple[complex, 
     return values
 
 
-def eval_generator_second_derivative(gen: GeneratorSpec, z):
-    q = eval_denominator(gen, z)
-    dq = kernel_sum(*gen.denominator_atoms, z, 1)
-    ddq = kernel_sum(*gen.denominator_atoms, z, 2)
-    return _quotient_second_derivative(gen.config.tau, z, q, dq, ddq)
+def _spectral_value(
+    regime: str, tau: complex, gamma: float, atoms, q_points, q_masses, s: float
+) -> tuple[complex | float, float]:
+    """(dw_spectral_value, beta) from plain numbers: p's atoms as (angle, mass)
+    pairs, the atoms of p + p0 as denominator_atoms lays them out (p's
+    first) and s = sum_k 1/|lambda_k|.  beta is 0 for interior tau."""
+    if regime != "boundary":
+        q_tau = 1j * gamma + point_kernel_sum(q_points, q_masses, tau, 0)
+        return (1.0 - abs(tau) ** 2) / q_tau, 0.0
+    theta = circle_angle(cmath.phase(tau))
+    mass = next((m for t, m in atoms if angle_gap(t, theta) <= ANGLE_TOL), 0.0)
+    if mass > 0.0:
+        return 0.0, 2.0 * mass
+    point = complex(math.cos(theta), math.sin(theta))
+    # the denominator's contact value at tau is i (gamma + Im of its kernel sum)
+    contact = gamma + point_kernel_sum(q_points, q_masses, point, 0).imag
+    if abs(contact) > CONTACT_TOL:
+        return 0.0, 0.0
+    # p#(tau) = Re(-tau p'(tau)) = 2 sum_j m_j/|s_j - tau|^2 over p's atoms
+    n = len(atoms)
+    sharp = (-point * point_kernel_sum(q_points[:n], q_masses[:n], point, 1)).real
+    return 1.0 / (sharp + s), 0.0
 
 
-def _quotient_second_derivative(tau: complex, z, q, dq, ddq):
-    """G'' at z for G = (tau - z)(1 - conj(tau) z) / q, from the denominator
-    q = p + p0 and its first two derivatives at z."""
-    u = _mobius_factor(tau, z)
-    du = _mobius_factor_d1(tau, z)
-    ddu = 2.0 * tau.conjugate()
-    return ((ddu * q - u * ddq) * q - 2.0 * dq * (du * q - u * dq)) / q**3
+def _spec_spectral_value(spec: GeneratorSpec) -> tuple[complex | float, float]:
+    """_spectral_value of a spec: (lambda, beta)."""
+    c, p = spec.config, spec.p
+    atoms = [(point.theta, mass) for point, mass in p.atoms]
+    q = (a.tolist() for a in spec.denominator_atoms)
+    return _spectral_value(c.regime, c.tau, p.gamma, atoms, *q, c.inv_lambda_sum)
 
 
 def dw_spectral_value(gen: GeneratorSpec) -> complex | float:
@@ -278,18 +293,7 @@ def dw_spectral_value(gen: GeneratorSpec) -> complex | float:
     zero when p carries an atom at tau or the denominator's contact value
     there is not zero within CONTACT_TOL, and 1/(p#(tau) + sum_k 1/|lambda_k|) otherwise.
     """
-    config = gen.config
-    tau = config.tau
-    if not config.is_boundary:
-        return (1.0 - abs(tau) ** 2) / eval_denominator(gen, tau)
-    tau_bp = BoundaryPoint.from_complex(tau)
-    if gen.p.atom_mass_at(tau_bp) > 0.0:
-        return 0.0
-    # the denominator's contact value at tau is i (gamma + Im of its kernel sum)
-    contact = gen.p.gamma + kernel_sum(*gen.denominator_atoms, tau_bp.value, 0).imag
-    if abs(contact) > CONTACT_TOL:
-        return 0.0
-    return 1.0 / (p_sharp(gen.p, tau_bp) + config.inv_lambda_sum)
+    return _spec_spectral_value(gen)[0]
 
 
 def brfp_spectral_value(spec: GeneratorSpec, k: int) -> float:
@@ -313,7 +317,7 @@ def beta(spec: GeneratorSpec) -> float:
     """
     if not spec.config.is_boundary:
         raise DomainError("beta is defined for a boundary Denjoy-Wolff point only")
-    return p_star(spec.p, BoundaryPoint.from_complex(spec.config.tau))
+    return _spec_spectral_value(spec)[1]
 
 
 def spec_from_denominator(

@@ -8,11 +8,11 @@ part.  Everything in this package works with the finite-atomic subclass
 where the s_j are distinct points of the unit circle, m_j >= 0, and gamma
 is real.  The kernel K_s(z) = (s+z)/(s-z) maps the disk onto the right
 half-plane, so Re p >= 0 is automatic.  The module provides evaluation,
-the mass functional p_star, the derivative-type functional p_sharp,
-contact values, atom surgery, reciprocals within the rational class, and
-the two integrals of the decay/divergence counterexample.  Those run one
-adaptive Gauss-Kronrod routine (QUADPACK's G7K15 pair) in plain floats, so
-the counterexample needs nothing beyond the standard library.
+the mass functional p_star, contact values, atom surgery, reciprocals
+within the rational class, and the two integrals of the decay/divergence
+counterexample.  Those run one adaptive Gauss-Kronrod routine (QUADPACK's
+G7K15 pair) in plain floats, so the counterexample needs nothing beyond
+the standard library.
 
 Atoms are kept sorted by angle, those within ANGLE_TOL merged, whatever
 order they come in.  Consecutive atoms bound the arcs of the circle on
@@ -25,7 +25,8 @@ z-derivatives of the kernels,
     sum_j m_j K_{s_j}^(k)(z),   K_s^(0) = (s+z)/(s-z),   K_s^(k) = 2 k! s/(s-z)^(k+1),
 
 so p = i*gamma + (k=0), p' = (k=1), p'' = (k=2), and the boundary
-functionals are the same sums at a point of the circle.  The evaluation
+functionals are the same sums at a point of the circle, such as
+p#(sigma) = Re(-sigma p'(sigma)) = 2 sum_j m_j/|s_j - sigma|^2.  The evaluation
 functions take a scalar or a 1-D array of points.
 
 The package's value objects (boundary points, Herglotz functions,
@@ -295,18 +296,6 @@ def p_star(p: AtomicHerglotz, sigma: BoundaryPoint) -> float:
     return 2.0 * p.atom_mass_at(sigma)
 
 
-def p_sharp(p: AtomicHerglotz, sigma: BoundaryPoint) -> float:
-    """Derivative-type boundary functional; +inf when sigma carries an atom.
-
-    For atom-free sigma this is Re(-sigma p'(sigma)) = 2 sum_j m_j / |s_j - sigma|^2,
-    the limit of Re p(r sigma)/(1-r) as r -> 1.
-    """
-    if p.atom_mass_at(sigma) > 0.0:
-        return math.inf
-    sv = sigma.value
-    return (-sv * kernel_sum(p.s, p.m, sv, 1)).real
-
-
 def contact_value(p: AtomicHerglotz, sigma: BoundaryPoint) -> complex:
     """Angular limit of p at sigma, purely imaginary for atom-free sigma."""
     if p.atom_mass_at(sigma) > 0.0:
@@ -335,6 +324,8 @@ def extract_atom(p: AtomicHerglotz, sigma: BoundaryPoint) -> tuple[float, Atomic
 _ARC_TOL = 4.0 * math.ulp(TWO_PI)
 _NEWTON_STEPS = 32
 _ARC_STEPS = _NEWTON_STEPS + 53  # the bound derived in reciprocal
+# reciprocal's mass-identity bound; clean inputs read at most 3.2e-10, relative
+_MASS_TOL = 1e-8
 
 
 def reciprocal(p: RationalHerglotz) -> RationalHerglotz:
@@ -350,7 +341,7 @@ def reciprocal(p: RationalHerglotz) -> RationalHerglotz:
     All arcs are solved at once from their midpoints.  The next point is
     the Newton step when it stays inside the arc's sign bracket, else the
     bracket's midpoint (Brent's safeguard); an arc stops when its Newton
-    step or its bracket is within _ARC_TOL.  No failure path is needed:
+    step or its bracket is within _ARC_TOL.  The loop needs no failure path:
     only the first _NEWTON_STEPS iterations may take a Newton step, so each
     evaluation from iteration _NEWTON_STEPS + 1 on halves the bracket.  A
     bracket is at most 2*pi wide and a midpoint rounds by at most 0.9e-15
@@ -359,7 +350,11 @@ def reciprocal(p: RationalHerglotz) -> RationalHerglotz:
     ends within _NEWTON_STEPS + 53 iterations.
 
     Each zero kappa gets mass 1/(2 p#(kappa)) from the same kernel sum, and
-    the imaginary constant is fixed by matching 1/p at the origin.
+    the imaginary constant is fixed by matching 1/p at the origin.  A zero
+    within ulps of an atom (a tiny mass beside large ones, or two atoms
+    about 1e-9 apart) gets a wrong mass, so DomainError is raised when the
+    masses miss Re(1/p(0)) = M/(M^2 + gamma^2), M = p's total mass, by more
+    than _MASS_TOL relative.
     """
     lo = np.array([point.theta for point, _ in p.atoms])
     hi = np.append(lo[1:], lo[0] + TWO_PI)
@@ -379,11 +374,15 @@ def reciprocal(p: RationalHerglotz) -> RationalHerglotz:
         t = np.where(done, t, np.where(use_newton, newton, (lo + hi) / 2.0))
     z = np.exp(1j * t)
     sharp = -(z * kernel_sum(p.s, p.m, z, 1)).real
-    new_atoms = tuple(
-        (BoundaryPoint(theta), 1.0 / (2.0 * ps)) for theta, ps in zip(t.tolist(), sharp.tolist())
-    )
-    p0 = complex(p.total_mass, p.gamma)
-    return RationalHerglotz(new_atoms, (1.0 / p0).imag)
+    masses = [1.0 / (2.0 * ps) for ps in sharp.tolist()]
+    inverse = 1.0 / complex(p.total_mass, p.gamma)
+    if not abs(sum(masses) - inverse.real) <= _MASS_TOL * inverse.real:  # NaN fails
+        raise DomainError(
+            f"reciprocal: the masses of 1/p sum to {sum(masses)!r}, not Re(1/p(0)) = "
+            f"{inverse.real!r}; the relative mismatch exceeds {_MASS_TOL:g}"
+        )
+    new_atoms = tuple((BoundaryPoint(theta), m) for theta, m in zip(t.tolist(), masses))
+    return RationalHerglotz(new_atoms, inverse.imag)
 
 
 # ----------------------------------------------------------------------

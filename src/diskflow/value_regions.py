@@ -24,10 +24,9 @@ builds objects for its random generators.  One draw law, _draw_raw, draws
 a generator's plain numbers, and one record function, _raw_records,
 evaluates every inequality and region membership on them.  random_spec
 builds its objects from the same draw, and inequality_suite reads a spec
-into the same numbers, so the object API and `verify` share one sampler
-and one suite.  The record function repeats the generator functions'
-arithmetic operation for operation, on Python floats and complex numbers,
-so both paths give the same floats to the last bit.
+into the same numbers.  Each quantity the records share with the object
+API (lambda, beta, the curvature chart, the disks of Z, region_Z_omega and
+lambda_range) has one plain-number function that both call.
 """
 
 from __future__ import annotations
@@ -39,18 +38,16 @@ from ._lazy import np
 
 from .errors import DegenerateConfig, DivisionByZero, DomainError
 from .generator import (
-    CONTACT_TOL,
     FixedPointConfig,
     GeneratorSpec,
     _mobius_factor,
-    _quotient_second_derivative,
+    _spectral_value,
     config_sums,
     dw_spectral_value,
-    eval_generator_second_derivative,
+    eval_denominator,
     tau_regime,
 )
 from .herglotz_core import (
-    ANGLE_TOL,
     AtomicHerglotz,
     BoundaryPoint,
     _Record,
@@ -123,12 +120,17 @@ def _ell_in_Z(config: FixedPointConfig, zeta: complex) -> complex:
     return lz
 
 
+def _z_disk(tau: complex, a_cap: float) -> tuple[complex, float]:
+    """Center tau/(2A) and radius |tau|/(2A) of Z."""
+    two_a = 2.0 * a_cap
+    return tau / two_a, abs(tau) / two_a
+
+
 def region_Z(config: FixedPointConfig) -> DiskRegion:
     """Range of G(0): the closed disk with center tau/(2A), radius |tau|/(2A)."""
     if config.is_origin:
         raise DegenerateConfig("Z degenerates to {0} for tau = 0")
-    two_a = 2.0 * config.capA
-    return DiskRegion(config.tau / two_a, abs(config.tau) / two_a)
+    return DiskRegion(*_z_disk(config.tau, config.capA))
 
 
 # ----------------------------------------------------------------------
@@ -214,8 +216,13 @@ def region_Omega_origin(config: FixedPointConfig) -> DiskRegion:
     r = 1/sum_k |lambda_k|^{-1}.  Stated in the lambda chart itself."""
     if not config.is_origin:
         raise DomainError("region_Omega_origin requires tau = 0")
-    r = 1.0 / config.inv_lambda_sum
-    return DiskRegion(complex(r, 0.0), r)
+    return DiskRegion(*_lambda_disk(config.inv_lambda_sum))
+
+
+def _z_omega_disk(points, lambdas, omega: complex, s: float) -> tuple[complex, float]:
+    """Center and radius of region_Z_omega, unclamped; points are the sigma_k."""
+    center = sum(p.conjugate() / abs(v) for p, v in zip(points, lambdas))
+    return center, 2.0 * (1.0 / omega).real - s
 
 
 def region_Z_omega(config: FixedPointConfig, omega: complex) -> DiskRegion:
@@ -232,23 +239,30 @@ def region_Z_omega(config: FixedPointConfig, omega: complex) -> DiskRegion:
     omega = complex(omega)
     if omega == 0:
         raise DomainError("the fiber over omega = 0 is the zero field only")
-    radius = 2.0 * (1.0 / omega).real - config.inv_lambda_sum
+    points = [s.value for s in config.sigmas]
+    center, radius = _z_omega_disk(points, config.lambdas, omega, config.inv_lambda_sum)
     if not radius >= -EDGE_TOL:  # NaN is not in the disk
         raise DomainError("omega lies outside the spectral-value disk")
-    center = sum(
-        s.value.conjugate() / abs(v) for s, v in zip(config.sigmas, config.lambdas)
-    )
     return DiskRegion(center, max(radius, 0.0))
 
 
+def _curvature_chart(tau: complex, q_points, q_masses, q0: complex, lam: complex) -> complex:
+    """G''(0)/(2 lambda^2) for G = u/q, from the atoms of q = p + p0 and q(0)."""
+    dq = point_kernel_sum(q_points, q_masses, 0j, 1)
+    ddq = point_kernel_sum(q_points, q_masses, 0j, 2)
+    u, du, ddu = _mobius_factor(tau, 0.0), -(1.0 + abs(tau) ** 2), 2.0 * tau.conjugate()
+    return ((ddu * q0 - u * ddq) * q0 - 2.0 * dq * (du * q0 - u * dq)) / q0**3 / (2.0 * lam * lam)
+
+
 def origin_curvature_chart(spec: GeneratorSpec) -> complex:
-    """G''(0)/(2 lambda^2) for a tau = 0 spec, via the generator itself."""
+    """G''(0)/(2 lambda^2) for a tau = 0 spec."""
     if not spec.config.is_origin:
         raise DomainError("the curvature chart is defined for tau = 0")
     lam = dw_spectral_value(spec)
     if lam == 0:
         raise DivisionByZero("curvature chart is singular at lambda = 0")
-    return eval_generator_second_derivative(spec, 0.0) / (2.0 * lam * lam)
+    q_points, q_masses = (a.tolist() for a in spec.denominator_atoms)
+    return _curvature_chart(spec.config.tau, q_points, q_masses, eval_denominator(spec, 0.0), lam)
 
 
 def extremal_origin(
@@ -362,11 +376,17 @@ def lambda_range(
     extreme right point lambda = 2r.  Boundary tau: the interval [0, r],
     with the same constant attaining lambda = r.
     """
-    r = 1.0 / config.inv_lambda_sum
+    center, r = _lambda_disk(config.inv_lambda_sum)
     extremal = GeneratorSpec(config, AtomicHerglotz((), -config.capB))
     if config.is_boundary:
         return IntervalRegion(0.0, r), extremal
-    return DiskRegion(complex(r, 0.0), r), extremal
+    return DiskRegion(center, r), extremal
+
+
+def _lambda_disk(s: float) -> tuple[complex, float]:
+    """Center r and radius r = 1/S of lambda_range's disk (interval [0, r])."""
+    r = 1.0 / s
+    return complex(r, 0.0), r
 
 
 def caratheodory_min_sharp(tau: BoundaryPoint, a: float) -> tuple[float, BoundaryPoint]:
@@ -418,60 +438,42 @@ def _raw_records(raw) -> list[tuple[str, float, float]]:
     returns: (regime, tau, sigma angles, lambdas, p's atoms as sorted
     (angle, mass) pairs, gamma), where the regime is tau_regime(tau).  The
     triples are the records of inequality_suite followed by the
-    _MEMBERSHIPS.  Each value is computed by the same operations, in the same
-    order, as the generator functions compute it on the spec, so both give
-    the same floats to the last bit; no object is built.
+    _MEMBERSHIPS.  No object is built: lambda, beta, the curvature chart
+    and the regions come from the plain-number functions the object API
+    calls, so both give the same floats.
     """
     regime, tau, sig_angles, lambdas, atoms, gamma = raw
     sig_points = [_point(t) for t in sig_angles]
     alphas, a_cap, b_cap, s = config_sums(tau, sig_points, lambdas)
-    p_points = [_point(t) for t, _ in atoms]
-    p_masses = [m for _, m in atoms]
     # the denominator p + p0 as GeneratorSpec.denominator_atoms lays it out:
     # p's atoms, then p0's, which are the (distinct) sigma_k sorted by angle
     base = sorted(range(len(sig_angles)), key=sig_angles.__getitem__)
-    q_points = p_points + [sig_points[k] for k in base]
-    q_masses = p_masses + [alphas[k] for k in base]
+    q_points = [_point(t) for t, _ in atoms] + [sig_points[k] for k in base]
+    q_masses = [m for _, m in atoms] + [alphas[k] for k in base]
     w0 = 1j * gamma + point_kernel_sum(q_points, q_masses, 0j, 0)  # tau/G(0) when tau != 0
+    lam, b = _spectral_value(regime, tau, gamma, atoms, q_points, q_masses, s)
+    lam_center, r = _lambda_disk(s)
+    ratio = w0.real - a_cap
 
     if regime == "boundary":
-        # lam = dw_spectral_value(spec): zero when p has an atom at tau or
-        # the denominator's contact value at tau does not vanish
-        tau_theta = circle_angle(cmath.phase(tau))
-        tau_mass = next((m for t, m in atoms if angle_gap(t, tau_theta) <= ANGLE_TOL), 0.0)
-        lam = 0.0
-        if tau_mass == 0.0:
-            tau_point = _point(tau_theta)
-            contact = gamma + point_kernel_sum(q_points, q_masses, tau_point, 0).imag
-            if not abs(contact) > CONTACT_TOL:
-                sharp = (-tau_point * point_kernel_sum(p_points, p_masses, tau_point, 1)).real
-                lam = 1.0 / (sharp + s)
-        records = [("origin_ratio_real", a_cap, w0.real), ("boundary_spectral_cap", lam, 1.0 / s)]
-        ratio = w0.real - a_cap
+        records = [("origin_ratio_real", a_cap, w0.real), ("boundary_spectral_cap", lam, r)]
         if lam > 0.0:
             lhs = ratio**2 + (w0.imag + b_cap) ** 2
             records.append(("hyperbolic_window", lhs, 2.0 * (1.0 / lam - s) * ratio))
         else:
-            b = 2.0 * tau_mass  # beta(spec): p_star of p at tau
             records.append(("parabolic_floor", 0.0, b))
             records.append(("parabolic_cap", b, 2.0 * ratio))
     else:
-        # lam = dw_spectral_value(spec) = (1 - |tau|^2) / (p + p0)(tau)
-        lam = (1.0 - abs(tau) ** 2) / (1j * gamma + point_kernel_sum(q_points, q_masses, tau, 0))
         inv = 1.0 / lam
         records = [("spectral_reciprocal_floor", s, 2.0 * inv.real)]
         if regime == "origin":
-            # origin_curvature_chart: G''(0) / (2 lambda^2)
-            dq = point_kernel_sum(q_points, q_masses, 0j, 1)
-            ddq = point_kernel_sum(q_points, q_masses, 0j, 2)
-            chart = _quotient_second_derivative(tau, 0.0, w0, dq, ddq) / (2.0 * lam * lam)
-            center = sum(p.conjugate() / abs(v) for p, v in zip(sig_points, lambdas))
-            records.append(("curvature_window", abs(chart - center), 2.0 * inv.real - s))
+            chart = _curvature_chart(tau, q_points, q_masses, w0, lam)
+            center, radius = _z_omega_disk(sig_points, lambdas, lam, s)
+            records.append(("curvature_window", abs(chart - center), radius))
         else:
             t = abs(tau)
             one_m = 1.0 - t * t
             records.append(("origin_ratio_real", a_cap, w0.real))
-            ratio = w0.real - a_cap
             mid = (one_m * inv).real - one_m * s / 2.0
             records.append(("harnack_lower", (1.0 - t) / (1.0 + t) * ratio, mid))
             records.append(("harnack_upper", mid, (1.0 + t) / (1.0 - t) * ratio))
@@ -481,12 +483,10 @@ def _raw_records(raw) -> list[tuple[str, float, float]]:
     # memberships, as lhs <= rhs with the region's slack: G(0) in region_Z,
     # lambda in lambda_range (a disk, or an interval for boundary tau)
     if regime != "origin":
-        zeta = _mobius_factor(tau, 0.0) / w0
-        two_a = 2.0 * a_cap
-        records.append(("origin_in_Z", abs(zeta - tau / two_a), abs(tau) / two_a))
-    r = 1.0 / s
+        center, radius = _z_disk(tau, a_cap)
+        records.append(("origin_in_Z", abs(_mobius_factor(tau, 0.0) / w0 - center), radius))
     if regime != "boundary":
-        records.append(("spectral_in_range", abs(lam - complex(r, 0.0)), r))
+        records.append(("spectral_in_range", abs(lam - lam_center), r))
     elif lam - 0.0 <= r - lam:
         records.append(("spectral_in_range", 0.0, lam))
     else:

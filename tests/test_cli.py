@@ -389,6 +389,41 @@ def test_option_the_command_does_not_read_exits_2(tmp_path, command, option):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("command", ["verify", "cowen-pommerenke"])
+def test_non_finite_tolerance_exits_2(tmp_path, command, value):
+    from diskflow import cli
+
+    # before, verify drew every sample and left an empty verify.json, and
+    # cowen-pommerenke exited 4 on nan and 0 on inf whatever the slack
+    out = tmp_path / "out"
+    argv = [command, f"--tolerance={value}", "--out", str(out)]
+    if command == "cowen-pommerenke":
+        cfg = {"tau": {"re": 0.0, "im": 0.0}, "sigmas": [0.0], "target": [math.e],
+               "fields": 2, "sweep": 2}
+        argv += ["--config", write_json(tmp_path / "cfg.json", cfg)]
+    assert cli.main(argv) == 2
+    assert not out.exists()
+
+
+def test_a_render_that_raises_leaves_every_file_as_it_was(tmp_path):
+    import argparse
+
+    from diskflow import cli
+
+    def broken() -> str:
+        raise RuntimeError("render failed")
+
+    (tmp_path / "a.json").write_text("good json\n")
+    (tmp_path / "a.csv").write_text("good csv\n")
+    args = argparse.Namespace(command="test", format=["json", "csv"], out=str(tmp_path))
+    artifacts = {"json": ("a.json", lambda: "new json\n"), "csv": ("a.csv", broken)}
+    with pytest.raises(RuntimeError):
+        cli._write_artifacts(args, artifacts)
+    assert (tmp_path / "a.json").read_text() == "good json\n"
+    assert (tmp_path / "a.csv").read_text() == "good csv\n"
+
+
 @pytest.mark.parametrize("fmt", ["csv", "svg"])
 def test_verify_format_it_cannot_write_exits_2(tmp_path, fmt):
     from diskflow import cli

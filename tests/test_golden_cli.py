@@ -7,8 +7,16 @@ test reruns each command and compares the artifact: every number within
 meant to move an artifact re-records the file with
 
     PYTHONPATH=src python tests/test_golden_cli.py
+
+VERIFY_SHA256 pins verify.json byte for byte at 10^4 samples for seeds
+0-5.  verify's records and the object API call the same plain-number
+functions, so a change to any shared formula moves these bytes even where
+it stays within the golden tolerance.  The digests were recorded with
+Python 3.11 and numpy 2.4 on x86-64 Linux; another platform's libm may
+move the last bits.
 """
 
+import hashlib
 import json
 import math
 import pathlib
@@ -100,6 +108,24 @@ def test_cli_artifact_matches_golden(case, tmp_path):
     code, got = run_case(argv, config, artifact, tmp_path)
     assert code == golden["exit"]
     assert_same(got, golden["artifact"], name)
+
+
+VERIFY_SHA256 = {
+    0: "2a1c82d988224510f08c15e338ab33de904cce8afca6313d60c06ea594749797",
+    1: "59adf3f79b74a387fc7492cc1d33cc91769b725d5b96eace1f2e46be5c0ff20c",
+    2: "98f598e1288dc428c73c6c64eb52f7c394ac5eadbdf9c7d583dfd1fed45b630b",
+    3: "3018e6ce17a7976acba5ff600e753a2e465fe2982f18b5f5289afab940aec786",
+    4: "97370913532e467daf2f8bfd581a9a86b9aeb114790c5184d91931230b27a914",
+    5: "582c12733ab31a0d2652ee8a2b4cb6315088b6dbdec48b1ea9f6fec9a0fe470c",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(VERIFY_SHA256))
+def test_verify_json_bytes_are_pinned(seed, tmp_path):
+    argv = ["verify", "--samples", "10000", "--seed", str(seed), "--out", str(tmp_path)]
+    assert cli.main(argv) == 0
+    digest = hashlib.sha256((tmp_path / "verify.json").read_bytes()).hexdigest()
+    assert digest == VERIFY_SHA256[seed]
 
 
 def record() -> None:

@@ -23,12 +23,11 @@ from diskflow import (
     eval_herglotz,
     extract_atom,
     herglotz_kernel,
-    p_sharp,
     p_star,
     reciprocal,
 )
 from diskflow.herglotz_core import _MAX_PANELS, _gk15, _gk15_panel, angle_gap, kernel_sum
-from loop_reference import herglotz_derivative_circle
+from loop_reference import herglotz_derivative_circle, p_sharp
 
 TWO_PI = 2.0 * math.pi
 
@@ -348,6 +347,24 @@ def test_reciprocal_interlaces_atoms():
     p_angles = sorted(pt.theta for pt, _ in p.atoms)
     for pt, _ in q.atoms:
         assert all(abs(pt.theta - a) > 1e-6 for a in p_angles)
+
+
+@pytest.mark.parametrize("m", [1e-300, 1e-32, 1e-28])
+def test_reciprocal_refuses_a_tiny_mass(m):
+    # the zero next to the tiny atom lies within ulps of it, and its mass
+    # comes out wrong: the masses of 1/p miss Re(1/p(0)) by 3.5% to 38%
+    p = RationalHerglotz(atoms((1.0, m), (2.0, 1.0), (4.0, 1.0)), 0.3)
+    with pytest.raises(DomainError, match="1e-08"):
+        reciprocal(p)
+
+
+@pytest.mark.parametrize("gap", [1e-11, 1e-10, 1e-9])
+def test_reciprocal_refuses_to_invert_close_atoms_wrongly(gap):
+    # 1/p passes the check; its zero between the two close atoms does not
+    p = RationalHerglotz(atoms((1.0, 1.0), (1.0 + gap, 1.0), (4.0, 1.0)), 0.3)
+    q = reciprocal(p)
+    with pytest.raises(DomainError, match="1e-08"):
+        reciprocal(q)
 
 
 MIN_GAP = 1e-4

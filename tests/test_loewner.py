@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+import loop_reference
 from diskflow import (
     AtomicHerglotz,
     BoundaryPoint,
@@ -31,7 +32,6 @@ from diskflow import (
     harmonic_Q,
     integrate_flow,
     julia_quotient_estimate,
-    p_sharp,
     psi_tau,
     q_concavity_check,
     q_hessian,
@@ -306,7 +306,7 @@ def test_extremal_field_boundary_tau_with_positive_real_part(c):
     ((_, spec),) = field.segments
     tau_bp = BoundaryPoint.from_complex(tau)
     assert abs(contact_value(denominator_herglotz(spec), tau_bp)) <= 1e-12
-    assert p_sharp(spec.p, tau_bp) == pytest.approx(c.real, rel=1e-12)
+    assert loop_reference.p_sharp(spec.p, tau_bp) == pytest.approx(c.real, rel=1e-12)
     point, slack = cp_experiment(tau, sigmas, target, field)
     assert slack >= 0.0
     horizon, r = target.horizon, cp_region_boundary(target).hi

@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+import loop_reference
 from diskflow import (
     AtomicHerglotz,
     BoundaryPoint,
@@ -24,7 +25,6 @@ from diskflow import (
     eta_chart,
     eval_denominator,
     eval_generator,
-    eval_generator_second_derivative,
     eval_herglotz,
     extremal_boundary_of_Z,
     extremal_hyperbolic,
@@ -290,11 +290,25 @@ def test_nan_observation_raises(region, config, point):
         region(config, point)
 
 
+# origin_curvature_chart and dw_spectral_value share their formulas with
+# verify's records, so these two tests derive them a second way: by the
+# per-atom loops of tests/loop_reference.py.
+
+
 def test_origin_curvature_chart_matches_second_derivative(rng):
-    spec = random_spec(rng, "origin")
-    lam = dw_spectral_value(spec)
-    direct = eval_generator_second_derivative(spec, 0.0) / (2.0 * lam * lam)
-    assert origin_curvature_chart(spec) == pytest.approx(direct, rel=1e-12)
+    for _ in range(200):
+        spec = random_spec(rng, "origin")
+        lam = dw_spectral_value(spec)
+        direct = loop_reference.eval_generator_second_derivative(spec, 0.0) / (2.0 * lam * lam)
+        assert origin_curvature_chart(spec) == pytest.approx(direct, rel=1e-12)
+
+
+def test_hyperbolic_spectral_value_matches_p_sharp(rng):
+    for _ in range(200):
+        spec = random_spec(rng, "boundary_hyperbolic")
+        tau = BoundaryPoint.from_complex(spec.config.tau)
+        expected = 1.0 / (loop_reference.p_sharp(spec.p, tau) + spec.config.inv_lambda_sum)
+        assert dw_spectral_value(spec) == pytest.approx(expected, rel=1e-12)
 
 
 def test_extremal_origin_hits_boundary():
