@@ -40,7 +40,6 @@ from .generator import (
     dw_spectral_value,
     eval_denominator,
     eval_generator,
-    eval_generator_derivative,
     spec_from_denominator,
 )
 from .value_regions import (

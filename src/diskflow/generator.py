@@ -22,7 +22,9 @@ disk, or on the circle.  tau_regime alone decides it, with the single
 tolerance BOUNDARY_TOL = 1e-12 on |tau| and on |tau| - 1.
 
 The eval_* functions take a scalar point or a 1-D array of points; a point
-outside the open disk raises DomainError.
+outside the open disk raises DomainError.  G' has one formula, the fused
+(u' - G q')/q of _point_generator, which an orbit's variational equation
+reads one point at a time.
 """
 
 from __future__ import annotations
@@ -213,16 +215,6 @@ def eval_denominator(spec: GeneratorSpec, z):
 
 def eval_generator(gen: GeneratorSpec, z):
     return _mobius_factor(gen.config.tau, z) / eval_denominator(gen, z)
-
-
-def eval_generator_derivative(gen: GeneratorSpec, z):
-    """Exact analytic derivative of eval_generator."""
-    tau = gen.config.tau
-    u = _mobius_factor(tau, z)
-    du = -(1.0 + abs(tau) ** 2) + 2.0 * tau.conjugate() * z
-    q = eval_denominator(gen, z)
-    dq = kernel_sum(*gen.denominator_atoms, z, 1)
-    return (du * q - u * dq) / q**2
 
 
 def _point_generator(spec: GeneratorSpec) -> Callable[[complex], tuple[complex, complex]]:

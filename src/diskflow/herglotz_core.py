@@ -248,7 +248,8 @@ def kernel_sum(s: np.ndarray, m: np.ndarray, z, order: int):
     has the shape of z.  A single point is summed in plain complex
     arithmetic by point_kernel_sum: numpy's per-call cost on arrays of a
     few atoms makes one point two to three times slower than the loop, and
-    single points are what an orbit's right-hand side evaluates.  Order 0 keeps
+    the object API evaluates single points: G(0) for the value regions, a
+    Herglotz function or its contact value at one point.  Order 0 keeps
     the kernel (s+z)/(s-z) itself rather than 2s/(s-z) - 1, which rounds
     worse.  There is no domain check: the sum is finite anywhere off the
     atoms, which is what the boundary functionals need.

@@ -55,6 +55,10 @@ NORMALIZATION_TOL = 1e-12
 TARGET_TOL = 1e-9
 # random draws per sampled property in q_concavity_check
 CONCAVITY_DRAWS = 50
+# least spectral fraction of a random_strict_field segment at each sigma_k
+ROW_FLOOR = 0.01
+# most draws of durations and fractions random_strict_field makes for one field
+MAX_FIELD_DRAWS = 10**4
 
 
 def _modulus_sum(spec: GeneratorSpec) -> float:
@@ -400,21 +404,38 @@ def random_strict_field(
     row, shifted uniformly so the duration-weighted column sums hit log a_k
     exactly.  Segments carry independent random free summands with atoms
     away from the skeleton.
+
+    Every fraction must be at least ROW_FLOOR.  A column's fractions average
+    to log a_k / T over the durations, so a target whose smallest share
+    log a_k / T is not above ROW_FLOOR has no such field and raises
+    DomainError before any draw; so does a target whose draws all miss the
+    floor MAX_FIELD_DRAWS times.
     """
     sigmas = _target_sigmas(sigmas, target)
     n = len(sigmas)
     log_a = np.asarray(target.log_values)
     t_total = target.horizon
+    share = float(log_a.min() / t_total)
+    if not share > ROW_FLOOR:
+        raise DomainError(
+            f"no strict field has every spectral fraction >= {ROW_FLOOR}: "
+            f"the smallest target share log a_k / sum log a_j is {share!r}"
+        )
     m = int(rng.integers(1, 5))
-    while True:
+    for _ in range(MAX_FIELD_DRAWS):
         durations = rng.dirichlet(np.ones(m)) * t_total
         if durations.min() < 1e-3 * t_total:
             continue
         rows = rng.dirichlet(np.ones(n), size=m)
         col = durations @ rows
         rows = rows + (log_a - col)[None, :] / t_total
-        if rows.min() >= 0.01:
+        if rows.min() >= ROW_FLOOR:
             break
+    else:
+        raise DomainError(
+            f"no strict field in {MAX_FIELD_DRAWS} draws: the smallest target share "
+            f"log a_k / sum log a_j, {share!r}, is too close to {ROW_FLOOR}"
+        )
 
     tau = complex(tau)
     avoid = _skeleton_angles(tau, sigmas)

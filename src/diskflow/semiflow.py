@@ -6,15 +6,10 @@ solved inside the unit disk, optionally together with the variational
 equation d/dt (d phi_t/dz) = G'(phi_t) (d phi_t/dz) for the spatial
 derivative along the orbit.
 
-The flow functions take one point or a 1-D array of points.  A lone point
-is integrated in plain complex arithmetic: its state is one Python
-complex value, or two with the derivative, and each right-hand side is one
-pass over the spec's atoms for G and G' together.  All the orbits of an
-array are solved as one system, a numpy vector, with one generator
-evaluation per right-hand side over every orbit.  Error control is then
-joint across the orbits: the step size answers to the root-mean-square of
-their scaled error estimates, and the boundary guard stops the solve when
-any orbit reaches it.
+The flow functions take one start point, integrated in plain complex
+arithmetic: its state is one Python complex value, or two with the
+derivative, and each right-hand side is one pass over the spec's atoms for
+G and G' together.  An array of start points raises DomainError.
 
 Boundary spectral data is recovered from the flow without ever evaluating
 on the circle: the quotient
@@ -22,8 +17,10 @@ on the circle: the quotient
     [(1-|z|^2) / |z - sigma|^2] * [|phi(z) - sigma|^2 / (1 - |phi(z)|^2)]
 
 along the radius z = r sigma tends to phi'(sigma) as r -> 1, and a
-Richardson step in h = 1 - r removes the first-order error.  The whole
-radius ladder is one array of start points, hence one solve.
+Richardson step in h = 1 - r removes the first-order error.  The orbits of
+the whole radius ladder are the one array solve: a numpy vector with one
+eval_generator call per right-hand side over every orbit, whose step size
+answers to the root-mean-square of the orbits' scaled error estimates.
 
 The numerics are module constants, not options: DOP853 (the Dormand-Prince
 8(5,3) pair with its 7th-order dense output, Hairer, Norsett & Wanner,
@@ -71,12 +68,7 @@ from .errors import (
     ExtrapolationDivergence,
     StepFailure,
 )
-from .generator import (
-    GeneratorSpec,
-    _point_generator,
-    eval_generator,
-    eval_generator_derivative,
-)
+from .generator import GeneratorSpec, _point_generator, eval_generator
 from .herglotz_core import BoundaryPoint, _Record
 
 REL_TOL = 1e-10
@@ -217,12 +209,10 @@ class _Lone:
 
 
 class _Batch:
-    """Stage arithmetic of n orbits (and their derivatives) as one numpy
-    vector, with one matrix product per stage, as solve_ivp does it.
-    The orbit points are the first n components."""
+    """Stage arithmetic of many orbits as one numpy vector, with one matrix
+    product per stage, as solve_ivp does it."""
 
-    def __init__(self, n: int) -> None:
-        self.n = n
+    def __init__(self) -> None:
         self.A, self.E3, self.E5 = _dop853.arrays()
 
     @staticmethod
@@ -241,8 +231,9 @@ class _Batch:
     def restart(K) -> None:
         K[0] = K[12]
 
-    def radius(self, y: np.ndarray) -> float:
-        return np.abs(y[: self.n]).max()
+    @staticmethod
+    def radius(y: np.ndarray) -> float:
+        return np.abs(y).max()
 
     @staticmethod
     def finite(f: np.ndarray) -> bool:
@@ -372,21 +363,13 @@ def _check_horizon(t: float) -> None:
 
 
 def _start_point(z0) -> complex:
-    """z0 as a Python complex, checked to lie in the open disk (NaN does not)."""
+    """z0 as a Python complex, checked to be one point of the open disk
+    (NaN is not)."""
+    if np.ndim(z0) != 0:
+        raise DomainError(f"a flow takes one start point, got an array of shape {np.shape(z0)}")
     z = complex(z0)
     if not abs(z) < 1.0:
         raise DomainError(f"initial point must lie in the open disk, |z0|={abs(z)}")
-    return z
-
-
-def _start_points(z0) -> np.ndarray:
-    """z0 as a 1-D complex array, checked to lie in the open disk (NaN does not)."""
-    z = np.atleast_1d(np.asarray(z0, dtype=complex))
-    if z.ndim != 1:
-        raise DomainError("start points must be a scalar or a 1-D array")
-    radius = np.abs(z).max(initial=0.0)
-    if not radius < 1.0:
-        raise DomainError(f"initial point must lie in the open disk, |z0|={radius}")
     return z
 
 
@@ -403,52 +386,26 @@ def _lone(gen: GeneratorSpec, z: complex, t: float, derivative: bool, grid=()):
     return _solve(_Lone, lambda y: [point(y[0])[0]], [z], t, grid)
 
 
-def _batch(gen: GeneratorSpec, z: np.ndarray, t: float, derivative: bool):
-    """_solve for the orbits of the points z, with their derivatives when
-    ``derivative`` (the state is then z followed by the derivatives)."""
-    n = len(z)
-    if derivative:
-
-        def rhs(y: np.ndarray) -> np.ndarray:
-            w = y[:n]
-            tangent = eval_generator_derivative(gen, w) * y[n:]
-            return np.concatenate((eval_generator(gen, w), tangent))
-
-        return _solve(_Batch(n), rhs, np.concatenate((z, np.ones(n, dtype=complex))), t)
-    return _solve(_Batch(n), lambda y: eval_generator(gen, y), z, t)
+def _batch(gen: GeneratorSpec, z: np.ndarray, t: float):
+    """_solve for the orbits of the points z as one system."""
+    return _solve(_Batch(), lambda y: eval_generator(gen, y), z, t)
 
 
-def integrate_flow(gen: GeneratorSpec, z0, t: float):
-    """phi_t(z0) for a start point or a 1-D array of them (one solve)."""
+def integrate_flow(gen: GeneratorSpec, z0, t: float) -> complex:
+    """phi_t(z0) for one start point z0."""
     _check_horizon(t)
-    if np.ndim(z0) == 0:
-        z = _start_point(z0)
-        return z if t == 0.0 else _lone(gen, z, t, False)[0][0]
-    z = _start_points(z0)
-    if t == 0.0 or len(z) == 0:
-        return z.copy()
-    return _batch(gen, z, t, False)[0]
+    z = _start_point(z0)
+    return z if t == 0.0 else _lone(gen, z, t, False)[0][0]
 
 
-def integrate_flow_with_derivative(gen: GeneratorSpec, z0, t: float):
-    """(phi_t(z0), d phi_t/dz at z0) via the variational equation.
-
-    For an array of start points both entries are arrays, solved as one
-    system.
-    """
+def integrate_flow_with_derivative(gen: GeneratorSpec, z0, t: float) -> tuple[complex, complex]:
+    """(phi_t(z0), d phi_t/dz at z0) via the variational equation."""
     _check_horizon(t)
-    if np.ndim(z0) == 0:
-        z = _start_point(z0)
-        if t == 0.0:
-            return z, 1.0 + 0j
-        w, dw = _lone(gen, z, t, True)[0]
-        return w, dw
-    z = _start_points(z0)
-    n = len(z)
-    if t == 0.0 or n == 0:
-        return z.copy(), np.ones(n, dtype=complex)
-    y = _batch(gen, z, t, True)[0]
-    return y[:n], y[n:]
+    z = _start_point(z0)
+    if t == 0.0:
+        return z, 1.0 + 0j
+    w, dw = _lone(gen, z, t, True)[0]
+    return w, dw
 
 
 def flow_trajectory(
@@ -525,5 +482,6 @@ def estimate_boundary_derivative(
     The orbits of the whole radius ladder are solved as one IVP.  The
     estimate is held to ESTIMATE_TOL like julia_quotient_estimate's.
     """
-    return _radial_limit(sigma, lambda z: integrate_flow(gen, z, t))
+    _check_horizon(t)
+    return _radial_limit(sigma, lambda z: _batch(gen, z, t)[0] if t else z)
 

@@ -464,6 +464,20 @@ def test_cowen_pommerenke_negative_counts_exit_2(tmp_path, fields, sweep, code):
         assert list(out.iterdir()) == []
 
 
+def test_cowen_pommerenke_target_without_a_random_field_exits_3(tmp_path):
+    # log 1.001 is 1e-4 of sum log a_k, below the 0.01 floor of every
+    # segment's spectral fraction, so no random strict field exists; the
+    # rejection loop used to spin here until killed
+    cfg = {"tau": {"re": 0, "im": 0}, "sigmas": [0, 3], "target": [1.001, 22026.0],
+           "fields": 1, "sweep": 0}
+    out = tmp_path / "out"
+    res = run("cowen-pommerenke", "--config", write_json(tmp_path / "cfg.json", cfg),
+              "--out", str(out), timeout=60)
+    assert res.returncode == 3, res.stderr
+    assert "spectral fraction" in res.stderr
+    assert list(out.iterdir()) == []
+
+
 _FLOW_CONFIG = {
     "generator": {"tau": {"re": 0.0, "im": 0.0}, "sigmas": [0.0], "lambdas": [-2.0]},
     "z0": {"re": 0.5, "im": 0.0}, "t": 0.1,

@@ -20,12 +20,11 @@ from diskflow import (
     dw_spectral_value,
     eval_denominator,
     eval_generator,
-    eval_generator_derivative,
     eval_herglotz,
     random_spec,
     spec_from_denominator,
 )
-from diskflow.generator import tau_regime
+from diskflow.generator import _point_generator, tau_regime
 
 
 def cfg(tau, pairs):
@@ -158,13 +157,27 @@ def test_derivatives_match_finite_differences(rng):
     z = 0.12 - 0.3j
     h = 1e-6
     fd1 = (eval_generator(spec, z + h) - eval_generator(spec, z - h)) / (2 * h)
-    assert eval_generator_derivative(spec, z) == pytest.approx(fd1, rel=1e-7)
+    assert loop_reference.eval_generator_derivative(spec, z) == pytest.approx(fd1, rel=1e-7)
     fd2 = (
         eval_generator(spec, z + h)
         - 2 * eval_generator(spec, z)
         + eval_generator(spec, z - h)
     ) / h**2
     assert loop_reference.eval_generator_second_derivative(spec, z) == pytest.approx(fd2, rel=1e-3)
+
+
+def test_point_derivative_is_finite_beside_a_huge_atom():
+    # q is about 1e300 here, so q^2 overflows and the unfused
+    # (u' q - u q')/q^2 reads NaN, while the fused (u' - G q')/q does not
+    big = AtomicHerglotz(((BoundaryPoint(3.0), 1e300),))
+    spec = GeneratorSpec(cfg(0.0, [(0.0, -1.0)]), big)
+    h = 1e-6
+    for z in (0.5, 0.3 - 0.4j, -0.7j):
+        g, dg = _point_generator(spec)(z)
+        assert g == eval_generator(spec, z)
+        fd = (eval_generator(spec, z + h) - eval_generator(spec, z - h)) / (2 * h)
+        assert cmath.isfinite(dg) and dg != 0.0
+        assert abs(dg - fd) <= 1e-6 * abs(fd)
 
 
 # ----------------------------------------------------------------------
@@ -186,7 +199,7 @@ def test_interior_spectral_value_is_minus_derivative(rng):
     for _ in range(25):
         spec = random_spec(rng, "interior")
         lam = dw_spectral_value(spec)
-        assert eval_generator_derivative(spec, spec.config.tau) == pytest.approx(
+        assert loop_reference.eval_generator_derivative(spec, spec.config.tau) == pytest.approx(
             -lam, rel=1e-12
         )
 

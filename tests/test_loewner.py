@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import loop_reference
+from diskflow import loewner_cp
 from diskflow import (
     AtomicHerglotz,
     BoundaryPoint,
@@ -176,6 +177,24 @@ def test_strict_field_log_derivatives_sum_to_horizon(rng):
         field = random_strict_field(rng, 0.0, S2, target)
         total = sum(boundary_log_derivative(field, k) for k in range(2))
         assert total == pytest.approx(field.total_duration, abs=1e-12)
+
+
+def test_random_strict_field_refuses_a_target_without_one():
+    # a column's fractions average to log a_k / T, here 1e-4 < ROW_FLOOR,
+    # so no draw can put every fraction above the floor
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(DomainError, match="spectral fraction"):
+        random_strict_field(rng, 0.0, S2, CPTarget((1.001, 22026.0)))
+    assert rng.bit_generator.state == state
+
+
+def test_random_strict_field_caps_its_draws(monkeypatch):
+    # a share of 0.0121 just above the floor: a field exists, but the draws
+    # rarely find one
+    monkeypatch.setattr(loewner_cp, "MAX_FIELD_DRAWS", 20)
+    with pytest.raises(DomainError, match="in 20 draws"):
+        random_strict_field(np.random.default_rng(0), 0.0, S2, CPTarget((1.13, 22026.0)))
 
 
 def test_boundary_log_derivative_matches_flow():

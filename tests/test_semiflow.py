@@ -106,7 +106,7 @@ def test_flow_refuses_a_horizon_beyond_the_step_bound():
 
 
 def test_flow_rejects_non_finite_start():
-    for z0 in (complex(math.nan, 0.0), complex(math.inf, 0.0), np.array([0.2, 1j * math.nan])):
+    for z0 in (complex(math.nan, 0.0), complex(math.inf, 0.0)):
         with pytest.raises(DomainError):
             integrate_flow(KOENIGS, z0, 0.1)
         with pytest.raises(DomainError):
@@ -132,8 +132,19 @@ def test_flow_derivative_matches_finite_difference():
     assert dphi == pytest.approx(fd, rel=1e-6)
 
 
+@pytest.mark.parametrize(
+    "z0",
+    [np.array([0.5]), np.array([0.2, 0.5j]), np.array([0.2, 0.5j, 1.0]), np.zeros((2, 2))],
+    ids=["length-1", "inside", "one-outside", "2-d"],
+)
+def test_flow_rejects_an_array_of_start_points(z0):
+    for flow in (integrate_flow, integrate_flow_with_derivative, flow_trajectory):
+        with pytest.raises(DomainError, match="one start point"):
+            flow(KOENIGS, z0, 0.3)
+
+
 # ----------------------------------------------------------------------
-# batched orbits: an array of start points is one IVP
+# the radius ladder's array solve: all its orbits are one IVP
 # ----------------------------------------------------------------------
 
 BATCH = np.array([0.5, 0.3 + 0.2j, -0.6j, -0.8, 0.1 + 0.7j, 0.0])
@@ -152,15 +163,10 @@ ESCAPING = GeneratorSpec(
 @pytest.mark.parametrize("spec", BATCH_SPECS)
 def test_batched_orbits_match_one_call_per_point(spec):
     t = 0.5
-    batched = integrate_flow(spec, BATCH, t)
-    points, derivatives = integrate_flow_with_derivative(spec, BATCH, t)
-    assert batched.shape == points.shape == derivatives.shape == BATCH.shape
+    batched = semiflow._batch(spec, BATCH, t)[0]
+    assert batched.shape == BATCH.shape
     for i, z0 in enumerate(BATCH):
-        single = integrate_flow(spec, z0, t)
-        w, dw = integrate_flow_with_derivative(spec, z0, t)
-        assert abs(batched[i] - single) <= 1e-10
-        assert abs(points[i] - w) <= 1e-10
-        assert abs(derivatives[i] - dw) <= 1e-10
+        assert abs(batched[i] - integrate_flow(spec, z0, t)) <= 1e-10
 
 
 def test_batched_orbit_escape_stops_the_whole_batch():
@@ -170,9 +176,7 @@ def test_batched_orbit_escape_stops_the_whole_batch():
     alone = integrate_flow(ESCAPING, -0.99, t)
     assert alone == pytest.approx(math.tanh(5.0 * t - math.atanh(0.99)), abs=1e-9)
     with pytest.raises(BoundaryEscape):
-        integrate_flow(ESCAPING, np.array([-0.99, 0.99]), t)
-    with pytest.raises(BoundaryEscape):
-        integrate_flow_with_derivative(ESCAPING, np.array([-0.99, 0.99]), t)
+        semiflow._batch(ESCAPING, np.array([-0.99, 0.99]), t)
 
 
 @pytest.mark.filterwarnings("error")
@@ -206,21 +210,18 @@ def test_a_dense_output_stage_off_the_disk_is_a_rejected_step():
     assert rhs_calls == len(calls)
 
 
-def test_batched_flow_rejects_any_start_outside_the_disk():
-    outside = np.array([0.2, 0.5j, 1.0])
-    with pytest.raises(DomainError):
-        integrate_flow(KOENIGS, outside, 0.3)
-    with pytest.raises(DomainError):
-        integrate_flow_with_derivative(KOENIGS, outside, 0.3)
-
-
-def test_batched_flow_at_zero_time_returns_the_start_points():
-    w = integrate_flow(KOENIGS, BATCH, 0.0)
-    assert np.array_equal(w, BATCH)
-    points, derivatives = integrate_flow_with_derivative(KOENIGS, BATCH, 0.0)
-    assert np.array_equal(points, BATCH)
-    assert np.array_equal(derivatives, np.ones(len(BATCH)))
+def test_estimate_at_zero_time_maps_the_ladder_to_itself():
+    # phi_0 is the identity, whose angular derivative is 1 everywhere
+    for theta in (0.0, 2.0):
+        got = estimate_boundary_derivative(KOENIGS, BoundaryPoint(theta), 0.0)
+        assert got == pytest.approx(1.0, abs=1e-12)
     assert integrate_flow_with_derivative(KOENIGS, 0.3 + 0.2j, 0.0) == (0.3 + 0.2j, 1.0)
+
+
+@pytest.mark.parametrize("t", [-0.1, math.nan, math.inf])
+def test_estimate_rejects_a_bad_horizon(t):
+    with pytest.raises(DomainError):
+        estimate_boundary_derivative(KOENIGS, BoundaryPoint(0.0), t)
 
 
 def test_trajectory_shape_and_monotone_times():
@@ -308,6 +309,11 @@ def _disk_draws(samples):
     return 0.9 * np.sqrt(draws[:, 0]) * np.exp(2j * math.pi * draws[:, 1])
 
 
+def _flow_each(spec, z0, t):
+    """phi_t at each of the points z0, one orbit at a time."""
+    return np.array([integrate_flow(spec, z, t) for z in z0])
+
+
 def _horocycle(tau, w):
     """|tau - w|^2 / (1 - |w|^2), which Julia's lemma keeps from increasing."""
     return np.abs(tau - w) ** 2 / (1.0 - np.abs(w) ** 2)
@@ -316,7 +322,7 @@ def _horocycle(tau, w):
 def test_attraction_interior_case():
     # Schwarz-Pick: the pseudo-hyperbolic distance to tau = 0, |w|, falls
     z0 = _disk_draws(10)
-    after = np.abs(integrate_flow(KOENIGS, z0, 0.5))
+    after = np.abs(_flow_each(KOENIGS, z0, 0.5))
     assert np.all(after < np.abs(z0))
 
 
@@ -324,7 +330,7 @@ def test_attraction_boundary_case():
     c = FixedPointConfig(1.0, (BoundaryPoint(math.pi),), (-1.0,))
     spec = GeneratorSpec(c, AtomicHerglotz())
     z0 = _disk_draws(6)
-    assert np.all(_horocycle(1.0, integrate_flow(spec, z0, 2.0)) < _horocycle(1.0, z0))
+    assert np.all(_horocycle(1.0, _flow_each(spec, z0, 2.0)) < _horocycle(1.0, z0))
 
 
 def test_attraction_boundary_uses_horocycles_not_euclidean_distance():
@@ -339,4 +345,4 @@ def test_attraction_boundary_uses_horocycles_not_euclidean_distance():
     z0 = _disk_draws(10)
     w1, w2 = (integrate_flow(spec, complex(z0[2]), t) for t in (1.0, 2.0))
     assert abs(w2 - tau) > abs(w1 - tau)
-    assert np.all(_horocycle(tau, integrate_flow(spec, z0, 1.0)) < _horocycle(tau, z0))
+    assert np.all(_horocycle(tau, _flow_each(spec, z0, 1.0)) < _horocycle(tau, z0))
