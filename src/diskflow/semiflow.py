@@ -6,10 +6,35 @@ solved inside the unit disk, optionally together with the variational
 equation d/dt (d phi_t/dz) = G'(phi_t) (d phi_t/dz) for the spatial
 derivative along the orbit.
 
-The flow functions take one start point, integrated in plain complex
-arithmetic: its state is one Python complex value, or two with the
-derivative, and each right-hand side is one pass over the spec's atoms for
-G and G' together.  An array of start points raises DomainError.
+The flow functions take one start point; an array of start points, a
+string, bytes, None or a bool raises DomainError, and so does a time that
+is not a finite, nonnegative real number.
+
+Where tau lies inside the disk (tau_regime "origin" or "interior"),
+integrate_flow and integrate_flow_with_derivative take the orbit from the
+Koenigs function instead of the ODE (Bracci, Contreras & Diaz-Madrigal,
+Continuous Semigroups of Holomorphic Self-maps of the Unit Disc, 2020).
+With G = (tau - z)(1 - conj(tau) z)/q, 1/G is rational and its residues
+are known, so
+
+    h(z) = (z - tau) (1 - conj(tau) z)^(lambda/conj(lambda))
+           prod_j (1 - conj(s_j) z)^(-lambda r_j),
+
+over the atoms s_j of q = p + p0 with masses m_j and
+r_j = 2 m_j / |tau - s_j|^2, satisfies h(phi_t(z)) = exp(-lambda t) h(z).
+phi_t(z) is the one root of that equation in the disk, found by damped
+Newton on log h in plain complex arithmetic (_closed_form), and
+phi_t'(z) = exp(-lambda t) h'(z) / h'(phi_t(z)).  Where Newton fails (no
+convergence within _NEWTON_STEPS trial points from either start, a root
+within BOUNDARY_GUARD of the circle, a value that is not finite) the
+orbit falls back to the ODE below, which also raises where the right-hand
+side is not finite.  A tau on the circle, flow_trajectory's samples and the
+radius ladder of estimate_boundary_derivative always take the ODE; the
+ladder checks the spectral formulas, which the closed form shares.
+
+An ODE orbit is integrated in plain complex arithmetic: its state is one
+Python complex value, or two with the derivative, and each right-hand side
+is one pass over the spec's atoms for G and G' together.
 
 Boundary spectral data is recovered from the flow without ever evaluating
 on the circle: the quotient
@@ -68,7 +93,7 @@ from .errors import (
     ExtrapolationDivergence,
     StepFailure,
 )
-from .generator import GeneratorSpec, _point_generator, eval_generator
+from .generator import GeneratorSpec, _point_generator, _spectral_value, eval_generator
 from .herglotz_core import BoundaryPoint, _Record
 
 REL_TOL = 1e-10
@@ -80,6 +105,13 @@ MAX_RHS_CALLS = 10**5
 MAX_SAMPLES = 10**6
 RADII = tuple(1.0 - 2.0**-k for k in range(4, 15))
 ESTIMATE_TOL = 1e-3
+# values that complex() or float() would take but that are no start point or
+# time: strings and bytes parse, bools are ints
+_NOT_NUMBERS = (str, bytes, bytearray, bool)
+
+# trial points the closed-form flow's Newton solve evaluates from each of its
+# two start points before it hands the orbit to the ODE
+_NEWTON_STEPS = 40
 
 # the step-size controller: the next step is the last one times
 # SAFETY * error ** EXPONENT, kept within [MIN_FACTOR, MAX_FACTOR]
@@ -357,17 +389,33 @@ def _solve(kind, rhs: Callable, y, t_final: float, grid=()):
     return y, samples, (calls, steps, rejected)
 
 
-def _check_horizon(t: float) -> None:
-    if not 0.0 <= t < math.inf:
-        raise DomainError(f"semigroup time must be finite and nonnegative, got {t!r}")
+def _check_horizon(t) -> float:
+    """t as a float, checked to be a finite, nonnegative real number.
+
+    float() and complex() parse strings, so a string is refused before any
+    comparison, and so are bytes, None, bools and complex values.  A numpy
+    scalar becomes a Python float, so that no float32 sets the precision.
+    """
+    try:
+        real = not isinstance(t, (*_NOT_NUMBERS, complex)) and 0.0 <= t < math.inf
+    except TypeError:
+        real = False
+    if not real:
+        raise DomainError(f"semigroup time must be a finite, nonnegative real number, got {t!r}")
+    return float(t)
 
 
 def _start_point(z0) -> complex:
-    """z0 as a Python complex, checked to be one point of the open disk
-    (NaN is not)."""
-    if np.ndim(z0) != 0:
+    """z0 as a Python complex, checked to be one number inside the open disk
+    (NaN is not).  Strings, bytes, None and bools are refused, not parsed."""
+    if isinstance(z0, _NOT_NUMBERS) or z0 is None:
+        raise DomainError(f"a start point must be a number, got {z0!r}")
+    if not isinstance(z0, (int, float, complex)) and np.ndim(z0) != 0:
         raise DomainError(f"a flow takes one start point, got an array of shape {np.shape(z0)}")
-    z = complex(z0)
+    try:
+        z = complex(z0)
+    except TypeError:
+        raise DomainError(f"a start point must be a number, got {z0!r}") from None
     if not abs(z) < 1.0:
         raise DomainError(f"initial point must lie in the open disk, |z0|={abs(z)}")
     return z
@@ -391,20 +439,144 @@ def _batch(gen: GeneratorSpec, z: np.ndarray, t: float):
     return _solve(_Batch(), lambda y: eval_generator(gen, y), z, t)
 
 
+def _koenigs(gen: GeneratorSpec) -> tuple[complex, list[tuple[complex, complex]]]:
+    """lambda and the terms (a, c) of the regular part R(z) = sum c Log(1 - a z)
+    of log h(z) = Log(z - tau) + R(z), for tau inside the disk.
+
+    The residues of 1/G are -1/lambda at tau, -1/conj(lambda) at
+    1/conj(tau) and r_j = 2 m_j / |tau - s_j|^2 at each atom s_j of p + p0,
+    so the terms are (conj tau, lambda / conj lambda) and
+    (conj s_j, -lambda r_j).
+    """
+    c = gen.config
+    tau = c.tau
+    points, masses = (a.tolist() for a in gen.denominator_atoms)
+    # p's atoms and the reciprocal sum enter lambda on the circle only
+    lam = _spectral_value(c.regime, tau, gen.p.gamma, (), points, masses, 0.0)[0]
+    terms = [(tau.conjugate(), lam / lam.conjugate())]
+    for s, m in zip(points, masses):
+        terms.append((s.conjugate(), -lam * (2.0 * m / abs(tau - s) ** 2)))
+    return lam, terms
+
+
+def _closed_form(gen: GeneratorSpec, z: complex, t: float, derivative: bool):
+    """The end state [w] or [w, dw] of the orbit of z from the Koenigs
+    function, or None where the ODE must take over.
+
+    w is the one root in the disk of F(w) = log h(w) - log h(z) + lambda t,
+    taken modulo 2 pi i.  Newton's step on F, -F (w - tau) / (1 + (w - tau)
+    R'(w)), is G(w) F(w) / lambda; it starts from the better residual of z
+    and of the linear model at tau, tau + exp(L - R(tau)) with
+    L = log h(z) - lambda t.  dw = exp(R(z) - R(w) - lambda t)
+    (1 + (z - tau) R'(z)) / (1 + (w - tau) R'(w)) is
+    exp(-lambda t) h'(z) / h'(w) written through the regular part, so a w
+    near tau divides no two small values.
+
+    None when Newton converges from neither start, when the root lies
+    within BOUNDARY_GUARD of the circle, or when lambda, a log term or a
+    residual is not finite.
+    """
+    tau = gen.config.tau
+    try:
+        lam, terms = _koenigs(gen)
+        if z == tau:
+            return [tau, cmath.exp(-lam * t)] if derivative else [tau]
+
+        def regular(w: complex) -> tuple[complex, complex]:
+            """(R(w), R'(w))."""
+            r = dr = 0j
+            for a, c in terms:
+                u = 1.0 - a * w
+                r += c * cmath.log(u)
+                dr -= c * a / u
+            return r, dr
+
+        def residual(w: complex) -> tuple[complex, complex]:
+            """(F(w), R'(w))."""
+            r, dr = regular(w)
+            return _wrapped(cmath.log(w - tau) + r - target), dr
+
+        r_z, dr_z = regular(z)
+        target = cmath.log(z - tau) + r_z - lam * t
+        guess = tau + cmath.exp(target - regular(tau)[0])
+        if guess == tau:
+            # |w - tau| is below the resolution of tau
+            w = tau
+        else:
+            starts = [(guess, *residual(guess)), (z, _wrapped(lam * t), dr_z)]
+            starts.sort(key=lambda start: abs(start[1]))
+            w = _newton(tau, residual, *starts[0])
+            if w is None:
+                w = _newton(tau, residual, *starts[1])
+            if w is None or not abs(w) < 1.0 - BOUNDARY_GUARD:
+                return None
+        if not derivative:
+            return [w]
+        r_w, dr_w = regular(w)
+        dw = cmath.exp(r_z - r_w - lam * t) * (1.0 + (z - tau) * dr_z) / (1.0 + (w - tau) * dr_w)
+    except (ArithmeticError, ValueError):
+        # a log of zero, an overflow, or a non-finite wrap
+        return None
+    return [w, dw] if cmath.isfinite(dw) else None
+
+
+def _wrapped(f: complex) -> complex:
+    """f with its imaginary part reduced modulo 2 pi into [-pi, pi]."""
+    return complex(f.real, math.remainder(f.imag, 2.0 * math.pi))
+
+
+def _newton(tau: complex, residual: Callable, w: complex, f: complex, dr: complex):
+    """Damped Newton's root of the wrapped log h from w, where residual(w) =
+    (f, dr), or None when _NEWTON_STEPS trial points do not converge.
+
+    A step whose end is off the disk (a NaN is) or does not lower |F| is
+    halved.  A Newton step of at most 1e-14 |w - tau| (plus 1e-15 |tau|,
+    where w resolves no less) ends the solve, and so does a step halved to
+    that size: near a root, only rounding keeps |F| from falling.
+    """
+    step = None
+    for _ in range(_NEWTON_STEPS):
+        if step is None:
+            d = w - tau
+            step = -f * d / (1.0 + d * dr)
+            tol = 1e-14 * abs(d) + 1e-15 * abs(tau)
+        trial = w + step
+        if abs(step) <= tol:
+            return trial if abs(trial) < 1.0 else None
+        # log h has its one pole at tau
+        if abs(trial) < 1.0 and trial != tau:
+            f_trial, dr_trial = residual(trial)
+            if abs(f_trial) < abs(f):
+                w, f, dr, step = trial, f_trial, dr_trial, None
+                continue
+        step *= 0.5
+    return None
+
+
+def _orbit(gen: GeneratorSpec, z: complex, t: float, derivative: bool) -> list[complex]:
+    """The end state of the orbit of z: the closed form for tau inside the
+    disk, the ODE for tau on the circle or where the closed form fails."""
+    if gen.config.regime != "boundary":
+        end = _closed_form(gen, z, t, derivative)
+        if end is not None:
+            return end
+    return _lone(gen, z, t, derivative)[0]
+
+
 def integrate_flow(gen: GeneratorSpec, z0, t: float) -> complex:
     """phi_t(z0) for one start point z0."""
-    _check_horizon(t)
+    t = _check_horizon(t)
     z = _start_point(z0)
-    return z if t == 0.0 else _lone(gen, z, t, False)[0][0]
+    return z if t == 0.0 else _orbit(gen, z, t, False)[0]
 
 
 def integrate_flow_with_derivative(gen: GeneratorSpec, z0, t: float) -> tuple[complex, complex]:
-    """(phi_t(z0), d phi_t/dz at z0) via the variational equation."""
-    _check_horizon(t)
+    """(phi_t(z0), d phi_t/dz at z0)."""
+    t = _check_horizon(t)
     z = _start_point(z0)
     if t == 0.0:
         return z, 1.0 + 0j
-    w, dw = _lone(gen, z, t, True)[0]
+    w, dw = _orbit(gen, z, t, True)
     return w, dw
 
 
@@ -413,8 +585,9 @@ def flow_trajectory(
 ) -> Trajectory:
     """Orbit and derivative sampled on a uniform time grid of ``samples`` points."""
     z = _start_point(z0)
-    if not 0.0 < t < math.inf:
-        raise DomainError(f"trajectory horizon must be finite and positive, got {t!r}")
+    t = _check_horizon(t)
+    if t == 0.0:
+        raise DomainError("a trajectory horizon must be positive, got 0")
     if not 2 <= samples <= MAX_SAMPLES:
         raise DomainError(f"samples must lie in [2, {MAX_SAMPLES}], got {samples!r}")
     grid = np.linspace(0.0, t, samples).tolist()
@@ -482,6 +655,6 @@ def estimate_boundary_derivative(
     The orbits of the whole radius ladder are solved as one IVP.  The
     estimate is held to ESTIMATE_TOL like julia_quotient_estimate's.
     """
-    _check_horizon(t)
+    t = _check_horizon(t)
     return _radial_limit(sigma, lambda z: _batch(gen, z, t)[0] if t else z)
 

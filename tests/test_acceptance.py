@@ -54,6 +54,7 @@ from diskflow import (
     region_Omega_origin,
     region_Z,
     region_Z_omega,
+    semiflow,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -344,6 +345,14 @@ def test_semiflow_matches_conjugacy_oracle():
 
     for t in (0.1, 0.5):
         _, dphi = integrate_flow_with_derivative(KOENIGS, 0.0, t)
+        assert abs(dphi - math.exp(-4.0 * t)) <= 1e-8
+
+    # the public flows solve the closed form at an interior tau; the ODE
+    # behind them is held to the same oracle
+    (got,), _, _ = semiflow._lone(KOENIGS, 0.5 + 0j, 0.1, False)
+    assert abs(got - oracle) <= 1e-8
+    for t in (0.1, 0.5):
+        (_, dphi), _, _ = semiflow._lone(KOENIGS, 0j, t, True)
         assert abs(dphi - math.exp(-4.0 * t)) <= 1e-8
 
     t = 0.5

@@ -100,9 +100,40 @@ def test_flow_rejects_non_finite_time(t):
 def test_flow_refuses_a_horizon_beyond_the_step_bound():
     # near the attracting tau = 0 stability limits a step to about a time
     # unit, so t = 1e9 needs far more than MAX_RHS_CALLS right-hand sides
+    budget = f"budget of {MAX_RHS_CALLS} right-hand-side calls"
+    with pytest.raises(DomainError, match=budget):
+        flow_trajectory(KOENIGS, 0.3, 1e9)
+    for derivative in (False, True):
+        with pytest.raises(DomainError, match=budget):
+            semiflow._lone(KOENIGS, 0.3 + 0j, 1e9, derivative)
+    # the closed form answers that horizon: exp(-4t) h(z0) underflows, so
+    # the orbit sits on tau and its derivative is 0
+    assert abs(integrate_flow(KOENIGS, 0.3, 1e9)) <= 1e-12
+    w, dw = integrate_flow_with_derivative(KOENIGS, 0.3, 1e9)
+    assert abs(w) <= 1e-12 and dw == 0.0
+
+
+@pytest.mark.parametrize("z0", ["0.5", b"0.5", None, True, False], ids=repr)
+def test_flow_refuses_a_start_point_that_is_no_number(z0):
+    # complex("0.5") parses, and a bool is an int: neither is a start point
     for flow in (integrate_flow, integrate_flow_with_derivative, flow_trajectory):
-        with pytest.raises(DomainError, match=f"budget of {MAX_RHS_CALLS} right-hand-side calls"):
-            flow(KOENIGS, 0.3, 1e9)
+        with pytest.raises(DomainError, match="a start point must be a number"):
+            flow(KOENIGS, z0, 0.1)
+
+
+@pytest.mark.parametrize("t", ["1", b"1", None, True, 1j, 0.5 + 0j, np.complex128(0.5)], ids=repr)
+def test_flow_refuses_a_time_that_is_no_real_number(t):
+    for flow in (integrate_flow, integrate_flow_with_derivative, flow_trajectory):
+        with pytest.raises(DomainError, match="real number"):
+            flow(KOENIGS, 0.3, t)
+
+
+def test_flow_takes_numpy_scalars():
+    for z0, t in ((np.float64(0.5), np.float32(0.25)), (np.complex128(0.5), np.int64(1))):
+        w, dw = integrate_flow_with_derivative(KOENIGS, 0.5, float(t))
+        assert integrate_flow(KOENIGS, z0, t) == w
+        assert integrate_flow_with_derivative(KOENIGS, z0, t) == (w, dw)
+        assert flow_trajectory(KOENIGS, z0, t, samples=2).points[-1] == pytest.approx(w, abs=1e-10)
 
 
 def test_flow_rejects_non_finite_start():
