@@ -57,8 +57,8 @@ TARGET_TOL = 1e-9
 CONCAVITY_DRAWS = 50
 # least spectral fraction of a random_strict_field segment at each sigma_k
 ROW_FLOOR = 0.01
-# most draws of durations and fractions random_strict_field makes for one field
-MAX_FIELD_DRAWS = 10**4
+# random_strict_field aims this far (4 ulps of 1) above a floor it lifts a draw to
+_FLOOR_MARGIN = 4.0 * 2.0**-52
 
 
 def _modulus_sum(spec: GeneratorSpec) -> float:
@@ -221,6 +221,7 @@ def q_concavity_check(x, rng: np.random.Generator | None = None) -> ConcavityRep
     homogeneity), random midpoint gaps Q((u+v)/2) - (Q(u)+Q(v))/2 >= 0,
     strict positivity of the gap for distinct simplex points, and the
     exact equality along rays v = t u, each from CONCAVITY_DRAWS draws.
+    Each simplex point is half a flat Dirichlet draw, half the barycenter.
     """
     if rng is None:
         rng = np.random.default_rng(0)
@@ -241,18 +242,12 @@ def q_concavity_check(x, rng: np.random.Generator | None = None) -> ConcavityRep
         v = vec * np.exp(rng.uniform(-1.0, 1.0, n))
         min_mid = min(min_mid, q_of((u + v) / 2.0) - (q_of(u) + q_of(v)) / 2.0)
 
-    min_strict = math.inf
+    min_strict = 0.0
     if n >= 2:
-        count = 0
-        while count < CONCAVITY_DRAWS:
-            u = rng.dirichlet(np.ones(n))
-            v = rng.dirichlet(np.ones(n))
-            if np.abs(u - v).max() <= 1e-3 or u.min() <= 1e-3 or v.min() <= 1e-3:
-                continue
-            min_strict = min(min_strict, q_of((u + v) / 2.0) - (q_of(u) + q_of(v)) / 2.0)
-            count += 1
-    else:
-        min_strict = 0.0
+        pairs = 0.5 * (rng.dirichlet(np.ones(n), size=(2, CONCAVITY_DRAWS)) + 1.0 / n)
+        min_strict = min(
+            q_of((u + v) / 2.0) - (q_of(u) + q_of(v)) / 2.0 for u, v in zip(*pairs)
+        )
 
     max_ray = 0.0
     for _ in range(CONCAVITY_DRAWS):
@@ -399,43 +394,45 @@ def random_strict_field(
 ) -> PiecewiseField:
     """Random strict field realizing the target boundary derivatives.
 
-    The field has 1 to 4 segments.  Durations are a random partition of
-    the horizon T; each segment's spectral fractions are a random simplex
-    row, shifted uniformly so the duration-weighted column sums hit log a_k
-    exactly.  Segments carry independent random free summands with atoms
+    The field has 1 to 4 segments; each part is one draw, never retried.
+    Durations are a flat Dirichlet partition of the horizon T, mixed with
+    the equal split T/m by the least weight that lifts the shortest to
+    1e-3 T when it is shorter.  Each segment's spectral fractions are a
+    flat Dirichlet row, shifted uniformly so the duration-weighted column
+    sums hit log a_k exactly.  When a fraction is below ROW_FLOOR, the rows
+    become share + s (rows - share), with share_k = log a_k / T and the
+    largest s < 1 that puts every fraction a few ulps above the floor; the
+    column sums stay exact at any s.  A draw that meets both floors is used
+    as drawn.  Segments carry independent random free summands with atoms
     away from the skeleton.
 
-    Every fraction must be at least ROW_FLOOR.  A column's fractions average
-    to log a_k / T over the durations, so a target whose smallest share
-    log a_k / T is not above ROW_FLOOR has no such field and raises
-    DomainError before any draw; so does a target whose draws all miss the
-    floor MAX_FIELD_DRAWS times.
+    A column's fractions average to share_k over the durations, so a
+    target whose smallest share is not above ROW_FLOOR has no such field
+    and raises DomainError before any draw.
     """
     sigmas = _target_sigmas(sigmas, target)
     n = len(sigmas)
     log_a = np.asarray(target.log_values)
     t_total = target.horizon
-    share = float(log_a.min() / t_total)
-    if not share > ROW_FLOOR:
+    share = log_a / t_total
+    if not share.min() > ROW_FLOOR:
         raise DomainError(
             f"no strict field has every spectral fraction >= {ROW_FLOOR}: "
-            f"the smallest target share log a_k / sum log a_j is {share!r}"
+            f"the smallest target share log a_k / sum log a_j is {float(share.min())!r}"
         )
     m = int(rng.integers(1, 5))
-    for _ in range(MAX_FIELD_DRAWS):
-        durations = rng.dirichlet(np.ones(m)) * t_total
-        if durations.min() < 1e-3 * t_total:
-            continue
-        rows = rng.dirichlet(np.ones(n), size=m)
-        col = durations @ rows
-        rows = rows + (log_a - col)[None, :] / t_total
-        if rows.min() >= ROW_FLOOR:
-            break
-    else:
-        raise DomainError(
-            f"no strict field in {MAX_FIELD_DRAWS} draws: the smallest target share "
-            f"log a_k / sum log a_j, {share!r}, is too close to {ROW_FLOOR}"
-        )
+    parts = rng.dirichlet(np.ones(m))
+    durations = parts * t_total
+    if durations.min() < 1e-3 * t_total:
+        lift = (1e-3 + _FLOOR_MARGIN - parts.min()) / (1.0 / m - parts.min())
+        durations = (parts + lift * (1.0 / m - parts)) * t_total
+    rows = rng.dirichlet(np.ones(n), size=m)
+    rows = rows + (log_a - durations @ rows)[None, :] / t_total
+    if rows.min() < ROW_FLOOR:
+        low = rows < ROW_FLOOR
+        shares = np.broadcast_to(share, rows.shape)[low]
+        s = np.min((shares - ROW_FLOOR - _FLOOR_MARGIN) / (shares - rows[low]))
+        rows = share + s * (rows - share)
 
     tau = complex(tau)
     avoid = _skeleton_angles(tau, sigmas)

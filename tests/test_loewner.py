@@ -189,12 +189,40 @@ def test_random_strict_field_refuses_a_target_without_one():
     assert rng.bit_generator.state == state
 
 
-def test_random_strict_field_caps_its_draws(monkeypatch):
-    # a share of 0.0121 just above the floor: a field exists, but the draws
-    # rarely find one
-    monkeypatch.setattr(loewner_cp, "MAX_FIELD_DRAWS", 20)
-    with pytest.raises(DomainError, match="in 20 draws"):
-        random_strict_field(np.random.default_rng(0), 0.0, S2, CPTarget((1.13, 22026.0)))
+@pytest.mark.parametrize("a", [(1.13, 22026.0), (math.e, math.e), (2.0, 1.5)])
+def test_random_strict_field_meets_its_floors(a):
+    # (1.13, 22026) has a smallest share of 0.0121, just above the floor:
+    # almost every Dirichlet draw has a fraction below it and is rescaled
+    target = CPTarget(a)
+    horizon = target.horizon
+    rng = np.random.default_rng(0)
+    for _ in range(2000):
+        field = random_strict_field(rng, 0.0, S2, target)
+        for duration, spec in field.segments:
+            assert duration >= 1e-3 * horizon
+            assert min(-lam for lam in spec.config.lambdas) >= loewner_cp.ROW_FLOOR
+        for k, log_a in enumerate(target.log_values):
+            assert abs(boundary_log_derivative(field, k) - log_a) <= 1e-12
+
+
+def test_random_strict_field_keeps_a_draw_that_meets_both_floors():
+    # the plain single-draw law, replayed on a copy of the generator
+    target = CPTarget((math.e, math.e))
+    log_a = np.asarray(target.log_values)
+    horizon = target.horizon
+    replay = np.random.default_rng(0)
+    m = int(replay.integers(1, 5))
+    durations = replay.dirichlet(np.ones(m)) * horizon
+    rows = replay.dirichlet(np.ones(2), size=m)
+    rows = rows + (log_a - durations @ rows)[None, :] / horizon
+    assert m > 1
+    assert durations.min() >= 1e-3 * horizon and rows.min() >= loewner_cp.ROW_FLOOR
+
+    field = random_strict_field(np.random.default_rng(0), 0.0, S2, target)
+    assert [d for d, _ in field.segments] == durations.tolist()
+    assert [spec.config.lambdas for _, spec in field.segments] == [
+        tuple(-rows[i]) for i in range(m)
+    ]
 
 
 def test_boundary_log_derivative_matches_flow():
@@ -265,6 +293,13 @@ def test_q_hessian_annihilates_the_ray():
     x = np.array([0.4, 1.1, 3.0, 0.9])
     residual = q_hessian(x) @ x
     assert np.max(np.abs(residual)) < 1e-12
+
+
+@pytest.mark.parametrize("n", [100, 1000])
+def test_q_concavity_check_at_high_dimension(n):
+    report = q_concavity_check(np.ones(n))
+    assert report.concave
+    assert report.min_strict_gap > 0.0
 
 
 def test_q_concavity_report(rng):
