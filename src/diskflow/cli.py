@@ -56,8 +56,8 @@ from .value_regions import (
     DiskRegion,
     IntervalRegion,
     REGIMES,
-    _draw_raw,
-    _raw_records,
+    _column_records,
+    _draw_columns,
     interval_I,
     parabolic_region,
     region_Omega,
@@ -69,6 +69,7 @@ from .value_regions import (
 REGION_SAMPLES = 720
 SIGN_VIOLATION_FLOOR = 1e-10
 MAX_EXPERIMENTS = 10**5  # bound on cowen-pommerenke's fields and sweep; ~150 us each
+VERIFY_BLOCK = 4096  # samples verify draws and checks at once; bounds its memory
 
 
 # ----------------------------------------------------------------------
@@ -331,14 +332,19 @@ def cmd_flow(args) -> int:
     return 0
 
 
-def _is_sign_violation(lhs: float, rhs: float, floor: float) -> bool:
-    """Slack rhs - lhs negative beyond roundoff.
+def _is_sign_violation(lhs, rhs, floor: float):
+    """Slack rhs - lhs negative beyond roundoff, elementwise on columns.
 
     A slack is a difference of terms as large as the record's sides, so the
     roundoff floor scales with max(1, |lhs|, |rhs|): hyperbolic_window
     compares squares that reach 5.7e5, where one ulp is 1.2e-10.
     """
-    return rhs - lhs < -floor * max(1.0, abs(lhs), abs(rhs))
+    return rhs - lhs < -floor * np.maximum(np.maximum(abs(lhs), abs(rhs)), 1.0)
+
+
+def _tally(counts: dict[str, int], name: str, n) -> None:
+    if n:
+        counts[name] = counts.get(name, 0) + int(n)
 
 
 def cmd_verify(args) -> int:
@@ -352,17 +358,25 @@ def cmd_verify(args) -> int:
     warnings: dict[str, int] = {}
     violations: dict[str, int] = {}
     min_slack: dict[str, float] = {}
-    for i in range(args.samples):
-        for name, lhs, rhs in _raw_records(_draw_raw(rng, REGIMES[i % len(REGIMES)])):
-            slack = rhs - lhs
-            checked[name] = checked.get(name, 0) + 1
-            # sign_floor >= tol, so every violation is also a warning
-            if _is_sign_violation(lhs, rhs, tol):
-                warnings[name] = warnings.get(name, 0) + 1
-                if _is_sign_violation(lhs, rhs, sign_floor):
-                    violations[name] = violations.get(name, 0) + 1
-            if name not in min_slack or slack < min_slack[name]:
-                min_slack[name] = slack
+    for start in range(0, args.samples, VERIFY_BLOCK):
+        size = min(VERIFY_BLOCK, args.samples - start)
+        for k, regime in enumerate(REGIMES):
+            # sample i has regime REGIMES[i % 4]; each regime's rows are one draw
+            rows = len(range((k - start) % len(REGIMES), size, len(REGIMES)))
+            if not rows:
+                continue
+            for name, lhs, rhs, where in _column_records(_draw_columns(rng, regime, rows)):
+                if where is not True:
+                    lhs, rhs = lhs[where], rhs[where]
+                if not lhs.size:
+                    continue
+                _tally(checked, name, lhs.size)
+                # sign_floor >= tol, so every violation is also a warning
+                _tally(warnings, name, np.count_nonzero(_is_sign_violation(lhs, rhs, tol)))
+                _tally(violations, name, np.count_nonzero(_is_sign_violation(lhs, rhs, sign_floor)))
+                slack = float((rhs - lhs).min())
+                if name not in min_slack or slack < min_slack[name]:
+                    min_slack[name] = slack
     total_violations = sum(violations.values())
     for name in sorted(checked):
         print(

@@ -259,14 +259,25 @@ def _spectral_value(
     if mass > 0.0:
         return 0.0, 2.0 * mass
     point = complex(math.cos(theta), math.sin(theta))
-    # the denominator's contact value at tau is i (gamma + Im of its kernel sum)
-    contact = gamma + point_kernel_sum(q_points, q_masses, point, 0).imag
-    if abs(contact) > CONTACT_TOL:
+    if abs(_contact(gamma, q_points, q_masses, point)) > CONTACT_TOL:
         return 0.0, 0.0
-    # p#(tau) = Re(-tau p'(tau)) = 2 sum_j m_j/|s_j - tau|^2 over p's atoms
     n = len(atoms)
-    sharp = (-point * point_kernel_sum(q_points[:n], q_masses[:n], point, 1)).real
-    return 1.0 / (sharp + s), 0.0
+    return _hyperbolic_value(point, q_points[:n], q_masses[:n], s), 0.0
+
+
+# _spectral_value's boundary arithmetic, in operators only, so that
+# value_regions runs it on numpy columns too
+
+
+def _contact(gamma, q_points, q_masses, point):
+    """The denominator's contact value at the boundary point tau, over i."""
+    return gamma + point_kernel_sum(q_points, q_masses, point, 0).imag
+
+
+def _hyperbolic_value(point, p_points, p_masses, s):
+    """1/(p#(tau) + s), p#(tau) = Re(-tau p'(tau)) = 2 sum_j m_j/|s_j - tau|^2."""
+    sharp = (-point * point_kernel_sum(p_points, p_masses, point, 1)).real
+    return 1.0 / (sharp + s)
 
 
 def _spec_spectral_value(spec: GeneratorSpec) -> tuple[complex | float, float]:

@@ -20,13 +20,18 @@ zeta, so Re ell >= 0 characterizes membership of zeta in Z.
 
 Sampling and the inequality suite.  The sharp inequalities are closed
 forms in (tau, sigma_k, lambda_k, the atoms of p, gamma), so `verify` never
-builds objects for its random generators.  One draw law, _draw_raw, draws
-a generator's plain numbers, and one record function, _raw_records,
-evaluates every inequality and region membership on them.  random_spec
-builds its objects from the same draw, and inequality_suite reads a spec
-into the same numbers.  Each quantity the records share with the object
+builds objects for its random generators.  One draw law, documented at
+_draw_raw, has two samplers.  _draw_raw draws one generator as plain
+numbers; random_spec builds its objects from that draw, and its random
+stream is pinned.  _draw_columns draws many generators of one regime as
+numpy columns, for `verify`.  One record arithmetic, _records, evaluates
+every inequality and region membership on either: _raw_records on one
+generator (for inequality_suite, which reads a spec into the same
+numbers), _column_records on a column block, where the tests on lambda's
+value become row masks.  Each quantity the records share with the object
 API (lambda, beta, the curvature chart, the disks of Z, region_Z_omega and
-lambda_range) has one plain-number function that both call.
+lambda_range) has one plain-number function that both call; it is written
+with operators only, so it takes numpy columns unchanged.
 """
 
 from __future__ import annotations
@@ -38,8 +43,11 @@ from ._lazy import np
 
 from .errors import DegenerateConfig, DivisionByZero, DomainError
 from .generator import (
+    CONTACT_TOL,
     FixedPointConfig,
     GeneratorSpec,
+    _contact,
+    _hyperbolic_value,
     _mobius_factor,
     _spectral_value,
     config_sums,
@@ -48,6 +56,7 @@ from .generator import (
     tau_regime,
 )
 from .herglotz_core import (
+    ANGLE_TOL,
     AtomicHerglotz,
     BoundaryPoint,
     _Record,
@@ -386,7 +395,7 @@ def lambda_range(
 def _lambda_disk(s: float) -> tuple[complex, float]:
     """Center r and radius r = 1/S of lambda_range's disk (interval [0, r])."""
     r = 1.0 / s
-    return complex(r, 0.0), r
+    return r + 0j, r
 
 
 def caratheodory_min_sharp(tau: BoundaryPoint, a: float) -> tuple[float, BoundaryPoint]:
@@ -444,53 +453,69 @@ def _raw_records(raw) -> list[tuple[str, float, float]]:
     """
     regime, tau, sig_angles, lambdas, atoms, gamma = raw
     sig_points = [_point(t) for t in sig_angles]
-    alphas, a_cap, b_cap, s = config_sums(tau, sig_points, lambdas)
+    sums = config_sums(tau, sig_points, lambdas)
     # the denominator p + p0 as GeneratorSpec.denominator_atoms lays it out:
     # p's atoms, then p0's, which are the (distinct) sigma_k sorted by angle
     base = sorted(range(len(sig_angles)), key=sig_angles.__getitem__)
     q_points = [_point(t) for t, _ in atoms] + [sig_points[k] for k in base]
-    q_masses = [m for _, m in atoms] + [alphas[k] for k in base]
+    q_masses = [m for _, m in atoms] + [sums[0][k] for k in base]
+    lam, b = _spectral_value(regime, tau, gamma, atoms, q_points, q_masses, sums[3])
+    records = _records(regime, tau, sig_points, lambdas, sums, q_points, q_masses, gamma, lam, b)
+    return [(name, lhs, rhs) for name, lhs, rhs, rows in records if rows]
+
+
+def _records(regime, tau, sig_points, lambdas, sums, q_points, q_masses, gamma, lam, b):
+    """The records of _raw_records as (name, lhs, rhs, rows), from one
+    generator's plain numbers or one regime's numpy columns, laid out as
+    _raw_records lays them out.  ``rows`` is where a record applies: True,
+    or a test of lambda's value, a bool for one generator and a row mask
+    for columns; a record whose test is False is not evaluated.
+    """
+    _, a_cap, b_cap, s = sums
     w0 = 1j * gamma + point_kernel_sum(q_points, q_masses, 0j, 0)  # tau/G(0) when tau != 0
-    lam, b = _spectral_value(regime, tau, gamma, atoms, q_points, q_masses, s)
     lam_center, r = _lambda_disk(s)
     ratio = w0.real - a_cap
 
     if regime == "boundary":
-        records = [("origin_ratio_real", a_cap, w0.real), ("boundary_spectral_cap", lam, r)]
-        if lam > 0.0:
+        records = [
+            ("origin_ratio_real", a_cap, w0.real, True),
+            ("boundary_spectral_cap", lam, r, True),
+        ]
+        hyperbolic, parabolic = lam > 0.0, lam <= 0.0
+        if hyperbolic is not False:
             lhs = ratio**2 + (w0.imag + b_cap) ** 2
-            records.append(("hyperbolic_window", lhs, 2.0 * (1.0 / lam - s) * ratio))
-        else:
-            records.append(("parabolic_floor", 0.0, b))
-            records.append(("parabolic_cap", b, 2.0 * ratio))
+            records.append(("hyperbolic_window", lhs, 2.0 * (1.0 / lam - s) * ratio, hyperbolic))
+        if parabolic is not False:
+            records.append(("parabolic_floor", 0.0, b, parabolic))
+            records.append(("parabolic_cap", b, 2.0 * ratio, parabolic))
     else:
         inv = 1.0 / lam
-        records = [("spectral_reciprocal_floor", s, 2.0 * inv.real)]
+        records = [("spectral_reciprocal_floor", s, 2.0 * inv.real, True)]
         if regime == "origin":
             chart = _curvature_chart(tau, q_points, q_masses, w0, lam)
             center, radius = _z_omega_disk(sig_points, lambdas, lam, s)
-            records.append(("curvature_window", abs(chart - center), radius))
+            records.append(("curvature_window", abs(chart - center), radius, True))
         else:
             t = abs(tau)
             one_m = 1.0 - t * t
-            records.append(("origin_ratio_real", a_cap, w0.real))
+            records.append(("origin_ratio_real", a_cap, w0.real, True))
             mid = (one_m * inv).real - one_m * s / 2.0
-            records.append(("harnack_lower", (1.0 - t) / (1.0 + t) * ratio, mid))
-            records.append(("harnack_upper", mid, (1.0 + t) / (1.0 - t) * ratio))
+            records.append(("harnack_lower", (1.0 - t) / (1.0 + t) * ratio, mid, True))
+            records.append(("harnack_upper", mid, (1.0 + t) / (1.0 - t) * ratio, True))
             tilt = abs((one_m * inv - w0).imag - b_cap)
-            records.append(("spectral_tilt", tilt, 2.0 * t / one_m * ratio))
+            records.append(("spectral_tilt", tilt, 2.0 * t / one_m * ratio, True))
 
     # memberships, as lhs <= rhs with the region's slack: G(0) in region_Z,
-    # lambda in lambda_range (a disk, or an interval for boundary tau)
+    # lambda in lambda_range (a disk, or an interval for boundary tau, whose
+    # nearer end gives the record)
     if regime != "origin":
         center, radius = _z_disk(tau, a_cap)
-        records.append(("origin_in_Z", abs(_mobius_factor(tau, 0.0) / w0 - center), radius))
+        records.append(("origin_in_Z", abs(_mobius_factor(tau, 0.0) / w0 - center), radius, True))
     if regime != "boundary":
-        records.append(("spectral_in_range", abs(lam - lam_center), r))
-    elif lam - 0.0 <= r - lam:
-        records.append(("spectral_in_range", 0.0, lam))
+        records.append(("spectral_in_range", abs(lam - lam_center), r, True))
     else:
-        records.append(("spectral_in_range", lam, r))
+        records.append(("spectral_in_range", 0.0, lam, lam - 0.0 <= r - lam))
+        records.append(("spectral_in_range", lam, r, lam - 0.0 > r - lam))
     return records
 
 
@@ -597,12 +622,11 @@ def _draw_raw(rng: np.random.Generator, regime: str):
     gamma = _uniform(rng, -5.0, 5.0)
 
     if regime == "boundary_hyperbolic":
-        # gamma cancels B and the atoms' contact value at tau, which is
-        # contact_value's i (0.0 + Im of the kernel sum) for p = atoms alone
+        # gamma cancels B and the contact value at tau of p = atoms alone
         tau_point = _point(circle_angle(cmath.phase(tau)))
         cap_b = config_sums(tau, [_point(t) for t in sig_angles], lambdas)[2]
-        contact = point_kernel_sum([_point(t) for t, _ in atoms], [m for _, m in atoms], tau_point, 0)
-        gamma = -cap_b - (0.0 + contact.imag)
+        points, masses = [_point(t) for t, _ in atoms], [m for _, m in atoms]
+        gamma = -cap_b - _contact(0.0, points, masses, tau_point)
     elif regime == "boundary_parabolic":
         atoms.append((circle_angle(cmath.phase(tau)), math.exp(_uniform(rng, -3.0, 1.0))))
         atoms.sort()
@@ -616,3 +640,153 @@ def random_spec(rng: np.random.Generator, regime: str = "interior") -> Generator
     config = FixedPointConfig(tau, tuple(BoundaryPoint(t) for t in sig_angles), lambdas)
     p = AtomicHerglotz(tuple((BoundaryPoint(t), m) for t, m in atoms), gamma)
     return GeneratorSpec(config, p)
+
+
+# ----------------------------------------------------------------------
+# verify's columns
+# ----------------------------------------------------------------------
+
+# sigma slots and atom slots of a column row: n <= 4 repelling points, and
+# p's at most 3 free atoms plus the parabolic draw's atom at tau
+SLOTS = 4
+# where a padded slot sits: off the closed disk, so that its zero mass adds
+# an exact 0 to every kernel sum
+PAD_POINT = 2.0
+
+
+def _near(a, b, gap):
+    """angle_gap(a, b) <= gap, elementwise; false where an angle is NaN."""
+    d = abs(a - b) % TWO_PI
+    return (d <= gap) | (TWO_PI - d <= gap)
+
+
+def _circle_angles(w):
+    """circle_angle(cmath.phase(w)) of a column."""
+    t = np.angle(w) % TWO_PI
+    return np.where(t >= TWO_PI, t - TWO_PI, t)
+
+
+def _points(angles):
+    """_point of a column of angles; a NaN (padded) angle gives PAD_POINT."""
+    return np.where(np.isnan(angles), PAD_POINT, np.cos(angles) + 1j * np.sin(angles))
+
+
+def _angle_columns(rng, rows: int, slots: int, min_gap: float, avoid=None, avoid_gap=0.0):
+    """(rows, slots) uniform angles, each slot drawn as _distinct_angles
+    draws one angle: a row redraws that slot alone while it lies within
+    min_gap of the row's earlier slots or within avoid_gap of an angle in
+    its row of ``avoid``, whose NaN entries are ignored."""
+    angles = np.empty((rows, slots))
+    for k in range(slots):
+        todo = np.arange(rows)
+        while todo.size:
+            theta = TWO_PI * rng.random(todo.size)
+            angles[todo, k] = theta
+            redo = _near(theta[:, None], angles[todo, :k], min_gap).any(1)
+            if avoid is not None:
+                redo |= _near(theta[:, None], avoid[todo], avoid_gap).any(1)
+            todo = todo[redo]
+    return angles
+
+
+def _draw_columns(rng: np.random.Generator, regime: str, rows: int):
+    """Draw ``rows`` generators of one regime, by the law of _draw_raw, as
+    numpy columns.
+
+    Returns (tau_regime, tau, sigma angles, lambdas, atom angles, masses,
+    gamma).  The sigma angles and lambdas are (rows, SLOTS) arrays in draw
+    order, p's atoms (rows, SLOTS) arrays sorted by angle.  A padded slot
+    has angle NaN and zero weight: lambda = -inf, or mass 0.  The law is
+    _draw_raw's; the order in which it takes the random stream is not: each
+    quantity is drawn for every row at once, and a row that breaks an angle
+    gap redraws just the offending slot.  (np.angle may also put tau's
+    angle, and so a parabolic atom, one ulp off cmath.phase.)
+    """
+    if regime not in REGIMES:
+        raise DomainError(f"unknown regime {regime!r}; expected one of {REGIMES}")
+    pads = np.arange(SLOTS) >= rng.integers(1, 5, rows)[:, None]
+    sig_angles = _angle_columns(rng, rows, SLOTS, 1e-6)
+    sig_angles[pads] = np.nan
+    lambdas = np.where(pads, -np.inf, -np.exp(-2.0 + 4.0 * rng.random((rows, SLOTS))))
+
+    tau_angle = None
+    if regime == "origin":
+        tau = np.zeros(rows, complex)
+    elif regime == "interior":
+        tau = np.empty(rows, complex)
+        todo = np.arange(rows)
+        while todo.size:
+            radius = np.sqrt(rng.random(todo.size))
+            tau[todo] = radius * np.exp(1j * (TWO_PI * rng.random(todo.size)))
+            todo = todo[abs(tau[todo]) <= 1e-6]
+    else:
+        tau_angle = _angle_columns(rng, rows, 1, 0.0, avoid=sig_angles, avoid_gap=1e-3)
+        tau = _points(tau_angle[:, 0])
+
+    atom_angles = np.full((rows, SLOTS), np.nan)
+    masses = np.zeros((rows, SLOTS))
+    free = SLOTS - 1
+    atom_pads = np.arange(free) >= rng.integers(0, 4, rows)[:, None]
+    atom_angles[:, :free] = _angle_columns(rng, rows, free, 1e-6, tau_angle, 1e-3)
+    atom_angles[:, :free][atom_pads] = np.nan
+    masses[:, :free] = np.where(atom_pads, 0.0, np.exp(-3.0 + 4.0 * rng.random((rows, free))))
+    gamma = -5.0 + 10.0 * rng.random(rows)
+
+    if regime == "boundary_parabolic":
+        atom_angles[:, free] = _circle_angles(tau)
+        masses[:, free] = np.exp(-3.0 + 4.0 * rng.random(rows))
+    order = np.argsort(atom_angles, 1)  # NaN last
+    atom_angles = np.take_along_axis(atom_angles, order, 1)
+    masses = np.take_along_axis(masses, order, 1)
+    if regime == "boundary_hyperbolic":
+        cap_b = config_sums(tau, list(_points(sig_angles).T), list(lambdas.T))[2]
+        atom_points = list(_points(atom_angles).T)
+        gamma = -cap_b - _contact(0.0, atom_points, list(masses.T), _points(_circle_angles(tau)))
+    kind = regime if regime in ("origin", "interior") else "boundary"
+    return kind, tau, sig_angles, lambdas, atom_angles, masses, gamma
+
+
+def _column_spectral_value(regime, tau, gamma, atom_angles, masses, q_points, q_masses, s):
+    """_spectral_value of every row of a column block, with its tests on
+    values as row masks: an atom of p at tau, then the contact value."""
+    if regime != "boundary":
+        return _spectral_value(regime, tau, gamma, (), q_points, q_masses, s)
+    theta = _circle_angles(tau)
+    point = _points(theta)
+    # p's atoms lie more than 1e-6 apart, so at most one is within ANGLE_TOL of tau
+    mass = np.where(_near(atom_angles, theta[:, None], ANGLE_TOL), masses, 0.0).max(1)
+    at_tau = mass > 0.0
+    hyperbolic = ~at_tau & ~(abs(_contact(gamma, q_points, q_masses, point)) > CONTACT_TOL)
+    lam = _hyperbolic_value(point, q_points[:SLOTS], q_masses[:SLOTS], s)
+    return np.where(hyperbolic, lam, 0.0), np.where(at_tau, 2.0 * mass, 0.0)
+
+
+def _column_records(columns):
+    """_records of every row of a _draw_columns block.
+
+    Returns (name, lhs, rhs, rows) with lhs and rhs columns over all rows
+    and rows True or the mask of the rows a record applies to.  A row
+    outside its record's mask may hold inf or NaN there.
+    """
+    regime, tau, sig_angles, lambdas, atom_angles, masses, gamma = columns
+    sig_points = _points(sig_angles)
+    sig_columns, lambda_columns = list(sig_points.T), list(lambdas.T)
+    sums = config_sums(tau, sig_columns, lambda_columns)
+    # the layout of _raw_records: p's atoms, then the sigma_k sorted by angle
+    base = np.argsort(sig_angles, 1)  # NaN last
+    alphas = np.column_stack(sums[0])
+    q_points = list(_points(atom_angles).T) + list(np.take_along_axis(sig_points, base, 1).T)
+    q_masses = list(masses.T) + list(np.take_along_axis(alphas, base, 1).T)
+    # a row outside a branch may divide by zero there: an atom at tau, or lambda = 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lam, b = _column_spectral_value(
+            regime, tau, gamma, atom_angles, masses, q_points, q_masses, sums[3]
+        )
+        records = _records(
+            regime, tau, sig_columns, lambda_columns, sums, q_points, q_masses, gamma, lam, b
+        )
+    shape = tau.shape
+    return [
+        (name, np.broadcast_to(lhs, shape), np.broadcast_to(rhs, shape), rows)
+        for name, lhs, rhs, rows in records
+    ]

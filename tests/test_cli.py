@@ -159,13 +159,17 @@ def test_verify_passes_at_extreme_tolerance(tmp_path):
 
 
 def test_verify_reads_large_roundoff_as_roundoff(tmp_path, monkeypatch):
-    # sample 6690 of `verify --seed 4`: hyperbolic_window compares two sides
-    # near 5.7e5 and lands 2.3e-10 (4e-16 relative) below zero, past the
-    # absolute floor 1e-10 but inside the floor scaled by the sides
+    # sample 6690 of _draw_raw's stream at seed 4 (verify's stream before it
+    # drew columns): hyperbolic_window compares two sides near 5.7e5 and
+    # lands 2.3e-10 (4e-16 relative) below zero, past the absolute floor
+    # 1e-10 but inside the floor scaled by the sides
     import numpy as np
 
+    from verify_reference import columns_from_raw
+
+    from diskflow import cli
     from diskflow.cli import SIGN_VIOLATION_FLOOR, _is_sign_violation
-    from diskflow.value_regions import REGIMES, _draw_raw, _raw_records
+    from diskflow.value_regions import REGIMES, _column_records, _draw_raw, _raw_records
 
     rng = np.random.default_rng(4)
     for i in range(6691):
@@ -177,10 +181,18 @@ def test_verify_reads_large_roundoff_as_roundoff(tmp_path, monkeypatch):
     assert rhs - lhs < -SIGN_VIOLATION_FLOOR
     assert abs(rhs - lhs) < 1e-15 * lhs
     assert not any(_is_sign_violation(l, r, SIGN_VIOLATION_FLOOR) for l, r in records.values())
+    # the same generator as a one-row column block gives the same sides,
+    # which the column test reads as roundoff too
+    block = columns_from_raw(raw)
+    columns = {
+        name: (l[0], r[0]) for name, l, r, rows in _column_records(block) if rows is True or rows[0]
+    }
+    assert sorted(columns) == sorted(records)
+    col_lhs, col_rhs = columns["hyperbolic_window"]
+    assert abs(col_lhs - lhs) <= 1e-12 * lhs and abs(col_rhs - rhs) <= 1e-12 * rhs
+    assert not _is_sign_violation(col_lhs, col_rhs, SIGN_VIOLATION_FLOOR)
     # verify counts it as neither a violation nor a warning
-    from diskflow import cli
-
-    monkeypatch.setattr(cli, "_draw_raw", lambda rng, regime: raw)
+    monkeypatch.setattr(cli, "_draw_columns", lambda rng, regime, rows: block)
     assert cli.main(["verify", "--samples", "1", "--out", str(tmp_path)]) == 0
     report = json.loads((tmp_path / "verify.json").read_text())
     assert report["checked"]["hyperbolic_window"] == 1
@@ -188,16 +200,74 @@ def test_verify_reads_large_roundoff_as_roundoff(tmp_path, monkeypatch):
 
 
 def test_verify_genuine_violation_exits_4(tmp_path, monkeypatch):
+    import numpy as np
+
     from diskflow import cli
 
-    def violated(raw):
-        return [("spectral_in_range", 0.5, 0.25)]
+    def violated(columns):
+        rows = len(columns[1])
+        return [("spectral_in_range", np.full(rows, 0.5), np.full(rows, 0.25), True)]
 
-    monkeypatch.setattr(cli, "_raw_records", violated)
+    monkeypatch.setattr(cli, "_column_records", violated)
     out = tmp_path / "out"
     assert cli.main(["verify", "--samples", "4", "--seed", "0", "--out", str(out)]) == 4
     report = json.loads((out / "verify.json").read_text())
     assert report["violations"] == {"spectral_in_range": 4}
+
+
+def test_verify_blocks_keep_the_round_robin_regimes(tmp_path):
+    # verify draws in blocks of VERIFY_BLOCK samples; sample i keeps regime
+    # REGIMES[i % 4] across block edges, so each record's count follows the
+    # regimes that carry it
+    from diskflow import cli
+    from diskflow.value_regions import REGIMES
+
+    samples = 2 * cli.VERIFY_BLOCK + 3
+    assert cli.main(["verify", "--samples", str(samples), "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "verify.json").read_text())
+    interior, origin, hyperbolic, parabolic = (
+        len(range(k, samples, len(REGIMES))) for k in range(len(REGIMES))
+    )
+    assert REGIMES == ("interior", "origin", "boundary_hyperbolic", "boundary_parabolic")
+    boundary = hyperbolic + parabolic
+    assert report["checked"] == {
+        "spectral_in_range": samples,
+        "origin_in_Z": samples - origin,
+        "origin_ratio_real": interior + boundary,
+        "spectral_reciprocal_floor": interior + origin,
+        "curvature_window": origin,
+        "harnack_lower": interior,
+        "harnack_upper": interior,
+        "spectral_tilt": interior,
+        "boundary_spectral_cap": boundary,
+        "hyperbolic_window": hyperbolic,
+        "parabolic_floor": parabolic,
+        "parabolic_cap": parabolic,
+    }
+    assert report["violations"] == {}
+
+
+# Spawned from a bare interpreter: a child's ru_maxrss starts from the RSS
+# of the process it forks from, and this one stays below verify's own.
+_PEAK_RSS = """
+import resource, subprocess, sys
+subprocess.run([sys.executable, "-m", "diskflow.cli", *sys.argv[1:]], check=True,
+               stdout=subprocess.DEVNULL)
+print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
+def test_verify_memory_does_not_grow_with_samples(tmp_path):
+    def peak_kib(samples):
+        argv = ["verify", "--samples", str(samples), "--out", str(tmp_path / str(samples))]
+        res = subprocess.run(
+            [sys.executable, "-c", _PEAK_RSS, *argv], capture_output=True, text=True, timeout=300
+        )
+        assert res.returncode == 0, res.stderr
+        return int(res.stdout)
+
+    assert peak_kib(200000) - peak_kib(1000) < 5 * 1024
 
 
 def test_verify_seed_changes_output(tmp_path):

@@ -4,22 +4,28 @@ tests/golden_cli.json holds, for each case, the command line, its config
 and the JSON artifact the command wrote when the file was recorded.  The
 test reruns each command and compares the artifact: every number within
 1e-12 relative, every string, key and length exactly.  A change that is
-meant to move an artifact re-records the file with
+meant to move an artifact re-records its cases, by name, with
 
-    PYTHONPATH=src python tests/test_golden_cli.py
+    PYTHONPATH=src python tests/test_golden_cli.py verify flow
+
+which leaves every other entry byte for byte as it was; with no names it
+re-records every case.
 
 VERIFY_SHA256 pins verify.json byte for byte at 10^4 samples for seeds
 0-5.  verify's records and the object API call the same plain-number
 functions, so a change to any shared formula moves these bytes even where
-it stays within the golden tolerance.  The digests were recorded with
-Python 3.11 and numpy 2.4 on x86-64 Linux; another platform's libm may
-move the last bits.
+it stays within the golden tolerance, and so does a change to the order in
+which verify's column draws take the random stream.  The digests were
+recorded with Python 3.11 and numpy 2.4 on x86-64 Linux; another
+platform's libm, or numpy's SIMD loops on another CPU, may move the last
+bits.
 """
 
 import hashlib
 import json
 import math
 import pathlib
+import sys
 import tempfile
 
 import pytest
@@ -111,12 +117,12 @@ def test_cli_artifact_matches_golden(case, tmp_path):
 
 
 VERIFY_SHA256 = {
-    0: "2a1c82d988224510f08c15e338ab33de904cce8afca6313d60c06ea594749797",
-    1: "59adf3f79b74a387fc7492cc1d33cc91769b725d5b96eace1f2e46be5c0ff20c",
-    2: "98f598e1288dc428c73c6c64eb52f7c394ac5eadbdf9c7d583dfd1fed45b630b",
-    3: "3018e6ce17a7976acba5ff600e753a2e465fe2982f18b5f5289afab940aec786",
-    4: "97370913532e467daf2f8bfd581a9a86b9aeb114790c5184d91931230b27a914",
-    5: "582c12733ab31a0d2652ee8a2b4cb6315088b6dbdec48b1ea9f6fec9a0fe470c",
+    0: "07d97be0901e5f42871951c180da4837048010c1b4654043a7893cca2ed0b232",
+    1: "5b399f24c263b1272db13fa8f7eeb70994193cc0e7a4f2d5282c4899cfadf69b",
+    2: "5c4ab1fd22ad68b675425d653ec648b216d4f632617d301fdfeed8ce744c8d57",
+    3: "d5c496537a38a892cdc124f16c234ce346d421c18ec3db675564ec6d350554c4",
+    4: "fa985abdbefc14e14bc672ad1eb36744a1ceea3b4987ad90bc95504381958f0e",
+    5: "c632fe49ec8fcfe2e8e3c3f51269aba9b51211ec4208a90fab52a0c259dd62f1",
 }
 
 
@@ -128,14 +134,21 @@ def test_verify_json_bytes_are_pinned(seed, tmp_path):
     assert digest == VERIFY_SHA256[seed]
 
 
-def record() -> None:
-    golden = {}
+def record(*names: str) -> None:
+    """Re-record the named cases of GOLDEN, or all of them if none is named."""
+    known = [case[0] for case in CASES]
+    unknown = sorted(set(names) - set(known))
+    if unknown:
+        raise SystemExit(f"unknown cases {unknown}; the cases are {known}")
+    golden = json.loads(GOLDEN.read_text()) if names else {}
     with tempfile.TemporaryDirectory() as tmp:
         for name, argv, config, artifact in CASES:
+            if names and name not in names:
+                continue
             code, got = run_case(argv, config, artifact, pathlib.Path(tmp) / name)
             golden[name] = {"argv": argv, "artifact": got, "config": config, "exit": code}
     GOLDEN.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n")
 
 
 if __name__ == "__main__":
-    record()
+    record(*sys.argv[1:])

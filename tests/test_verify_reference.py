@@ -1,10 +1,19 @@
-"""`verify`'s plain-number draw and records against the object versions.
+"""`verify`'s plain-number and column draws and records against the object
+versions.
 
 tests/verify_reference.py keeps the sampler, the records and the loop that
 built a spec object for every sample.  The raw draw must consume the same
 random stream and the record function must give the same floats, bit for
-bit, so the comparisons here are exact: floats are compared by repr, which
+bit, so those comparisons are exact: floats are compared by repr, which
 also tells -0.0 from 0.0.
+
+verify itself draws by the same law as numpy columns, in another order of
+the random stream, and evaluates the same formulas with numpy's complex
+arithmetic, which rounds differently from Python's.  Its rows are checked
+against the law and against the object records on the same numbers, within
+1e-12 of the size of the terms each side is computed from
+(verify_reference.record_scale): a side that cancels to roundoff, as
+Re p(0) does for a p without atoms, carries no relative precision.
 """
 
 import json
@@ -14,10 +23,12 @@ import numpy as np
 import pytest
 
 import verify_reference as ref
-from diskflow import BoundaryPoint, cli
-from diskflow.herglotz_core import angle_gap
+from diskflow import BoundaryPoint, beta, cli, dw_spectral_value
+from diskflow.herglotz_core import angle_gap, circle_angle
 from diskflow.value_regions import (
     REGIMES,
+    _column_records,
+    _draw_columns,
     _draw_raw,
     _raw_records,
     extremal_boundary_of_Z,
@@ -143,9 +154,112 @@ def test_inequality_suite_on_extremals_matches_the_object_suite():
         assert exact(got) == exact(expected)
 
 
+def _close(got, expected, scale):
+    return abs(got - expected) <= 1e-12 * scale
+
+
 def test_cmd_verify_writes_the_object_loop_report(tmp_path, capsys):
-    assert cli.main(["verify", "--samples", "500", "--seed", "3", "--out", str(tmp_path)]) == 0
-    report, lines = ref.verify_report(3, 500, 1e-10)
-    expected = json.dumps(report, sort_keys=True, indent=2) + "\n"
-    assert (tmp_path / "verify.json").read_text() == expected
-    assert capsys.readouterr().out.splitlines() == lines
+    # one block edge inside the run, and a last block of uneven regimes
+    samples = cli.VERIFY_BLOCK + 501
+    argv = ["verify", "--samples", str(samples), "--seed", "3", "--out", str(tmp_path)]
+    assert cli.main(argv) == 0
+    got = json.loads((tmp_path / "verify.json").read_text())
+    expected, scale = ref.verify_report(3, samples, 1e-10, cli.VERIFY_BLOCK)
+    min_slack, ref_min_slack = got.pop("min_slack"), expected.pop("min_slack")
+    assert got == expected
+    assert sorted(min_slack) == sorted(ref_min_slack)
+    for name, slack in ref_min_slack.items():
+        assert _close(min_slack[name], slack, scale[name]), (name, min_slack[name], slack)
+    lines = [
+        f"{name}: checked={got['checked'][name]} violations={got['violations'].get(name, 0)} "
+        f"warnings={got['warnings'].get(name, 0)} min_slack={min_slack[name]!r}"
+        for name in sorted(got["checked"])
+    ]
+    assert capsys.readouterr().out.splitlines() == lines + ["total violations: 0"]
+
+
+def _gap(a, b):
+    d = np.abs(a - b) % TWO_PI
+    return np.minimum(d, TWO_PI - d)
+
+
+@pytest.mark.parametrize("regime", REGIMES)
+def test_column_draw_meets_the_law(regime):
+    rows = 4000
+    columns = _draw_columns(np.random.default_rng(17), regime, rows)
+    kind, tau, sig_angles, lambdas, atom_angles, masses, gamma = columns
+    assert kind == {"interior": "interior", "origin": "origin"}.get(regime, "boundary")
+    assert tau.shape == gamma.shape == (rows,)
+    sig = ~np.isnan(sig_angles)
+    atoms = ~np.isnan(atom_angles)
+    n, n_atoms = sig.sum(1), atoms.sum(1)
+    # the repelling points fill the first slots; padding weighs nothing
+    assert (sig == (np.arange(4) < n[:, None])).all()
+    assert np.isneginf(lambdas[~sig]).all() and (masses[~atoms] == 0.0).all()
+    assert ((lambdas[sig] >= -math.exp(2.0)) & (lambdas[sig] <= -math.exp(-2.0))).all()
+    assert ((masses[atoms] >= math.exp(-3.0)) & (masses[atoms] <= math.e)).all()
+    assert ((sig_angles[sig] >= 0.0) & (sig_angles[sig] < TWO_PI)).all()
+    for j in range(4):
+        for k in range(j + 1, 4):
+            both = sig[:, j] & sig[:, k]
+            assert (_gap(sig_angles[both, j], sig_angles[both, k]) > 1e-6).all()
+    # p's atoms are sorted by angle, padding last
+    assert (atoms == (np.arange(4) < n_atoms[:, None])).all()
+    assert (np.diff(atom_angles, axis=1)[atoms[:, 1:]] > 1e-6).all()
+
+    free = n_atoms - (regime == "boundary_parabolic")
+    if regime == "interior":
+        assert ((abs(tau) > 1e-6) & (abs(tau) < 1.0)).all()
+    elif regime == "origin":
+        assert (tau == 0.0).all()
+    else:
+        assert np.allclose(abs(tau), 1.0, rtol=0.0, atol=1e-15)
+        theta = np.array([circle_angle(math.atan2(w.imag, w.real)) for w in tau.tolist()])
+        # np.angle and cmath.phase may differ in the last bit
+        at_tau = atoms & (_gap(atom_angles, theta[:, None]) <= 1e-12)
+        assert (_gap(sig_angles, theta[:, None])[sig] > 1e-3).all()
+        assert (_gap(atom_angles, theta[:, None])[atoms & ~at_tau] > 1e-3).all()
+        if regime == "boundary_parabolic":
+            assert (at_tau.sum(1) == 1).all()
+        else:
+            assert not at_tau.any()
+            # the retuned gamma cancels the contact value: lambda > 0
+            raws = ref.raw_rows(columns)
+            assert all(dw_spectral_value(ref.spec_from_raw(raw)) > 0.0 for raw in raws)
+    # n uniform on 1..4 and the free atoms on 0..3, within 5 binomial sd
+    sd = math.sqrt(rows * 0.25 * 0.75)
+    for counts in (np.bincount(n - 1, minlength=4), np.bincount(free, minlength=4)):
+        assert len(counts) == 4 and (abs(counts - rows / 4) < 5 * sd).all(), counts
+
+
+def _branch(lam, b):
+    """_spectral_value's branch at a boundary tau, read off its result."""
+    return "atom" if b > 0.0 else ("hyperbolic" if lam > 0.0 else "contact")
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_column_records_match_the_object_records(seed):
+    rng = np.random.default_rng(seed)
+    for regime in REGIMES:
+        columns = _draw_columns(rng, regime, 2500)
+        records = _column_records(columns)
+        for i, raw in enumerate(ref.raw_rows(columns)):
+            spec = ref.spec_from_raw(raw)
+            expected = ref.verify_records(spec)
+            got = [
+                (name, lhs[i], rhs[i]) for name, lhs, rhs, rows in records if rows is True or rows[i]
+            ]
+            assert [r[0] for r in got] == [r.name for r in expected], (seed, regime, i)
+            for (name, lhs, rhs), record in zip(got, expected):
+                scale = ref.record_scale(spec, record)
+                assert _close(lhs, record.lhs, scale) and _close(rhs, record.rhs, scale), (
+                    seed, regime, i, name, (lhs, rhs), (record.lhs, record.rhs),
+                )
+            if raw[0] == "boundary":
+                # the masks took _spectral_value's branch: hyperbolic_window
+                # applies where lambda > 0, parabolic_floor's rhs is beta
+                found = {r[0]: r for r in got}
+                lam = found["boundary_spectral_cap"][1]
+                b = found["parabolic_floor"][2] if "parabolic_floor" in found else 0.0
+                assert ("hyperbolic_window" in found) == (lam > 0.0)
+                assert _branch(lam, b) == _branch(dw_spectral_value(spec), beta(spec))

@@ -4,12 +4,16 @@ These are the sampler, the records and the loop `verify` used before they
 moved to plain numbers: every sample built a FixedPointConfig, its
 AtomicHerglotz functions and a GeneratorSpec, and read them back through
 the generator functions.  They serve as references for `value_regions`'
-raw draw and record function and for `cmd_verify`, which must reproduce
-them bit for bit and consume the same random stream.
+raw draw and record function, which must reproduce them bit for bit and
+consume the same random stream, and for `cmd_verify`, which draws and
+checks its samples as numpy columns: verify_report takes the same column
+rows, builds objects from each and checks them one at a time.
 """
 
 import cmath
 import math
+
+import numpy as np
 
 from diskflow import (
     AtomicHerglotz,
@@ -27,7 +31,7 @@ from diskflow import (
     region_Z,
 )
 from diskflow.herglotz_core import angle_gap, contact_value
-from diskflow.value_regions import REGIMES, origin_curvature_chart
+from diskflow.value_regions import REGIMES, _draw_columns, origin_curvature_chart
 
 TWO_PI = 2.0 * math.pi
 
@@ -167,31 +171,81 @@ def _is_sign_violation(record, floor):
     return record.slack < -floor * max(1.0, abs(record.lhs), abs(record.rhs))
 
 
-def verify_report(seed, samples, tol, sign_floor_min=1e-10):
-    """The report and stdout lines of `diskflow verify`, by the object loop."""
-    import numpy as np
+def raw_rows(columns):
+    """The rows of a _draw_columns block in _draw_raw's layout, padding dropped."""
+    regime, tau, sig_angles, lambdas, atom_angles, masses, gamma = columns
+    for i in range(len(tau)):
+        sig = ~np.isnan(sig_angles[i])
+        atoms = ~np.isnan(atom_angles[i])
+        yield (
+            regime,
+            complex(tau[i]),
+            sig_angles[i][sig].tolist(),
+            lambdas[i][sig].tolist(),
+            list(zip(atom_angles[i][atoms].tolist(), masses[i][atoms].tolist())),
+            float(gamma[i]),
+        )
 
+
+def columns_from_raw(raw):
+    """A one-row _draw_columns block holding a _draw_raw generator."""
+    regime, tau, sig_angles, lambdas, atoms, gamma = raw
+    sig = np.full((1, 4), np.nan)
+    lam = np.full((1, 4), -np.inf)
+    atom_angles = np.full((1, 4), np.nan)
+    masses = np.zeros((1, 4))
+    sig[0, : len(sig_angles)] = sig_angles
+    lam[0, : len(lambdas)] = lambdas
+    for k, (theta, mass) in enumerate(atoms):
+        atom_angles[0, k], masses[0, k] = theta, mass
+    return regime, np.array([tau]), sig, lam, atom_angles, masses, np.array([gamma])
+
+
+def spec_from_raw(raw):
+    _, tau, sig_angles, lambdas, atoms, gamma = raw
+    config = FixedPointConfig(tau, tuple(BoundaryPoint(t) for t in sig_angles), lambdas)
+    p = AtomicHerglotz(tuple((BoundaryPoint(t), m) for t, m in atoms), gamma)
+    return GeneratorSpec(config, p)
+
+
+def record_scale(spec, record):
+    """The size of the terms a record's sides are computed from:
+    max(1, |lhs|, |rhs|, A), times (1 + t)/(1 - t), t = |tau|, for an
+    interior tau.  The interior records multiply Re p(0) = Re w0 - A, a
+    difference of terms of size A that cancels to roundoff when p has no
+    atoms, by up to that factor."""
+    scale = max(1.0, abs(record.lhs), abs(record.rhs), spec.config.capA)
+    if spec.config.regime != "interior":
+        return scale
+    t = abs(spec.config.tau)
+    return scale * (1.0 + t) / (1.0 - t)
+
+
+def verify_report(seed, samples, tol, block, sign_floor_min=1e-10):
+    """The report of `diskflow verify` by the object loop, on the samples
+    of its column draws (in blocks of ``block`` samples), and the largest
+    record_scale of each record."""
     rng = np.random.default_rng(seed)
     sign_floor = max(tol, sign_floor_min)
-    checked, warnings, violations, min_slack = {}, {}, {}, {}
-    for i in range(samples):
-        regime = REGIMES[i % len(REGIMES)]
-        spec = random_spec(rng, regime)
-        for record in verify_records(spec):
-            name, slack = record.name, record.slack
-            checked[name] = checked.get(name, 0) + 1
-            if _is_sign_violation(record, tol):
-                warnings[name] = warnings.get(name, 0) + 1
-                if _is_sign_violation(record, sign_floor):
-                    violations[name] = violations.get(name, 0) + 1
-            if name not in min_slack or slack < min_slack[name]:
-                min_slack[name] = slack
-    lines = [
-        f"{name}: checked={checked[name]} violations={violations.get(name, 0)} "
-        f"warnings={warnings.get(name, 0)} min_slack={min_slack[name]!r}"
-        for name in sorted(checked)
-    ]
-    lines.append(f"total violations: {sum(violations.values())}")
+    checked, warnings, violations, min_slack, scale = {}, {}, {}, {}, {}
+    for start in range(0, samples, block):
+        size = min(block, samples - start)
+        for k, regime in enumerate(REGIMES):
+            rows = len(range((k - start) % len(REGIMES), size, len(REGIMES)))
+            if not rows:
+                continue
+            for raw in raw_rows(_draw_columns(rng, regime, rows)):
+                spec = spec_from_raw(raw)
+                for record in verify_records(spec):
+                    name, slack = record.name, record.slack
+                    checked[name] = checked.get(name, 0) + 1
+                    if _is_sign_violation(record, tol):
+                        warnings[name] = warnings.get(name, 0) + 1
+                        if _is_sign_violation(record, sign_floor):
+                            violations[name] = violations.get(name, 0) + 1
+                    if name not in min_slack or slack < min_slack[name]:
+                        min_slack[name] = slack
+                    scale[name] = max(scale.get(name, 0.0), record_scale(spec, record))
     report = {
         "checked": checked,
         "min_slack": min_slack,
@@ -201,4 +255,4 @@ def verify_report(seed, samples, tol, sign_floor_min=1e-10):
         "violations": violations,
         "warnings": warnings,
     }
-    return report, lines
+    return report, scale
