@@ -342,11 +342,6 @@ def _is_sign_violation(lhs, rhs, floor: float):
     return rhs - lhs < -floor * np.maximum(np.maximum(abs(lhs), abs(rhs)), 1.0)
 
 
-def _tally(counts: dict[str, int], name: str, n) -> None:
-    if n:
-        counts[name] = counts.get(name, 0) + int(n)
-
-
 def cmd_verify(args) -> int:
     rng = np.random.default_rng(args.seed)
     tol = args.tolerance
@@ -370,10 +365,12 @@ def cmd_verify(args) -> int:
                     lhs, rhs = lhs[where], rhs[where]
                 if not lhs.size:
                     continue
-                _tally(checked, name, lhs.size)
+                checked[name] = checked.get(name, 0) + lhs.size
                 # sign_floor >= tol, so every violation is also a warning
-                _tally(warnings, name, np.count_nonzero(_is_sign_violation(lhs, rhs, tol)))
-                _tally(violations, name, np.count_nonzero(_is_sign_violation(lhs, rhs, sign_floor)))
+                for counts, floor in ((warnings, tol), (violations, sign_floor)):
+                    n = int(np.count_nonzero(_is_sign_violation(lhs, rhs, floor)))
+                    if n:
+                        counts[name] = counts.get(name, 0) + n
                 slack = float((rhs - lhs).min())
                 if name not in min_slack or slack < min_slack[name]:
                     min_slack[name] = slack

@@ -660,12 +660,6 @@ def _near(a, b, gap):
     return (d <= gap) | (TWO_PI - d <= gap)
 
 
-def _circle_angles(w):
-    """circle_angle(cmath.phase(w)) of a column."""
-    t = np.angle(w) % TWO_PI
-    return np.where(t >= TWO_PI, t - TWO_PI, t)
-
-
 def _points(angles):
     """_point of a column of angles; a NaN (padded) angle gives PAD_POINT."""
     return np.where(np.isnan(angles), PAD_POINT, np.cos(angles) + 1j * np.sin(angles))
@@ -693,14 +687,15 @@ def _draw_columns(rng: np.random.Generator, regime: str, rows: int):
     """Draw ``rows`` generators of one regime, by the law of _draw_raw, as
     numpy columns.
 
-    Returns (tau_regime, tau, sigma angles, lambdas, atom angles, masses,
-    gamma).  The sigma angles and lambdas are (rows, SLOTS) arrays in draw
-    order, p's atoms (rows, SLOTS) arrays sorted by angle.  A padded slot
-    has angle NaN and zero weight: lambda = -inf, or mass 0.  The law is
-    _draw_raw's; the order in which it takes the random stream is not: each
-    quantity is drawn for every row at once, and a row that breaks an angle
-    gap redraws just the offending slot.  (np.angle may also put tau's
-    angle, and so a parabolic atom, one ulp off cmath.phase.)
+    Returns (tau_regime, tau, tau's angle, sigma angles, lambdas, atom
+    angles, masses, gamma).  tau's angle is the drawn angle of a boundary
+    tau, None for the other regimes.  The sigma angles, lambdas, atom angles
+    and masses are (rows, SLOTS) arrays in draw order: p's free atoms fill
+    the first slots, and the last slot holds the parabolic draw's atom at
+    tau.  A padded slot has angle NaN and zero weight: lambda = -inf, or
+    mass 0.  The law is _draw_raw's; the order in which it takes the random
+    stream is not: each quantity is drawn for every row at once, and a row
+    that breaks an angle gap redraws just the offending slot.
     """
     if regime not in REGIMES:
         raise DomainError(f"unknown regime {regime!r}; expected one of {REGIMES}")
@@ -720,44 +715,41 @@ def _draw_columns(rng: np.random.Generator, regime: str, rows: int):
             tau[todo] = radius * np.exp(1j * (TWO_PI * rng.random(todo.size)))
             todo = todo[abs(tau[todo]) <= 1e-6]
     else:
-        tau_angle = _angle_columns(rng, rows, 1, 0.0, avoid=sig_angles, avoid_gap=1e-3)
-        tau = _points(tau_angle[:, 0])
+        tau_angle = _angle_columns(rng, rows, 1, 0.0, avoid=sig_angles, avoid_gap=1e-3)[:, 0]
+        tau = _points(tau_angle)
 
     atom_angles = np.full((rows, SLOTS), np.nan)
     masses = np.zeros((rows, SLOTS))
     free = SLOTS - 1
     atom_pads = np.arange(free) >= rng.integers(0, 4, rows)[:, None]
-    atom_angles[:, :free] = _angle_columns(rng, rows, free, 1e-6, tau_angle, 1e-3)
+    avoid = None if tau_angle is None else tau_angle[:, None]
+    atom_angles[:, :free] = _angle_columns(rng, rows, free, 1e-6, avoid, 1e-3)
     atom_angles[:, :free][atom_pads] = np.nan
     masses[:, :free] = np.where(atom_pads, 0.0, np.exp(-3.0 + 4.0 * rng.random((rows, free))))
     gamma = -5.0 + 10.0 * rng.random(rows)
 
-    if regime == "boundary_parabolic":
-        atom_angles[:, free] = _circle_angles(tau)
-        masses[:, free] = np.exp(-3.0 + 4.0 * rng.random(rows))
-    order = np.argsort(atom_angles, 1)  # NaN last
-    atom_angles = np.take_along_axis(atom_angles, order, 1)
-    masses = np.take_along_axis(masses, order, 1)
     if regime == "boundary_hyperbolic":
         cap_b = config_sums(tau, list(_points(sig_angles).T), list(lambdas.T))[2]
-        atom_points = list(_points(atom_angles).T)
-        gamma = -cap_b - _contact(0.0, atom_points, list(masses.T), _points(_circle_angles(tau)))
+        gamma = -cap_b - _contact(0.0, list(_points(atom_angles).T), list(masses.T), tau)
+    elif regime == "boundary_parabolic":
+        atom_angles[:, free] = tau_angle
+        masses[:, free] = np.exp(-3.0 + 4.0 * rng.random(rows))
     kind = regime if regime in ("origin", "interior") else "boundary"
-    return kind, tau, sig_angles, lambdas, atom_angles, masses, gamma
+    return kind, tau, tau_angle, sig_angles, lambdas, atom_angles, masses, gamma
 
 
-def _column_spectral_value(regime, tau, gamma, atom_angles, masses, q_points, q_masses, s):
+def _column_spectral_value(
+    regime, tau, tau_angle, gamma, atom_angles, masses, q_points, q_masses, s
+):
     """_spectral_value of every row of a column block, with its tests on
     values as row masks: an atom of p at tau, then the contact value."""
     if regime != "boundary":
         return _spectral_value(regime, tau, gamma, (), q_points, q_masses, s)
-    theta = _circle_angles(tau)
-    point = _points(theta)
     # p's atoms lie more than 1e-6 apart, so at most one is within ANGLE_TOL of tau
-    mass = np.where(_near(atom_angles, theta[:, None], ANGLE_TOL), masses, 0.0).max(1)
+    mass = np.where(_near(atom_angles, tau_angle[:, None], ANGLE_TOL), masses, 0.0).max(1)
     at_tau = mass > 0.0
-    hyperbolic = ~at_tau & ~(abs(_contact(gamma, q_points, q_masses, point)) > CONTACT_TOL)
-    lam = _hyperbolic_value(point, q_points[:SLOTS], q_masses[:SLOTS], s)
+    hyperbolic = ~at_tau & ~(abs(_contact(gamma, q_points, q_masses, tau)) > CONTACT_TOL)
+    lam = _hyperbolic_value(tau, q_points[:SLOTS], q_masses[:SLOTS], s)
     return np.where(hyperbolic, lam, 0.0), np.where(at_tau, 2.0 * mass, 0.0)
 
 
@@ -768,22 +760,19 @@ def _column_records(columns):
     and rows True or the mask of the rows a record applies to.  A row
     outside its record's mask may hold inf or NaN there.
     """
-    regime, tau, sig_angles, lambdas, atom_angles, masses, gamma = columns
-    sig_points = _points(sig_angles)
-    sig_columns, lambda_columns = list(sig_points.T), list(lambdas.T)
-    sums = config_sums(tau, sig_columns, lambda_columns)
-    # the layout of _raw_records: p's atoms, then the sigma_k sorted by angle
-    base = np.argsort(sig_angles, 1)  # NaN last
-    alphas = np.column_stack(sums[0])
-    q_points = list(_points(atom_angles).T) + list(np.take_along_axis(sig_points, base, 1).T)
-    q_masses = list(masses.T) + list(np.take_along_axis(alphas, base, 1).T)
+    regime, tau, tau_angle, sig_angles, lambdas, atom_angles, masses, gamma = columns
+    sig_points, lambda_columns = list(_points(sig_angles).T), list(lambdas.T)
+    sums = config_sums(tau, sig_points, lambda_columns)
+    # the denominator p + p0: p's atoms, then the sigma_k with their alphas
+    q_points = list(_points(atom_angles).T) + sig_points
+    q_masses = list(masses.T) + list(sums[0])
     # a row outside a branch may divide by zero there: an atom at tau, or lambda = 0
     with np.errstate(divide="ignore", invalid="ignore"):
         lam, b = _column_spectral_value(
-            regime, tau, gamma, atom_angles, masses, q_points, q_masses, sums[3]
+            regime, tau, tau_angle, gamma, atom_angles, masses, q_points, q_masses, sums[3]
         )
         records = _records(
-            regime, tau, sig_columns, lambda_columns, sums, q_points, q_masses, gamma, lam, b
+            regime, tau, sig_points, lambda_columns, sums, q_points, q_masses, gamma, lam, b
         )
     shape = tau.shape
     return [

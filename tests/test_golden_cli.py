@@ -15,16 +15,22 @@ VERIFY_SHA256 pins verify.json byte for byte at 10^4 samples for seeds
 0-5.  verify's records and the object API call the same plain-number
 functions, so a change to any shared formula moves these bytes even where
 it stays within the golden tolerance, and so does a change to the order in
-which verify's column draws take the random stream.  The digests were
-recorded with Python 3.11 and numpy 2.4 on x86-64 Linux; another
-platform's libm, or numpy's SIMD loops on another CPU, may move the last
-bits.
+which verify's column draws take the random stream.  numpy picks its
+float64 loops (exp, abs, arctan2, ...) by the CPU it runs on, and the
+AVX-512 ones differ from libm in the last bit on a few percent of inputs,
+so verify, here and in its golden case, runs in a child process with
+every dispatched CPU feature turned off: each x86-64 host then takes the
+same baseline loops.  The digests were recorded so with Python 3.11 and
+numpy 2.4 on x86-64 Linux; another numpy build or another platform's libm
+may still move the last bits.
 """
 
 import hashlib
 import json
 import math
+import os
 import pathlib
+import subprocess
 import sys
 import tempfile
 
@@ -76,6 +82,22 @@ CASES = [
 ]
 
 
+def _baseline_env() -> dict[str, str]:
+    """os.environ with numpy's SIMD dispatch held at its build baseline."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy < 2
+        from numpy.core import _multiarray_umath as umath
+    found = [f for f in umath.__cpu_dispatch__ if umath.__cpu_features__.get(f)]
+    return dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(found))
+
+
+def run_verify(args) -> int:
+    """The exit code of ``diskflow verify`` run in a child on _baseline_env."""
+    argv = [sys.executable, "-m", "diskflow.cli", "verify", *args]
+    return subprocess.run(argv, env=_baseline_env(), stdout=subprocess.DEVNULL).returncode
+
+
 def run_case(argv, config, artifact, out: pathlib.Path):
     """Run one command into ``out``; return its exit code and artifact."""
     args = list(argv) + ["--out", str(out)]
@@ -84,7 +106,7 @@ def run_case(argv, config, artifact, out: pathlib.Path):
         out.mkdir(parents=True, exist_ok=True)
         path.write_text(json.dumps(config))
         args += ["--config", str(path)]
-    code = cli.main(args)
+    code = run_verify(args[1:]) if args[0] == "verify" else cli.main(args)
     return code, json.loads((out / artifact).read_text())
 
 
@@ -117,19 +139,18 @@ def test_cli_artifact_matches_golden(case, tmp_path):
 
 
 VERIFY_SHA256 = {
-    0: "07d97be0901e5f42871951c180da4837048010c1b4654043a7893cca2ed0b232",
-    1: "5b399f24c263b1272db13fa8f7eeb70994193cc0e7a4f2d5282c4899cfadf69b",
-    2: "5c4ab1fd22ad68b675425d653ec648b216d4f632617d301fdfeed8ce744c8d57",
-    3: "d5c496537a38a892cdc124f16c234ce346d421c18ec3db675564ec6d350554c4",
-    4: "fa985abdbefc14e14bc672ad1eb36744a1ceea3b4987ad90bc95504381958f0e",
-    5: "c632fe49ec8fcfe2e8e3c3f51269aba9b51211ec4208a90fab52a0c259dd62f1",
+    0: "f11f32f2a3348bd38296483e5f090217200cf973beebd81984dd2ed5fe2f8d9f",
+    1: "bf8186e366ea4de5416337aefbd63427e3d99571dc7a13761e46736d0e3b92c8",
+    2: "c9dea00e55926f67a4b9189eaa802212b4892ad075073d7c7721ae8a19daff4d",
+    3: "faae2d15faa45e85abb34d1e1c9c0cbdeb713af25183f40c6c30ca421c8cc722",
+    4: "0742c69d4445a9c90684201a83b9b0572d5ab8bdeb520792fda8d1b35e2083dc",
+    5: "7d0ea1afcc59b69f21115eea76b62d57e430619786df9cea698ab60825de5801",
 }
 
 
 @pytest.mark.parametrize("seed", sorted(VERIFY_SHA256))
 def test_verify_json_bytes_are_pinned(seed, tmp_path):
-    argv = ["verify", "--samples", "10000", "--seed", str(seed), "--out", str(tmp_path)]
-    assert cli.main(argv) == 0
+    assert run_verify(["--samples", "10000", "--seed", str(seed), "--out", str(tmp_path)]) == 0
     digest = hashlib.sha256((tmp_path / "verify.json").read_bytes()).hexdigest()
     assert digest == VERIFY_SHA256[seed]
 

@@ -9,11 +9,14 @@ also tells -0.0 from 0.0.
 
 verify itself draws by the same law as numpy columns, in another order of
 the random stream, and evaluates the same formulas with numpy's complex
-arithmetic, which rounds differently from Python's.  Its rows are checked
-against the law and against the object records on the same numbers, within
-1e-12 of the size of the terms each side is computed from
-(verify_reference.record_scale): a side that cancels to roundoff, as
-Re p(0) does for a p without atoms, carries no relative precision.
+arithmetic, which rounds differently from Python's, and sums the kernel
+terms in slot order.  Its rows are checked against the law, against
+_draw_raw's draws by a two-sample KS test, and against the object records
+on the same numbers, within 1e-12 of max(1, |lhs|, |rhs|).  The Harnack
+pair and spectral_tilt get 1e-12 of the size of the terms they are
+computed from (verify_reference.record_scale): they multiply Re p(0),
+which cancels to roundoff for a p without atoms and carries no relative
+precision.
 """
 
 import json
@@ -187,42 +190,40 @@ def _gap(a, b):
 def test_column_draw_meets_the_law(regime):
     rows = 4000
     columns = _draw_columns(np.random.default_rng(17), regime, rows)
-    kind, tau, sig_angles, lambdas, atom_angles, masses, gamma = columns
+    kind, tau, tau_angle, sig_angles, lambdas, atom_angles, masses, gamma = columns
     assert kind == {"interior": "interior", "origin": "origin"}.get(regime, "boundary")
     assert tau.shape == gamma.shape == (rows,)
     sig = ~np.isnan(sig_angles)
     atoms = ~np.isnan(atom_angles)
-    n, n_atoms = sig.sum(1), atoms.sum(1)
-    # the repelling points fill the first slots; padding weighs nothing
+    n, free = sig.sum(1), atoms[:, :3].sum(1)
+    # the repelling points and the free atoms fill the first slots, the
+    # parabolic atom the last; padding weighs nothing
     assert (sig == (np.arange(4) < n[:, None])).all()
+    assert (atoms[:, :3] == (np.arange(3) < free[:, None])).all()
+    assert (atoms[:, 3] == (regime == "boundary_parabolic")).all()
     assert np.isneginf(lambdas[~sig]).all() and (masses[~atoms] == 0.0).all()
     assert ((lambdas[sig] >= -math.exp(2.0)) & (lambdas[sig] <= -math.exp(-2.0))).all()
     assert ((masses[atoms] >= math.exp(-3.0)) & (masses[atoms] <= math.e)).all()
-    assert ((sig_angles[sig] >= 0.0) & (sig_angles[sig] < TWO_PI)).all()
-    for j in range(4):
-        for k in range(j + 1, 4):
-            both = sig[:, j] & sig[:, k]
-            assert (_gap(sig_angles[both, j], sig_angles[both, k]) > 1e-6).all()
-    # p's atoms are sorted by angle, padding last
-    assert (atoms == (np.arange(4) < n_atoms[:, None])).all()
-    assert (np.diff(atom_angles, axis=1)[atoms[:, 1:]] > 1e-6).all()
+    for angles, drawn in ((sig_angles, sig), (atom_angles, atoms)):
+        assert ((angles[drawn] >= 0.0) & (angles[drawn] < TWO_PI)).all()
+        for j in range(4):
+            for k in range(j + 1, 4):
+                both = drawn[:, j] & drawn[:, k]
+                assert (_gap(angles[both, j], angles[both, k]) > 1e-6).all()
 
-    free = n_atoms - (regime == "boundary_parabolic")
     if regime == "interior":
-        assert ((abs(tau) > 1e-6) & (abs(tau) < 1.0)).all()
+        assert tau_angle is None and ((abs(tau) > 1e-6) & (abs(tau) < 1.0)).all()
     elif regime == "origin":
-        assert (tau == 0.0).all()
+        assert tau_angle is None and (tau == 0.0).all()
     else:
-        assert np.allclose(abs(tau), 1.0, rtol=0.0, atol=1e-15)
-        theta = np.array([circle_angle(math.atan2(w.imag, w.real)) for w in tau.tolist()])
-        # np.angle and cmath.phase may differ in the last bit
-        at_tau = atoms & (_gap(atom_angles, theta[:, None]) <= 1e-12)
-        assert (_gap(sig_angles, theta[:, None])[sig] > 1e-3).all()
-        assert (_gap(atom_angles, theta[:, None])[atoms & ~at_tau] > 1e-3).all()
+        assert ((tau_angle >= 0.0) & (tau_angle < TWO_PI)).all()
+        assert (tau == np.cos(tau_angle) + 1j * np.sin(tau_angle)).all()
+        theta = tau_angle[:, None]
+        assert (_gap(sig_angles, theta)[sig] > 1e-3).all()
+        assert (_gap(atom_angles[:, :3], theta)[atoms[:, :3]] > 1e-3).all()
         if regime == "boundary_parabolic":
-            assert (at_tau.sum(1) == 1).all()
+            assert (atom_angles[:, 3] == tau_angle).all()
         else:
-            assert not at_tau.any()
             # the retuned gamma cancels the contact value: lambda > 0
             raws = ref.raw_rows(columns)
             assert all(dw_spectral_value(ref.spec_from_raw(raw)) > 0.0 for raw in raws)
@@ -230,6 +231,50 @@ def test_column_draw_meets_the_law(regime):
     sd = math.sqrt(rows * 0.25 * 0.75)
     for counts in (np.bincount(n - 1, minlength=4), np.bincount(free, minlength=4)):
         assert len(counts) == 4 and (abs(counts - rows / 4) < 5 * sd).all(), counts
+
+
+def _law_samples(raws):
+    """The quantities _draw_raw's law draws, pooled over generators in its
+    layout: each a sample of one distribution."""
+    samples = {}
+    for kind, tau, sig_angles, lambdas, atoms, gamma in raws:
+        drawn = {
+            "n": [len(sig_angles)],
+            "sigma angle": sig_angles,
+            "log|lambda|": [math.log(-v) for v in lambdas],
+            "|tau|^2": [abs(tau) ** 2] if kind == "interior" else [],
+            "tau angle": [circle_angle(math.atan2(tau.imag, tau.real))],
+            "atoms": [len(atoms)],
+            "atom angle": [t for t, _ in atoms],
+            "log mass": [math.log(m) for _, m in atoms],
+            "gamma": [gamma],
+        }
+        for name, values in drawn.items():
+            samples.setdefault(name, []).extend(values)
+    return samples
+
+
+def _ks(a, b):
+    """The two-sample Kolmogorov-Smirnov statistic of a and b."""
+    a, b = np.sort(a), np.sort(b)
+    at = np.concatenate([a, b])
+    cdf_a = np.searchsorted(a, at, "right") / a.size
+    return np.abs(cdf_a - np.searchsorted(b, at, "right") / b.size).max()
+
+
+@pytest.mark.parametrize("regime", REGIMES)
+def test_column_draw_follows_the_raw_law(regime):
+    # every quantity of 4000 column rows against 2000 _draw_raw draws, by the
+    # two-sample KS test at level about 1e-6
+    rng = np.random.default_rng(29)
+    got = _law_samples(ref.raw_rows(_draw_columns(rng, regime, 4000)))
+    expected = _law_samples(_draw_raw(rng, regime) for _ in range(2000))
+    for name, sample in got.items():
+        if not sample:  # |tau|^2 off the interior
+            assert expected[name] == [], name
+            continue
+        bound = 2.7 * math.sqrt(1.0 / len(sample) + 1.0 / len(expected[name]))
+        assert _ks(sample, expected[name]) < bound, name
 
 
 def _branch(lam, b):

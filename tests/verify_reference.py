@@ -30,7 +30,7 @@ from diskflow import (
     lambda_range,
     region_Z,
 )
-from diskflow.herglotz_core import angle_gap, contact_value
+from diskflow.herglotz_core import angle_gap, circle_angle, contact_value
 from diskflow.value_regions import REGIMES, _draw_columns, origin_curvature_chart
 
 TWO_PI = 2.0 * math.pi
@@ -173,7 +173,7 @@ def _is_sign_violation(record, floor):
 
 def raw_rows(columns):
     """The rows of a _draw_columns block in _draw_raw's layout, padding dropped."""
-    regime, tau, sig_angles, lambdas, atom_angles, masses, gamma = columns
+    regime, tau, _, sig_angles, lambdas, atom_angles, masses, gamma = columns
     for i in range(len(tau)):
         sig = ~np.isnan(sig_angles[i])
         atoms = ~np.isnan(atom_angles[i])
@@ -182,7 +182,7 @@ def raw_rows(columns):
             complex(tau[i]),
             sig_angles[i][sig].tolist(),
             lambdas[i][sig].tolist(),
-            list(zip(atom_angles[i][atoms].tolist(), masses[i][atoms].tolist())),
+            sorted(zip(atom_angles[i][atoms].tolist(), masses[i][atoms].tolist())),
             float(gamma[i]),
         )
 
@@ -198,7 +198,8 @@ def columns_from_raw(raw):
     lam[0, : len(lambdas)] = lambdas
     for k, (theta, mass) in enumerate(atoms):
         atom_angles[0, k], masses[0, k] = theta, mass
-    return regime, np.array([tau]), sig, lam, atom_angles, masses, np.array([gamma])
+    tau_angle = np.array([circle_angle(cmath.phase(tau))]) if regime == "boundary" else None
+    return regime, np.array([tau]), tau_angle, sig, lam, atom_angles, masses, np.array([gamma])
 
 
 def spec_from_raw(raw):
@@ -208,17 +209,21 @@ def spec_from_raw(raw):
     return GeneratorSpec(config, p)
 
 
+# the interior records whose sides multiply ratio = Re p(0) = Re w0 - A
+_RATIO_RECORDS = ("harnack_lower", "harnack_upper", "spectral_tilt")
+
+
 def record_scale(spec, record):
     """The size of the terms a record's sides are computed from:
-    max(1, |lhs|, |rhs|, A), times (1 + t)/(1 - t), t = |tau|, for an
-    interior tau.  The interior records multiply Re p(0) = Re w0 - A, a
-    difference of terms of size A that cancels to roundoff when p has no
-    atoms, by up to that factor."""
-    scale = max(1.0, abs(record.lhs), abs(record.rhs), spec.config.capA)
-    if spec.config.regime != "interior":
+    max(1, |lhs|, |rhs|), and for the _RATIO_RECORDS of an interior tau
+    max(1, |lhs|, |rhs|, A) times (1 + t)/(1 - t), t = |tau|.  Those
+    multiply Re w0 - A, a difference of terms of size A that cancels to
+    roundoff when p has no atoms, by up to that factor."""
+    scale = max(1.0, abs(record.lhs), abs(record.rhs))
+    if spec.config.regime != "interior" or record.name not in _RATIO_RECORDS:
         return scale
     t = abs(spec.config.tau)
-    return scale * (1.0 + t) / (1.0 - t)
+    return max(scale, spec.config.capA) * (1.0 + t) / (1.0 - t)
 
 
 def verify_report(seed, samples, tol, block, sign_floor_min=1e-10):
