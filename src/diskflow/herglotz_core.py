@@ -17,9 +17,11 @@ the standard library.
 Atoms are kept sorted by angle, those within ANGLE_TOL merged, whatever
 order they come in.  Consecutive atoms bound the arcs of the circle on
 which p is purely imaginary; reciprocal finds the one zero on each arc.
+It needs p only on the circle, where each kernel is i cot((t - a_j)/2), so
+it solves on real cotangent sums over the atom angles.
 
-All evaluation goes through one array kernel, kernel_sum, over the atom
-points and masses cached on each function.  It sums the order-k
+All other evaluation goes through one array kernel, kernel_sum, over the
+atom points and masses cached on each function.  It sums the order-k
 z-derivatives of the kernels,
 
     sum_j m_j K_{s_j}^(k)(z),   K_s^(0) = (s+z)/(s-z),   K_s^(k) = 2 k! s/(s-z)^(k+1),
@@ -252,7 +254,7 @@ def kernel_sum(s: np.ndarray, m: np.ndarray, z, order: int):
     Herglotz function or its contact value at one point.  Order 0 keeps
     the kernel (s+z)/(s-z) itself rather than 2s/(s-z) - 1, which rounds
     worse.  There is no domain check: the sum is finite anywhere off the
-    atoms, which is what the boundary functionals need.
+    atoms, which is what contact_value needs at a point of the circle.
     """
     if isinstance(z, np.ndarray):
         zc = z[..., None]
@@ -320,8 +322,9 @@ def extract_atom(p: AtomicHerglotz, sigma: BoundaryPoint) -> tuple[float, Atomic
 # reciprocal within the rational class
 # ----------------------------------------------------------------------
 
-# Absolute stopping width of the arc solve: e^{it} reduces t modulo 2*pi,
-# leaving about 4e-16 of noise, so a test relative to t is never met near 0.
+# Absolute stopping width of the arc solve: f(t) is read through t - a_j,
+# which rounds at the scale of the angles (up to 4*pi), not of t, so a test
+# relative to t is never met near 0.
 _ARC_TOL = 4.0 * math.ulp(TWO_PI)
 _NEWTON_STEPS = 32
 _ARC_STEPS = _NEWTON_STEPS + 53  # the bound derived in reciprocal
@@ -332,12 +335,18 @@ _MASS_TOL = 1e-8
 def reciprocal(p: RationalHerglotz) -> RationalHerglotz:
     """Pointwise reciprocal 1/p, again rational Herglotz of the same degree.
 
-    The atoms of 1/p sit at the zeros of p on the circle, where
-    p(e^{it}) = i f(t) with f(t) = gamma + Im kernel_sum(s, m, e^{it}, 0)
-    and f'(t) = Re(e^{it} kernel_sum(s, m, e^{it}, 1)) = -p#(e^{it}) < 0.
-    Each kernel is i cot((t - a_j)/2), so on each arc between consecutive
-    atoms (the last round to the first too) f falls strictly from +inf to
-    -inf and has exactly one zero: the disk form of Chebotarev's theorem.
+    The atoms of 1/p sit at the zeros of p on the circle.  At e^{it} each
+    kernel is K_{s_j}(e^{it}) = i cot((t - a_j)/2), a_j the angle of s_j, so
+    p(e^{it}) = i f(t) with the real function
+
+        f(t) = gamma + sum_j m_j c_j,       c_j = cot((t - a_j)/2),
+        f'(t) = -(M/2 + sum_j (m_j/2) c_j^2) = -p#(e^{it}) < 0,
+
+    M the total mass.  On each arc between consecutive atoms (the last round
+    to the first too) f falls strictly from +inf to -inf and has exactly
+    one zero: the disk form of Chebotarev's theorem.  Each iteration forms
+    one real matrix, the cotangents of every iterate against every atom,
+    and reads f and f' from it.
 
     All arcs are solved at once from their midpoints.  The next point is
     the Newton step when it stays inside the arc's sign bracket, else the
@@ -350,31 +359,36 @@ def reciprocal(p: RationalHerglotz) -> RationalHerglotz:
     2*pi/2**k + 1.8e-15, below _ARC_TOL (3.6e-15) from k = 52 on: the loop
     ends within _NEWTON_STEPS + 53 iterations.
 
-    Each zero kappa gets mass 1/(2 p#(kappa)) from the same kernel sum, and
-    the imaginary constant is fixed by matching 1/p at the origin.  A zero
-    within ulps of an atom (a tiny mass beside large ones, or two atoms
-    about 1e-9 apart) gets a wrong mass, so DomainError is raised when the
-    masses miss Re(1/p(0)) = M/(M^2 + gamma^2), M = p's total mass, by more
-    than _MASS_TOL relative.
+    Each zero kappa gets mass 1/(2 p#(kappa)), p# from the last iteration's
+    matrix, and the imaginary constant is fixed by matching 1/p at the
+    origin.  A zero within ulps of an atom (a tiny mass beside large ones,
+    or two atoms about 1e-9 apart) gets a wrong mass, so DomainError is
+    raised when the masses miss Re(1/p(0)) = M/(M^2 + gamma^2) by more than
+    _MASS_TOL relative.  An overflow in the matrix reaches the masses as
+    NaN or 0 and, where that changes their sum, fails the same check.
     """
-    lo = np.array([point.theta for point, _ in p.atoms])
-    hi = np.append(lo[1:], lo[0] + TWO_PI)
+    a = np.array([point.theta for point, _ in p.atoms])
+    a_half = a / 2.0  # halving is exact, so t/2 - a/2 rounds as (t - a)/2
+    half = p.m / 2.0
+    half_total = half.sum()
+    lo = a
+    hi = np.append(a[1:], a[0] + TWO_PI)
     t = (lo + hi) / 2.0
-    done = np.zeros(len(lo), dtype=bool)
-    for iteration in range(_ARC_STEPS):
-        z = np.exp(1j * t)
-        f = p.gamma + kernel_sum(p.s, p.m, z, 0).imag
-        slope = (z * kernel_sum(p.s, p.m, z, 1)).real
+    done = np.zeros(len(a), dtype=bool)
+    # the pass past _ARC_STEPS, which the bound never reaches, only
+    # evaluates: the masses need p# at the returned t
+    for iteration in range(_ARC_STEPS + 1):
+        cot = 1.0 / np.tan((t / 2.0)[:, None] - a_half)
+        f = p.gamma + cot @ p.m
+        sharp = half_total + (cot * cot) @ half
         lo = np.where(f >= 0.0, t, lo)
         hi = np.where(f <= 0.0, t, hi)
-        newton = t - f / slope
+        newton = t + f / sharp
         done |= (np.abs(newton - t) <= _ARC_TOL) | (hi - lo <= _ARC_TOL)
-        if done.all():
+        if done.all() or iteration == _ARC_STEPS:
             break
         use_newton = (lo < newton) & (newton < hi) & (iteration < _NEWTON_STEPS)
         t = np.where(done, t, np.where(use_newton, newton, (lo + hi) / 2.0))
-    z = np.exp(1j * t)
-    sharp = -(z * kernel_sum(p.s, p.m, z, 1)).real
     masses = [1.0 / (2.0 * ps) for ps in sharp.tolist()]
     inverse = 1.0 / complex(p.total_mass, p.gamma)
     if not abs(sum(masses) - inverse.real) <= _MASS_TOL * inverse.real:  # NaN fails

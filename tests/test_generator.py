@@ -3,7 +3,10 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import loop_reference
 from diskflow import (
@@ -13,6 +16,7 @@ from diskflow import (
     DomainError,
     FixedPointConfig,
     GeneratorSpec,
+    RationalHerglotz,
     beta,
     brfp_spectral_value,
     convex_combination,
@@ -22,6 +26,7 @@ from diskflow import (
     eval_generator,
     eval_herglotz,
     random_spec,
+    reciprocal,
     spec_from_denominator,
 )
 from diskflow.generator import _point_generator, tau_regime
@@ -317,6 +322,64 @@ def test_convex_combination_is_pointwise(rng):
     for z in (0.0, 0.4j, -0.3 + 0.2j):
         expect = w * eval_generator(first, z) + (1 - w) * eval_generator(second, z)
         assert eval_generator(mix, z) == pytest.approx(expect, rel=1e-8, abs=1e-10)
+
+
+TWO_PI = 2.0 * math.pi
+MIX_POINTS = np.array(
+    [0j] + [r * cmath.exp(1j * a) for r in (0.3, 0.6, 0.9) for a in (0.4, 2.5, 4.6)]
+)
+
+
+@st.composite
+def shared_skeleton_pairs(draw):
+    """Two interior specs over one tau (|tau| <= 0.8) and 1..4 repelling
+    points, with 0..3 atoms each, and a weight in [1e-12, 1 - 1e-12].  The
+    repelling points and atoms sit on six slots, one per sixth of the
+    circle within the middle half of its arc, so any two are at least pi/6
+    apart.  A weight below about 1e-17 leaves one side's atoms tiny beside
+    the other's, where `reciprocal` can go silently wrong (ROADMAP item 7)."""
+    offsets = draw(st.lists(st.floats(0.25, 0.75), min_size=6, max_size=6))
+    turn = draw(st.floats(0.0, TWO_PI, exclude_max=True))
+    slots = [(k + x) * TWO_PI / 6.0 + turn for k, x in enumerate(offsets)]
+    order = draw(st.permutations(range(6)))
+    n = draw(st.integers(1, 4))
+    tau = cmath.rect(draw(st.floats(1e-3, 0.8)), draw(st.floats(0.0, TWO_PI)))
+    sigmas = tuple(BoundaryPoint(slots[i]) for i in order[:n])
+    free = order[n:]
+    specs = []
+    for _ in range(2):
+        logs = draw(st.lists(st.floats(-2.0, 2.0), min_size=n, max_size=n))
+        picked = draw(st.permutations(free))[: draw(st.integers(0, min(3, len(free))))]
+        masses = draw(st.lists(st.floats(-3.0, 1.0), min_size=len(picked), max_size=len(picked)))
+        p = AtomicHerglotz(
+            tuple((BoundaryPoint(slots[i]), math.exp(x)) for i, x in zip(picked, masses)),
+            draw(st.floats(-5.0, 5.0)),
+        )
+        lambdas = tuple(-math.exp(x) for x in logs)
+        specs.append(GeneratorSpec(FixedPointConfig(tau, sigmas, lambdas), p))
+    weight = draw(st.floats(1e-12, 1.0 - 1e-12))
+    return specs[0], specs[1], weight
+
+
+@given(shared_skeleton_pairs())
+def test_convex_combination_is_the_pointwise_mean_and_keeps_each_sigma(pair):
+    first, second, w = pair
+    mix = convex_combination(first, second, w)
+    expect = w * eval_generator(first, MIX_POINTS) + (1.0 - w) * eval_generator(second, MIX_POINTS)
+    scale = max(1.0, np.abs(expect).max())
+    assert np.abs(eval_generator(mix, MIX_POINTS) - expect).max() <= 1e-9 * scale
+    # the denominator the mix is re-split from has an atom within 1e-13 of
+    # each sigma_k, as spec_from_denominator's docstring says
+    ra = reciprocal(denominator_herglotz(first))
+    rb = reciprocal(denominator_herglotz(second))
+    q = reciprocal(
+        RationalHerglotz(
+            tuple((pt, w * m) for pt, m in ra.atoms) + tuple((pt, (1.0 - w) * m) for pt, m in rb.atoms),
+            w * ra.gamma + (1.0 - w) * rb.gamma,
+        )
+    )
+    for s in first.config.sigmas:
+        assert min(s.angular_distance(pt) for pt, _ in q.atoms) <= 1e-13
 
 
 def test_convex_combination_endpoints():

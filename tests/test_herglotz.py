@@ -27,6 +27,7 @@ from diskflow import (
     reciprocal,
 )
 from diskflow.herglotz_core import _MAX_PANELS, _gk15, _gk15_panel, angle_gap, kernel_sum
+import reciprocal_reference
 from loop_reference import herglotz_derivative_circle, p_sharp
 
 TWO_PI = 2.0 * math.pi
@@ -403,6 +404,67 @@ def test_reciprocal_inverse_and_involution_up_to_degree_128(p):
         twin, twin_mass = min(back.atoms, key=lambda pm: point.angular_distance(pm[0]))
         assert point.angular_distance(twin) <= 1e-9
         assert abs(twin_mass - mass) <= 1e-9 * max(1.0, mass)
+
+
+EPS = np.finfo(float).eps
+
+
+@given(separated_rationals())
+def test_reciprocal_matches_the_complex_kernel_solve(p):
+    # tests/reciprocal_reference.py solves the arcs with complex kernels at
+    # e^{it}.  gamma depends on p's mass and constant alone, so it agrees to
+    # the bit, and the zeros agree within 1e-13.  A mass is 1/(2 p#) at its
+    # zero, and log p# moves by up to 2/delta per radian there, delta the
+    # chord from the zero to its nearest atom; the reference's p# also
+    # carries about 3 eps/delta of rounding in s_j - e^{it}.  So the masses
+    # agree within 1e-12 plus twice (2 |zero shift| + 4 eps)/delta, relative.
+    q = reciprocal(p)
+    expected = reciprocal_reference.reciprocal(p)
+    assert q.gamma.hex() == expected.gamma.hex()
+    assert len(q.atoms) == len(expected.atoms)
+    zeros = np.array([point.theta for point, _ in q.atoms])
+    masses = np.array([mass for _, mass in q.atoms])
+    ref_zeros = np.array([point.theta for point, _ in expected.atoms])
+    ref_masses = np.array([mass for _, mass in expected.atoms])
+    # the sorted order may differ where a zero lies next to angle 0
+    offsets = (ref_zeros[:, None] - zeros + math.pi) % TWO_PI - math.pi
+    twin = np.abs(offsets).argmin(axis=1)
+    assert len(set(twin.tolist())) == len(twin)
+    shift = np.abs(offsets[np.arange(len(twin)), twin])
+    assert shift.max() <= 1e-13
+    angles = np.array([point.theta for point, _ in p.atoms])
+    delta = np.abs(2.0 * np.sin((zeros[twin][:, None] - angles) / 2.0)).min(axis=1)
+    tol = 1e-12 + 2.0 * (2.0 * shift + 4.0 * EPS) / delta
+    assert (np.abs(masses[twin] - ref_masses) <= tol * ref_masses).all()
+
+
+def _sweep_cases():
+    """Two atoms a gap apart beside a third, the second of the two carrying
+    mass m: 4 gaps x 12 masses x 3 gammas."""
+    for gamma, gap, m in itertools.product(
+        (-5.0, 0.0, 3.0),
+        (2e-12, 1e-9, 1e-6, 1e-3),
+        (1e-300, 1e-200, 1e-100, 1e-50, 1e-20, 1e-10, 1.0, 1e10, 1e50, 1e100, 1e200, 1e300),
+    ):
+        # the zero beside the tiny atom is located only to within ulps, and
+        # the masses still sum to Re(1/p(0)) within 1e-8, so the wrong 1/p
+        # passes the check (ROADMAP item 7; the tiny-mass fault in CHANGES.md)
+        silent = gap == 1e-3 and m == 1e-20
+        marks = pytest.mark.xfail(strict=True, reason="silent wrong 1/p") if silent else ()
+        yield pytest.param(gamma, gap, m, marks=marks)
+
+
+@pytest.mark.parametrize("gamma, gap, m", _sweep_cases())
+def test_reciprocal_inverts_or_refuses_extreme_inputs(gamma, gap, m):
+    # an overflow in the arc solve must end in the mass check's DomainError
+    p = RationalHerglotz(atoms((1.0, 1.0), (1.0 + gap, m), (4.0, 1.0)), gamma)
+    try:
+        q = reciprocal(p)
+    except DomainError:
+        return
+    assert all(math.isfinite(point.theta) and math.isfinite(mass) for point, mass in q.atoms)
+    product = eval_herglotz(p, INTERIOR) * eval_herglotz(q, INTERIOR)
+    assert np.abs(product - 1.0).max() <= 1e-9
 
 
 # ----------------------------------------------------------------------

@@ -12,11 +12,13 @@ the random stream, and evaluates the same formulas with numpy's complex
 arithmetic, which rounds differently from Python's, and sums the kernel
 terms in slot order.  Its rows are checked against the law, against
 _draw_raw's draws by a two-sample KS test, and against the object records
-on the same numbers, within 1e-12 of max(1, |lhs|, |rhs|).  The Harnack
-pair and spectral_tilt get 1e-12 of the size of the terms they are
-computed from (verify_reference.record_scale): they multiply Re p(0),
-which cancels to roundoff for a p without atoms and carries no relative
-precision.
+on the same numbers, within 1e-12 of max(1, |lhs|, |rhs|).  At an interior
+tau some records get 1e-12 of a larger scale (verify_reference.record_scale):
+the Harnack pair and spectral_tilt that of the terms they are computed
+from, since they multiply Re p(0), which cancels to roundoff for a p
+without atoms and carries no relative precision, and
+spectral_reciprocal_floor its own scale over 1 - |tau|^2, since np.abs and
+abs of one tau may differ in the last bit.
 """
 
 import json

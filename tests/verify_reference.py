@@ -215,14 +215,21 @@ _RATIO_RECORDS = ("harnack_lower", "harnack_upper", "spectral_tilt")
 
 def record_scale(spec, record):
     """The size of the terms a record's sides are computed from:
-    max(1, |lhs|, |rhs|), and for the _RATIO_RECORDS of an interior tau
-    max(1, |lhs|, |rhs|, A) times (1 + t)/(1 - t), t = |tau|.  Those
-    multiply Re w0 - A, a difference of terms of size A that cancels to
-    roundoff when p has no atoms, by up to that factor."""
+    max(1, |lhs|, |rhs|), and for an interior tau, t = |tau|,
+    - for the _RATIO_RECORDS, max(1, |lhs|, |rhs|, A) times (1 + t)/(1 - t).
+      Those multiply Re w0 - A, a difference of terms of size A that
+      cancels to roundoff when p has no atoms, by up to that factor;
+    - for spectral_reciprocal_floor, max(1, |lhs|, |rhs|) times
+      1/(1 - t^2), the conditioning of its formula in t: a last-bit
+      difference in |tau| moves the record by up to that factor."""
     scale = max(1.0, abs(record.lhs), abs(record.rhs))
-    if spec.config.regime != "interior" or record.name not in _RATIO_RECORDS:
+    if spec.config.regime != "interior":
         return scale
     t = abs(spec.config.tau)
+    if record.name == "spectral_reciprocal_floor":
+        return scale / (1.0 - t * t)
+    if record.name not in _RATIO_RECORDS:
+        return scale
     return max(scale, spec.config.capA) * (1.0 + t) / (1.0 - t)
 
 
