@@ -355,14 +355,18 @@ def convex_combination(
     Both specs must share tau and the repelling set.  The combination's
     denominator is the reciprocal of the weighted mean of the two
     reciprocal denominators; the result is re-split into spectral data and
-    a Herglotz remainder.
+    a Herglotz remainder.  A weight of 0, or one so small that 1 - weight
+    rounds to 1, returns ``second``; a weight of 1 returns ``first``.
     """
     if not 0.0 <= weight <= 1.0:
         raise DomainError("weight must lie in [0, 1]")
     ca, cb = first.config, second.config
     if not ca.has_skeleton(cb.tau, cb.sigmas):
         raise DegenerateConfig("specs must share tau and the repelling set")
-    if weight == 0.0:
+    # where 1 - weight rounds to 1 the mix is second to rounding, and the
+    # mixed reciprocal would hold first's atoms at a weight too small for
+    # `reciprocal` to place
+    if 1.0 - weight == 1.0:
         return second
     if weight == 1.0:
         return first

@@ -10,27 +10,37 @@ The flow functions take one start point; an array of start points, a
 string, bytes, None or a bool raises DomainError, and so does a time that
 is not a finite, nonnegative real number.
 
-Where tau lies inside the disk (tau_regime "origin" or "interior"),
-integrate_flow and integrate_flow_with_derivative take the orbit from the
-Koenigs function instead of the ODE (Bracci, Contreras & Diaz-Madrigal,
-Continuous Semigroups of Holomorphic Self-maps of the Unit Disc, 2020).
-With G = (tau - z)(1 - conj(tau) z)/q, 1/G is rational and its residues
-are known, so
+integrate_flow and integrate_flow_with_derivative take the orbit from a
+closed form instead of the ODE (Bracci, Contreras & Diaz-Madrigal,
+Continuous Semigroups of Holomorphic Self-maps of the Unit Disc, 2020;
+Elin & Shoikhet, Linearization Models for Complex Dynamical Systems,
+2010).  With G = (tau - z)(1 - conj(tau) z)/q, 1/G is rational and its
+residues are known.  Where tau lies inside the disk (tau_regime "origin"
+or "interior"), the Koenigs function
 
     h(z) = (z - tau) (1 - conj(tau) z)^(lambda/conj(lambda))
            prod_j (1 - conj(s_j) z)^(-lambda r_j),
 
 over the atoms s_j of q = p + p0 with masses m_j and
-r_j = 2 m_j / |tau - s_j|^2, satisfies h(phi_t(z)) = exp(-lambda t) h(z).
-phi_t(z) is the one root of that equation in the disk, found by damped
-Newton on log h in plain complex arithmetic (_closed_form), and
-phi_t'(z) = exp(-lambda t) h'(z) / h'(phi_t(z)).  Where Newton fails (no
-convergence within _NEWTON_STEPS trial points from either start, a root
-within BOUNDARY_GUARD of the circle, a value that is not finite) the
-orbit falls back to the ODE below, which also raises where the right-hand
-side is not finite.  A tau on the circle, flow_trajectory's samples and the
-radius ladder of estimate_boundary_derivative always take the ODE; the
-ladder checks the spectral formulas, which the closed form shares.
+r_j = 2 m_j / |tau - s_j|^2, satisfies h(phi_t(z)) = exp(-lambda t) h(z),
+and phi_t'(z) = exp(-lambda t) h'(z) / h'(phi_t(z)) (_koenigs_flow).
+Where tau lies on the circle, the Abel function
+
+    T(z) = m_tau v^2 + e v + P Log v + sum_j P_j Log(1 - conj(s_j) z),
+
+with v = 1/(conj(tau) (tau - z)), P_j = 2 m_j/|tau - s_j|^2 over the atoms
+not at tau, P = sum_j P_j, p's mass m_tau at tau and e = i (contact value)
+- m_tau, satisfies T(phi_t(z)) = T(z) + t, and
+phi_t'(z) = G(phi_t(z))/G(z) (_abel, _abel_flow); hyperbolic and parabolic
+tau share the formula.  Either way phi_t(z) is the one root of that
+equation in the disk, found by one damped Newton solve in plain complex
+arithmetic (_newton).  Where Newton fails (no convergence within
+_NEWTON_STEPS trial points from any start, a root within BOUNDARY_GUARD of
+the circle, a value that is not finite) the orbit falls back to the ODE
+below, which also raises where the right-hand side is not finite.
+flow_trajectory's samples and the radius ladder of
+estimate_boundary_derivative always take the ODE; the ladder checks the
+spectral formulas, which the closed forms share.
 
 An ODE orbit is integrated in plain complex arithmetic: its state is one
 Python complex value, or two with the derivative, and each right-hand side
@@ -94,7 +104,7 @@ from .errors import (
     StepFailure,
 )
 from .generator import GeneratorSpec, _point_generator, _spectral_value, eval_generator
-from .herglotz_core import BoundaryPoint, _Record
+from .herglotz_core import ANGLE_TOL, BoundaryPoint, _Record, angle_gap, circle_angle
 
 REL_TOL = 1e-10
 ABS_TOL = 1e-12
@@ -459,9 +469,75 @@ def _koenigs(gen: GeneratorSpec) -> tuple[complex, list[tuple[complex, complex]]
     return lam, terms
 
 
+def _abel(gen: GeneratorSpec) -> tuple[complex, float, list[tuple[complex, complex, float]]]:
+    """(e, m_tau, terms) of the Abel function T of a tau on the circle.
+
+    With |tau| = 1, (tau - z)(1 - conj(tau) z) = conj(tau) (tau - z)^2, so
+    1/G = tau q(z)/(tau - z)^2 is rational, and its partial fractions give
+    T (T' = 1/G, so T(phi_t(z)) = T(z) + t) in the variable
+    v = 1/(conj(tau) (tau - w)):
+
+        T(w) = m_tau v^2 + e v + P Log v + sum_j P_j Log(1 - conj(s_j) w),
+
+    which is a/d + b/d^2 - P Log(conj(tau) d) + ... with d = tau - w,
+    a = tau e and b = m_tau tau^2.  m_tau is p's mass at tau, its first
+    atom within ANGLE_TOL of tau as _spectral_value finds it; p0 has none
+    there.  The sum runs over the other atoms s_j of q = p + p0, with
+    P_j = 2 m_j/|tau - s_j|^2 > 0 and P = sum_j P_j; p0's atom alpha_k at
+    sigma_k has P_k = 1/|lambda_k|, by the definition of alpha_k.
+    e = q_reg(tau) - m_tau, where q_reg(tau) = i gamma +
+    sum_j m_j (s_j + tau)/(s_j - tau) is i times the contact value: each
+    kernel there is 2 i Im(conj(s_j) tau)/|tau - s_j|^2, so
+    q_reg(tau) = i (gamma + sum_j P_j Im(conj(s_j) tau)).  Each Log has an
+    argument of positive real part on the disk, so T is single-valued, with
+    no regime split: a hyperbolic tau has m_tau = 0, e = 0 up to rounding
+    and P = 1/dw_spectral_value; a parabolic one has m_tau = beta/2 > 0 or
+    e != 0.
+
+    A term is (1 - conj(s_j) tau, conj(s_j), P_j), so that
+    1 - conj(s_j) w = 1 - conj(s_j) tau + conj(s_j) d keeps its digits as w
+    nears tau.
+    """
+    c = gen.config
+    tau = c.tau
+    theta = circle_angle(cmath.phase(tau))
+    m_tau = 0.0
+    residues = []
+    for point, m in gen.p.atoms:
+        if not m_tau and angle_gap(point.theta, theta) <= ANGLE_TOL:
+            m_tau = m
+        else:
+            s = point.value
+            residues.append((s, 2.0 * m / abs(tau - s) ** 2))
+    residues += [(sigma.value, 1.0 / abs(lam)) for sigma, lam in zip(c.sigmas, c.lambdas)]
+    terms = [(1.0 - s.conjugate() * tau, s.conjugate(), r) for s, r in residues]
+    # Im(conj(s_j) tau) = -Im(1 - conj(s_j) tau)
+    contact = gen.p.gamma - sum(r * u.imag for u, _, r in terms)
+    return 1j * contact - m_tau, m_tau, terms
+
+
 def _closed_form(gen: GeneratorSpec, z: complex, t: float, derivative: bool):
     """The end state [w] or [w, dw] of the orbit of z from the Koenigs
-    function, or None where the ODE must take over.
+    function (tau inside the disk, _koenigs_flow) or the Abel function (tau
+    on the circle, _abel_flow), or None where the ODE must take over.
+
+    None when _newton converges from none of the form's starts, when the
+    root lies within BOUNDARY_GUARD of the circle, or when a coefficient, a
+    log term, a residual or the derivative is not finite.
+    """
+    flow = _abel_flow if gen.config.regime == "boundary" else _koenigs_flow
+    try:
+        end = flow(gen, z, t, derivative)
+    except (ArithmeticError, ValueError):
+        # a log of zero, an overflow, or a non-finite wrap
+        return None
+    if end is None or not abs(end[0]) < 1.0 - BOUNDARY_GUARD:
+        return None
+    return end if cmath.isfinite(end[-1]) else None
+
+
+def _koenigs_flow(gen: GeneratorSpec, z: complex, t: float, derivative: bool):
+    """_closed_form for tau inside the disk, or None where Newton fails.
 
     w is the one root in the disk of F(w) = log h(w) - log h(z) + lambda t,
     taken modulo 2 pi i.  Newton's step on F, -F (w - tau) / (1 + (w - tau)
@@ -471,53 +547,46 @@ def _closed_form(gen: GeneratorSpec, z: complex, t: float, derivative: bool):
     (1 + (z - tau) R'(z)) / (1 + (w - tau) R'(w)) is
     exp(-lambda t) h'(z) / h'(w) written through the regular part, so a w
     near tau divides no two small values.
-
-    None when Newton converges from neither start, when the root lies
-    within BOUNDARY_GUARD of the circle, or when lambda, a log term or a
-    residual is not finite.
     """
     tau = gen.config.tau
-    try:
-        lam, terms = _koenigs(gen)
-        if z == tau:
-            return [tau, cmath.exp(-lam * t)] if derivative else [tau]
+    lam, terms = _koenigs(gen)
+    if z == tau:
+        return [tau, cmath.exp(-lam * t)] if derivative else [tau]
 
-        def regular(w: complex) -> tuple[complex, complex]:
-            """(R(w), R'(w))."""
-            r = dr = 0j
-            for a, c in terms:
-                u = 1.0 - a * w
-                r += c * cmath.log(u)
-                dr -= c * a / u
-            return r, dr
+    def regular(w: complex) -> tuple[complex, complex]:
+        """(R(w), R'(w))."""
+        r = dr = 0j
+        for a, c in terms:
+            u = 1.0 - a * w
+            r += c * cmath.log(u)
+            dr -= c * a / u
+        return r, dr
 
-        def residual(w: complex) -> tuple[complex, complex]:
-            """(F(w), R'(w))."""
-            r, dr = regular(w)
-            return _wrapped(cmath.log(w - tau) + r - target), dr
+    def newton_step(w: complex, f: complex, dr: complex) -> tuple[complex, complex]:
+        d = w - tau
+        return f, -f * d / (1.0 + d * dr)
 
-        r_z, dr_z = regular(z)
-        target = cmath.log(z - tau) + r_z - lam * t
-        guess = tau + cmath.exp(target - regular(tau)[0])
-        if guess == tau:
-            # |w - tau| is below the resolution of tau
-            w = tau
-        else:
-            starts = [(guess, *residual(guess)), (z, _wrapped(lam * t), dr_z)]
-            starts.sort(key=lambda start: abs(start[1]))
-            w = _newton(tau, residual, *starts[0])
-            if w is None:
-                w = _newton(tau, residual, *starts[1])
-            if w is None or not abs(w) < 1.0 - BOUNDARY_GUARD:
-                return None
-        if not derivative:
-            return [w]
-        r_w, dr_w = regular(w)
-        dw = cmath.exp(r_z - r_w - lam * t) * (1.0 + (z - tau) * dr_z) / (1.0 + (w - tau) * dr_w)
-    except (ArithmeticError, ValueError):
-        # a log of zero, an overflow, or a non-finite wrap
-        return None
-    return [w, dw] if cmath.isfinite(dw) else None
+    def residual(w: complex) -> tuple[complex, complex]:
+        """(F(w), Newton's step at w)."""
+        r, dr = regular(w)
+        return newton_step(w, _wrapped(cmath.log(w - tau) + r - target), dr)
+
+    r_z, dr_z = regular(z)
+    target = cmath.log(z - tau) + r_z - lam * t
+    guess = tau + cmath.exp(target - regular(tau)[0])
+    if guess == tau:
+        # |w - tau| is below the resolution of tau
+        w = tau
+    else:
+        starts = [(guess, *residual(guess)), (z, *newton_step(z, _wrapped(lam * t), dr_z))]
+        w = _newton(residual, lambda w: abs(w) < 1.0, tau, starts)
+        if w is None:
+            return None
+    if not derivative:
+        return [w]
+    r_w, dr_w = regular(w)
+    dw = cmath.exp(r_z - r_w - lam * t) * (1.0 + (z - tau) * dr_z) / (1.0 + (w - tau) * dr_w)
+    return [w, dw]
 
 
 def _wrapped(f: complex) -> complex:
@@ -525,42 +594,102 @@ def _wrapped(f: complex) -> complex:
     return complex(f.real, math.remainder(f.imag, 2.0 * math.pi))
 
 
-def _newton(tau: complex, residual: Callable, w: complex, f: complex, dr: complex):
-    """Damped Newton's root of the wrapped log h from w, where residual(w) =
-    (f, dr), or None when _NEWTON_STEPS trial points do not converge.
+def _abel_flow(gen: GeneratorSpec, z: complex, t: float, derivative: bool):
+    """_closed_form for tau on the circle, or None where Newton fails.
 
-    A step whose end is off the disk (a NaN is) or does not lower |F| is
-    halved.  A Newton step of at most 1e-14 |w - tau| (plus 1e-15 |tau|,
-    where w resolves no less) ends the solve, and so does a step halved to
-    that size: near a root, only rounding keeps |F| from falling.
+    w is the root of F = T(w) - T(z) - t for the Abel function T of _abel,
+    solved in its variable v = 1/(conj(tau) (tau - w)).  v keeps the
+    relative accuracy of tau - w, and it maps the disk onto the half-plane
+    Re v > 1/2, so a step along an orbit that runs close to the circle
+    stays inside, where in tau - w it would leave the disk.  Newton's step
+    in v is -F v^2 / Y(v), with Y(v) = v^2 dT/dv = v^2 q(w).  The starts
+    are z, where F = -t, and the root of T's leading term at tau alone:
+    m_tau v^2 + e v = K where p has an atom at tau, P Log v = K where it
+    has none, with K = T(z) + t - sum_j P_j Log(1 - conj(s_j) tau).  The
+    derivative needs no variational equation:
+    phi_t'(z) = G(w)/G(z) = Y(v_z)/Y(v_w).
     """
-    step = None
-    for _ in range(_NEWTON_STEPS):
-        if step is None:
-            d = w - tau
-            step = -f * d / (1.0 + d * dr)
-            tol = 1e-14 * abs(d) + 1e-15 * abs(tau)
-        trial = w + step
-        if abs(step) <= tol:
-            return trial if abs(trial) < 1.0 else None
-        # log h has its one pole at tau
-        if abs(trial) < 1.0 and trial != tau:
-            f_trial, dr_trial = residual(trial)
-            if abs(f_trial) < abs(f):
-                w, f, dr, step = trial, f_trial, dr_trial, None
-                continue
-        step *= 0.5
+    tau = gen.config.tau
+    tau_bar = tau.conjugate()
+    e, m_tau, terms = _abel(gen)
+    big_p = sum(p for _, _, p in terms)
+    weighted = [(c, s_bar, p, p * s_bar) for c, s_bar, p in terms]
+
+    def abel(v: complex) -> tuple[complex, complex]:
+        """(T(w), Y(v))."""
+        d = 1.0 / (tau_bar * v)
+        r = y = 0j
+        for c, s_bar, p, p_s_bar in weighted:
+            u = c + s_bar * d
+            r += p * cmath.log(u)
+            y += p_s_bar / u
+        return (
+            v * (e + m_tau * v) + big_p * cmath.log(v) + r,
+            v * (v * (e + 2.0 * m_tau * v) + big_p) - tau * y,
+        )
+
+    def residual(v: complex) -> tuple[complex, complex]:
+        """(F, Newton's step) at v."""
+        value, y = abel(v)
+        f = value - target
+        return f, -f * v * v / y
+
+    def inside(v: complex) -> bool:
+        return v.real > 0.5
+
+    v_z = 1.0 / (tau_bar * (tau - z))
+    t_z, y_z = abel(v_z)
+    target = t_z + t
+    starts = [(v_z, complex(-t), t * v_z * v_z / y_z)]
+    k = target - sum(p * cmath.log(c) for c, _, p in terms)
+    if m_tau:
+        guesses = [(cmath.sqrt(e * e + 4.0 * m_tau * k) - e) / (2.0 * m_tau)]
+    else:
+        # cmath.exp overflows past 709
+        guesses = [cmath.exp(k / big_p)] if k.real < 700.0 * big_p else []
+    starts += [(v, *residual(v)) for v in guesses if inside(v)]
+    v_w = _newton(residual, inside, 0j, starts)
+    if v_w is None:
+        return None
+    w = tau - 1.0 / (tau_bar * v_w)
+    return [w, y_z / abel(v_w)[1]] if derivative else [w]
+
+
+def _newton(residual: Callable, inside: Callable, center: complex, starts):
+    """Damped Newton's root of a closed form's residual F, or None.
+
+    ``starts`` holds (x, F(x), Newton's step at x) triples, and residual(x)
+    gives the last two at x; inside(x) says whether x stands for a point of
+    the open disk.  The starts are tried in order of |F|, each for at most
+    _NEWTON_STEPS trial points.  A step whose end is off the disk (a NaN
+    is), at ``center`` or does not lower |F| is halved.  The solve is
+    accurate relative to the distance from ``center``: tau for the Koenigs
+    form, whose log h has its pole there, 0 for the Abel form's v.  A
+    Newton step of at most 1e-14 |x - center| (plus 1e-15 |center|, where x
+    resolves no less) ends the solve, and so does a step halved to that
+    size: near a root, only rounding keeps |F| from falling.
+    """
+    for x, f, step in sorted(starts, key=lambda start: abs(start[1])):
+        for _ in range(_NEWTON_STEPS):
+            trial = x + step
+            if abs(step) <= 1e-14 * abs(x - center) + 1e-15 * abs(center):
+                if inside(trial):
+                    return trial
+                break
+            if inside(trial) and trial != center:
+                f_trial, step_trial = residual(trial)
+                if abs(f_trial) < abs(f):
+                    x, f, step = trial, f_trial, step_trial
+                    continue
+            step *= 0.5
     return None
 
 
 def _orbit(gen: GeneratorSpec, z: complex, t: float, derivative: bool) -> list[complex]:
-    """The end state of the orbit of z: the closed form for tau inside the
-    disk, the ODE for tau on the circle or where the closed form fails."""
-    if gen.config.regime != "boundary":
-        end = _closed_form(gen, z, t, derivative)
-        if end is not None:
-            return end
-    return _lone(gen, z, t, derivative)[0]
+    """The end state of the orbit of z: the closed form of _closed_form, or
+    the ODE of _lone where the closed form fails."""
+    end = _closed_form(gen, z, t, derivative)
+    return end if end is not None else _lone(gen, z, t, derivative)[0]
 
 
 def integrate_flow(gen: GeneratorSpec, z0, t: float) -> complex:

@@ -382,6 +382,33 @@ def test_convex_combination_is_the_pointwise_mean_and_keeps_each_sigma(pair):
         assert min(s.angular_distance(pt) for pt, _ in q.atoms) <= 1e-13
 
 
+@given(shared_skeleton_pairs(), st.floats(1e-20, 2.0**-54))
+def test_convex_combination_at_a_tiny_weight_is_the_second_spec(pair, w):
+    # 1 - w rounds to 1 up to w = 2^-54, where the mix is second to rounding
+    first, second, _ = pair
+    assert convex_combination(first, second, w) is second
+    expect = w * eval_generator(first, MIX_POINTS) + (1.0 - w) * eval_generator(second, MIX_POINTS)
+    scale = max(1.0, np.abs(expect).max())
+    assert np.abs(eval_generator(second, MIX_POINTS) - expect).max() <= 1e-9 * scale
+
+
+@pytest.mark.xfail(strict=True, reason="tiny weights just above 2^-54 still mix silently wrong (ROADMAP item 7)")
+def test_convex_combination_just_above_the_rounding_weight():
+    # at w = 1e-16, 1 - w is below 1, so the mix runs through the reciprocal
+    # of a function with atoms of mass ~1e-16, and misses the pointwise mean
+    # by 3.9e-9 x scale; the miss falls like 3.9e-25 / w
+    sigmas = (BoundaryPoint(math.pi / 6.0),)
+    first = GeneratorSpec(
+        FixedPointConfig(0.5, sigmas, (-1.0,)),
+        AtomicHerglotz(((BoundaryPoint(math.pi / 2.0), 1.0), (BoundaryPoint(0.75 * math.pi), math.exp(-3.0))), 1.0),
+    )
+    second = GeneratorSpec(FixedPointConfig(0.5, sigmas, (-math.exp(2.0),)), AtomicHerglotz())
+    w = 1e-16
+    expect = w * eval_generator(first, MIX_POINTS) + (1.0 - w) * eval_generator(second, MIX_POINTS)
+    mix = convex_combination(first, second, w)
+    assert np.abs(eval_generator(mix, MIX_POINTS) - expect).max() <= 1e-9 * max(1.0, np.abs(expect).max())
+
+
 def test_convex_combination_endpoints():
     c = INTERIOR
     first = GeneratorSpec(c, AtomicHerglotz(((BoundaryPoint(2.0), 0.7),)))
