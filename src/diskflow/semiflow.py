@@ -562,14 +562,15 @@ def _koenigs_flow(gen: GeneratorSpec, z: complex, t: float, derivative: bool):
             dr -= c * a / u
         return r, dr
 
-    def newton_step(w: complex, f: complex, dr: complex) -> tuple[complex, complex]:
+    def with_step(w: complex, f: complex, dr: complex) -> tuple[complex, complex]:
+        """(f, Newton's step at w) for the residual f = F(w) and dr = R'(w)."""
         d = w - tau
         return f, -f * d / (1.0 + d * dr)
 
     def residual(w: complex) -> tuple[complex, complex]:
         """(F(w), Newton's step at w)."""
         r, dr = regular(w)
-        return newton_step(w, _wrapped(cmath.log(w - tau) + r - target), dr)
+        return with_step(w, _wrapped(cmath.log(w - tau) + r - target), dr)
 
     r_z, dr_z = regular(z)
     target = cmath.log(z - tau) + r_z - lam * t
@@ -578,7 +579,7 @@ def _koenigs_flow(gen: GeneratorSpec, z: complex, t: float, derivative: bool):
         # |w - tau| is below the resolution of tau
         w = tau
     else:
-        starts = [(guess, *residual(guess)), (z, *newton_step(z, _wrapped(lam * t), dr_z))]
+        starts = [(guess, *residual(guess)), (z, *with_step(z, _wrapped(lam * t), dr_z))]
         w = _newton(residual, lambda w: abs(w) < 1.0, tau, starts)
         if w is None:
             return None
