@@ -12,12 +12,12 @@ sum_j r_j, those behind T must give the spectral values, and a forced
 fallback must return the ODE's answer bit for bit.  The radius ladder and
 the interior closed form are pinned by float.hex.
 """
+
 import cmath
 import math
 
 import numpy as np
 import pytest
-
 from scipy.integrate import solve_ivp
 
 import loop_reference as ref
