@@ -37,7 +37,8 @@ equation in the disk, found by one damped Newton solve in plain complex
 arithmetic (_newton).  Where Newton fails (no convergence within
 _NEWTON_STEPS trial points from any start, a root within BOUNDARY_GUARD of
 the circle, a value that is not finite) the orbit falls back to the ODE
-below, which also raises where the right-hand side is not finite.
+below, which also raises where the right-hand side is not finite.  So does
+an Abel-form orbit that ends within _ABEL_GUARD = 1e-6 of the circle.
 flow_trajectory's samples and the radius ladder of
 estimate_boundary_derivative always take the ODE; the ladder checks the
 spectral formulas, which the closed forms share.
@@ -122,6 +123,12 @@ _NOT_NUMBERS = (str, bytes, bytearray, bool)
 # trial points the closed-form flow's Newton solve evaluates from each of its
 # two start points before it hands the orbit to the ODE
 _NEWTON_STEPS = 40
+# an Abel-form orbit that ends this close to the circle takes the ODE, as
+# orbits toward a tau on the circle did before the closed form: there
+# 1 - |w|^2 carries more than 1e-10 relative rounding, and the Schwarz-Pick
+# check of bench/worker.py, held to 1e-9, reads an exactly rounded answer as
+# a failure where the map is nearly an isometry (ROADMAP item 8)
+_ABEL_GUARD = 1e-6
 
 # the step-size controller: the next step is the last one times
 # SAFETY * error ** EXPONENT, kept within [MIN_FACTOR, MAX_FACTOR]
@@ -464,9 +471,15 @@ def _koenigs(gen: GeneratorSpec) -> tuple[complex, list[tuple[complex, complex]]
     # p's atoms and the reciprocal sum enter lambda on the circle only
     lam = _spectral_value(c.regime, tau, gen.p.gamma, (), points, masses, 0.0)[0]
     terms = [(tau.conjugate(), lam / lam.conjugate())]
-    for s, m in zip(points, masses):
-        terms.append((s.conjugate(), -lam * (2.0 * m / abs(tau - s) ** 2)))
+    terms += [(s.conjugate(), -lam * r) for s, r in _residues(tau, points, masses)]
     return lam, terms
+
+
+def _residues(tau: complex, points, masses) -> list[tuple[complex, float]]:
+    """(s_j, r_j) over atoms s_j of q = p + p0 with masses m_j, away from tau:
+    r_j = 2 m_j/|tau - s_j|^2 is the residue of 1/G at s_j, for tau inside
+    the disk or on the circle alike."""
+    return [(s, 2.0 * m / abs(tau - s) ** 2) for s, m in zip(points, masses)]
 
 
 def _abel(gen: GeneratorSpec) -> tuple[complex, float, list[tuple[complex, complex, float]]]:
@@ -483,8 +496,8 @@ def _abel(gen: GeneratorSpec) -> tuple[complex, float, list[tuple[complex, compl
     a = tau e and b = m_tau tau^2.  m_tau is p's mass at tau, its first
     atom within ANGLE_TOL of tau as _spectral_value finds it; p0 has none
     there.  The sum runs over the other atoms s_j of q = p + p0, with
-    P_j = 2 m_j/|tau - s_j|^2 > 0 and P = sum_j P_j; p0's atom alpha_k at
-    sigma_k has P_k = 1/|lambda_k|, by the definition of alpha_k.
+    P_j = 2 m_j/|tau - s_j|^2 > 0 (_residues) and P = sum_j P_j; p0's atom
+    alpha_k at sigma_k has P_k = 1/|lambda_k|, by the definition of alpha_k.
     e = q_reg(tau) - m_tau, where q_reg(tau) = i gamma +
     sum_j m_j (s_j + tau)/(s_j - tau) is i times the contact value: each
     kernel there is 2 i Im(conj(s_j) tau)/|tau - s_j|^2, so
@@ -498,19 +511,17 @@ def _abel(gen: GeneratorSpec) -> tuple[complex, float, list[tuple[complex, compl
     1 - conj(s_j) w = 1 - conj(s_j) tau + conj(s_j) d keeps its digits as w
     nears tau.
     """
-    c = gen.config
-    tau = c.tau
+    tau = gen.config.tau
     theta = circle_angle(cmath.phase(tau))
+    points, masses = (a.tolist() for a in gen.denominator_atoms)
     m_tau = 0.0
-    residues = []
-    for point, m in gen.p.atoms:
-        if not m_tau and angle_gap(point.theta, theta) <= ANGLE_TOL:
+    # p's atoms come first in denominator_atoms
+    for j, (point, m) in enumerate(gen.p.atoms):
+        if angle_gap(point.theta, theta) <= ANGLE_TOL:
             m_tau = m
-        else:
-            s = point.value
-            residues.append((s, 2.0 * m / abs(tau - s) ** 2))
-    residues += [(sigma.value, 1.0 / abs(lam)) for sigma, lam in zip(c.sigmas, c.lambdas)]
-    terms = [(1.0 - s.conjugate() * tau, s.conjugate(), r) for s, r in residues]
+            del points[j], masses[j]
+            break
+    terms = [(1.0 - s.conjugate() * tau, s.conjugate(), r) for s, r in _residues(tau, points, masses)]
     # Im(conj(s_j) tau) = -Im(1 - conj(s_j) tau)
     contact = gen.p.gamma - sum(r * u.imag for u, _, r in terms)
     return 1j * contact - m_tau, m_tau, terms
@@ -522,16 +533,20 @@ def _closed_form(gen: GeneratorSpec, z: complex, t: float, derivative: bool):
     on the circle, _abel_flow), or None where the ODE must take over.
 
     None when _newton converges from none of the form's starts, when the
-    root lies within BOUNDARY_GUARD of the circle, or when a coefficient, a
-    log term, a residual or the derivative is not finite.
+    root lies within BOUNDARY_GUARD (the Koenigs form) or _ABEL_GUARD (the
+    Abel form) of the circle, or when a coefficient, a log term, a residual
+    or the derivative is not finite.
     """
-    flow = _abel_flow if gen.config.regime == "boundary" else _koenigs_flow
+    if gen.config.regime == "boundary":
+        flow, guard = _abel_flow, _ABEL_GUARD
+    else:
+        flow, guard = _koenigs_flow, BOUNDARY_GUARD
     try:
         end = flow(gen, z, t, derivative)
     except (ArithmeticError, ValueError):
         # a log of zero, an overflow, or a non-finite wrap
         return None
-    if end is None or not abs(end[0]) < 1.0 - BOUNDARY_GUARD:
+    if end is None or not abs(end[0]) < 1.0 - guard:
         return None
     return end if cmath.isfinite(end[-1]) else None
 
