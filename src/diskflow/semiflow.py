@@ -511,17 +511,22 @@ def _abel(gen: GeneratorSpec) -> tuple[complex, float, list[tuple[complex, compl
     1 - conj(s_j) w = 1 - conj(s_j) tau + conj(s_j) d keeps its digits as w
     nears tau.
     """
-    tau = gen.config.tau
+    c = gen.config
+    tau = c.tau
     theta = circle_angle(cmath.phase(tau))
-    points, masses = (a.tolist() for a in gen.denominator_atoms)
     m_tau = 0.0
-    # p's atoms come first in denominator_atoms
-    for j, (point, m) in enumerate(gen.p.atoms):
-        if angle_gap(point.theta, theta) <= ANGLE_TOL:
+    points, masses = [], []
+    for point, m in gen.p.atoms:
+        if not m_tau and angle_gap(point.theta, theta) <= ANGLE_TOL:
             m_tau = m
-            del points[j], masses[j]
-            break
-    terms = [(1.0 - s.conjugate() * tau, s.conjugate(), r) for s, r in _residues(tau, points, masses)]
+        else:
+            points.append(point.value)
+            masses.append(m)
+    # p0's residues are read as 1/|lambda_k|, not through alpha_k and
+    # denominator_atoms, whose build is about a quarter of a boundary orbit
+    residues = _residues(tau, points, masses)
+    residues += [(sigma.value, 1.0 / abs(lam)) for sigma, lam in zip(c.sigmas, c.lambdas)]
+    terms = [(1.0 - s.conjugate() * tau, s.conjugate(), r) for s, r in residues]
     # Im(conj(s_j) tau) = -Im(1 - conj(s_j) tau)
     contact = gen.p.gamma - sum(r * u.imag for u, _, r in terms)
     return 1j * contact - m_tau, m_tau, terms
