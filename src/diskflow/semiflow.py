@@ -123,8 +123,7 @@ _NOT_NUMBERS = (str, bytes, bytearray, bool)
 # trial points the closed-form flow's Newton solve evaluates from each of its
 # two start points before it hands the orbit to the ODE
 _NEWTON_STEPS = 40
-# an Abel-form orbit that ends this close to the circle takes the ODE, as
-# orbits toward a tau on the circle did before the closed form: there
+# an Abel-form orbit that ends this close to the circle takes the ODE: there
 # 1 - |w|^2 carries more than 1e-10 relative rounding, and the Schwarz-Pick
 # check of bench/worker.py, held to 1e-9, reads an exactly rounded answer as
 # a failure where the map is nearly an isometry (ROADMAP item 8)
