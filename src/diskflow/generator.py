@@ -43,13 +43,14 @@ from .herglotz_core import (
     ANGLE_TOL,
     RationalHerglotz,
     _Record,
+    _arc_zeros,
+    _require_mass_sum,
     angle_gap,
     circle_angle,
     extract_atom,
     kernel_sum,
     p_star,
     point_kernel_sum,
-    reciprocal,
     require_interior,
 )
 
@@ -331,9 +332,8 @@ def spec_from_denominator(
     Each sigma_k must carry an atom of q within ANGLE_TOL (that is what
     makes it a repelling fixed point); extract_atom splits it off, its
     mass determines the spectral value, and the remaining atoms plus the
-    imaginary constant form p.  A q that came out of `reciprocal` returns
-    each sigma_k to within about 1e-14, far inside ANGLE_TOL, so no wider
-    tolerance is needed.
+    imaginary constant form p.  convex_combination keeps each sigma_k's
+    atom at a point of its inputs, so no wider tolerance is needed.
     """
     lambdas = []
     p = q
@@ -352,29 +352,55 @@ def convex_combination(
 ) -> GeneratorSpec:
     """Pointwise convex combination, reconstructed in fixed-point form.
 
-    Both specs must share tau and the repelling set.  The combination's
-    denominator is the reciprocal of the weighted mean of the two
-    reciprocal denominators; the result is re-split into spectral data and
-    a Herglotz remainder.  A weight of 0, or one so small that 1 - weight
-    rounds to 1, returns ``second``; a weight of 1 returns ``first``.
+    Both specs must share tau and the repelling set.  With denominators q_a,
+    q_b and w = weight, 1/q_c = w/q_a + (1 - w)/q_b, so q_c = q_a q_b/N with
+    N = w q_b + (1 - w) q_a, rational Herglotz on the atoms of both.  Each
+    atom q_a and q_b share (the sigma_k, and free atoms both carry) stays,
+    with mass 1/(w/m_a + (1 - w)/m_b).  The zero kappa of N on each arc,
+    from the arc solve of `reciprocal`, is an atom with the residue form
+    1/(2 (w p#_a/f_a^2 + (1 - w) p#_b/f_b^2)) for mass, where q = i f and
+    p# = -f' on the circle, read off the solve's last matrix and multiplied
+    out so that f = 0 gives 0.  The equal form -f_a f_b/(2 p#_N) is avoided:
+    beside an atom of weight about w in N it reads an O(1) mass from an
+    offset of size about w.  The f of the function of larger weight in N is
+    first moved to kappa by one Newton step of N: read an ulp from kappa it
+    is noise where that function is near its own zero.  The masses must sum
+    to Re q_c(0) within `reciprocal`'s bound, else DomainError.  A weight
+    whose 1 - weight rounds to 1 (0 too) returns ``second``, 1 ``first``.
     """
     if not 0.0 <= weight <= 1.0:
         raise DomainError("weight must lie in [0, 1]")
     ca, cb = first.config, second.config
     if not ca.has_skeleton(cb.tau, cb.sigmas):
         raise DegenerateConfig("specs must share tau and the repelling set")
-    # where 1 - weight rounds to 1 the mix is second to rounding, and the
-    # mixed reciprocal would hold first's atoms at a weight too small for
-    # `reciprocal` to place
+    # where 1 - weight rounds to 1 the mix is second to rounding
     if 1.0 - weight == 1.0:
         return second
     if weight == 1.0:
         return first
-    ra = reciprocal(denominator_herglotz(first))
-    rb = reciprocal(denominator_herglotz(second))
-    mixed = RationalHerglotz(
-        tuple((pt, weight * m) for pt, m in ra.atoms)
-        + tuple((pt, (1.0 - weight) * m) for pt, m in rb.atoms),
-        weight * ra.gamma + (1.0 - weight) * rb.gamma,
-    )
-    return spec_from_denominator(ca.tau, ca.sigmas, reciprocal(mixed))
+    qa, qb = denominator_herglotz(first), denominator_herglotz(second)
+    rows = [(p.theta, p, m, 0.0) for p, m in qa.atoms] + [(p.theta, p, 0.0, m) for p, m in qb.atoms]
+    union: list[list] = []  # N's atoms, merged as AtomicHerglotz merges: [angle, point, m_a, m_b]
+    for theta, point, ma, mb in sorted(rows, key=lambda row: row[0]):
+        if union and theta - union[-1][0] <= ANGLE_TOL:
+            union[-1][2:] = [union[-1][2] + ma, union[-1][3] + mb]
+        else:
+            union.append([theta, point, ma, mb])
+    if len(union) > 1 and union[0][0] + math.tau - union[-1][0] <= ANGLE_TOL:
+        union[0][2:] = [x + y for x, y in zip(union[0][2:], union.pop()[2:])]
+    a, ma, mb = (np.array([row[k] for row in union]) for k in (0, 2, 3))
+    v = 1.0 - weight
+    t, cot, _ = _arc_zeros(a, v * ma + weight * mb, v * qa.gamma + weight * qb.gamma)
+    fa, fb = qa.gamma + cot @ ma, qb.gamma + cot @ mb
+    sa, sb = qa.total_mass + (cot * cot) @ ma, qb.total_mass + (cot * cot) @ mb  # 2 p#
+    step = (v * fa + weight * fb) / (v * sa + weight * sb)  # f_N/(2 p#_N): kappa - t over 2
+    fa, fb = (fa, fb - sb * step) if weight >= v else (fa - sa * step, fb)
+    # a zero both functions share (a spec mixed with itself) has 0/0: mass 0
+    den = np.maximum(weight * sa * fb**2 + v * sb * fa**2, math.ulp(0.0))
+    masses = (fa**2 * fb**2 / den).tolist()
+    atoms = [(BoundaryPoint(theta), m) for theta, m in zip(t.tolist(), masses)]
+    atoms += [(pt, 1.0 / (weight / x + v / y)) for _, pt, x, y in union if x and y]
+    c0 = 1.0 / (weight / complex(qa.total_mass, qa.gamma) + v / complex(qb.total_mass, qb.gamma))
+    q = RationalHerglotz(tuple(atoms), c0.imag)
+    _require_mass_sum("convex_combination: the masses of q_c", q.total_mass, "Re(q_c(0))", c0.real)
+    return spec_from_denominator(ca.tau, ca.sigmas, q)

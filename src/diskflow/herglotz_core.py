@@ -16,9 +16,11 @@ the standard library.
 
 Atoms are kept sorted by angle, those within ANGLE_TOL merged, whatever
 order they come in.  Consecutive atoms bound the arcs of the circle on
-which p is purely imaginary; reciprocal finds the one zero on each arc.
-It needs p only on the circle, where each kernel is i cot((t - a_j)/2), so
-it solves on real cotangent sums over the atom angles.
+which p is purely imaginary; one arc solve finds the one zero on each arc,
+for reciprocal and for generator.convex_combination, which reads a mix's
+denominator off a single such solve.  It needs p only on the circle, where
+each kernel is i cot((t - a_j)/2), so it solves on real cotangent sums
+over the atom angles.
 
 All other evaluation goes through one array kernel, kernel_sum, over the
 atom points and masses cached on each function.  It sums the order-k
@@ -344,9 +346,9 @@ def reciprocal(p: RationalHerglotz) -> RationalHerglotz:
 
     M the total mass.  On each arc between consecutive atoms (the last round
     to the first too) f falls strictly from +inf to -inf and has exactly
-    one zero: the disk form of Chebotarev's theorem.  Each iteration forms
-    one real matrix, the cotangents of every iterate against every atom,
-    and reads f and f' from it.
+    one zero: the disk form of Chebotarev's theorem, which _arc_zeros
+    solves.  Each iteration forms one real matrix, the cotangents of every
+    iterate against every atom, and reads f and f' from it.
 
     All arcs are solved at once from their midpoints.  The next point is
     the Newton step when it stays inside the arc's sign bracket, else the
@@ -367,19 +369,30 @@ def reciprocal(p: RationalHerglotz) -> RationalHerglotz:
     _MASS_TOL relative.  An overflow in the matrix reaches the masses as
     NaN or 0 and, where that changes their sum, fails the same check.
     """
-    a = np.array([point.theta for point, _ in p.atoms])
+    t, _, sharp = _arc_zeros(np.array([point.theta for point, _ in p.atoms]), p.m, p.gamma)
+    masses = [1.0 / (2.0 * ps) for ps in sharp.tolist()]
+    inverse = 1.0 / complex(p.total_mass, p.gamma)
+    _require_mass_sum("reciprocal: the masses of 1/p", sum(masses), "Re(1/p(0))", inverse.real)
+    new_atoms = tuple((BoundaryPoint(theta), m) for theta, m in zip(t.tolist(), masses))
+    return RationalHerglotz(new_atoms, inverse.imag)
+
+
+def _arc_zeros(a: np.ndarray, m: np.ndarray, gamma: float):
+    """`reciprocal`'s arc solve for atoms at angles ``a`` (increasing, in
+    [0, 2*pi)), masses ``m`` and constant gamma: the zero after each a_j,
+    the last cotangent matrix (a row per zero) and p# at the zeros."""
     a_half = a / 2.0  # halving is exact, so t/2 - a/2 rounds as (t - a)/2
-    half = p.m / 2.0
+    half = m / 2.0
     half_total = half.sum()
     lo = a
     hi = np.append(a[1:], a[0] + TWO_PI)
     t = (lo + hi) / 2.0
     done = np.zeros(len(a), dtype=bool)
     # the pass past _ARC_STEPS, which the bound never reaches, only
-    # evaluates: the masses need p# at the returned t
+    # evaluates: the caller reads p# at the returned t
     for iteration in range(_ARC_STEPS + 1):
         cot = 1.0 / np.tan((t / 2.0)[:, None] - a_half)
-        f = p.gamma + cot @ p.m
+        f = gamma + cot @ m
         sharp = half_total + (cot * cot) @ half
         lo = np.where(f >= 0.0, t, lo)
         hi = np.where(f <= 0.0, t, hi)
@@ -389,15 +402,16 @@ def reciprocal(p: RationalHerglotz) -> RationalHerglotz:
             break
         use_newton = (lo < newton) & (newton < hi) & (iteration < _NEWTON_STEPS)
         t = np.where(done, t, np.where(use_newton, newton, (lo + hi) / 2.0))
-    masses = [1.0 / (2.0 * ps) for ps in sharp.tolist()]
-    inverse = 1.0 / complex(p.total_mass, p.gamma)
-    if not abs(sum(masses) - inverse.real) <= _MASS_TOL * inverse.real:  # NaN fails
+    return t, cot, sharp
+
+
+def _require_mass_sum(what: str, total: float, target: str, value: float) -> None:
+    """Raise DomainError unless total is value within _MASS_TOL relative."""
+    if not abs(total - value) <= _MASS_TOL * value:  # NaN fails
         raise DomainError(
-            f"reciprocal: the masses of 1/p sum to {sum(masses)!r}, not Re(1/p(0)) = "
-            f"{inverse.real!r}; the relative mismatch exceeds {_MASS_TOL:g}"
+            f"{what} sum to {total!r}, not {target} = {value!r}; "
+            f"the relative mismatch exceeds {_MASS_TOL:g}"
         )
-    new_atoms = tuple((BoundaryPoint(theta), m) for theta, m in zip(t.tolist(), masses))
-    return RationalHerglotz(new_atoms, inverse.imag)
 
 
 # ----------------------------------------------------------------------

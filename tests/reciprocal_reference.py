@@ -1,16 +1,23 @@
-"""The complex-kernel arc solve `reciprocal` used before the cotangent form.
+"""Superseded reciprocal solves, kept as references for the code that replaced them.
 
-Each iteration put the iterates on the circle, z = e^{it}, and summed the
-order-0 and order-1 complex kernels there: f(t) = gamma + Im kernel_sum(z, 0)
-and f'(t) = Re(z kernel_sum(z, 1)) = -p#(z).  The bracket, the Newton
-safeguard, the stopping widths, the iteration bound, the mass check and the
-output are those of `herglotz_core.reciprocal`, which evaluates the same f
-and p# as real cotangent sums.  It serves as the reference for that rewrite.
+`reciprocal` is the complex-kernel arc solve `reciprocal` used before the
+cotangent form.  Each iteration put the iterates on the circle, z = e^{it},
+and summed the order-0 and order-1 complex kernels there:
+f(t) = gamma + Im kernel_sum(z, 0) and f'(t) = Re(z kernel_sum(z, 1)) = -p#(z).
+The bracket, the Newton safeguard, the stopping widths, the iteration bound,
+the mass check and the output are those of `herglotz_core.reciprocal`, which
+evaluates the same f and p# as real cotangent sums.
+
+`convex_combination` is the mix `generator.convex_combination` built before
+it read the mix's denominator off one arc solve: 1/q_c = w/q_a + (1 - w)/q_b
+through three calls of `herglotz_core.reciprocal`, on q_a, on q_b and on the
+weighted mean of their reciprocals.
 """
 
 import numpy as np
 
-from diskflow import BoundaryPoint, DomainError, RationalHerglotz
+from diskflow import BoundaryPoint, DomainError, RationalHerglotz, herglotz_core
+from diskflow.generator import denominator_herglotz, spec_from_denominator
 from diskflow.herglotz_core import (
     _ARC_STEPS,
     _ARC_TOL,
@@ -49,3 +56,15 @@ def reciprocal(p):
         )
     new_atoms = tuple((BoundaryPoint(theta), m) for theta, m in zip(t.tolist(), masses))
     return RationalHerglotz(new_atoms, inverse.imag)
+
+
+def convex_combination(first, second, weight):
+    ra = herglotz_core.reciprocal(denominator_herglotz(first))
+    rb = herglotz_core.reciprocal(denominator_herglotz(second))
+    mixed = RationalHerglotz(
+        tuple((pt, weight * m) for pt, m in ra.atoms)
+        + tuple((pt, (1.0 - weight) * m) for pt, m in rb.atoms),
+        weight * ra.gamma + (1.0 - weight) * rb.gamma,
+    )
+    config = first.config
+    return spec_from_denominator(config.tau, config.sigmas, herglotz_core.reciprocal(mixed))

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import loop_reference
+import reciprocal_reference
 from diskflow import (
     AtomicHerglotz,
     BoundaryPoint,
@@ -16,7 +18,6 @@ from diskflow import (
     DomainError,
     FixedPointConfig,
     GeneratorSpec,
-    RationalHerglotz,
     beta,
     brfp_spectral_value,
     convex_combination,
@@ -26,10 +27,11 @@ from diskflow import (
     eval_generator,
     eval_herglotz,
     random_spec,
-    reciprocal,
     spec_from_denominator,
 )
+from diskflow import generator
 from diskflow.generator import _point_generator, tau_regime
+from diskflow.value_regions import REGIMES
 
 
 def cfg(tau, pairs):
@@ -336,8 +338,7 @@ def shared_skeleton_pairs(draw):
     points, with 0..3 atoms each, and a weight in [1e-12, 1 - 1e-12].  The
     repelling points and atoms sit on six slots, one per sixth of the
     circle within the middle half of its arc, so any two are at least pi/6
-    apart.  A weight below about 1e-17 leaves one side's atoms tiny beside
-    the other's, where `reciprocal` can go silently wrong (ROADMAP item 7)."""
+    apart."""
     offsets = draw(st.lists(st.floats(0.25, 0.75), min_size=6, max_size=6))
     turn = draw(st.floats(0.0, TWO_PI, exclude_max=True))
     slots = [(k + x) * TWO_PI / 6.0 + turn for k, x in enumerate(offsets)]
@@ -361,25 +362,67 @@ def shared_skeleton_pairs(draw):
     return specs[0], specs[1], weight
 
 
+@st.composite
+def generic_pairs(draw):
+    """A `random_spec` draw of any regime and a second spec on its skeleton,
+    with new spectral values and the atoms and constant of a second draw of
+    that regime, turned by the angle between the two taus, so that a
+    parabolic draw's atom at tau stays at tau."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    regime = draw(st.sampled_from(REGIMES))
+    first, other = random_spec(rng, regime), random_spec(rng, regime)
+    c = first.config
+    turn = cmath.phase(c.tau) - cmath.phase(other.config.tau)
+    p = AtomicHerglotz(
+        tuple((BoundaryPoint(pt.theta + turn), m) for pt, m in other.p.atoms), other.p.gamma
+    )
+    lambdas = tuple(-math.exp(x) for x in rng.uniform(-2.0, 2.0, len(c.sigmas)))
+    return first, GeneratorSpec(FixedPointConfig(c.tau, c.sigmas, lambdas), p)
+
+
+def mix_miss(first, second, w, mix):
+    """The worst distance of mix from the pointwise mean on MIX_POINTS, over
+    max(1, the mean's largest modulus)."""
+    expect = w * eval_generator(first, MIX_POINTS) + (1.0 - w) * eval_generator(second, MIX_POINTS)
+    return np.abs(eval_generator(mix, MIX_POINTS) - expect).max() / max(1.0, np.abs(expect).max())
+
+
 @given(shared_skeleton_pairs())
 def test_convex_combination_is_the_pointwise_mean_and_keeps_each_sigma(pair):
     first, second, w = pair
+    spy = mock.patch.object(generator, "spec_from_denominator", wraps=spec_from_denominator)
+    with spy as split:
+        mix = convex_combination(first, second, w)
+    assert mix_miss(first, second, w, mix) <= 1e-9
+    # the denominator the mix is re-split from holds one atom at each
+    # sigma_k, at exactly sigma_k's angle
+    q = split.call_args.args[2]
+    for s in first.config.sigmas:
+        assert [pt.theta for pt, _ in q.atoms if pt.same_point(s)] == [s.theta]
+
+
+@given(shared_skeleton_pairs(), st.floats(1e-3, 1.0 - 1e-3))
+def test_convex_combination_matches_the_three_reciprocal_mix(pair, w):
+    first, second, _ = pair
     mix = convex_combination(first, second, w)
-    expect = w * eval_generator(first, MIX_POINTS) + (1.0 - w) * eval_generator(second, MIX_POINTS)
+    expect = eval_generator(reciprocal_reference.convex_combination(first, second, w), MIX_POINTS)
     scale = max(1.0, np.abs(expect).max())
     assert np.abs(eval_generator(mix, MIX_POINTS) - expect).max() <= 1e-9 * scale
-    # the denominator the mix is re-split from has an atom within 1e-13 of
-    # each sigma_k, as spec_from_denominator's docstring says
-    ra = reciprocal(denominator_herglotz(first))
-    rb = reciprocal(denominator_herglotz(second))
-    q = reciprocal(
-        RationalHerglotz(
-            tuple((pt, w * m) for pt, m in ra.atoms) + tuple((pt, (1.0 - w) * m) for pt, m in rb.atoms),
-            w * ra.gamma + (1.0 - w) * rb.gamma,
-        )
-    )
-    for s in first.config.sigmas:
-        assert min(s.angular_distance(pt) for pt, _ in q.atoms) <= 1e-13
+
+
+# min(w, 1 - w) log-uniform in [1e-16, 0.5], on either side of 1/2
+SWEEP_WEIGHTS = st.tuples(st.floats(-16.0, math.log10(0.5)), st.booleans()).map(
+    lambda x: 1.0 - 10.0 ** x[0] if x[1] else 10.0 ** x[0]
+)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("pairs", [shared_skeleton_pairs(), generic_pairs()], ids=["shared", "generic"])
+@given(data=st.data())
+def test_convex_combination_over_the_weight_sweep(pairs, data):
+    first, second = data.draw(pairs)[:2]
+    w = data.draw(SWEEP_WEIGHTS)
+    assert mix_miss(first, second, w, convex_combination(first, second, w)) <= 1e-9
 
 
 @given(shared_skeleton_pairs(), st.floats(1e-20, 2.0**-54))
@@ -387,16 +430,13 @@ def test_convex_combination_at_a_tiny_weight_is_the_second_spec(pair, w):
     # 1 - w rounds to 1 up to w = 2^-54, where the mix is second to rounding
     first, second, _ = pair
     assert convex_combination(first, second, w) is second
-    expect = w * eval_generator(first, MIX_POINTS) + (1.0 - w) * eval_generator(second, MIX_POINTS)
-    scale = max(1.0, np.abs(expect).max())
-    assert np.abs(eval_generator(second, MIX_POINTS) - expect).max() <= 1e-9 * scale
+    assert mix_miss(first, second, w, second) <= 1e-9
 
 
-@pytest.mark.xfail(strict=True, reason="tiny weights just above 2^-54 still mix silently wrong (ROADMAP item 7)")
 def test_convex_combination_just_above_the_rounding_weight():
-    # at w = 1e-16, 1 - w is below 1, so the mix runs through the reciprocal
-    # of a function with atoms of mass ~1e-16, and misses the pointwise mean
-    # by 3.9e-9 x scale; the miss falls like 3.9e-25 / w
+    # at w = 1e-16, 1 - w is below 1, so first's atoms weigh about 1e-16 in
+    # the mix's N; the three-reciprocal mix missed the pointwise mean here by
+    # 3.9e-9 x scale, the mix from one arc solve misses it by 1.5e-16
     sigmas = (BoundaryPoint(math.pi / 6.0),)
     first = GeneratorSpec(
         FixedPointConfig(0.5, sigmas, (-1.0,)),
@@ -404,9 +444,7 @@ def test_convex_combination_just_above_the_rounding_weight():
     )
     second = GeneratorSpec(FixedPointConfig(0.5, sigmas, (-math.exp(2.0),)), AtomicHerglotz())
     w = 1e-16
-    expect = w * eval_generator(first, MIX_POINTS) + (1.0 - w) * eval_generator(second, MIX_POINTS)
-    mix = convex_combination(first, second, w)
-    assert np.abs(eval_generator(mix, MIX_POINTS) - expect).max() <= 1e-9 * max(1.0, np.abs(expect).max())
+    assert mix_miss(first, second, w, convex_combination(first, second, w)) <= 1e-9
 
 
 def test_convex_combination_endpoints():

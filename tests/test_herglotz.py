@@ -4,12 +4,17 @@ reciprocal map on the rational subclass."""
 import cmath
 import itertools
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import diskflow
 from diskflow import (
     AtomAtPoint,
     AtomicHerglotz,
@@ -29,6 +34,7 @@ from diskflow import (
 from diskflow.herglotz_core import _MAX_PANELS, _gk15, _gk15_panel, angle_gap, kernel_sum
 import reciprocal_reference
 from loop_reference import herglotz_derivative_circle, p_sharp
+from test_golden_cli import _baseline_env
 
 TWO_PI = 2.0 * math.pi
 
@@ -436,6 +442,44 @@ def test_reciprocal_matches_the_complex_kernel_solve(p):
     delta = np.abs(2.0 * np.sin((zeros[twin][:, None] - angles) / 2.0)).min(axis=1)
     tol = 1e-12 + 2.0 * (2.0 * shift + 4.0 * EPS) / delta
     assert (np.abs(masses[twin] - ref_masses) <= tol * ref_masses).all()
+
+
+# Four rationals of each degree 1..64, seed 25: atoms one per arc of width
+# 2 pi/degree, jittered within the middle half of the arc and turned at
+# random, masses exp(U[-3, 1]), gamma U[-5, 5].  The child prints the sha256
+# of float.hex of every zero, mass and gamma of their reciprocals.
+RECIPROCAL_DIGEST_CHILD = """
+import hashlib, math
+import numpy as np
+from diskflow import BoundaryPoint, RationalHerglotz, reciprocal
+rng = np.random.default_rng(25)
+digest = hashlib.sha256()
+for degree in range(1, 65):
+    for _ in range(4):
+        thetas = (np.arange(degree) + rng.uniform(0.25, 0.75, degree)) * 2.0 * math.pi / degree
+        thetas += rng.uniform(0.0, 2.0 * math.pi)
+        masses = np.exp(rng.uniform(-3.0, 1.0, degree))
+        atoms = tuple((BoundaryPoint(t), m) for t, m in zip(thetas.tolist(), masses.tolist()))
+        q = reciprocal(RationalHerglotz(atoms, rng.uniform(-5.0, 5.0)))
+        for point, mass in q.atoms:
+            digest.update(f"{point.theta.hex()} {mass.hex()}\\n".encode())
+        digest.update(f"{q.gamma.hex()}\\n".encode())
+print(digest.hexdigest())
+"""
+# recorded before reciprocal's arc solve became the helper it shares with
+# convex_combination, which must not move a bit of it
+RECIPROCAL_SHA256 = "46992d054a02ceed031f0bd03910e2525d10884d71f2bd044a77d2aabfaae0b4"
+
+
+def test_reciprocal_is_pinned_bit_for_bit():
+    # numpy picks its tan loop by the CPU, so the child runs on the baseline
+    # loops, as verify does in test_golden_cli
+    env = _baseline_env()
+    src = str(pathlib.Path(diskflow.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    argv = [sys.executable, "-c", RECIPROCAL_DIGEST_CHILD]
+    child = subprocess.run(argv, env=env, capture_output=True, text=True, check=True)
+    assert child.stdout.strip() == RECIPROCAL_SHA256
 
 
 def _sweep_cases():
