@@ -434,9 +434,11 @@ def test_convex_combination_at_a_tiny_weight_is_the_second_spec(pair, w):
 
 
 def test_convex_combination_just_above_the_rounding_weight():
-    # at w = 1e-16, 1 - w is below 1, so first's atoms weigh about 1e-16 in
-    # the mix's N; the three-reciprocal mix missed the pointwise mean here by
-    # 3.9e-9 x scale, the mix from one arc solve misses it by 1.5e-16
+    # at w = 1e-16, 1 - w is below 1, so the mix is built, and one side's
+    # atoms weigh about 1e-16: first's reciprocal atoms in the three-
+    # reciprocal mix, which missed the pointwise mean here by 3.9e-9 x scale,
+    # and second's atoms in N = w q_b + (1 - w) q_a, whose mix misses it by
+    # 1.5e-16
     sigmas = (BoundaryPoint(math.pi / 6.0),)
     first = GeneratorSpec(
         FixedPointConfig(0.5, sigmas, (-1.0,)),
@@ -445,6 +447,54 @@ def test_convex_combination_just_above_the_rounding_weight():
     second = GeneratorSpec(FixedPointConfig(0.5, sigmas, (-math.exp(2.0),)), AtomicHerglotz())
     w = 1e-16
     assert mix_miss(first, second, w, convex_combination(first, second, w)) <= 1e-9
+
+
+def test_convex_combination_where_the_heavier_side_of_n_is_near_its_zero():
+    # 1 - w = 8.2e-15, so N = w q_b + (1 - w) q_a is q_b to rounding, and the
+    # zero of N beside sigma = 5.8823 lies at a zero of q_b, 1.4e-4 from
+    # second's atom at 5.8837: f_b read an ulp away is noise, and the plain
+    # residue form gave that zero a mass of 6.6e-9 for 1.3e-16, a miss of
+    # 3.6e-9 x scale.  The Newton step of N removes it.
+    tau = -0.7083080673182932 + 0.48903788562741873j
+    thetas = (0.8804495716548729, 3.1469578958359814, 1.769956692204015, 5.882327325576558)
+    sigmas = tuple(BoundaryPoint(t) for t in thetas)
+    lambdas_a = (-4.030518967131484, -4.1547379463352465, -0.20559447562197278, -1.7810917979344951)
+    lambdas_b = (-0.18377812424213646, -0.5950507334208109, -0.7163718138402126, -0.33525253184410647)
+    atoms_a = [(2.8119188595943148, 0.7702848651235069), (4.147024118937327, 0.13962091030288315)]
+    atoms_b = [
+        (0.041028877158686444, 0.625021585142122),
+        (1.7236950894364247, 0.24468083950052547),
+        (5.883696707722326, 0.48395095704342145),
+    ]
+    first = GeneratorSpec(
+        FixedPointConfig(tau, sigmas, lambdas_a),
+        AtomicHerglotz(tuple((BoundaryPoint(t), m) for t, m in atoms_a), -2.7164494182642853),
+    )
+    second = GeneratorSpec(
+        FixedPointConfig(tau, sigmas, lambdas_b),
+        AtomicHerglotz(tuple((BoundaryPoint(t), m) for t, m in atoms_b), 2.7132868000831216),
+    )
+    w = 0.9999999999999918
+    assert mix_miss(first, second, w, convex_combination(first, second, w)) <= 1e-11
+
+
+def test_convex_combination_merges_a_sigma_given_across_angle_zero():
+    # the two specs give sigma_1 within ANGLE_TOL of each other on either
+    # side of angle 0, so N's atoms there merge across 2 pi into one shared
+    # atom: N has four atoms, and the mix's p one atom per arc of N
+    tau = 0.3 + 0.1j
+    first = GeneratorSpec(
+        FixedPointConfig(tau, (BoundaryPoint(2e-13), BoundaryPoint(2.0)), (-1.0, -2.0)),
+        AtomicHerglotz(((BoundaryPoint(4.0), 0.5),), 0.3),
+    )
+    second = GeneratorSpec(
+        FixedPointConfig(tau, (BoundaryPoint(-2e-13), BoundaryPoint(2.0)), (-0.5, -1.5)),
+        AtomicHerglotz(((BoundaryPoint(5.0), 0.7),), -1.0),
+    )
+    for w in (1e-16, 0.3, 1.0 - 1e-16):
+        mix = convex_combination(first, second, w)
+        assert mix_miss(first, second, w, mix) <= 1e-9
+        assert len(mix.p.atoms) == 4
 
 
 def test_convex_combination_endpoints():
