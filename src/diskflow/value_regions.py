@@ -20,18 +20,18 @@ zeta, so Re ell >= 0 characterizes membership of zeta in Z.
 
 Sampling and the inequality suite.  The sharp inequalities are closed
 forms in (tau, sigma_k, lambda_k, the atoms of p, gamma), so `verify` never
-builds objects for its random generators.  One draw law, documented at
-_draw_raw, has two samplers.  _draw_raw draws one generator as plain
-numbers; random_spec builds its objects from that draw, and its random
-stream is pinned.  _draw_columns draws many generators of one regime as
-numpy columns, for `verify`.  One record arithmetic, _records, evaluates
-every inequality and region membership on either: _raw_records on one
-generator (for inequality_suite, which reads a spec into the same
-numbers), _column_records on a column block, where the tests on lambda's
-value become row masks.  Each quantity the records share with the object
-API (lambda, beta, the curvature chart, the disks of Z, region_Z_omega and
-lambda_range) has one plain-number function that both call; it is written
-with operators only, so it takes numpy columns unchanged.
+builds objects for its random generators.  One sampler, _draw_columns,
+draws many generators of one regime as numpy columns by the law its
+docstring states; `verify` checks its blocks, and random_spec builds its
+objects from row 0 of a one-row block.  One record arithmetic, _records,
+evaluates every inequality and region membership: _raw_records on one
+generator as plain numbers (for inequality_suite, which reads a spec into
+those numbers), _column_records on a column block (for `verify`), where
+the tests on lambda's value become row masks.  Each quantity the records
+share with the object API (lambda, beta, the curvature chart, the disks
+of Z, region_Z_omega and lambda_range) has one plain-number function that
+both call; it is written with operators only, so it takes numpy columns
+unchanged.
 """
 
 from __future__ import annotations
@@ -53,15 +53,12 @@ from .generator import (
     config_sums,
     dw_spectral_value,
     eval_denominator,
-    tau_regime,
 )
 from .herglotz_core import (
     ANGLE_TOL,
     AtomicHerglotz,
     BoundaryPoint,
     _Record,
-    angle_gap,
-    circle_angle,
     point_kernel_sum,
 )
 
@@ -443,13 +440,13 @@ def _point(theta: float) -> complex:
 def _raw_records(raw) -> list[tuple[str, float, float]]:
     """Every sharp inequality of one generator, as (name, lhs, rhs) triples.
 
-    ``raw`` is a generator as plain numbers, in the layout _draw_raw
-    returns: (regime, tau, sigma angles, lambdas, p's atoms as sorted
-    (angle, mass) pairs, gamma), where the regime is tau_regime(tau).  The
-    triples are the records of inequality_suite followed by the
-    _MEMBERSHIPS.  No object is built: lambda, beta, the curvature chart
-    and the regions come from the plain-number functions the object API
-    calls, so both give the same floats.
+    ``raw`` is a generator as plain numbers, in the layout inequality_suite
+    reads a spec into: (regime, tau, sigma angles, lambdas, p's atoms as
+    sorted (angle, mass) pairs, gamma), where the regime is
+    tau_regime(tau).  The triples are the records of inequality_suite
+    followed by the _MEMBERSHIPS.  No object is built: lambda, beta, the
+    curvature chart and the regions come from the plain-number functions
+    the object API calls, so both give the same floats.
     """
     regime, tau, sig_angles, lambdas, atoms, gamma = raw
     sig_points = [_point(t) for t in sig_angles]
@@ -525,7 +522,8 @@ def inequality_suite(spec: GeneratorSpec) -> list[InequalityRecord]:
     Each record states lhs <= rhs.  All slacks are nonnegative for any
     valid spec up to roundoff; the extremal constructors achieve zero
     slack in their matching record.  The spec is read into plain numbers
-    and evaluated by _raw_records, the suite `verify` runs.
+    and evaluated by _raw_records, on the record arithmetic (_records) that
+    `verify` runs on its column blocks.
     """
     config, p = spec.config, spec.p
     raw = (
@@ -540,111 +538,10 @@ def inequality_suite(spec: GeneratorSpec) -> list[InequalityRecord]:
 
 
 # ----------------------------------------------------------------------
-# random specs
+# random generators
 # ----------------------------------------------------------------------
 
 REGIMES = ("interior", "origin", "boundary_hyperbolic", "boundary_parabolic")
-
-
-def _uniform(rng: np.random.Generator, lo: float, hi: float) -> float:
-    """rng.uniform(lo, hi), bit for bit and in a third of the time: numpy
-    computes lo + (hi - lo) * u from the one draw u that rng.random() makes."""
-    return lo + (hi - lo) * rng.random()
-
-
-def _uniforms(rng: np.random.Generator, lo: float, hi: float, k: int) -> list[float]:
-    """k draws of _uniform in one call; rng.random(k) makes the same k draws."""
-    return [lo + (hi - lo) * u for u in rng.random(k).tolist()]
-
-
-def _distinct_angles(
-    rng: np.random.Generator,
-    count: int,
-    min_gap: float,
-    avoid=(),
-    avoid_gap: float = 0.0,
-) -> list[float]:
-    """count uniform angles, by rejection: each farther than min_gap from
-    those accepted before it and than avoid_gap from every angle in avoid.
-
-    The draws still missing are made in one call; rejection needs at least
-    that many more, so the stream is the same as drawing one at a time.
-    """
-    chosen: list[float] = []
-    while len(chosen) < count:
-        for theta in _uniforms(rng, 0.0, TWO_PI, count - len(chosen)):
-            if all(angle_gap(theta, c) > min_gap for c in chosen) and all(
-                angle_gap(theta, c) > avoid_gap for c in avoid
-            ):
-                chosen.append(theta)
-    return chosen
-
-
-def _draw_raw(rng: np.random.Generator, regime: str):
-    """Draw one generator of the given regime as plain numbers.
-
-    Returns (tau_regime(tau), tau, sigma angles, lambdas, atoms, gamma),
-    with p's atoms as (angle, mass) pairs sorted as AtomicHerglotz sorts
-    them; they are drawn at least 1e-6 apart, so none merge.  Angles lie
-    in [0, 2*pi), where BoundaryPoint keeps them unchanged.
-
-    Law: n uniform on {1..4}; repelling angles uniform with pairwise gap
-    > 1e-6; lambda_k = -exp(U[-2,2]); tau uniform on the disk (interior),
-    0 (origin), or uniform on the circle off the repelling set (boundary
-    regimes); p gets 0..3 atoms with masses exp(U[-3,1]) and constant
-    U[-5,5].  The hyperbolic regime then retunes the constant so the
-    denominator's contact value at tau vanishes; the parabolic regime adds
-    an atom at tau instead.
-    """
-    if regime not in REGIMES:
-        raise DomainError(f"unknown regime {regime!r}; expected one of {REGIMES}")
-    n = int(rng.integers(1, 5))
-    sig_angles = _distinct_angles(rng, n, 1e-6)
-    lambdas = [-math.exp(x) for x in _uniforms(rng, -2.0, 2.0, n)]
-
-    if regime == "origin":
-        tau: complex = 0.0 + 0.0j
-        tau_angle: tuple[float, ...] = ()
-    elif regime == "interior":
-        while True:
-            tau = math.sqrt(rng.random()) * cmath.exp(1j * _uniform(rng, 0.0, TWO_PI))
-            if abs(tau) > 1e-6:
-                break
-        tau_angle = ()
-    else:
-        theta = _distinct_angles(rng, 1, 0.0, avoid=sig_angles, avoid_gap=1e-3)[0]
-        tau = _point(theta)
-        tau_angle = (theta,)
-
-    n_atoms = int(rng.integers(0, 4))
-    atom_angles = _distinct_angles(rng, n_atoms, 1e-6, avoid=tau_angle, avoid_gap=1e-3)
-    atoms = sorted(zip(atom_angles, map(math.exp, _uniforms(rng, -3.0, 1.0, n_atoms))))
-    gamma = _uniform(rng, -5.0, 5.0)
-
-    if regime == "boundary_hyperbolic":
-        # gamma cancels B and the contact value at tau of p = atoms alone
-        tau_point = _point(circle_angle(cmath.phase(tau)))
-        cap_b = config_sums(tau, [_point(t) for t in sig_angles], lambdas)[2]
-        points, masses = [_point(t) for t, _ in atoms], [m for _, m in atoms]
-        gamma = -cap_b - _contact(0.0, points, masses, tau_point)
-    elif regime == "boundary_parabolic":
-        atoms.append((circle_angle(cmath.phase(tau)), math.exp(_uniform(rng, -3.0, 1.0))))
-        atoms.sort()
-
-    return tau_regime(tau), tau, sig_angles, lambdas, atoms, gamma
-
-
-def random_spec(rng: np.random.Generator, regime: str = "interior") -> GeneratorSpec:
-    """Draw a random spec of the given regime, by the law of _draw_raw."""
-    _, tau, sig_angles, lambdas, atoms, gamma = _draw_raw(rng, regime)
-    config = FixedPointConfig(tau, tuple(BoundaryPoint(t) for t in sig_angles), lambdas)
-    p = AtomicHerglotz(tuple((BoundaryPoint(t), m) for t, m in atoms), gamma)
-    return GeneratorSpec(config, p)
-
-
-# ----------------------------------------------------------------------
-# verify's columns
-# ----------------------------------------------------------------------
 
 # sigma slots and atom slots of a column row: n <= 4 repelling points, and
 # p's at most 3 free atoms plus the parabolic draw's atom at tau
@@ -666,10 +563,10 @@ def _points(angles):
 
 
 def _angle_columns(rng, rows: int, slots: int, min_gap: float, avoid=None, avoid_gap=0.0):
-    """(rows, slots) uniform angles, each slot drawn as _distinct_angles
-    draws one angle: a row redraws that slot alone while it lies within
-    min_gap of the row's earlier slots or within avoid_gap of an angle in
-    its row of ``avoid``, whose NaN entries are ignored."""
+    """(rows, slots) uniform angles in [0, 2*pi), by rejection: a row
+    redraws a slot alone while it lies within min_gap of the row's earlier
+    slots or within avoid_gap of an angle in its row of ``avoid``, whose
+    NaN entries are ignored."""
     angles = np.empty((rows, slots))
     for k in range(slots):
         todo = np.arange(rows)
@@ -684,8 +581,18 @@ def _angle_columns(rng, rows: int, slots: int, min_gap: float, avoid=None, avoid
 
 
 def _draw_columns(rng: np.random.Generator, regime: str, rows: int):
-    """Draw ``rows`` generators of one regime, by the law of _draw_raw, as
-    numpy columns.
+    """Draw ``rows`` generators of one regime as numpy columns.
+
+    Law, for each row: n uniform on {1..4}; repelling angles uniform with
+    pairwise gap > 1e-6; lambda_k = -exp(U[-2,2]); tau uniform on the disk
+    with |tau| > 1e-6 (interior), 0 (origin), or uniform on the circle more
+    than 1e-3 from every sigma_k (boundary regimes); p gets 0..3 atoms,
+    more than 1e-6 apart and 1e-3 from a boundary tau, with masses
+    exp(U[-3,1]) and constant U[-5,5].  The hyperbolic regime then retunes
+    the constant so the denominator's contact value at tau vanishes; the
+    parabolic regime adds an atom at tau instead.  Each quantity is drawn
+    for every row at once, and a row that breaks an angle gap redraws just
+    the offending slot.
 
     Returns (tau_regime, tau, tau's angle, sigma angles, lambdas, atom
     angles, masses, gamma).  tau's angle is the drawn angle of a boundary
@@ -693,9 +600,7 @@ def _draw_columns(rng: np.random.Generator, regime: str, rows: int):
     and masses are (rows, SLOTS) arrays in draw order: p's free atoms fill
     the first slots, and the last slot holds the parabolic draw's atom at
     tau.  A padded slot has angle NaN and zero weight: lambda = -inf, or
-    mass 0.  The law is _draw_raw's; the order in which it takes the random
-    stream is not: each quantity is drawn for every row at once, and a row
-    that breaks an angle gap redraws just the offending slot.
+    mass 0.
     """
     if regime not in REGIMES:
         raise DomainError(f"unknown regime {regime!r}; expected one of {REGIMES}")
@@ -736,6 +641,29 @@ def _draw_columns(rng: np.random.Generator, regime: str, rows: int):
         masses[:, free] = np.exp(-3.0 + 4.0 * rng.random(rows))
     kind = regime if regime in ("origin", "interior") else "boundary"
     return kind, tau, tau_angle, sig_angles, lambdas, atom_angles, masses, gamma
+
+
+def random_spec(rng: np.random.Generator, regime: str = "interior") -> GeneratorSpec:
+    """Draw a random spec of the given regime: row 0 of a one-row
+    _draw_columns block, whose docstring states the law in full.
+
+    Law: n uniform on {1..4} repelling points with lambda_k = -exp(U[-2,2]);
+    tau uniform on the disk, 0, or uniform on the circle; p with 0..3 atoms
+    of mass exp(U[-3,1]) and constant U[-5,5], retuned so that lambda > 0
+    (boundary_hyperbolic) or given an atom at tau (boundary_parabolic).
+    """
+    _, tau, _, sig_angles, lambdas, atom_angles, masses, gamma = _draw_columns(rng, regime, 1)
+    sig, atoms = ~np.isnan(sig_angles[0]), ~np.isnan(atom_angles[0])
+    sigmas = tuple(BoundaryPoint(t) for t in sig_angles[0][sig].tolist())
+    config = FixedPointConfig(complex(tau[0]), sigmas, lambdas[0][sig].tolist())
+    pairs = zip(atom_angles[0][atoms].tolist(), masses[0][atoms].tolist())
+    p = AtomicHerglotz(tuple((BoundaryPoint(t), m) for t, m in pairs), float(gamma[0]))
+    return GeneratorSpec(config, p)
+
+
+# ----------------------------------------------------------------------
+# verify's records
+# ----------------------------------------------------------------------
 
 
 def _column_spectral_value(

@@ -159,21 +159,23 @@ def test_verify_passes_at_extreme_tolerance(tmp_path):
 
 
 def test_verify_reads_large_roundoff_as_roundoff(tmp_path, monkeypatch):
-    # sample 6690 of _draw_raw's stream at seed 4 (verify's stream before it
-    # drew columns): hyperbolic_window compares two sides near 5.7e5 and
+    # sample 6690 of the per-sample stream at seed 4 (verify's stream before
+    # it drew columns, kept as verify_reference.random_spec):
+    # hyperbolic_window compares two sides near 5.7e5 and
     # lands 2.3e-10 (4e-16 relative) below zero, past the absolute floor
     # 1e-10 but inside the floor scaled by the sides
     import numpy as np
 
-    from verify_reference import columns_from_raw
+    from verify_reference import columns_from_raw, random_spec, raw_from_spec
 
     from diskflow import cli
     from diskflow.cli import SIGN_VIOLATION_FLOOR, _is_sign_violation
-    from diskflow.value_regions import REGIMES, _column_records, _draw_raw, _raw_records
+    from diskflow.value_regions import REGIMES, _column_records, _raw_records
 
     rng = np.random.default_rng(4)
     for i in range(6691):
-        raw = _draw_raw(rng, REGIMES[i % len(REGIMES)])
+        spec = random_spec(rng, REGIMES[i % len(REGIMES)])
+    raw = raw_from_spec(spec)
     assert REGIMES[6690 % len(REGIMES)] == "boundary_hyperbolic"
     records = {name: (lhs, rhs) for name, lhs, rhs in _raw_records(raw)}
     lhs, rhs = records["hyperbolic_window"]

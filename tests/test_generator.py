@@ -525,10 +525,13 @@ def test_random_spec_regimes(rng):
         assert random_spec(rng, "origin").config.tau == 0.0
         hyp = random_spec(rng, "boundary_hyperbolic")
         assert hyp.config.is_boundary
+        # the retuned gamma cancels the contact value at the drawn tau
+        assert dw_spectral_value(hyp) > 0.0
         par = random_spec(rng, "boundary_parabolic")
         assert par.config.is_boundary
         tau_pt = BoundaryPoint.from_complex(par.config.tau)
         assert par.p.atom_mass_at(tau_pt) > 0.0
+        assert beta(par) > 0.0 and dw_spectral_value(par) == 0.0
 
 
 def test_random_spec_rejects_unknown_regime(rng):

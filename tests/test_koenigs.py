@@ -21,6 +21,7 @@ import pytest
 from scipy.integrate import solve_ivp
 
 import loop_reference as ref
+import verify_reference
 from diskflow import (
     AtomicHerglotz,
     BoundaryPoint,
@@ -263,9 +264,10 @@ ORBITS = {
 
 
 def test_estimates_stay_bit_for_bit():
+    # the pinned specs are draws of the per-sample stream
     rng = np.random.default_rng(2024)
     for regime, pinned in ESTIMATES.items():
-        spec = random_spec(rng, regime)
+        spec = verify_reference.random_spec(rng, regime)
         for t, value in zip((0.25, 1.0), pinned):
             assert estimate_boundary_derivative(spec, spec.config.sigmas[0], t).hex() == value
 
@@ -274,7 +276,7 @@ def test_koenigs_orbits_stay_bit_for_bit():
     rng = np.random.default_rng(2025)
     for regime, pinned in ORBITS.items():
         for parts in pinned:
-            spec = random_spec(rng, regime)
+            spec = verify_reference.random_spec(rng, regime)
             z0 = 0.9 * cmath.exp(1j * rng.uniform(0, 2 * math.pi))
             w, dw = integrate_flow_with_derivative(spec, z0, 1.0)
             assert (w.real.hex(), w.imag.hex(), dw.real.hex(), dw.imag.hex()) == parts

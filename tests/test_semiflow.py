@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+import verify_reference
 from diskflow import (
     AtomicHerglotz,
     BoundaryEscape,
@@ -368,10 +369,11 @@ def test_attraction_boundary_uses_horocycles_not_euclidean_distance():
     # the fourth boundary-regime draw of seed 5 is parabolic; along its third
     # sample orbit the Euclidean distance to tau rises between t = 1 and
     # t = 2, which a distance test reads as failed attraction, while the
-    # horocycle quantity |tau - w|^2 / (1 - |w|^2) falls as Julia's lemma says
+    # horocycle quantity |tau - w|^2 / (1 - |w|^2) falls as Julia's lemma says;
+    # the draws are those of the per-sample stream
     rng = np.random.default_rng(5)
     for regime in ("boundary_hyperbolic", "boundary_parabolic") * 2:
-        spec = random_spec(rng, regime)
+        spec = verify_reference.random_spec(rng, regime)
     tau = spec.config.tau
     z0 = _disk_draws(10)
     w1, w2 = (integrate_flow(spec, complex(z0[2]), t) for t in (1.0, 2.0))

@@ -2,16 +2,17 @@
 versions.
 
 tests/verify_reference.py keeps the sampler, the records and the loop that
-built a spec object for every sample.  The raw draw must consume the same
-random stream and the record function must give the same floats, bit for
-bit, so those comparisons are exact: floats are compared by repr, which
-also tells -0.0 from 0.0.
+built a spec object for every sample.  The record function must give the
+same floats on those specs, bit for bit, and random_spec must build the
+spec of row 0 of a one-row column block, so those comparisons are exact:
+floats are compared by repr, which also tells -0.0 from 0.0.
 
-verify itself draws by the same law as numpy columns, in another order of
-the random stream, and evaluates the same formulas with numpy's complex
-arithmetic, which rounds differently from Python's, and sums the kernel
-terms in slot order.  Its rows are checked against the law, against
-_draw_raw's draws by a two-sample KS test, and against the object records
+The library samples by one law, as numpy columns, in another order of the
+random stream than the object sampler, and verify evaluates the same
+formulas with numpy's complex arithmetic, which rounds differently from
+Python's, and sums the kernel terms in slot order.  The column rows are
+checked against the law, against the object sampler's draws by a
+two-sample KS test, and against the object records
 on the same numbers, within 1e-12 of max(1, |lhs|, |rhs|).  At an interior
 tau some records get 1e-12 of a larger scale (verify_reference.record_scale):
 the Harnack pair and spectral_tilt that of the terms they are computed
@@ -34,7 +35,6 @@ from diskflow.value_regions import (
     REGIMES,
     _column_records,
     _draw_columns,
-    _draw_raw,
     _raw_records,
     extremal_boundary_of_Z,
     extremal_hyperbolic,
@@ -86,7 +86,6 @@ def avoid_rejections(spec, drawn):
 
 @pytest.mark.parametrize("seed", range(6))
 def test_raw_draw_and_records_match_the_object_path(seed):
-    rng = np.random.default_rng(seed)
     recorder = AngleRecorder(seed)
     rejections = 0
     for i in range(2000):
@@ -94,28 +93,22 @@ def test_raw_draw_and_records_match_the_object_path(seed):
         start = len(recorder.angles)
         spec = ref.random_spec(recorder, regime)
         expected = [(r.name, r.lhs, r.rhs) for r in ref.verify_records(spec)]
-        assert exact(_raw_records(_draw_raw(rng, regime))) == exact(expected), (seed, i)
+        assert exact(_raw_records(ref.raw_from_spec(spec))) == exact(expected), (seed, i)
         if regime.startswith("boundary"):
             rejections += len(avoid_rejections(spec, recorder.angles[start:]))
-    assert rng.bit_generator.state == recorder.rng.bit_generator.state
     # every seed's 1000 boundary draws reject some angle near tau or a sigma_k
     assert rejections >= 1
 
 
-def test_random_spec_matches_the_object_sampler():
+def test_random_spec_is_row_0_of_a_column_block():
     for seed in range(2):
-        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        rng, column_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         for i in range(400):
             regime = REGIMES[i % len(REGIMES)]
-            got, expected = random_spec(rng, regime), ref.random_spec(ref_rng, regime)
-            assert repr(got.config.tau) == repr(expected.config.tau)
-            assert [s.theta for s in got.config.sigmas] == [s.theta for s in expected.config.sigmas]
-            assert got.config.lambdas == expected.config.lambdas
-            assert [(p.theta, m) for p, m in got.p.atoms] == [
-                (p.theta, m) for p, m in expected.p.atoms
-            ]
-            assert repr(got.p.gamma) == repr(expected.p.gamma)
-        assert rng.bit_generator.state == ref_rng.bit_generator.state
+            got = ref.raw_from_spec(random_spec(rng, regime))
+            expected = next(ref.raw_rows(_draw_columns(column_rng, regime, 1)))
+            assert repr(got) == repr(expected), (seed, i)
+        assert rng.bit_generator.state == column_rng.bit_generator.state
 
 
 def _extremal_specs(rng):
@@ -236,8 +229,8 @@ def test_column_draw_meets_the_law(regime):
 
 
 def _law_samples(raws):
-    """The quantities _draw_raw's law draws, pooled over generators in its
-    layout: each a sample of one distribution."""
+    """The quantities the law draws, pooled over generators in
+    raw_from_spec's layout: each a sample of one distribution."""
     samples = {}
     for kind, tau, sig_angles, lambdas, atoms, gamma in raws:
         drawn = {
@@ -266,11 +259,11 @@ def _ks(a, b):
 
 @pytest.mark.parametrize("regime", REGIMES)
 def test_column_draw_follows_the_raw_law(regime):
-    # every quantity of 4000 column rows against 2000 _draw_raw draws, by the
-    # two-sample KS test at level about 1e-6
+    # every quantity of 4000 column rows against 2000 draws of the object
+    # sampler, by the two-sample KS test at level about 1e-6
     rng = np.random.default_rng(29)
     got = _law_samples(ref.raw_rows(_draw_columns(rng, regime, 4000)))
-    expected = _law_samples(_draw_raw(rng, regime) for _ in range(2000))
+    expected = _law_samples(ref.raw_from_spec(ref.random_spec(rng, regime)) for _ in range(2000))
     for name, sample in got.items():
         if not sample:  # |tau|^2 off the interior
             assert expected[name] == [], name

@@ -3,11 +3,18 @@
 These are the sampler, the records and the loop `verify` used before they
 moved to plain numbers: every sample built a FixedPointConfig, its
 AtomicHerglotz functions and a GeneratorSpec, and read them back through
-the generator functions.  They serve as references for `value_regions`'
-raw draw and record function, which must reproduce them bit for bit and
-consume the same random stream, and for `cmd_verify`, which draws and
-checks its samples as numpy columns: verify_report takes the same column
-rows, builds objects from each and checks them one at a time.
+the generator functions.  random_spec is the only copy of the per-sample
+stream, which draws one generator at a time and makes one rng.uniform call
+per angle; the library samples the same law as numpy columns
+(value_regions._draw_columns), in another order of the stream.  Tests that
+pin the values of particular per-sample draws take their specs from here.
+
+They serve as references for `value_regions`' record function, which must
+reproduce verify_records bit for bit on a spec read by raw_from_spec, for
+the column sampler, which must follow the same law, and for `cmd_verify`,
+which draws and checks its samples as numpy columns: verify_report takes
+the same column rows, builds objects from each and checks them one at a
+time.
 """
 
 import cmath
@@ -171,8 +178,23 @@ def _is_sign_violation(record, floor):
     return record.slack < -floor * max(1.0, abs(record.lhs), abs(record.rhs))
 
 
+def raw_from_spec(spec):
+    """A spec as plain numbers, in the layout value_regions._raw_records reads:
+    (regime, tau, sigma angles, lambdas, p's atoms as sorted (angle, mass)
+    pairs, gamma)."""
+    config, p = spec.config, spec.p
+    return (
+        config.regime,
+        config.tau,
+        [s.theta for s in config.sigmas],
+        list(config.lambdas),
+        [(point.theta, mass) for point, mass in p.atoms],
+        p.gamma,
+    )
+
+
 def raw_rows(columns):
-    """The rows of a _draw_columns block in _draw_raw's layout, padding dropped."""
+    """The rows of a _draw_columns block in raw_from_spec's layout, padding dropped."""
     regime, tau, _, sig_angles, lambdas, atom_angles, masses, gamma = columns
     for i in range(len(tau)):
         sig = ~np.isnan(sig_angles[i])
@@ -188,7 +210,7 @@ def raw_rows(columns):
 
 
 def columns_from_raw(raw):
-    """A one-row _draw_columns block holding a _draw_raw generator."""
+    """A one-row _draw_columns block holding a generator in raw_from_spec's layout."""
     regime, tau, sig_angles, lambdas, atoms, gamma = raw
     sig = np.full((1, 4), np.nan)
     lam = np.full((1, 4), -np.inf)
