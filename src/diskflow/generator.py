@@ -246,6 +246,27 @@ def _point_generator(spec: GeneratorSpec) -> Callable[[complex], tuple[complex, 
     return values
 
 
+def _array_generator(spec: GeneratorSpec) -> Callable[[np.ndarray], np.ndarray]:
+    """z -> G(z) at a 1-D array of interior points: _point_generator's numpy
+    twin, for the radius ladder's array solve.
+
+    tau, conj(tau), i gamma and the atoms of p + p0 are read once; each call
+    is eval_generator's operations in its order, so it equals
+    eval_generator(spec, z) to the last bit.  There is no domain check: the
+    caller keeps z inside the disk.
+    """
+    tau = spec.config.tau
+    tau_bar = tau.conjugate()
+    constant = 1j * spec.p.gamma
+    s, m = spec.denominator_atoms
+
+    def values(z: np.ndarray) -> np.ndarray:
+        zc = z[:, None]
+        return (tau - z) * (1.0 - tau_bar * z) / (constant + ((s + zc) / (s - zc)) @ m)
+
+    return values
+
+
 def _spectral_value(
     regime: str, tau: complex, gamma: float, atoms, q_points, q_masses, s: float
 ) -> tuple[complex | float, float]:

@@ -104,7 +104,7 @@ from .errors import (
     ExtrapolationDivergence,
     StepFailure,
 )
-from .generator import GeneratorSpec, _point_generator, _spectral_value, eval_generator
+from .generator import GeneratorSpec, _array_generator, _point_generator, _spectral_value
 from .herglotz_core import ANGLE_TOL, BoundaryPoint, _Record, angle_gap, circle_angle
 
 REL_TOL = 1e-10
@@ -258,7 +258,14 @@ class _Lone:
 
 class _Batch:
     """Stage arithmetic of many orbits as one numpy vector, with one matrix
-    product per stage, as solve_ivp does it."""
+    product per stage, as solve_ivp does it.
+
+    The tableau's weights are complex arrays, cast once, and the norms and
+    reductions call numpy's kernels without their Python wrappers: a stage
+    of the radius ladder's eleven orbits is a few microseconds of numpy, so
+    the wrappers would be a good part of it.  Each computes what its
+    wrapper does, so every value is the same to the last bit.
+    """
 
     def __init__(self) -> None:
         self.A, self.E3, self.E5 = _dop853.arrays()
@@ -281,19 +288,25 @@ class _Batch:
 
     @staticmethod
     def radius(y: np.ndarray) -> float:
-        return np.abs(y).max()
+        # ndarray.max and .all are these reductions, NaN propagating alike
+        return np.maximum.reduce(np.abs(y))
 
     @staticmethod
     def finite(f: np.ndarray) -> bool:
-        return np.isfinite(f).all()
+        return np.logical_and.reduce(np.isfinite(f))
 
     @staticmethod
     def scale(y, y_new) -> np.ndarray:
         return ABS_TOL + np.maximum(np.abs(y), np.abs(y_new)) * REL_TOL
 
     @staticmethod
-    def rms(x, scale) -> float:
-        return np.linalg.norm(x / scale) / x.size**0.5
+    def norm(x: np.ndarray) -> float:
+        """The Euclidean norm of a complex vector as np.linalg.norm takes it."""
+        re, im = x.real, x.imag
+        return math.sqrt(re.dot(re) + im.dot(im))
+
+    def rms(self, x, scale) -> float:
+        return self.norm(x / scale) / x.size**0.5
 
     @staticmethod
     def difference(a, b) -> np.ndarray:
@@ -301,8 +314,9 @@ class _Batch:
 
     def error_norms(self, y, y_new, K) -> tuple[float, float]:
         scale = self.scale(y, y_new)
-        err5 = np.linalg.norm(np.dot(K[:13].T, self.E5) / scale) ** 2
-        err3 = np.linalg.norm(np.dot(K[:13].T, self.E3) / scale) ** 2
+        # squared from the norm, as solve_ivp does
+        err5 = self.norm(np.dot(K[:13].T, self.E5) / scale) ** 2
+        err3 = self.norm(np.dot(K[:13].T, self.E3) / scale) ** 2
         return err5, err3
 
 
@@ -452,7 +466,7 @@ def _lone(gen: GeneratorSpec, z: complex, t: float, derivative: bool, grid=()):
 
 def _batch(gen: GeneratorSpec, z: np.ndarray, t: float):
     """_solve for the orbits of the points z as one system."""
-    return _solve(_Batch(), lambda y: eval_generator(gen, y), z, t)
+    return _solve(_Batch(), _array_generator(gen), z, t)
 
 
 def _koenigs(gen: GeneratorSpec) -> tuple[complex, list[tuple[complex, complex]]]:
@@ -750,8 +764,15 @@ def flow_trajectory(
 
 
 def _julia_quotients(sigma: BoundaryPoint, r: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """The quotient at the radial points r sigma, where the map takes values w."""
-    if np.abs(w).max() >= 1.0:
+    """The quotient at the radial points r sigma, where the map takes values w.
+
+    A value that is not finite raises DomainError, one with |w| >= 1
+    BoundaryEscape: a NaN fails every comparison, so it is caught by the
+    test that w lies inside, not by one that it lies outside.
+    """
+    if not np.abs(w).max() < 1.0:
+        if not np.isfinite(w).all():
+            raise DomainError("map value is not finite")
         raise BoundaryEscape("map value left the open disk")
     sv = sigma.value
     return ((1.0 - r * r) / np.abs(r * sv - sv) ** 2) * (

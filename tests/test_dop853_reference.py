@@ -3,8 +3,9 @@
 The loop reproduces solve_ivp's DOP853 controller, so on the same problem
 both take the same steps.  For random_spec draws of every regime, lone
 orbits (with and without the variational equation), the array solve of
-many orbits that the radius ladder uses and flow_trajectory samples must
-meet solve_ivp's values within 1e-12 relative.  A derivative that has decayed far below ABS_TOL is held to a
+scattered orbits and of the radius ladder toward a sigma, and
+flow_trajectory samples must meet solve_ivp's values within 1e-12
+relative.  A derivative that has decayed far below ABS_TOL is held to a
 floor of 1e-14 absolute instead: near the circle the variational equation
 amplifies the last-digit differences of the two loops' sums, and its
 relative error is then not controlled by either solver.  The right-hand
@@ -118,6 +119,18 @@ def test_lone_orbits_match_solve_ivp(regime):
 def test_arrays_of_orbits_match_solve_ivp(regime):
     for spec, z0, t in draws(regime):
         z = np.array([z0, 0.5 * z0, -0.3j, 0.8])
+        y, _, stats = semiflow._batch(spec, z, t)
+        sol, off_disk = scipy_solve(spec, z, t, False)
+        assert_close(y, sol.y[:, -1])
+        assert_calls(stats, sol, off_disk)
+
+
+@pytest.mark.parametrize("regime", REGIMES)
+def test_the_radius_ladder_matches_solve_ivp(regime):
+    # the array estimate_boundary_derivative solves: RADII toward a sigma
+    for spec, _, t in draws(regime):
+        sigma = spec.config.sigmas[-1]
+        z = np.array(semiflow.RADII) * sigma.value
         y, _, stats = semiflow._batch(spec, z, t)
         sol, off_disk = scipy_solve(spec, z, t, False)
         assert_close(y, sol.y[:, -1])

@@ -30,7 +30,8 @@ from diskflow import (
     spec_from_denominator,
 )
 from diskflow import generator
-from diskflow.generator import _point_generator, tau_regime
+from diskflow.generator import _array_generator, _point_generator, tau_regime
+from diskflow.semiflow import RADII
 from diskflow.value_regions import REGIMES
 
 
@@ -185,6 +186,22 @@ def test_point_derivative_is_finite_beside_a_huge_atom():
         fd = (eval_generator(spec, z + h) - eval_generator(spec, z - h)) / (2 * h)
         assert cmath.isfinite(dg) and dg != 0.0
         assert abs(dg - fd) <= 1e-6 * abs(fd)
+
+
+@pytest.mark.parametrize("regime", REGIMES)
+def test_array_generator_equals_eval_generator_bit_for_bit(regime):
+    # the radius ladder's right-hand side: on each sigma's ladder and on
+    # scattered points, for random draws and for their specs with no p
+    rng = np.random.default_rng(REGIMES.index(regime) + 27)
+    for _ in range(25):
+        drawn = random_spec(rng, regime)
+        scattered = np.sqrt(rng.uniform(0.0, 0.99, 16)) * np.exp(2j * np.pi * rng.uniform(size=16))
+        for spec in (drawn, GeneratorSpec(drawn.config)):
+            values = _array_generator(spec)
+            ladders = [np.array(RADII) * sigma.value for sigma in spec.config.sigmas]
+            for z in ladders + [scattered]:
+                got, expected = values(z), eval_generator(spec, z)
+                assert np.array_equal(got.view(np.int64), expected.view(np.int64))
 
 
 # ----------------------------------------------------------------------

@@ -314,6 +314,23 @@ def test_julia_quotient_escape():
         julia_quotient_estimate(lambda z: 1.5 * z, s)
 
 
+def test_julia_quotient_escape_at_the_circle():
+    s = BoundaryPoint(0.3)
+    with pytest.raises(BoundaryEscape):
+        julia_quotient_estimate(lambda z: 1.0, s)
+
+
+@pytest.mark.parametrize("value", [complex("nan"), complex(0.5, math.nan), complex("inf")])
+def test_julia_quotient_refuses_a_value_that_is_not_finite(value):
+    # a NaN fails the test |w| >= 1 too, and once read 'nan' as the estimate
+    s = BoundaryPoint(0.3)
+    with pytest.raises(DomainError, match="not finite"):
+        julia_quotient_estimate(lambda z: value, s)
+    # one bad rung among values inside the disk is enough
+    with pytest.raises(DomainError, match="not finite"):
+        julia_quotient_estimate(lambda z: value if abs(z) > 0.999 else z / 2, s)
+
+
 def test_julia_quotient_estimate_divergence_control():
     # z/2 maps 1 into the disk: the quotient grows like 1/h and the last
     # two extrapolants (about 8192.6 and 16384.6) disagree
