@@ -54,8 +54,10 @@ on the circle: the quotient
 
 along the radius z = r sigma tends to phi'(sigma) as r -> 1, and a
 Richardson step in h = 1 - r removes the first-order error.  The orbits of
-the whole radius ladder are the one array solve: a numpy vector with one
-eval_generator call per right-hand side over every orbit, whose step size
+the whole radius ladder are the one array solve: a numpy vector whose
+right-hand side is one fused expression over every orbit and every atom
+(generator._array_generator, eval_generator to the last bit without its
+domain check, which the stage test already makes), and whose step size
 answers to the root-mean-square of the orbits' scaled error estimates.
 
 The numerics are module constants, not options: DOP853 (the Dormand-Prince
@@ -260,11 +262,12 @@ class _Batch:
     """Stage arithmetic of many orbits as one numpy vector, with one matrix
     product per stage, as solve_ivp does it.
 
-    The tableau's weights are complex arrays, cast once, and the norms and
-    reductions call numpy's kernels without their Python wrappers: a stage
-    of the radius ladder's eleven orbits is a few microseconds of numpy, so
-    the wrappers would be a good part of it.  Each computes what its
-    wrapper does, so every value is the same to the last bit.
+    A stage of the radius ladder's eleven orbits is a few microseconds of
+    numpy, so per-call wrappers would be a good part of it.  The right-hand
+    side (_batch) is _array_generator's one fused expression; the tableau's
+    weights are complex arrays, cast once; the norms and reductions call
+    numpy's kernels without their Python wrappers.  Each computes what the
+    call it replaces does, so every value is the same to the last bit.
     """
 
     def __init__(self) -> None:

@@ -312,17 +312,13 @@ def test_julia_quotient_escape():
     s = BoundaryPoint(0.0)
     with pytest.raises(BoundaryEscape):
         julia_quotient_estimate(lambda z: 1.5 * z, s)
-
-
-def test_julia_quotient_escape_at_the_circle():
-    s = BoundaryPoint(0.3)
     with pytest.raises(BoundaryEscape):
-        julia_quotient_estimate(lambda z: 1.0, s)
+        julia_quotient_estimate(lambda z: 1.0, BoundaryPoint(0.3))
 
 
 @pytest.mark.parametrize("value", [complex("nan"), complex(0.5, math.nan), complex("inf")])
 def test_julia_quotient_refuses_a_value_that_is_not_finite(value):
-    # a NaN fails the test |w| >= 1 too, and once read 'nan' as the estimate
+    # a NaN fails |w| >= 1 as well as |w| < 1: no escape, and no estimate
     s = BoundaryPoint(0.3)
     with pytest.raises(DomainError, match="not finite"):
         julia_quotient_estimate(lambda z: value, s)
