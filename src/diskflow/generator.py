@@ -185,17 +185,14 @@ class GeneratorSpec(_Record):
         object.__setattr__(self, "p", p)
 
     @cached_property
-    def denominator_atoms(self) -> tuple[np.ndarray, np.ndarray]:
-        """Atom points and masses of p + p0 for kernel_sum.
+    def denominator_atoms(self) -> tuple[list[complex], list[float]]:
+        """Atom points and masses of p + p0, as plain lists, for kernel_sum.
 
         The atoms of p and p0 stand side by side, unmerged, so the
         denominator costs one kernel call and no atom surgery.
         """
         atoms = self.p.atoms + self.config.base_herglotz.atoms
-        return (
-            np.array([point.value for point, _ in atoms], dtype=complex),
-            np.array([mass for _, mass in atoms], dtype=float),
-        )
+        return [point.value for point, _ in atoms], [mass for _, mass in atoms]
 
 
 def _mobius_factor(tau: complex, z):
@@ -221,8 +218,8 @@ def eval_generator(gen: GeneratorSpec, z):
 def _point_generator(spec: GeneratorSpec) -> Callable[[complex], tuple[complex, complex]]:
     """z -> (G(z), G'(z)) at one interior point, in plain complex arithmetic.
 
-    The atoms of p + p0 are read once, into plain lists, and each call makes
-    one pass over them for the denominator q and its derivative.  G equals
+    The atoms of p + p0 are read once, and each call makes one pass over
+    them for the denominator q and its derivative.  G equals
     eval_generator(spec, z) to the last bit.  There is no domain check: the
     caller keeps z inside the disk.
     """
@@ -230,7 +227,7 @@ def _point_generator(spec: GeneratorSpec) -> Callable[[complex], tuple[complex, 
     tau_bar = tau.conjugate()
     du_at_0 = -(1.0 + abs(tau) ** 2)
     constant = 1j * spec.p.gamma
-    atoms = list(zip(*(a.tolist() for a in spec.denominator_atoms)))
+    atoms = list(zip(*spec.denominator_atoms))
 
     def values(z: complex) -> tuple[complex, complex]:
         q = half_dq = 0j
@@ -250,15 +247,15 @@ def _array_generator(spec: GeneratorSpec) -> Callable[[np.ndarray], np.ndarray]:
     """z -> G(z) at a 1-D array of interior points: _point_generator's numpy
     twin, for the radius ladder's array solve.
 
-    tau, conj(tau), i gamma and the atoms of p + p0 are read once; each call
-    is eval_generator's operations in its order, so it equals
+    tau, conj(tau), i gamma and the atoms of p + p0, as arrays, are built
+    once; each call is eval_generator's operations in its order, so it equals
     eval_generator(spec, z) to the last bit.  There is no domain check: the
     caller keeps z inside the disk.
     """
     tau = spec.config.tau
     tau_bar = tau.conjugate()
     constant = 1j * spec.p.gamma
-    s, m = spec.denominator_atoms
+    s, m = map(np.array, spec.denominator_atoms)
 
     def values(z: np.ndarray) -> np.ndarray:
         zc = z[:, None]
@@ -304,9 +301,8 @@ def _hyperbolic_value(point, p_points, p_masses, s):
 
 def _spec_spectral_value(spec: GeneratorSpec) -> tuple[complex | float, float]:
     """_spectral_value of a spec: (lambda, beta)."""
-    c, p = spec.config, spec.p
+    c, p, q = spec.config, spec.p, spec.denominator_atoms
     atoms = [(point.theta, mass) for point, mass in p.atoms]
-    q = (a.tolist() for a in spec.denominator_atoms)
     return _spectral_value(c.regime, c.tau, p.gamma, atoms, *q, c.inv_lambda_sum)
 
 

@@ -22,9 +22,9 @@ denominator off a single such solve.  It needs p only on the circle, where
 each kernel is i cot((t - a_j)/2), so it solves on real cotangent sums
 over the atom angles.
 
-All other evaluation goes through one array kernel, kernel_sum, over the
-atom points and masses cached on each function.  It sums the order-k
-z-derivatives of the kernels,
+All other evaluation goes through one kernel, kernel_sum, over the atom
+points and masses cached on each function as plain lists.  It sums the
+order-k z-derivatives of the kernels,
 
     sum_j m_j K_{s_j}^(k)(z),   K_s^(0) = (s+z)/(s-z),   K_s^(k) = 2 k! s/(s-z)^(k+1),
 
@@ -203,17 +203,17 @@ class AtomicHerglotz(_Record):
     def total_mass(self) -> float:
         return sum(m for _, m in self.atoms)
 
-    # The kernel arrays are built on first use: many functions are built
-    # (and merged, split, compared) without ever being evaluated.
+    # The atom lists are built on first use: many functions are built (and
+    # merged, split, compared) without ever being evaluated.
     @cached_property
-    def s(self) -> np.ndarray:
+    def s(self) -> list[complex]:
         """Atom points on the circle, in atom order."""
-        return np.array([point.value for point, _ in self.atoms], dtype=complex)
+        return [point.value for point, _ in self.atoms]
 
     @cached_property
-    def m(self) -> np.ndarray:
+    def m(self) -> list[float]:
         """Atom masses, in atom order."""
-        return np.array([mass for _, mass in self.atoms], dtype=float)
+        return [mass for _, mass in self.atoms]
 
     def atom_mass_at(self, sigma: BoundaryPoint) -> float:
         for point, mass in self.atoms:
@@ -244,35 +244,32 @@ def herglotz_kernel(s: BoundaryPoint, z: complex) -> complex:
     return (sv + z) / (sv - z)
 
 
-def kernel_sum(s: np.ndarray, m: np.ndarray, z, order: int):
+def kernel_sum(s: list[complex], m: list[float], z, order: int):
     """sum_j m_j K_{s_j}^(order)(z), the order-th derivative of the kernel sum.
 
-    ``s`` and ``m`` are atom points and masses.  For an array z the sum is
-    taken at every point at once, by broadcasting against the atoms, and
-    has the shape of z.  A single point is summed in plain complex
-    arithmetic by point_kernel_sum: numpy's per-call cost on arrays of a
-    few atoms makes one point two to three times slower than the loop, and
-    the object API evaluates single points: G(0) for the value regions, a
-    Herglotz function or its contact value at one point.  Order 0 keeps
-    the kernel (s+z)/(s-z) itself rather than 2s/(s-z) - 1, which rounds
-    worse.  There is no domain check: the sum is finite anywhere off the
-    atoms, which is what contact_value needs at a point of the circle.
+    ``s`` and ``m`` are atom points and masses as plain lists.  For an
+    array z the sum is taken at every point at once, over the atoms as
+    arrays, and has the shape of z.  A single point, told from an array
+    without loading numpy, is summed in plain complex arithmetic by
+    point_kernel_sum: numpy's per-call cost on a few atoms makes one point
+    two to three times slower than the loop, and the object API evaluates
+    single points (G(0) for the value regions, p or its contact value at
+    one point).  Order 0 keeps the kernel (s+z)/(s-z) itself rather than
+    2s/(s-z) - 1, which rounds worse.  There is no domain check: the sum is
+    finite off the atoms, which is what contact_value needs on the circle.
     """
-    if isinstance(z, np.ndarray):
-        zc = z[..., None]
-        if order == 0:
-            return ((s + zc) / (s - zc)) @ m
-        return (s / (s - zc) ** (order + 1)) @ m * (2.0 * math.factorial(order))
-    return point_kernel_sum(s.tolist(), m.tolist(), complex(z), order)
+    if isinstance(z, (int, float, complex)) or not isinstance(z, np.ndarray):
+        return point_kernel_sum(s, m, complex(z), order)
+    s, m, zc = np.asarray(s), np.asarray(m), z[..., None]
+    if order == 0:
+        return ((s + zc) / (s - zc)) @ m
+    return (s / (s - zc) ** (order + 1)) @ m * (2.0 * math.factorial(order))
 
 
 def point_kernel_sum(s: list[complex], m: list[float], z: complex, order: int) -> complex:
-    """kernel_sum at the single point z, over atoms given as Python lists.
-
-    The sum runs atom by atom in plain complex arithmetic, so callers that
-    hold their atoms as plain numbers (`verify`'s samples) get the same
-    value, to the last bit, as kernel_sum over the same atoms as arrays.
-    """
+    """kernel_sum at the single point z, atom by atom in plain complex
+    arithmetic: kernel_sum's scalar case, which callers that hold atoms
+    outside a Herglotz function (`verify`'s samples) call directly."""
     total = 0j
     if order == 0:
         for sj, mj in zip(s, m):
@@ -285,7 +282,8 @@ def point_kernel_sum(s: list[complex], m: list[float], z: complex, order: int) -
 
 def require_interior(z) -> None:
     """Raise DomainError unless every point of z lies in the open disk (NaN does not)."""
-    radius = np.abs(z).max(initial=0.0) if isinstance(z, np.ndarray) else abs(z)
+    array = not isinstance(z, (int, float, complex)) and isinstance(z, np.ndarray)
+    radius = np.abs(z).max(initial=0.0) if array else abs(z)
     if not radius < 1.0:
         raise DomainError(f"evaluation point must lie in the open disk, |z|={radius}")
 
@@ -369,7 +367,7 @@ def reciprocal(p: RationalHerglotz) -> RationalHerglotz:
     _MASS_TOL relative.  An overflow in the matrix reaches the masses as
     NaN or 0 and, where that changes their sum, fails the same check.
     """
-    t, _, sharp = _arc_zeros(np.array([point.theta for point, _ in p.atoms]), p.m, p.gamma)
+    t, _, sharp = _arc_zeros(np.array([pt.theta for pt, _ in p.atoms]), np.array(p.m), p.gamma)
     masses = [1.0 / (2.0 * ps) for ps in sharp.tolist()]
     inverse = 1.0 / complex(p.total_mass, p.gamma)
     _require_mass_sum("reciprocal: the masses of 1/p", sum(masses), "Re(1/p(0))", inverse.real)

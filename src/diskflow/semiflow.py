@@ -118,9 +118,9 @@ MAX_RHS_CALLS = 10**5
 MAX_SAMPLES = 10**6
 RADII = tuple(1.0 - 2.0**-k for k in range(4, 15))
 ESTIMATE_TOL = 1e-3
-# values that complex() or float() would take but that are no start point or
-# time: strings and bytes parse, bools are ints
-_NOT_NUMBERS = (str, bytes, bytearray, bool)
+# values that are no start point, map value or time: strings and bytes, which
+# complex() and float() parse, bools, which are ints, and None
+_NOT_NUMBERS = (str, bytes, bytearray, bool, type(None))
 
 # trial points the closed-form flow's Newton solve evaluates from each of its
 # two start points before it hands the orbit to the ODE
@@ -438,17 +438,22 @@ def _check_horizon(t) -> float:
     return float(t)
 
 
+def _number(value, what: str) -> complex:
+    """value as a Python complex, checked to be one number: an array, or one
+    of _NOT_NUMBERS (a string is not parsed), raises DomainError."""
+    if not isinstance(value, _NOT_NUMBERS):
+        if not isinstance(value, (int, float, complex)) and np.ndim(value) != 0:
+            raise DomainError(f"expected one {what}, got an array of shape {np.shape(value)}")
+        try:
+            return complex(value)
+        except TypeError:
+            pass
+    raise DomainError(f"a {what} must be a number, got {value!r}")
+
+
 def _start_point(z0) -> complex:
-    """z0 as a Python complex, checked to be one number inside the open disk
-    (NaN is not).  Strings, bytes, None and bools are refused, not parsed."""
-    if isinstance(z0, _NOT_NUMBERS) or z0 is None:
-        raise DomainError(f"a start point must be a number, got {z0!r}")
-    if not isinstance(z0, (int, float, complex)) and np.ndim(z0) != 0:
-        raise DomainError(f"a flow takes one start point, got an array of shape {np.shape(z0)}")
-    try:
-        z = complex(z0)
-    except TypeError:
-        raise DomainError(f"a start point must be a number, got {z0!r}") from None
+    """_number(z0), checked to lie inside the open disk (NaN does not)."""
+    z = _number(z0, "start point")
     if not abs(z) < 1.0:
         raise DomainError(f"initial point must lie in the open disk, |z0|={abs(z)}")
     return z
@@ -483,7 +488,7 @@ def _koenigs(gen: GeneratorSpec) -> tuple[complex, list[tuple[complex, complex]]
     """
     c = gen.config
     tau = c.tau
-    points, masses = (a.tolist() for a in gen.denominator_atoms)
+    points, masses = gen.denominator_atoms
     # p's atoms and the reciprocal sum enter lambda on the circle only
     lam = _spectral_value(c.regime, tau, gen.p.gamma, (), points, masses, 0.0)[0]
     terms = [(tau.conjugate(), lam / lam.conjugate())]
@@ -538,8 +543,8 @@ def _abel(gen: GeneratorSpec) -> tuple[complex, float, list[tuple[complex, compl
         else:
             points.append(point.value)
             masses.append(m)
-    # p0's residues are read as 1/|lambda_k|, not through alpha_k and
-    # denominator_atoms, whose build is about a quarter of a boundary orbit
+    # p0's residues are read as 1/|lambda_k|: 2 alpha_k/|tau - sigma_k|^2
+    # through denominator_atoms rounds otherwise and moves orbits in the last bits
     residues = _residues(tau, points, masses)
     residues += [(sigma.value, 1.0 / abs(lam)) for sigma, lam in zip(c.sigmas, c.lambdas)]
     terms = [(1.0 - s.conjugate() * tau, s.conjugate(), r) for s, r in residues]
@@ -746,9 +751,7 @@ def integrate_flow_with_derivative(gen: GeneratorSpec, z0, t: float) -> tuple[co
     return w, dw
 
 
-def flow_trajectory(
-    gen: GeneratorSpec, z0: complex, t: float, samples: int = 200
-) -> Trajectory:
+def flow_trajectory(gen: GeneratorSpec, z0: complex, t: float, samples: int = 200) -> Trajectory:
     """Orbit and derivative sampled on a uniform time grid of ``samples`` points."""
     z = _start_point(z0)
     t = _check_horizon(t)
@@ -756,7 +759,10 @@ def flow_trajectory(
         raise DomainError("a trajectory horizon must be positive, got 0")
     if not 2 <= samples <= MAX_SAMPLES:
         raise DomainError(f"samples must lie in [2, {MAX_SAMPLES}], got {samples!r}")
-    grid = np.linspace(0.0, t, samples).tolist()
+    # np.linspace(0.0, t, samples) in plain floats, its zero-step case included
+    ticks = range(samples)
+    step = t / ticks[-1]
+    grid = [i * step if step else i / ticks[-1] * t for i in ticks[:-1]] + [t]
     _, states, stats = _lone(gen, z, t, True, grid)
     return Trajectory(
         tuple(grid),
@@ -804,18 +810,18 @@ def _radial_limit(
     return last
 
 
-def julia_quotient_estimate(
-    map_fn: Callable[[complex], complex], sigma: BoundaryPoint
-) -> float:
+def julia_quotient_estimate(map_fn: Callable[[complex], complex], sigma: BoundaryPoint) -> float:
     """Radial limit of the quotient of ``map_fn``, which takes one point.
 
-    The limit is Richardson-extrapolated in h = 1 - r over RADII.  The
-    final two extrapolants must agree within 10 * ESTIMATE_TOL, otherwise
-    the limit is declared unreachable.
+    Each map value is read as _number reads it and must be finite
+    (DomainError) and inside the disk (BoundaryEscape).  The limit is
+    Richardson-extrapolated in h = 1 - r over RADII; its final two
+    extrapolants must agree within 10 * ESTIMATE_TOL, otherwise the limit
+    is declared unreachable.
     """
 
     def map_points(z: np.ndarray) -> np.ndarray:
-        return np.array([map_fn(complex(point)) for point in z], dtype=complex)
+        return np.array([_number(map_fn(complex(point)), "map value") for point in z])
 
     return _radial_limit(sigma, map_points)
 

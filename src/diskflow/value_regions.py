@@ -267,7 +267,7 @@ def origin_curvature_chart(spec: GeneratorSpec) -> complex:
     lam = dw_spectral_value(spec)
     if lam == 0:
         raise DivisionByZero("curvature chart is singular at lambda = 0")
-    q_points, q_masses = (a.tolist() for a in spec.denominator_atoms)
+    q_points, q_masses = spec.denominator_atoms
     return _curvature_chart(spec.config.tau, q_points, q_masses, eval_denominator(spec, 0.0), lam)
 
 

@@ -27,7 +27,12 @@ nothing has imported numpy yet; every other module takes np from there and
 none has a numpy import statement, since on Python 3.11 one executes the
 lazy module.  A fresh interpreter that imports diskflow and diskflow.cli
 and runs region for every kind and format loads no numpy submodule; verify,
-cowen-pommerenke and flow then load numpy and succeed.  After its first use
+cowen-pommerenke and flow then run and succeed, and numpy has loaded.  Every
+scalar path runs in plain numbers: a fresh interpreter that runs the README's
+flow example, lone orbits and evolutions with their derivatives (tau inside
+the disk and on the circle), dw_spectral_value and eval_generator at one
+point loads no numpy submodule; estimate_boundary_derivative, whose radius
+ladder is an array solve, then loads numpy and succeeds.  After its first use
 np is the plain numpy module in every diskflow module, and a numpy imported
 before diskflow is used as it is.  Asked for a module that is not installed,
 _lazy raises ModuleNotFoundError and registers nothing.
@@ -466,6 +471,63 @@ def test_import_and_region_do_not_load_numpy(tmp_path):
     assert report["loaded"] is True
 
 
+_SCALAR_SESSION = """
+import cmath, json, math, sys
+import diskflow.cli
+from diskflow import (
+    AtomicHerglotz, BoundaryPoint, FixedPointConfig, GeneratorSpec, PiecewiseField,
+    dw_spectral_value, estimate_boundary_derivative, eval_generator,
+    evolve_with_derivative, integrate_flow_with_derivative,
+)
+
+def numpy_modules():
+    return sorted(m for m in sys.modules if m.startswith("numpy."))
+
+flow, out = sys.argv[1:]
+report = {"flow code": diskflow.cli.main(["flow", "--config", flow, "--out", out])}
+free = AtomicHerglotz(((BoundaryPoint(2.0), 0.5),), 0.25)
+specs = {
+    "interior": GeneratorSpec(FixedPointConfig(0.3 + 0.2j, (BoundaryPoint(0.0),), (-1.0,)), free),
+    "boundary": GeneratorSpec(FixedPointConfig(1.0, (BoundaryPoint(3.0),), (-1.0,)), free),
+}
+for name, spec in specs.items():
+    w, dw = integrate_flow_with_derivative(spec, 0.3j, 0.7)
+    v, dv = evolve_with_derivative(PiecewiseField(((0.4, spec), (0.3, spec))), 0.3j)
+    values = [w, dw, dw_spectral_value(spec), eval_generator(spec, 0.2 - 0.1j)]
+    report[name] = {
+        "complex": all(type(x) is complex for x in values[:2] + values[3:]),
+        "finite": all(cmath.isfinite(x) for x in values),
+        "semigroup": max(abs(v - w), abs(dv - dw) / abs(dw)),
+    }
+report["scalar paths"] = numpy_modules()
+estimate = estimate_boundary_derivative(specs["interior"], BoundaryPoint(0.0), 0.5)
+report["estimate error"] = abs(estimate / math.exp(0.5) - 1.0)
+report["ladder"] = "numpy.linalg" in sys.modules
+print(json.dumps(report))
+"""
+
+_README_FLOW = {
+    "generator": {"tau": {"re": 0.0, "im": 0.0}, "sigmas": [0.0], "lambdas": [-2.0],
+                  "p": {"atoms": [{"theta": 3.14159, "mass": 0.5}], "gamma": 0.0}},
+    "z0": {"re": 0.5, "im": 0.0}, "t": 0.1,
+}
+
+
+def test_scalar_paths_do_not_load_numpy(tmp_path):
+    flow = tmp_path / "flow.json"
+    flow.write_text(json.dumps(_README_FLOW))
+    report = _fresh(_SCALAR_SESSION, str(flow), str(tmp_path / "out"))
+    assert report["flow code"] == 0
+    for name in ("interior", "boundary"):
+        assert report[name]["complex"] is True and report[name]["finite"] is True
+        # phi_0.3 after phi_0.4 is phi_0.7, derivative included
+        assert report[name]["semigroup"] <= 1e-9
+    assert report["scalar paths"] == []
+    # phi_t'(sigma) = exp(|lambda| t) at the repelling point, read off the ladder
+    assert report["estimate error"] <= 1e-3
+    assert report["ladder"] is True
+
+
 _FIRST_USE = """
 import json, sys, types
 if sys.argv[1] == "numpy":
@@ -474,9 +536,11 @@ from diskflow import _lazy, herglotz_core as hc, semiflow
 
 report = {"bound": _lazy.np is sys.modules["numpy"],
           "plain before": type(hc.np) is types.ModuleType}
-p = hc.AtomicHerglotz(((hc.BoundaryPoint(0.0), 1.0),))
+p = hc.RationalHerglotz(((hc.BoundaryPoint(0.0), 1.0),))
 w = hc.eval_herglotz(p, 0.5)
 report["value"] = [w.real, w.imag]
+report["plain after a point"] = type(hc.np) is types.ModuleType
+report["reciprocal"] = [(a.theta, m) for a, m in hc.reciprocal(p).atoms]
 report["plain"] = type(hc.np) is types.ModuleType
 report["shared"] = semiflow.np is hc.np is sys.modules["numpy"]
 print(json.dumps(report))
@@ -490,6 +554,9 @@ def test_lazy_numpy_is_the_plain_module_after_first_use(first):
     # numpy imported first (as the benchmark worker does) is used as it is
     assert report["plain before"] is (first == "numpy")
     assert report["value"] == [3.0, 0.0]
+    # one point is summed in plain floats: numpy waits for an array kernel
+    assert report["plain after a point"] is (first == "numpy")
+    assert report["reciprocal"] == [pytest.approx([math.pi, 1.0], rel=1e-12)]
     # no proxy is left on the hot path once numpy has loaded
     assert report["plain"] is True
     assert report["shared"] is True

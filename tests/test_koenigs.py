@@ -80,12 +80,12 @@ def test_residues_sum_to_twice_the_real_part_of_one_over_lambda(regime):
     for spec, _ in draws(regime):
         tau = spec.config.tau
         points, masses = spec.denominator_atoms
-        residues = [2.0 * m / abs(tau - s) ** 2 for s, m in zip(points.tolist(), masses.tolist())]
+        residues = [2.0 * m / abs(tau - s) ** 2 for s, m in zip(points, masses)]
         lam = complex(dw_spectral_value(spec))
         assert abs(2.0 * (1.0 / lam).real - math.fsum(residues)) <= 1e-12 * math.fsum(residues)
         if regime == "origin":
             # Re q(0) = sum_j m_j, as every kernel is 1 at the origin
-            total = math.fsum(masses.tolist())
+            total = math.fsum(masses)
             assert abs((1.0 / lam).real - total) <= 1e-12 * total
 
 

@@ -282,6 +282,18 @@ def test_trajectory_samples_meet_the_oracle(t):
     assert 0 < tr.rhs_calls <= MAX_RHS_CALLS
 
 
+@pytest.mark.parametrize("t", [5e-324, 1e-320, 1e-310, 0.1, 1.0 / 3.0, 2.0, 7.5], ids=repr)
+def test_trajectory_times_are_numpys_linspace(t):
+    # the grid is built in plain floats; where t/(samples - 1) underflows
+    # to 0 (the subnormal horizons at 10^6 samples) linspace multiplies
+    # i/(samples - 1) by t instead, and so must the grid
+    for samples in (2, 3, 7, 200) + ((10**6,) if t <= 1e-320 else ()):
+        times = flow_trajectory(KOENIGS, 0.3, t, samples=samples).times
+        assert all(type(x) is float for x in times)
+        expected = np.linspace(0.0, t, samples).tolist()
+        assert [x.hex() for x in times] == [x.hex() for x in expected]
+
+
 def test_trajectory_follows_oracle():
     tr = flow_trajectory(KOENIGS, 0.5, 0.5, samples=11)
     for t, w in zip(tr.times, tr.points):
@@ -325,6 +337,14 @@ def test_julia_quotient_refuses_a_value_that_is_not_finite(value):
     # one bad rung among values inside the disk is enough
     with pytest.raises(DomainError, match="not finite"):
         julia_quotient_estimate(lambda z: value if abs(z) > 0.999 else z / 2, s)
+
+
+@pytest.mark.parametrize("value", ["0.5", "x", b"0.5", [0.5], None, True], ids=repr)
+def test_julia_quotient_refuses_a_map_value_that_is_no_number(value):
+    # complex("0.5") parses, a list would broadcast and a bool is an int:
+    # none of them is one value of the map
+    with pytest.raises(DomainError, match="a map value must be a number|expected one map value"):
+        julia_quotient_estimate(lambda z: value, BoundaryPoint(0.3))
 
 
 def test_julia_quotient_estimate_divergence_control():
