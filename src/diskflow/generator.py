@@ -42,6 +42,7 @@ from .herglotz_core import (
     BoundaryPoint,
     ANGLE_TOL,
     RationalHerglotz,
+    _NOT_NUMBERS,
     _Record,
     _arc_zeros,
     _require_mass_sum,
@@ -384,9 +385,17 @@ def convex_combination(
     is noise where that function is near its own zero.  The masses must sum
     to Re q_c(0) within `reciprocal`'s bound, else DomainError.  A weight
     whose 1 - weight rounds to 1 (0 too) returns ``second``, 1 ``first``.
+    The weight is read as semiflow reads a time: a string, bytes, None, a
+    bool or a complex value raises DomainError, as does a number outside
+    [0, 1] or NaN, and any other is taken as float(weight).
     """
-    if not 0.0 <= weight <= 1.0:
-        raise DomainError("weight must lie in [0, 1]")
+    try:
+        real = not isinstance(weight, (*_NOT_NUMBERS, complex)) and 0.0 <= weight <= 1.0
+    except TypeError:
+        real = False
+    if not real:
+        raise DomainError(f"weight must be a real number in [0, 1], got {weight!r}")
+    weight = float(weight)
     ca, cb = first.config, second.config
     if not ca.has_skeleton(cb.tau, cb.sigmas):
         raise DegenerateConfig("specs must share tau and the repelling set")

@@ -61,6 +61,11 @@ TWO_PI = 2.0 * math.pi
 # this are considered the same point and their masses are merged.
 ANGLE_TOL = 1e-12
 
+# values that are no number the package reads (a start point, map value,
+# time or weight): strings and bytes, which complex() and float() parse,
+# bools, which are ints, and None
+_NOT_NUMBERS = (str, bytes, bytearray, bool, type(None))
+
 
 def angle_gap(a: float, b: float) -> float:
     """Distance between the angles a and b around the circle, in [0, pi]."""
@@ -346,7 +351,8 @@ def reciprocal(p: RationalHerglotz) -> RationalHerglotz:
     to the first too) f falls strictly from +inf to -inf and has exactly
     one zero: the disk form of Chebotarev's theorem, which _arc_zeros
     solves.  Each iteration forms one real matrix, the cotangents of every
-    iterate against every atom, and reads f and f' from it.
+    iterate against every atom, in place in a buffer made once per solve,
+    and reads f and f' from it.
 
     All arcs are solved at once from their midpoints.  The next point is
     the Newton step when it stays inside the arc's sign bracket, else the
@@ -378,28 +384,44 @@ def reciprocal(p: RationalHerglotz) -> RationalHerglotz:
 def _arc_zeros(a: np.ndarray, m: np.ndarray, gamma: float):
     """`reciprocal`'s arc solve for atoms at angles ``a`` (increasing, in
     [0, 2*pi)), masses ``m`` and constant gamma: the zero after each a_j,
-    the last cotangent matrix (a row per zero) and p# at the zeros."""
+    the last cotangent matrix (a row per zero) and p# at the zeros.
+
+    An iteration works on a few small arrays, so numpy's per-call cost, not
+    the arithmetic, sets its time.  The matrix and its square are therefore
+    filled in place, in two buffers allocated once per solve; the returned
+    matrix is the first of them.  An arc stops when the smaller of its
+    Newton step and its bracket is within _ARC_TOL: fmin, not minimum, so
+    that a NaN Newton step still lets the bracket stop the arc.  Each value
+    is the one the allocating expressions would give, to the last bit.
+    """
     a_half = a / 2.0  # halving is exact, so t/2 - a/2 rounds as (t - a)/2
     half = m / 2.0
     half_total = half.sum()
     lo = a
     hi = np.append(a[1:], a[0] + TWO_PI)
     t = (lo + hi) / 2.0
-    done = np.zeros(len(a), dtype=bool)
+    n = len(a)
+    cot, square = np.empty((n, n)), np.empty((n, n))
+    done = np.zeros(n, dtype=bool)
     # the pass past _ARC_STEPS, which the bound never reaches, only
     # evaluates: the caller reads p# at the returned t
     for iteration in range(_ARC_STEPS + 1):
-        cot = 1.0 / np.tan((t / 2.0)[:, None] - a_half)
+        np.subtract((t / 2.0)[:, None], a_half, cot)
+        np.tan(cot, cot)
+        np.divide(1.0, cot, cot)
         f = gamma + cot @ m
-        sharp = half_total + (cot * cot) @ half
+        np.multiply(cot, cot, square)
+        sharp = half_total + square @ half
         lo = np.where(f >= 0.0, t, lo)
         hi = np.where(f <= 0.0, t, hi)
         newton = t + f / sharp
-        done |= (np.abs(newton - t) <= _ARC_TOL) | (hi - lo <= _ARC_TOL)
-        if done.all() or iteration == _ARC_STEPS:
+        done |= np.fmin(abs(newton - t), hi - lo) <= _ARC_TOL
+        if np.logical_and.reduce(done) or iteration == _ARC_STEPS:
             break
-        use_newton = (lo < newton) & (newton < hi) & (iteration < _NEWTON_STEPS)
-        t = np.where(done, t, np.where(use_newton, newton, (lo + hi) / 2.0))
+        trial = (lo + hi) / 2.0
+        if iteration < _NEWTON_STEPS:
+            trial = np.where((lo < newton) & (newton < hi), newton, trial)
+        np.copyto(t, trial, where=~done)
     return t, cot, sharp
 
 

@@ -86,7 +86,9 @@ dense-output stages included, is not evaluated: it rejects the step, which
 is retried at a fifth of its size.  An accepted step that ends within
 BOUNDARY_GUARD of the circle raises BoundaryEscape.  A right-hand side
 that is not finite at a point inside the disk raises DomainError: on a NaN
-the step control would never end.
+the step control would never end.  The stages are tested once per step
+attempt, and each initial-step probe call on its own; _solve says why the
+radius ladder still raises right after the call that returned the value.
 """
 
 from __future__ import annotations
@@ -94,7 +96,8 @@ from __future__ import annotations
 import cmath
 import math
 from bisect import bisect_right
-from operator import mul
+from itertools import chain
+from operator import index, mul
 from typing import Callable
 
 from ._lazy import np
@@ -107,7 +110,7 @@ from .errors import (
     StepFailure,
 )
 from .generator import GeneratorSpec, _array_generator, _point_generator, _spectral_value
-from .herglotz_core import ANGLE_TOL, BoundaryPoint, _Record, angle_gap, circle_angle
+from .herglotz_core import _NOT_NUMBERS, ANGLE_TOL, BoundaryPoint, _Record, angle_gap, circle_angle
 
 REL_TOL = 1e-10
 ABS_TOL = 1e-12
@@ -118,9 +121,6 @@ MAX_RHS_CALLS = 10**5
 MAX_SAMPLES = 10**6
 RADII = tuple(1.0 - 2.0**-k for k in range(4, 15))
 ESTIMATE_TOL = 1e-3
-# values that are no start point, map value or time: strings and bytes, which
-# complex() and float() parse, bools, which are ints, and None
-_NOT_NUMBERS = (str, bytes, bytearray, bool, type(None))
 
 # trial points the closed-form flow's Newton solve evaluates from each of its
 # two start points before it hands the orbit to the ODE
@@ -202,8 +202,8 @@ class _Lone:
         return abs(y[0])
 
     @staticmethod
-    def finite(f: list[complex]) -> bool:
-        return all(map(cmath.isfinite, f))
+    def finite(K) -> bool:
+        return all(map(cmath.isfinite, chain.from_iterable(K)))
 
     @staticmethod
     def scale(y, y_new) -> list[float]:
@@ -246,16 +246,18 @@ class _Lone:
         return F
 
     @staticmethod
-    def interpolate(F, y, x: float) -> list[complex]:
-        """The interpolant at the fraction x of the step from y."""
-        weights = (x, 1.0 - x) * 3 + (x,)
-        out = []
-        for yc, coefficients in zip(y, F):
-            value = 0j
-            for c, w in zip(reversed(coefficients), weights):
-                value = (value + c) * w
-            out.append(yc + value)
-        return out
+    def interpolate(F, y, xs: list[float]) -> list[list[complex]]:
+        """The interpolant at each fraction x in xs of the step from y: the
+        state yc + F_0 x + F_1 x (1-x) + F_2 x^2 (1-x) + ... per component,
+        summed by Horner's rule from the highest coefficient and from 0j."""
+        columns = []
+        for yc, (f0, f1, f2, f3, f4, f5, f6) in zip(y, F):
+            columns.append([
+                yc + ((((((((0j + f6) * x + f5) * (1.0 - x) + f4) * x + f3) * (1.0 - x) + f2) * x
+                        + f1) * (1.0 - x) + f0) * x)
+                for x in xs
+            ])
+        return list(map(list, zip(*columns)))
 
 
 class _Batch:
@@ -263,11 +265,13 @@ class _Batch:
     product per stage, as solve_ivp does it.
 
     A stage of the radius ladder's eleven orbits is a few microseconds of
-    numpy, so per-call wrappers would be a good part of it.  The right-hand
-    side (_batch) is _array_generator's one fused expression; the tableau's
-    weights are complex arrays, cast once; the norms and reductions call
-    numpy's kernels without their Python wrappers.  Each computes what the
-    call it replaces does, so every value is the same to the last bit.
+    numpy, so each numpy call and per-call wrapper is a good part of it.
+    The right-hand side (_batch) is _array_generator's one fused
+    expression; the tableau's weights are complex arrays, cast once; the
+    norms and reductions call numpy's kernels without their Python
+    wrappers; the finiteness test reads the whole stage array, zeroed at
+    the start, once per step attempt.  Each computes what the call it
+    replaces does, so every value is the same to the last bit.
     """
 
     def __init__(self) -> None:
@@ -275,7 +279,7 @@ class _Batch:
 
     @staticmethod
     def stages(y: np.ndarray) -> np.ndarray:
-        return np.empty((len(_dop853.C), len(y)), dtype=complex)
+        return np.zeros((len(_dop853.C), len(y)), dtype=complex)
 
     @staticmethod
     def combine(y, K, row, h: float) -> np.ndarray:
@@ -295,8 +299,8 @@ class _Batch:
         return np.maximum.reduce(np.abs(y))
 
     @staticmethod
-    def finite(f: np.ndarray) -> bool:
-        return np.logical_and.reduce(np.isfinite(f))
+    def finite(K: np.ndarray) -> bool:
+        return np.logical_and.reduce(np.isfinite(K), axis=None)
 
     @staticmethod
     def scale(y, y_new) -> np.ndarray:
@@ -330,6 +334,16 @@ def _solve(kind, rhs: Callable, y, t_final: float, grid=()):
     lie inside the disk.  Returns the state at t_final, the states at the
     times of the sorted ``grid`` (a lone orbit's only), taken from the
     dense output, and the counts (rhs_calls, steps, rejected_steps).
+
+    The right-hand side is tested for finiteness once per step attempt,
+    over all of K (its older stages passed before), before the attempt is
+    accepted or rejected.  For _Batch that raises after the same calls as a
+    test of each stage: every row of A ends in a nonzero weight, so a stage
+    that is not finite makes the next input not finite, which the stage
+    test, reading every orbit, refuses without a call; and E3 and E5 weigh
+    the last stage by 0, which turns a NaN or inf there into a NaN error.
+    _Lone's stage test reads the orbit point only, so a derivative that is
+    not finite lets the rest of the attempt run first.
     """
     K = kind.stages(y)
     A, C = kind.A, _dop853.C
@@ -348,10 +362,13 @@ def _solve(kind, rhs: Callable, y, t_final: float, grid=()):
             )
         calls += 1
         f = rhs(y)
-        if not finite(f):
-            raise DomainError("the right-hand side of the flow is not finite along the orbit")
         store(K, s, f)
         return f
+
+    def require_finite() -> None:
+        """Raise DomainError unless every stage in K is finite."""
+        if not finite(K):
+            raise DomainError("the right-hand side of the flow is not finite along the orbit")
 
     def run_stages(y, t: float, h: float, stages: range):
         """The stages of the step of size h from (t, y): the input of the
@@ -365,10 +382,12 @@ def _solve(kind, rhs: Callable, y, t_final: float, grid=()):
     # the first step as Hairer, Norsett & Wanner (Sec. II.4) and solve_ivp's
     # select_initial_step choose it, from an Euler probe
     f0 = evaluate(0, y, 0.0)
+    require_finite()
     scale = kind.scale(y, y)
     d0, d1 = kind.rms(y, scale), kind.rms(f0, scale)
     h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, t_final)
     f1 = evaluate(1, combine(y, K, (1.0,), h0), h0)
+    require_finite()
     # a probe off the disk leaves the second derivative unestimated
     d2 = 0.0 if f1 is None else kind.rms(kind.difference(f1, f0), scale) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
@@ -404,9 +423,11 @@ def _solve(kind, rhs: Callable, y, t_final: float, grid=()):
                     raise BoundaryEscape("orbit reached the boundary guard radius")
                 # the step's samples need the interpolant's three stages
                 due = bisect_right(grid, t_new)
-                if due == sampled or run_stages(y, t, h, range(13, 16)) is not None:
-                    break
-                error = math.inf
+                if due > sampled and run_stages(y, t, h, range(13, 16)) is None:
+                    error = math.inf
+            require_finite()
+            if error < 1.0:
+                break
             h_abs = h * max(MIN_FACTOR, SAFETY * error**EXPONENT)
             retried = True
             rejected += 1
@@ -414,7 +435,7 @@ def _solve(kind, rhs: Callable, y, t_final: float, grid=()):
         h_abs = h * (min(1.0, factor) if retried else factor)
         if due > sampled:
             F = kind.interpolant(y, y_new, K, h)
-            samples += [kind.interpolate(F, y, (s - t) / h) for s in grid[sampled:due]]
+            samples += kind.interpolate(F, y, [(s - t) / h for s in grid[sampled:due]])
             sampled = due
         steps += 1
         t, y = t_new, y_new
@@ -752,15 +773,24 @@ def integrate_flow_with_derivative(gen: GeneratorSpec, z0, t: float) -> tuple[co
 
 
 def flow_trajectory(gen: GeneratorSpec, z0: complex, t: float, samples: int = 200) -> Trajectory:
-    """Orbit and derivative sampled on a uniform time grid of ``samples`` points."""
+    """Orbit and derivative sampled on a uniform time grid of ``samples`` points.
+
+    ``samples`` is read through operator.index, so a numpy integer counts
+    and a float, string or None raises DomainError; a bool reads as 0 or 1,
+    below the least count of 2.
+    """
     z = _start_point(z0)
     t = _check_horizon(t)
     if t == 0.0:
         raise DomainError("a trajectory horizon must be positive, got 0")
-    if not 2 <= samples <= MAX_SAMPLES:
-        raise DomainError(f"samples must lie in [2, {MAX_SAMPLES}], got {samples!r}")
+    try:
+        count = index(samples)
+    except TypeError:
+        count = 0
+    if not 2 <= count <= MAX_SAMPLES:
+        raise DomainError(f"samples must be an integer in [2, {MAX_SAMPLES}], got {samples!r}")
     # np.linspace(0.0, t, samples) in plain floats, its zero-step case included
-    ticks = range(samples)
+    ticks = range(count)
     step = t / ticks[-1]
     grid = [i * step if step else i / ticks[-1] * t for i in ticks[:-1]] + [t]
     _, states, stats = _lone(gen, z, t, True, grid)

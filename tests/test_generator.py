@@ -531,6 +531,18 @@ def test_convex_combination_requires_shared_skeleton():
         convex_combination(first, second, 0.5)
 
 
+@pytest.mark.parametrize("weight", ["0.5", b"0.5", None, True, 0.5 + 0j], ids=repr)
+def test_convex_combination_refuses_a_weight_that_is_no_real_number(weight):
+    # a string, bytes, None and a complex value failed the range test with
+    # a bare TypeError, and True was read as the weight 1
+    first = GeneratorSpec(INTERIOR, AtomicHerglotz(((BoundaryPoint(2.0), 0.7),)))
+    second = GeneratorSpec(INTERIOR, AtomicHerglotz(gamma=1.0))
+    with pytest.raises(DomainError, match="weight must be a real number"):
+        convex_combination(first, second, weight)
+    mix = convex_combination(first, second, np.float64(0.25))
+    assert mix == convex_combination(first, second, 0.25)
+
+
 # ----------------------------------------------------------------------
 # sampling law sanity
 # ----------------------------------------------------------------------

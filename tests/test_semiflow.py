@@ -294,6 +294,19 @@ def test_trajectory_times_are_numpys_linspace(t):
         assert [x.hex() for x in times] == [x.hex() for x in expected]
 
 
+@pytest.mark.parametrize("samples", ["5", None, 2.5, 10.0, np.float64(5.0), True], ids=repr)
+def test_trajectory_refuses_a_sample_count_that_is_no_integer(samples):
+    # all but True failed the range test with a bare TypeError
+    with pytest.raises(DomainError, match="samples must be an integer"):
+        flow_trajectory(KOENIGS, 0.3, 1.0, samples=samples)
+
+
+def test_trajectory_takes_a_numpy_integer_sample_count():
+    tr = flow_trajectory(KOENIGS, 0.3, 1.0, samples=np.int64(5))
+    assert tr == flow_trajectory(KOENIGS, 0.3, 1.0, samples=5)
+    assert len(tr.times) == 5
+
+
 def test_trajectory_follows_oracle():
     tr = flow_trajectory(KOENIGS, 0.5, 0.5, samples=11)
     for t, w in zip(tr.times, tr.points):
