@@ -42,9 +42,9 @@ from .herglotz_core import (
     BoundaryPoint,
     ANGLE_TOL,
     RationalHerglotz,
-    _NOT_NUMBERS,
     _Record,
     _arc_zeros,
+    _no_number,
     _require_mass_sum,
     angle_gap,
     circle_angle,
@@ -386,11 +386,11 @@ def convex_combination(
     to Re q_c(0) within `reciprocal`'s bound, else DomainError.  A weight
     whose 1 - weight rounds to 1 (0 too) returns ``second``, 1 ``first``.
     The weight is read as semiflow reads a time: a string, bytes, None, a
-    bool or a complex value raises DomainError, as does a number outside
-    [0, 1] or NaN, and any other is taken as float(weight).
+    bool (numpy's too) or a complex value raises DomainError, as does a
+    number outside [0, 1] or NaN, and any other is taken as float(weight).
     """
     try:
-        real = not isinstance(weight, (*_NOT_NUMBERS, complex)) and 0.0 <= weight <= 1.0
+        real = not (_no_number(weight) or isinstance(weight, complex)) and 0.0 <= weight <= 1.0
     except TypeError:
         real = False
     if not real:

@@ -61,10 +61,15 @@ TWO_PI = 2.0 * math.pi
 # this are considered the same point and their masses are merged.
 ANGLE_TOL = 1e-12
 
-# values that are no number the package reads (a start point, map value,
-# time or weight): strings and bytes, which complex() and float() parse,
-# bools, which are ints, and None
-_NOT_NUMBERS = (str, bytes, bytearray, bool, type(None))
+
+def _no_number(value) -> bool:
+    """Whether value is no number the package reads (a start point, map
+    value, time or weight): strings and bytes, which complex() and float()
+    parse, bools, which are ints, numpy's bools too (told by their dtype, so
+    that a plain number loads no numpy), and None."""
+    return isinstance(value, (str, bytes, bytearray, bool, type(None))) or (
+        getattr(getattr(value, "dtype", None), "kind", "") == "b"
+    )
 
 
 def angle_gap(a: float, b: float) -> float:
@@ -355,15 +360,16 @@ def reciprocal(p: RationalHerglotz) -> RationalHerglotz:
     and reads f and f' from it.
 
     All arcs are solved at once from their midpoints.  The next point is
-    the Newton step when it stays inside the arc's sign bracket, else the
-    bracket's midpoint (Brent's safeguard); an arc stops when its Newton
-    step or its bracket is within _ARC_TOL.  The loop needs no failure path:
-    only the first _NEWTON_STEPS iterations may take a Newton step, so each
-    evaluation from iteration _NEWTON_STEPS + 1 on halves the bracket.  A
-    bracket is at most 2*pi wide and a midpoint rounds by at most 0.9e-15
-    (half a unit at 8*pi, halved), so k halvings leave at most
-    2*pi/2**k + 1.8e-15, below _ARC_TOL (3.6e-15) from k = 52 on: the loop
-    ends within _NEWTON_STEPS + 53 iterations.
+    the Newton step of f with the arc's two poles divided out when it stays
+    inside the arc's sign bracket, else the bracket's midpoint (Brent's
+    safeguard); an arc stops when its step or its bracket is within
+    _ARC_TOL.  The loop needs no failure path: only the first _NEWTON_STEPS
+    iterations may take a Newton step, so each evaluation from iteration
+    _NEWTON_STEPS + 1 on halves the bracket.  A bracket is at most 2*pi wide
+    and a midpoint rounds by at most 0.9e-15 (half a unit at 8*pi, halved),
+    so k halvings leave at most 2*pi/2**k + 1.8e-15, below _ARC_TOL
+    (3.6e-15) from k = 52 on: the loop ends within _NEWTON_STEPS + 53
+    iterations.
 
     Each zero kappa gets mass 1/(2 p#(kappa)), p# from the last iteration's
     matrix, and the imaginary constant is fixed by matching 1/p at the
@@ -387,12 +393,16 @@ def _arc_zeros(a: np.ndarray, m: np.ndarray, gamma: float):
     the last cotangent matrix (a row per zero) and p# at the zeros.
 
     An iteration works on a few small arrays, so numpy's per-call cost, not
-    the arithmetic, sets its time.  The matrix and its square are therefore
-    filled in place, in two buffers allocated once per solve; the returned
-    matrix is the first of them.  An arc stops when the smaller of its
-    Newton step and its bracket is within _ARC_TOL: fmin, not minimum, so
-    that a NaN Newton step still lets the bracket stop the arc.  Each value
-    is the one the allocating expressions would give, to the last bit.
+    the arithmetic, sets its time, and the lever is the count of iterations.
+    So the step on arc k is Newton's on g = f sin((t - a_k)/2) sin((a_{k+1} - t)/2),
+    which has f's zero and no pole (secular-equation solvers divide out the
+    poles beside a root alike): r/(1 - r (c_k + c_{k+1})/2), with r = f/p#
+    f's own step and c_k, c_{k+1} row k's cotangents at those two atoms.
+    |r| <= 1 + 2|gamma|/M, so r c does not overflow where f c would.  The
+    matrix and its square fill two buffers made once per solve, the first
+    returned.  An arc stops when the smaller of its Newton step and its
+    bracket is within _ARC_TOL: fmin, not minimum, so that a NaN Newton step
+    still lets the bracket stop the arc.
     """
     a_half = a / 2.0  # halving is exact, so t/2 - a/2 rounds as (t - a)/2
     half = m / 2.0
@@ -403,6 +413,7 @@ def _arc_zeros(a: np.ndarray, m: np.ndarray, gamma: float):
     n = len(a)
     cot, square = np.empty((n, n)), np.empty((n, n))
     done = np.zeros(n, dtype=bool)
+    ends = n * np.arange(n) + (np.arange(n) + [[0], [1]]) % n  # flat (k, k), (k, k + 1 mod n)
     # the pass past _ARC_STEPS, which the bound never reaches, only
     # evaluates: the caller reads p# at the returned t
     for iteration in range(_ARC_STEPS + 1):
@@ -414,7 +425,9 @@ def _arc_zeros(a: np.ndarray, m: np.ndarray, gamma: float):
         sharp = half_total + square @ half
         lo = np.where(f >= 0.0, t, lo)
         hi = np.where(f <= 0.0, t, hi)
-        newton = t + f / sharp
+        step = f / sharp
+        edge = cot.take(ends)
+        newton = t + step / (1.0 - step * (edge[0] + edge[1]) / 2.0)
         done |= np.fmin(abs(newton - t), hi - lo) <= _ARC_TOL
         if np.logical_and.reduce(done) or iteration == _ARC_STEPS:
             break

@@ -110,7 +110,7 @@ from .errors import (
     StepFailure,
 )
 from .generator import GeneratorSpec, _array_generator, _point_generator, _spectral_value
-from .herglotz_core import _NOT_NUMBERS, ANGLE_TOL, BoundaryPoint, _Record, angle_gap, circle_angle
+from .herglotz_core import ANGLE_TOL, BoundaryPoint, _Record, _no_number, angle_gap, circle_angle
 
 REL_TOL = 1e-10
 ABS_TOL = 1e-12
@@ -447,11 +447,12 @@ def _check_horizon(t) -> float:
     """t as a float, checked to be a finite, nonnegative real number.
 
     float() and complex() parse strings, so a string is refused before any
-    comparison, and so are bytes, None, bools and complex values.  A numpy
-    scalar becomes a Python float, so that no float32 sets the precision.
+    comparison, and so are bytes, None, bools (numpy's too) and complex
+    values.  A numpy scalar becomes a Python float, so that no float32 sets
+    the precision.
     """
     try:
-        real = not isinstance(t, (*_NOT_NUMBERS, complex)) and 0.0 <= t < math.inf
+        real = not (_no_number(t) or isinstance(t, complex)) and 0.0 <= t < math.inf
     except TypeError:
         real = False
     if not real:
@@ -460,9 +461,9 @@ def _check_horizon(t) -> float:
 
 
 def _number(value, what: str) -> complex:
-    """value as a Python complex, checked to be one number: an array, or one
-    of _NOT_NUMBERS (a string is not parsed), raises DomainError."""
-    if not isinstance(value, _NOT_NUMBERS):
+    """value as a Python complex, checked to be one number: an array, or a
+    value _no_number refuses (a string is not parsed), raises DomainError."""
+    if not _no_number(value):
         if not isinstance(value, (int, float, complex)) and np.ndim(value) != 0:
             raise DomainError(f"expected one {what}, got an array of shape {np.shape(value)}")
         try:

@@ -543,6 +543,15 @@ def test_convex_combination_refuses_a_weight_that_is_no_real_number(weight):
     assert mix == convex_combination(first, second, 0.25)
 
 
+@pytest.mark.parametrize("weight", [np.True_, np.False_, np.array(True)], ids=repr)
+def test_convex_combination_refuses_a_numpy_bool_weight(weight):
+    # np.bool_ is no subclass of bool, and np.True_ was read as the weight 1
+    first = GeneratorSpec(INTERIOR, AtomicHerglotz(((BoundaryPoint(2.0), 0.7),)))
+    second = GeneratorSpec(INTERIOR, AtomicHerglotz(gamma=1.0))
+    with pytest.raises(DomainError, match="weight must be a real number"):
+        convex_combination(first, second, weight)
+
+
 # ----------------------------------------------------------------------
 # sampling law sanity
 # ----------------------------------------------------------------------

@@ -5,7 +5,8 @@ The arc solve (herglotz_core._arc_zeros) sits behind reciprocal and every
 convex_combination; the array solve (semiflow._solve on _Batch) integrates
 the radius ladder of estimate_boundary_derivative.  Each digest was recorded
 before either loop was rewritten to make fewer numpy calls, and no rewrite
-may move a bit of it.  numpy picks some loops by the CPU, so these digests
+may move a bit of it; the mix's was re-recorded once, when the arc solve
+changed its Newton step.  numpy picks some loops by the CPU, so these digests
 are computed in a child on the baseline loops, as test_golden_cli runs
 verify.  flow_trajectory's samples are pinned the same way, in process.
 
@@ -94,7 +95,9 @@ for i in range(300):
     digest.update((" ".join(words) + "\\n").encode())
 print(digest.hexdigest())
 """
-MIX_SHA256 = "86d3a51b4517a66bec92225eb32d4b11e45166707b1693a78b6ec2783b9a57fe"
+# re-recorded when the arc solve's Newton step began to divide out the
+# arc's two poles
+MIX_SHA256 = "1edfbd34d057e3a90f51cbb43bc9560b108ef0f85c879042ca0f475d7b04a176"
 
 
 def _child_digest(script: str) -> str:

@@ -122,6 +122,17 @@ def test_flow_refuses_a_start_point_that_is_no_number(z0):
             flow(KOENIGS, z0, 0.1)
 
 
+@pytest.mark.parametrize("bad", [np.True_, np.False_], ids=repr)
+def test_flow_refuses_a_numpy_bool_start_point_or_time(bad):
+    # np.bool_ is no subclass of bool: np.True_ was read as the start point
+    # 1, refused only for its modulus, and as the time 1
+    for flow in (integrate_flow, integrate_flow_with_derivative, flow_trajectory):
+        with pytest.raises(DomainError, match="a start point must be a number"):
+            flow(KOENIGS, bad, 0.1)
+        with pytest.raises(DomainError, match="real number"):
+            flow(KOENIGS, 0.3, bad)
+
+
 @pytest.mark.parametrize("t", ["1", b"1", None, True, 1j, 0.5 + 0j, np.complex128(0.5)], ids=repr)
 def test_flow_refuses_a_time_that_is_no_real_number(t):
     for flow in (integrate_flow, integrate_flow_with_derivative, flow_trajectory):
@@ -358,6 +369,12 @@ def test_julia_quotient_refuses_a_map_value_that_is_no_number(value):
     # none of them is one value of the map
     with pytest.raises(DomainError, match="a map value must be a number|expected one map value"):
         julia_quotient_estimate(lambda z: value, BoundaryPoint(0.3))
+
+
+def test_julia_quotient_refuses_a_numpy_bool_map_value():
+    # np.True_ was read as the value 1 and raised BoundaryEscape
+    with pytest.raises(DomainError, match="a map value must be a number"):
+        julia_quotient_estimate(lambda z: np.True_, BoundaryPoint(0.3))
 
 
 def test_julia_quotient_estimate_divergence_control():
