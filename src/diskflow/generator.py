@@ -44,7 +44,7 @@ from .herglotz_core import (
     RationalHerglotz,
     _Record,
     _arc_zeros,
-    _no_number,
+    _one_real,
     _require_mass_sum,
     angle_gap,
     circle_angle,
@@ -201,9 +201,13 @@ def _mobius_factor(tau: complex, z):
 
 
 def denominator_herglotz(spec: GeneratorSpec) -> RationalHerglotz:
-    """p + p0 as a single rational Herglotz function (atoms merged)."""
-    merged = spec.p.atoms + spec.config.base_herglotz.atoms
-    return RationalHerglotz(merged, spec.p.gamma)
+    """p + p0 as a single rational Herglotz function (atoms merged).
+
+    p's atoms and the pairs (sigma_k, alpha_k) are merged in one
+    normalization, not through base_herglotz, which would normalize p0's
+    atoms first: the sigma_k are distinct, so that gives the same atoms."""
+    c = spec.config
+    return RationalHerglotz(spec.p.atoms + tuple(zip(c.sigmas, c.alphas)), spec.p.gamma)
 
 
 def eval_denominator(spec: GeneratorSpec, z):
@@ -386,11 +390,12 @@ def convex_combination(
     to Re q_c(0) within `reciprocal`'s bound, else DomainError.  A weight
     whose 1 - weight rounds to 1 (0 too) returns ``second``, 1 ``first``.
     The weight is read as semiflow reads a time: a string, bytes, None, a
-    bool (numpy's too) or a complex value raises DomainError, as does a
-    number outside [0, 1] or NaN, and any other is taken as float(weight).
+    bool (numpy's too), a complex value or an array raises DomainError, as
+    does a number outside [0, 1] or NaN, and any other is taken as
+    float(weight).
     """
     try:
-        real = not (_no_number(weight) or isinstance(weight, complex)) and 0.0 <= weight <= 1.0
+        real = _one_real(weight) and 0.0 <= weight <= 1.0
     except TypeError:
         real = False
     if not real:
@@ -414,17 +419,22 @@ def convex_combination(
             union.append([theta, point, ma, mb])
     if len(union) > 1 and union[0][0] + math.tau - union[-1][0] <= ANGLE_TOL:
         union[0][2:] = [x + y for x, y in zip(union[0][2:], union.pop()[2:])]
-    a, ma, mb = (np.array([row[k] for row in union]) for k in (0, 2, 3))
+    a, ma, mb = ([row[k] for row in union] for k in (0, 2, 3))
     v = 1.0 - weight
-    t, cot, _ = _arc_zeros(a, v * ma + weight * mb, v * qa.gamma + weight * qb.gamma)
-    fa, fb = qa.gamma + cot @ ma, qb.gamma + cot @ mb
-    sa, sb = qa.total_mass + (cot * cot) @ ma, qb.total_mass + (cot * cot) @ mb  # 2 p#
-    step = (v * fa + weight * fb) / (v * sa + weight * sb)  # f_N/(2 p#_N): kappa - t over 2
-    fa, fb = (fa, fb - sb * step) if weight >= v else (fa - sa * step, fb)
-    # a zero both functions share (a spec mixed with itself) has 0/0: mass 0
-    den = np.maximum(weight * sa * fb**2 + v * sb * fa**2, math.ulp(0.0))
-    masses = (fa**2 * fb**2 / den).tolist()
-    atoms = [(BoundaryPoint(theta), m) for theta, m in zip(t.tolist(), masses)]
+    mn = [v * x + weight * y for x, y in zip(ma, mb)]
+    t, _, sums, _ = _arc_zeros(a, mn, v * qa.gamma + weight * qb.gamma, (ma, mb))
+    total_a, total_b = qa.total_mass, qb.total_mass
+    atoms = []
+    for theta, fa, sa, fb, sb in zip(t, *sums[0], *sums[1]):
+        fa, fb = qa.gamma + fa, qb.gamma + fb
+        sa, sb = total_a + sa, total_b + sb  # 2 p#
+        # f_N/(2 p#_N), kappa - t over 2; 0/0 and x/0 are NaN, as in the arc solve
+        den = v * sa + weight * sb
+        step = (v * fa + weight * fb) / den if den else math.nan
+        fa, fb = (fa, fb - sb * step) if weight >= v else (fa - sa * step, fb)
+        # a zero both functions share (a spec mixed with itself) has 0/0: mass 0
+        den = max(weight * sa * (fb * fb) + v * sb * (fa * fa), math.ulp(0.0))
+        atoms.append((BoundaryPoint(theta), fa * fa * (fb * fb) / den))
     atoms += [(pt, 1.0 / (weight / x + v / y)) for _, pt, x, y in union if x and y]
     c0 = 1.0 / (weight / complex(qa.total_mass, qa.gamma) + v / complex(qb.total_mass, qb.gamma))
     q = RationalHerglotz(tuple(atoms), c0.imag)

@@ -20,7 +20,11 @@ which p is purely imaginary; one arc solve finds the one zero on each arc,
 for reciprocal and for generator.convex_combination, which reads a mix's
 denominator off a single such solve.  It needs p only on the circle, where
 each kernel is i cot((t - a_j)/2), so it solves on real cotangent sums
-over the atom angles.
+over the atom angles.  At up to _PLAIN_ATOMS atoms it solves one arc at a
+time in plain floats, above that every arc at once on numpy arrays: a pass
+on arrays costs about 39 numpy calls whatever the size, which at a few
+atoms outweighs the n^2 tangents of the plain loop.  Both paths return
+plain lists.
 
 All other evaluation goes through one kernel, kernel_sum, over the atom
 points and masses cached on each function as plain lists.  It sums the
@@ -70,6 +74,14 @@ def _no_number(value) -> bool:
     return isinstance(value, (str, bytes, bytearray, bool, type(None))) or (
         getattr(getattr(value, "dtype", None), "kind", "") == "b"
     )
+
+
+def _one_real(value) -> bool:
+    """Whether value may be read as one real number (a time or a weight):
+    not a value _no_number refuses, not complex, and no array of one or
+    more dimensions, whose comparisons give arrays (told by its ndim, so
+    that a plain number loads no numpy)."""
+    return not (_no_number(value) or isinstance(value, complex) or getattr(value, "ndim", 0))
 
 
 def angle_gap(a: float, b: float) -> float:
@@ -246,7 +258,7 @@ class RationalHerglotz(AtomicHerglotz):
     def __post_init__(self) -> None:
         super().__post_init__()
         if not self.atoms:
-            raise ValueError("RationalHerglotz requires at least one atom")
+            raise DomainError("RationalHerglotz requires at least one atom of positive mass")
 
 
 def herglotz_kernel(s: BoundaryPoint, z: complex) -> complex:
@@ -355,55 +367,144 @@ def reciprocal(p: RationalHerglotz) -> RationalHerglotz:
     M the total mass.  On each arc between consecutive atoms (the last round
     to the first too) f falls strictly from +inf to -inf and has exactly
     one zero: the disk form of Chebotarev's theorem, which _arc_zeros
-    solves.  Each iteration forms one real matrix, the cotangents of every
-    iterate against every atom, in place in a buffer made once per solve,
-    and reads f and f' from it.
+    solves, in plain floats at up to _PLAIN_ATOMS atoms and on numpy arrays
+    above.  Each iteration forms the cotangents of the iterate against
+    every atom and reads f and f' from them.
 
-    All arcs are solved at once from their midpoints.  The next point is
-    the Newton step of f with the arc's two poles divided out when it stays
-    inside the arc's sign bracket, else the bracket's midpoint (Brent's
-    safeguard); an arc stops when its step or its bracket is within
-    _ARC_TOL.  The loop needs no failure path: only the first _NEWTON_STEPS
-    iterations may take a Newton step, so each evaluation from iteration
-    _NEWTON_STEPS + 1 on halves the bracket.  A bracket is at most 2*pi wide
-    and a midpoint rounds by at most 0.9e-15 (half a unit at 8*pi, halved),
-    so k halvings leave at most 2*pi/2**k + 1.8e-15, below _ARC_TOL
-    (3.6e-15) from k = 52 on: the loop ends within _NEWTON_STEPS + 53
-    iterations.
+    Each arc starts from its midpoint.  The next point is the Newton step
+    of f with the arc's two poles divided out when it stays inside the
+    arc's sign bracket, else the bracket's midpoint (Brent's safeguard); an
+    arc stops when its step or its bracket is within _ARC_TOL.  The loop
+    needs no failure path: only the first _NEWTON_STEPS iterations may take
+    a Newton step, so each evaluation from iteration _NEWTON_STEPS + 1 on
+    halves the bracket.  A bracket is at most 2*pi wide and a midpoint
+    rounds by at most 0.9e-15 (half a unit at 8*pi, halved), so k halvings
+    leave at most 2*pi/2**k + 1.8e-15, below _ARC_TOL (3.6e-15) from k = 52
+    on: the loop ends within _NEWTON_STEPS + 53 iterations.
 
-    Each zero kappa gets mass 1/(2 p#(kappa)), p# from the last iteration's
-    matrix, and the imaginary constant is fixed by matching 1/p at the
-    origin.  A zero within ulps of an atom (a tiny mass beside large ones,
-    or two atoms about 1e-9 apart) gets a wrong mass, so DomainError is
-    raised when the masses miss Re(1/p(0)) = M/(M^2 + gamma^2) by more than
-    _MASS_TOL relative.  An overflow in the matrix reaches the masses as
-    NaN or 0 and, where that changes their sum, fails the same check.
+    Each zero kappa gets mass 1/(2 p#(kappa)), p# from the last iteration,
+    and the imaginary constant is fixed by matching 1/p at the origin.  A
+    zero within ulps of an atom (a tiny mass beside large ones, or two atoms
+    about 1e-9 apart) gets a wrong mass, so DomainError is raised when the
+    masses miss Re(1/p(0)) = M/(M^2 + gamma^2) by more than _MASS_TOL
+    relative.  An overflow reaches the masses as NaN or 0, and a p# of 0
+    (masses that halve to 0) as an infinite mass; where that changes their
+    sum, it fails the same check.  A p without atoms (1/(i gamma) has
+    none) raises DomainError before any solve.
     """
-    t, _, sharp = _arc_zeros(np.array([pt.theta for pt, _ in p.atoms]), np.array(p.m), p.gamma)
-    masses = [1.0 / (2.0 * ps) for ps in sharp.tolist()]
+    if not p.atoms:
+        raise DomainError("reciprocal needs at least one atom: 1/p has an atom at each zero of p")
+    t, sharp, _, _ = _arc_zeros([pt.theta for pt, _ in p.atoms], p.m, p.gamma)
+    masses = [1.0 / (2.0 * ps) if ps else math.inf for ps in sharp]
     inverse = 1.0 / complex(p.total_mass, p.gamma)
     _require_mass_sum("reciprocal: the masses of 1/p", sum(masses), "Re(1/p(0))", inverse.real)
-    new_atoms = tuple((BoundaryPoint(theta), m) for theta, m in zip(t.tolist(), masses))
+    new_atoms = tuple((BoundaryPoint(theta), m) for theta, m in zip(t, masses))
     return RationalHerglotz(new_atoms, inverse.imag)
 
 
-def _arc_zeros(a: np.ndarray, m: np.ndarray, gamma: float):
-    """`reciprocal`'s arc solve for atoms at angles ``a`` (increasing, in
-    [0, 2*pi)), masses ``m`` and constant gamma: the zero after each a_j,
-    the last cotangent matrix (a row per zero) and p# at the zeros.
+# At up to this many atoms _arc_zeros solves in plain floats, above it on
+# numpy arrays.  A pass of the array loop makes about 39 numpy calls, whose
+# per-call cost sets its time at a few atoms; a pass of the plain loop costs
+# n tangents per arc, n^2 in all.  On 30 reciprocal inputs per degree (the
+# `rational` benchmark's spread law, one CPU, medians of 9) a solve took
+# 109 against 265 us at 8 atoms, 167 against 177 us at 12, 195 against
+# 196 us at 13 and 331 against 321 us at 14.
+_PLAIN_ATOMS = 12
 
-    An iteration works on a few small arrays, so numpy's per-call cost, not
-    the arithmetic, sets its time, and the lever is the count of iterations.
-    So the step on arc k is Newton's on g = f sin((t - a_k)/2) sin((a_{k+1} - t)/2),
+
+def _arc_zeros(a: list[float], m: list[float], gamma: float, rows=()):
+    """`reciprocal`'s arc solve for atoms at angles ``a`` (increasing, in
+    [0, 2*pi)), masses ``m`` and constant gamma.  It returns, as lists, the
+    zero after each a_j, p# at the zeros, for each mass list r of ``rows``
+    the pair (sum_j r_j c_j, sum_j r_j c_j^2) at each zero, c_j the last
+    cotangents, and the count of passes.
+
+    The step on arc k is Newton's on g = f sin((t - a_k)/2) sin((a_{k+1} - t)/2),
     which has f's zero and no pole (secular-equation solvers divide out the
     poles beside a root alike): r/(1 - r (c_k + c_{k+1})/2), with r = f/p#
-    f's own step and c_k, c_{k+1} row k's cotangents at those two atoms.
-    |r| <= 1 + 2|gamma|/M, so r c does not overflow where f c would.  The
-    matrix and its square fill two buffers made once per solve, the first
-    returned.  An arc stops when the smaller of its Newton step and its
-    bracket is within _ARC_TOL: fmin, not minimum, so that a NaN Newton step
-    still lets the bracket stop the arc.
+    f's own step and c_k, c_{k+1} the cotangents at those two atoms.
+    |r| <= 1 + 2|gamma|/M, so r c does not overflow where f c would.  An
+    arc stops when the smaller of its Newton step and its bracket is within
+    _ARC_TOL: fmin, not minimum, so that a NaN Newton step still lets the
+    bracket stop the arc.  The pass past _ARC_STEPS, which the bound never
+    reaches, only evaluates: the caller reads p# at the returned zeros.
+
+    At up to _PLAIN_ATOMS atoms _plain_arc_zeros solves one arc at a time in
+    plain floats, each arc's passes ending when it stops; above,
+    _array_arc_zeros solves every arc at once on numpy arrays, until the
+    last arc stops.  numpy's per-call cost, not the arithmetic, sets the
+    time of an array pass at a few atoms, hence the plain loop there.  An
+    arc's iterates do not depend on the other arcs, so the count of passes
+    is the most any arc takes on either path.  The two loops are written
+    line for line alike.
     """
+    if len(a) <= _PLAIN_ATOMS:
+        return _plain_arc_zeros(a, m, gamma, rows)
+    return _array_arc_zeros(a, m, gamma, rows)
+
+
+def _plain_arc_zeros(a: list[float], m: list[float], gamma: float, rows):
+    """_arc_zeros in plain floats, one arc at a time.  Python's division
+    raises where numpy's gives inf or NaN, so a p# or a pole-divided
+    denominator of 0 makes the Newton step NaN, which numpy's inf or NaN
+    there would also have sent to the bracket's midpoint."""
+    tan = math.tan
+    a_half = [x / 2.0 for x in a]  # halving is exact, so t/2 - a/2 rounds as (t - a)/2
+    half = [x / 2.0 for x in m]
+    half_total = math.fsum(half)
+    atoms = list(zip(a_half, m, half))
+    n = len(a)
+    zeros, sharps, cots, passes = [], [], [], 0
+    for k, lo, hi in zip(range(n), a, a[1:] + [a[0] + TWO_PI]):
+        t = (lo + hi) / 2.0
+        for iteration in range(_ARC_STEPS + 1):
+            x = t / 2.0
+            cot, f, sharp = [], 0.0, 0.0
+            for aj, mj, hj in atoms:
+                c = 1.0 / tan(x - aj)
+                cot.append(c)
+                f += mj * c
+                sharp += hj * (c * c)
+            f += gamma
+            sharp += half_total
+            if f >= 0.0:
+                lo = t
+            if f <= 0.0:
+                hi = t
+            step = f / sharp if sharp else math.nan
+            pole = 1.0 - step * (cot[k] + cot[(k + 1) % n]) / 2.0
+            newton = t + step / pole if pole else math.nan
+            done = abs(newton - t) <= _ARC_TOL or hi - lo <= _ARC_TOL
+            if done or iteration == _ARC_STEPS:
+                break
+            trial = (lo + hi) / 2.0
+            if iteration < _NEWTON_STEPS and lo < newton < hi:
+                trial = newton
+            t = trial
+        zeros.append(t)
+        sharps.append(sharp)
+        cots.append(cot)
+        passes = max(passes, iteration + 1)
+    sums = []
+    for r in rows:
+        linear, square = [], []
+        for cot in cots:
+            s1 = s2 = 0.0
+            for rj, c in zip(r, cot):
+                s1 += rj * c
+                s2 += rj * (c * c)
+            linear.append(s1)
+            square.append(s2)
+        sums.append((linear, square))
+    return zeros, sharps, sums, passes
+
+
+def _array_arc_zeros(a: list[float], m: list[float], gamma: float, rows):
+    """_arc_zeros on numpy arrays, every arc at once.  The cotangent matrix
+    (a row per arc) and its square fill two buffers made once per solve;
+    an arc that has stopped keeps its iterate, and is evaluated there again
+    until the last arc stops."""
+    a, m = np.array(a), np.array(m)
     a_half = a / 2.0  # halving is exact, so t/2 - a/2 rounds as (t - a)/2
     half = m / 2.0
     half_total = half.sum()
@@ -414,8 +515,6 @@ def _arc_zeros(a: np.ndarray, m: np.ndarray, gamma: float):
     cot, square = np.empty((n, n)), np.empty((n, n))
     done = np.zeros(n, dtype=bool)
     ends = n * np.arange(n) + (np.arange(n) + [[0], [1]]) % n  # flat (k, k), (k, k + 1 mod n)
-    # the pass past _ARC_STEPS, which the bound never reaches, only
-    # evaluates: the caller reads p# at the returned t
     for iteration in range(_ARC_STEPS + 1):
         np.subtract((t / 2.0)[:, None], a_half, cot)
         np.tan(cot, cot)
@@ -435,7 +534,8 @@ def _arc_zeros(a: np.ndarray, m: np.ndarray, gamma: float):
         if iteration < _NEWTON_STEPS:
             trial = np.where((lo < newton) & (newton < hi), newton, trial)
         np.copyto(t, trial, where=~done)
-    return t, cot, sharp
+    sums = [((cot @ r).tolist(), (square @ r).tolist()) for r in map(np.array, rows)]
+    return t.tolist(), sharp.tolist(), sums, iteration + 1
 
 
 def _require_mass_sum(what: str, total: float, target: str, value: float) -> None:

@@ -110,7 +110,15 @@ from .errors import (
     StepFailure,
 )
 from .generator import GeneratorSpec, _array_generator, _point_generator, _spectral_value
-from .herglotz_core import ANGLE_TOL, BoundaryPoint, _Record, _no_number, angle_gap, circle_angle
+from .herglotz_core import (
+    ANGLE_TOL,
+    BoundaryPoint,
+    _Record,
+    _no_number,
+    _one_real,
+    angle_gap,
+    circle_angle,
+)
 
 REL_TOL = 1e-10
 ABS_TOL = 1e-12
@@ -447,12 +455,12 @@ def _check_horizon(t) -> float:
     """t as a float, checked to be a finite, nonnegative real number.
 
     float() and complex() parse strings, so a string is refused before any
-    comparison, and so are bytes, None, bools (numpy's too) and complex
-    values.  A numpy scalar becomes a Python float, so that no float32 sets
-    the precision.
+    comparison, and so are bytes, None, bools (numpy's too), complex values
+    and arrays.  A numpy scalar becomes a Python float, so that no float32
+    sets the precision.
     """
     try:
-        real = not (_no_number(t) or isinstance(t, complex)) and 0.0 <= t < math.inf
+        real = _one_real(t) and 0.0 <= t < math.inf
     except TypeError:
         real = False
     if not real:

@@ -543,6 +543,18 @@ def test_convex_combination_refuses_a_weight_that_is_no_real_number(weight):
     assert mix == convex_combination(first, second, 0.25)
 
 
+@pytest.mark.parametrize("weight", [np.array([0.25, 0.5]), np.array([0.25])], ids=["two", "one"])
+def test_convex_combination_refuses_an_array_weight(weight):
+    # an array's comparison is an array: two elements raised a bare
+    # ValueError, one a bare TypeError from float()
+    first = GeneratorSpec(INTERIOR, AtomicHerglotz(((BoundaryPoint(2.0), 0.7),)))
+    second = GeneratorSpec(INTERIOR, AtomicHerglotz(gamma=1.0))
+    with pytest.raises(DomainError, match="weight must be a real number"):
+        convex_combination(first, second, weight)
+    mix = convex_combination(first, second, np.array(0.25))
+    assert mix == convex_combination(first, second, 0.25)
+
+
 @pytest.mark.parametrize("weight", [np.True_, np.False_, np.array(True)], ids=repr)
 def test_convex_combination_refuses_a_numpy_bool_weight(weight):
     # np.bool_ is no subclass of bool, and np.True_ was read as the weight 1

@@ -529,7 +529,7 @@ def test_scalar_paths_do_not_load_numpy(tmp_path):
 
 
 _FIRST_USE = """
-import json, sys, types
+import json, math, sys, types
 if sys.argv[1] == "numpy":
     import numpy
 from diskflow import _lazy, herglotz_core as hc, semiflow
@@ -541,6 +541,10 @@ w = hc.eval_herglotz(p, 0.5)
 report["value"] = [w.real, w.imag]
 report["plain after a point"] = type(hc.np) is types.ModuleType
 report["reciprocal"] = [(a.theta, m) for a, m in hc.reciprocal(p).atoms]
+report["plain after few atoms"] = type(hc.np) is types.ModuleType
+# 13 atoms at the 13th roots of unity: 1/p has mass 1/169 at each root of -1
+many = hc.RationalHerglotz(tuple((hc.BoundaryPoint(2.0 * math.pi * k / 13), 1.0) for k in range(13)))
+report["many"] = [(a.theta, m) for a, m in hc.reciprocal(many).atoms][0]
 report["plain"] = type(hc.np) is types.ModuleType
 report["shared"] = semiflow.np is hc.np is sys.modules["numpy"]
 print(json.dumps(report))
@@ -557,6 +561,10 @@ def test_lazy_numpy_is_the_plain_module_after_first_use(first):
     # one point is summed in plain floats: numpy waits for an array kernel
     assert report["plain after a point"] is (first == "numpy")
     assert report["reciprocal"] == [pytest.approx([math.pi, 1.0], rel=1e-12)]
+    # the arc solve of a few atoms runs in plain floats too; above
+    # herglotz_core._PLAIN_ATOMS it is an array kernel
+    assert report["plain after few atoms"] is (first == "numpy")
+    assert report["many"] == pytest.approx([math.pi / 13, 1.0 / 169], rel=1e-12)
     # no proxy is left on the hot path once numpy has loaded
     assert report["plain"] is True
     assert report["shared"] is True

@@ -6,9 +6,12 @@ convex_combination; the array solve (semiflow._solve on _Batch) integrates
 the radius ladder of estimate_boundary_derivative.  Each digest was recorded
 before either loop was rewritten to make fewer numpy calls, and no rewrite
 may move a bit of it; the mix's was re-recorded once, when the arc solve
-changed its Newton step.  numpy picks some loops by the CPU, so these digests
-are computed in a child on the baseline loops, as test_golden_cli runs
-verify.  flow_trajectory's samples are pinned the same way, in process.
+changed its Newton step.  Since the arc solve runs in plain floats at few
+atoms, the mix is pinned twice: as dispatched, and with every solve sent to
+the array loop, which must still give that digest.  numpy picks some loops
+by the CPU, so these digests are computed in a child on the baseline loops,
+as test_golden_cli runs verify.  flow_trajectory's samples are pinned the
+same way, in process.
 
 The injection test pins where a right-hand side that is not finite stops a
 solve: on the attempt that met it, with DomainError, and for the ladder
@@ -29,6 +32,7 @@ from diskflow import DiskflowError, DomainError, _dop853, flow_trajectory, semif
 from diskflow.generator import _array_generator, _point_generator
 from diskflow.value_regions import REGIMES
 from test_golden_cli import _baseline_env
+from test_herglotz import ARRAYS_ONLY
 import verify_reference
 
 # 40 random_spec draws per regime (seed 2901), each solved as the radius
@@ -95,18 +99,23 @@ for i in range(300):
     digest.update((" ".join(words) + "\\n").encode())
 print(digest.hexdigest())
 """
-# re-recorded when the arc solve's Newton step began to divide out the
-# arc's two poles
-MIX_SHA256 = "1edfbd34d057e3a90f51cbb43bc9560b108ef0f85c879042ca0f475d7b04a176"
+# re-recorded when mixes of up to herglotz_core._PLAIN_ATOMS atoms in N
+# (all 300 here) began to be solved in plain floats
+MIX_SHA256 = "971a20b0539f1d8558379519db5806154e45b5eee0edea39d716ff48418bdd26"
+# every arc solve sent to the array loop, as in the parent of that change;
+# recorded when the arc solve's Newton step began to divide out the arc's
+# two poles
+MIX_ARRAY_SHA256 = "1edfbd34d057e3a90f51cbb43bc9560b108ef0f85c879042ca0f475d7b04a176"
 
 
 def _child_digest(script: str) -> str:
-    """The stdout of ``script`` run in a child on numpy's baseline loops."""
+    """The stdout of ``script`` run in a child on numpy's baseline loops,
+    where a RuntimeWarning is an error."""
     env = _baseline_env()
     src = str(pathlib.Path(diskflow.__file__).resolve().parents[1])
     tests = str(pathlib.Path(__file__).resolve().parent)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, tests, env.get("PYTHONPATH")]))
-    argv = [sys.executable, "-c", script]
+    argv = [sys.executable, "-W", "error::RuntimeWarning", "-c", script]
     return subprocess.run(argv, env=env, capture_output=True, text=True, check=True).stdout.strip()
 
 
@@ -116,6 +125,10 @@ def test_the_radius_ladder_is_pinned_bit_for_bit():
 
 def test_convex_combination_is_pinned_bit_for_bit():
     assert _child_digest(MIX_DIGEST_CHILD) == MIX_SHA256
+
+
+def test_the_array_loop_of_convex_combination_is_pinned_bit_for_bit():
+    assert _child_digest(ARRAYS_ONLY + MIX_DIGEST_CHILD) == MIX_ARRAY_SHA256
 
 
 def _trajectory_digest() -> str:

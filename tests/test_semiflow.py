@@ -140,6 +140,16 @@ def test_flow_refuses_a_time_that_is_no_real_number(t):
             flow(KOENIGS, 0.3, t)
 
 
+@pytest.mark.parametrize("t", [np.array([0.5, 1.0]), np.array([0.5])], ids=["two", "one"])
+def test_flow_refuses_an_array_time(t):
+    # an array's comparison is an array: two elements raised a bare
+    # ValueError, one a bare TypeError from float()
+    for flow in (integrate_flow, integrate_flow_with_derivative, flow_trajectory):
+        with pytest.raises(DomainError, match="real number"):
+            flow(KOENIGS, 0.3, t)
+    assert integrate_flow(KOENIGS, 0.3, np.array(0.5)) == integrate_flow(KOENIGS, 0.3, 0.5)
+
+
 def test_flow_takes_numpy_scalars():
     for z0, t in ((np.float64(0.5), np.float32(0.25)), (np.complex128(0.5), np.int64(1))):
         w, dw = integrate_flow_with_derivative(KOENIGS, 0.5, float(t))
