@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from functools import cached_property
+from operator import itemgetter
 from typing import Callable
 
 from ._lazy import np
@@ -42,13 +42,14 @@ from .herglotz_core import (
     BoundaryPoint,
     ANGLE_TOL,
     RationalHerglotz,
+    _TOO_LARGE,
     _Record,
     _arc_zeros,
     _one_real,
     _require_mass_sum,
     angle_gap,
+    cached_property,
     circle_angle,
-    extract_atom,
     kernel_sum,
     p_star,
     point_kernel_sum,
@@ -101,9 +102,12 @@ class FixedPointConfig(_Record):
     def __init__(
         self, tau: complex, sigmas: tuple[BoundaryPoint, ...], lambdas: tuple[float, ...]
     ) -> None:
-        object.__setattr__(self, "tau", complex(tau))
+        try:
+            object.__setattr__(self, "tau", complex(tau))
+            object.__setattr__(self, "lambdas", tuple(float(v) for v in lambdas))
+        except OverflowError:
+            raise DomainError(_TOO_LARGE.format("tau and the spectral values")) from None
         object.__setattr__(self, "sigmas", tuple(sigmas))
-        object.__setattr__(self, "lambdas", tuple(float(v) for v in lambdas))
         if not cmath.isfinite(self.tau) or not all(map(math.isfinite, self.lambdas)):
             raise DomainError("tau and the spectral values must be finite")
         if len(self.sigmas) == 0:
@@ -352,20 +356,23 @@ def spec_from_denominator(
     """Recover a fixed-point spec from a denominator function q = p + p0.
 
     Each sigma_k must carry an atom of q within ANGLE_TOL (that is what
-    makes it a repelling fixed point); extract_atom splits it off, its
-    mass determines the spectral value, and the remaining atoms plus the
-    imaginary constant form p.  convex_combination keeps each sigma_k's
-    atom at a point of its inputs, so no wider tolerance is needed.
+    makes it a repelling fixed point).  Each sigma_k in turn takes the first
+    atom left within ANGLE_TOL, as extract_atom would, whose mass gives the
+    spectral value; the atoms left and q's constant form p, normalized once.
+    convex_combination keeps each sigma_k's atom at a point of its inputs,
+    so no wider tolerance is needed.
     """
-    lambdas = []
-    p = q
+    lambdas, atoms = [], list(q.atoms)
     for s in sigmas:
-        mass, p = extract_atom(p, s)
-        if mass == 0.0:
-            raise DegenerateConfig(
-                f"denominator lacks an atom at angle {s.theta}; not a repelling point"
-            )
+        for i, (point, mass) in enumerate(atoms):
+            if point.same_point(s):
+                break
+        else:
+            message = f"denominator lacks an atom at angle {s.theta}; not a repelling point"
+            raise DegenerateConfig(message)
+        del atoms[i]
         lambdas.append(-abs(tau - s.value) ** 2 / (2.0 * mass))
+    p = AtomicHerglotz(tuple(atoms), q.gamma)
     return GeneratorSpec(FixedPointConfig(tau, tuple(sigmas), tuple(lambdas)), p)
 
 
@@ -381,7 +388,7 @@ def convex_combination(
     with mass 1/(w/m_a + (1 - w)/m_b).  The zero kappa of N on each arc,
     from the arc solve of `reciprocal`, is an atom with the residue form
     1/(2 (w p#_a/f_a^2 + (1 - w) p#_b/f_b^2)) for mass, where q = i f and
-    p# = -f' on the circle, read off the solve's last matrix and multiplied
+    p# = -f' on the circle, read off the solve's last cotangents and multiplied
     out so that f = 0 gives 0.  The equal form -f_a f_b/(2 p#_N) is avoided:
     beside an atom of weight about w in N it reads an O(1) mass from an
     offset of size about w.  The f of the function of larger weight in N is
@@ -393,6 +400,10 @@ def convex_combination(
     bool (numpy's too), a complex value or an array raises DomainError, as
     does a number outside [0, 1] or NaN, and any other is taken as
     float(weight).
+
+    N's atoms are each spec's p and (sigma_k, alpha_k), merged in one sweep
+    with no q_a or q_b built: as those merge, unless a p has an atom within
+    ANGLE_TOL of one of its own sigma_k at another angle.
     """
     try:
         real = _one_real(weight) and 0.0 <= weight <= 1.0
@@ -409,10 +420,13 @@ def convex_combination(
         return second
     if weight == 1.0:
         return first
-    qa, qb = denominator_herglotz(first), denominator_herglotz(second)
-    rows = [(p.theta, p, m, 0.0) for p, m in qa.atoms] + [(p.theta, p, 0.0, m) for p, m in qb.atoms]
+    if not all(0.0 < alpha < math.inf for alpha in ca.alphas + cb.alphas):
+        # an alpha_k of inf or 0: q_a's and q_b's records refuse an inf, or no atoms
+        denominator_herglotz(first), denominator_herglotz(second)
+    qa, qb = (s.p.atoms + tuple(zip(s.config.sigmas, s.config.alphas)) for s in (first, second))
+    rows = [(x.theta, x, m, 0.0) for x, m in qa if m] + [(x.theta, x, 0.0, m) for x, m in qb if m]
     union: list[list] = []  # N's atoms, merged as AtomicHerglotz merges: [angle, point, m_a, m_b]
-    for theta, point, ma, mb in sorted(rows, key=lambda row: row[0]):
+    for theta, point, ma, mb in sorted(rows, key=itemgetter(0)):
         if union and theta - union[-1][0] <= ANGLE_TOL:
             union[-1][2:] = [union[-1][2] + ma, union[-1][3] + mb]
         else:
@@ -420,13 +434,14 @@ def convex_combination(
     if len(union) > 1 and union[0][0] + math.tau - union[-1][0] <= ANGLE_TOL:
         union[0][2:] = [x + y for x, y in zip(union[0][2:], union.pop()[2:])]
     a, ma, mb = ([row[k] for row in union] for k in (0, 2, 3))
+    ga, gb = first.p.gamma, second.p.gamma
+    total_a, total_b = sum(ma), sum(mb)  # the masses of q_a and q_b, as total_mass sums them
     v = 1.0 - weight
     mn = [v * x + weight * y for x, y in zip(ma, mb)]
-    t, _, sums, _ = _arc_zeros(a, mn, v * qa.gamma + weight * qb.gamma, (ma, mb))
-    total_a, total_b = qa.total_mass, qb.total_mass
+    t, _, sums, _ = _arc_zeros(a, mn, v * ga + weight * gb, (ma, mb))
     atoms = []
     for theta, fa, sa, fb, sb in zip(t, *sums[0], *sums[1]):
-        fa, fb = qa.gamma + fa, qb.gamma + fb
+        fa, fb = ga + fa, gb + fb
         sa, sb = total_a + sa, total_b + sb  # 2 p#
         # f_N/(2 p#_N), kappa - t over 2; 0/0 and x/0 are NaN, as in the arc solve
         den = v * sa + weight * sb
@@ -436,7 +451,7 @@ def convex_combination(
         den = max(weight * sa * (fb * fb) + v * sb * (fa * fa), math.ulp(0.0))
         atoms.append((BoundaryPoint(theta), fa * fa * (fb * fb) / den))
     atoms += [(pt, 1.0 / (weight / x + v / y)) for _, pt, x, y in union if x and y]
-    c0 = 1.0 / (weight / complex(qa.total_mass, qa.gamma) + v / complex(qb.total_mass, qb.gamma))
+    c0 = 1.0 / (weight / complex(total_a, ga) + v / complex(total_b, gb))
     q = RationalHerglotz(tuple(atoms), c0.imag)
     _require_mass_sum("convex_combination: the masses of q_c", q.total_mass, "Re(q_c(0))", c0.real)
     return spec_from_denominator(ca.tau, ca.sigmas, q)

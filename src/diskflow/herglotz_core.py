@@ -52,7 +52,6 @@ from __future__ import annotations
 import cmath
 import heapq
 import math
-from functools import cached_property
 from operator import itemgetter
 
 from ._lazy import np
@@ -64,6 +63,11 @@ TWO_PI = 2.0 * math.pi
 # Angular tolerance for identifying boundary points; two atoms closer than
 # this are considered the same point and their masses are merged.
 ANGLE_TOL = 1e-12
+
+
+# the refusal of a number that float() overflows on (an int beyond the
+# floats), where a value is converted
+_TOO_LARGE = "{} must be finite, got a number too large for a float"
 
 
 def _no_number(value) -> bool:
@@ -82,6 +86,32 @@ def _one_real(value) -> bool:
     more dimensions, whose comparisons give arrays (told by its ndim, so
     that a plain number loads no numpy)."""
     return not (_no_number(value) or isinstance(value, complex) or getattr(value, "ndim", 0))
+
+
+class cached_property:
+    """functools.cached_property without its lock, as Python 3.12 has it.
+
+    On 3.11 the first read of each cached value takes an RLock, about
+    0.9 us, and a mix of two fresh specs makes such first reads inside the
+    call: each config's alphas and the sums they come from.  The package
+    caches values computed from immutable fields, so two threads that both
+    miss compute equal values, and either may stay.  As a non-data
+    descriptor it is asked only on a miss: afterwards the value stored in
+    the instance dict is found first.
+    """
+
+    def __init__(self, func) -> None:
+        self.func = func
+        self.__doc__ = func.__doc__
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.name = name
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.name] = self.func(instance)
+        return value
 
 
 def angle_gap(a: float, b: float) -> float:
@@ -126,9 +156,13 @@ class _Record:
 def circle_angle(theta: float) -> float:
     """theta reduced to [0, 2*pi), as BoundaryPoint stores it.
 
-    A non-finite angle names no point of the circle and raises DomainError.
+    A non-finite angle, an int beyond the floats too, names no point of
+    the circle and raises DomainError.
     """
-    t = float(theta)
+    try:
+        t = float(theta)
+    except OverflowError:
+        raise DomainError(_TOO_LARGE.format("a boundary angle")) from None
     if not math.isfinite(t):
         raise DomainError(f"a boundary angle must be finite, got {t}")
     t %= TWO_PI
@@ -180,12 +214,13 @@ class AtomicHerglotz(_Record):
 
     Construction normalizes the atoms so that they depend only on the
     multiset given, not its order.  Negative masses are rejected, and so
-    are non-finite masses and a non-finite gamma.  Zero masses are dropped,
-    the rest sorted by (angle, mass) and swept once: an atom within
-    ANGLE_TOL of its group's first angle adds its mass to the group, which
-    keeps that angle.  The last group joins the first when
-    they are within ANGLE_TOL across 2*pi.  The angles are thus strictly
-    increasing, and consecutive atoms bound the arcs `reciprocal` solves on.
+    are non-finite masses and a non-finite gamma, an int beyond the floats
+    included.  Zero masses are dropped, the rest sorted by (angle, mass)
+    and swept once: an atom within ANGLE_TOL of its group's first angle
+    adds its mass to the group, which keeps that angle.  The last group
+    joins the first when they are within ANGLE_TOL across 2*pi.  The
+    angles are thus strictly increasing, and consecutive atoms bound the
+    arcs `reciprocal` solves on.
     """
 
     # The normalization stays a method of its own, looked up on the instance:
@@ -200,7 +235,10 @@ class AtomicHerglotz(_Record):
     def __post_init__(self) -> None:
         atoms = []
         for point, mass in self.atoms:
-            m = float(mass)
+            try:
+                m = float(mass)
+            except OverflowError:
+                raise DomainError(_TOO_LARGE.format("atom mass")) from None
             if not 0.0 <= m < math.inf:
                 raise DomainError(f"atom mass must be finite and nonnegative, got {m}")
             if m != 0.0:
@@ -217,8 +255,12 @@ class AtomicHerglotz(_Record):
         if len(merged) > 1 and merged[0][0].theta + TWO_PI - first <= ANGLE_TOL:
             merged[0] = (merged[0][0], merged[0][1] + merged.pop()[1])
         object.__setattr__(self, "atoms", tuple(merged))
-        object.__setattr__(self, "gamma", float(self.gamma))
-        if not math.isfinite(self.gamma):
+        try:
+            gamma = float(self.gamma)
+        except OverflowError:
+            raise DomainError(_TOO_LARGE.format("the imaginary constant")) from None
+        object.__setattr__(self, "gamma", gamma)
+        if not math.isfinite(gamma):
             raise DomainError(f"the imaginary constant must be finite, got {self.gamma}")
 
     @property

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from functools import cached_property
 
 from ._lazy import np
 
@@ -42,6 +41,7 @@ from .herglotz_core import (
     BoundaryPoint,
     _Record,
     angle_gap,
+    cached_property,
     contact_value,
     herglotz_kernel,
 )

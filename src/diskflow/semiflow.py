@@ -113,6 +113,7 @@ from .generator import GeneratorSpec, _array_generator, _point_generator, _spect
 from .herglotz_core import (
     ANGLE_TOL,
     BoundaryPoint,
+    _TOO_LARGE,
     _Record,
     _no_number,
     _one_real,
@@ -457,7 +458,7 @@ def _check_horizon(t) -> float:
     float() and complex() parse strings, so a string is refused before any
     comparison, and so are bytes, None, bools (numpy's too), complex values
     and arrays.  A numpy scalar becomes a Python float, so that no float32
-    sets the precision.
+    sets the precision.  An int beyond the floats is refused as infinite.
     """
     try:
         real = _one_real(t) and 0.0 <= t < math.inf
@@ -465,17 +466,23 @@ def _check_horizon(t) -> float:
         real = False
     if not real:
         raise DomainError(f"semigroup time must be a finite, nonnegative real number, got {t!r}")
-    return float(t)
+    try:
+        return float(t)
+    except OverflowError:
+        raise DomainError(_TOO_LARGE.format("a semigroup time")) from None
 
 
 def _number(value, what: str) -> complex:
     """value as a Python complex, checked to be one number: an array, or a
-    value _no_number refuses (a string is not parsed), raises DomainError."""
+    value _no_number refuses (a string is not parsed), raises DomainError,
+    and so does an int beyond the floats."""
     if not _no_number(value):
         if not isinstance(value, (int, float, complex)) and np.ndim(value) != 0:
             raise DomainError(f"expected one {what}, got an array of shape {np.shape(value)}")
         try:
             return complex(value)
+        except OverflowError:
+            raise DomainError(_TOO_LARGE.format(f"a {what}")) from None
         except TypeError:
             pass
     raise DomainError(f"a {what} must be a number, got {value!r}")

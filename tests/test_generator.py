@@ -18,6 +18,7 @@ from diskflow import (
     DomainError,
     FixedPointConfig,
     GeneratorSpec,
+    RationalHerglotz,
     beta,
     brfp_spectral_value,
     convex_combination,
@@ -70,6 +71,17 @@ def test_config_rejects_duplicate_sigmas():
 def test_config_rejects_tau_outside_disk():
     with pytest.raises(DomainError):
         cfg(1.5, [(0.0, -1.0)])
+
+
+@pytest.mark.parametrize(
+    "tau, lam",
+    [(10**400, -1.0), (-(10**400), -1.0), (0.3, 10**400), (0.3, -(10**400))],
+    ids=["tau", "minus tau", "lambda", "minus lambda"],
+)
+def test_config_refuses_an_int_beyond_the_floats(tau, lam):
+    # float() and complex() raise OverflowError on it
+    with pytest.raises(DomainError, match="too large for a float"):
+        cfg(tau, [(0.0, lam)])
 
 
 def test_tau_regime_refuses_nan():
@@ -332,6 +344,19 @@ def test_spec_from_denominator_requires_all_poles():
         )
 
 
+def test_spec_from_denominator_takes_the_first_atom_beside_sigma():
+    # both atoms are within ANGLE_TOL of sigma but 1.8e-12 apart, so q keeps
+    # both: sigma takes the first one's mass and p keeps the second
+    sigma = BoundaryPoint(1.0)
+    below, above = BoundaryPoint(1.0 - 0.9e-12), BoundaryPoint(1.0 + 0.9e-12)
+    q = RationalHerglotz(((above, 2.0), (BoundaryPoint(4.0), 0.5), (below, 0.25)), 0.3)
+    assert len(q.atoms) == 3
+    back = spec_from_denominator(0.2j, (sigma,), q)
+    assert back.config.lambdas == (-abs(0.2j - sigma.value) ** 2 / 0.5,)
+    assert [(pt.theta, m) for pt, m in back.p.atoms] == [(above.theta, 2.0), (4.0, 0.5)]
+    assert back.p.gamma == 0.3
+
+
 def test_convex_combination_is_pointwise(rng):
     c = INTERIOR
     first = GeneratorSpec(c, AtomicHerglotz(((BoundaryPoint(2.0), 0.7),), 0.3))
@@ -416,6 +441,28 @@ def test_convex_combination_is_the_pointwise_mean_and_keeps_each_sigma(pair):
     q = split.call_args.args[2]
     for s in first.config.sigmas:
         assert [pt.theta for pt, _ in q.atoms if pt.same_point(s)] == [s.theta]
+
+
+@given(shared_skeleton_pairs())
+def test_convex_combination_normalizes_two_herglotz_records(pair):
+    # q_c and the mix's p; N's atoms are read off the specs' own atoms
+    first, second, w = pair
+    normalize = AtomicHerglotz.__post_init__
+    spy = mock.patch.object(AtomicHerglotz, "__post_init__", autospec=True, side_effect=normalize)
+    with spy as made:
+        convex_combination(first, second, w)
+    assert made.call_count == 2
+
+
+def test_convex_combination_refuses_an_alpha_that_overflowed():
+    # alpha = |tau - sigma|^2 / (2 |lambda|) is inf at lambda = -1e-320
+    sigmas = INTERIOR.sigmas
+    first = GeneratorSpec(FixedPointConfig(INTERIOR.tau, sigmas, (-1e-320,)))
+    second = GeneratorSpec(INTERIOR, AtomicHerglotz(((BoundaryPoint(2.0), 0.7),), 0.3))
+    assert first.config.alphas == (math.inf,)
+    for a, b in ((first, second), (second, first)):
+        with pytest.raises(DomainError, match="got inf"):
+            convex_combination(a, b, 0.5)
 
 
 @given(shared_skeleton_pairs(), st.floats(1e-3, 1.0 - 1e-3))

@@ -99,6 +99,25 @@ def test_negative_mass_rejected():
         AtomicHerglotz(atoms((0.3, -1.0)), 0.0)
 
 
+# float() raises OverflowError on an int beyond the floats; each is refused
+# as DomainError where it is converted
+def test_boundary_point_refuses_an_int_beyond_the_floats():
+    with pytest.raises(DomainError, match="too large for a float"):
+        BoundaryPoint(10**400)
+
+
+@pytest.mark.parametrize("mass", [10**400, -10**400], ids=["plus", "minus"])
+def test_atomic_herglotz_refuses_a_mass_beyond_the_floats(mass):
+    with pytest.raises(DomainError, match="too large for a float"):
+        AtomicHerglotz(atoms((0.3, mass)), 0.0)
+
+
+@pytest.mark.parametrize("gamma", [10**400, -10**400], ids=["plus", "minus"])
+def test_atomic_herglotz_refuses_a_gamma_beyond_the_floats(gamma):
+    with pytest.raises(DomainError, match="too large for a float"):
+        AtomicHerglotz(atoms((0.3, 1.0)), gamma)
+
+
 def test_coincident_atoms_merge():
     p = AtomicHerglotz(atoms((0.4, 1.0), (0.4, 2.5)), 0.0)
     assert len(p.atoms) == 1

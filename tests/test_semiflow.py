@@ -140,6 +140,18 @@ def test_flow_refuses_a_time_that_is_no_real_number(t):
             flow(KOENIGS, 0.3, t)
 
 
+def test_check_horizon_refuses_an_int_beyond_the_floats():
+    # 0 <= 10**400 < inf holds, so the range test lets it through to float()
+    with pytest.raises(DomainError, match="too large for a float"):
+        semiflow._check_horizon(10**400)
+
+
+def test_flow_refuses_a_start_point_beyond_the_floats():
+    for flow in (integrate_flow, integrate_flow_with_derivative, flow_trajectory):
+        with pytest.raises(DomainError, match="too large for a float"):
+            flow(KOENIGS, 10**400, 1.0)
+
+
 @pytest.mark.parametrize("t", [np.array([0.5, 1.0]), np.array([0.5])], ids=["two", "one"])
 def test_flow_refuses_an_array_time(t):
     # an array's comparison is an array: two elements raised a bare
