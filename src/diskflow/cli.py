@@ -40,6 +40,7 @@ from .generator import FixedPointConfig, GeneratorSpec, tau_regime
 from .herglotz_core import (
     AtomicHerglotz,
     BoundaryPoint,
+    _real,
     counterexample_P,
     counterexample_divergence,
 )
@@ -99,13 +100,15 @@ def _fields(obj, required: tuple[str, ...], optional: dict | None = None) -> lis
 
 
 def _number(value) -> float:
-    """A config number: a JSON int or float, not a bool, that a float can hold."""
+    """A config number: a JSON int or float, not a bool, that a float can hold.
+    Apart from herglotz_core._real on purpose: a malformed config raises
+    ValueError (exit 2), where the library's DomainError gives exit 3."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"expected a number, got {value!r}")
     try:
-        return float(value)
-    except OverflowError:
-        raise ValueError("a number in the config is too large for a float") from None
+        return _real(value, "number in the config")
+    except DomainError as error:
+        raise ValueError(str(error)) from None
 
 
 def _array(value, read: Callable = _number) -> tuple:

@@ -26,7 +26,7 @@ from .generator import (
     brfp_spectral_value,
     tau_regime,
 )
-from .herglotz_core import AtomicHerglotz, BoundaryPoint, _Record, extract_atom
+from .herglotz_core import AtomicHerglotz, BoundaryPoint, _Record, _complex, _real, extract_atom
 
 
 class ExtremeCandidate(_Record):
@@ -40,7 +40,7 @@ class ExtremeCandidate(_Record):
         free_atoms: tuple[tuple[BoundaryPoint, float], ...] = (),
     ) -> None:
         object.__setattr__(self, "config", config)
-        object.__setattr__(self, "b", float(b))
+        object.__setattr__(self, "b", _real(b, "constant b"))
         object.__setattr__(self, "free_atoms", tuple(free_atoms))
         if not math.isfinite(self.b):
             raise DomainError(f"the imaginary constant b must be finite, got {self.b}")
@@ -100,7 +100,7 @@ def extreme_point_GenF(
             f"spectral moduli must sum to 1, got {total!r}"
         )
     config = FixedPointConfig(tau, tuple(sigmas), tuple(lambdas))
-    return GeneratorSpec(config, AtomicHerglotz((), float(b)))
+    return GeneratorSpec(config, AtomicHerglotz((), b))
 
 
 def is_extreme_GenF(spec: GeneratorSpec) -> bool:
@@ -143,16 +143,17 @@ def gk_generator(
     a convex mixture in the measure.  A Dirac at gk_dirac_parameter(b,
     alpha) reproduces the candidate generator with free summand i*b.
     """
-    tau = complex(tau)
+    tau = _complex(tau, "Denjoy-Wolff point")
     tau_regime(tau)  # DomainError beyond the circle or at NaN
-    z = complex(z)
+    z = _complex(z, "point z")
     if not abs(z) < 1.0:
         raise DomainError("evaluation point must lie in the open disk")
+    lam = _real(lam, "spectral value")
     if not -math.inf < lam < 0.0:
         raise DomainError("the repelling spectral value must be negative and finite")
     if abs(tau - sigma.value) <= 1e-12:
         raise DegenerateConfig("tau must differ from the repelling point")
-    weights = [float(w) for _, w in mu]
+    weights = [_real(w, "weight") for _, w in mu]
     if any(not w >= 0.0 for w in weights):
         raise WeightError("measure weights must be nonnegative")
     if abs(sum(weights) - 1.0) > 1e-12:

@@ -42,10 +42,10 @@ from .herglotz_core import (
     BoundaryPoint,
     ANGLE_TOL,
     RationalHerglotz,
-    _TOO_LARGE,
     _Record,
     _arc_zeros,
-    _one_real,
+    _complex,
+    _real,
     _require_mass_sum,
     angle_gap,
     cached_property,
@@ -102,11 +102,8 @@ class FixedPointConfig(_Record):
     def __init__(
         self, tau: complex, sigmas: tuple[BoundaryPoint, ...], lambdas: tuple[float, ...]
     ) -> None:
-        try:
-            object.__setattr__(self, "tau", complex(tau))
-            object.__setattr__(self, "lambdas", tuple(float(v) for v in lambdas))
-        except OverflowError:
-            raise DomainError(_TOO_LARGE.format("tau and the spectral values")) from None
+        object.__setattr__(self, "tau", _complex(tau, "Denjoy-Wolff point"))
+        object.__setattr__(self, "lambdas", tuple([_real(v, "spectral value") for v in lambdas]))
         object.__setattr__(self, "sigmas", tuple(sigmas))
         if not cmath.isfinite(self.tau) or not all(map(math.isfinite, self.lambdas)):
             raise DomainError("tau and the spectral values must be finite")
@@ -221,7 +218,8 @@ def eval_denominator(spec: GeneratorSpec, z):
 
 
 def eval_generator(gen: GeneratorSpec, z):
-    return _mobius_factor(gen.config.tau, z) / eval_denominator(gen, z)
+    q = eval_denominator(gen, z)  # first: it checks z
+    return _mobius_factor(gen.config.tau, z) / q
 
 
 def _point_generator(spec: GeneratorSpec) -> Callable[[complex], tuple[complex, complex]]:
@@ -396,22 +394,16 @@ def convex_combination(
     is noise where that function is near its own zero.  The masses must sum
     to Re q_c(0) within `reciprocal`'s bound, else DomainError.  A weight
     whose 1 - weight rounds to 1 (0 too) returns ``second``, 1 ``first``.
-    The weight is read as semiflow reads a time: a string, bytes, None, a
-    bool (numpy's too), a complex value or an array raises DomainError, as
-    does a number outside [0, 1] or NaN, and any other is taken as
-    float(weight).
+    The weight is read by herglotz_core._real, and one outside [0, 1] or
+    NaN raises DomainError.
 
     N's atoms are each spec's p and (sigma_k, alpha_k), merged in one sweep
     with no q_a or q_b built: as those merge, unless a p has an atom within
     ANGLE_TOL of one of its own sigma_k at another angle.
     """
-    try:
-        real = _one_real(weight) and 0.0 <= weight <= 1.0
-    except TypeError:
-        real = False
-    if not real:
+    weight = _real(weight, "weight")
+    if not 0.0 <= weight <= 1.0:
         raise DomainError(f"weight must be a real number in [0, 1], got {weight!r}")
-    weight = float(weight)
     ca, cb = first.config, second.config
     if not ca.has_skeleton(cb.tau, cb.sigmas):
         raise DegenerateConfig("specs must share tau and the repelling set")

@@ -65,27 +65,66 @@ TWO_PI = 2.0 * math.pi
 ANGLE_TOL = 1e-12
 
 
-# the refusal of a number that float() overflows on (an int beyond the
-# floats), where a value is converted
-_TOO_LARGE = "{} must be finite, got a number too large for a float"
+def _real(value, what: str) -> float:
+    """value, a real number the caller handed in, as a Python float.
+
+    Every number the package reads from its caller (an angle, a mass, a
+    time, a weight, a spectral value) is read here or by _complex, by one
+    rule: strings and bytes, which float() parses, None, bools (numpy's
+    too), arrays of one or more dimensions and, here, complex values raise
+    DomainError, and so does a value float() refuses or overflows on (an
+    int beyond the floats).  A numpy value is read when its dtype is a
+    number's, told without loading numpy.  Range and finiteness checks stay
+    with the callers.  ``what`` names the value in the message, which never
+    formats the value itself: Python refuses to print an int of more than
+    4300 digits.
+    """
+    if value.__class__ is float:
+        return value
+    if not _refused(value, "iuf") and not isinstance(value, complex):
+        try:
+            return float(value)
+        except OverflowError:
+            raise _refusal(value, what, "real number", overflow=True) from None
+        except TypeError:
+            pass
+    raise _refusal(value, what, "real number")
 
 
-def _no_number(value) -> bool:
-    """Whether value is no number the package reads (a start point, map
-    value, time or weight): strings and bytes, which complex() and float()
-    parse, bools, which are ints, numpy's bools too (told by their dtype, so
-    that a plain number loads no numpy), and None."""
-    return isinstance(value, (str, bytes, bytearray, bool, type(None))) or (
-        getattr(getattr(value, "dtype", None), "kind", "") == "b"
-    )
+def _complex(value, what: str) -> complex:
+    """value, a number the caller handed in, as a Python complex: _real's
+    rule, with complex values read."""
+    if value.__class__ is complex:
+        return value
+    if not _refused(value, "iufc"):
+        try:
+            return complex(value)
+        except OverflowError:
+            raise _refusal(value, what, "number", overflow=True) from None
+        except TypeError:
+            pass
+    raise _refusal(value, what, "number")
 
 
-def _one_real(value) -> bool:
-    """Whether value may be read as one real number (a time or a weight):
-    not a value _no_number refuses, not complex, and no array of one or
-    more dimensions, whose comparisons give arrays (told by its ndim, so
-    that a plain number loads no numpy)."""
-    return not (_no_number(value) or isinstance(value, complex) or getattr(value, "ndim", 0))
+def _refused(value, kinds: str) -> bool:
+    """Whether _real or _complex refuses value before converting it: a
+    string, bytes, a bool or None, or a value with a dtype whose kind is not
+    one of ``kinds`` or with one or more dimensions."""
+    if isinstance(value, (str, bytes, bytearray, bool, type(None))):
+        return True
+    kind = getattr(getattr(value, "dtype", None), "kind", None)
+    return (kind is not None and kind not in kinds) or getattr(value, "ndim", 0) != 0
+
+
+def _refusal(value, what: str, kind: str, overflow: bool = False) -> DomainError:
+    """The DomainError of a value that is no ``kind``, or that overflowed."""
+    if overflow:
+        return DomainError(f"a {what} must be finite, got a number too large for a float")
+    if getattr(value, "ndim", 0):
+        got = f"; expected one {what}, got an array of shape {value.shape}"
+    else:
+        got = f", got a {type(value).__name__}"
+    return DomainError(f"a {what} must be a {kind}{got}")
 
 
 class cached_property:
@@ -156,13 +195,10 @@ class _Record:
 def circle_angle(theta: float) -> float:
     """theta reduced to [0, 2*pi), as BoundaryPoint stores it.
 
-    A non-finite angle, an int beyond the floats too, names no point of
-    the circle and raises DomainError.
+    theta is read by _real; a non-finite angle names no point of the
+    circle and raises DomainError.
     """
-    try:
-        t = float(theta)
-    except OverflowError:
-        raise DomainError(_TOO_LARGE.format("a boundary angle")) from None
+    t = _real(theta, "boundary angle")
     if not math.isfinite(t):
         raise DomainError(f"a boundary angle must be finite, got {t}")
     t %= TWO_PI
@@ -193,9 +229,6 @@ class BoundaryPoint(_Record):
     def value(self) -> complex:
         return complex(math.cos(self.theta), math.sin(self.theta))
 
-    def angular_distance(self, other: "BoundaryPoint") -> float:
-        return angle_gap(self.theta, other.theta)
-
     def same_point(self, other: "BoundaryPoint") -> bool:
         return angle_gap(self.theta, other.theta) <= ANGLE_TOL
 
@@ -213,12 +246,12 @@ class AtomicHerglotz(_Record):
     """A Herglotz function given by finitely many boundary atoms plus i*gamma.
 
     Construction normalizes the atoms so that they depend only on the
-    multiset given, not its order.  Negative masses are rejected, and so
-    are non-finite masses and a non-finite gamma, an int beyond the floats
-    included.  Zero masses are dropped, the rest sorted by (angle, mass)
-    and swept once: an atom within ANGLE_TOL of its group's first angle
-    adds its mass to the group, which keeps that angle.  The last group
-    joins the first when they are within ANGLE_TOL across 2*pi.  The
+    multiset given, not its order.  Masses and gamma are read by _real;
+    negative masses are rejected, and so are non-finite masses and a
+    non-finite gamma.  Zero masses are dropped, the rest sorted by (angle,
+    mass) and swept once: an atom within ANGLE_TOL of its group's first
+    angle adds its mass to the group, which keeps that angle.  The last
+    group joins the first when they are within ANGLE_TOL across 2*pi.  The
     angles are thus strictly increasing, and consecutive atoms bound the
     arcs `reciprocal` solves on.
     """
@@ -235,10 +268,7 @@ class AtomicHerglotz(_Record):
     def __post_init__(self) -> None:
         atoms = []
         for point, mass in self.atoms:
-            try:
-                m = float(mass)
-            except OverflowError:
-                raise DomainError(_TOO_LARGE.format("atom mass")) from None
+            m = _real(mass, "mass")
             if not 0.0 <= m < math.inf:
                 raise DomainError(f"atom mass must be finite and nonnegative, got {m}")
             if m != 0.0:
@@ -255,10 +285,7 @@ class AtomicHerglotz(_Record):
         if len(merged) > 1 and merged[0][0].theta + TWO_PI - first <= ANGLE_TOL:
             merged[0] = (merged[0][0], merged[0][1] + merged.pop()[1])
         object.__setattr__(self, "atoms", tuple(merged))
-        try:
-            gamma = float(self.gamma)
-        except OverflowError:
-            raise DomainError(_TOO_LARGE.format("the imaginary constant")) from None
+        gamma = _real(self.gamma, "constant gamma")
         object.__setattr__(self, "gamma", gamma)
         if not math.isfinite(gamma):
             raise DomainError(f"the imaginary constant must be finite, got {self.gamma}")
@@ -345,9 +372,10 @@ def point_kernel_sum(s: list[complex], m: list[float], z: complex, order: int) -
 
 
 def require_interior(z) -> None:
-    """Raise DomainError unless every point of z lies in the open disk (NaN does not)."""
+    """Raise DomainError unless every point of z lies in the open disk (NaN
+    does not); a scalar z is read by _complex."""
     array = not isinstance(z, (int, float, complex)) and isinstance(z, np.ndarray)
-    radius = np.abs(z).max(initial=0.0) if array else abs(z)
+    radius = np.abs(z).max(initial=0.0) if array else abs(_complex(z, "point z"))
     if not radius < 1.0:
         raise DomainError(f"evaluation point must lie in the open disk, |z|={radius}")
 
@@ -688,6 +716,7 @@ def counterexample_P(y: float) -> float:
     that scale through breakpoints.  Tends to 0 as y -> 0 even though the
     generating measure fails the reciprocal-integrability test.
     """
+    y = _real(y, "height y")
     if not 0.0 < y < 1.0:
         raise DomainError(f"y must lie in (0,1), got {y}")
 
@@ -706,6 +735,7 @@ def counterexample_divergence(delta: float) -> float:
     (0, 1/e); the closed form is log log(1/delta).  Grows without bound as
     delta -> 0.
     """
+    delta = _real(delta, "cutoff delta")
     if not 0.0 < delta < _E_INV:
         raise DomainError(f"delta must lie in (0, 1/e), got {delta}")
     upper = math.log(1.0 / delta)

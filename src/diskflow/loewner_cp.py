@@ -40,6 +40,8 @@ from .herglotz_core import (
     AtomicHerglotz,
     BoundaryPoint,
     _Record,
+    _complex,
+    _real,
     angle_gap,
     cached_property,
     contact_value,
@@ -78,7 +80,8 @@ class PiecewiseField(_Record):
     def __init__(
         self, segments: tuple[tuple[float, GeneratorSpec], ...], strict: bool = True
     ) -> None:
-        object.__setattr__(self, "segments", tuple((float(d), s) for d, s in segments))
+        segments = tuple([(_real(d, "segment duration"), s) for d, s in segments])
+        object.__setattr__(self, "segments", segments)
         object.__setattr__(self, "strict", strict)
         if not self.segments:
             raise DomainError("a field needs at least one segment")
@@ -111,16 +114,12 @@ class PiecewiseField(_Record):
     def n(self) -> int:
         return self.segments[0][1].config.n
 
-    @cached_property
-    def total_duration(self) -> float:
-        return sum(d for d, _ in self.segments)
-
 
 class CPTarget(_Record):
     """Prescribed boundary derivatives a_k = phi_T'(sigma_k), all > 1."""
 
     def __init__(self, a: tuple[float, ...]) -> None:
-        object.__setattr__(self, "a", tuple(float(v) for v in a))
+        object.__setattr__(self, "a", tuple([_real(v, "target derivative") for v in a]))
         if not self.a:
             raise DomainError("at least one target derivative is required")
         if any(not 1.0 < v < math.inf for v in self.a):
@@ -138,20 +137,18 @@ class CPTarget(_Record):
 
 def evolve(field: PiecewiseField, z0: complex) -> complex:
     """The time-T map of the field applied to z0, segment by segment."""
-    w = complex(z0)
     for duration, spec in field.segments:
-        w = integrate_flow(spec, w, duration)
-    return w
+        z0 = integrate_flow(spec, z0, duration)
+    return z0
 
 
 def evolve_with_derivative(field: PiecewiseField, z0: complex) -> tuple[complex, complex]:
     """Time-T map and its z-derivative via the chain rule over segments."""
-    w = complex(z0)
     deriv = 1.0 + 0.0j
     for duration, spec in field.segments:
-        w, v = integrate_flow_with_derivative(spec, w, duration)
+        z0, v = integrate_flow_with_derivative(spec, z0, duration)
         deriv *= v
-    return w, deriv
+    return z0, deriv
 
 
 def boundary_log_derivative(field: PiecewiseField, k: int) -> float:
@@ -173,7 +170,7 @@ def psi_tau(field: PiecewiseField) -> complex:
 
 def harmonic_Q(x) -> float:
     """Q(x) = 1 / sum_j 1/x_j on positive vectors."""
-    vals = [float(v) for v in x]
+    vals = [_real(v, "coordinate") for v in x]
     if not vals or any(not 0.0 < v < math.inf for v in vals):
         raise DomainError("Q requires a nonempty positive finite vector")
     return 1.0 / sum(1.0 / v for v in vals)
@@ -183,8 +180,8 @@ def q_hessian(x) -> np.ndarray:
     """Hessian of Q at x: 2Q^3/(x_j^2 x_k^2) off-diagonal and
     2Q^3/x_j^4 - 2Q^2/x_j^3 on it.  Negative semidefinite with kernel
     spanned by x itself (Q is 1-homogeneous)."""
-    vec = np.asarray([float(v) for v in x], dtype=float)
-    if vec.ndim != 1 or vec.size == 0 or not np.all((0.0 < vec) & (vec < math.inf)):
+    vec = np.asarray([_real(v, "coordinate") for v in x], dtype=float)
+    if vec.size == 0 or not np.all((0.0 < vec) & (vec < math.inf)):
         raise DomainError("Q requires a nonempty positive finite vector")
     q = 1.0 / np.sum(1.0 / vec)
     inv2 = 1.0 / vec**2
@@ -225,7 +222,7 @@ def q_concavity_check(x, rng: np.random.Generator | None = None) -> ConcavityRep
     """
     if rng is None:
         rng = np.random.default_rng(0)
-    vec = np.asarray([float(v) for v in x], dtype=float)
+    vec = np.asarray([_real(v, "coordinate") for v in x], dtype=float)
     n = vec.size
     h = q_hessian(vec)
     eigs = np.linalg.eigvalsh(h)
@@ -323,7 +320,7 @@ def cp_extremal_field(
     contact value zero and p#(tau) = Re c at tau, so c = 0 attains the
     top r of the interval; Im c has no effect there and is ignored.
     """
-    c = complex(c)
+    c = _complex(c, "parameter c")
     if c.real < 0.0:
         raise DomainError("the parameter must have nonnegative real part")
     sigmas = _target_sigmas(sigmas, target)
@@ -367,7 +364,7 @@ def cp_experiment(
     (psi_tau, slack) with slack measured to the region boundary, so
     psi_tau lies in the region when slack >= 0.
     """
-    tau = complex(tau)
+    tau = _complex(tau, "Denjoy-Wolff point")
     sigmas = _target_sigmas(sigmas, target)
     if not field.segments[0][1].config.has_skeleton(tau, sigmas):
         raise DomainError("field does not match the requested tau and repelling set")
@@ -434,7 +431,7 @@ def random_strict_field(
         s = np.min((shares - ROW_FLOOR - _FLOOR_MARGIN) / (shares - rows[low]))
         rows = share + s * (rows - share)
 
-    tau = complex(tau)
+    tau = _complex(tau, "Denjoy-Wolff point")
     avoid = _skeleton_angles(tau, sigmas)
 
     segments = []

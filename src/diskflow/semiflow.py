@@ -6,9 +6,9 @@ solved inside the unit disk, optionally together with the variational
 equation d/dt (d phi_t/dz) = G'(phi_t) (d phi_t/dz) for the spatial
 derivative along the orbit.
 
-The flow functions take one start point; an array of start points, a
-string, bytes, None or a bool raises DomainError, and so does a time that
-is not a finite, nonnegative real number.
+The flow functions take one start point and one time, each read by
+herglotz_core's rule for numbers (_complex, _real); a time must also be
+finite and nonnegative.
 
 integrate_flow and integrate_flow_with_derivative take the orbit from a
 closed form instead of the ODE (Bracci, Contreras & Diaz-Madrigal,
@@ -113,10 +113,9 @@ from .generator import GeneratorSpec, _array_generator, _point_generator, _spect
 from .herglotz_core import (
     ANGLE_TOL,
     BoundaryPoint,
-    _TOO_LARGE,
     _Record,
-    _no_number,
-    _one_real,
+    _complex,
+    _real,
     angle_gap,
     circle_angle,
 )
@@ -453,44 +452,16 @@ def _solve(kind, rhs: Callable, y, t_final: float, grid=()):
 
 
 def _check_horizon(t) -> float:
-    """t as a float, checked to be a finite, nonnegative real number.
-
-    float() and complex() parse strings, so a string is refused before any
-    comparison, and so are bytes, None, bools (numpy's too), complex values
-    and arrays.  A numpy scalar becomes a Python float, so that no float32
-    sets the precision.  An int beyond the floats is refused as infinite.
-    """
-    try:
-        real = _one_real(t) and 0.0 <= t < math.inf
-    except TypeError:
-        real = False
-    if not real:
+    """t read by _real, checked to be finite and nonnegative."""
+    t = _real(t, "semigroup time")
+    if not 0.0 <= t < math.inf:
         raise DomainError(f"semigroup time must be a finite, nonnegative real number, got {t!r}")
-    try:
-        return float(t)
-    except OverflowError:
-        raise DomainError(_TOO_LARGE.format("a semigroup time")) from None
-
-
-def _number(value, what: str) -> complex:
-    """value as a Python complex, checked to be one number: an array, or a
-    value _no_number refuses (a string is not parsed), raises DomainError,
-    and so does an int beyond the floats."""
-    if not _no_number(value):
-        if not isinstance(value, (int, float, complex)) and np.ndim(value) != 0:
-            raise DomainError(f"expected one {what}, got an array of shape {np.shape(value)}")
-        try:
-            return complex(value)
-        except OverflowError:
-            raise DomainError(_TOO_LARGE.format(f"a {what}")) from None
-        except TypeError:
-            pass
-    raise DomainError(f"a {what} must be a number, got {value!r}")
+    return t
 
 
 def _start_point(z0) -> complex:
-    """_number(z0), checked to lie inside the open disk (NaN does not)."""
-    z = _number(z0, "start point")
+    """z0 read by _complex, checked to lie inside the open disk (NaN does not)."""
+    z = _complex(z0, "start point")
     if not abs(z) < 1.0:
         raise DomainError(f"initial point must lie in the open disk, |z0|={abs(z)}")
     return z
@@ -804,7 +775,8 @@ def flow_trajectory(gen: GeneratorSpec, z0: complex, t: float, samples: int = 20
     except TypeError:
         count = 0
     if not 2 <= count <= MAX_SAMPLES:
-        raise DomainError(f"samples must be an integer in [2, {MAX_SAMPLES}], got {samples!r}")
+        # no value printed: an int of more than 4300 digits has no repr
+        raise DomainError(f"samples must be an integer in [2, {MAX_SAMPLES}]")
     # np.linspace(0.0, t, samples) in plain floats, its zero-step case included
     ticks = range(count)
     step = t / ticks[-1]
@@ -859,7 +831,7 @@ def _radial_limit(
 def julia_quotient_estimate(map_fn: Callable[[complex], complex], sigma: BoundaryPoint) -> float:
     """Radial limit of the quotient of ``map_fn``, which takes one point.
 
-    Each map value is read as _number reads it and must be finite
+    Each map value is read by _complex and must be finite
     (DomainError) and inside the disk (BoundaryEscape).  The limit is
     Richardson-extrapolated in h = 1 - r over RADII; its final two
     extrapolants must agree within 10 * ESTIMATE_TOL, otherwise the limit
@@ -867,7 +839,7 @@ def julia_quotient_estimate(map_fn: Callable[[complex], complex], sigma: Boundar
     """
 
     def map_points(z: np.ndarray) -> np.ndarray:
-        return np.array([_number(map_fn(complex(point)), "map value") for point in z])
+        return np.array([_complex(map_fn(complex(point)), "map value") for point in z])
 
     return _radial_limit(sigma, map_points)
 

@@ -59,6 +59,8 @@ from .herglotz_core import (
     AtomicHerglotz,
     BoundaryPoint,
     _Record,
+    _complex,
+    _real,
     point_kernel_sum,
 )
 
@@ -112,7 +114,7 @@ class IntervalRegion(_Record):
 def ell(config: FixedPointConfig, zeta: complex) -> complex:
     """Chart variable tau/zeta - A; equals p(0) for any generator with
     G(0) = zeta.  Re ell >= 0 iff zeta lies in Z."""
-    zeta = complex(zeta)
+    zeta = _complex(zeta, "point zeta")
     if zeta == 0:
         raise DivisionByZero("the ell chart is singular at zeta = 0")
     return config.tau / zeta - config.capA
@@ -146,7 +148,7 @@ def region_Z(config: FixedPointConfig) -> DiskRegion:
 
 def eta_chart(config: FixedPointConfig, lam: complex) -> complex:
     """eta = (1 - |tau|^2)/lambda, the denominator value at tau."""
-    lam = complex(lam)
+    lam = _complex(lam, "spectral value lambda")
     if lam == 0:
         raise DivisionByZero("eta chart is singular at lambda = 0")
     return (1.0 - abs(config.tau) ** 2) / lam
@@ -164,7 +166,7 @@ def region_Omega(config: FixedPointConfig, zeta: complex) -> DiskRegion:
         raise DomainError("region_Omega requires an interior Denjoy-Wolff point")
     if config.is_origin:
         raise DegenerateConfig("use region_Omega_origin for tau = 0")
-    zeta = complex(zeta)
+    zeta = _complex(zeta, "point zeta")
     if zeta == 0:
         return DiskRegion(0.0, 0.0)
     lz = _ell_in_Z(config, zeta)
@@ -242,7 +244,7 @@ def region_Z_omega(config: FixedPointConfig, omega: complex) -> DiskRegion:
     """
     if not config.is_origin:
         raise DomainError("region_Z_omega requires tau = 0")
-    omega = complex(omega)
+    omega = _complex(omega, "spectral value omega")
     if omega == 0:
         raise DomainError("the fiber over omega = 0 is the zero field only")
     points = [s.value for s in config.sigmas]
@@ -282,7 +284,7 @@ def extremal_origin(
     """
     if not config.is_origin:
         raise DomainError("extremal_origin requires tau = 0")
-    omega = complex(omega)
+    omega = _complex(omega, "spectral value omega")
     if omega == 0:
         raise DomainError("the fiber over omega = 0 is the zero field only")
     lhat = 1.0 / omega - config.inv_lambda_sum / 2.0
@@ -308,7 +310,7 @@ def interval_I(config: FixedPointConfig, zeta: complex) -> IntervalRegion:
     """
     if not config.is_boundary:
         raise DomainError("interval_I requires a boundary Denjoy-Wolff point")
-    zeta = complex(zeta)
+    zeta = _complex(zeta, "point zeta")
     if zeta == 0:
         return IntervalRegion(0.0, 0.0)
     lz = _ell_in_Z(config, zeta)
@@ -404,6 +406,7 @@ def caratheodory_min_sharp(tau: BoundaryPoint, a: float) -> tuple[float, Boundar
     attained only by the single atom with tilt exactly a, located at
     -tau (1+ia)/(1-ia).
     """
+    a = _real(a, "tilt a")
     minimum = (1.0 + a * a) / 2.0
     sigma = BoundaryPoint.from_complex(-tau.value * (1.0 + 1j * a) / (1.0 - 1j * a))
     return minimum, sigma

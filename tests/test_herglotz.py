@@ -71,7 +71,7 @@ def test_from_complex_projects_and_rejects():
 def test_angular_distance_wraps():
     a = BoundaryPoint(0.1)
     b = BoundaryPoint(TWO_PI - 0.1)
-    assert a.angular_distance(b) == pytest.approx(0.2, abs=1e-14)
+    assert angle_gap(a.theta, b.theta) == pytest.approx(0.2, abs=1e-14)
     assert a.same_point(BoundaryPoint(0.1 + TWO_PI))
     assert not a.same_point(b)
 
@@ -80,7 +80,7 @@ def test_angular_distance_wraps():
 def test_boundary_point_angle_round_trip(theta):
     s = BoundaryPoint(theta)
     again = BoundaryPoint.from_complex(s.value)
-    assert s.angular_distance(again) < 1e-9
+    assert angle_gap(s.theta, again.theta) < 1e-9
 
 
 # ----------------------------------------------------------------------
@@ -370,7 +370,7 @@ def test_reciprocal_involution():
     assert back.gamma == pytest.approx(p.gamma, abs=1e-10)
     assert len(back.atoms) == len(p.atoms)
     for (s0, m0), (s1, m1) in zip(p.atoms, back.atoms):
-        assert s0.angular_distance(s1) < 1e-9
+        assert angle_gap(s0.theta, s1.theta) < 1e-9
         assert m1 == pytest.approx(m0, abs=1e-10)
 
 
@@ -451,8 +451,8 @@ def test_reciprocal_inverse_and_involution_up_to_degree_128(p):
     assert len(back.atoms) == len(p.atoms)
     assert abs(back.gamma - p.gamma) <= 1e-9
     for point, mass in p.atoms:
-        twin, twin_mass = min(back.atoms, key=lambda pm: point.angular_distance(pm[0]))
-        assert point.angular_distance(twin) <= 1e-9
+        twin, twin_mass = min(back.atoms, key=lambda pm: angle_gap(point.theta, pm[0].theta))
+        assert angle_gap(point.theta, twin.theta) <= 1e-9
         assert abs(twin_mass - mass) <= 1e-9 * max(1.0, mass)
 
 

@@ -37,6 +37,10 @@ np is the plain numpy module in every diskflow module, and a numpy imported
 before diskflow is used as it is.  Asked for a module that is not installed,
 _lazy raises ModuleNotFoundError and registers nothing.
 
+Only herglotz_core's two number readers, _real and _complex, have an
+except clause for OverflowError: every number a caller hands the package
+is read by them, so no other module decides what a number is.
+
 No module has a dataclasses import statement at any level: importing
 dataclasses loads inspect, ast, dis and tokenize, and decorating a class
 executes generated code, which a start that only evaluates a region should
@@ -326,6 +330,50 @@ def test_checker_flags_a_dataclasses_import_at_any_level():
 @pytest.mark.parametrize("path", ALL_MODULES, ids=[p.stem for p in ALL_MODULES])
 def test_module_has_no_dataclasses_import_statement(path):
     assert imports_of(path.read_text(), "dataclasses", in_functions=True) == []
+
+
+def overflow_handlers(source: str) -> list[str]:
+    """Each except clause of source that names OverflowError, alone or in a
+    tuple, as "line N: f" with f the innermost function holding it."""
+    found: list[str] = []
+
+    def visit(node: ast.AST, where: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ExceptHandler) and child.type is not None:
+                names = child.type.elts if isinstance(child.type, ast.Tuple) else [child.type]
+                if any(isinstance(n, ast.Name) and n.id == "OverflowError" for n in names):
+                    found.append(f"line {child.lineno}: {where}")
+            inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if inner else where)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_checker_flags_an_overflow_handler():
+    source = (
+        "try:\n    x = float(10**400)\nexcept OverflowError:\n    pass\n"
+        "def f(v):\n"
+        "    try:\n        return float(v)\n"
+        "    except (TypeError, OverflowError):\n        raise\n"
+        "    except ArithmeticError:\n        pass\n"
+        "class A:\n"
+        "    def g(self, v):\n"
+        "        try:\n            return complex(v)\n        except OverflowError:\n"
+        "            return None\n"
+    )
+    assert overflow_handlers(source) == ["line 3: <module>", "line 8: f", "line 16: g"]
+
+
+# What counts as a number, and an int beyond the floats refused as
+# DomainError, is decided in one place: herglotz_core's two readers.
+@pytest.mark.parametrize("path", ALL_MODULES, ids=[p.stem for p in ALL_MODULES])
+def test_only_the_number_readers_handle_overflow(path):
+    found = overflow_handlers(path.read_text())
+    if path.stem != "herglotz_core":
+        assert found == []
+    else:
+        assert sorted(line.split(": ")[1] for line in found) == ["_complex", "_real"]
 
 
 def test_lazy_raises_for_a_missing_module():

@@ -30,7 +30,7 @@ from diskflow import (
     reciprocal,
 )
 from diskflow.generator import _point_generator
-from diskflow.herglotz_core import kernel_sum
+from diskflow.herglotz_core import angle_gap, kernel_sum
 
 TWO_PI = 2.0 * math.pi
 REL = 1e-12
@@ -80,10 +80,10 @@ def generators(draw):
     thetas = draw(st.lists(angles, min_size=1, max_size=4, unique=True))
     sigmas = tuple(BoundaryPoint(t) for t in thetas)
     gaps_ok = all(
-        a.angular_distance(b) > 1e-6 for i, a in enumerate(sigmas) for b in sigmas[i + 1 :]
+        angle_gap(a.theta, b.theta) > 1e-6 for i, a in enumerate(sigmas) for b in sigmas[i + 1 :]
     )
     tau_ok = abs(abs(tau) - 1.0) > 1e-12 or all(
-        BoundaryPoint.from_complex(tau).angular_distance(s) > 1e-6 for s in sigmas
+        angle_gap(BoundaryPoint.from_complex(tau).theta, s.theta) > 1e-6 for s in sigmas
     )
     assume(gaps_ok and tau_ok)
     lambdas = tuple(-math.exp(draw(st.floats(min_value=-2.0, max_value=2.0))) for _ in sigmas)

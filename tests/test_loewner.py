@@ -125,7 +125,7 @@ def test_field_requires_shared_skeleton():
 def test_field_total_duration():
     spec = unit_spec(0.0, S2, (-0.5, -0.5))
     f = PiecewiseField(((0.25, spec), (0.5, spec)))
-    assert f.total_duration == pytest.approx(0.75)
+    assert sum(d for d, _ in f.segments) == pytest.approx(0.75)
     assert f.n == 2
 
 
@@ -176,7 +176,7 @@ def test_strict_field_log_derivatives_sum_to_horizon(rng):
     for _ in range(20):
         field = random_strict_field(rng, 0.0, S2, target)
         total = sum(boundary_log_derivative(field, k) for k in range(2))
-        assert total == pytest.approx(field.total_duration, abs=1e-12)
+        assert total == pytest.approx(sum(d for d, _ in field.segments), abs=1e-12)
 
 
 def test_random_strict_field_refuses_a_target_without_one():
@@ -419,7 +419,7 @@ def test_random_strict_field_matches_target_exactly(rng):
     for _ in range(10):
         field = random_strict_field(rng, 0.0, S2, target)
         assert field.strict
-        assert field.total_duration == pytest.approx(target.horizon, abs=1e-12)
+        assert sum(d for d, _ in field.segments) == pytest.approx(target.horizon, abs=1e-12)
         for k in range(2):
             assert boundary_log_derivative(field, k) == pytest.approx(
                 target.log_values[k], abs=1e-12

@@ -42,6 +42,7 @@ from diskflow import (
     region_Z,
     region_Z_omega,
 )
+from diskflow.herglotz_core import angle_gap
 
 
 def cfg(tau, pairs):
@@ -513,7 +514,7 @@ def test_caratheodory_min_at_zero_tilt_is_antipode():
     tau = BoundaryPoint(1.1)
     val, sigma = caratheodory_min_sharp(tau, 0.0)
     assert val == pytest.approx(0.5)
-    assert sigma.angular_distance(BoundaryPoint(1.1 + math.pi)) < 1e-12
+    assert angle_gap(sigma.theta, BoundaryPoint(1.1 + math.pi).theta) < 1e-12
 
 
 # ----------------------------------------------------------------------
