@@ -119,6 +119,7 @@ def is_extreme_GenF(spec: GeneratorSpec) -> bool:
 def gk_dirac_parameter(b: float, alpha: float) -> BoundaryPoint:
     """Circle parameter of the Dirac mixture matching the constant i*b
     candidate over a single repelling point with base mass alpha."""
+    b, alpha = _real(b, "constant b"), _real(alpha, "base mass")
     if alpha <= 0.0:
         raise DomainError("base mass must be positive")
     y = b / alpha

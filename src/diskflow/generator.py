@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from operator import itemgetter
+from operator import index, itemgetter
 from typing import Callable
 
 from ._lazy import np
@@ -44,10 +44,10 @@ from .herglotz_core import (
     RationalHerglotz,
     _Record,
     _arc_zeros,
+    _atom_index,
     _complex,
     _real,
     _require_mass_sum,
-    angle_gap,
     cached_property,
     circle_angle,
     kernel_sum,
@@ -71,7 +71,7 @@ def tau_regime(tau: complex) -> str:
     circle, and every other point of the disk is interior.  A point beyond
     the circle, or NaN, has no regime and raises DomainError.
     """
-    radius = abs(tau)
+    radius = abs(_complex(tau, "Denjoy-Wolff point"))
     if not radius <= 1.0 + BOUNDARY_TOL:
         raise DomainError(f"|tau| must not exceed 1, got {radius}")
     if radius <= BOUNDARY_TOL:
@@ -274,16 +274,16 @@ def _array_generator(spec: GeneratorSpec) -> Callable[[np.ndarray], np.ndarray]:
 def _spectral_value(
     regime: str, tau: complex, gamma: float, atoms, q_points, q_masses, s: float
 ) -> tuple[complex | float, float]:
-    """(dw_spectral_value, beta) from plain numbers: p's atoms as (angle, mass)
-    pairs, the atoms of p + p0 as denominator_atoms lays them out (p's
+    """(dw_spectral_value, beta) from plain numbers: p's atoms as p.atoms
+    holds them, the atoms of p + p0 as denominator_atoms lays them out (p's
     first) and s = sum_k 1/|lambda_k|.  beta is 0 for interior tau."""
     if regime != "boundary":
         q_tau = 1j * gamma + point_kernel_sum(q_points, q_masses, tau, 0)
         return (1.0 - abs(tau) ** 2) / q_tau, 0.0
     theta = circle_angle(cmath.phase(tau))
-    mass = next((m for t, m in atoms if angle_gap(t, theta) <= ANGLE_TOL), 0.0)
-    if mass > 0.0:
-        return 0.0, 2.0 * mass
+    i = _atom_index(atoms, theta)
+    if i is not None:
+        return 0.0, 2.0 * atoms[i][1]
     point = complex(math.cos(theta), math.sin(theta))
     if abs(_contact(gamma, q_points, q_masses, point)) > CONTACT_TOL:
         return 0.0, 0.0
@@ -309,8 +309,7 @@ def _hyperbolic_value(point, p_points, p_masses, s):
 def _spec_spectral_value(spec: GeneratorSpec) -> tuple[complex | float, float]:
     """_spectral_value of a spec: (lambda, beta)."""
     c, p, q = spec.config, spec.p, spec.denominator_atoms
-    atoms = [(point.theta, mass) for point, mass in p.atoms]
-    return _spectral_value(c.regime, c.tau, p.gamma, atoms, *q, c.inv_lambda_sum)
+    return _spectral_value(c.regime, c.tau, p.gamma, p.atoms, *q, c.inv_lambda_sum)
 
 
 def dw_spectral_value(gen: GeneratorSpec) -> complex | float:
@@ -328,11 +327,16 @@ def brfp_spectral_value(spec: GeneratorSpec, k: int) -> float:
     """Actual spectral value at sigma_k (0-based index).
 
     Equals lambda_k exactly when p has no atom at sigma_k; an atom of mass
-    m relaxes it to -|lambda_k| / (1 + m/alpha_k), still negative.
+    m relaxes it to -|lambda_k| / (1 + m/alpha_k), still negative.  A k that
+    is a bool, no integer or outside [0, n) raises DomainError.
     """
     config = spec.config
+    try:
+        k = -1 if isinstance(k, bool) else index(k)
+    except TypeError:
+        k = -1
     if not 0 <= k < config.n:
-        raise DomainError(f"index {k} out of range for {config.n} fixed points")
+        raise DomainError(f"a fixed-point index must be an integer in [0, {config.n})")
     mass = p_star(spec.p, config.sigmas[k]) / 2.0
     return -abs(config.lambdas[k]) / (1.0 + mass / config.alphas[k])
 
@@ -362,14 +366,12 @@ def spec_from_denominator(
     """
     lambdas, atoms = [], list(q.atoms)
     for s in sigmas:
-        for i, (point, mass) in enumerate(atoms):
-            if point.same_point(s):
-                break
-        else:
+        i = _atom_index(atoms, s.theta)
+        if i is None:
             message = f"denominator lacks an atom at angle {s.theta}; not a repelling point"
             raise DegenerateConfig(message)
+        lambdas.append(-abs(tau - s.value) ** 2 / (2.0 * atoms[i][1]))
         del atoms[i]
-        lambdas.append(-abs(tau - s.value) ** 2 / (2.0 * mass))
     p = AtomicHerglotz(tuple(atoms), q.gamma)
     return GeneratorSpec(FixedPointConfig(tau, tuple(sigmas), tuple(lambdas)), p)
 

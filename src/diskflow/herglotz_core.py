@@ -159,6 +159,15 @@ def angle_gap(a: float, b: float) -> float:
     return min(d, TWO_PI - d)
 
 
+def _atom_index(atoms, theta: float) -> int | None:
+    """Index of the first of ``atoms``, (point, mass) pairs, whose point lies
+    within ANGLE_TOL of the angle theta, or None."""
+    for i, (point, _) in enumerate(atoms):
+        if angle_gap(point.theta, theta) <= ANGLE_TOL:
+            return i
+    return None
+
+
 class _Record:
     """Immutable value object whose fields are the parameters of its __init__.
 
@@ -307,10 +316,8 @@ class AtomicHerglotz(_Record):
         return [mass for _, mass in self.atoms]
 
     def atom_mass_at(self, sigma: BoundaryPoint) -> float:
-        for point, mass in self.atoms:
-            if point.same_point(sigma):
-                return mass
-        return 0.0
+        i = _atom_index(self.atoms, sigma.theta)
+        return 0.0 if i is None else self.atoms[i][1]
 
     def is_trivial(self) -> bool:
         """True when p is a purely imaginary constant."""
@@ -331,6 +338,7 @@ class RationalHerglotz(AtomicHerglotz):
 
 
 def herglotz_kernel(s: BoundaryPoint, z: complex) -> complex:
+    z = _complex(z, "point z")
     sv = s.value
     return (sv + z) / (sv - z)
 
@@ -404,10 +412,10 @@ def extract_atom(p: AtomicHerglotz, sigma: BoundaryPoint) -> tuple[float, Atomic
 
     Only the first atom within ANGLE_TOL, whose mass atom_mass_at reads, is
     removed, so the mass and the remainder's total_mass add up to p's."""
-    for i, (point, mass) in enumerate(p.atoms):
-        if point.same_point(sigma):
-            return mass, AtomicHerglotz(p.atoms[:i] + p.atoms[i + 1 :], p.gamma)
-    return 0.0, p
+    i = _atom_index(p.atoms, sigma.theta)
+    if i is None:
+        return 0.0, p
+    return p.atoms[i][1], AtomicHerglotz(p.atoms[:i] + p.atoms[i + 1 :], p.gamma)
 
 
 # ----------------------------------------------------------------------

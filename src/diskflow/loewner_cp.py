@@ -152,9 +152,7 @@ def evolve_with_derivative(field: PiecewiseField, z0: complex) -> tuple[complex,
 
 
 def boundary_log_derivative(field: PiecewiseField, k: int) -> float:
-    """log phi_T'(sigma_k) from the spectral formula, no integration."""
-    if not 0 <= k < field.n:
-        raise DomainError(f"index {k} out of range for {field.n} fixed points")
+    """log phi_T'(sigma_k) from the spectral formula; brfp_spectral_value reads k."""
     return sum(-brfp_spectral_value(spec, k) * d for d, spec in field.segments)
 
 

@@ -111,12 +111,11 @@ from .errors import (
 )
 from .generator import GeneratorSpec, _array_generator, _point_generator, _spectral_value
 from .herglotz_core import (
-    ANGLE_TOL,
     BoundaryPoint,
     _Record,
+    _atom_index,
     _complex,
     _real,
-    angle_gap,
     circle_angle,
 )
 
@@ -522,9 +521,9 @@ def _abel(gen: GeneratorSpec) -> tuple[complex, float, list[tuple[complex, compl
         T(w) = m_tau v^2 + e v + P Log v + sum_j P_j Log(1 - conj(s_j) w),
 
     which is a/d + b/d^2 - P Log(conj(tau) d) + ... with d = tau - w,
-    a = tau e and b = m_tau tau^2.  m_tau is p's mass at tau, its first
-    atom within ANGLE_TOL of tau as _spectral_value finds it; p0 has none
-    there.  The sum runs over the other atoms s_j of q = p + p0, with
+    a = tau e and b = m_tau tau^2.  m_tau is p's mass at tau, at the atom
+    _atom_index finds there, as _spectral_value does; p0 has none there.
+    The sum runs over the other atoms s_j of q = p + p0, with
     P_j = 2 m_j/|tau - s_j|^2 > 0 (_residues) and P = sum_j P_j; p0's atom
     alpha_k at sigma_k has P_k = 1/|lambda_k|, by the definition of alpha_k.
     e = q_reg(tau) - m_tau, where q_reg(tau) = i gamma +
@@ -542,13 +541,12 @@ def _abel(gen: GeneratorSpec) -> tuple[complex, float, list[tuple[complex, compl
     """
     c = gen.config
     tau = c.tau
-    theta = circle_angle(cmath.phase(tau))
-    m_tau = 0.0
+    atoms = gen.p.atoms
+    i = _atom_index(atoms, circle_angle(cmath.phase(tau)))
+    m_tau = 0.0 if i is None else atoms[i][1]
     points, masses = [], []
-    for point, m in gen.p.atoms:
-        if not m_tau and angle_gap(point.theta, theta) <= ANGLE_TOL:
-            m_tau = m
-        else:
+    for j, (point, m) in enumerate(atoms):
+        if j != i:
             points.append(point.value)
             masses.append(m)
     # p0's residues are read as 1/|lambda_k|: 2 alpha_k/|tau - sigma_k|^2

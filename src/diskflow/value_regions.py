@@ -24,14 +24,13 @@ builds objects for its random generators.  One sampler, _draw_columns,
 draws many generators of one regime as numpy columns by the law its
 docstring states; `verify` checks its blocks, and random_spec builds its
 objects from row 0 of a one-row block.  One record arithmetic, _records,
-evaluates every inequality and region membership: _raw_records on one
-generator as plain numbers (for inequality_suite, which reads a spec into
-those numbers), _column_records on a column block (for `verify`), where
-the tests on lambda's value become row masks.  Each quantity the records
-share with the object API (lambda, beta, the curvature chart, the disks
-of Z, region_Z_omega and lambda_range) has one plain-number function that
-both call; it is written with operators only, so it takes numpy columns
-unchanged.
+evaluates every inequality and region membership: _spec_records on the
+numbers a spec holds (for inequality_suite), _column_records on a column
+block (for `verify`), where the tests on lambda's value become row masks.
+Each quantity the records share with the object API (lambda, beta, the
+curvature chart, the disks of Z, region_Z_omega and lambda_range) has one
+plain-number function that both call; it is written with operators only,
+so it takes numpy columns unchanged.
 """
 
 from __future__ import annotations
@@ -49,6 +48,7 @@ from .generator import (
     _contact,
     _hyperbolic_value,
     _mobius_factor,
+    _spec_spectral_value,
     _spectral_value,
     config_sums,
     dw_spectral_value,
@@ -76,8 +76,8 @@ class DiskRegion(_Record):
     """Closed disk |w - center| <= radius."""
 
     def __init__(self, center: complex, radius: float) -> None:
-        object.__setattr__(self, "center", complex(center))
-        object.__setattr__(self, "radius", float(radius))
+        object.__setattr__(self, "center", _complex(center, "disk center"))
+        object.__setattr__(self, "radius", _real(radius, "disk radius"))
         if not cmath.isfinite(self.center):  # NaN or inf is no center
             raise ValueError(f"center must be finite, got {self.center}")
         if not self.radius >= 0.0:  # NaN is no radius
@@ -85,7 +85,7 @@ class DiskRegion(_Record):
 
     def slack(self, w: complex) -> float:
         """radius - distance to center; nonnegative inside, zero on the rim."""
-        return self.radius - abs(complex(w) - self.center)
+        return self.radius - abs(_complex(w, "point w") - self.center)
 
     def sample_boundary(self, n: int) -> tuple[complex, ...]:
         return tuple(
@@ -97,12 +97,13 @@ class IntervalRegion(_Record):
     """Closed interval [lo, hi] on the real line."""
 
     def __init__(self, lo: float, hi: float) -> None:
-        object.__setattr__(self, "lo", float(lo))
-        object.__setattr__(self, "hi", float(hi))
+        object.__setattr__(self, "lo", _real(lo, "interval end"))
+        object.__setattr__(self, "hi", _real(hi, "interval end"))
         if not self.lo <= self.hi:  # NaN bounds no interval
             raise ValueError(f"empty interval [{self.lo}, {self.hi}]")
 
     def slack(self, x: float) -> float:
+        x = _real(x, "point x")
         return min(x - self.lo, self.hi - x)
 
     def sample(self, n: int) -> tuple[float, ...]:
@@ -430,46 +431,28 @@ class InequalityRecord(_Record):
         return self.rhs - self.lhs
 
 
-# the records _raw_records adds to the suite: G(0) in Z and lambda(G) in
-# the range of lambda_range, each stated with its region's slack
+# the records of _spec_records that inequality_suite leaves out: G(0) in Z
+# and lambda(G) in the range of lambda_range, each stated with its region's slack
 _MEMBERSHIPS = ("origin_in_Z", "spectral_in_range")
 
 
-def _point(theta: float) -> complex:
-    """The point e^{i theta} as BoundaryPoint(theta).value computes it."""
-    return complex(math.cos(theta), math.sin(theta))
-
-
-def _raw_records(raw) -> list[tuple[str, float, float]]:
-    """Every sharp inequality of one generator, as (name, lhs, rhs) triples.
-
-    ``raw`` is a generator as plain numbers, in the layout inequality_suite
-    reads a spec into: (regime, tau, sigma angles, lambdas, p's atoms as
-    sorted (angle, mass) pairs, gamma), where the regime is
-    tau_regime(tau).  The triples are the records of inequality_suite
-    followed by the _MEMBERSHIPS.  No object is built: lambda, beta, the
-    curvature chart and the regions come from the plain-number functions
-    the object API calls, so both give the same floats.
-    """
-    regime, tau, sig_angles, lambdas, atoms, gamma = raw
-    sig_points = [_point(t) for t in sig_angles]
-    sums = config_sums(tau, sig_points, lambdas)
-    # the denominator p + p0 as GeneratorSpec.denominator_atoms lays it out:
-    # p's atoms, then p0's, which are the (distinct) sigma_k sorted by angle
-    base = sorted(range(len(sig_angles)), key=sig_angles.__getitem__)
-    q_points = [_point(t) for t, _ in atoms] + [sig_points[k] for k in base]
-    q_masses = [m for _, m in atoms] + [sums[0][k] for k in base]
-    lam, b = _spectral_value(regime, tau, gamma, atoms, q_points, q_masses, sums[3])
-    records = _records(regime, tau, sig_points, lambdas, sums, q_points, q_masses, gamma, lam, b)
+def _spec_records(spec: GeneratorSpec) -> list[tuple[str, float, float]]:
+    """Every sharp inequality of a spec, as (name, lhs, rhs) triples: the
+    records of inequality_suite followed by the _MEMBERSHIPS, from _records
+    on the numbers the spec holds."""
+    c, p, q = spec.config, spec.p, spec.denominator_atoms
+    sig_points = [s.value for s in c.sigmas]
+    lam, b = _spec_spectral_value(spec)
+    records = _records(c.regime, c.tau, sig_points, c.lambdas, c._sums, *q, p.gamma, lam, b)
     return [(name, lhs, rhs) for name, lhs, rhs, rows in records if rows]
 
 
 def _records(regime, tau, sig_points, lambdas, sums, q_points, q_masses, gamma, lam, b):
-    """The records of _raw_records as (name, lhs, rhs, rows), from one
+    """The records of _spec_records as (name, lhs, rhs, rows), from one
     generator's plain numbers or one regime's numpy columns, laid out as
-    _raw_records lays them out.  ``rows`` is where a record applies: True,
-    or a test of lambda's value, a bool for one generator and a row mask
-    for columns; a record whose test is False is not evaluated.
+    _spec_records reads them off a spec.  ``rows`` is where a record applies:
+    True, or a test of lambda's value, a bool for one generator and a row
+    mask for columns; a record whose test is False is not evaluated.
     """
     _, a_cap, b_cap, s = sums
     w0 = 1j * gamma + point_kernel_sum(q_points, q_masses, 0j, 0)  # tau/G(0) when tau != 0
@@ -524,20 +507,10 @@ def inequality_suite(spec: GeneratorSpec) -> list[InequalityRecord]:
 
     Each record states lhs <= rhs.  All slacks are nonnegative for any
     valid spec up to roundoff; the extremal constructors achieve zero
-    slack in their matching record.  The spec is read into plain numbers
-    and evaluated by _raw_records, on the record arithmetic (_records) that
-    `verify` runs on its column blocks.
+    slack in their matching record.  _spec_records evaluates them on the
+    record arithmetic (_records) that `verify` runs on its column blocks.
     """
-    config, p = spec.config, spec.p
-    raw = (
-        config.regime,
-        config.tau,
-        [point.theta for point in config.sigmas],
-        config.lambdas,
-        [(point.theta, mass) for point, mass in p.atoms],
-        p.gamma,
-    )
-    return [InequalityRecord(*r) for r in _raw_records(raw) if r[0] not in _MEMBERSHIPS]
+    return [InequalityRecord(*r) for r in _spec_records(spec) if r[0] not in _MEMBERSHIPS]
 
 
 # ----------------------------------------------------------------------
@@ -561,7 +534,8 @@ def _near(a, b, gap):
 
 
 def _points(angles):
-    """_point of a column of angles; a NaN (padded) angle gives PAD_POINT."""
+    """e^{i theta} of a column of angles, as BoundaryPoint.value computes it;
+    a NaN (padded) angle gives PAD_POINT."""
     return np.where(np.isnan(angles), PAD_POINT, np.cos(angles) + 1j * np.sin(angles))
 
 

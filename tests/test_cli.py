@@ -170,14 +170,14 @@ def test_verify_reads_large_roundoff_as_roundoff(tmp_path, monkeypatch):
 
     from diskflow import cli
     from diskflow.cli import SIGN_VIOLATION_FLOOR, _is_sign_violation
-    from diskflow.value_regions import REGIMES, _column_records, _raw_records
+    from diskflow.value_regions import REGIMES, _column_records, _spec_records
 
     rng = np.random.default_rng(4)
     for i in range(6691):
         spec = random_spec(rng, REGIMES[i % len(REGIMES)])
     raw = raw_from_spec(spec)
     assert REGIMES[6690 % len(REGIMES)] == "boundary_hyperbolic"
-    records = {name: (lhs, rhs) for name, lhs, rhs in _raw_records(raw)}
+    records = {name: (lhs, rhs) for name, lhs, rhs in _spec_records(spec)}
     lhs, rhs = records["hyperbolic_window"]
     assert lhs > 5e5 and rhs > 5e5
     assert rhs - lhs < -SIGN_VIOLATION_FLOOR

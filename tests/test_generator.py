@@ -294,6 +294,20 @@ def test_brfp_index_out_of_range():
         brfp_spectral_value(spec, 1)
 
 
+# over two points a bool or 1.0 taken as the index 1 would read sigma_1
+@pytest.mark.parametrize(
+    "k",
+    [True, np.True_, 1.0, "1", None, -1, 10**5000],
+    ids=["True", "numpy True", "float", "str", "None", "negative", "beyond repr"],
+)
+def test_brfp_index_is_an_integer_in_range(k):
+    spec = GeneratorSpec(cfg(0.0, [(0.0, -0.25), (math.pi, -0.75)]))
+    assert brfp_spectral_value(spec, 1) == -0.75
+    assert brfp_spectral_value(spec, np.int64(1)) == -0.75
+    with pytest.raises(DomainError):
+        brfp_spectral_value(spec, k)
+
+
 def test_beta_is_twice_atom_mass_at_tau():
     c = cfg(1.0, [(math.pi, -1.0)])
     spec = GeneratorSpec(c, AtomicHerglotz(((BoundaryPoint(0.0), 0.3),)))

@@ -39,7 +39,9 @@ _lazy raises ModuleNotFoundError and registers nothing.
 
 Only herglotz_core's two number readers, _real and _complex, have an
 except clause for OverflowError: every number a caller hands the package
-is read by them, so no other module decides what a number is.
+is read by them, so no other module decides what a number is.  Likewise no
+module but herglotz_core compares angle_gap(...) with ANGLE_TOL: an atom at
+a point is found by herglotz_core._atom_index alone.
 
 No module has a dataclasses import statement at any level: importing
 dataclasses loads inspect, ast, dis and tokenize, and decorating a class
@@ -374,6 +376,45 @@ def test_only_the_number_readers_handle_overflow(path):
         assert found == []
     else:
         assert sorted(line.split(": ")[1] for line in found) == ["_complex", "_real"]
+
+
+def angle_tests(source: str) -> list[str]:
+    """Each comparison of source between a call of angle_gap and ANGLE_TOL,
+    either bare or as a module attribute, as "line N"."""
+
+    def name(node: ast.AST) -> str | None:
+        return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+
+    found: list[str] = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Compare):
+            sides = [node.left, *node.comparators]
+            gap = any(isinstance(s, ast.Call) and name(s.func) == "angle_gap" for s in sides)
+            if gap and any(name(s) == "ANGLE_TOL" for s in sides):
+                found.append(f"line {node.lineno}")
+    return found
+
+
+def test_checker_flags_an_angle_test():
+    source = (
+        "def f(atoms, theta):\n"
+        "    for p, m in atoms:\n"
+        "        if angle_gap(p.theta, theta) <= ANGLE_TOL:\n"
+        "            return m\n"
+        "    return next(m for t, m in atoms if hc.ANGLE_TOL >= hc.angle_gap(t, theta))\n"
+        "ok = angle_gap(0.0, 1.0) > 1e-3 and abs(0.1) <= ANGLE_TOL\n"
+    )
+    assert angle_tests(source) == ["line 3", "line 5"]
+
+
+# Whether an atom sits at a point is decided in one place:
+# herglotz_core._atom_index.
+OUTSIDE_CORE = [p for p in ALL_MODULES if p.stem != "herglotz_core"]
+
+
+@pytest.mark.parametrize("path", OUTSIDE_CORE, ids=[p.stem for p in OUTSIDE_CORE])
+def test_only_herglotz_core_tests_an_angle_against_angle_tol(path):
+    assert angle_tests(path.read_text()) == []
 
 
 def test_lazy_raises_for_a_missing_module():

@@ -171,6 +171,14 @@ def test_boundary_log_derivative_sums_over_segments():
         boundary_log_derivative(field, 2)
 
 
+@pytest.mark.parametrize("k", [True, 1.0, "1"], ids=["True", "float", "str"])
+def test_boundary_log_derivative_index_is_an_integer(k):
+    field = PiecewiseField(((1.0, unit_spec(0.0, S2, (-0.25, -0.75))),))
+    assert boundary_log_derivative(field, 1) == 0.75
+    with pytest.raises(DomainError):
+        boundary_log_derivative(field, k)
+
+
 def test_strict_field_log_derivatives_sum_to_horizon(rng):
     target = CPTarget((math.e, math.exp(0.5)))
     for _ in range(20):

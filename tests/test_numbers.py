@@ -15,10 +15,12 @@ from diskflow import (
     AtomicHerglotz,
     BoundaryPoint,
     CPTarget,
+    DiskRegion,
     DomainError,
     ExtremeCandidate,
     FixedPointConfig,
     GeneratorSpec,
+    IntervalRegion,
     PiecewiseField,
     caratheodory_min_sharp,
     convex_combination,
@@ -36,8 +38,10 @@ from diskflow import (
     extremal_origin,
     extreme_point_GenF,
     flow_trajectory,
+    gk_dirac_parameter,
     gk_generator,
     harmonic_Q,
+    herglotz_kernel,
     integrate_flow,
     integrate_flow_with_derivative,
     interval_I,
@@ -48,6 +52,7 @@ from diskflow import (
     region_Omega,
     region_Z_omega,
 )
+from diskflow.generator import tau_regime
 from diskflow.semiflow import _check_horizon
 
 S0 = BoundaryPoint(0.0)
@@ -69,6 +74,8 @@ READERS = {
     "counterexample_P y": ("real", lambda x: counterexample_P(x)),
     "counterexample_divergence delta": ("real", lambda x: counterexample_divergence(x)),
     "eval_herglotz point": ("points", lambda x: eval_herglotz(SPEC.p, x)),
+    "herglotz_kernel point": ("complex", lambda x: herglotz_kernel(S0, x)),
+    "tau_regime tau": ("complex", lambda x: tau_regime(x)),
     "eval_generator point": ("points", lambda x: eval_generator(SPEC, x)),
     "config tau": ("complex", lambda x: FixedPointConfig(x, (S0,), (-1.0,))),
     "config lambda": ("real", lambda x: FixedPointConfig(0.3, (S0,), (x,))),
@@ -104,9 +111,17 @@ READERS = {
     "region_Z_omega omega": ("complex", lambda x: region_Z_omega(ORIGIN, x)),
     "extremal_origin omega": ("complex", lambda x: extremal_origin(ORIGIN, x, S0)),
     "interval_I zeta": ("complex", lambda x: interval_I(BOUNDARY, x)),
+    "DiskRegion center": ("complex", lambda x: DiskRegion(x, 1.0)),
+    "DiskRegion radius": ("real", lambda x: DiskRegion(0.0, x)),
+    "DiskRegion slack": ("complex", lambda x: DiskRegion(0.0, 1.0).slack(x)),
+    "IntervalRegion lo": ("real", lambda x: IntervalRegion(x, 1.0)),
+    "IntervalRegion hi": ("real", lambda x: IntervalRegion(0.0, x)),
+    "IntervalRegion slack": ("real", lambda x: IntervalRegion(0.0, 1.0).slack(x)),
     "caratheodory_min_sharp a": ("real", lambda x: caratheodory_min_sharp(S0, x)),
     "ExtremeCandidate b": ("real", lambda x: ExtremeCandidate(ORIGIN, x)),
     "extreme_point_GenF b": ("real", lambda x: extreme_point_GenF(0.0, (S0,), (-1.0,), x)),
+    "gk_dirac_parameter b": ("real", lambda x: gk_dirac_parameter(x, 1.0)),
+    "gk_dirac_parameter alpha": ("real", lambda x: gk_dirac_parameter(0.5, x)),
     "gk_generator tau": ("complex", lambda x: gk_generator(x, S0, -1.0, MU, 0.1)),
     "gk_generator z": ("complex", lambda x: gk_generator(0.0, S0, -1.0, MU, x)),
     "gk_generator lambda": ("real", lambda x: gk_generator(0.0, S0, x, MU, 0.1)),

@@ -35,7 +35,7 @@ from diskflow.value_regions import (
     REGIMES,
     _column_records,
     _draw_columns,
-    _raw_records,
+    _spec_records,
     extremal_boundary_of_Z,
     extremal_hyperbolic,
     extremal_interior,
@@ -93,7 +93,7 @@ def test_raw_draw_and_records_match_the_object_path(seed):
         start = len(recorder.angles)
         spec = ref.random_spec(recorder, regime)
         expected = [(r.name, r.lhs, r.rhs) for r in ref.verify_records(spec)]
-        assert exact(_raw_records(ref.raw_from_spec(spec))) == exact(expected), (seed, i)
+        assert exact(_spec_records(spec)) == exact(expected), (seed, i)
         if regime.startswith("boundary"):
             rejections += len(avoid_rejections(spec, recorder.angles[start:]))
     # every seed's 1000 boundary draws reject some angle near tau or a sigma_k

@@ -10,7 +10,7 @@ per angle; the library samples the same law as numpy columns
 pin the values of particular per-sample draws take their specs from here.
 
 They serve as references for `value_regions`' record function, which must
-reproduce verify_records bit for bit on a spec read by raw_from_spec, for
+reproduce verify_records bit for bit on the numbers a spec holds, for
 the column sampler, which must follow the same law, and for `cmd_verify`,
 which draws and checks its samples as numpy columns: verify_report takes
 the same column rows, builds objects from each and checks them one at a
@@ -179,9 +179,9 @@ def _is_sign_violation(record, floor):
 
 
 def raw_from_spec(spec):
-    """A spec as plain numbers, in the layout value_regions._raw_records reads:
-    (regime, tau, sigma angles, lambdas, p's atoms as sorted (angle, mass)
-    pairs, gamma)."""
+    """A spec as plain numbers, in the layout of a _draw_columns row that
+    raw_rows yields and columns_from_raw takes: (regime, tau, sigma angles,
+    lambdas, p's atoms as sorted (angle, mass) pairs, gamma)."""
     config, p = spec.config, spec.p
     return (
         config.regime,
