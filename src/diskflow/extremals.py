@@ -118,10 +118,14 @@ def is_extreme_GenF(spec: GeneratorSpec) -> bool:
 
 def gk_dirac_parameter(b: float, alpha: float) -> BoundaryPoint:
     """Circle parameter of the Dirac mixture matching the constant i*b
-    candidate over a single repelling point with base mass alpha."""
+    candidate over a single repelling point with base mass alpha.
+
+    alpha must be positive and finite and b finite, else DomainError."""
     b, alpha = _real(b, "constant b"), _real(alpha, "base mass")
-    if alpha <= 0.0:
-        raise DomainError("base mass must be positive")
+    if not 0.0 < alpha < math.inf:
+        raise DomainError(f"base mass must be positive and finite, got {alpha}")
+    if not math.isfinite(b):
+        raise DomainError(f"the constant b must be finite, got {b}")
     y = b / alpha
     return BoundaryPoint.from_complex((1j * y - 1.0) / (1j * y + 1.0))
 

@@ -96,6 +96,19 @@ def config_sums(
     return alphas, sum(alphas), cap_b, sum([1.0 / abs(v) for v in lambdas])
 
 
+def _check_spectral_values(tau: complex, n: int, lambdas: tuple[float, ...]) -> None:
+    """FixedPointConfig's checks of tau's finiteness and of the spectral
+    values read as floats, in its order, for n repelling points."""
+    if not cmath.isfinite(tau) or not all(map(math.isfinite, lambdas)):
+        raise DomainError("tau and the spectral values must be finite")
+    if n == 0:
+        raise DegenerateConfig("at least one repelling boundary point is required")
+    if n != len(lambdas):
+        raise DegenerateConfig("sigmas and lambdas must have equal length")
+    if any(not v < 0.0 for v in lambdas):
+        raise DegenerateConfig("repelling spectral values must be negative")
+
+
 class FixedPointConfig(_Record):
     """(tau, sigma_1..sigma_n, lambda_1..lambda_n) with derived quantities."""
 
@@ -105,14 +118,7 @@ class FixedPointConfig(_Record):
         object.__setattr__(self, "tau", _complex(tau, "Denjoy-Wolff point"))
         object.__setattr__(self, "lambdas", tuple([_real(v, "spectral value") for v in lambdas]))
         object.__setattr__(self, "sigmas", tuple(sigmas))
-        if not cmath.isfinite(self.tau) or not all(map(math.isfinite, self.lambdas)):
-            raise DomainError("tau and the spectral values must be finite")
-        if len(self.sigmas) == 0:
-            raise DegenerateConfig("at least one repelling boundary point is required")
-        if len(self.sigmas) != len(self.lambdas):
-            raise DegenerateConfig("sigmas and lambdas must have equal length")
-        if any(not v < 0.0 for v in self.lambdas):
-            raise DegenerateConfig("repelling spectral values must be negative")
+        _check_spectral_values(self.tau, len(self.sigmas), self.lambdas)
         regime = self.regime  # DomainError beyond the circle
         for i in range(len(self.sigmas)):
             for j in range(i + 1, len(self.sigmas)):
@@ -122,6 +128,15 @@ class FixedPointConfig(_Record):
             tau_bp = BoundaryPoint.from_complex(self.tau)
             if any(tau_bp.same_point(s) for s in self.sigmas):
                 raise DegenerateConfig("tau must not coincide with a repelling point")
+
+    def _with_lambdas(self, lambdas: tuple[float, ...]) -> "FixedPointConfig":
+        """This configuration's tau, sigmas and regime with the spectral
+        values ``lambdas``, plain floats: only they are checked, as
+        __init__ checks them."""
+        _check_spectral_values(self.tau, len(self.sigmas), lambdas)
+        config = object.__new__(FixedPointConfig)
+        config.__dict__.update(tau=self.tau, sigmas=self.sigmas, lambdas=lambdas, regime=self.regime)
+        return config
 
     @property
     def n(self) -> int:
@@ -150,7 +165,14 @@ class FixedPointConfig(_Record):
 
     @cached_property
     def _sums(self) -> tuple[tuple[float, ...], float, float, float]:
-        return config_sums(self.tau, [s.value for s in self.sigmas], self.lambdas)
+        """config_sums; DomainError where a lambda_k gives an alpha_k beyond
+        the floats (inf or 0)."""
+        sums = config_sums(self.tau, [s.value for s in self.sigmas], self.lambdas)
+        for v, alpha in zip(self.lambdas, sums[0]):
+            if not 0.0 < alpha < math.inf:
+                message = f"the spectral value {v!r} gives the base mass alpha = {alpha!r};"
+                raise DomainError(message + " it must be finite and positive")
+        return sums
 
     @cached_property
     def alphas(self) -> tuple[float, ...]:
@@ -352,17 +374,16 @@ def beta(spec: GeneratorSpec) -> float:
     return _spec_spectral_value(spec)[1]
 
 
-def spec_from_denominator(
+def _split_denominator(
     tau: complex, sigmas: tuple[BoundaryPoint, ...], q: RationalHerglotz
-) -> GeneratorSpec:
-    """Recover a fixed-point spec from a denominator function q = p + p0.
+) -> tuple[tuple[float, ...], AtomicHerglotz]:
+    """(lambdas, p) of a denominator q = p + p0 over tau and the sigma_k.
 
-    Each sigma_k must carry an atom of q within ANGLE_TOL (that is what
-    makes it a repelling fixed point).  Each sigma_k in turn takes the first
-    atom left within ANGLE_TOL, as extract_atom would, whose mass gives the
-    spectral value; the atoms left and q's constant form p, normalized once.
-    convex_combination keeps each sigma_k's atom at a point of its inputs,
-    so no wider tolerance is needed.
+    Each sigma_k in turn takes the first atom of q left within ANGLE_TOL,
+    as extract_atom would, whose mass m_k gives lambda_k = -|tau - sigma_k|^2
+    / (2 m_k); DegenerateConfig where none is left.  The atoms left and q's
+    constant form p, a subsequence of q's normalized atoms, so p is built
+    by AtomicHerglotz._kept, with no second normalization.
     """
     lambdas, atoms = [], list(q.atoms)
     for s in sigmas:
@@ -372,8 +393,23 @@ def spec_from_denominator(
             raise DegenerateConfig(message)
         lambdas.append(-abs(tau - s.value) ** 2 / (2.0 * atoms[i][1]))
         del atoms[i]
-    p = AtomicHerglotz(tuple(atoms), q.gamma)
-    return GeneratorSpec(FixedPointConfig(tau, tuple(sigmas), tuple(lambdas)), p)
+    return tuple(lambdas), AtomicHerglotz._kept(tuple(atoms), q.gamma)
+
+
+def spec_from_denominator(
+    tau: complex, sigmas: tuple[BoundaryPoint, ...], q: RationalHerglotz
+) -> GeneratorSpec:
+    """Recover a fixed-point spec from a denominator function q = p + p0.
+
+    Each sigma_k must carry an atom of q within ANGLE_TOL (that is what
+    makes it a repelling fixed point), whose mass gives its spectral value;
+    the atoms left and q's constant form p, as q holds them
+    (_split_denominator).  tau is read by _complex before the split, and the
+    configuration is checked as any is.
+    """
+    tau = _complex(tau, "Denjoy-Wolff point")
+    lambdas, p = _split_denominator(tau, sigmas, q)
+    return GeneratorSpec(FixedPointConfig(tau, tuple(sigmas), lambdas), p)
 
 
 def convex_combination(
@@ -401,7 +437,12 @@ def convex_combination(
 
     N's atoms are each spec's p and (sigma_k, alpha_k), merged in one sweep
     with no q_a or q_b built: as those merge, unless a p has an atom within
-    ANGLE_TOL of one of its own sigma_k at another angle.
+    ANGLE_TOL of one of its own sigma_k at another angle.  An alpha_k beyond
+    the floats raises DomainError.  q_c is the one record the mix
+    normalizes: _split_denominator reads the lambda_k and p off it (each
+    sigma_k's atom sits at a point of the inputs, so ANGLE_TOL finds it),
+    and the config is first's with the new lambda_k, of which only those
+    are checked (FixedPointConfig._with_lambdas).
     """
     weight = _real(weight, "weight")
     if not 0.0 <= weight <= 1.0:
@@ -414,9 +455,6 @@ def convex_combination(
         return second
     if weight == 1.0:
         return first
-    if not all(0.0 < alpha < math.inf for alpha in ca.alphas + cb.alphas):
-        # an alpha_k of inf or 0: q_a's and q_b's records refuse an inf, or no atoms
-        denominator_herglotz(first), denominator_herglotz(second)
     qa, qb = (s.p.atoms + tuple(zip(s.config.sigmas, s.config.alphas)) for s in (first, second))
     rows = [(x.theta, x, m, 0.0) for x, m in qa if m] + [(x.theta, x, 0.0, m) for x, m in qb if m]
     union: list[list] = []  # N's atoms, merged as AtomicHerglotz merges: [angle, point, m_a, m_b]
@@ -448,4 +486,5 @@ def convex_combination(
     c0 = 1.0 / (weight / complex(total_a, ga) + v / complex(total_b, gb))
     q = RationalHerglotz(tuple(atoms), c0.imag)
     _require_mass_sum("convex_combination: the masses of q_c", q.total_mass, "Re(q_c(0))", c0.real)
-    return spec_from_denominator(ca.tau, ca.sigmas, q)
+    lambdas, p = _split_denominator(ca.tau, ca.sigmas, q)
+    return GeneratorSpec(ca._with_lambdas(lambdas), p)

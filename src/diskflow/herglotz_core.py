@@ -163,7 +163,9 @@ def _atom_index(atoms, theta: float) -> int | None:
     """Index of the first of ``atoms``, (point, mass) pairs, whose point lies
     within ANGLE_TOL of the angle theta, or None."""
     for i, (point, _) in enumerate(atoms):
-        if angle_gap(point.theta, theta) <= ANGLE_TOL:
+        # angle_gap(point.theta, theta) <= ANGLE_TOL, without the call
+        d = abs(point.theta - theta) % TWO_PI
+        if d <= ANGLE_TOL or TWO_PI - d <= ANGLE_TOL:
             return i
     return None
 
@@ -172,7 +174,9 @@ class _Record:
     """Immutable value object whose fields are the parameters of its __init__.
 
     ``__init__`` sets each field with object.__setattr__; cached_property
-    still works, since it writes the instance dict directly.
+    still works, since it writes the instance dict directly.  Only
+    AtomicHerglotz._kept and FixedPointConfig._with_lambdas build a record
+    around its __init__, from fields a record built by it already holds.
     """
 
     def __init_subclass__(cls) -> None:
@@ -299,6 +303,17 @@ class AtomicHerglotz(_Record):
         if not math.isfinite(gamma):
             raise DomainError(f"the imaginary constant must be finite, got {self.gamma}")
 
+    @staticmethod
+    def _kept(atoms: tuple[tuple[BoundaryPoint, float], ...], gamma: float) -> "AtomicHerglotz":
+        """The AtomicHerglotz of atoms a normalized record keeps, in its
+        order, and of its gamma, with no second normalization: dropping
+        atoms only widens the gaps between angles, across 2*pi too, so each
+        stays above ANGLE_TOL and __post_init__ would return them as they are.
+        """
+        p = object.__new__(AtomicHerglotz)
+        p.__dict__.update(atoms=atoms, gamma=gamma)
+        return p
+
     @property
     def total_mass(self) -> float:
         return sum(m for _, m in self.atoms)
@@ -411,11 +426,13 @@ def extract_atom(p: AtomicHerglotz, sigma: BoundaryPoint) -> tuple[float, Atomic
     """Split off the atom at sigma; returns (mass, remainder without it).
 
     Only the first atom within ANGLE_TOL, whose mass atom_mass_at reads, is
-    removed, so the mass and the remainder's total_mass add up to p's."""
+    removed, so the mass and the remainder's total_mass add up to p's.  The
+    remainder keeps p's other atoms as they are, so it is built by
+    AtomicHerglotz._kept, with no second normalization."""
     i = _atom_index(p.atoms, sigma.theta)
     if i is None:
         return 0.0, p
-    return p.atoms[i][1], AtomicHerglotz(p.atoms[:i] + p.atoms[i + 1 :], p.gamma)
+    return p.atoms[i][1], AtomicHerglotz._kept(p.atoms[:i] + p.atoms[i + 1 :], p.gamma)
 
 
 # ----------------------------------------------------------------------

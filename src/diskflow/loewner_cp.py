@@ -110,10 +110,6 @@ class PiecewiseField(_Record):
     def sigmas(self) -> tuple[BoundaryPoint, ...]:
         return self.segments[0][1].config.sigmas
 
-    @property
-    def n(self) -> int:
-        return self.segments[0][1].config.n
-
 
 class CPTarget(_Record):
     """Prescribed boundary derivatives a_k = phi_T'(sigma_k), all > 1."""

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -27,6 +28,8 @@ from diskflow import (
     eval_denominator,
     eval_generator,
     eval_herglotz,
+    extract_atom,
+    inequality_suite,
     random_spec,
     spec_from_denominator,
 )
@@ -446,7 +449,7 @@ def mix_miss(first, second, w, mix):
 @given(shared_skeleton_pairs())
 def test_convex_combination_is_the_pointwise_mean_and_keeps_each_sigma(pair):
     first, second, w = pair
-    spy = mock.patch.object(generator, "spec_from_denominator", wraps=spec_from_denominator)
+    spy = mock.patch.object(generator, "_split_denominator", wraps=generator._split_denominator)
     with spy as split:
         mix = convex_combination(first, second, w)
     assert mix_miss(first, second, w, mix) <= 1e-9
@@ -458,14 +461,42 @@ def test_convex_combination_is_the_pointwise_mean_and_keeps_each_sigma(pair):
 
 
 @given(shared_skeleton_pairs())
-def test_convex_combination_normalizes_two_herglotz_records(pair):
-    # q_c and the mix's p; N's atoms are read off the specs' own atoms
+def test_convex_combination_normalizes_one_herglotz_record(pair):
+    # q_c; N's atoms are read off the specs' own atoms, and the mix's p is
+    # a subsequence of q_c's
     first, second, w = pair
     normalize = AtomicHerglotz.__post_init__
     spy = mock.patch.object(AtomicHerglotz, "__post_init__", autospec=True, side_effect=normalize)
     with spy as made:
         convex_combination(first, second, w)
-    assert made.call_count == 2
+    assert made.call_count == 1
+
+
+def same_config(config, built):
+    """Whether two configurations agree field by field, angles and regime too."""
+    fields = [(c.tau, [s.theta for s in c.sigmas], c.lambdas, c.regime) for c in (config, built)]
+    return fields[0] == fields[1]
+
+
+def is_normalized(p):
+    """Whether p is an AtomicHerglotz that normalizing again leaves as it is."""
+    fields = [([(pt.theta, m) for pt, m in h.atoms], h.gamma) for h in (p, AtomicHerglotz(p.atoms, p.gamma))]
+    return type(p) is AtomicHerglotz and fields[0] == fields[1]
+
+
+@given(shared_skeleton_pairs())
+def test_records_built_without_init_equal_those_built_with_it(pair):
+    # the mix's config and p, and the p of each split of a normalized record
+    first, second, w = pair
+    q = denominator_herglotz(first)
+    back = spec_from_denominator(first.config.tau, first.config.sigmas, q)
+    for spec in (convex_combination(first, second, w), back):
+        c = spec.config
+        assert same_config(c, FixedPointConfig(c.tau, c.sigmas, c.lambdas))
+        assert is_normalized(spec.p)
+    for sigma in first.config.sigmas + tuple(pt for pt, _ in first.p.atoms):
+        for h in (q, first.p):
+            assert is_normalized(extract_atom(h, sigma)[1])
 
 
 def test_convex_combination_refuses_an_alpha_that_overflowed():
@@ -473,10 +504,24 @@ def test_convex_combination_refuses_an_alpha_that_overflowed():
     sigmas = INTERIOR.sigmas
     first = GeneratorSpec(FixedPointConfig(INTERIOR.tau, sigmas, (-1e-320,)))
     second = GeneratorSpec(INTERIOR, AtomicHerglotz(((BoundaryPoint(2.0), 0.7),), 0.3))
-    assert first.config.alphas == (math.inf,)
     for a, b in ((first, second), (second, first)):
-        with pytest.raises(DomainError, match="got inf"):
+        with pytest.raises(DomainError, match="spectral value -1e-320 gives the base mass alpha = inf"):
             convex_combination(a, b, 0.5)
+
+
+@pytest.mark.parametrize(
+    "tau, lam, alpha",
+    [(0.3, -1e-310, "inf"), (cmath.exp(1e-11j), -1e308, "0.0")],
+    ids=["inf", "zero"],
+)
+def test_an_alpha_beyond_the_floats_is_refused_by_its_readers(tau, lam, alpha):
+    # |tau - 1|^2 / (2 |lambda|) overflows to inf, or underflows to 0
+    spec = GeneratorSpec(FixedPointConfig(tau, (BoundaryPoint(0.0),), (lam,)))
+    other = GeneratorSpec(FixedPointConfig(tau, (BoundaryPoint(0.0),), (-1.0,)))
+    message = re.escape(f"spectral value {lam!r} gives the base mass alpha = {alpha};")
+    for call in (dw_spectral_value, inequality_suite, lambda s: convex_combination(other, s, 0.5)):
+        with pytest.raises(DomainError, match=message):
+            call(spec)
 
 
 @given(shared_skeleton_pairs(), st.floats(1e-3, 1.0 - 1e-3))

@@ -37,6 +37,11 @@ np is the plain numpy module in every diskflow module, and a numpy imported
 before diskflow is used as it is.  Asked for a module that is not installed,
 _lazy raises ModuleNotFoundError and registers nothing.
 
+Only two private constructors build a record around its __init__, with
+a __new__ call: AtomicHerglotz._kept, for the atoms a normalized record
+keeps, and FixedPointConfig._with_lambdas, for a validated configuration
+with new spectral values.
+
 Only herglotz_core's two number readers, _real and _complex, have an
 except clause for OverflowError: every number a caller hands the package
 is read by them, so no other module decides what a number is.  Likewise no
@@ -172,6 +177,11 @@ AWAITING_CALLER = {
     "gk_dirac_parameter": _EXTREMALS,
     "gk_generator": _EXTREMALS,
     "inequality_suite": "the object form of verify's records, to check them at the extremals",
+    "denominator_herglotz": "q = p + p0 as one record, the form a spec's reciprocal is taken in",
+    "spec_from_denominator": (
+        "denominator_herglotz's inverse; convex_combination shares its split, "
+        "_split_denominator, and builds its config from the validated skeleton"
+    ),
 }
 
 
@@ -415,6 +425,45 @@ OUTSIDE_CORE = [p for p in ALL_MODULES if p.stem != "herglotz_core"]
 @pytest.mark.parametrize("path", OUTSIDE_CORE, ids=[p.stem for p in OUTSIDE_CORE])
 def test_only_herglotz_core_tests_an_angle_against_angle_tol(path):
     assert angle_tests(path.read_text()) == []
+
+
+def record_builders(source: str) -> list[str]:
+    """Each call of a __new__ attribute in source, object.__new__ or a
+    class's, as "line N: f" with f the innermost function holding it."""
+    found: list[str] = []
+
+    def visit(node: ast.AST, where: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and getattr(child.func, "attr", None) == "__new__":
+                found.append(f"line {child.lineno}: {where}")
+            inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if inner else where)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_checker_flags_a_record_built_around_its_init():
+    source = (
+        "p = object.__new__(A)\n"
+        "def f(cls):\n"
+        "    q = cls.__new__(cls)\n"
+        "    return super().__new__(cls), new(cls)\n"
+    )
+    assert record_builders(source) == ["line 1: <module>", "line 3: f", "line 4: f"]
+
+
+# A record built around its __init__ skips that __init__'s checks, which
+# is sound only where every field is already checked: the atoms a
+# normalized Herglotz record keeps, and a validated configuration's
+# skeleton with new spectral values.
+RECORD_BUILDERS = {"herglotz_core": ["_kept"], "generator": ["_with_lambdas"]}
+
+
+@pytest.mark.parametrize("path", ALL_MODULES, ids=[p.stem for p in ALL_MODULES])
+def test_only_the_private_constructors_build_a_record_around_its_init(path):
+    found = record_builders(path.read_text())
+    assert sorted(line.split(": ")[1] for line in found) == RECORD_BUILDERS.get(path.stem, [])
 
 
 def test_lazy_raises_for_a_missing_module():

@@ -126,7 +126,7 @@ def test_field_total_duration():
     spec = unit_spec(0.0, S2, (-0.5, -0.5))
     f = PiecewiseField(((0.25, spec), (0.5, spec)))
     assert sum(d for d, _ in f.segments) == pytest.approx(0.75)
-    assert f.n == 2
+    assert len(f.sigmas) == 2
 
 
 # ----------------------------------------------------------------------

@@ -28,6 +28,7 @@ from diskflow import (
     counterexample_divergence,
     cp_experiment,
     cp_extremal_field,
+    denominator_herglotz,
     ell,
     estimate_boundary_derivative,
     eta_chart,
@@ -51,6 +52,7 @@ from diskflow import (
     random_strict_field,
     region_Omega,
     region_Z_omega,
+    spec_from_denominator,
 )
 from diskflow.generator import tau_regime
 from diskflow.semiflow import _check_horizon
@@ -64,6 +66,7 @@ FREE = GeneratorSpec(ORIGIN, AtomicHerglotz(gamma=1.0))
 FIELD = PiecewiseField(((0.5, SPEC),))
 TARGET = CPTarget((math.e,))
 MU = ((BoundaryPoint(1.0), 1.0),)
+DENOMINATOR = denominator_herglotz(GeneratorSpec(INTERIOR))
 
 # each reader of a caller's number, as (kind, call with the number in its
 # slot); the evaluation functions take a number or a 1-D array of points
@@ -80,6 +83,7 @@ READERS = {
     "config tau": ("complex", lambda x: FixedPointConfig(x, (S0,), (-1.0,))),
     "config lambda": ("real", lambda x: FixedPointConfig(0.3, (S0,), (x,))),
     "convex_combination weight": ("real", lambda x: convex_combination(SPEC, FREE, x)),
+    "spec_from_denominator tau": ("complex", lambda x: spec_from_denominator(x, (S0,), DENOMINATOR)),
     "_check_horizon": ("real", lambda x: _check_horizon(x)),
     "integrate_flow time": ("real", lambda x: integrate_flow(SPEC, 0.3, x)),
     "integrate_flow start": ("complex", lambda x: integrate_flow(SPEC, x, 0.1)),
@@ -156,3 +160,22 @@ NOT_NUMBERS = {
 def test_every_reader_refuses_what_is_no_number(reader, value):
     with pytest.raises(DomainError):
         READERS[reader][1](value)
+
+
+@pytest.mark.parametrize(
+    "b, alpha, named",
+    [
+        (0.5, math.nan, "base mass"),
+        (0.5, math.inf, "base mass"),
+        (0.5, -math.inf, "base mass"),
+        (0.5, 0.0, "base mass"),
+        (math.nan, 1.0, "constant b"),
+        (math.inf, 1.0, "constant b"),
+        (-math.inf, 1.0, "constant b"),
+    ],
+)
+def test_gk_dirac_parameter_refuses_a_base_mass_or_b_off_its_range(b, alpha, named):
+    # NaN passed `alpha <= 0` into an angle the caller never gave, and an
+    # infinite base mass put the Dirac at pi
+    with pytest.raises(DomainError, match=named):
+        gk_dirac_parameter(b, alpha)
