@@ -26,7 +26,9 @@ from .generator import (
     brfp_spectral_value,
     tau_regime,
 )
-from .herglotz_core import AtomicHerglotz, BoundaryPoint, _Record, _complex, _real, extract_atom
+from .herglotz_core import (
+    AtomicHerglotz, BoundaryPoint, _Record, _boundary, _complex, _interior, _real, extract_atom
+)
 
 
 class ExtremeCandidate(_Record):
@@ -49,6 +51,7 @@ class ExtremeCandidate(_Record):
                 f"at most {self.config.n - 1} free atoms allowed, got {len(self.free_atoms)}"
             )
         for point, mass in self.free_atoms:
+            point, mass = _boundary(point, "point of a free atom"), _real(mass, "free atom mass")
             if not 0.0 <= mass < math.inf:
                 raise WeightError("free atom masses must be finite and nonnegative")
             if any(point.same_point(s) for s in self.config.sigmas):
@@ -120,14 +123,14 @@ def gk_dirac_parameter(b: float, alpha: float) -> BoundaryPoint:
     """Circle parameter of the Dirac mixture matching the constant i*b
     candidate over a single repelling point with base mass alpha.
 
-    alpha must be positive and finite and b finite, else DomainError."""
+    alpha must be positive and finite and b finite, else DomainError.  The
+    point (iy - 1)/(iy + 1), y = b/alpha, has angle 2 atan2(alpha, b)."""
     b, alpha = _real(b, "constant b"), _real(alpha, "base mass")
     if not 0.0 < alpha < math.inf:
         raise DomainError(f"base mass must be positive and finite, got {alpha}")
     if not math.isfinite(b):
         raise DomainError(f"the constant b must be finite, got {b}")
-    y = b / alpha
-    return BoundaryPoint.from_complex((1j * y - 1.0) / (1j * y + 1.0))
+    return BoundaryPoint(2.0 * math.atan2(alpha, b))
 
 
 def gk_generator(
@@ -150,23 +153,21 @@ def gk_generator(
     """
     tau = _complex(tau, "Denjoy-Wolff point")
     tau_regime(tau)  # DomainError beyond the circle or at NaN
-    z = _complex(z, "point z")
-    if not abs(z) < 1.0:
-        raise DomainError("evaluation point must lie in the open disk")
+    z = _interior(z, "point z")
     lam = _real(lam, "spectral value")
     if not -math.inf < lam < 0.0:
         raise DomainError("the repelling spectral value must be negative and finite")
-    if abs(tau - sigma.value) <= 1e-12:
+    sv = _boundary(sigma, "repelling point sigma").value
+    if abs(tau - sv) <= 1e-12:
         raise DegenerateConfig("tau must differ from the repelling point")
     weights = [_real(w, "weight") for _, w in mu]
     if any(not w >= 0.0 for w in weights):
         raise WeightError("measure weights must be nonnegative")
     if abs(sum(weights) - 1.0) > 1e-12:
         raise WeightError(f"measure weights must sum to 1, got {sum(weights)!r}")
-    sv = sigma.value
     mix = 0.0 + 0.0j
     for (point, _), w in zip(mu, weights):
-        kappa = point.value
+        kappa = _boundary(point, "point of the measure").value
         mix += w * (1.0 - kappa) / (1.0 - kappa * sv.conjugate() * z)
     front = abs(lam) / abs(sv - tau) ** 2
     return front * (tau - z) * (1.0 - tau.conjugate() * z) * (1.0 - sv.conjugate() * z) * mix

@@ -45,6 +45,7 @@ from .herglotz_core import (
     _Record,
     _arc_zeros,
     _atom_index,
+    _boundary,
     _complex,
     _real,
     _require_mass_sum,
@@ -117,13 +118,11 @@ class FixedPointConfig(_Record):
     ) -> None:
         object.__setattr__(self, "tau", _complex(tau, "Denjoy-Wolff point"))
         object.__setattr__(self, "lambdas", tuple([_real(v, "spectral value") for v in lambdas]))
-        object.__setattr__(self, "sigmas", tuple(sigmas))
+        object.__setattr__(self, "sigmas", tuple([_boundary(s, "repelling point") for s in sigmas]))
         _check_spectral_values(self.tau, len(self.sigmas), self.lambdas)
         regime = self.regime  # DomainError beyond the circle
-        for i in range(len(self.sigmas)):
-            for j in range(i + 1, len(self.sigmas)):
-                if self.sigmas[i].same_point(self.sigmas[j]):
-                    raise DegenerateConfig("repelling boundary points must be distinct")
+        if any(s.same_point(t) for i, s in enumerate(self.sigmas) for t in self.sigmas[i + 1 :]):
+            raise DegenerateConfig("repelling boundary points must be distinct")
         if regime == "boundary":
             tau_bp = BoundaryPoint.from_complex(self.tau)
             if any(tau_bp.same_point(s) for s in self.sigmas):
@@ -156,7 +155,8 @@ class FixedPointConfig(_Record):
 
     def has_skeleton(self, tau: complex, sigmas: tuple[BoundaryPoint, ...]) -> bool:
         """True when tau (within BOUNDARY_TOL) and the repelling points, in
-        order, are this configuration's."""
+        order, are this configuration's; sigmas are read by _boundary."""
+        sigmas = [_boundary(s, "repelling point") for s in sigmas]
         return (
             abs(self.tau - tau) <= BOUNDARY_TOL
             and len(sigmas) == self.n
@@ -387,7 +387,7 @@ def _split_denominator(
     """
     lambdas, atoms = [], list(q.atoms)
     for s in sigmas:
-        i = _atom_index(atoms, s.theta)
+        i = _atom_index(atoms, _boundary(s, "repelling point").theta)
         if i is None:
             message = f"denominator lacks an atom at angle {s.theta}; not a repelling point"
             raise DegenerateConfig(message)

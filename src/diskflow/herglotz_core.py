@@ -106,6 +106,22 @@ def _complex(value, what: str) -> complex:
     raise _refusal(value, what, "number")
 
 
+def _boundary(value, what: str) -> "BoundaryPoint":
+    """value, a point of the circle the caller handed in, by one rule: it is a
+    BoundaryPoint, and anything else, an angle too, raises DomainError."""
+    if isinstance(value, BoundaryPoint):
+        return value
+    raise _refusal(value, what, "BoundaryPoint")
+
+
+def _interior(z, what: str) -> complex:
+    """z read by _complex, refused unless it lies in the open disk (NaN does not)."""
+    z = _complex(z, what)
+    if not abs(z) < 1.0:
+        raise DomainError(f"a {what} must lie in the open disk, |z|={abs(z)}")
+    return z
+
+
 def _refused(value, kinds: str) -> bool:
     """Whether _real or _complex refuses value before converting it: a
     string, bytes, a bool or None, or a value with a dtype whose kind is not
@@ -281,6 +297,7 @@ class AtomicHerglotz(_Record):
     def __post_init__(self) -> None:
         atoms = []
         for point, mass in self.atoms:
+            point = point if point.__class__ is BoundaryPoint else _boundary(point, "mass point")
             m = _real(mass, "mass")
             if not 0.0 <= m < math.inf:
                 raise DomainError(f"atom mass must be finite and nonnegative, got {m}")
@@ -331,7 +348,7 @@ class AtomicHerglotz(_Record):
         return [mass for _, mass in self.atoms]
 
     def atom_mass_at(self, sigma: BoundaryPoint) -> float:
-        i = _atom_index(self.atoms, sigma.theta)
+        i = _atom_index(self.atoms, _boundary(sigma, "boundary point sigma").theta)
         return 0.0 if i is None else self.atoms[i][1]
 
     def is_trivial(self) -> bool:
@@ -354,7 +371,7 @@ class RationalHerglotz(AtomicHerglotz):
 
 def herglotz_kernel(s: BoundaryPoint, z: complex) -> complex:
     z = _complex(z, "point z")
-    sv = s.value
+    sv = _boundary(s, "kernel point s").value
     return (sv + z) / (sv - z)
 
 
@@ -395,12 +412,10 @@ def point_kernel_sum(s: list[complex], m: list[float], z: complex, order: int) -
 
 
 def require_interior(z) -> None:
-    """Raise DomainError unless every point of z lies in the open disk (NaN
-    does not); a scalar z is read by _complex."""
-    array = not isinstance(z, (int, float, complex)) and isinstance(z, np.ndarray)
-    radius = np.abs(z).max(initial=0.0) if array else abs(_complex(z, "point z"))
-    if not radius < 1.0:
-        raise DomainError(f"evaluation point must lie in the open disk, |z|={radius}")
+    """_interior's check of one point z, or of the largest |z| of an array."""
+    if not isinstance(z, (int, float, complex)) and isinstance(z, np.ndarray):
+        z = np.abs(z).max(initial=0.0)
+    _interior(z, "point z")
 
 
 def eval_herglotz(p: AtomicHerglotz, z):
@@ -429,7 +444,7 @@ def extract_atom(p: AtomicHerglotz, sigma: BoundaryPoint) -> tuple[float, Atomic
     removed, so the mass and the remainder's total_mass add up to p's.  The
     remainder keeps p's other atoms as they are, so it is built by
     AtomicHerglotz._kept, with no second normalization."""
-    i = _atom_index(p.atoms, sigma.theta)
+    i = _atom_index(p.atoms, _boundary(sigma, "boundary point sigma").theta)
     if i is None:
         return 0.0, p
     return p.atoms[i][1], AtomicHerglotz._kept(p.atoms[:i] + p.atoms[i + 1 :], p.gamma)

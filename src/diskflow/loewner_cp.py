@@ -40,6 +40,7 @@ from .herglotz_core import (
     AtomicHerglotz,
     BoundaryPoint,
     _Record,
+    _boundary,
     _complex,
     _real,
     angle_gap,
@@ -101,14 +102,6 @@ class PiecewiseField(_Record):
                 raise NormalizationError(
                     f"spectral moduli must not exceed 1, got {total!r}"
                 )
-
-    @property
-    def tau(self) -> complex:
-        return self.segments[0][1].config.tau
-
-    @property
-    def sigmas(self) -> tuple[BoundaryPoint, ...]:
-        return self.segments[0][1].config.sigmas
 
 
 class CPTarget(_Record):
@@ -282,8 +275,8 @@ def _skeleton_angles(tau: complex, sigmas: tuple[BoundaryPoint, ...]) -> tuple[f
 
 
 def _target_sigmas(sigmas, target: CPTarget) -> tuple[BoundaryPoint, ...]:
-    """The repelling points as a tuple, one per target derivative."""
-    sigmas = tuple(sigmas)
+    """The repelling points, each read by _boundary, one per target derivative."""
+    sigmas = tuple([_boundary(s, "repelling point") for s in sigmas])
     if len(sigmas) != len(target.a):
         raise DomainError("one target derivative per repelling point is required")
     return sigmas

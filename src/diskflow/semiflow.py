@@ -6,9 +6,8 @@ solved inside the unit disk, optionally together with the variational
 equation d/dt (d phi_t/dz) = G'(phi_t) (d phi_t/dz) for the spatial
 derivative along the orbit.
 
-The flow functions take one start point and one time, each read by
-herglotz_core's rule for numbers (_complex, _real); a time must also be
-finite and nonnegative.
+The flow functions take one start point, read by herglotz_core._interior,
+and one time, read by _real and held finite and nonnegative.
 
 integrate_flow and integrate_flow_with_derivative take the orbit from a
 closed form instead of the ODE (Bracci, Contreras & Diaz-Madrigal,
@@ -114,7 +113,9 @@ from .herglotz_core import (
     BoundaryPoint,
     _Record,
     _atom_index,
+    _boundary,
     _complex,
+    _interior,
     _real,
     circle_angle,
 )
@@ -458,14 +459,6 @@ def _check_horizon(t) -> float:
     return t
 
 
-def _start_point(z0) -> complex:
-    """z0 read by _complex, checked to lie inside the open disk (NaN does not)."""
-    z = _complex(z0, "start point")
-    if not abs(z) < 1.0:
-        raise DomainError(f"initial point must lie in the open disk, |z0|={abs(z)}")
-    return z
-
-
 def _lone(gen: GeneratorSpec, z: complex, t: float, derivative: bool, grid=()):
     """_solve for the orbit of z, with its derivative when ``derivative``."""
     point = _point_generator(gen)
@@ -743,14 +736,14 @@ def _orbit(gen: GeneratorSpec, z: complex, t: float, derivative: bool) -> list[c
 def integrate_flow(gen: GeneratorSpec, z0, t: float) -> complex:
     """phi_t(z0) for one start point z0."""
     t = _check_horizon(t)
-    z = _start_point(z0)
+    z = _interior(z0, "start point")
     return z if t == 0.0 else _orbit(gen, z, t, False)[0]
 
 
 def integrate_flow_with_derivative(gen: GeneratorSpec, z0, t: float) -> tuple[complex, complex]:
     """(phi_t(z0), d phi_t/dz at z0)."""
     t = _check_horizon(t)
-    z = _start_point(z0)
+    z = _interior(z0, "start point")
     if t == 0.0:
         return z, 1.0 + 0j
     w, dw = _orbit(gen, z, t, True)
@@ -764,7 +757,7 @@ def flow_trajectory(gen: GeneratorSpec, z0: complex, t: float, samples: int = 20
     and a float, string or None raises DomainError; a bool reads as 0 or 1,
     below the least count of 2.
     """
-    z = _start_point(z0)
+    z = _interior(z0, "start point")
     t = _check_horizon(t)
     if t == 0.0:
         raise DomainError("a trajectory horizon must be positive, got 0")
@@ -810,12 +803,12 @@ def _radial_limit(
 ) -> float:
     """Richardson-extrapolated radial limit of the quotient over RADII.
 
-    ``map_points`` maps the array of the ladder's points r sigma; h = 1 - r
-    halves at each step of the ladder.  The final two extrapolants must
-    agree within 10 * ESTIMATE_TOL, otherwise the limit is declared
-    unreachable.
+    sigma is read by _boundary, and ``map_points`` maps the array of the
+    ladder's points r sigma; h = 1 - r halves at each step of the ladder.
+    The final two extrapolants must agree within 10 * ESTIMATE_TOL,
+    otherwise the limit is declared unreachable.
     """
-    r = np.array(RADII)
+    sigma, r = _boundary(sigma, "boundary point sigma"), np.array(RADII)
     quotients = _julia_quotients(sigma, r, map_points(r * sigma.value))
     extrapolated = 2.0 * quotients[1:] - quotients[:-1]
     last, prev = float(extrapolated[-1]), float(extrapolated[-2])
@@ -829,11 +822,8 @@ def _radial_limit(
 def julia_quotient_estimate(map_fn: Callable[[complex], complex], sigma: BoundaryPoint) -> float:
     """Radial limit of the quotient of ``map_fn``, which takes one point.
 
-    Each map value is read by _complex and must be finite
-    (DomainError) and inside the disk (BoundaryEscape).  The limit is
-    Richardson-extrapolated in h = 1 - r over RADII; its final two
-    extrapolants must agree within 10 * ESTIMATE_TOL, otherwise the limit
-    is declared unreachable.
+    Each map value is read by _complex and must be finite (DomainError)
+    and inside the disk (BoundaryEscape); the limit is _radial_limit's.
     """
 
     def map_points(z: np.ndarray) -> np.ndarray:

@@ -59,6 +59,7 @@ from .herglotz_core import (
     AtomicHerglotz,
     BoundaryPoint,
     _Record,
+    _boundary,
     _complex,
     _real,
     point_kernel_sum,
@@ -202,7 +203,7 @@ def extremal_interior(
     lz = ell(config, zeta)
     if lz.real <= 0.0:
         raise DomainError("zeta must lie in the interior of Z")
-    p = AtomicHerglotz(((sigma, lz.real),), lz.imag)
+    p = AtomicHerglotz(((_boundary(sigma, "direction sigma"), lz.real),), lz.imag)
     return GeneratorSpec(config, p)
 
 
@@ -291,7 +292,7 @@ def extremal_origin(
     lhat = 1.0 / omega - config.inv_lambda_sum / 2.0
     if lhat.real <= 0.0:
         raise DomainError("omega must lie in the interior of the spectral disk")
-    p = AtomicHerglotz(((sigma, lhat.real),), lhat.imag)
+    p = AtomicHerglotz(((_boundary(sigma, "direction sigma"), lhat.real),), lhat.imag)
     return GeneratorSpec(config, p)
 
 
@@ -407,7 +408,7 @@ def caratheodory_min_sharp(tau: BoundaryPoint, a: float) -> tuple[float, Boundar
     attained only by the single atom with tilt exactly a, located at
     -tau (1+ia)/(1-ia).
     """
-    a = _real(a, "tilt a")
+    tau, a = _boundary(tau, "boundary point tau"), _real(a, "tilt a")
     minimum = (1.0 + a * a) / 2.0
     sigma = BoundaryPoint.from_complex(-tau.value * (1.0 + 1j * a) / (1.0 - 1j * a))
     return minimum, sigma

@@ -1,7 +1,9 @@
 """Tests for extreme points of the two normalized generator families."""
 
+import cmath
 import math
 
+import numpy as np
 import pytest
 
 from diskflow import (
@@ -23,6 +25,7 @@ from diskflow import (
     gk_generator,
     is_extreme_GenF,
 )
+from diskflow.herglotz_core import angle_gap
 
 
 def cfg(tau, pairs):
@@ -164,6 +167,29 @@ def test_gk_dirac_parameter_on_circle():
     assert k.value == pytest.approx((1j * y - 1.0) / (1j * y + 1.0), abs=1e-14)
     with pytest.raises(DomainError):
         gk_dirac_parameter(0.8, 0.0)
+
+
+@pytest.mark.parametrize(
+    "b, alpha, theta",
+    [
+        # b/alpha overflowed to inf, and (i inf - 1)/(i inf + 1) to NaN
+        (1e200, 1e-200, 0.0),
+        (-1e200, 1e-200, 0.0),
+        (1e200, 1.0, 2e-200),
+        (0.0, 1e-300, math.pi),
+        (1e-300, 1e300, math.pi),
+    ],
+)
+def test_gk_dirac_parameter_takes_the_limit_where_b_over_alpha_overflows(b, alpha, theta):
+    assert gk_dirac_parameter(b, alpha).theta == theta
+
+
+def test_gk_dirac_parameter_is_the_phase_of_its_mobius_point():
+    rng = np.random.default_rng(36)
+    for b, alpha in zip(rng.uniform(-5e7, 5e7, 2000), 10.0 ** rng.uniform(-6.0, 6.0, 2000)):
+        y = b / alpha
+        expected = BoundaryPoint(cmath.phase((1j * y - 1.0) / (1j * y + 1.0)))
+        assert angle_gap(gk_dirac_parameter(b, alpha).theta, expected.theta) <= 2e-15
 
 
 def test_gk_dirac_matches_candidate_generator():

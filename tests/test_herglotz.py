@@ -734,3 +734,10 @@ def test_adaptive_routine_refuses_a_non_finite_integrand(bad):
     # an error test written "err > bound raises" would return NaN here
     with pytest.raises(QuadratureFailure, match="estimate (nan|inf) exceeds"):
         _gk15(lambda t: bad if 0.3 < t < 0.4 else 1.0, [0.0, 1.0], 1e-8, "test integral")
+
+
+def test_cached_property_read_on_its_class_is_the_descriptor():
+    descriptor = AtomicHerglotz.__dict__["s"]
+    assert isinstance(descriptor, herglotz_core.cached_property)
+    assert AtomicHerglotz.s is descriptor
+    assert AtomicHerglotz.s.__doc__ == "Atom points on the circle, in atom order."

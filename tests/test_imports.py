@@ -48,6 +48,11 @@ is read by them, so no other module decides what a number is.  Likewise no
 module but herglotz_core compares angle_gap(...) with ANGLE_TOL: an atom at
 a point is found by herglotz_core._atom_index alone.
 
+Only herglotz_core tests a value for BoundaryPoint, in its reader
+_boundary (and in the atoms' fast path and BoundaryPoint's equality), and
+only its reader _interior raises the refusal of a point off the open disk:
+every point a caller hands the package is read by them.
+
 No module has a dataclasses import statement at any level: importing
 dataclasses loads inspect, ast, dis and tokenize, and decorating a class
 executes generated code, which a start that only evaluates a region should
@@ -425,6 +430,67 @@ OUTSIDE_CORE = [p for p in ALL_MODULES if p.stem != "herglotz_core"]
 @pytest.mark.parametrize("path", OUTSIDE_CORE, ids=[p.stem for p in OUTSIDE_CORE])
 def test_only_herglotz_core_tests_an_angle_against_angle_tol(path):
     assert angle_tests(path.read_text()) == []
+
+
+def point_checks(source: str) -> list[str]:
+    """Each test of a value for BoundaryPoint in source (an isinstance or
+    issubclass call naming the class, or a comparison with it) and each
+    raise whose message says a point "must lie in the open disk", as
+    "line N: f" with f the innermost function holding it."""
+    found: list[str] = []
+
+    def names(node: ast.AST) -> list[str]:
+        nodes = node.elts if isinstance(node, ast.Tuple) else [node]
+        return [n.id if isinstance(n, ast.Name) else getattr(n, "attr", None) for n in nodes]
+
+    def check(node: ast.AST) -> bool:
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) in (
+            "isinstance", "issubclass"
+        ):
+            return len(node.args) == 2 and "BoundaryPoint" in names(node.args[1])
+        if isinstance(node, ast.Compare):
+            return any("BoundaryPoint" in names(side) for side in [node.left, *node.comparators])
+        return isinstance(node, ast.Raise) and any(
+            isinstance(n, ast.Constant) and "must lie in the open disk" in str(n.value)
+            for n in ast.walk(node)
+        )
+
+    def visit(node: ast.AST, where: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if check(child):
+                found.append(f"line {child.lineno}: {where}")
+            inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if inner else where)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_checker_flags_a_point_check():
+    source = (
+        "def f(sigma, z):\n"
+        "    if not isinstance(sigma, (hc.BoundaryPoint, float)):\n"
+        "        raise TypeError\n"
+        "    if type(sigma) is not BoundaryPoint or issubclass(type(z), BoundaryPoint):\n"
+        "        pass\n"
+        "    if abs(z) >= 1.0:\n"
+        "        raise DomainError(f'a point must lie in the open disk, |z|={abs(z)}')\n"
+        "ok = isinstance(z, complex) and sigma == other\n"
+        "raise BoundaryEscape('map value left the open disk')\n"
+    )
+    assert point_checks(source) == ["line 2: f", "line 4: f", "line 4: f", "line 7: f"]
+
+
+# What counts as a point is decided in one place: herglotz_core's readers
+# _boundary (a BoundaryPoint) and _interior (a number inside the open disk);
+# the atoms' fast path and BoundaryPoint's equality test the class too.
+POINT_CHECKS = {"herglotz_core": ["__eq__", "__post_init__", "_boundary", "_interior"]}
+
+
+@pytest.mark.parametrize("path", ALL_MODULES, ids=[p.stem for p in ALL_MODULES])
+def test_only_the_point_readers_check_a_point(path):
+    found = point_checks(path.read_text())
+    assert sorted(line.split(": ")[1] for line in found) == POINT_CHECKS.get(path.stem, [])
 
 
 def record_builders(source: str) -> list[str]:

@@ -122,11 +122,19 @@ def test_field_requires_shared_skeleton():
         PiecewiseField(((1.0, a), (1.0, b)))
 
 
+def test_cp_extremal_field_refuses_where_no_free_angle_is_left():
+    # 64 repelling points 2 pi/64 < 0.1 apart leave no angle 0.05 clear of them
+    sigmas = tuple(BoundaryPoint(2.0 * math.pi * k / 64) for k in range(64))
+    target = CPTarget((math.e,) * 64)
+    with pytest.raises(DegenerateConfig, match="^could not place an atom away from the fixed points$"):
+        cp_extremal_field(0.0, sigmas, target, c=1.0)
+
+
 def test_field_total_duration():
     spec = unit_spec(0.0, S2, (-0.5, -0.5))
     f = PiecewiseField(((0.25, spec), (0.5, spec)))
     assert sum(d for d, _ in f.segments) == pytest.approx(0.75)
-    assert len(f.sigmas) == 2
+    assert f.segments[0][1].config.n == 2
 
 
 # ----------------------------------------------------------------------

@@ -60,6 +60,7 @@ from diskflow.semiflow import _check_horizon
 S0 = BoundaryPoint(0.0)
 INTERIOR = FixedPointConfig(0.3 + 0.1j, (S0,), (-1.0,))
 ORIGIN = FixedPointConfig(0.0, (S0,), (-1.0,))
+PAIR = FixedPointConfig(0.0, (S0, BoundaryPoint(math.pi)), (-0.5, -0.5))
 BOUNDARY = FixedPointConfig(1j, (S0,), (-1.0,))
 SPEC = GeneratorSpec(ORIGIN, AtomicHerglotz(((BoundaryPoint(2.0), 0.5),), 0.25))
 FREE = GeneratorSpec(ORIGIN, AtomicHerglotz(gamma=1.0))
@@ -123,6 +124,8 @@ READERS = {
     "IntervalRegion slack": ("real", lambda x: IntervalRegion(0.0, 1.0).slack(x)),
     "caratheodory_min_sharp a": ("real", lambda x: caratheodory_min_sharp(S0, x)),
     "ExtremeCandidate b": ("real", lambda x: ExtremeCandidate(ORIGIN, x)),
+    "ExtremeCandidate free atom mass": (
+        "real", lambda x: ExtremeCandidate(PAIR, 0.0, ((BoundaryPoint(1.0), x),))),
     "extreme_point_GenF b": ("real", lambda x: extreme_point_GenF(0.0, (S0,), (-1.0,), x)),
     "gk_dirac_parameter b": ("real", lambda x: gk_dirac_parameter(x, 1.0)),
     "gk_dirac_parameter alpha": ("real", lambda x: gk_dirac_parameter(0.5, x)),
@@ -179,3 +182,15 @@ def test_gk_dirac_parameter_refuses_a_base_mass_or_b_off_its_range(b, alpha, nam
     # infinite base mass put the Dirac at pi
     with pytest.raises(DomainError, match=named):
         gk_dirac_parameter(b, alpha)
+
+
+class _NoFloat:
+    """A value that passes the readers' first tests, which float() and
+    complex() refuse with TypeError."""
+
+
+def test_the_readers_refuse_what_float_and_complex_refuse():
+    with pytest.raises(DomainError, match="^a height y must be a real number, got a _NoFloat$"):
+        counterexample_P(_NoFloat())
+    with pytest.raises(DomainError, match="^a point z must be a number, got a _NoFloat$"):
+        herglotz_kernel(S0, _NoFloat())

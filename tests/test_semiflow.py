@@ -19,6 +19,7 @@ from diskflow import (
     ExtrapolationDivergence,
     FixedPointConfig,
     GeneratorSpec,
+    Trajectory,
     dw_spectral_value,
     estimate_boundary_derivative,
     eval_generator,
@@ -287,6 +288,31 @@ def test_estimate_at_zero_time_maps_the_ladder_to_itself():
 def test_estimate_rejects_a_bad_horizon(t):
     with pytest.raises(DomainError):
         estimate_boundary_derivative(KOENIGS, BoundaryPoint(0.0), t)
+
+
+def test_trajectory_refuses_a_horizon_of_zero():
+    with pytest.raises(DomainError, match="^a trajectory horizon must be positive, got 0$"):
+        flow_trajectory(KOENIGS, 0.4, 0.0)
+
+
+def test_trajectory_refuses_sequences_of_unequal_length():
+    with pytest.raises(ValueError, match="^times and points must have equal length$"):
+        Trajectory((0.0, 1.0), (0j,))
+    with pytest.raises(ValueError, match="^derivatives must match times in length$"):
+        Trajectory((0.0,), (0j,), (1 + 0j, 1 + 0j))
+
+
+def test_closed_form_hands_the_orbit_to_the_ode_where_it_raises():
+    # q(tau) overflows to inf with a mass of 1e308 at distance 0.1 from tau,
+    # so lambda = 0, and the Koenigs exponent lambda/conj(lambda) divides by 0
+    p = AtomicHerglotz(((BoundaryPoint(0.0), 1e308),))
+    spec = GeneratorSpec(FixedPointConfig(0.9, (BoundaryPoint(math.pi),), (-1.0,)), p)
+    with pytest.raises(ZeroDivisionError):
+        semiflow._koenigs_flow(spec, 0j, 1.0, False)
+    assert semiflow._closed_form(spec, 0j, 1.0, False) is None
+    w = integrate_flow(spec, 0.0, 1.0)
+    assert w == semiflow._lone(spec, 0j, 1.0, False)[0][0]
+    assert cmath.isfinite(w) and 0.0 < w.real < 1e-300
 
 
 def test_trajectory_shape_and_monotone_times():

@@ -70,6 +70,11 @@ def test_disk_region_slack_and_membership():
     assert d.slack(3.0 + 5e-11) == pytest.approx(-5e-11, abs=1e-15)
 
 
+@pytest.mark.parametrize("n", [1, 0])
+def test_interval_sample_of_at_most_one_point_is_its_lower_end(n):
+    assert IntervalRegion(0.25, 1.0).sample(n) == (0.25,)
+
+
 def test_disk_region_boundary_samples():
     d = DiskRegion(0.5j, 1.5)
     pts = d.sample_boundary(16)
@@ -218,6 +223,11 @@ def test_extremal_interior_traces_distinct_points():
     assert abs(ea - eb) > 1e-3
 
 
+def test_eta_chart_refuses_lambda_zero():
+    with pytest.raises(DivisionByZero, match="^eta chart is singular at lambda = 0$"):
+        eta_chart(INTERIOR, 0)
+
+
 def test_extremal_interior_rejects_boundary_zeta():
     z_edge = region_Z(HALF).sample_boundary(8)[1]
     with pytest.raises(DomainError):
@@ -267,11 +277,25 @@ def test_region_Z_omega_radius_formula(rng):
         assert zw.slack(origin_curvature_chart(spec)) >= -1e-9
 
 
+def test_origin_curvature_chart_refuses_lambda_zero():
+    # two masses of 1e308 make q(0) overflow to inf, so lambda = 1/q(0) = 0
+    p = AtomicHerglotz(((BoundaryPoint(1.0), 1e308), (BoundaryPoint(2.0), 1e308)))
+    spec = GeneratorSpec(cfg(0.0, [(0.0, -1.0)]), p)
+    assert dw_spectral_value(spec) == 0
+    with pytest.raises(DivisionByZero, match="^curvature chart is singular at lambda = 0$"):
+        origin_curvature_chart(spec)
+
+
 def test_region_Z_omega_rejects_outside_spectral_disk():
     with pytest.raises(DomainError):
         region_Z_omega(ORIGIN2, 5.0)  # Re(1/5) < S/2 = 1
     with pytest.raises(DomainError):
         region_Z_omega(ORIGIN2, 0.0)
+
+
+def test_region_Z_omega_refuses_omega_zero_by_name():
+    with pytest.raises(DomainError, match="^the fiber over omega = 0 is the zero field only$"):
+        region_Z_omega(ORIGIN2, 0)
 
 
 @pytest.mark.parametrize(
@@ -382,6 +406,12 @@ def test_extremal_hyperbolic_attains_top(rng):
         spec = extremal_hyperbolic(config, zeta)
         assert eval_generator(spec, 0.0) == pytest.approx(zeta, rel=1e-9)
         assert dw_spectral_value(spec) == pytest.approx(iv.hi, rel=1e-9)
+
+
+def test_extremal_hyperbolic_refuses_zeta_outside_Z():
+    # Z is the disk of center and radius 1/(2A) for tau = 1: -0.5 lies outside
+    with pytest.raises(DomainError, match="^zeta must lie in the interior of Z$"):
+        extremal_hyperbolic(BOUNDARY, -0.5)
 
 
 def test_extremal_hyperbolic_cancels_contact():
