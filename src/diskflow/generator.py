@@ -43,12 +43,14 @@ from .herglotz_core import (
     ANGLE_TOL,
     RationalHerglotz,
     _Record,
+    _arc_record,
     _arc_zeros,
     _atom_index,
     _boundary,
     _complex,
     _real,
     _require_mass_sum,
+    _same_point,
     cached_property,
     circle_angle,
     kernel_sum,
@@ -121,11 +123,11 @@ class FixedPointConfig(_Record):
         object.__setattr__(self, "sigmas", tuple([_boundary(s, "repelling point") for s in sigmas]))
         _check_spectral_values(self.tau, len(self.sigmas), self.lambdas)
         regime = self.regime  # DomainError beyond the circle
-        if any(s.same_point(t) for i, s in enumerate(self.sigmas) for t in self.sigmas[i + 1 :]):
+        if any(_same_point(s, t) for i, s in enumerate(self.sigmas) for t in self.sigmas[i + 1 :]):
             raise DegenerateConfig("repelling boundary points must be distinct")
         if regime == "boundary":
             tau_bp = BoundaryPoint.from_complex(self.tau)
-            if any(tau_bp.same_point(s) for s in self.sigmas):
+            if any(_same_point(tau_bp, s) for s in self.sigmas):
                 raise DegenerateConfig("tau must not coincide with a repelling point")
 
     def _with_lambdas(self, lambdas: tuple[float, ...]) -> "FixedPointConfig":
@@ -160,7 +162,7 @@ class FixedPointConfig(_Record):
         return (
             abs(self.tau - tau) <= BOUNDARY_TOL
             and len(sigmas) == self.n
-            and all(a.same_point(b) for a, b in zip(self.sigmas, sigmas))
+            and all(map(_same_point, self.sigmas, sigmas))
         )
 
     @cached_property
@@ -438,11 +440,13 @@ def convex_combination(
     N's atoms are each spec's p and (sigma_k, alpha_k), merged in one sweep
     with no q_a or q_b built: as those merge, unless a p has an atom within
     ANGLE_TOL of one of its own sigma_k at another angle.  An alpha_k beyond
-    the floats raises DomainError.  q_c is the one record the mix
-    normalizes: _split_denominator reads the lambda_k and p off it (each
-    sigma_k's atom sits at a point of the inputs, so ANGLE_TOL finds it),
-    and the config is first's with the new lambda_k, of which only those
-    are checked (FixedPointConfig._with_lambdas).
+    the floats raises DomainError.  q_c is the one record the mix builds,
+    by herglotz_core._arc_record from N's shared atoms and zeros in angle
+    order, which normalizes them only where the sweep would move them.
+    _split_denominator reads the lambda_k and p off it (each sigma_k's atom
+    sits at a point of the inputs, so ANGLE_TOL finds it), and the config
+    is first's with the new lambda_k, of which only those are checked
+    (FixedPointConfig._with_lambdas).
     """
     weight = _real(weight, "weight")
     if not 0.0 <= weight <= 1.0:
@@ -456,23 +460,25 @@ def convex_combination(
     if weight == 1.0:
         return first
     qa, qb = (s.p.atoms + tuple(zip(s.config.sigmas, s.config.alphas)) for s in (first, second))
-    rows = [(x.theta, x, m, 0.0) for x, m in qa if m] + [(x.theta, x, 0.0, m) for x, m in qb if m]
-    union: list[list] = []  # N's atoms, merged as AtomicHerglotz merges: [angle, point, m_a, m_b]
-    for theta, point, ma, mb in sorted(rows, key=itemgetter(0)):
+    rows = [(x.theta, m, 0.0) for x, m in qa if m] + [(x.theta, 0.0, m) for x, m in qb if m]
+    union: list[list] = []  # N's atoms, merged as AtomicHerglotz merges: [angle, m_a, m_b]
+    for theta, ma, mb in sorted(rows, key=itemgetter(0)):
         if union and theta - union[-1][0] <= ANGLE_TOL:
-            union[-1][2:] = [union[-1][2] + ma, union[-1][3] + mb]
+            union[-1][1:] = [union[-1][1] + ma, union[-1][2] + mb]
         else:
-            union.append([theta, point, ma, mb])
+            union.append([theta, ma, mb])
     if len(union) > 1 and union[0][0] + math.tau - union[-1][0] <= ANGLE_TOL:
-        union[0][2:] = [x + y for x, y in zip(union[0][2:], union.pop()[2:])]
-    a, ma, mb = ([row[k] for row in union] for k in (0, 2, 3))
+        union[0][1:] = [x + y for x, y in zip(union[0][1:], union.pop()[1:])]
+    a, ma, mb = ([row[k] for row in union] for k in range(3))
     ga, gb = first.p.gamma, second.p.gamma
     total_a, total_b = sum(ma), sum(mb)  # the masses of q_a and q_b, as total_mass sums them
     v = 1.0 - weight
     mn = [v * x + weight * y for x, y in zip(ma, mb)]
     t, _, sums, _ = _arc_zeros(a, mn, v * ga + weight * gb, (ma, mb))
-    atoms = []
-    for theta, fa, sa, fb, sb in zip(t, *sums[0], *sums[1]):
+    atoms = []  # in angle order: each shared atom, then the zero on the arc after it
+    for a_k, x, y, theta, fa, sa, fb, sb in zip(a, ma, mb, t, *sums[0], *sums[1]):
+        if x and y:
+            atoms.append((a_k, 1.0 / (weight / x + v / y)))
         fa, fb = ga + fa, gb + fb
         sa, sb = total_a + sa, total_b + sb  # 2 p#
         # f_N/(2 p#_N), kappa - t over 2; 0/0 and x/0 are NaN, as in the arc solve
@@ -481,10 +487,9 @@ def convex_combination(
         fa, fb = (fa, fb - sb * step) if weight >= v else (fa - sa * step, fb)
         # a zero both functions share (a spec mixed with itself) has 0/0: mass 0
         den = max(weight * sa * (fb * fb) + v * sb * (fa * fa), math.ulp(0.0))
-        atoms.append((BoundaryPoint(theta), fa * fa * (fb * fb) / den))
-    atoms += [(pt, 1.0 / (weight / x + v / y)) for _, pt, x, y in union if x and y]
+        atoms.append((theta, fa * fa * (fb * fb) / den))
     c0 = 1.0 / (weight / complex(total_a, ga) + v / complex(total_b, gb))
-    q = RationalHerglotz(tuple(atoms), c0.imag)
+    q = _arc_record(atoms, c0.imag)
     _require_mass_sum("convex_combination: the masses of q_c", q.total_mass, "Re(q_c(0))", c0.real)
     lambdas, p = _split_denominator(ca.tau, ca.sigmas, q)
     return GeneratorSpec(ca._with_lambdas(lambdas), p)

@@ -14,17 +14,19 @@ counterexample.  Those run one adaptive Gauss-Kronrod routine (QUADPACK's
 G7K15 pair) in plain floats, so the counterexample needs nothing beyond
 the standard library.
 
-Atoms are kept sorted by angle, those within ANGLE_TOL merged, whatever
-order they come in.  Consecutive atoms bound the arcs of the circle on
-which p is purely imaginary; one arc solve finds the one zero on each arc,
-for reciprocal and for generator.convex_combination, which reads a mix's
-denominator off a single such solve.  It needs p only on the circle, where
-each kernel is i cot((t - a_j)/2), so it solves on real cotangent sums
-over the atom angles.  At up to _PLAIN_ATOMS atoms it solves one arc at a
-time in plain floats, above that every arc at once on numpy arrays: a pass
-on arrays costs about 39 numpy calls whatever the size, which at a few
-atoms outweighs the n^2 tangents of the plain loop.  Both paths return
-plain lists.
+Atoms a caller hands in are sorted by angle, those within ANGLE_TOL
+merged, whatever order they come in.  Consecutive atoms bound the arcs of
+the circle on which p is purely imaginary; one arc solve finds the one zero
+on each arc, for reciprocal and for generator.convex_combination, which
+reads a mix's denominator off a single such solve.  It needs p only on the
+circle, where each kernel is i cot((t - a_j)/2), so it solves on real
+cotangent sums over the atom angles.  At up to _PLAIN_ATOMS atoms it solves
+one arc at a time in plain floats, above that every arc at once on numpy
+arrays: a pass on arrays costs about 37 numpy calls whatever the size,
+which at a few atoms outweighs the n^2 tangents of the plain loop.  Both
+paths return plain lists.  The zeros come in angle order, one per arc, so
+_arc_record builds the result from them without a second sort and merge
+wherever the sweep would keep them as they are.
 
 All other evaluation goes through one kernel, kernel_sum, over the atom
 points and masses cached on each function as plain lists.  It sums the
@@ -191,8 +193,9 @@ class _Record:
 
     ``__init__`` sets each field with object.__setattr__; cached_property
     still works, since it writes the instance dict directly.  Only
-    AtomicHerglotz._kept and FixedPointConfig._with_lambdas build a record
-    around its __init__, from fields a record built by it already holds.
+    AtomicHerglotz._kept, _arc_record and FixedPointConfig._with_lambdas
+    build a record around its __init__, from fields already checked as it
+    would check them.
     """
 
     def __init_subclass__(cls) -> None:
@@ -259,16 +262,22 @@ class BoundaryPoint(_Record):
         return complex(math.cos(self.theta), math.sin(self.theta))
 
     def same_point(self, other: "BoundaryPoint") -> bool:
-        return angle_gap(self.theta, other.theta) <= ANGLE_TOL
+        """Whether other, read by _boundary, is this point within ANGLE_TOL."""
+        return _same_point(self, _boundary(other, "boundary point other"))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BoundaryPoint):
             return NotImplemented
-        return self.same_point(other)
+        return _same_point(self, other)
 
     # Tolerance equality admits no finer consistent hash.
     def __hash__(self) -> int:
         return 0
+
+
+def _same_point(s: BoundaryPoint, t: BoundaryPoint) -> bool:
+    """BoundaryPoint.same_point of two points already read, unchecked."""
+    return angle_gap(s.theta, t.theta) <= ANGLE_TOL
 
 
 class AtomicHerglotz(_Record):
@@ -320,20 +329,21 @@ class AtomicHerglotz(_Record):
         if not math.isfinite(gamma):
             raise DomainError(f"the imaginary constant must be finite, got {self.gamma}")
 
-    @staticmethod
-    def _kept(atoms: tuple[tuple[BoundaryPoint, float], ...], gamma: float) -> "AtomicHerglotz":
-        """The AtomicHerglotz of atoms a normalized record keeps, in its
-        order, and of its gamma, with no second normalization: dropping
-        atoms only widens the gaps between angles, across 2*pi too, so each
-        stays above ANGLE_TOL and __post_init__ would return them as they are.
+    @classmethod
+    def _kept(cls, atoms: tuple[tuple[BoundaryPoint, float], ...], gamma: float) -> AtomicHerglotz:
+        """The record of class cls of atoms that __post_init__ would return
+        as they are, in their order, and of a finite float gamma, with no
+        second normalization.  Atoms a normalized record keeps are such:
+        dropping atoms only widens the gaps between angles, across 2*pi too,
+        so each stays above ANGLE_TOL.  _arc_record checks its atoms so.
         """
-        p = object.__new__(AtomicHerglotz)
+        p = object.__new__(cls)
         p.__dict__.update(atoms=atoms, gamma=gamma)
         return p
 
     @property
     def total_mass(self) -> float:
-        return sum(m for _, m in self.atoms)
+        return sum(self.m)
 
     # The atom lists are built on first use: many functions are built (and
     # merged, split, compared) without ever being evaluated.
@@ -500,7 +510,10 @@ def reciprocal(p: RationalHerglotz) -> RationalHerglotz:
     relative.  An overflow reaches the masses as NaN or 0, and a p# of 0
     (masses that halve to 0) as an infinite mass; where that changes their
     sum, it fails the same check.  A p without atoms (1/(i gamma) has
-    none) raises DomainError before any solve.
+    none) raises DomainError before any solve.  The zeros come in angle
+    order, one per arc, so _arc_record builds 1/p from them without a
+    second sort and merge, and hands them to RationalHerglotz only where
+    that would merge or refuse them.
     """
     if not p.atoms:
         raise DomainError("reciprocal needs at least one atom: 1/p has an atom at each zero of p")
@@ -508,17 +521,50 @@ def reciprocal(p: RationalHerglotz) -> RationalHerglotz:
     masses = [1.0 / (2.0 * ps) if ps else math.inf for ps in sharp]
     inverse = 1.0 / complex(p.total_mass, p.gamma)
     _require_mass_sum("reciprocal: the masses of 1/p", sum(masses), "Re(1/p(0))", inverse.real)
-    new_atoms = tuple((BoundaryPoint(theta), m) for theta, m in zip(t, masses))
-    return RationalHerglotz(new_atoms, inverse.imag)
+    return _arc_record(list(zip(t, masses)), inverse.imag)
+
+
+def _arc_record(atoms: list[tuple[float, float]], gamma: float) -> RationalHerglotz:
+    """RationalHerglotz(tuple((BoundaryPoint(t), m) for t, m in atoms), gamma)
+    for one or more (angle, mass) pairs in increasing angle order, as the
+    arc solve returns its zeros: only the last angle may pass 2*pi.
+
+    Such a last angle t < 4*pi becomes t - 2*pi, exact (Sterbenz) and equal
+    to circle_angle(t), at the front.  Where then the angles are floats in
+    [0, 2*pi) (not -0.0) whose gaps, across 2*pi too, exceed ANGLE_TOL, the
+    masses floats in (0, inf) and gamma a finite float, __post_init__ would
+    keep the atoms as they are, and the points and the record are built
+    around their __init__.  Anything else goes to RationalHerglotz as given,
+    with its merges, checks and messages.
+    """
+    given = atoms
+    if TWO_PI <= atoms[-1][0] < 2.0 * TWO_PI:
+        atoms = [(atoms[-1][0] - TWO_PI, atoms[-1][1]), *atoms[:-1]]
+    first, last = atoms[0][0], atoms[-1][0]
+    kept, prev = [], -math.inf
+    valid = gamma.__class__ is float and math.isfinite(gamma) and math.copysign(1.0, first) == 1.0
+    # __post_init__'s wrap test, then its sweep's, each group's first angle the one before
+    if valid and last < TWO_PI and first + TWO_PI - last > ANGLE_TOL:
+        for t, m in atoms:
+            if not (t.__class__ is m.__class__ is float and t - prev > ANGLE_TOL and 0.0 < m < math.inf):
+                break
+            point = object.__new__(BoundaryPoint)
+            point.__dict__["theta"] = prev = t
+            kept.append((point, m))
+        else:
+            return RationalHerglotz._kept(tuple(kept), gamma)
+    return RationalHerglotz(tuple((BoundaryPoint(t), m) for t, m in given), gamma)
 
 
 # At up to this many atoms _arc_zeros solves in plain floats, above it on
-# numpy arrays.  A pass of the array loop makes about 39 numpy calls, whose
+# numpy arrays.  A pass of the array loop makes about 37 numpy calls, whose
 # per-call cost sets its time at a few atoms; a pass of the plain loop costs
 # n tangents per arc, n^2 in all.  On 30 reciprocal inputs per degree (the
-# `rational` benchmark's spread law, one CPU, medians of 9) a solve took
-# 109 against 265 us at 8 atoms, 167 against 177 us at 12, 195 against
-# 196 us at 13 and 331 against 321 us at 14.
+# `rational` benchmark's spread law, one CPU of a 2-vCPU host, medians of
+# 9) a solve took 70 against 131 us at 8 atoms, 135 against 131 us at 12,
+# 152 against 133 us at 13 and 170 against 130 us at 14.  The two break
+# even near 12 there; on the host where this bound was set they broke even
+# at 13.  Moving it would change which loop solves, and the pinned digests.
 _PLAIN_ATOMS = 12
 
 
@@ -611,15 +657,13 @@ def _plain_arc_zeros(a: list[float], m: list[float], gamma: float, rows):
 
 def _array_arc_zeros(a: list[float], m: list[float], gamma: float, rows):
     """_arc_zeros on numpy arrays, every arc at once.  The cotangent matrix
-    (a row per arc) and its square fill two buffers made once per solve;
-    an arc that has stopped keeps its iterate, and is evaluated there again
-    until the last arc stops."""
-    a, m = np.array(a), np.array(m)
-    a_half = a / 2.0  # halving is exact, so t/2 - a/2 rounds as (t - a)/2
+    (a row per arc) and its square fill two buffers made once per solve,
+    and the sign bracket is updated in place; an arc that has stopped keeps
+    its iterate, and is evaluated there again until the last arc stops."""
+    lo, hi, m = np.array(a), np.array(a[1:] + [a[0] + TWO_PI]), np.array(m)
+    a_half = lo / 2.0  # halving is exact, so t/2 - a/2 rounds as (t - a)/2
     half = m / 2.0
     half_total = half.sum()
-    lo = a
-    hi = np.append(a[1:], a[0] + TWO_PI)
     t = (lo + hi) / 2.0
     n = len(a)
     cot, square = np.empty((n, n)), np.empty((n, n))
@@ -632,11 +676,10 @@ def _array_arc_zeros(a: list[float], m: list[float], gamma: float, rows):
         f = gamma + cot @ m
         np.multiply(cot, cot, square)
         sharp = half_total + square @ half
-        lo = np.where(f >= 0.0, t, lo)
-        hi = np.where(f <= 0.0, t, hi)
+        np.copyto(lo, t, where=f >= 0.0)
+        np.copyto(hi, t, where=f <= 0.0)
         step = f / sharp
-        edge = cot.take(ends)
-        newton = t + step / (1.0 - step * (edge[0] + edge[1]) / 2.0)
+        newton = t + step / (1.0 - step * np.add.reduce(cot.take(ends)) / 2.0)
         done |= np.fmin(abs(newton - t), hi - lo) <= _ARC_TOL
         if np.logical_and.reduce(done) or iteration == _ARC_STEPS:
             break

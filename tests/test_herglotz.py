@@ -11,7 +11,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import diskflow
@@ -571,6 +571,79 @@ def test_reciprocal_inverts_or_refuses_extreme_inputs(gamma, gap, m):
     assert all(math.isfinite(point.theta) and math.isfinite(mass) for point, mass in q.atoms)
     product = eval_herglotz(p, INTERIOR) * eval_herglotz(q, INTERIOR)
     assert np.abs(product - 1.0).max() <= 1e-9
+
+
+# a gap between zeros at, within or just beyond ANGLE_TOL, and masses and
+# gammas RationalHerglotz drops or refuses
+NEAR_GAPS = [0.0, 5e-13, herglotz_core.ANGLE_TOL, math.nextafter(herglotz_core.ANGLE_TOL, 1.0)]
+BAD_MASSES = [0.0, -0.0, -1.0, math.inf, math.nan, 1]
+
+
+@st.composite
+def arc_zero_lists(draw):
+    """(angle, mass) pairs in increasing angle order, as the arc solve
+    returns its zeros, and a gamma.  The first angle in [0, 2 pi) or at 0,
+    -0, the int 0 or just above 0; arcs of 1e-3 to 0.8 rad, one of them
+    possibly a NEAR_GAPS gap; the last angle possibly moved to 2 pi, 4 pi or
+    near the first one's turn, within ANGLE_TOL or not, below 2 pi or
+    above; masses in [1e-300, 1e300], one of them possibly a BAD_MASSES one
+    (the int 1 too, which RationalHerglotz reads as a float); gamma in
+    [-5, 5], NaN or inf."""
+    start = draw(st.one_of(st.floats(0.0, TWO_PI, exclude_max=True), st.sampled_from([0.0, -0.0, 0, 1e-13, 5e-13])))
+    gaps = draw(st.lists(st.floats(1e-3, 0.8), max_size=7))
+    if gaps and draw(st.booleans()):
+        gaps[draw(st.integers(0, len(gaps) - 1))] = draw(st.sampled_from(NEAR_GAPS))
+    angles = list(itertools.accumulate(gaps, initial=start))
+    if draw(st.booleans()):
+        close = start + TWO_PI - draw(st.sampled_from([*NEAR_GAPS, 2e-12, 1e-3, -1e-3]))
+        angles[-1] = draw(st.sampled_from([TWO_PI, 2.0 * TWO_PI, close, close]))
+    masses = draw(st.lists(st.floats(1e-300, 1e300), min_size=len(angles), max_size=len(angles)))
+    if draw(st.booleans()):
+        masses[draw(st.integers(0, len(masses) - 1))] = draw(st.sampled_from(BAD_MASSES))
+    gamma = draw(st.one_of(st.floats(-5.0, 5.0), st.floats(-5.0, 5.0), st.sampled_from([math.nan, math.inf])))
+    return list(zip(angles, masses)), gamma
+
+
+def _outcome(build):
+    """The class, and the type and float.hex of gamma and of each angle and
+    mass, of what build returns, or the type and message of what it raises."""
+    try:
+        q = build()
+    except Exception as exc:
+        return type(exc), str(exc)
+    values = [(type(pt), type(pt.theta), pt.theta.hex(), type(m), float(m).hex()) for pt, m in q.atoms]
+    return type(q), type(q.gamma), float(q.gamma).hex(), values
+
+
+@given(arc_zero_lists())
+@example(([(1e-13, 1.0), (2.0, 0.5), (TWO_PI - 5e-13, 2.0)], 0.5))  # close across 2 pi
+@example(([(1e-13, 1.0), (2.0, 0.5), (TWO_PI + 5e-13, 2.0)], 0.5))  # close after the turn
+def test_arc_record_equals_the_rational_herglotz_of_its_zeros(case):
+    # _arc_record builds around __init__ only the atoms __post_init__ would
+    # keep as they are; every other input goes to RationalHerglotz itself
+    zeros, gamma = case
+    expected = _outcome(lambda: RationalHerglotz(atoms(*zeros), gamma))
+    assert _outcome(lambda: herglotz_core._arc_record(zeros, gamma)) == expected
+
+
+@pytest.fixture
+def normalized(monkeypatch):
+    """The records AtomicHerglotz.__post_init__ normalizes during a test."""
+    made, normalize = [], AtomicHerglotz.__post_init__
+    monkeypatch.setattr(AtomicHerglotz, "__post_init__", lambda q: normalize(q) or made.append(q))
+    return made
+
+
+def test_arc_record_moves_a_last_zero_past_two_pi_to_the_front(normalized):
+    p = herglotz_core._arc_record([(1.0, 0.5), (3.0, 0.25), (TWO_PI, 2.0)], 0.5)
+    assert [(pt.theta, m) for pt, m in p.atoms] == [(0.0, 2.0), (1.0, 0.5), (3.0, 0.25)]
+    assert type(p) is RationalHerglotz and p.gamma == 0.5 and normalized == []
+
+
+def test_reciprocal_normalizes_no_record_where_its_zeros_are_apart(normalized):
+    p = RationalHerglotz(atoms((0.5, 1.0), (2.0, 0.25), (4.0, 3.0)), 0.5)
+    assert normalized == [p]
+    assert len(reciprocal(p).atoms) == 3 and normalized == [p]
 
 
 def _separated_draws():

@@ -37,10 +37,12 @@ np is the plain numpy module in every diskflow module, and a numpy imported
 before diskflow is used as it is.  Asked for a module that is not installed,
 _lazy raises ModuleNotFoundError and registers nothing.
 
-Only two private constructors build a record around its __init__, with
+Only three private constructors build a record around its __init__, with
 a __new__ call: AtomicHerglotz._kept, for the atoms a normalized record
-keeps, and FixedPointConfig._with_lambdas, for a validated configuration
-with new spectral values.
+keeps, herglotz_core._arc_record, for the points of zeros an arc solve
+returns in angle order once it has checked them as the atoms' sweep would,
+and FixedPointConfig._with_lambdas, for a validated configuration with new
+spectral values.
 
 Only herglotz_core's two number readers, _real and _complex, have an
 except clause for OverflowError: every number a caller hands the package
@@ -521,9 +523,10 @@ def test_checker_flags_a_record_built_around_its_init():
 
 # A record built around its __init__ skips that __init__'s checks, which
 # is sound only where every field is already checked: the atoms a
-# normalized Herglotz record keeps, and a validated configuration's
-# skeleton with new spectral values.
-RECORD_BUILDERS = {"herglotz_core": ["_kept"], "generator": ["_with_lambdas"]}
+# normalized Herglotz record keeps, the points of arc zeros checked as the
+# atoms' sweep checks them, and a validated configuration's skeleton with
+# new spectral values.
+RECORD_BUILDERS = {"herglotz_core": ["_arc_record", "_kept"], "generator": ["_with_lambdas"]}
 
 
 @pytest.mark.parametrize("path", ALL_MODULES, ids=[p.stem for p in ALL_MODULES])

@@ -10,10 +10,12 @@ argument.  None of them may end in a bare AttributeError.
 
 import math
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from diskflow import herglotz_core
 from diskflow import (
     AtomicHerglotz,
     BoundaryPoint,
@@ -72,6 +74,7 @@ BOUNDARY_READERS = {
     "extract_atom": ("boundary point sigma", lambda x: extract_atom(SPEC.p, x)),
     "atom_mass_at": ("boundary point sigma", lambda x: SPEC.p.atom_mass_at(x)),
     "herglotz_kernel": ("kernel point s", lambda x: herglotz_kernel(x, 0.1)),
+    "same_point": ("boundary point other", lambda x: S0.same_point(x)),
     "FixedPointConfig sigma": ("repelling point", lambda x: FixedPointConfig(0.3, (x,), (-1.0,))),
     "has_skeleton": ("repelling point", lambda x: ORIGIN.has_skeleton(0.0, (x,))),
     "spec_from_denominator": (
@@ -130,6 +133,21 @@ def test_a_config_refuses_an_angle_for_a_sigma_at_construction():
         FixedPointConfig(0.3, (0.5,), (-1.0,))
     spec = GeneratorSpec(FixedPointConfig(0.3, (BoundaryPoint(0.5),), (-1.0,)))
     assert dw_spectral_value(spec) == pytest.approx(0.91 / eval_denominator(spec, 0.3))
+
+
+def test_same_point_compares_points_within_the_angle_tolerance():
+    # it raised a bare AttributeError on a float
+    assert S0.same_point(BoundaryPoint(2.0 * math.pi - 1e-13))
+    assert not S0.same_point(BoundaryPoint(1e-11))
+
+
+def test_a_config_compares_the_points_it_has_read_without_reading_them_again():
+    # the distinct-sigma test, has_skeleton and the boundary tau's test
+    sigmas = tuple(BoundaryPoint(k + 0.5) for k in range(6))
+    with mock.patch.object(herglotz_core, "_boundary", side_effect=AssertionError):
+        config = FixedPointConfig(1.0, sigmas, (-1.0,) * 6)
+        assert FixedPointConfig(0.3, sigmas, (-1.0,) * 6).has_skeleton(0.3, sigmas)
+    assert config.is_boundary and not config.has_skeleton(1.0, sigmas[::-1])
 
 
 def test_a_boundary_point_reads_through_as_itself():

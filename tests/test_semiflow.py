@@ -19,6 +19,7 @@ from diskflow import (
     ExtrapolationDivergence,
     FixedPointConfig,
     GeneratorSpec,
+    StepFailure,
     Trajectory,
     dw_spectral_value,
     estimate_boundary_derivative,
@@ -274,6 +275,39 @@ def test_a_dense_output_stage_off_the_disk_is_a_rejected_step():
     assert rejected == 1
     assert y == [0.5] and samples == [[0.5]] * 3
     assert rhs_calls == len(calls)
+
+
+def test_a_step_below_ten_ulp_of_t_fails():
+    # a stub right-hand side of speed 0.1 up to the wall Re y = 1/2 and 1e30
+    # beyond it: every step whose stages cross the wall leaves the disk and
+    # is rejected, and the accepted steps close in on the wall until, at
+    # t = 5, one of 10 ulp of t would cross it
+    calls = []
+
+    def rhs(y):
+        calls.append(y)
+        return [0.1 + 0j if y[0].real < 0.5 else 1e30 + 0j]
+
+    message = r"^integrator failed at t = 4\.99999\d+: the step fell below 10 ulp of t$"
+    with pytest.raises(StepFailure, match=message):
+        semiflow._solve(semiflow._Lone, rhs, [0j], 10.0)
+    assert len(calls) < 1000  # far within MAX_RHS_CALLS
+
+
+def test_newton_leaves_a_start_whose_last_step_ends_off_the_disk():
+    # the step is already at the stopping size, but its end is not a point
+    # of the disk: that start yields no root, and the next start is tried
+    # without a residual call
+    residuals = []
+
+    def residual(x):
+        residuals.append(x)
+        return 0.0, 0.0
+
+    starts = [(0.5 + 0j, 0.0, 1e-20), (0.25 + 0j, 1.0, 1e-20)]
+    assert semiflow._newton(residual, lambda x: x.real < 0.5, 0j, starts[:1]) is None
+    assert semiflow._newton(residual, lambda x: x.real < 0.5, 0j, starts) == 0.25
+    assert residuals == []
 
 
 def test_estimate_at_zero_time_maps_the_ladder_to_itself():
