@@ -52,7 +52,6 @@ from .herglotz_core import (
     _require_mass_sum,
     _same_point,
     cached_property,
-    circle_angle,
     kernel_sum,
     p_star,
     point_kernel_sum,
@@ -112,8 +111,15 @@ def _check_spectral_values(tau: complex, n: int, lambdas: tuple[float, ...]) -> 
         raise DegenerateConfig("repelling spectral values must be negative")
 
 
+# what FixedPointConfig._require says a function of each regime requires
+_REQUIRED = dict(origin="tau = 0", interior="an interior Denjoy-Wolff point",
+                 boundary="a boundary Denjoy-Wolff point")
+
+
 class FixedPointConfig(_Record):
     """(tau, sigma_1..sigma_n, lambda_1..lambda_n) with derived quantities."""
+
+    tau_point: BoundaryPoint | None = None  # a boundary tau's circle point, set by __init__
 
     def __init__(
         self, tau: complex, sigmas: tuple[BoundaryPoint, ...], lambdas: tuple[float, ...]
@@ -126,17 +132,19 @@ class FixedPointConfig(_Record):
         if any(_same_point(s, t) for i, s in enumerate(self.sigmas) for t in self.sigmas[i + 1 :]):
             raise DegenerateConfig("repelling boundary points must be distinct")
         if regime == "boundary":
-            tau_bp = BoundaryPoint.from_complex(self.tau)
-            if any(_same_point(tau_bp, s) for s in self.sigmas):
+            tau_point = BoundaryPoint.from_complex(self.tau)
+            object.__setattr__(self, "tau_point", tau_point)
+            if any(_same_point(tau_point, s) for s in self.sigmas):
                 raise DegenerateConfig("tau must not coincide with a repelling point")
 
     def _with_lambdas(self, lambdas: tuple[float, ...]) -> "FixedPointConfig":
-        """This configuration's tau, sigmas and regime with the spectral
-        values ``lambdas``, plain floats: only they are checked, as
+        """This configuration's tau, sigmas, regime and tau_point with the
+        spectral values ``lambdas``, plain floats: only they are checked, as
         __init__ checks them."""
         _check_spectral_values(self.tau, len(self.sigmas), lambdas)
         config = object.__new__(FixedPointConfig)
         config.__dict__.update(tau=self.tau, sigmas=self.sigmas, lambdas=lambdas, regime=self.regime)
+        config.__dict__["tau_point"] = self.tau_point
         return config
 
     @property
@@ -154,6 +162,15 @@ class FixedPointConfig(_Record):
     @property
     def is_boundary(self) -> bool:
         return self.regime == "boundary"
+
+    def _require(self, regime: str, what: str, origin: str = "") -> None:
+        """The package's one regime refusal, of a function ``what`` defined
+        for ``regime`` alone: DomainError "<what> requires ...", or at tau = 0,
+        for a function with a twin ``origin`` there, DegenerateConfig naming it."""
+        if self.regime != regime:
+            if origin and self.regime == "origin":
+                raise DegenerateConfig(f"use {origin} for tau = 0")
+            raise DomainError(f"{what} requires {_REQUIRED[regime]}")
 
     def has_skeleton(self, tau: complex, sigmas: tuple[BoundaryPoint, ...]) -> bool:
         """True when tau (within BOUNDARY_TOL) and the repelling points, in
@@ -295,27 +312,15 @@ def _array_generator(spec: GeneratorSpec) -> Callable[[np.ndarray], np.ndarray]:
     return values
 
 
-def _spectral_value(
-    regime: str, tau: complex, gamma: float, atoms, q_points, q_masses, s: float
-) -> tuple[complex | float, float]:
-    """(dw_spectral_value, beta) from plain numbers: p's atoms as p.atoms
-    holds them, the atoms of p + p0 as denominator_atoms lays them out (p's
-    first) and s = sum_k 1/|lambda_k|.  beta is 0 for interior tau."""
-    if regime != "boundary":
-        q_tau = 1j * gamma + point_kernel_sum(q_points, q_masses, tau, 0)
-        return (1.0 - abs(tau) ** 2) / q_tau, 0.0
-    theta = circle_angle(cmath.phase(tau))
-    i = _atom_index(atoms, theta)
-    if i is not None:
-        return 0.0, 2.0 * atoms[i][1]
-    point = complex(math.cos(theta), math.sin(theta))
-    if abs(_contact(gamma, q_points, q_masses, point)) > CONTACT_TOL:
-        return 0.0, 0.0
-    n = len(atoms)
-    return _hyperbolic_value(point, q_points[:n], q_masses[:n], s), 0.0
+def _interior_value(tau: complex, gamma: float, q_points, q_masses) -> complex:
+    """dw_spectral_value (1 - |tau|^2)/q(tau) for tau inside the disk, from
+    the constant and the atoms of q = p + p0; in operators only, so that
+    value_regions runs it on numpy columns too."""
+    q_tau = 1j * gamma + point_kernel_sum(q_points, q_masses, tau, 0)
+    return (1.0 - abs(tau) ** 2) / q_tau
 
 
-# _spectral_value's boundary arithmetic, in operators only, so that
+# the boundary spectral value's arithmetic, in operators only, so that
 # value_regions runs it on numpy columns too
 
 
@@ -331,9 +336,17 @@ def _hyperbolic_value(point, p_points, p_masses, s):
 
 
 def _spec_spectral_value(spec: GeneratorSpec) -> tuple[complex | float, float]:
-    """_spectral_value of a spec: (lambda, beta)."""
+    """(dw_spectral_value, beta) of a spec; beta is 0 for tau inside the disk."""
     c, p, q = spec.config, spec.p, spec.denominator_atoms
-    return _spectral_value(c.regime, c.tau, p.gamma, p.atoms, *q, c.inv_lambda_sum)
+    if c.regime != "boundary":
+        return _interior_value(c.tau, p.gamma, *q), 0.0
+    tau = c.tau_point
+    b = p_star(p, tau)
+    if b > 0.0:  # p has an atom at tau
+        return 0.0, b
+    if abs(_contact(p.gamma, *q, tau.value)) > CONTACT_TOL:
+        return 0.0, 0.0
+    return _hyperbolic_value(tau.value, p.s, p.m, c.inv_lambda_sum), 0.0
 
 
 def dw_spectral_value(gen: GeneratorSpec) -> complex | float:
@@ -351,8 +364,10 @@ def brfp_spectral_value(spec: GeneratorSpec, k: int) -> float:
     """Actual spectral value at sigma_k (0-based index).
 
     Equals lambda_k exactly when p has no atom at sigma_k; an atom of mass
-    m relaxes it to -|lambda_k| / (1 + m/alpha_k), still negative.  A k that
-    is a bool, no integer or outside [0, n) raises DomainError.
+    m relaxes it to -|lambda_k| / (1 + m/alpha_k), still negative, and
+    where that quotient is too small for a float (it would read -0.0) the
+    value raises DomainError.  A k that is a bool, no integer or outside
+    [0, n) raises DomainError.
     """
     config = spec.config
     try:
@@ -361,8 +376,14 @@ def brfp_spectral_value(spec: GeneratorSpec, k: int) -> float:
         k = -1
     if not 0 <= k < config.n:
         raise DomainError(f"a fixed-point index must be an integer in [0, {config.n})")
-    mass = p_star(spec.p, config.sigmas[k]) / 2.0
-    return -abs(config.lambdas[k]) / (1.0 + mass / config.alphas[k])
+    mass = spec.p.atom_mass_at(config.sigmas[k])
+    value = -abs(config.lambdas[k]) / (1.0 + mass / config.alphas[k])
+    if not value < 0.0:
+        raise DomainError(
+            f"the atom of mass {mass!r} at repelling point {k} relaxes its spectral value"
+            f" {config.lambdas[k]!r} below the smallest float"
+        )
+    return value
 
 
 def beta(spec: GeneratorSpec) -> float:
@@ -371,8 +392,7 @@ def beta(spec: GeneratorSpec) -> float:
     Equals the denominator's atom functional at tau, which reduces to
     p_star of p there (the base function is holomorphic across tau).
     """
-    if not spec.config.is_boundary:
-        raise DomainError("beta is defined for a boundary Denjoy-Wolff point only")
+    spec.config._require("boundary", "beta")
     return _spec_spectral_value(spec)[1]
 
 
@@ -440,9 +460,11 @@ def convex_combination(
     N's atoms are each spec's p and (sigma_k, alpha_k), merged in one sweep
     with no q_a or q_b built: as those merge, unless a p has an atom within
     ANGLE_TOL of one of its own sigma_k at another angle.  An alpha_k beyond
-    the floats raises DomainError.  q_c is the one record the mix builds,
-    by herglotz_core._arc_record from N's shared atoms and zeros in angle
-    order, which normalizes them only where the sweep would move them.
+    the floats raises DomainError, and so, before the arc solve, does a
+    merged mass of q_a or q_b, or their sum, that overflows.  q_c is the one
+    record the mix builds, by herglotz_core._arc_record from N's shared atoms
+    and zeros in angle order, which normalizes them only where the sweep
+    would move them.
     _split_denominator reads the lambda_k and p off it (each sigma_k's atom
     sits at a point of the inputs, so ANGLE_TOL finds it), and the config
     is first's with the new lambda_k, of which only those are checked
@@ -472,6 +494,11 @@ def convex_combination(
     a, ma, mb = ([row[k] for row in union] for k in range(3))
     ga, gb = first.p.gamma, second.p.gamma
     total_a, total_b = sum(ma), sum(mb)  # the masses of q_a and q_b, as total_mass sums them
+    if not max(total_a, total_b) < math.inf:  # a merged mass or the sum overflowed
+        raise DomainError(
+            "convex_combination: the masses of q_a or q_b, merged within ANGLE_TOL or summed,"
+            " exceed the largest float"
+        )
     v = 1.0 - weight
     mn = [v * x + weight * y for x, y in zip(ma, mb)]
     t, _, sums, _ = _arc_zeros(a, mn, v * ga + weight * gb, (ma, mb))

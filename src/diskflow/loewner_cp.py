@@ -266,12 +266,10 @@ def cp_region_boundary(target: CPTarget) -> IntervalRegion:
 _GOLDEN_STEP = TWO_PI * (1.0 - 2.0 / (1.0 + math.sqrt(5.0)))
 
 
-def _skeleton_angles(tau: complex, sigmas: tuple[BoundaryPoint, ...]) -> tuple[float, ...]:
+def _skeleton_angles(config: FixedPointConfig) -> tuple[float, ...]:
     """Angles the atoms of a free summand avoid: each sigma_k, and tau on the circle."""
-    avoid = tuple(s.theta for s in sigmas)
-    if tau_regime(tau) == "boundary":
-        avoid = avoid + (BoundaryPoint.from_complex(tau).theta,)
-    return avoid
+    tau = () if config.tau_point is None else (config.tau_point.theta,)
+    return tuple(s.theta for s in config.sigmas) + tau
 
 
 def _target_sigmas(sigmas, target: CPTarget) -> tuple[BoundaryPoint, ...]:
@@ -316,15 +314,14 @@ def cp_extremal_field(
     config = FixedPointConfig(tau, sigmas, lambdas)
     tau = config.tau
 
-    avoid = _skeleton_angles(tau, sigmas)
+    avoid = _skeleton_angles(config)
     if config.is_boundary:
-        tau_bp = BoundaryPoint.from_complex(tau)
         if c.real == 0.0:
             p = AtomicHerglotz((), -config.capB)
         else:
-            spot = BoundaryPoint(_free_angle(avoid, tau_bp.theta + math.pi))
+            spot = BoundaryPoint(_free_angle(avoid, config.tau_point.theta + math.pi))
             mass = c.real * abs(spot.value - tau) ** 2 / 2.0
-            tilt = contact_value(AtomicHerglotz(((spot, mass),), 0.0), tau_bp).imag
+            tilt = contact_value(AtomicHerglotz(((spot, mass),), 0.0), config.tau_point).imag
             p = AtomicHerglotz(((spot, mass),), -config.capB - tilt)
     else:
         start = math.pi if config.is_origin else cmath.phase(-tau)
@@ -418,12 +415,11 @@ def random_strict_field(
         s = np.min((shares - ROW_FLOOR - _FLOOR_MARGIN) / (shares - rows[low]))
         rows = share + s * (rows - share)
 
-    tau = _complex(tau, "Denjoy-Wolff point")
-    avoid = _skeleton_angles(tau, sigmas)
+    configs = [FixedPointConfig(tau, sigmas, tuple(-row)) for row in rows]
+    avoid = _skeleton_angles(configs[0])
 
     segments = []
-    for i in range(m):
-        config = FixedPointConfig(tau, sigmas, tuple(-rows[i]))
+    for duration, config in zip(durations, configs):
         n_atoms = int(rng.integers(0, 3))
         atoms = []
         for _ in range(n_atoms):
@@ -434,6 +430,6 @@ def random_strict_field(
             atoms.append((BoundaryPoint(theta), math.exp(rng.uniform(-3.0, 1.0))))
         gamma = float(rng.uniform(-5.0, 5.0))
         segments.append(
-            (float(durations[i]), GeneratorSpec(config, AtomicHerglotz(tuple(atoms), gamma)))
+            (float(duration), GeneratorSpec(config, AtomicHerglotz(tuple(atoms), gamma)))
         )
     return PiecewiseField(tuple(segments), strict=True)

@@ -108,7 +108,7 @@ from .errors import (
     ExtrapolationDivergence,
     StepFailure,
 )
-from .generator import GeneratorSpec, _array_generator, _point_generator, _spectral_value
+from .generator import GeneratorSpec, _array_generator, _interior_value, _point_generator
 from .herglotz_core import (
     BoundaryPoint,
     _Record,
@@ -117,7 +117,6 @@ from .herglotz_core import (
     _complex,
     _interior,
     _real,
-    circle_angle,
 )
 
 REL_TOL = 1e-10
@@ -486,11 +485,9 @@ def _koenigs(gen: GeneratorSpec) -> tuple[complex, list[tuple[complex, complex]]
     so the terms are (conj tau, lambda / conj lambda) and
     (conj s_j, -lambda r_j).
     """
-    c = gen.config
-    tau = c.tau
+    tau = gen.config.tau
     points, masses = gen.denominator_atoms
-    # p's atoms and the reciprocal sum enter lambda on the circle only
-    lam = _spectral_value(c.regime, tau, gen.p.gamma, (), points, masses, 0.0)[0]
+    lam = _interior_value(tau, gen.p.gamma, points, masses)
     terms = [(tau.conjugate(), lam / lam.conjugate())]
     terms += [(s.conjugate(), -lam * r) for s, r in _residues(tau, points, masses)]
     return lam, terms
@@ -515,7 +512,7 @@ def _abel(gen: GeneratorSpec) -> tuple[complex, float, list[tuple[complex, compl
 
     which is a/d + b/d^2 - P Log(conj(tau) d) + ... with d = tau - w,
     a = tau e and b = m_tau tau^2.  m_tau is p's mass at tau, at the atom
-    _atom_index finds there, as _spectral_value does; p0 has none there.
+    _atom_index finds there, as dw_spectral_value does; p0 has none there.
     The sum runs over the other atoms s_j of q = p + p0, with
     P_j = 2 m_j/|tau - s_j|^2 > 0 (_residues) and P = sum_j P_j; p0's atom
     alpha_k at sigma_k has P_k = 1/|lambda_k|, by the definition of alpha_k.
@@ -535,7 +532,7 @@ def _abel(gen: GeneratorSpec) -> tuple[complex, float, list[tuple[complex, compl
     c = gen.config
     tau = c.tau
     atoms = gen.p.atoms
-    i = _atom_index(atoms, circle_angle(cmath.phase(tau)))
+    i = _atom_index(atoms, c.tau_point.theta)
     m_tau = 0.0 if i is None else atoms[i][1]
     points, masses = [], []
     for j, (point, m) in enumerate(atoms):

@@ -47,9 +47,9 @@ from .generator import (
     GeneratorSpec,
     _contact,
     _hyperbolic_value,
+    _interior_value,
     _mobius_factor,
     _spec_spectral_value,
-    _spectral_value,
     config_sums,
     dw_spectral_value,
     eval_denominator,
@@ -74,14 +74,15 @@ EDGE_TOL = 1e-10
 
 
 class DiskRegion(_Record):
-    """Closed disk |w - center| <= radius."""
+    """Closed disk |w - center| <= radius; a non-finite center or radius
+    raises DomainError, a negative radius ValueError."""
 
     def __init__(self, center: complex, radius: float) -> None:
         object.__setattr__(self, "center", _complex(center, "disk center"))
         object.__setattr__(self, "radius", _real(radius, "disk radius"))
-        if not cmath.isfinite(self.center):  # NaN or inf is no center
-            raise ValueError(f"center must be finite, got {self.center}")
-        if not self.radius >= 0.0:  # NaN is no radius
+        if not (cmath.isfinite(self.center) and math.isfinite(self.radius)):
+            raise DomainError(f"a disk region must be finite, got {self.center} and {self.radius}")
+        if self.radius < 0.0:
             raise ValueError(f"radius must be nonnegative, got {self.radius}")
 
     def slack(self, w: complex) -> float:
@@ -95,12 +96,15 @@ class DiskRegion(_Record):
 
 
 class IntervalRegion(_Record):
-    """Closed interval [lo, hi] on the real line."""
+    """Closed interval [lo, hi] on the real line; a non-finite end raises
+    DomainError, lo > hi ValueError."""
 
     def __init__(self, lo: float, hi: float) -> None:
         object.__setattr__(self, "lo", _real(lo, "interval end"))
         object.__setattr__(self, "hi", _real(hi, "interval end"))
-        if not self.lo <= self.hi:  # NaN bounds no interval
+        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
+            raise DomainError(f"an interval region must be finite, got [{self.lo}, {self.hi}]")
+        if self.lo > self.hi:
             raise ValueError(f"empty interval [{self.lo}, {self.hi}]")
 
     def slack(self, x: float) -> float:
@@ -113,13 +117,22 @@ class IntervalRegion(_Record):
         return tuple(self.lo + (self.hi - self.lo) * k / (n - 1) for k in range(n))
 
 
+def _chart(observed: str, value: complex, chart: str, image: complex) -> complex:
+    """``image``, the chart value of an observation, where it and the
+    observed value are finite; otherwise DomainError naming the observation."""
+    if not (cmath.isfinite(value) and cmath.isfinite(image)):
+        raise DomainError(f"{observed} must be finite with a finite {chart}, got {value!r}")
+    return image
+
+
 def ell(config: FixedPointConfig, zeta: complex) -> complex:
     """Chart variable tau/zeta - A; equals p(0) for any generator with
-    G(0) = zeta.  Re ell >= 0 iff zeta lies in Z."""
+    G(0) = zeta.  Re ell >= 0 iff zeta lies in Z.  A zeta or an ell that is
+    not finite raises DomainError (_chart)."""
     zeta = _complex(zeta, "point zeta")
     if zeta == 0:
         raise DivisionByZero("the ell chart is singular at zeta = 0")
-    return config.tau / zeta - config.capA
+    return _chart("zeta = G(0)", zeta, "ell = tau/zeta - A", config.tau / zeta - config.capA)
 
 
 def _ell_in_Z(config: FixedPointConfig, zeta: complex) -> complex:
@@ -149,11 +162,13 @@ def region_Z(config: FixedPointConfig) -> DiskRegion:
 
 
 def eta_chart(config: FixedPointConfig, lam: complex) -> complex:
-    """eta = (1 - |tau|^2)/lambda, the denominator value at tau."""
+    """eta = (1 - |tau|^2)/lambda, the denominator value at tau.  A lambda
+    or an eta that is not finite raises DomainError (_chart)."""
     lam = _complex(lam, "spectral value lambda")
     if lam == 0:
         raise DivisionByZero("eta chart is singular at lambda = 0")
-    return (1.0 - abs(config.tau) ** 2) / lam
+    eta = (1.0 - abs(config.tau) ** 2) / lam
+    return _chart("lambda", lam, "eta = (1 - |tau|^2)/lambda", eta)
 
 
 def region_Omega(config: FixedPointConfig, zeta: complex) -> DiskRegion:
@@ -164,10 +179,7 @@ def region_Omega(config: FixedPointConfig, zeta: complex) -> DiskRegion:
     as DiskRegion(0, 0); genuine eta-chart disks always have Re center > 0,
     so the marker is unambiguous.
     """
-    if config.is_boundary:
-        raise DomainError("region_Omega requires an interior Denjoy-Wolff point")
-    if config.is_origin:
-        raise DegenerateConfig("use region_Omega_origin for tau = 0")
+    config._require("interior", "region_Omega", "region_Omega_origin")
     zeta = _complex(zeta, "point zeta")
     if zeta == 0:
         return DiskRegion(0.0, 0.0)
@@ -196,10 +208,7 @@ def extremal_interior(
     the imaginary constant Im ell; as sigma runs over the circle the value
     eta traces the whole boundary of Omega_zeta.
     """
-    if config.is_boundary:
-        raise DomainError("extremal_interior requires an interior Denjoy-Wolff point")
-    if config.is_origin:
-        raise DegenerateConfig("use extremal_origin for tau = 0")
+    config._require("interior", "extremal_interior", "extremal_origin")
     lz = ell(config, zeta)
     if lz.real <= 0.0:
         raise DomainError("zeta must lie in the interior of Z")
@@ -224,15 +233,25 @@ def extremal_boundary_of_Z(config: FixedPointConfig, zeta: complex) -> Generator
 def region_Omega_origin(config: FixedPointConfig) -> DiskRegion:
     """Range of lambda(G) for tau = 0: the disk |lambda - r| <= r with
     r = 1/sum_k |lambda_k|^{-1}.  Stated in the lambda chart itself."""
-    if not config.is_origin:
-        raise DomainError("region_Omega_origin requires tau = 0")
+    config._require("origin", "region_Omega_origin")
     return DiskRegion(*_lambda_disk(config.inv_lambda_sum))
 
 
-def _z_omega_disk(points, lambdas, omega: complex, s: float) -> tuple[complex, float]:
-    """Center and radius of region_Z_omega, unclamped; points are the sigma_k."""
+def _inverse(omega: complex) -> complex:
+    """1/omega of an observed spectral value omega, tau = 0.  The fiber over
+    omega = 0 is the zero field alone, which has no second-order chart, and
+    an omega or a 1/omega that is not finite raises DomainError (_chart)."""
+    omega = _complex(omega, "spectral value omega")
+    if omega == 0:
+        raise DomainError("the fiber over omega = 0 is the zero field only")
+    return _chart("omega = lambda(G)", omega, "1/omega", 1.0 / omega)
+
+
+def _z_omega_disk(points, lambdas, inv: complex, s: float) -> tuple[complex, float]:
+    """Center and radius of region_Z_omega, unclamped, from inv = 1/omega;
+    points are the sigma_k."""
     center = sum(p.conjugate() / abs(v) for p, v in zip(points, lambdas))
-    return center, 2.0 * (1.0 / omega).real - s
+    return center, 2.0 * inv.real - s
 
 
 def region_Z_omega(config: FixedPointConfig, omega: complex) -> DiskRegion:
@@ -244,14 +263,10 @@ def region_Z_omega(config: FixedPointConfig, omega: complex) -> DiskRegion:
     fiber over omega = 0 is the zero field alone, which has no second
     order chart; that input is rejected.
     """
-    if not config.is_origin:
-        raise DomainError("region_Z_omega requires tau = 0")
-    omega = _complex(omega, "spectral value omega")
-    if omega == 0:
-        raise DomainError("the fiber over omega = 0 is the zero field only")
+    config._require("origin", "region_Z_omega")
     points = [s.value for s in config.sigmas]
-    center, radius = _z_omega_disk(points, config.lambdas, omega, config.inv_lambda_sum)
-    if not radius >= -EDGE_TOL:  # NaN is not in the disk
+    center, radius = _z_omega_disk(points, config.lambdas, _inverse(omega), config.inv_lambda_sum)
+    if radius < -EDGE_TOL:
         raise DomainError("omega lies outside the spectral-value disk")
     return DiskRegion(center, max(radius, 0.0))
 
@@ -266,8 +281,7 @@ def _curvature_chart(tau: complex, q_points, q_masses, q0: complex, lam: complex
 
 def origin_curvature_chart(spec: GeneratorSpec) -> complex:
     """G''(0)/(2 lambda^2) for a tau = 0 spec."""
-    if not spec.config.is_origin:
-        raise DomainError("the curvature chart is defined for tau = 0")
+    spec.config._require("origin", "origin_curvature_chart")
     lam = dw_spectral_value(spec)
     if lam == 0:
         raise DivisionByZero("curvature chart is singular at lambda = 0")
@@ -284,12 +298,8 @@ def extremal_origin(
     Requires omega interior to the spectral disk.  Free summand: atom of
     mass Re(1/omega) - S/2 at sigma plus the matching imaginary constant.
     """
-    if not config.is_origin:
-        raise DomainError("extremal_origin requires tau = 0")
-    omega = _complex(omega, "spectral value omega")
-    if omega == 0:
-        raise DomainError("the fiber over omega = 0 is the zero field only")
-    lhat = 1.0 / omega - config.inv_lambda_sum / 2.0
+    config._require("origin", "extremal_origin")
+    lhat = _inverse(omega) - config.inv_lambda_sum / 2.0
     if lhat.real <= 0.0:
         raise DomainError("omega must lie in the interior of the spectral disk")
     p = AtomicHerglotz(((_boundary(sigma, "direction sigma"), lhat.real),), lhat.imag)
@@ -305,13 +315,13 @@ def interval_I(config: FixedPointConfig, zeta: complex) -> IntervalRegion:
     """Range of lambda(G) over G(0) = zeta for boundary tau.
 
     Interior zeta != 0: the interval [0, f] with
-    f = 2 Re w / (|w|^2 + 2 Re w * S), w = ell + i B.  On the boundary
+    f = 2 Re w / (|w|^2 + 2 Re w * S), w = ell + i B, read with both terms
+    over |w| where the denominator overflows.  On the boundary
     circle of Z the fiber collapses: it is {1/S} at the single point where
     1/conj(zeta) = sum_k (tau - sigma_k)/|lambda_k| and {0} elsewhere.
     The fiber over zeta = 0 is the zero field, giving {0}.
     """
-    if not config.is_boundary:
-        raise DomainError("interval_I requires a boundary Denjoy-Wolff point")
+    config._require("boundary", "interval_I")
     zeta = _complex(zeta, "point zeta")
     if zeta == 0:
         return IntervalRegion(0.0, 0.0)
@@ -319,8 +329,12 @@ def interval_I(config: FixedPointConfig, zeta: complex) -> IntervalRegion:
     s = config.inv_lambda_sum
     if lz.real > EDGE_TOL:
         w = lz + 1j * config.capB
-        top = 2.0 * w.real
-        return IntervalRegion(0.0, top / (abs(w) ** 2 + top * s))
+        top, half = 2.0 * w.real, abs(0.5 * w)  # |w|/2 is a float however large w is
+        den = abs(w) ** 2 + top * s if half < 5e153 else math.inf
+        if den < math.inf:
+            return IntervalRegion(0.0, top / den)
+        x = w.real / half  # f with both terms over |w|, where their sum overflows
+        return IntervalRegion(0.0, x / (2.0 * half + x * s))
     pivot = sum(
         (config.tau - p.value) / abs(v) for p, v in zip(config.sigmas, config.lambdas)
     )
@@ -340,13 +354,12 @@ def extremal_hyperbolic(config: FixedPointConfig, zeta: complex) -> GeneratorSpe
     cancels the denominator's contact value at tau, and it minimizes the
     boundary functional p# there.
     """
-    if not config.is_boundary:
-        raise DomainError("extremal_hyperbolic requires a boundary Denjoy-Wolff point")
+    config._require("boundary", "extremal_hyperbolic")
     lz = ell(config, zeta)
     if lz.real <= 0.0:
         raise DomainError("zeta must lie in the interior of Z")
     a = -(lz.imag + config.capB) / lz.real
-    _, sigma = caratheodory_min_sharp(BoundaryPoint.from_complex(config.tau), a)
+    _, sigma = caratheodory_min_sharp(config.tau_point, a)
     p = AtomicHerglotz(((sigma, lz.real),), lz.imag)
     return GeneratorSpec(config, p)
 
@@ -354,8 +367,7 @@ def extremal_hyperbolic(config: FixedPointConfig, zeta: complex) -> GeneratorSpe
 def parabolic_region(config: FixedPointConfig, zeta: complex) -> IntervalRegion:
     """Range of the parabolic coefficient beta over G(0) = zeta: the
     interval [0, 2 Re ell], boundary tau."""
-    if not config.is_boundary:
-        raise DomainError("parabolic_region requires a boundary Denjoy-Wolff point")
+    config._require("boundary", "parabolic_region")
     lz = _ell_in_Z(config, zeta)
     return IntervalRegion(0.0, 2.0 * max(lz.real, 0.0))
 
@@ -363,11 +375,9 @@ def parabolic_region(config: FixedPointConfig, zeta: complex) -> IntervalRegion:
 def extremal_parabolic(config: FixedPointConfig, zeta: complex) -> GeneratorSpec:
     """Generator attaining beta = 2 Re ell over G(0) = zeta: the free
     summand puts all its mass directly at tau."""
-    if not config.is_boundary:
-        raise DomainError("extremal_parabolic requires a boundary Denjoy-Wolff point")
+    config._require("boundary", "extremal_parabolic")
     lz = _ell_in_Z(config, zeta)
-    tau_bp = BoundaryPoint.from_complex(config.tau)
-    p = AtomicHerglotz(((tau_bp, max(lz.real, 0.0)),), lz.imag)
+    p = AtomicHerglotz(((config.tau_point, max(lz.real, 0.0)),), lz.imag)
     return GeneratorSpec(config, p)
 
 
@@ -477,7 +487,7 @@ def _records(regime, tau, sig_points, lambdas, sums, q_points, q_masses, gamma, 
         records = [("spectral_reciprocal_floor", s, 2.0 * inv.real, True)]
         if regime == "origin":
             chart = _curvature_chart(tau, q_points, q_masses, w0, lam)
-            center, radius = _z_omega_disk(sig_points, lambdas, lam, s)
+            center, radius = _z_omega_disk(sig_points, lambdas, inv, s)
             records.append(("curvature_window", abs(chart - center), radius, True))
         else:
             t = abs(tau)
@@ -647,10 +657,10 @@ def random_spec(rng: np.random.Generator, regime: str = "interior") -> Generator
 def _column_spectral_value(
     regime, tau, tau_angle, gamma, atom_angles, masses, q_points, q_masses, s
 ):
-    """_spectral_value of every row of a column block, with its tests on
-    values as row masks: an atom of p at tau, then the contact value."""
+    """_spec_spectral_value of every row of a column block, with its tests
+    on values as row masks: an atom of p at tau, then the contact value."""
     if regime != "boundary":
-        return _spectral_value(regime, tau, gamma, (), q_points, q_masses, s)
+        return _interior_value(tau, gamma, q_points, q_masses), 0.0
     # p's atoms lie more than 1e-6 apart, so at most one is within ANGLE_TOL of tau
     mass = np.where(_near(atom_angles, tau_angle[:, None], ANGLE_TOL), masses, 0.0).max(1)
     at_tau = mass > 0.0

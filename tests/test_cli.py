@@ -384,6 +384,47 @@ def test_domain_error_exits_3(tmp_path):
     assert res.returncode == 3
 
 
+_SUBNORMAL = {"re": 1e-320, "im": 0.0}
+
+
+@pytest.mark.parametrize(
+    "kind, tau, observed",
+    [("interior", 0.5, "zeta"), ("parabolic", 1.0, "zeta"), ("boundary", 1.0, "zeta"),
+     ("origin", 0.0, "omega")],
+)
+def test_region_observation_beyond_the_charts_exits_3(tmp_path, kind, tau, observed):
+    # a well-formed config whose zeta or omega makes tau/zeta or 1/omega
+    # overflow was reported as malformed input (exit 2)
+    cfg = {"kind": kind, "tau": {"re": tau, "im": 0.0}, "sigmas": [math.pi], "lambdas": [-1.0],
+           observed: _SUBNORMAL}
+    out = tmp_path / "out"
+    res = run("region", "--config", write_json(tmp_path / "cfg.json", cfg), "--out", str(out))
+    assert res.returncode == 3, res.stdout + res.stderr
+    assert res.stderr.splitlines() == [
+        f"error: {observed} = {'G(0)' if observed == 'zeta' else 'lambda(G)'} must be finite "
+        f"with a finite {'ell = tau/zeta - A' if observed == 'zeta' else '1/omega'}, "
+        "got (1e-320+0j)"
+    ]
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "lam, zeta, top",
+    [(-1e-160, {"re": 1.0 / 4e160, "im": 0.0}, 5e-161), (-1.0, {"re": 1e-160, "im": 0.0}, 2e-160)],
+    ids=["small-lambda", "small-zeta"],
+)
+def test_region_interval_with_an_overflowing_modulus(tmp_path, lam, zeta, top):
+    # |ell + iB|^2 overflowed: a traceback and exit 1
+    cfg = {"kind": "boundary", "tau": {"re": 1.0, "im": 0.0}, "sigmas": [math.pi],
+           "lambdas": [lam], "zeta": zeta}
+    out = tmp_path / "out"
+    res = run("region", "--config", write_json(tmp_path / "cfg.json", cfg), "--out", str(out))
+    assert res.returncode == 0, res.stderr
+    report = json.loads((out / "region.json").read_text())
+    assert report["refined"]["lo"] == 0.0
+    assert report["refined"]["hi"] == pytest.approx(top, rel=1e-12)
+
+
 @pytest.mark.parametrize(
     "command, path, value",
     [

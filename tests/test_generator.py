@@ -22,6 +22,7 @@ from diskflow import (
     RationalHerglotz,
     beta,
     brfp_spectral_value,
+    canonical_form,
     convex_combination,
     denominator_herglotz,
     dw_spectral_value,
@@ -535,6 +536,65 @@ def test_an_alpha_beyond_the_floats_is_refused_by_its_readers(tau, lam, alpha):
     for call in (dw_spectral_value, inequality_suite, lambda s: convex_combination(other, s, 0.5)):
         with pytest.raises(DomainError, match=message):
             call(spec)
+
+
+def _overflowing_mix_specs():
+    """Specs over tau = 0 whose q = p + p0 holds masses that overflow once
+    merged or summed: p's atom of mass 1e308 on sigma's alpha = 1e308, and
+    two free atoms of 1e308 over a sigma of alpha 1/2."""
+    sigma = BoundaryPoint(0.0)
+    huge = FixedPointConfig(0.0, (sigma,), (-5e-309,))  # alpha = 1e308
+    plain = FixedPointConfig(0.0, (sigma,), (-1.0,))
+    two = AtomicHerglotz(((BoundaryPoint(1.0), 1e308), (BoundaryPoint(2.0), 1e308)))
+    return (GeneratorSpec(huge, AtomicHerglotz(((sigma, 1e308),))), GeneratorSpec(huge),
+            GeneratorSpec(plain, two), GeneratorSpec(plain))
+
+
+@pytest.mark.parametrize("pair", ["merged-self", "merged-first", "merged-second",
+                                  "summed-self", "summed-first"])
+def test_convex_combination_refuses_a_mass_of_q_that_overflows(pair):
+    # the merged mass 2e308 of q_a made 1/(w/inf + (1-w)/inf) a bare
+    # ZeroDivisionError, or a mass the caller never gave ("got inf"/"got nan")
+    merged, huge, summed, plain = _overflowing_mix_specs()
+    first, second = {"merged-self": (merged, merged), "merged-first": (merged, huge),
+                     "merged-second": (huge, merged), "summed-self": (summed, summed),
+                     "summed-first": (summed, plain)}[pair]
+    # refused before the arc solve
+    with mock.patch.object(generator, "_arc_zeros", side_effect=AssertionError):
+        with pytest.raises(DomainError, match="^convex_combination: the masses of q_a or q_b"):
+            convex_combination(first, second, 0.5)
+
+
+def test_tau_point_is_the_circle_point_of_a_boundary_tau_only():
+    assert INTERIOR.tau_point is None
+    assert cfg(0.0, [(0.0, -1.0)]).tau_point is None
+    for tau in (1.0, cmath.exp(2.5j), cmath.exp(-0.5j), -1.0):
+        c = cfg(tau, [(1.0, -1.0)])
+        assert c.tau_point.theta.hex() == BoundaryPoint.from_complex(c.tau).theta.hex()
+        # the mix's config (_with_lambdas) reads the same point
+        mixed = convex_combination(GeneratorSpec(c), GeneratorSpec(c, AtomicHerglotz(gamma=1.0)), 0.5)
+        assert mixed.config.tau_point.theta.hex() == c.tau_point.theta.hex()
+
+
+def test_brfp_spectral_value_stays_negative_beside_a_huge_atom():
+    # p_star doubled the mass 1.5e308 to inf, so the value read -0.0 and
+    # canonical_form refused the spec as having a nonnegative spectral value
+    sigma = BoundaryPoint(0.0)
+    c = FixedPointConfig(0.3, (sigma,), (-1e-12,))
+    spec = GeneratorSpec(c, AtomicHerglotz(((sigma, 1.5e308),)))
+    value = brfp_spectral_value(spec, 0)
+    assert value < 0.0
+    assert value == pytest.approx(-1e-12 / (1.5e308 / c.alphas[0]), rel=1e-12)
+    canon = canonical_form(spec)
+    assert canon.config.lambdas == (value,) and canon.p.atoms == ()
+
+
+def test_brfp_spectral_value_refuses_a_value_below_the_floats():
+    # alpha = 0.49/2e300 and mass 1e308: mass/alpha overflows, -|lambda|/inf is -0.0
+    sigma = BoundaryPoint(0.0)
+    spec = GeneratorSpec(FixedPointConfig(0.3, (sigma,), (-1e300,)), AtomicHerglotz(((sigma, 1e308),)))
+    with pytest.raises(DomainError, match="^the atom of mass 1e[+]308 at repelling point 0 relaxes"):
+        brfp_spectral_value(spec, 0)
 
 
 @given(shared_skeleton_pairs(), st.floats(1e-3, 1.0 - 1e-3))

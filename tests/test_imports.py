@@ -50,6 +50,12 @@ is read by them, so no other module decides what a number is.  Likewise no
 module but herglotz_core compares angle_gap(...) with ANGLE_TOL: an atom at
 a point is found by herglotz_core._atom_index alone.
 
+Only FixedPointConfig.__init__ projects a Denjoy-Wolff point tau onto the
+circle (a from_complex or circle_angle(cmath.phase(...)) of tau), as its
+tau_point, and only FixedPointConfig._require refuses a function's input
+for where tau sits (a raise naming a regime, or an if on the regime that
+raises); region_Z, which serves two regimes, keeps its own test.
+
 Only herglotz_core tests a value for BoundaryPoint, in its reader
 _boundary (and in the atoms' fast path and BoundaryPoint's equality), and
 only its reader _interior raises the refusal of a point off the open disk:
@@ -533,6 +539,130 @@ RECORD_BUILDERS = {"herglotz_core": ["_arc_record", "_kept"], "generator": ["_wi
 def test_only_the_private_constructors_build_a_record_around_its_init(path):
     found = record_builders(path.read_text())
     assert sorted(line.split(": ")[1] for line in found) == RECORD_BUILDERS.get(path.stem, [])
+
+
+def tau_projections(source: str) -> list[str]:
+    """Each projection of a Denjoy-Wolff point tau onto the circle in source:
+    a from_complex call or a circle_angle(cmath.phase(...)) whose argument
+    is tau itself, a name or an attribute called tau, as "line N: f" with f
+    the innermost function holding it."""
+    found: list[str] = []
+
+    def is_tau(node: ast.AST) -> bool:
+        return getattr(node, "id", None) == "tau" or getattr(node, "attr", None) == "tau"
+
+    def called(node: ast.AST) -> str | None:
+        if isinstance(node, ast.Call) and len(node.args) == 1:
+            return getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+        return None
+
+    def projects(node: ast.AST) -> bool:
+        name = called(node)
+        if name == "from_complex":
+            return is_tau(node.args[0])
+        inner = node.args[0] if name == "circle_angle" else None
+        return called(inner) == "phase" and is_tau(inner.args[0])
+
+    def visit(node: ast.AST, where: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if projects(child):
+                found.append(f"line {child.lineno}: {where}")
+            inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if inner else where)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_checker_flags_a_tau_projection():
+    source = (
+        "def f(config, tau, w):\n"
+        "    a = BoundaryPoint.from_complex(config.tau)\n"
+        "    b = circle_angle(cmath.phase(tau)), circle_angle(phase(config.tau))\n"
+        "    return from_complex(-tau.value * w), circle_angle(cmath.phase(w)), from_complex(w)\n"
+        "t = BoundaryPoint.from_complex(tau)\n"
+    )
+    assert tau_projections(source) == ["line 2: f", "line 3: f", "line 3: f", "line 5: <module>"]
+
+
+# A boundary tau is turned into a point of the circle in one place, where
+# FixedPointConfig.__init__ sets tau_point, which every other reader takes.
+TAU_PROJECTIONS = {"generator": ["__init__"]}
+
+
+@pytest.mark.parametrize("path", ALL_MODULES, ids=[p.stem for p in ALL_MODULES])
+def test_only_the_config_projects_tau_onto_the_circle(path):
+    found = tau_projections(path.read_text())
+    assert sorted(line.split(": ")[1] for line in found) == TAU_PROJECTIONS.get(path.stem, [])
+
+
+# the words a refusal uses when it names where tau must sit
+_REGIME_WORDS = ("Denjoy-Wolff point", "tau = 0")
+# what a test reads when it asks where tau sits
+_REGIME_READS = ("regime", "is_origin", "is_boundary", "tau_regime")
+
+
+def regime_refusals(source: str) -> list[str]:
+    """Each refusal of a regime in source, as "line N: f" with f the
+    innermost function holding it: a raise whose message names a regime
+    (_REGIME_WORDS), and an if statement whose test reads the regime
+    (_REGIME_READS, as an attribute or a call) and whose body raises."""
+    found: list[str] = []
+
+    def names_regime(node: ast.AST) -> bool:
+        return isinstance(node, ast.Raise) and any(
+            isinstance(n, ast.Constant) and isinstance(n.value, str)
+            and any(word in n.value for word in _REGIME_WORDS)
+            for n in ast.walk(node)
+        )
+
+    def reads_regime(node: ast.AST) -> bool:
+        return isinstance(node, ast.If) and any(isinstance(s, ast.Raise) for s in node.body) and any(
+            getattr(n, "attr", None) in _REGIME_READS
+            or (isinstance(n, ast.Call) and getattr(n.func, "id", None) in _REGIME_READS)
+            for n in ast.walk(node.test)
+        )
+
+    def visit(node: ast.AST, where: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if names_regime(child) or reads_regime(child):
+                found.append(f"line {child.lineno}: {where}")
+            inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if inner else where)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_checker_flags_a_regime_refusal():
+    source = (
+        "def f(config, spec, tau):\n"
+        "    if not config.is_boundary:\n"
+        "        raise DomainError('f needs a circle point')\n"
+        "    if spec.config.regime == 'origin' or tau_regime(tau) == 'interior':\n"
+        "        return None\n"
+        "    if tau_regime(tau) != 'origin':\n"
+        "        x = 1\n"
+        "        raise ValueError\n"
+        "    raise DegenerateConfig(f'use g for tau = 0, got {tau}')\n"
+        "def g(regime, what):\n"
+        "    if regime != 'boundary' and what:\n"
+        "        raise DomainError(f'{what} requires a boundary Denjoy-Wolff point')\n"
+        "    raise DomainError('the regime of tau')\n"
+    )
+    assert regime_refusals(source) == ["line 2: f", "line 6: f", "line 9: f", "line 12: g"]
+
+
+# Whether tau sits where a function needs it is refused in one place,
+# FixedPointConfig._require; region_Z keeps its own test, since it serves
+# two regimes and refuses only the third.
+REGIME_REFUSALS = {"generator": ["_require"], "value_regions": ["region_Z"]}
+
+
+@pytest.mark.parametrize("path", ALL_MODULES, ids=[p.stem for p in ALL_MODULES])
+def test_every_regime_refusal_comes_from_the_one_guard(path):
+    found = regime_refusals(path.read_text())
+    assert sorted({line.split(": ")[1] for line in found}) == REGIME_REFUSALS.get(path.stem, [])
 
 
 def test_lazy_raises_for_a_missing_module():

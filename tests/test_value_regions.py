@@ -2,6 +2,7 @@
 inequality suite behind them."""
 
 import math
+import re
 
 import pytest
 
@@ -106,14 +107,17 @@ def test_interval_region_rejects_reversed():
     "make",
     [lambda: DiskRegion(0.0, math.nan), lambda: IntervalRegion(0.0, math.nan),
      lambda: IntervalRegion(math.nan, 1.0), lambda: DiskRegion(complex(math.nan, 0.0), 1.0),
-     lambda: DiskRegion(complex(0.0, math.inf), 1.0)],
-    ids=["disk-radius", "interval-hi", "interval-lo", "disk-center-nan", "disk-center-inf"],
+     lambda: DiskRegion(complex(0.0, math.inf), 1.0), lambda: DiskRegion(0.0, math.inf),
+     lambda: IntervalRegion(0.0, math.inf), lambda: IntervalRegion(-math.inf, 1.0)],
+    ids=["disk-radius", "interval-hi", "interval-lo", "disk-center-nan", "disk-center-inf",
+         "disk-radius-inf", "interval-hi-inf", "interval-lo-inf"],
 )
 def test_regions_refuse_nan_bounds(make):
     # NaN fails every comparison, so a check written as "radius < 0 raises"
     # let it through and slack returned NaN or a wrong 0.5; a NaN center
-    # made every slack NaN
-    with pytest.raises(ValueError):
+    # made every slack NaN.  A region that is not finite is no value region
+    # of a generator: DomainError, not the ValueError of malformed input.
+    with pytest.raises(DomainError, match="must be finite"):
         make()
 
 
@@ -473,14 +477,82 @@ _GUARDED = {
 }
 
 
+# each refusal's message, from FixedPointConfig._require: "<name> requires
+# <regime>", or at tau = 0 the twin to use instead; region_Z keeps its own
+_REGIME_WORDS = {"origin": "tau = 0", "interior": "an interior Denjoy-Wolff point",
+                 "boundary": "a boundary Denjoy-Wolff point"}
+_TWINS = {"region_Omega": "region_Omega_origin", "extremal_interior": "extremal_origin"}
+
+
 @pytest.mark.parametrize(
     "name, regime",
     [(name, regime) for name, (_, refused) in _GUARDED.items() for regime in refused],
 )
 def test_one_regime_function_refuses_other_regimes(name, regime):
     fn, refused = _GUARDED[name]
-    with pytest.raises(refused[regime]):
+    if name == "region_Z":
+        message = "Z degenerates to {0} for tau = 0"
+    elif regime == "origin" and name in _TWINS:
+        message = f"use {_TWINS[name]} for tau = 0"
+    else:
+        needed = next(r for r in _REGIME_CONFIGS if r not in refused)
+        message = f"{name} requires {_REGIME_WORDS[needed]}"
+    with pytest.raises(refused[regime], match=f"^{re.escape(message)}$"):
         fn(_REGIME_CONFIGS[regime])
+
+
+# ----------------------------------------------------------------------
+# observations the charts cannot represent
+# ----------------------------------------------------------------------
+
+# one sigma, lambda = -1: the entry points that read an observation, with
+# the observation each names and the config it reads it over
+ORIGIN1 = cfg(0.0, [(0.0, -1.0)])
+_OBSERVERS = {
+    "ell": (lambda w: ell(INTERIOR, w), "zeta = G(0)"),
+    "region_Omega": (lambda w: region_Omega(INTERIOR, w), "zeta = G(0)"),
+    "extremal_interior": (lambda w: extremal_interior(INTERIOR, w, _SIGMA), "zeta = G(0)"),
+    "extremal_boundary_of_Z": (lambda w: extremal_boundary_of_Z(INTERIOR, w), "zeta = G(0)"),
+    "interval_I": (lambda w: interval_I(BOUNDARY, w), "zeta = G(0)"),
+    "extremal_hyperbolic": (lambda w: extremal_hyperbolic(BOUNDARY, w), "zeta = G(0)"),
+    "parabolic_region": (lambda w: parabolic_region(BOUNDARY, w), "zeta = G(0)"),
+    "extremal_parabolic": (lambda w: extremal_parabolic(BOUNDARY, w), "zeta = G(0)"),
+    "region_Z_omega": (lambda w: region_Z_omega(ORIGIN1, w), "omega = lambda(G)"),
+    "extremal_origin": (lambda w: extremal_origin(ORIGIN1, w, _SIGMA), "omega = lambda(G)"),
+    "eta_chart": (lambda w: eta_chart(INTERIOR, w), "lambda"),
+}
+
+
+@pytest.mark.parametrize("value", [1e-320, math.nan, math.inf, complex(0.0, -math.inf)],
+                         ids=["subnormal", "nan", "inf", "inf-imag"])
+@pytest.mark.parametrize("name", list(_OBSERVERS))
+def test_an_observation_beyond_the_charts_is_refused_by_name(name, value):
+    # at 1e-320 the chart value tau/zeta, 1/omega or 1/lambda overflows:
+    # ell returned inf+infj, region_Omega and interval_I raised a bare
+    # ValueError, parabolic_region, region_Z_omega and eta_chart returned
+    # infinite values and the extremals refused a mass no caller gave
+    call, observed = _OBSERVERS[name]
+    with pytest.raises(DomainError, match=f"^{re.escape(observed)} must be finite with a finite "):
+        call(value)
+
+
+@pytest.mark.parametrize(
+    "config, zeta, top",
+    [(cfg(1.0, [(math.pi, -1e-160)]), 1.0 / 4e160, 5e-161), (BOUNDARY, 1e-160, 2e-160)],
+    ids=["small-lambda", "small-zeta"],
+)
+def test_interval_I_reads_a_top_whose_terms_overflow(config, zeta, top):
+    # zeta at the center 1/(2A) of Z with A = 2e160, or zeta = 1e-160 with
+    # A = 2: f = 2 Re w/(|w|^2 + 2 Re w S) with |w| = 2e160 or 1e160, where
+    # abs(w) ** 2 raised a bare OverflowError
+    region = interval_I(config, zeta)
+    assert region.lo == 0.0 and region.hi == pytest.approx(top, rel=1e-12)
+
+
+def test_interval_I_top_beside_the_largest_floats():
+    # |w| near 1.4e308: the top is below the smallest normal float, 0 or subnormal
+    region = interval_I(BOUNDARY, complex(1e-308, 1e-308))
+    assert region.lo == 0.0 and 0.0 <= region.hi < 1e-300
 
 
 # ----------------------------------------------------------------------
