@@ -335,14 +335,22 @@ def cmd_flow(args) -> int:
     return 0
 
 
-def _is_sign_violation(lhs, rhs, floor: float):
-    """Slack rhs - lhs negative beyond roundoff, elementwise on columns.
+def _sign_counts(lhs, rhs, tol: float, sign_floor: float):
+    """A record's slack rhs - lhs, and how many of its entries are warnings
+    and sign violations: a slack below -tol, or -sign_floor, times
+    max(1, |lhs|, |rhs|), elementwise on columns.  sign_floor >= tol, so
+    every violation is also a warning, and violations are counted only
+    where there are warnings.
 
     A slack is a difference of terms as large as the record's sides, so the
-    roundoff floor scales with max(1, |lhs|, |rhs|): hyperbolic_window
-    compares squares that reach 5.7e5, where one ulp is 1.2e-10.
+    roundoff floor scales with the sides: hyperbolic_window compares
+    squares that reach 5.7e5, where one ulp is 1.2e-10.
     """
-    return rhs - lhs < -floor * np.maximum(np.maximum(abs(lhs), abs(rhs)), 1.0)
+    slack = rhs - lhs
+    scale = np.maximum(np.maximum(abs(lhs), abs(rhs)), 1.0)
+    warnings = int(np.count_nonzero(slack < -tol * scale))
+    violations = int(np.count_nonzero(slack < -sign_floor * scale)) if warnings else 0
+    return slack, warnings, violations
 
 
 def cmd_verify(args) -> int:
@@ -369,14 +377,14 @@ def cmd_verify(args) -> int:
                 if not lhs.size:
                     continue
                 checked[name] = checked.get(name, 0) + lhs.size
-                # sign_floor >= tol, so every violation is also a warning
-                for counts, floor in ((warnings, tol), (violations, sign_floor)):
-                    n = int(np.count_nonzero(_is_sign_violation(lhs, rhs, floor)))
-                    if n:
-                        counts[name] = counts.get(name, 0) + n
-                slack = float((rhs - lhs).min())
-                if name not in min_slack or slack < min_slack[name]:
-                    min_slack[name] = slack
+                slack, n_warnings, n_violations = _sign_counts(lhs, rhs, tol, sign_floor)
+                if n_warnings:
+                    warnings[name] = warnings.get(name, 0) + n_warnings
+                if n_violations:
+                    violations[name] = violations.get(name, 0) + n_violations
+                least = float(slack.min())
+                if name not in min_slack or least < min_slack[name]:
+                    min_slack[name] = least
     total_violations = sum(violations.values())
     for name in sorted(checked):
         print(

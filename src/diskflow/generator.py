@@ -461,7 +461,9 @@ def convex_combination(
     with no q_a or q_b built: as those merge, unless a p has an atom within
     ANGLE_TOL of one of its own sigma_k at another angle.  An alpha_k beyond
     the floats raises DomainError, and so, before the arc solve, does a
-    merged mass of q_a or q_b, or their sum, that overflows.  q_c is the one
+    merged mass of q_a or q_b, or their sum, that overflows, and after it
+    a zero's mass whose residue form overflows to inf or NaN (a p atom
+    near 1e130 or more beside an atom-free twin).  q_c is the one
     record the mix builds, by herglotz_core._arc_record from N's shared atoms
     and zeros in angle order, which normalizes them only where the sweep
     would move them.
@@ -516,7 +518,15 @@ def convex_combination(
         den = max(weight * sa * (fb * fb) + v * sb * (fa * fa), math.ulp(0.0))
         atoms.append((theta, fa * fa * (fb * fb) / den))
     c0 = 1.0 / (weight / complex(total_a, ga) + v / complex(total_b, gb))
-    q = _arc_record(atoms, c0.imag)
+    try:
+        q = _arc_record(atoms, c0.imag)
+    except DomainError:  # only the fallback of _arc_record raises; a clean mix never does
+        if all(m < math.inf for _, m in atoms):
+            raise
+        raise DomainError(
+            "convex_combination: the mass of a zero of N on q_c overflows in its residue"
+            " form f_a^2 f_b^2/den"
+        ) from None
     _require_mass_sum("convex_combination: the masses of q_c", q.total_mass, "Re(q_c(0))", c0.real)
     lambdas, p = _split_denominator(ca.tau, ca.sigmas, q)
     return GeneratorSpec(ca._with_lambdas(lambdas), p)

@@ -539,15 +539,33 @@ PAD_POINT = 2.0
 
 
 def _near(a, b, gap):
-    """angle_gap(a, b) <= gap, elementwise; false where an angle is NaN."""
-    d = abs(a - b) % TWO_PI
+    """angle_gap(a, b) <= gap, elementwise; false where an angle is NaN.
+
+    Every angle must lie in [0, 2*pi) or be NaN, as the column draws give
+    them: then |a - b| < 2*pi, which angle_gap's exact remainder by 2*pi
+    returns unchanged, so it is left out.
+    """
+    d = abs(a - b)
     return (d <= gap) | (TWO_PI - d <= gap)
 
 
 def _points(angles):
-    """e^{i theta} of a column of angles, as BoundaryPoint.value computes it;
-    a NaN (padded) angle gives PAD_POINT."""
-    return np.where(np.isnan(angles), PAD_POINT, np.cos(angles) + 1j * np.sin(angles))
+    """e^{i theta} of a column of angles in [0, 2*pi), as BoundaryPoint.value
+    computes it; a NaN (padded) angle gives PAD_POINT."""
+    points = np.empty(angles.shape, complex)
+    # cos and sin run on contiguous temporaries, each copied in once
+    points.real = np.cos(angles)
+    points.imag = np.sin(angles)
+    points[np.isnan(angles)] = PAD_POINT
+    return points
+
+
+def _column_points(tau, sig_angles, lambdas, atom_angles):
+    """The sigma points and atom points of a column block, each a list of
+    columns, and config_sums of its configurations."""
+    sig_points = list(_points(sig_angles).T)
+    sums = config_sums(tau, sig_points, list(lambdas.T))
+    return sig_points, list(_points(atom_angles).T), sums
 
 
 def _angle_columns(rng, rows: int, slots: int, min_gap: float, avoid=None, avoid_gap=0.0):
@@ -557,14 +575,16 @@ def _angle_columns(rng, rows: int, slots: int, min_gap: float, avoid=None, avoid
     NaN entries are ignored."""
     angles = np.empty((rows, slots))
     for k in range(slots):
-        todo = np.arange(rows)
-        while todo.size:
-            theta = TWO_PI * rng.random(todo.size)
+        # every row first, by slices; then the rejected rows, by index
+        todo, count = slice(None), rows
+        while count:
+            theta = TWO_PI * rng.random(count)
             angles[todo, k] = theta
             redo = _near(theta[:, None], angles[todo, :k], min_gap).any(1)
             if avoid is not None:
                 redo |= _near(theta[:, None], avoid[todo], avoid_gap).any(1)
-            todo = todo[redo]
+            todo = np.flatnonzero(redo) if isinstance(todo, slice) else todo[redo]
+            count = todo.size
     return angles
 
 
@@ -583,12 +603,13 @@ def _draw_columns(rng: np.random.Generator, regime: str, rows: int):
     the offending slot.
 
     Returns (tau_regime, tau, tau's angle, sigma angles, lambdas, atom
-    angles, masses, gamma).  tau's angle is the drawn angle of a boundary
-    tau, None for the other regimes.  The sigma angles, lambdas, atom angles
-    and masses are (rows, SLOTS) arrays in draw order: p's free atoms fill
-    the first slots, and the last slot holds the parabolic draw's atom at
-    tau.  A padded slot has angle NaN and zero weight: lambda = -inf, or
-    mass 0.
+    angles, masses, gamma, points).  tau's angle is the drawn angle of a
+    boundary tau, None for the other regimes.  The sigma angles, lambdas,
+    atom angles and masses are (rows, SLOTS) arrays in draw order: p's free
+    atoms fill the first slots, and the last slot holds the parabolic draw's
+    atom at tau.  A padded slot has angle NaN and zero weight: lambda =
+    -inf, or mass 0.  points is the block's _column_points, which the
+    hyperbolic retune reads and _column_records takes over.
     """
     if regime not in REGIMES:
         raise DomainError(f"unknown regime {regime!r}; expected one of {REGIMES}")
@@ -621,14 +642,15 @@ def _draw_columns(rng: np.random.Generator, regime: str, rows: int):
     masses[:, :free] = np.where(atom_pads, 0.0, np.exp(-3.0 + 4.0 * rng.random((rows, free))))
     gamma = -5.0 + 10.0 * rng.random(rows)
 
-    if regime == "boundary_hyperbolic":
-        cap_b = config_sums(tau, list(_points(sig_angles).T), list(lambdas.T))[2]
-        gamma = -cap_b - _contact(0.0, list(_points(atom_angles).T), list(masses.T), tau)
-    elif regime == "boundary_parabolic":
+    if regime == "boundary_parabolic":
         atom_angles[:, free] = tau_angle
         masses[:, free] = np.exp(-3.0 + 4.0 * rng.random(rows))
+    points = _column_points(tau, sig_angles, lambdas, atom_angles)
+    if regime == "boundary_hyperbolic":
+        _, atom_points, (_, _, cap_b, _) = points
+        gamma = -cap_b - _contact(0.0, atom_points, list(masses.T), tau)
     kind = regime if regime in ("origin", "interior") else "boundary"
-    return kind, tau, tau_angle, sig_angles, lambdas, atom_angles, masses, gamma
+    return kind, tau, tau_angle, sig_angles, lambdas, atom_angles, masses, gamma, points
 
 
 def random_spec(rng: np.random.Generator, regime: str = "interior") -> GeneratorSpec:
@@ -640,7 +662,7 @@ def random_spec(rng: np.random.Generator, regime: str = "interior") -> Generator
     of mass exp(U[-3,1]) and constant U[-5,5], retuned so that lambda > 0
     (boundary_hyperbolic) or given an atom at tau (boundary_parabolic).
     """
-    _, tau, _, sig_angles, lambdas, atom_angles, masses, gamma = _draw_columns(rng, regime, 1)
+    _, tau, _, sig_angles, lambdas, atom_angles, masses, gamma, _ = _draw_columns(rng, regime, 1)
     sig, atoms = ~np.isnan(sig_angles[0]), ~np.isnan(atom_angles[0])
     sigmas = tuple(BoundaryPoint(t) for t in sig_angles[0][sig].tolist())
     config = FixedPointConfig(complex(tau[0]), sigmas, lambdas[0][sig].tolist())
@@ -676,11 +698,11 @@ def _column_records(columns):
     and rows True or the mask of the rows a record applies to.  A row
     outside its record's mask may hold inf or NaN there.
     """
-    regime, tau, tau_angle, sig_angles, lambdas, atom_angles, masses, gamma = columns
-    sig_points, lambda_columns = list(_points(sig_angles).T), list(lambdas.T)
-    sums = config_sums(tau, sig_points, lambda_columns)
+    regime, tau, tau_angle, _, lambdas, atom_angles, masses, gamma, points = columns
+    lambda_columns = list(lambdas.T)
+    sig_points, atom_points, sums = points
     # the denominator p + p0: p's atoms, then the sigma_k with their alphas
-    q_points = list(_points(atom_angles).T) + sig_points
+    q_points = atom_points + sig_points
     q_masses = list(masses.T) + list(sums[0])
     # a row outside a branch may divide by zero there: an atom at tau, or lambda = 0
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -690,8 +712,8 @@ def _column_records(columns):
         records = _records(
             regime, tau, sig_points, lambda_columns, sums, q_points, q_masses, gamma, lam, b
         )
-    shape = tau.shape
-    return [
-        (name, np.broadcast_to(lhs, shape), np.broadcast_to(rhs, shape), rows)
-        for name, lhs, rhs, rows in records
-    ]
+
+    def column(side):  # only a side that is one float for all rows (0.0) is broadcast
+        return side if isinstance(side, np.ndarray) else np.broadcast_to(side, tau.shape)
+
+    return [(name, column(lhs), column(rhs), rows) for name, lhs, rhs, rows in records]

@@ -169,7 +169,7 @@ def test_verify_reads_large_roundoff_as_roundoff(tmp_path, monkeypatch):
     from verify_reference import columns_from_raw, random_spec, raw_from_spec
 
     from diskflow import cli
-    from diskflow.cli import SIGN_VIOLATION_FLOOR, _is_sign_violation
+    from diskflow.cli import SIGN_VIOLATION_FLOOR, _sign_counts
     from diskflow.value_regions import REGIMES, _column_records, _spec_records
 
     rng = np.random.default_rng(4)
@@ -182,7 +182,8 @@ def test_verify_reads_large_roundoff_as_roundoff(tmp_path, monkeypatch):
     assert lhs > 5e5 and rhs > 5e5
     assert rhs - lhs < -SIGN_VIOLATION_FLOOR
     assert abs(rhs - lhs) < 1e-15 * lhs
-    assert not any(_is_sign_violation(l, r, SIGN_VIOLATION_FLOOR) for l, r in records.values())
+    floors = SIGN_VIOLATION_FLOOR, SIGN_VIOLATION_FLOOR
+    assert all(_sign_counts(l, r, *floors)[1:] == (0, 0) for l, r in records.values())
     # the same generator as a one-row column block gives the same sides,
     # which the column test reads as roundoff too
     block = columns_from_raw(raw)
@@ -192,7 +193,7 @@ def test_verify_reads_large_roundoff_as_roundoff(tmp_path, monkeypatch):
     assert sorted(columns) == sorted(records)
     col_lhs, col_rhs = columns["hyperbolic_window"]
     assert abs(col_lhs - lhs) <= 1e-12 * lhs and abs(col_rhs - rhs) <= 1e-12 * rhs
-    assert not _is_sign_violation(col_lhs, col_rhs, SIGN_VIOLATION_FLOOR)
+    assert _sign_counts(col_lhs, col_rhs, *floors)[1:] == (0, 0)
     # verify counts it as neither a violation nor a warning
     monkeypatch.setattr(cli, "_draw_columns", lambda rng, regime, rows: block)
     assert cli.main(["verify", "--samples", "1", "--out", str(tmp_path)]) == 0

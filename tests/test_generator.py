@@ -565,6 +565,17 @@ def test_convex_combination_refuses_a_mass_of_q_that_overflows(pair):
             convex_combination(first, second, 0.5)
 
 
+@pytest.mark.parametrize("mass", [1e140, 1e150, 1e200, 1e250, 1e300])
+def test_convex_combination_refuses_a_zero_mass_whose_residue_form_overflows(mass):
+    # q_a and q_b and their totals are finite, but f_a^2 f_b^2/den at the
+    # zero beside the huge atom is inf/inf: q_c got a mass the caller never
+    # gave ("atom mass must be finite and nonnegative, got nan")
+    config = FixedPointConfig(0.0, (BoundaryPoint(0.0),), (-1.0,))
+    first = GeneratorSpec(config, AtomicHerglotz(((BoundaryPoint(2.0), mass),)))
+    with pytest.raises(DomainError, match="^convex_combination: the mass of a zero of N on q_c overflows"):
+        convex_combination(first, GeneratorSpec(config), 0.5)
+
+
 def test_tau_point_is_the_circle_point_of_a_boundary_tau_only():
     assert INTERIOR.tau_point is None
     assert cfg(0.0, [(0.0, -1.0)]).tau_point is None

@@ -12,7 +12,8 @@ which leaves every other entry byte for byte as it was; with no names it
 re-records every case.
 
 VERIFY_SHA256 pins verify.json byte for byte at 10^4 samples for seeds
-0-5.  verify's records and the object API call the same plain-number
+0-5, and VERIFY_1E5_SHA256 at 10^5 samples for seed 0: 25 blocks of
+cli.VERIFY_BLOCK, the last of them 1696 samples.  verify's records and the object API call the same plain-number
 functions, so a change to any shared formula moves these bytes even where
 it stays within the golden tolerance, and so does a change to the order in
 which verify's column draws take the random stream.  numpy picks its
@@ -153,6 +154,16 @@ def test_verify_json_bytes_are_pinned(seed, tmp_path):
     assert run_verify(["--samples", "10000", "--seed", str(seed), "--out", str(tmp_path)]) == 0
     digest = hashlib.sha256((tmp_path / "verify.json").read_bytes()).hexdigest()
     assert digest == VERIFY_SHA256[seed]
+
+
+VERIFY_1E5_SHA256 = "a2d3093e9126e0b4d85662d57dc0f2213d194354fa0669f40bfee6fef483035b"
+
+
+def test_verify_json_bytes_are_pinned_at_1e5_samples(tmp_path):
+    assert 100_000 - 24 * cli.VERIFY_BLOCK == 1696
+    assert run_verify(["--samples", "100000", "--seed", "0", "--out", str(tmp_path)]) == 0
+    digest = hashlib.sha256((tmp_path / "verify.json").read_bytes()).hexdigest()
+    assert digest == VERIFY_1E5_SHA256
 
 
 def record(*names: str) -> None:

@@ -30,11 +30,13 @@ import pytest
 
 import verify_reference as ref
 from diskflow import BoundaryPoint, beta, cli, dw_spectral_value
-from diskflow.herglotz_core import angle_gap, circle_angle
+from diskflow.herglotz_core import ANGLE_TOL, angle_gap, circle_angle
 from diskflow.value_regions import (
     REGIMES,
+    _angle_columns,
     _column_records,
     _draw_columns,
+    _near,
     _spec_records,
     extremal_boundary_of_Z,
     extremal_hyperbolic,
@@ -181,11 +183,65 @@ def _gap(a, b):
     return np.minimum(d, TWO_PI - d)
 
 
+def _edge_angles(rng):
+    """Angles in [0, 2*pi) with both ends, pairs a last bit to 1e-3 apart
+    and a NaN pad among them."""
+    below = math.nextafter(TWO_PI, 0.0)
+    drawn = TWO_PI * rng.random(60)
+    near = np.minimum(drawn + np.repeat([1e-15, 1e-9, 1e-6, 1e-3], 15), below)
+    ends = [0.0, 5e-324, 1e-9, math.pi, math.nextafter(below, 0.0), below, np.nan]
+    return np.concatenate([ends, drawn, near])
+
+
+def test_near_is_angle_gap_within_gap_on_angles_in_range():
+    # _near leaves out angle_gap's remainder by 2*pi, which returns |a - b|
+    # unchanged for angles in [0, 2*pi); a NaN pad is near nothing.  The
+    # largest random() draws an angle below 2*pi
+    assert TWO_PI * math.nextafter(1.0, 0.0) < TWO_PI
+    angles = _edge_angles(np.random.default_rng(3))
+    for gap in (0.0, ANGLE_TOL, 1e-6, 1e-3, 1.0, math.pi):
+        got = _near(angles[:, None], angles[None, :], gap)
+        expected = [[angle_gap(a, b) <= gap for b in angles.tolist()] for a in angles.tolist()]
+        assert (got == np.array(expected)).all(), gap
+
+
+def _index_angle_columns(rng, rows, slots, min_gap, avoid, avoid_gap):
+    """_angle_columns with every pass over an index array of rows: all of
+    them, then the rejected ones in row order; gaps by _gap."""
+    angles = np.empty((rows, slots))
+    for k in range(slots):
+        todo = np.arange(rows)
+        while todo.size:
+            theta = TWO_PI * rng.random(todo.size)
+            angles[todo, k] = theta
+            redo = (_gap(theta[:, None], angles[todo, :k]) <= min_gap).any(1)
+            redo |= (_gap(theta[:, None], avoid[todo]) <= avoid_gap).any(1)
+            todo = todo[redo]
+    return angles
+
+
+@pytest.mark.parametrize("min_gap, avoid_gap", [(1e-6, 1e-3), (0.8, 0.4)])
+def test_angle_columns_take_the_stream_in_row_order(min_gap, avoid_gap):
+    # the first pass of a slot takes slices, the redraws index arrays; at
+    # gaps 0.8 and 0.4 most rows redraw a slot at least once
+    rows, slots = 500, 3
+    avoid = TWO_PI * np.random.default_rng(5).random((rows, 2))
+    avoid[::3, 1] = np.nan
+    got = _angle_columns(np.random.default_rng(9), rows, slots, min_gap, avoid, avoid_gap)
+    expected = _index_angle_columns(np.random.default_rng(9), rows, slots, min_gap, avoid, avoid_gap)
+    assert got.tobytes() == expected.tobytes()
+    assert ((got >= 0.0) & (got < TWO_PI)).all()
+    drawn = ~np.isnan(avoid)
+    for k in range(slots):
+        assert (_gap(got[:, k, None], got[:, :k]) > min_gap).all()
+        assert (_gap(got[:, k, None], avoid)[drawn] > avoid_gap).all()
+
+
 @pytest.mark.parametrize("regime", REGIMES)
 def test_column_draw_meets_the_law(regime):
     rows = 4000
     columns = _draw_columns(np.random.default_rng(17), regime, rows)
-    kind, tau, tau_angle, sig_angles, lambdas, atom_angles, masses, gamma = columns
+    kind, tau, tau_angle, sig_angles, lambdas, atom_angles, masses, gamma, _ = columns
     assert kind == {"interior": "interior", "origin": "origin"}.get(regime, "boundary")
     assert tau.shape == gamma.shape == (rows,)
     sig = ~np.isnan(sig_angles)

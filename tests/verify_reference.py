@@ -37,8 +37,9 @@ from diskflow import (
     lambda_range,
     region_Z,
 )
+from diskflow.cli import _sign_counts
 from diskflow.herglotz_core import angle_gap, circle_angle, contact_value
-from diskflow.value_regions import REGIMES, _draw_columns, origin_curvature_chart
+from diskflow.value_regions import REGIMES, _column_points, _draw_columns, origin_curvature_chart
 
 TWO_PI = 2.0 * math.pi
 
@@ -174,10 +175,6 @@ def verify_records(spec):
     return records
 
 
-def _is_sign_violation(record, floor):
-    return record.slack < -floor * max(1.0, abs(record.lhs), abs(record.rhs))
-
-
 def raw_from_spec(spec):
     """A spec as plain numbers, in the layout of a _draw_columns row that
     raw_rows yields and columns_from_raw takes: (regime, tau, sigma angles,
@@ -195,7 +192,7 @@ def raw_from_spec(spec):
 
 def raw_rows(columns):
     """The rows of a _draw_columns block in raw_from_spec's layout, padding dropped."""
-    regime, tau, _, sig_angles, lambdas, atom_angles, masses, gamma = columns
+    regime, tau, _, sig_angles, lambdas, atom_angles, masses, gamma, _ = columns
     for i in range(len(tau)):
         sig = ~np.isnan(sig_angles[i])
         atoms = ~np.isnan(atom_angles[i])
@@ -221,7 +218,9 @@ def columns_from_raw(raw):
     for k, (theta, mass) in enumerate(atoms):
         atom_angles[0, k], masses[0, k] = theta, mass
     tau_angle = np.array([circle_angle(cmath.phase(tau))]) if regime == "boundary" else None
-    return regime, np.array([tau]), tau_angle, sig, lam, atom_angles, masses, np.array([gamma])
+    tau = np.array([tau])
+    points = _column_points(tau, sig, lam, atom_angles)
+    return regime, tau, tau_angle, sig, lam, atom_angles, masses, np.array([gamma]), points
 
 
 def spec_from_raw(raw):
@@ -258,7 +257,8 @@ def record_scale(spec, record):
 def verify_report(seed, samples, tol, block, sign_floor_min=1e-10):
     """The report of `diskflow verify` by the object loop, on the samples
     of its column draws (in blocks of ``block`` samples), and the largest
-    record_scale of each record."""
+    record_scale of each record.  A record is a warning or a violation by
+    cmd_verify's own rule, cli._sign_counts, read one record at a time."""
     rng = np.random.default_rng(seed)
     sign_floor = max(tol, sign_floor_min)
     checked, warnings, violations, min_slack, scale = {}, {}, {}, {}, {}
@@ -273,10 +273,11 @@ def verify_report(seed, samples, tol, block, sign_floor_min=1e-10):
                 for record in verify_records(spec):
                     name, slack = record.name, record.slack
                     checked[name] = checked.get(name, 0) + 1
-                    if _is_sign_violation(record, tol):
+                    _, warned, violated = _sign_counts(record.lhs, record.rhs, tol, sign_floor)
+                    if warned:
                         warnings[name] = warnings.get(name, 0) + 1
-                        if _is_sign_violation(record, sign_floor):
-                            violations[name] = violations.get(name, 0) + 1
+                    if violated:
+                        violations[name] = violations.get(name, 0) + 1
                     if name not in min_slack or slack < min_slack[name]:
                         min_slack[name] = slack
                     scale[name] = max(scale.get(name, 0.0), record_scale(spec, record))
