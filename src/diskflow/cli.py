@@ -26,7 +26,9 @@ the file could not be read), 3 domain error, 4 verification failure.
 from __future__ import annotations
 
 import argparse
+import atexit
 import cmath
+import gc
 import json
 import math
 import os
@@ -563,6 +565,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command and return its exit code.
+
+    With no argv, main reads sys.argv: it is the program, and the process
+    ends after it.  It then registers gc.freeze with atexit, so that the
+    interpreter's collections at exit skip every object that exists by
+    then, which the OS takes back anyway; a script that calls main() and
+    goes on working is frozen only at its own exit.  A call with argv
+    registers nothing.
+    """
+    if argv is None:
+        atexit.register(gc.freeze)
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

@@ -552,12 +552,15 @@ def _near(a, b, gap):
 def _points(angles):
     """e^{i theta} of a column of angles in [0, 2*pi), as BoundaryPoint.value
     computes it; a NaN (padded) angle gives PAD_POINT."""
-    points = np.empty(angles.shape, complex)
-    # cos and sin run on contiguous temporaries, each copied in once
-    points.real = np.cos(angles)
-    points.imag = np.sin(angles)
-    points[np.isnan(angles)] = PAD_POINT
-    return points
+    points = np.full(angles.size, PAD_POINT, complex)
+    # cos and sin run on the drawn angles alone, gathered into one
+    # contiguous temporary; by index, since a boolean mask into the strided
+    # .real and .imag views took twice as long
+    drawn = np.flatnonzero(~np.isnan(angles))
+    theta = angles.take(drawn)
+    points.real[drawn] = np.cos(theta)
+    points.imag[drawn] = np.sin(theta)
+    return points.reshape(angles.shape)
 
 
 def _column_points(tau, sig_angles, lambdas, atom_angles):
@@ -680,14 +683,16 @@ def _column_spectral_value(
     regime, tau, tau_angle, gamma, atom_angles, masses, q_points, q_masses, s
 ):
     """_spec_spectral_value of every row of a column block, with its tests
-    on values as row masks: an atom of p at tau, then the contact value."""
+    on values as row masks: an atom of p at tau, then the contact value.
+    q's first atoms are p's, one per column of masses."""
     if regime != "boundary":
         return _interior_value(tau, gamma, q_points, q_masses), 0.0
     # p's atoms lie more than 1e-6 apart, so at most one is within ANGLE_TOL of tau
     mass = np.where(_near(atom_angles, tau_angle[:, None], ANGLE_TOL), masses, 0.0).max(1)
     at_tau = mass > 0.0
     hyperbolic = ~at_tau & ~(abs(_contact(gamma, q_points, q_masses, tau)) > CONTACT_TOL)
-    lam = _hyperbolic_value(tau, q_points[:SLOTS], q_masses[:SLOTS], s)
+    atoms = masses.shape[1]
+    lam = _hyperbolic_value(tau, q_points[:atoms], q_masses[:atoms], s)
     return np.where(hyperbolic, lam, 0.0), np.where(at_tau, 2.0 * mass, 0.0)
 
 
@@ -701,8 +706,12 @@ def _column_records(columns):
     regime, tau, tau_angle, _, lambdas, atom_angles, masses, gamma, points = columns
     lambda_columns = list(lambdas.T)
     sig_points, atom_points, sums = points
+    # the last atom slot, the parabolic draw's, is padded in every row
+    # outside boundary_parabolic, where it would add exact zeros to every sum
+    atoms = SLOTS if masses[:, -1].any() else SLOTS - 1
+    atom_angles, masses = atom_angles[:, :atoms], masses[:, :atoms]
     # the denominator p + p0: p's atoms, then the sigma_k with their alphas
-    q_points = atom_points + sig_points
+    q_points = atom_points[:atoms] + sig_points
     q_masses = list(masses.T) + list(sums[0])
     # a row outside a branch may divide by zero there: an atom at tau, or lambda = 0
     with np.errstate(divide="ignore", invalid="ignore"):

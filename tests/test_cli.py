@@ -85,6 +85,32 @@ def test_region_csv_and_svg_outputs(tmp_path, interior_region_config):
     assert svg.count("<path") == 2  # unit circle + region boundary
 
 
+# Registered before main runs, the probe is the last atexit handler to run.
+_FREEZE_PROBE = """
+import atexit, gc, sys
+from diskflow import cli
+
+atexit.register(lambda: print(gc.get_freeze_count() > 0))
+how, argv = sys.argv[1], sys.argv[2:]
+if how == "program":
+    sys.argv = ["diskflow", *argv]
+    sys.exit(cli.main())
+sys.exit(cli.main(argv))
+"""
+
+
+@pytest.mark.parametrize("how, frozen", [("program", "True"), ("call", "False")])
+def test_only_a_program_run_freezes_its_heap_at_exit(tmp_path, interior_region_config, how, frozen):
+    out = tmp_path / "out"
+    argv = ["region", "--format", "csv", "--config", interior_region_config, "--out", str(out)]
+    res = subprocess.run(
+        [sys.executable, "-c", _FREEZE_PROBE, how, *argv], capture_output=True, text=True
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines() == [f"region kind=interior -> {out / 'region.csv'}", frozen]
+    assert len((out / "region.csv").read_text().splitlines()) == 721
+
+
 def test_region_refined_interval(tmp_path):
     cfg = write_json(
         tmp_path / "cfg_region.json",

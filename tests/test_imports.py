@@ -61,6 +61,10 @@ _boundary (and in the atoms' fast path and BoundaryPoint's equality), and
 only its reader _interior raises the refusal of a point off the open disk:
 every point a caller hands the package is read by them.
 
+No module but cli imports gc or atexit, at any level: only a program run
+of the CLI, which ends its process, tells the collections at exit to skip
+its heap; a library call leaves the collector and the exit to its caller.
+
 No module has a dataclasses import statement at any level: importing
 dataclasses loads inspect, ast, dis and tokenize, and decorating a class
 executes generated code, which a start that only evaluates a region should
@@ -355,6 +359,31 @@ def test_checker_flags_a_dataclasses_import_at_any_level():
 @pytest.mark.parametrize("path", ALL_MODULES, ids=[p.stem for p in ALL_MODULES])
 def test_module_has_no_dataclasses_import_statement(path):
     assert imports_of(path.read_text(), "dataclasses", in_functions=True) == []
+
+
+def test_checker_flags_a_gc_or_atexit_import():
+    source = (
+        "import gc, atexit\n"
+        "from gc import freeze\n"
+        "import gcx, atexitx\n"
+        "def f():\n"
+        "    import atexit as exit_hooks\n"
+        "    return exit_hooks\n"
+    )
+    assert imports_of(source, "gc", in_functions=True) == ["line 1: gc", "line 2: gc"]
+    assert imports_of(source, "atexit", in_functions=True) == ["line 1: atexit", "line 5: atexit"]
+
+
+# A library call leaves the interpreter's collector and its exit to the
+# caller: only the CLI, when it is the program, touches them.
+EXIT_MODULES = {"cli": ["gc", "atexit"]}
+
+
+@pytest.mark.parametrize("path", ALL_MODULES, ids=[p.stem for p in ALL_MODULES])
+def test_only_the_cli_imports_gc_or_atexit(path):
+    source = path.read_text()
+    found = [m for m in ("gc", "atexit") if imports_of(source, m, in_functions=True)]
+    assert found == EXIT_MODULES.get(path.stem, [])
 
 
 def overflow_handlers(source: str) -> list[str]:
