@@ -16,16 +16,25 @@ whose every object, nested ones included, holds only the keys its reader
 lists, and whose numbers and lists are JSON numbers and arrays; verify and
 cowen-pommerenke draw random inputs and also take --seed and --tolerance,
 and verify takes --samples; no other command accepts them.
+
+Each option takes one value, as --name value or --name=value; a value
+that starts with '-' and is not a plain negative number (-3, -0.5) takes
+the second form.  A prefix of an option (--conf) is refused, not read as
+the option.  -h or --help prints the commands, or a command's options,
+and exits 0.  A command line that _parse_args refuses exits 2 with a
+usage line and an error line on stderr, before any file or directory is
+made.
+
 Output is deterministic for a fixed seed: floats are serialized with repr
 and JSON keys are sorted.
 
-Exit codes: 0 success, 2 malformed input (a reader refused the config or
-the file could not be read), 3 domain error, 4 verification failure.
+Exit codes: 0 success or help, 2 a refused command line or malformed
+input (a reader refused the config or a file could not be read or made),
+3 domain error, 4 verification failure.
 """
 
 from __future__ import annotations
 
-import argparse
 import atexit
 import cmath
 import gc
@@ -33,6 +42,7 @@ import json
 import math
 import os
 import sys
+import types
 from typing import Callable
 
 from ._lazy import np
@@ -167,11 +177,10 @@ def _json_text(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
-def _csv_text(header: tuple[str, ...], rows) -> str:
-    """Comma-separated rows; numbers are written by repr, so they read back exactly."""
-    lines = [",".join(header)]
-    lines += [",".join(v if isinstance(v, str) else repr(v) for v in row) for row in rows]
-    return "\n".join(lines) + "\n"
+def _csv_text(header: str, lines) -> str:
+    """A header line and rendered rows, one line each.  Each caller renders
+    a row with one f-string, numbers by !r, so that they read back exactly."""
+    return "\n".join([header, *lines]) + "\n"
 
 
 def _write_artifacts(args, artifacts: dict[str, tuple[str, Callable[[], str]]]) -> list[str]:
@@ -205,7 +214,8 @@ def _region_rows(region: DiskRegion | IntervalRegion) -> list[tuple[float, compl
 
 
 def _region_csv(region: DiskRegion | IntervalRegion) -> str:
-    return _csv_text(("param", "re", "im"), ((t, w.real, w.imag) for t, w in _region_rows(region)))
+    rows = _region_rows(region)
+    return _csv_text("param,re,im", (f"{t!r},{w.real!r},{w.imag!r}" for t, w in rows))
 
 
 def _svg_path(points, stroke: str) -> str:
@@ -300,8 +310,8 @@ def cmd_region(args) -> int:
 def _trajectory_csv(trajectory) -> str:
     rows = zip(trajectory.times, trajectory.points, trajectory.derivatives)
     return _csv_text(
-        ("t", "re", "im", "dre", "dim"),
-        ((t, w.real, w.imag, d.real, d.imag) for t, w, d in rows),
+        "t,re,im,dre,dim",
+        (f"{t!r},{w.real!r},{w.imag!r},{d.real!r},{d.imag!r}" for t, w, d in rows),
     )
 
 
@@ -467,8 +477,8 @@ def cmd_cowen_pommerenke(args) -> int:
             "csv": (
                 "cowen_pommerenke.csv",
                 lambda: _csv_text(
-                    ("param", "re", "im"),
-                    ((float(j), p["re"], p["im"]) for j, p in enumerate(points)),
+                    "param,re,im",
+                    (f"{float(j)!r},{p['re']!r},{p['im']!r}" for j, p in enumerate(points)),
                 ),
             ),
             "svg": ("cowen_pommerenke.svg", svg),
@@ -492,7 +502,10 @@ def cmd_counterexample(args) -> int:
     _write_artifacts(
         args,
         {
-            "csv": ("counterexample.csv", lambda: _csv_text(("kind", "param", "value"), rows)),
+            "csv": (
+                "counterexample.csv",
+                lambda: _csv_text("kind,param,value", (f"{k},{x!r},{v!r}" for k, x, v in rows)),
+            ),
             "json": ("counterexample.json", lambda: _json_text(report)),
         },
     )
@@ -504,64 +517,163 @@ def cmd_counterexample(args) -> int:
 
 
 # ----------------------------------------------------------------------
-# parser / entry point
+# command line / entry point
 # ----------------------------------------------------------------------
 
 
 def _count(text: str) -> int:
-    """argparse type of a count that must be at least 1."""
+    """The value of a count option, which must be at least 1."""
     n = int(text)
     if n < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+        raise ValueError(f"must be at least 1, got {n}")
     return n
 
 
 def _finite(text: str) -> float:
-    """argparse type of a finite float, such as a tolerance."""
+    """The value of a finite float option, such as a tolerance."""
     x = float(text)
     if not math.isfinite(x):
-        raise argparse.ArgumentTypeError(f"must be finite, got {x}")
+        raise ValueError(f"must be finite, got {x}")
     return x
 
 
-# name -> (function, help, reads --config, default --tolerance); a command
-# with a tolerance draws random inputs and also takes --seed
+def _format(text: str) -> str:
+    """A --format value: one of the formats some command writes."""
+    if text not in ("json", "csv", "svg"):
+        raise ValueError(f"invalid choice {text!r} (choose from json, csv, svg)")
+    return text
+
+
+# name -> (function, help, reads --config, default --tolerance, default
+# --samples); a command with a tolerance draws random inputs and also takes
+# --seed.  _options reads a row's options.
 COMMANDS = {
-    "region": (cmd_region, "value regions for a configuration", True, None),
-    "flow": (cmd_flow, "integrate a semigroup orbit", True, None),
-    "verify": (cmd_verify, "randomized inequality verification", False, 1e-10),
+    "region": (cmd_region, "value regions for a configuration", True, None, None),
+    "flow": (cmd_flow, "integrate a semigroup orbit", True, None, None),
+    "verify": (cmd_verify, "randomized inequality verification", False, 1e-10, 10000),
     "cowen-pommerenke": (
-        cmd_cowen_pommerenke, "spectral region experiment for boundary data", True, 1e-8
+        cmd_cowen_pommerenke, "spectral region experiment for boundary data", True, 1e-8, None
     ),
-    "counterexample": (cmd_counterexample, "decay/divergence tables", False, None),
+    "counterexample": (cmd_counterexample, "decay/divergence tables", False, None, None),
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="diskflow",
-        description="value regions, semiflows and spectral experiments in the disk",
-    )
-    subs = parser.add_subparsers(dest="command", required=True)
-    for name, (func, help_text, reads_config, tolerance) in COMMANDS.items():
-        sub = subs.add_parser(name, help=help_text)
-        sub.set_defaults(func=func)
-        sub.add_argument("--out", default=".", help="output directory")
-        sub.add_argument(
-            "--format", action="append", choices=("json", "csv", "svg"),
-            help="output format (repeatable)",
-        )
-        if reads_config:
-            sub.add_argument("--config", required=True, help="path to a JSON config file")
-        if tolerance is not None:
-            sub.add_argument("--seed", type=int, default=0, help="random seed")
-            sub.add_argument(
-                "--tolerance", type=_finite, default=tolerance, help="violation tolerance"
-            )
-    subs.choices["verify"].add_argument(
-        "--samples", type=_count, default=10000, help="sample count (>= 1)"
-    )
-    return parser
+def _options(reads_config: bool, tolerance, samples) -> dict:
+    """option -> (type, default, help) of a COMMANDS row.  Every command
+    takes --out and the repeatable --format; one that reads --config
+    requires it."""
+    options = {
+        "--out": (str, ".", "output directory (default .)"),
+        "--format": (_format, None, "json, csv or svg; repeatable (default: its first format)"),
+    }
+    if reads_config:
+        options["--config"] = (str, None, "path to a JSON config file (required)")
+    if tolerance is not None:
+        options["--seed"] = (int, 0, "random seed (default 0)")
+        options["--tolerance"] = (_finite, tolerance, f"violation tolerance (default {tolerance})")
+    if samples is not None:
+        options["--samples"] = (_count, samples, f"sample count, at least 1 (default {samples})")
+    return options
+
+
+def _is_value(word: str) -> bool:
+    """Whether a word is a value rather than an option: it does not start
+    with '-', or it is '-' alone, a plain negative number (-3, -0.5, -.5)
+    or a word with a space.  A value such as -1e-5 takes the form
+    --tolerance=-1e-5."""
+    if not word.startswith("-") or word == "-" or " " in word:
+        return True
+    whole, dot, frac = word[1:].partition(".")
+    return (whole.isdecimal() or not whole) and (frac.isdecimal() if dot else bool(whole))
+
+
+def _usage(command=None, options=()) -> str:
+    if command is None:
+        return f"usage: diskflow [-h] {{{','.join(COMMANDS)}}} ..."
+    words = [f"{name} {name[2:].upper()}" for name in options]
+    words = [w if name == "--config" else f"[{w}]" for name, w in zip(options, words)]
+    return f"usage: diskflow {command} [-h] {' '.join(words)}"
+
+
+def _help(command=None, options=()) -> str:
+    """-h's text: the commands, or the options of the command named."""
+    if command is None:
+        about = "value regions, semiflows and spectral experiments in the disk"
+        rows = [(name, row[1]) for name, row in COMMANDS.items()]
+        end = ["", "diskflow COMMAND -h lists the options of a command."]
+    else:
+        about = COMMANDS[command][1]
+        rows = [(f"{name} {name[2:].upper()}", text) for name, (_, _, text) in options.items()]
+        end = []
+    rows.insert(0, ("-h, --help", "show this help and exit"))
+    lines = [_usage(command, options), "", about, ""]
+    lines += [f"  {left:<22}{right}" for left, right in rows] + end
+    return "\n".join(lines) + "\n"
+
+
+def _parse_args(argv):
+    """The command and option values of a command line, read from COMMANDS.
+
+    The first word that is not an option names the command.  Each option
+    of the command's row takes one value, as --name value or --name=value;
+    a repeated option keeps its last value, but --format collects every
+    value.  A prefix of an option name is not the option.  -h or --help
+    prints the top-level help, or the command's once one is named, and
+    raises SystemExit(0).  Any other error prints a usage line and an
+    error line to stderr and raises SystemExit(2): no command or an
+    unknown one, a missing value or one that is not _is_value, a value its
+    type refuses, a missing required --config, or a word that is neither an
+    option of the command nor its name.  Such words, and a '--' with
+    every word after it, are reported after the whole line is read, so -h
+    after one still prints help.
+    """
+    command, options, fields, stray = None, {}, {}, []
+
+    def fail(message: str):
+        prog = "diskflow" if command is None else f"diskflow {command}"
+        sys.stderr.write(f"{_usage(command, options)}\n{prog}: error: {message}\n")
+        raise SystemExit(2)
+
+    words = iter(argv)
+    for word in words:
+        if word == "--":  # ends the options: every word from here on is stray
+            stray += [word, *words]
+            break
+        name, eq, value = word.partition("=") if word.startswith("-") else (word, "", "")
+        if name in ("-h", "--help"):
+            if eq:
+                fail(f"{name} takes no value")
+            sys.stdout.write(_help(command, options))
+            raise SystemExit(0)
+        if name in options:
+            if not eq:
+                value = next(words, None)
+                if value is None or not _is_value(value):
+                    fail(f"argument {name}: expected one value")
+            try:
+                value = options[name][0](value)
+            except ValueError as exc:
+                fail(f"argument {name}: {exc}")
+            if name == "--format":
+                value = (fields["format"] or []) + [value]
+            fields[name[2:]] = value
+        elif command is not None or not _is_value(word):
+            stray.append(word)
+        elif word in COMMANDS:
+            command = word
+            func, _, *row = COMMANDS[command]
+            options = _options(*row)
+            fields = {"command": command, "func": func}
+            fields.update((name[2:], default) for name, (_, default, _) in options.items())
+        else:
+            fail(f"invalid command {word!r} (choose from {', '.join(COMMANDS)})")
+    if command is None:
+        fail("a command is required")
+    if stray:
+        fail(f"unrecognized arguments: {' '.join(stray)}")
+    if "--config" in options and fields["config"] is None:
+        fail("the option --config is required")
+    return types.SimpleNamespace(**fields)
 
 
 def main(argv=None) -> int:
@@ -576,13 +688,13 @@ def main(argv=None) -> int:
     """
     if argv is None:
         atexit.register(gc.freeze)
-    parser = _build_parser()
+        argv = sys.argv[1:]
     try:
-        args = parser.parse_args(argv)
+        args = _parse_args(argv)
     except SystemExit as exc:
-        return int(exc.code) if exc.code else 0
-    os.makedirs(args.out, exist_ok=True)
+        return exc.code
     try:
+        os.makedirs(args.out, exist_ok=True)
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: malformed input: {exc}", file=sys.stderr)

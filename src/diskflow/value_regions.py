@@ -552,11 +552,18 @@ def _near(a, b, gap):
 def _points(angles):
     """e^{i theta} of a column of angles in [0, 2*pi), as BoundaryPoint.value
     computes it; a NaN (padded) angle gives PAD_POINT."""
+    pads = np.isnan(angles)
+    if not pads.any():
+        # no pads, as in the boundary regimes' tau column: no gather or scatter
+        points = np.empty(angles.shape, complex)
+        points.real = np.cos(angles)
+        points.imag = np.sin(angles)
+        return points
     points = np.full(angles.size, PAD_POINT, complex)
     # cos and sin run on the drawn angles alone, gathered into one
     # contiguous temporary; by index, since a boolean mask into the strided
     # .real and .imag views took twice as long
-    drawn = np.flatnonzero(~np.isnan(angles))
+    drawn = np.flatnonzero(~pads)
     theta = angles.take(drawn)
     points.real[drawn] = np.cos(theta)
     points.imag[drawn] = np.sin(theta)

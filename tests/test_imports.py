@@ -26,7 +26,9 @@ numpy is bound once, in _lazy, which registers a lazy numpy module when
 nothing has imported numpy yet; every other module takes np from there and
 none has a numpy import statement, since on Python 3.11 one executes the
 lazy module.  A fresh interpreter that imports diskflow and diskflow.cli
-and runs region for every kind and format loads no numpy submodule; verify,
+and runs region for every kind and format loads no numpy submodule, and
+neither argparse, gettext nor locale, since the command line is read from
+cli.COMMANDS by the module's own parser; verify,
 cowen-pommerenke and flow then run and succeed, and numpy has loaded.  Every
 scalar path runs in plain numbers: a fresh interpreter that runs the README's
 flow example, lone orbits and evolutions with their derivatives (tau inside
@@ -785,7 +787,9 @@ import json, sys
 
 def loaded():
     return sorted(
-        m for m in sys.modules if m.startswith("numpy.") or m in ("dataclasses", "inspect")
+        m for m in sys.modules
+        if m.startswith("numpy.")
+        or m in ("dataclasses", "inspect", "argparse", "gettext", "locale")
     )
 
 regions, cp, flow, out = sys.argv[1:]
