@@ -26,7 +26,11 @@ usage line and an error line on stderr, before any file or directory is
 made.
 
 Output is deterministic for a fixed seed: floats are serialized with repr
-and JSON keys are sorted.
+and JSON keys are sorted.  A seed selects the stream of the standard
+library's random.Random(seed), the one source both seeded commands draw
+from (_Draws): verify's column draws read its bytes as 53-bit uniforms,
+and cowen-pommerenke's fields take its random() floats.  Any seed >= 0 is
+accepted, 2**64 and beyond included; a negative one is malformed input.
 
 Exit codes: 0 success or help, 2 a refused command line or malformed
 input (a reader refused the config or a file could not be read or made),
@@ -82,7 +86,7 @@ from .value_regions import (
 REGION_SAMPLES = 720
 SIGN_VIOLATION_FLOOR = 1e-10
 MAX_EXPERIMENTS = 10**5  # bound on cowen-pommerenke's fields and sweep; ~150 us each
-VERIFY_BLOCK = 4096  # samples verify draws and checks at once; bounds its memory
+VERIFY_BLOCK = 16384  # samples verify draws and checks at once; bounds its memory
 
 
 # ----------------------------------------------------------------------
@@ -347,6 +351,37 @@ def cmd_flow(args) -> int:
     return 0
 
 
+class _Draws:
+    """The seeded stream of verify and cowen-pommerenke: random.Random(seed).
+
+    It has the two methods of a numpy Generator that the draws call.
+    random() is the stream's own random(); random(size) reads 8 bytes per
+    float from randbytes as little-endian uint64 words w and returns
+    (w >> 11) * 2**-53, exact on every platform.  integers(lo, hi, size)
+    is lo + floor((hi - lo) * U) on those floats, exact for the span 4 the
+    column draws use.  random is imported here, so that only a seeded
+    command loads it.  A negative seed raises ValueError, where
+    random.Random would take its absolute value.
+    """
+
+    def __init__(self, seed: int) -> None:
+        if seed < 0:
+            raise ValueError("expected non-negative integer")
+        import random
+
+        self._source = random.Random(seed)
+
+    def random(self, size=None):
+        if size is None:
+            return self._source.random()
+        count = math.prod(size) if isinstance(size, tuple) else size
+        words = np.frombuffer(self._source.randbytes(8 * count), "<u8")
+        return ((words >> 11) * 2.0**-53).reshape(size)
+
+    def integers(self, lo: int, hi: int, size):
+        return lo + ((hi - lo) * self.random(size)).astype(np.int64)
+
+
 def _sign_counts(lhs, rhs, tol: float, sign_floor: float):
     """A record's slack rhs - lhs, and how many of its entries are warnings
     and sign violations: a slack below -tol, or -sign_floor, times
@@ -366,7 +401,7 @@ def _sign_counts(lhs, rhs, tol: float, sign_floor: float):
 
 
 def cmd_verify(args) -> int:
-    rng = np.random.default_rng(args.seed)
+    rng = _Draws(args.seed)
     tol = args.tolerance
     # a sub-tolerance slack is a warning; the exit code keys on sign
     # violations, negative beyond numerical roundoff, so shrinking the
@@ -434,7 +469,7 @@ def cmd_cowen_pommerenke(args) -> int:
         raise DomainError(
             f"fields and sweep are at most {MAX_EXPERIMENTS}, got {n_fields} and {n_sweep}"
         )
-    rng = np.random.default_rng(args.seed)
+    rng = _Draws(args.seed)
 
     points = []
 

@@ -367,25 +367,37 @@ def cp_experiment(
     return point, slack
 
 
+def _flat_dirichlet(rng, count: int) -> list[float]:
+    """A flat Dirichlet draw of ``count`` parts: -log(1 - U) for each of
+    ``count`` rng.random() draws, normalized to sum 1."""
+    weights = [-math.log(1.0 - rng.random()) for _ in range(count)]
+    total = sum(weights)
+    return [w / total for w in weights]
+
+
 def random_strict_field(
-    rng: np.random.Generator,
+    rng,
     tau: complex,
     sigmas: tuple[BoundaryPoint, ...],
     target: CPTarget,
 ) -> PiecewiseField:
     """Random strict field realizing the target boundary derivatives.
 
-    The field has 1 to 4 segments; each part is one draw, never retried.
-    Durations are a flat Dirichlet partition of the horizon T, mixed with
-    the equal split T/m by the least weight that lifts the shortest to
-    1e-3 T when it is shorter.  Each segment's spectral fractions are a
-    flat Dirichlet row, shifted uniformly so the duration-weighted column
-    sums hit log a_k exactly.  When a fraction is below ROW_FLOOR, the rows
-    become share + s (rows - share), with share_k = log a_k / T and the
-    largest s < 1 that puts every fraction a few ulps above the floor; the
-    column sums stay exact at any s.  A draw that meets both floors is used
-    as drawn.  Segments carry independent random free summands with atoms
-    away from the skeleton.
+    Every draw is one rng.random() float U, in plain floats, so the CLI's
+    random.Random stream and a numpy Generator both serve.  The field has
+    m = 1 + floor(4U) segments; each part is one draw, never retried.
+    Durations are a flat Dirichlet partition of the horizon T (m
+    normalized -log(1 - U) draws), mixed with the equal split T/m by the
+    least weight that lifts the shortest to 1e-3 T when it is shorter.
+    Each segment's spectral fractions are a flat Dirichlet row, shifted
+    uniformly so the duration-weighted column sums hit log a_k exactly.
+    When a fraction is below ROW_FLOOR, the rows become share + s (rows -
+    share), with share_k = log a_k / T and the largest s < 1 that puts
+    every fraction a few ulps above the floor; the column sums stay exact
+    at any s.  A draw that meets both floors is used as drawn.  Each
+    segment then gets a free summand of floor(3U) atoms, at angles 2 pi U
+    redrawn while within 1e-3 of the skeleton, with masses exp(-3 + 4U),
+    and the constant -5 + 10U.
 
     A column's fractions average to share_k over the durations, so a
     target whose smallest share is not above ROW_FLOOR has no such field
@@ -393,43 +405,44 @@ def random_strict_field(
     """
     sigmas = _target_sigmas(sigmas, target)
     n = len(sigmas)
-    log_a = np.asarray(target.log_values)
+    log_a = target.log_values
     t_total = target.horizon
-    share = log_a / t_total
-    if not share.min() > ROW_FLOOR:
+    share = [v / t_total for v in log_a]
+    if not min(share) > ROW_FLOOR:
         raise DomainError(
             f"no strict field has every spectral fraction >= {ROW_FLOOR}: "
-            f"the smallest target share log a_k / sum log a_j is {float(share.min())!r}"
+            f"the smallest target share log a_k / sum log a_j is {min(share)!r}"
         )
-    m = int(rng.integers(1, 5))
-    parts = rng.dirichlet(np.ones(m))
-    durations = parts * t_total
-    if durations.min() < 1e-3 * t_total:
-        lift = (1e-3 + _FLOOR_MARGIN - parts.min()) / (1.0 / m - parts.min())
-        durations = (parts + lift * (1.0 / m - parts)) * t_total
-    rows = rng.dirichlet(np.ones(n), size=m)
-    rows = rows + (log_a - durations @ rows)[None, :] / t_total
-    if rows.min() < ROW_FLOOR:
-        low = rows < ROW_FLOOR
-        shares = np.broadcast_to(share, rows.shape)[low]
-        s = np.min((shares - ROW_FLOOR - _FLOOR_MARGIN) / (shares - rows[low]))
-        rows = share + s * (rows - share)
+    m = 1 + int(4.0 * rng.random())
+    parts = _flat_dirichlet(rng, m)
+    durations = [p * t_total for p in parts]
+    if min(durations) < 1e-3 * t_total:
+        least = min(parts)
+        lift = (1e-3 + _FLOOR_MARGIN - least) / (1.0 / m - least)
+        durations = [(p + lift * (1.0 / m - p)) * t_total for p in parts]
+    rows = [_flat_dirichlet(rng, n) for _ in range(m)]
+    shift = [
+        (log_a[k] - sum(d * row[k] for d, row in zip(durations, rows))) / t_total
+        for k in range(n)
+    ]
+    rows = [[x + c for x, c in zip(row, shift)] for row in rows]
+    low = [(share[k], x) for row in rows for k, x in enumerate(row) if x < ROW_FLOOR]
+    if low:
+        s = min((sh - ROW_FLOOR - _FLOOR_MARGIN) / (sh - x) for sh, x in low)
+        rows = [[sh + s * (x - sh) for sh, x in zip(share, row)] for row in rows]
 
-    configs = [FixedPointConfig(tau, sigmas, tuple(-row)) for row in rows]
+    configs = [FixedPointConfig(tau, sigmas, tuple([-x for x in row])) for row in rows]
     avoid = _skeleton_angles(configs[0])
 
     segments = []
     for duration, config in zip(durations, configs):
-        n_atoms = int(rng.integers(0, 3))
         atoms = []
-        for _ in range(n_atoms):
+        for _ in range(int(3.0 * rng.random())):
             while True:
-                theta = float(rng.uniform(0.0, TWO_PI))
+                theta = TWO_PI * rng.random()
                 if all(angle_gap(theta, a) > 1e-3 for a in avoid):
                     break
-            atoms.append((BoundaryPoint(theta), math.exp(rng.uniform(-3.0, 1.0))))
-        gamma = float(rng.uniform(-5.0, 5.0))
-        segments.append(
-            (float(duration), GeneratorSpec(config, AtomicHerglotz(tuple(atoms), gamma)))
-        )
+            atoms.append((BoundaryPoint(theta), math.exp(-3.0 + 4.0 * rng.random())))
+        gamma = -5.0 + 10.0 * rng.random()
+        segments.append((duration, GeneratorSpec(config, AtomicHerglotz(tuple(atoms), gamma))))
     return PiecewiseField(tuple(segments), strict=True)

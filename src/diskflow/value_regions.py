@@ -598,8 +598,12 @@ def _angle_columns(rng, rows: int, slots: int, min_gap: float, avoid=None, avoid
     return angles
 
 
-def _draw_columns(rng: np.random.Generator, regime: str, rows: int):
+def _draw_columns(rng, regime: str, rows: int):
     """Draw ``rows`` generators of one regime as numpy columns.
+
+    ``rng`` is a numpy Generator or the CLI's seeded stream (cli._Draws);
+    only its rng.random(size) (uniforms in [0, 1)) and rng.integers(lo,
+    hi, size) are called, each with an int or a tuple size.
 
     Law, for each row: n uniform on {1..4}; repelling angles uniform with
     pairwise gap > 1e-6; lambda_k = -exp(U[-2,2]); tau uniform on the disk
@@ -663,9 +667,10 @@ def _draw_columns(rng: np.random.Generator, regime: str, rows: int):
     return kind, tau, tau_angle, sig_angles, lambdas, atom_angles, masses, gamma, points
 
 
-def random_spec(rng: np.random.Generator, regime: str = "interior") -> GeneratorSpec:
+def random_spec(rng, regime: str = "interior") -> GeneratorSpec:
     """Draw a random spec of the given regime: row 0 of a one-row
-    _draw_columns block, whose docstring states the law in full.
+    _draw_columns block, whose docstring states the law in full, so it
+    calls rng.random(size) and rng.integers(lo, hi, size) alone.
 
     Law: n uniform on {1..4} repelling points with lambda_k = -exp(U[-2,2]);
     tau uniform on the disk, 0, or uniform on the circle; p with 0..3 atoms

@@ -305,6 +305,42 @@ def test_verify_seed_changes_output(tmp_path):
     assert res1.stdout != res2.stdout
 
 
+def _seeded_command(tmp_path, command):
+    """The argv of a short run of a seeded command, config included."""
+    if command == "verify":
+        return ["verify", "--samples", "200"]
+    cfg = write_json(
+        tmp_path / "cfg_cp.json",
+        {"tau": {"re": 0.3, "im": -0.2}, "sigmas": [0.5, 2.5], "target": [2.0, 3.0],
+         "fields": 8, "sweep": 0},
+    )
+    return ["cowen-pommerenke", "--config", cfg]
+
+
+@pytest.mark.parametrize("command", ["verify", "cowen-pommerenke"])
+def test_a_negative_seed_exits_2(tmp_path, command):
+    # random.Random(-1) would draw the stream of seed 1: the CLI refuses it
+    out = tmp_path / "out"
+    res = run(*_seeded_command(tmp_path, command), "--seed", "-1", "--out", str(out))
+    assert res.returncode == 2
+    assert "expected non-negative integer" in res.stderr
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["verify", "cowen-pommerenke"])
+def test_a_seed_writes_the_same_bytes_twice(tmp_path, command):
+    argv = _seeded_command(tmp_path, command)
+    artifact = "verify.json" if command == "verify" else "cowen_pommerenke.json"
+    written = {}
+    for name, seed in [("a", 2**64), ("b", 2**64), ("c", 0)]:
+        res = run(*argv, "--seed", str(seed), "--out", str(tmp_path / name))
+        assert res.returncode == 0, res.stderr
+        written[name] = (tmp_path / name / artifact).read_bytes()
+    # a seed of 2**64 and beyond is accepted, and selects its own stream
+    assert written["a"] == written["b"]
+    assert written["a"] != written["c"]
+
+
 def test_cowen_pommerenke_report(tmp_path):
     cfg = write_json(
         tmp_path / "cfg_cp.json",

@@ -12,11 +12,13 @@ which leaves every other entry byte for byte as it was; with no names it
 re-records every case.
 
 VERIFY_SHA256 pins verify.json byte for byte at 10^4 samples for seeds
-0-5, and VERIFY_1E5_SHA256 at 10^5 samples for seed 0: 25 blocks of
-cli.VERIFY_BLOCK, the last of them 1696 samples.  verify's records and the object API call the same plain-number
-functions, so a change to any shared formula moves these bytes even where
-it stays within the golden tolerance, and so does a change to the order in
-which verify's column draws take the random stream.  numpy picks its
+0-5, and VERIFY_1E5_SHA256 at 10^5 samples for seed 0: 7 blocks of
+cli.VERIFY_BLOCK, the last of them 1696 samples.  verify's records and the
+object API call the same plain-number functions, so a change to any shared
+formula moves these bytes even where it stays within the golden tolerance,
+and so does a change to the order in which verify's column draws take the
+random stream, to the stream a seed selects (cli._Draws) or to the block
+size.  numpy picks its
 float64 loops (exp, abs, arctan2, ...) by the CPU it runs on, and the
 AVX-512 ones differ from libm in the last bit on a few percent of inputs,
 so verify, here and in its golden case, runs in a child process with
@@ -140,12 +142,12 @@ def test_cli_artifact_matches_golden(case, tmp_path):
 
 
 VERIFY_SHA256 = {
-    0: "f11f32f2a3348bd38296483e5f090217200cf973beebd81984dd2ed5fe2f8d9f",
-    1: "bf8186e366ea4de5416337aefbd63427e3d99571dc7a13761e46736d0e3b92c8",
-    2: "c9dea00e55926f67a4b9189eaa802212b4892ad075073d7c7721ae8a19daff4d",
-    3: "faae2d15faa45e85abb34d1e1c9c0cbdeb713af25183f40c6c30ca421c8cc722",
-    4: "0742c69d4445a9c90684201a83b9b0572d5ab8bdeb520792fda8d1b35e2083dc",
-    5: "7d0ea1afcc59b69f21115eea76b62d57e430619786df9cea698ab60825de5801",
+    0: "6bae2bac40e4c2a1cdab215964910f030172eabb0fa1d85f36c6538a40d66970",
+    1: "84b20ef25073d93dfd59217736cf86028d0c3760d9e9fb46ce15409c98f7d1a1",
+    2: "182833dce2b0001c049220f14eb4fe7d52be1e02c5045dd5b6e073bb72eba985",
+    3: "7723a91cd810d7ce420cce1bb9e600bf4d561a1764829227f3c3463b166489ee",
+    4: "b6799e15ab9c30c307ebcdaa82070b59b060481764ff17ed000c326a7c290810",
+    5: "57cd78608cbf63731f8f8f438934b32fd488f669dd24bb32f7926e31aa7ec533",
 }
 
 
@@ -156,11 +158,11 @@ def test_verify_json_bytes_are_pinned(seed, tmp_path):
     assert digest == VERIFY_SHA256[seed]
 
 
-VERIFY_1E5_SHA256 = "a2d3093e9126e0b4d85662d57dc0f2213d194354fa0669f40bfee6fef483035b"
+VERIFY_1E5_SHA256 = "5676a342a93ee111af8c54a4ea4a1e39ec8f5b651f1334ebfb2fec8a1b9a8a09"
 
 
 def test_verify_json_bytes_are_pinned_at_1e5_samples(tmp_path):
-    assert 100_000 - 24 * cli.VERIFY_BLOCK == 1696
+    assert 100_000 - 6 * cli.VERIFY_BLOCK == 1696
     assert run_verify(["--samples", "100000", "--seed", "0", "--out", str(tmp_path)]) == 0
     digest = hashlib.sha256((tmp_path / "verify.json").read_bytes()).hexdigest()
     assert digest == VERIFY_1E5_SHA256

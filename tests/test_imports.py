@@ -28,8 +28,12 @@ none has a numpy import statement, since on Python 3.11 one executes the
 lazy module.  A fresh interpreter that imports diskflow and diskflow.cli
 and runs region for every kind and format loads no numpy submodule, and
 neither argparse, gettext nor locale, since the command line is read from
-cli.COMMANDS by the module's own parser; verify,
-cowen-pommerenke and flow then run and succeed, and numpy has loaded.  Every
+cli.COMMANDS by the module's own parser, nor random, which only the two
+seeded commands import.  That interpreter starts without site (-S), which
+on many hosts imports random before any user code.  cowen-pommerenke then
+runs in plain floats and loads no numpy submodule either; verify loads
+numpy but not numpy.random, since both commands draw from the standard
+library's random.Random; flow runs last, and every command succeeds.  Every
 scalar path runs in plain numbers: a fresh interpreter that runs the README's
 flow example, lone orbits and evolutions with their derivatives (tau inside
 the disk and on the circle), dw_spectral_value and eval_generator at one
@@ -76,6 +80,7 @@ stay unloaded.
 """
 
 import ast
+import importlib.util
 import json
 import math
 import os
@@ -706,14 +711,18 @@ def test_lazy_raises_for_a_missing_module():
     assert name not in sys.modules
 
 
-def _fresh(script: str, *args: str) -> dict:
-    """Run script in a fresh interpreter on src/; its last line of output, as JSON."""
+def _fresh(script: str, *args: str, bare: bool = False) -> dict:
+    """Run script in a fresh interpreter on src/; its last line of output, as
+    JSON.  A bare interpreter runs without site (-S), with numpy's directory
+    on its path in place of the site directories."""
     env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(PACKAGE.parent), env.get("PYTHONPATH")) if p
-    )
+    path = [str(PACKAGE.parent), env.get("PYTHONPATH")]
+    if bare:
+        numpy_dir = importlib.util.find_spec("numpy").submodule_search_locations[0]
+        path.append(os.path.dirname(numpy_dir))
+    env["PYTHONPATH"] = os.pathsep.join(p for p in path if p)
     res = subprocess.run(
-        [sys.executable, "-c", script, *args],
+        [sys.executable, *(["-S"] if bare else []), "-c", script, *args],
         capture_output=True, text=True, env=env, timeout=300,
     )
     assert res.returncode == 0, res.stderr
@@ -781,7 +790,8 @@ def test_no_command_loads_scipy(tmp_path):
 
 
 # The lazy numpy module sits in sys.modules before numpy loads, so a loaded
-# numpy shows as its submodules; dataclasses and inspect show by name.
+# numpy shows as its submodules; dataclasses, inspect and the rest show by
+# name.  The session runs bare (-S), so none of them is loaded at its start.
 _NUMPY_SESSION = """
 import json, sys
 
@@ -789,11 +799,11 @@ def loaded():
     return sorted(
         m for m in sys.modules
         if m.startswith("numpy.")
-        or m in ("dataclasses", "inspect", "argparse", "gettext", "locale")
+        or m in ("dataclasses", "inspect", "argparse", "gettext", "locale", "random")
     )
 
 regions, cp, flow, out = sys.argv[1:]
-report = {}
+report = {"bare random": "random" in sys.modules}
 import diskflow
 report["import diskflow"] = loaded()
 import diskflow.cli
@@ -804,13 +814,15 @@ report["region codes"] = [
     for fmt in ("json", "csv", "svg")
 ]
 report["region"] = loaded()
-report["codes"] = [
-    diskflow.cli.main(["verify", "--samples", "20", "--out", out]),
-    diskflow.cli.main(["cowen-pommerenke", "--config", cp, "--out", out]),
-    diskflow.cli.main(["flow", "--config", flow, "--out", out]),
-]
+report["cowen-pommerenke code"] = diskflow.cli.main(
+    ["cowen-pommerenke", "--config", cp, "--out", out]
+)
+report["cowen-pommerenke"] = loaded()
+report["verify code"] = diskflow.cli.main(["verify", "--samples", "20", "--out", out])
 report["numpy"] = type(sys.modules["numpy"]).__name__
 report["loaded"] = "numpy.linalg" in sys.modules
+report["numpy.random"] = "numpy.random" in sys.modules
+report["flow code"] = diskflow.cli.main(["flow", "--config", flow, "--out", out])
 print(json.dumps(report))
 """
 
@@ -830,15 +842,22 @@ def test_import_and_region_do_not_load_numpy(tmp_path):
     flow = tmp_path / "flow.json"
     flow.write_text(json.dumps(_FLOW_CONFIG))
     report = _fresh(_NUMPY_SESSION, json.dumps(regions), str(cp), str(flow),
-                    str(tmp_path / "out"))
+                    str(tmp_path / "out"), bare=True)
+    # without site the interpreter has not loaded random, so the checks bite
+    assert report["bare random"] is False
     assert report["import diskflow"] == []
     assert report["import diskflow.cli"] == []
     assert report["region codes"] == [0] * 12
     assert report["region"] == []
-    # the array commands load numpy on first use and succeed
-    assert report["codes"] == [0, 0, 0]
+    # cowen-pommerenke draws its fields from random.Random in plain floats
+    assert report["cowen-pommerenke code"] == 0
+    assert report["cowen-pommerenke"] == ["random"]
+    # verify loads numpy on first use, and draws from the same source
+    assert report["verify code"] == 0
     assert report["numpy"] == "module"
     assert report["loaded"] is True
+    assert report["numpy.random"] is False
+    assert report["flow code"] == 0
 
 
 _SCALAR_SESSION = """

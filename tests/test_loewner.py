@@ -222,22 +222,34 @@ def test_random_strict_field_meets_its_floors(a):
 
 
 def test_random_strict_field_keeps_a_draw_that_meets_both_floors():
-    # the plain single-draw law, replayed on a copy of the generator
+    # the plain single-draw law, replayed on a copy of the generator: each
+    # quantity takes rng.random() floats U, a flat Dirichlet part -log(1 - U)
     target = CPTarget((math.e, math.e))
-    log_a = np.asarray(target.log_values)
+    log_a = target.log_values
     horizon = target.horizon
     replay = np.random.default_rng(0)
-    m = int(replay.integers(1, 5))
-    durations = replay.dirichlet(np.ones(m)) * horizon
-    rows = replay.dirichlet(np.ones(2), size=m)
-    rows = rows + (log_a - durations @ rows)[None, :] / horizon
+
+    def dirichlet(count):
+        weights = [-math.log(1.0 - replay.random()) for _ in range(count)]
+        total = sum(weights)
+        return [w / total for w in weights]
+
+    m = 1 + int(4.0 * replay.random())
+    durations = [part * horizon for part in dirichlet(m)]
+    rows = [dirichlet(2) for _ in range(m)]
+    shift = [
+        (log_a[k] - sum(d * row[k] for d, row in zip(durations, rows))) / horizon
+        for k in range(2)
+    ]
+    rows = [[x + c for x, c in zip(row, shift)] for row in rows]
     assert m > 1
-    assert durations.min() >= 1e-3 * horizon and rows.min() >= loewner_cp.ROW_FLOOR
+    assert min(durations) >= 1e-3 * horizon
+    assert min(map(min, rows)) >= loewner_cp.ROW_FLOOR
 
     field = random_strict_field(np.random.default_rng(0), 0.0, S2, target)
-    assert [d for d, _ in field.segments] == durations.tolist()
+    assert [d for d, _ in field.segments] == durations
     assert [spec.config.lambdas for _, spec in field.segments] == [
-        tuple(-rows[i]) for i in range(m)
+        tuple(-x for x in row) for row in rows
     ]
 
 

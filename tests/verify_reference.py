@@ -37,7 +37,7 @@ from diskflow import (
     lambda_range,
     region_Z,
 )
-from diskflow.cli import _sign_counts
+from diskflow.cli import _Draws, _sign_counts
 from diskflow.herglotz_core import angle_gap, circle_angle, contact_value
 from diskflow.value_regions import REGIMES, _column_points, _draw_columns, origin_curvature_chart
 
@@ -256,10 +256,11 @@ def record_scale(spec, record):
 
 def verify_report(seed, samples, tol, block, sign_floor_min=1e-10):
     """The report of `diskflow verify` by the object loop, on the samples
-    of its column draws (in blocks of ``block`` samples), and the largest
-    record_scale of each record.  A record is a warning or a violation by
-    cmd_verify's own rule, cli._sign_counts, read one record at a time."""
-    rng = np.random.default_rng(seed)
+    of its column draws from the CLI's seeded stream (cli._Draws), in
+    blocks of ``block`` samples, and the largest record_scale of each
+    record.  A record is a warning or a violation by cmd_verify's own
+    rule, cli._sign_counts, read one record at a time."""
+    rng = _Draws(seed)
     sign_floor = max(tol, sign_floor_min)
     checked, warnings, violations, min_slack, scale = {}, {}, {}, {}, {}
     for start in range(0, samples, block):
